@@ -21,9 +21,9 @@ Why each workload exists:
 
 The seed sets the order of the queries and the arguments of the cheap
 tensor/invdim queries.  It does not choose which cases are measured or
-which command a case gets: with ~70 queries in a run and per-query costs
-that span 300x, a seeded draw of cases or commands moved ops_per_s and
-the latency percentiles by 6-30 % from one seed to the next.
+which command a case gets: with 80-100 queries in a run and per-query
+costs that span 300x, a seeded draw of cases or commands moved ops_per_s
+and the latency percentiles by 6-30 % from one seed to the next.
 """
 
 import json
