@@ -19,7 +19,7 @@ import run  # noqa: E402
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=int, default=40)
+    ap.add_argument("--seconds", type=int, default=45)
     args = ap.parse_args(argv)
     rows = []
     for workload in run.WORKLOADS:

@@ -3,20 +3,27 @@
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
 Workloads (see workloads.py for why each exists): case-sweep and
-case-explore call `g2gaudin.cli.main(argv)` in this process; cold-cli starts
-one `python -m g2gaudin.cli` child per query, one at a time.  Each is a
-closed loop with one client: a fixed, seeded list of queries run in order,
-until the list ends or S seconds have passed.  Every answer is checked
-against closed forms (oracle.py).
+case-explore call `g2gaudin.cli.main(argv)` in one worker process
+(worker.py); cold-cli starts one `python -m g2gaudin.cli` child per query,
+one at a time.  Each is a closed loop with one client: a fixed, seeded
+list of queries run in order, until the list ends or S seconds have
+passed.  Every answer is checked against closed forms (oracle.py).
+Child processes run with PYTHONHASHSEED=0, so each query does the same
+work in every run.
 
---trace 0 prints the end-to-end metrics:
-  ops_per_s    queries completed per second of the timed phase
+--trace 0 prints the end-to-end metrics.  Every time among them is scaled
+to a reference host speed by calibration kernels measured in the same run:
+in-process queries one by one by a compute kernel, import and cold-cli
+times by the run's median of a process kernel (calib.py says why and how).
+The raw times are printed beside them and kept in the run record.
+  ops_per_s    queries completed per second of query time
   op_p50_s     median query latency
   op_tail_s    the highest percentile with at least ten samples beyond it
                (its percentile and sample count are printed beside it)
   setup_s      median over child processes of `import g2gaudin.cli` plus
                building the parser
-  peak_rss_mb  peak RSS of this process; in cold-cli plus its largest child
+  peak_rss_mb  peak RSS of the process that runs the queries; in cold-cli
+               this process plus its largest child
 fail_ratio (failed over attempted queries) is printed beside them and
 carried by "attempted"/"failed" in the result line.
 
@@ -59,6 +66,7 @@ FIXTURES = os.path.join(HERE, "fixtures")
 FILES = os.path.join(OUT, "files")  # inputs of the file-input queries
 sys.path.insert(0, HERE)
 
+import calib  # noqa: E402
 import micro  # noqa: E402
 import workloads  # noqa: E402
 import worker  # noqa: E402
@@ -68,15 +76,14 @@ END_TO_END = {"ops_per_s": "1/s", "op_p50_s": "s", "op_tail_s": "s",
               "setup_s": "s", "peak_rss_mb": "MB"}
 RATIOS = ("diffop.build_Dy.per_case", "diffop.kernel_retry_ratio",
           "trace_overhead_ratio")
-SETUP_SAMPLES = 7
+SETUP_SAMPLES = 9
 SETUP_SNIPPET = ("import time; t = time.perf_counter(); import g2gaudin.cli as c;"
                  " c.build_parser(); print(time.perf_counter() - t)")
-# queries of the traced run, the first of the workload's list: two rounds
-# of the sweep, two explore cases, one cold-cli round
-TRACE_QUERIES = {
-    "case-sweep": 2 * len(workloads.SWEEP_CMDS),
-    "case-explore": 2 * len(workloads.EXPLORE_CMDS),
-    "cold-cli": len(workloads.cold_cli(0)) // workloads.COLD_ROUNDS}
+# queries of the traced run in case-*, the first of the workload's list:
+# two rounds of the sweep, two explore cases; cold-cli traces one query
+# of each command
+TRACE_QUERIES = {"case-sweep": 2 * len(workloads.SWEEP_CMDS),
+                 "case-explore": 2 * len(workloads.EXPLORE_CMDS)}
 # no child may outlive this many seconds after the benchmark started
 DEADLINE_S = 170
 
@@ -141,15 +148,27 @@ def run_child(argv, clock):
     return rc, out, err, start, time.perf_counter()
 
 
+def process_kernel(clock):
+    """Seconds of one process-kernel child (calib.py)."""
+    rc, out, err, _, _ = run_child(calib.PROCESS_ARGV, clock)
+    if rc != 0:
+        raise RuntimeError(f"the process kernel failed: {err}")
+    return float(out)
+
+
 def measure_setup(clock):
-    samples = []
+    """The import of g2gaudin.cli plus building the parser, timed inside
+    each of SETUP_SAMPLES child processes, and a process kernel run before
+    each child."""
+    imports, kernels = [], []
     for _ in range(SETUP_SAMPLES):
+        kernels.append(process_kernel(clock))
         rc, out, err, _, _ = run_child([sys.executable, "-c", SETUP_SNIPPET],
                                        clock)
         if rc != 0:
             raise RuntimeError(f"importing g2gaudin.cli failed: {err}")
-        samples.append(float(out))
-    return statistics.median(samples)
+        imports.append(float(out))
+    return imports, kernels
 
 
 def build_queries(workload, seed):
@@ -160,35 +179,42 @@ def build_queries(workload, seed):
     return workloads.cold_cli(seed)
 
 
-def timed_in_process(queries, seconds):
-    """The untimed warm-up queries and the timed queries, each run through
-    cli.main, the latter until done or out of time; outputs are checked
-    after the timed phase."""
-    sys.path.insert(0, SRC)
-    from g2gaudin import cli
-    warm = [(q, *worker.run_cli(cli.main, q["argv"]), 0.0, 0.0)
-            for q in workloads.warmup_queries()]
+def timed_in_process(queries, seconds, clock, tmp):
+    """The untimed warm-up queries and the timed queries, run through
+    cli.main in one worker process, the latter until done or out of time,
+    each followed by a calibration kernel; and the worker's peak RSS.
+    Outputs are checked after the timed phase."""
+    warmup = workloads.warmup_queries()
+    spec = {"src": SRC, "profile": False, "calibrate": True,
+            "seconds": seconds, "queries": [q["argv"] for q in queries],
+            "warmup": [q["argv"] for q in warmup]}
+    res, _, _ = _worker(spec, clock, tmp, "timed")
+    warm = [(q, r["rc"], r["out"], r["err"])
+            for q, r in zip(warmup, res["warmup"])]
+    before = res["kernel0_s"]
     done = []
-    t0 = time.perf_counter()
-    for q in queries:
-        if time.perf_counter() - t0 >= seconds:
-            break
-        start = time.perf_counter()
-        rc, out, err = worker.run_cli(cli.main, q["argv"])
-        done.append((q, rc, out, err, start, time.perf_counter()))
-    return warm, done
+    for q, r in zip(queries, res["results"]):
+        took = r["end_s"] - r["start_s"]
+        done.append((q, r["rc"], r["out"], r["err"], r["start_s"], r["end_s"],
+                     calib.scaled(took, before, r["kernel_s"])))
+        before = r["kernel_s"]
+    return warm, done, res["peak_rss_mb"]
 
 
 def timed_cold(queries, seconds, clock):
-    done = []
+    """One child per query, every third followed by a process kernel; and
+    the peak RSS of this process plus its largest child."""
+    done, kernels = [], []
     t0 = time.perf_counter()
-    for q in queries:
+    for n, q in enumerate(queries):
         if time.perf_counter() - t0 >= seconds:
             break
         rc, out, err, start, end = run_child(
             [sys.executable, "-m", "g2gaudin.cli"] + q["argv"], clock)
-        done.append((q, rc, out, err, start, end))
-    return [], done
+        done.append((q, rc, out, err, start, end, end - start))
+        if n % 3 == 2:
+            kernels.append(process_kernel(clock))
+    return [], done, peak_rss_mb(True), kernels
 
 
 def judge(done):
@@ -232,33 +258,52 @@ def peak_rss_mb(with_children):
     return kib / 1024
 
 
+def latency_metrics(latencies):
+    """ops_per_s, op_p50_s and op_tail_s of per-query latencies, and the
+    percentile of op_tail_s."""
+    tail_s, tail_pct = tail(latencies)
+    return {"ops_per_s": len(latencies) / sum(latencies),
+            "op_p50_s": statistics.median(latencies),
+            "op_tail_s": tail_s}, tail_pct
+
+
 def timed_run(workload, queries, seconds, clock):
-    setup_s = measure_setup(clock)
+    imports, kernels = measure_setup(clock)
     cold = workload == "cold-cli"
-    warm, done = (timed_cold(queries, seconds, clock) if cold
-                  else timed_in_process(queries, seconds))
+    if cold:
+        warm, done, rss_mb, more = timed_cold(queries, seconds, clock)
+        kernels += more
+    else:
+        os.makedirs(OUT, exist_ok=True)
+        with tempfile.TemporaryDirectory(dir=OUT) as tmp:
+            warm, done, rss_mb = timed_in_process(queries, seconds, clock, tmp)
     if not done:
         raise RuntimeError("no query completed")
-    latencies = [end - start for *_, start, end in done]
-    elapsed = done[-1][-1] - done[0][-2]
-    tail_s, tail_pct = tail(latencies)
+    # in-process queries were scaled one by one by the compute kernel;
+    # the import and cold-cli queries are scaled by the process kernel
+    factor = calib.REF_PROCESS_S / statistics.median(kernels)
+    if cold:
+        done = [(*d[:-1], d[-1] * factor) for d in done]
+    metrics, tail_pct = latency_metrics([d[-1] for d in done])
+    metrics.update(setup_s=statistics.median(imports) * factor,
+                   peak_rss_mb=rss_mb)
+    raw, _ = latency_metrics([end - start for *_, start, end, _ in done])
+    raw["setup_s"] = statistics.median(imports)
     failures = judge(warm + done)
     attempted = len(warm) + len(done)
-    metrics = {"ops_per_s": len(done) / elapsed,
-               "op_p50_s": statistics.median(latencies),
-               "op_tail_s": tail_s, "setup_s": setup_s,
-               "peak_rss_mb": peak_rss_mb(cold)}
-    record = {"metrics": metrics, "attempted": attempted,
-              "failed": len(failures),
-              "fail_ratio": len(failures) / attempted,
-              "tail_percentile": tail_pct, "samples": len(done),
-              "repeat_share": repeat_share([d[0] for d in done], not cold),
-              "elapsed_s": elapsed, "failures": failures,
-              "spans": [{"op": n, "cmd": q["cmd"], "case": q["case"],
-                         "start_s": start - done[0][-2],
-                         "end_s": end - done[0][-2]}
-                        for n, (q, *_, start, end) in enumerate(done)]}
-    return record
+    t0 = done[0][4]
+    return {"metrics": metrics, "raw_metrics": raw, "attempted": attempted,
+            "failed": len(failures),
+            "fail_ratio": len(failures) / attempted,
+            "tail_percentile": tail_pct, "samples": len(done),
+            "process_kernel_s": statistics.median(kernels),
+            "repeat_share": repeat_share([d[0] for d in done], not cold),
+            "elapsed_s": done[-1][5] - t0, "failures": failures,
+            "spans": [{"op": n, "cmd": q["cmd"], "case": q["case"],
+                       "start_s": start - t0, "end_s": end - t0,
+                       "scaled_s": scaled}
+                      for n, (q, _, _, _, start, end, scaled)
+                      in enumerate(done)]}
 
 
 def _worker(spec, clock, tmp, name):
@@ -312,7 +357,8 @@ def _busy(done):
 
 
 def traced_run(workload, queries, seed, clock):
-    subset = queries[:TRACE_QUERIES[workload]]
+    subset = (workloads.one_of_each(queries) if workload == "cold-cli"
+              else queries[:TRACE_QUERIES[workload]])
     os.makedirs(OUT, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=OUT) as tmp:
         plain, _ = traced_pass(workload, subset, False, clock, tmp)
@@ -344,12 +390,13 @@ def traced_run(workload, queries, seed, clock):
 def summary(workload, seed, trace, record):
     lines = [f"g2gaudin benchmark: workload {workload}, seed {seed}, "
              f"trace {trace}"]
+    raw = record.get("raw_metrics", {})
     for name, value in record["metrics"].items():
         u = END_TO_END.get(name) or unit(name)
-        extra = ""
+        extra = f"  (raw {raw[name]:.6g} {u})" if name in raw else ""
         if name == "op_tail_s":
-            extra = (f"  (p{record['tail_percentile']:.1f} of "
-                     f"{record['samples']} samples)")
+            extra += (f"  (p{record['tail_percentile']:.1f} of "
+                      f"{record['samples']} samples)")
         lines.append(f"  {name:40s} {value:.6g} {u}{extra}")
     lines.append(f"  {'fail_ratio':40s} {record['failed']}/"
                  f"{record['attempted']} = {record['fail_ratio']:.4g}")

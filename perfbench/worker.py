@@ -1,16 +1,23 @@
 """Run g2 queries through `g2gaudin.cli.main` in this process, optionally
 under cProfile, and attribute the profile to the program's layers.
 
-As a script it is the child process of a traced run:
+As a script it is the child process of a timed in-process run and of a
+traced run:
 
     python3 perfbench/worker.py SPEC.json OUT.json
 
 SPEC holds {"src": directory holding g2gaudin, "profile": bool,
-"warmup": [argv, ...], "queries": [argv, ...]}.  The profiler runs over
-the import of g2gaudin.cli and over each query, not over the warm-up or
-the bookkeeping between queries.  OUT receives {"import_s", "results":
-[{"rc", "out", "err", "start_s", "end_s"}, ...], "layers"}, where
-"layers" is the table of `layer_table` (null without profiling).
+"calibrate": bool, "seconds": cap on the query loop or null, "warmup":
+[argv, ...], "queries": [argv, ...]}.  The profiler runs over the import
+of g2gaudin.cli and over each query, not over the warm-up or the
+bookkeeping between queries.  With "calibrate", the calibration kernel
+(calib.py) runs before the first query and after each one.  Queries start
+until the list ends or "seconds" have passed since the first.  OUT
+receives {"import_s", "warmup": [{"rc", "out", "err"}, ...], "results":
+[{"rc", "out", "err", "start_s", "end_s", "kernel_s"}, ...], "kernel0_s",
+"peak_rss_mb", "layers"}, where "kernel0_s" and "kernel_s" are the kernel
+times before the first query and after each (null without calibration)
+and "layers" is the table of `layer_table` (null without profiling).
 """
 
 import contextlib
@@ -19,9 +26,12 @@ import io
 import json
 import os
 import pstats
+import resource
 import sys
 import time
 import traceback
+
+import calib
 
 # the program's modules, each one layer, and `fractions`: the stdlib
 # Fraction arithmetic that exact, linalg and repn run on
@@ -137,10 +147,16 @@ def main(spec_path, out_path):
     if prof:
         prof.disable()
     import_s = time.perf_counter() - t0
-    for argv in spec["warmup"]:
-        run_cli(cli.main, argv)
+    warmup = [dict(zip(("rc", "out", "err"), run_cli(cli.main, argv)))
+              for argv in spec["warmup"]]
+    calibrate = spec.get("calibrate", False)
+    cap = spec.get("seconds")
+    kernel0 = calib.kernel_s() if calibrate else None
     results = []
+    first = time.perf_counter()
     for argv in spec["queries"]:
+        if cap is not None and time.perf_counter() - first >= cap:
+            break
         if prof:
             prof.enable()
         start = time.perf_counter()
@@ -149,10 +165,14 @@ def main(spec_path, out_path):
         if prof:
             prof.disable()
         results.append({"rc": rc, "out": out, "err": err,
-                        "start_s": start - t0, "end_s": end - t0})
+                        "start_s": start - t0, "end_s": end - t0,
+                        "kernel_s": calib.kernel_s() if calibrate else None})
     layers = layer_table(pstats.Stats(prof).stats) if prof else None
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     with open(out_path, "w") as fh:
-        json.dump({"import_s": import_s, "results": results,
+        json.dump({"import_s": import_s, "warmup": warmup,
+                   "results": results,
+                   "kernel0_s": kernel0, "peak_rss_mb": rss_mb,
                    "layers": layers}, fh)
 
 
