@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from . import bethe
 from . import repn
@@ -60,14 +61,47 @@ def _lmul_factor(w: RatFunc, cs):
     return out
 
 
+def _integer_scale(polys):
+    """The positive rational c such that c * p has coprime integer
+    coefficients across all of polys together."""
+    den, num = 1, 0
+    for p in polys:
+        for c in p.coeffs:
+            den = den * c.denominator // gcd(den, c.denominator)
+            num = gcd(num, c.numerator)
+    return Fraction(den, num)
+
+
 def from_log_factors(gs) -> DiffOp:
-    """The product (d - ln' g_1)...(d - ln' g_m), leftmost factor first."""
-    cs = [RF_ONE]
-    for g in reversed(list(gs)):
-        cs = _lmul_factor(-log_deriv(g), cs)
-    n = len(cs) - 1
-    assert cs[n] == RF_ONE
-    return DiffOp(tuple(cs[n - 1 - i] for i in range(n)))
+    """The product (d - ln' g_1)...(d - ln' g_m), leftmost factor first.
+
+    Every w_k = ln' g_k has only simple poles, so its reduced denominator is
+    squarefree, and so is the lcm Q of those denominators.  With W_k = Q w_k,
+    both scaled by one constant to integer coefficients, the partial product
+    of order n is carried as sum_k P_k / Q^(n-k) d^k with polynomial P_k:
+    left-composing with d - W/Q sends P_k d^k to P_k d^(k+1) plus
+    (Q P_k' - (n-k) Q' P_k - W P_k) / Q^(n+1-k) d^k, which needs no division
+    and no gcd.  Each coefficient is reduced once, at the end."""
+    ws = [log_deriv(g) for g in gs]
+    Q = Poly([1])
+    for w in ws:
+        Q = poly_lcm(Q, w.den)
+    Ws = [w.num * Q.exact_div(w.den) for w in ws]
+    c = _integer_scale([Q] + Ws)
+    Q, Ws = Q * c, [W * c for W in Ws]
+    dQ = Q.derivative()
+    ps = [Poly([1])]
+    for n, W in enumerate(reversed(Ws)):
+        out = [Poly()] + ps
+        for k, p in enumerate(ps):
+            out[k] = out[k] + Q * p.derivative() - (dQ * (n - k) + W) * p
+        ps = out
+    m = len(ps) - 1
+    Qpow = [Poly([1])]
+    for _ in range(m):
+        Qpow.append(Qpow[-1] * Q)
+    return DiffOp(tuple(RatFunc(ps[k], Qpow[m - k])
+                        for k in range(m - 1, -1, -1)))
 
 
 def dy_factor_functions(y: bethe.PolyPair, T1: Poly, T2: Poly):
@@ -152,7 +186,6 @@ def _integer_roots(p: Poly):
         p = Poly(p.coeffs[v:])
     while p.degree > 0:
         # clear denominators, scan divisors of the constant term
-        from math import gcd
         L = 1
         for c in p.coeffs:
             L = L * c.denominator // gcd(L, c.denominator)
@@ -230,10 +263,11 @@ def appendix_operator(lam, i, conjugated=False) -> DiffOp:
     z = (0, 1); optionally conjugated by T1^2 T2."""
     y = bethe.appendix_solution(lam, i)
     T1, T2 = bethe.build_calT([lam, rd.OMEGA2], [Fraction(0), Fraction(1)])
-    D = build_Dy(y, T1, T2)
-    if conjugated:
-        D = conjugate(D, RatFunc(T1 ** 2 * T2))
-    return D
+    if not conjugated:
+        return build_Dy(y, T1, T2)
+    # f^{-1} (d - ln' g) f = d - ln'(g / f)
+    f = RatFunc(T1 ** 2 * T2)
+    return from_log_factors([g / f for g in dy_factor_functions(y, T1, T2)])
 
 
 def default_degree_bound(lam, i) -> int:
@@ -250,10 +284,8 @@ def kernel_for_case(lam, i):
     bound = default_degree_bound(lam, i)
     basis = polynomial_kernel(D, bound)
     if len(basis) != 7:
-        basis = polynomial_kernel(D, 2 * bound)
-        if len(basis) != 7:
-            raise ValueError(f"kernel dimension {len(basis)} != 7 for "
-                             f"{lam}, case {i}")
+        raise ValueError(f"kernel dimension {len(basis)} != 7 for "
+                         f"{lam}, case {i}")
     return basis
 
 
@@ -286,11 +318,3 @@ def h2_casimir_values(lam, i):
                    - repn.casimir_eigenvalue(rd.OMEGA2), 2)
     expected = eig / (Fraction(0) - Fraction(1))
     return got, expected
-
-
-def h2_casimir_check(lam, i) -> bool:
-    got, expected = h2_casimir_values(lam, i)
-    if got != expected:
-        raise AssertionError(f"h2 residue {got} != Casimir value {expected} "
-                             f"for {lam}, case {i}")
-    return True

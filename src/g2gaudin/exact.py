@@ -507,11 +507,3 @@ def residue_at(f: RatFunc, z) -> Scalar:
         inv.append(-inv0 * s)
     res = sum((num[j] * inv[m - 1 - j] for j in range(m)), Fraction(0))
     return res
-
-
-def poly_to_json(p: Poly):
-    return [scalar_to_str(c) for c in p.coeffs]
-
-
-def poly_from_json(data) -> Poly:
-    return Poly([scalar_from_str(c) for c in data])

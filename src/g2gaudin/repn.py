@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from . import rootdata as rd
 from .exact import QSqrt2, SQRT2
@@ -77,10 +78,6 @@ def mat_eq(a, b):
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def mat_trace(m):
-    return sum((m[i][i] for i in range(N)), ZERO)
-
-
 def trace_form(a, b):
     """The invariant form (x, y) = tr(xy)/6 on 7x7 matrices."""
     t = sum((a[i][j] * b[j][i] for i in range(N) for j in range(N)
@@ -123,7 +120,8 @@ def g2_basis():
 
 @lru_cache(maxsize=None)
 def build_G():
-    """All 49 entries G_ij as 7x7 matrices, from the printed formulas."""
+    """All 49 entries G_ij as 7x7 matrices, from the printed formulas, as a
+    read-only mapping: the result is cached and shared by every caller."""
     half_sqrt2 = QSqrt2(0, Fraction(1, 2))  # 1/sqrt2
     G = {}
     for i in (2, 3, 7):
@@ -175,7 +173,7 @@ def build_G():
                           ((4, 3), (7, 6), 1), ((4, 7), (2, 5), -1)]:
         if not mat_eq(G[lhs], mat_scale(QSqrt2(s) * SQRT2, G[rhs])):
             raise AssertionError(f"proportionality G{lhs} = {s}*sqrt2*G{rhs} fails")
-    return G
+    return MappingProxyType(G)
 
 
 def dual_basis_G():
@@ -205,26 +203,24 @@ def dual_basis_G():
     return G
 
 
-def kron(a, b):
-    """Kronecker product of two 7x7 matrices -> 49x49 list of lists."""
-    return [[a[i][j] * b[k][l] for j in range(N) for l in range(N)]
-            for i in range(N) for k in range(N)]
+def _nonzero_entries(m):
+    return [(r, s, v) for r, row in enumerate(m) for s, v in enumerate(row) if v]
 
 
 @lru_cache(maxsize=None)
 def casimir_on_pair():
-    """The 49x49 matrix of the Casimir on V_{omega2} (x) V_{omega2}."""
+    """The 49x49 matrix of the Casimir on V_{omega2} (x) V_{omega2}: one sixth
+    of the sum of the Kronecker products G_ji (x) G_ij, accumulated over the
+    nonzero entries of the two factors only."""
     G = build_G()
     omega = [[ZERO] * 49 for _ in range(49)]
     for i in range(1, 8):
         for j in range(1, 8):
-            a, b = G[(j, i)], G[(i, j)]
-            if mat_eq(a, mat_zero()) or mat_eq(b, mat_zero()):
-                continue
-            k = kron(a, b)
-            for r in range(49):
-                for s in range(49):
-                    omega[r][s] = omega[r][s] + k[r][s]
+            b = _nonzero_entries(G[(i, j)])
+            for r1, s1, x in _nonzero_entries(G[(j, i)]):
+                for r2, s2, y in b:
+                    r, s = N * r1 + r2, N * s1 + s2
+                    omega[r][s] = omega[r][s] + x * y
     sixth = Fraction(1, 6)
     return tuple(tuple(sixth * v for v in row) for row in omega)
 

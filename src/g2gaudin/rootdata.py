@@ -8,7 +8,6 @@ symmetrizer D = diag(3,1); alpha1 is the long root.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 
 CARTAN = ((2, -1), (-3, 2))
 
@@ -156,10 +155,6 @@ def partition_from_weight(mu, k: int):
     return tuple(reversed(parts))
 
 
-def partition_size(p) -> int:
-    return sum(p)
-
-
 def pair_size(mu, k: int) -> int:
     """|mu_{A,k}| / 7 = k + 2*mu1 + mu2 (the per-point weight budget)."""
     return k + 2 * mu[0] + mu[1]
@@ -170,7 +165,3 @@ def lambda_Ak_size(weights, ks) -> int:
     if len(weights) != len(ks):
         raise ValueError("weights and ks must have equal length")
     return 7 * sum(pair_size(w, k) for w, k in zip(weights, ks))
-
-
-def dominant_weights_upto(l1max: int, l2max: int):
-    return [(a, b) for a, b in product(range(l1max + 1), range(l2max + 1))]

@@ -36,11 +36,6 @@ def _flag_adapted(basis):
     return tuple(out)
 
 
-def _coeff_rows(polys):
-    d = max((p.degree for p in polys), default=0)
-    return [[p[i] for i in range(d + 1)] for p in polys]
-
-
 def _span_equal(polys_a, polys_b):
     d = max(max(p.degree for p in polys_a), max(p.degree for p in polys_b))
     rows = lambda ps: [[p[i] for i in range(d + 1)] for p in ps]
@@ -70,30 +65,6 @@ class PolySpace:
     @property
     def degrees(self):
         return tuple(p.degree for p in self._flag)
-
-    def valuation_profile(self, z):
-        """Strictly increasing orders of vanishing at z over a z-adapted
-        basis."""
-        vecs = [p.shift(z) for p in self.basis]
-        out = []
-        for p in sorted(vecs, key=lambda q: q.valuation()):
-            q = p
-            changed = True
-            while changed and not q.is_zero():
-                changed = False
-                for u in out:
-                    if u.valuation() == q.valuation():
-                        v = q.valuation()
-                        q = q - u * (q[v] / u[v])
-                        changed = True
-                        break
-            if q.is_zero():
-                raise ValueError("basis is linearly dependent")
-            out.append(q)
-        return tuple(sorted(p.valuation() for p in out))
-
-    def contains(self, p: Poly) -> bool:
-        return self.coordinates(p) is not None
 
     def coordinates(self, p: Poly):
         """Coordinates of p in the flag basis, or None."""

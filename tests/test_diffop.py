@@ -8,7 +8,7 @@ from g2gaudin import bethe
 from g2gaudin import diffop
 from g2gaudin import rootdata as rd
 from g2gaudin.bethe import PolyPair
-from g2gaudin.exact import Poly, RatFunc
+from g2gaudin.exact import Poly, RatFunc, log_deriv
 
 
 def test_trivial_factorization_is_d7():
@@ -43,6 +43,29 @@ def test_conjugation_roundtrip():
                             RatFunc(Poly([1])) / f) == D
 
 
+def _reference_operator(lam, i, conjugated):
+    """D_y as the plain RatFunc product, conjugated by diffop.conjugate."""
+    y = bethe.appendix_solution(lam, i)
+    T1, T2 = bethe.build_calT([lam, rd.OMEGA2], [Fraction(0), Fraction(1)])
+    cs = [RatFunc(Poly([1]))]
+    for g in reversed(diffop.dy_factor_functions(y, T1, T2)):
+        cs = diffop._lmul_factor(-log_deriv(g), cs)
+    D = diffop.DiffOp(tuple(reversed(cs[:-1])))
+    return diffop.conjugate(D, RatFunc(T1 ** 2 * T2)) if conjugated else D
+
+
+def test_common_denominator_product_matches_reference():
+    cases = [((a, b), i) for a in range(3) for b in range(3 - a)
+             for i in bethe.admissible_ls((a, b))]
+    assert len(cases) == 22 and {i for _, i in cases} == set(range(7))
+    for lam, i in cases:
+        for conjugated in (False, True):
+            want = _reference_operator(lam, i, conjugated)
+            got = diffop.appendix_operator(lam, i, conjugated=conjugated)
+            for k, (g, w) in enumerate(zip(got.coeffs, want.coeffs)):
+                assert (g.num, g.den) == (w.num, w.den), (lam, i, conjugated, k)
+
+
 def test_exponents_regular_point():
     y = PolyPair(Poly([1]), Poly([1]))
     D = diffop.build_Dy(y, Poly([1]), Poly([1]))
@@ -71,6 +94,20 @@ def test_exponents_finite_formula():
 def test_kernel_dimension():
     for lam, i in (((0, 0), 0), ((1, 0), 2), ((2, 2), 4)):
         assert len(diffop.kernel_for_case(lam, i)) == 7
+
+
+def test_kernel_rejects_perturbed_solution(monkeypatch):
+    exact = bethe.appendix_solution
+
+    def perturbed(lam, i):
+        y = exact(lam, i)
+        if (lam, i) == ((1, 1), 2):
+            return PolyPair(y.y1 + Fraction(1, 7), y.y2)
+        return y
+
+    monkeypatch.setattr(bethe, "appendix_solution", perturbed)
+    with pytest.raises(ValueError, match="kernel dimension"):
+        diffop.kernel_for_case((1, 1), 2)
 
 
 def test_h2_examples():

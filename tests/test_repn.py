@@ -38,6 +38,8 @@ def test_G_relations():
     G = repn.build_G()  # raises internally if the printed relations fail
     for i in range(1, 8):
         assert mat_eq(G[(i, 8 - i)], mat_zero())
+    with pytest.raises(TypeError):
+        G[(2, 3)] = mat_zero()
 
 
 def test_dual_basis_identity():
