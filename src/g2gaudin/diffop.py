@@ -6,13 +6,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from . import bethe
 from . import repn
 from . import rootdata as rd
-from .exact import Poly, RatFunc, log_deriv, poly_lcm, residue_at
+from .exact import (Poly, RatFunc, log_deriv, residue_at, zclear, zadd,
+                    zderiv, zgcd, zlcm, zmul, zprimitive, zquo, zratfunc,
+                    zscale, zsub)
 from .linalg import nullspace
 
 RF_ZERO = RatFunc(Poly())
@@ -61,52 +62,100 @@ def _lmul_factor(w: RatFunc, cs):
     return out
 
 
-def _integer_scale(polys):
-    """The positive rational c such that c * p has coprime integer
-    coefficients across all of polys together."""
-    den, num = 1, 0
-    for p in polys:
-        for c in p.coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
-            num = gcd(num, c.numerator)
-    return Fraction(den, num)
+# exponents of the seven factor functions g_k over (T1, T2, y1, y2),
+# leftmost factor first; see dy_factor_functions
+_DY_EXPONENTS = ((4, 2, -1, 0), (3, 2, 1, -1), (3, 1, -2, 1), (2, 1, 0, 0),
+                 (1, 1, 2, -1), (1, 0, -1, 1), (0, 0, 1, 0))
+# the exponents of T1^2 T2, by which appendix_operator conjugates
+_CONJUGATOR = (2, 1, 0, 0)
 
 
-def from_log_factors(gs) -> DiffOp:
-    """The product (d - ln' g_1)...(d - ln' g_m), leftmost factor first.
+def _log_factor_product(fs, exps) -> DiffOp:
+    """(d - ln' g_1)...(d - ln' g_m) for g_k = prod_j fs[j]^exps[k][j], with
+    fs integer coefficient lists.
 
-    Every w_k = ln' g_k has only simple poles, so its reduced denominator is
-    squarefree, and so is the lcm Q of those denominators.  With W_k = Q w_k,
-    both scaled by one constant to integer coefficients, the partial product
-    of order n is carried as sum_k P_k / Q^(n-k) d^k with polynomial P_k:
+    For primitive f with g = gcd(f, f'), ln' f = (f'/g) / rad f, where
+    rad f = f/g is squarefree; both quotients lie in Z[x].  Q is the lcm of
+    the radicals and W_k = Q ln' g_k = sum_j e_kj (f_j'/g_j) (Q / rad f_j),
+    for any f_j, coprime and squarefree or not.  The partial product of
+    order n is carried as sum_k P_k / Q^(n-k) d^k with P_k in Z[x]:
     left-composing with d - W/Q sends P_k d^k to P_k d^(k+1) plus
     (Q P_k' - (n-k) Q' P_k - W P_k) / Q^(n+1-k) d^k, which needs no division
     and no gcd.  Each coefficient is reduced once, at the end."""
-    ws = [log_deriv(g) for g in gs]
-    Q = Poly([1])
-    for w in ws:
-        Q = poly_lcm(Q, w.den)
-    Ws = [w.num * Q.exact_div(w.den) for w in ws]
-    c = _integer_scale([Q] + Ws)
-    Q, Ws = Q * c, [W * c for W in Ws]
-    dQ = Q.derivative()
-    ps = [Poly([1])]
+    Q, rads, logs = [1], [], []
+    for j, f in enumerate(fs):
+        if len(f) < 2 or not any(e[j] for e in exps):
+            rads.append([1])
+            logs.append([])
+            continue
+        f = zprimitive(f)
+        df = zderiv(f)
+        g = zgcd(f, df)
+        rads.append(zquo(f, g))
+        logs.append(zquo(df, g))
+        Q = zlcm(Q, rads[-1])
+    cofactors = [zquo(Q, r) for r in rads]
+    Ws = []
+    for e in exps:
+        W = []
+        for ej, lg, cof in zip(e, logs, cofactors):
+            if ej and lg:
+                W = zadd(W, zscale(ej, zmul(lg, cof)))
+        Ws.append(W)
+    dQ = zderiv(Q)
+    ps = [[1]]
     for n, W in enumerate(reversed(Ws)):
-        out = [Poly()] + ps
+        out = [[]] + ps
         for k, p in enumerate(ps):
-            out[k] = out[k] + Q * p.derivative() - (dQ * (n - k) + W) * p
+            out[k] = zadd(out[k], zsub(zmul(Q, zderiv(p)),
+                                       zmul(zadd(zscale(n - k, dQ), W), p)))
         ps = out
     m = len(ps) - 1
-    Qpow = [Poly([1])]
-    for _ in range(m):
-        Qpow.append(Qpow[-1] * Q)
-    return DiffOp(tuple(RatFunc(ps[k], Qpow[m - k])
+    return DiffOp(tuple(zratfunc(*_reduce_over_power(ps[k], Q, m - k))
                         for k in range(m - 1, -1, -1)))
+
+
+def _reduce_over_power(P, Q, e):
+    """(num, den) in lowest terms with num / den = P / Q^e, for squarefree Q.
+    g_1 = gcd(P, Q) is the product of the factors of Q dividing P; after
+    dividing P by it, g_2 = gcd(P, g_1) those dividing P twice, and so on,
+    so the reduced denominator is the product of the Q / g_t."""
+    if not P:
+        return P, [1]
+    den, g = [1], Q
+    for _ in range(e):
+        if len(g) > 1:
+            g = zgcd(P, g)
+            if len(g) > 1:
+                P = zquo(P, g)
+        den = zmul(den, zquo(Q, g) if len(g) > 1 else Q)
+    return P, den
+
+
+def from_log_factors(gs) -> DiffOp:
+    """The product (d - ln' g_1)...(d - ln' g_m), leftmost factor first, for
+    rational functions g_k over Q: each g_k is written as its numerator over
+    its denominator and fed to the integer product."""
+    bases, exps = {}, []
+    for g in gs:
+        g = RatFunc._coerce(g)
+        e = {}
+        for part, sign in ((g.num, 1), (g.den, -1)):
+            a = zprimitive(zclear(part.coeffs)[0])
+            if len(a) > 1:
+                key = tuple(a)
+                bases.setdefault(key, len(bases))
+                e[bases[key]] = e.get(bases[key], 0) + sign
+        exps.append(e)
+    return _log_factor_product([list(b) for b in bases],
+                               [[e.get(j, 0) for j in range(len(bases))]
+                                for e in exps])
 
 
 def dy_factor_functions(y: bethe.PolyPair, T1: Poly, T2: Poly):
     """The seven functions g_k whose log-derivatives enter the factorization,
-    as RatFuncs, leftmost first."""
+    as RatFuncs, leftmost first.  build_Dy builds the same product from their
+    exponents (_DY_EXPONENTS) without forming them."""
     r = lambda p: RatFunc(p)
     y1, y2 = r(y.y1), r(y.y2)
     t1, t2 = r(T1), r(T2)
@@ -119,8 +168,16 @@ def dy_factor_functions(y: bethe.PolyPair, T1: Poly, T2: Poly):
             y1)
 
 
+def _factor_product(y: bethe.PolyPair, T1: Poly, T2: Poly, shift=(0,) * 4):
+    """D_y, or with shift = _CONJUGATOR its conjugate by T1^2 T2, since
+    f^{-1} (d - ln' g) f = d - ln'(g / f)."""
+    fs = [zclear(p.coeffs)[0] for p in (T1, T2, y.y1, y.y2)]
+    return _log_factor_product(fs, [[a - b for a, b in zip(e, shift)]
+                                    for e in _DY_EXPONENTS])
+
+
 def build_Dy(y: bethe.PolyPair, T1: Poly, T2: Poly) -> DiffOp:
-    return from_log_factors(dy_factor_functions(y, T1, T2))
+    return _factor_product(y, T1, T2)
 
 
 def conjugate(D: DiffOp, f: RatFunc) -> DiffOp:
@@ -142,30 +199,42 @@ def conjugate(D: DiffOp, f: RatFunc) -> DiffOp:
 
 
 def polynomial_kernel(D: DiffOp, degree_bound: int):
-    """Basis of the kernel of D among polynomials of degree < degree_bound."""
-    full = D.full()
-    den = Poly([1])
-    for c in full:
-        den = poly_lcm(den, c.den) if not c.is_zero() else den
-    cleared = [(c.num * den.exact_div(c.den)) if not c.is_zero() else Poly()
-               for c in full]
+    """Basis of the kernel of D among polynomials of degree < degree_bound.
+    With the coefficients C_i of d^i cleared to Z[x] by one common
+    denominator, column j of the matrix is the image of x^j,
+    sum_i j!/(j-i)! x^(j-i) C_i."""
+    cleared = _clear_coefficients(D.full())
+    rows = degree_bound + max(len(c) for c in cleared)
     cols = []
-    maxdeg = 0
-    for k in range(degree_bound):
-        p = Poly([Fraction(0)] * k + [Fraction(1)])
-        img = Poly()
-        d = p
-        for i, c in enumerate(cleared):
-            if i:
-                d = d.derivative()
-            img = img + c * d
+    for j in range(degree_bound):
+        img = [0] * rows
+        fall = 1  # j! / (j - i)!
+        for i, c in enumerate(cleared[:j + 1]):
+            for t, v in enumerate(c):
+                img[j - i + t] += fall * v
+            fall *= j - i
         cols.append(img)
-        maxdeg = max(maxdeg, img.degree)
-    A = [[cols[k][row] for k in range(degree_bound)] for row in range(maxdeg + 1)]
-    basis = []
-    for v in nullspace(A):
-        basis.append(Poly(v))
-    return basis
+    return [Poly(v) for v in nullspace([list(r) for r in zip(*cols)])]
+
+
+def _clear_coefficients(cs):
+    """Integer lists C_i with C_i = s L cs[i] for one rational s != 0, where
+    L is the lcm of the denominators of the RatFuncs cs."""
+    parts, L = [], [1]
+    for c in cs:
+        if c.is_zero():
+            parts.append(None)
+            continue
+        num, nd = zclear(c.num.coeffs)
+        den, dd = zclear(c.den.coeffs)
+        cont = gcd(*den)
+        den = [v // cont for v in den]
+        parts.append((num, den, Fraction(dd, nd * cont)))
+        L = zlcm(L, den)
+    scale = lcm(*(p[2].denominator for p in parts if p))
+    return [zscale(p[2].numerator * (scale // p[2].denominator),
+                   zmul(p[0], zquo(L, p[1]))) if p else []
+            for p in parts]
 
 
 def _falling(n: int):
@@ -265,9 +334,7 @@ def appendix_operator(lam, i, conjugated=False) -> DiffOp:
     T1, T2 = bethe.build_calT([lam, rd.OMEGA2], [Fraction(0), Fraction(1)])
     if not conjugated:
         return build_Dy(y, T1, T2)
-    # f^{-1} (d - ln' g) f = d - ln'(g / f)
-    f = RatFunc(T1 ** 2 * T2)
-    return from_log_factors([g / f for g in dy_factor_functions(y, T1, T2)])
+    return _factor_product(y, T1, T2, _CONJUGATOR)
 
 
 def default_degree_bound(lam, i) -> int:
@@ -289,30 +356,39 @@ def kernel_for_case(lam, i):
     return basis
 
 
-@lru_cache(maxsize=None)
-def _h2_normalization():
-    """Constant relating the d^5 coefficient of the conjugated operator to
-    the pair Casimir eigenvalue, pinned on one known case."""
-    lam = (0, 1)
-    D = appendix_operator(lam, 0, conjugated=True)
-    h2 = D.coeffs[1]
-    r = -residue_at(h2, Fraction(0))
-    mu = rd.add(lam, rd.OMEGA2)
-    eig = Fraction(repn.casimir_eigenvalue(mu) - repn.casimir_eigenvalue(lam)
-                   - repn.casimir_eigenvalue(rd.OMEGA2), 2)
-    expected = eig / (Fraction(0) - Fraction(1))
-    if not r:
-        raise ValueError("degenerate calibration case")
-    return expected / r
+# Constant relating the d^5 coefficient of the conjugated operator to the
+# pair Casimir eigenvalue; derived in h2_casimir_values.
+_H2_NORMALIZATION = Fraction(1, 2)
 
 
 def h2_casimir_values(lam, i):
-    """(residue-side value, eigenvalue-side value), both exact."""
+    """(residue-side value, eigenvalue-side value), both exact.
+
+    The residue side is -N res_0 h2, where h2 is the d^5 coefficient of the
+    operator conjugated by T1^2 T2; the eigenvalue side is
+    e / (z1 - z2) = -e, with e = (c(mu) - c(lam) - c(omega2)) / 2 the
+    eigenvalue of the pair Casimir and c(nu) = (nu, nu + 2 rho), so that
+    c(a, b) = 6a^2 + 6ab + 2b^2 + 18a + 10b.  N = _H2_NORMALIZATION = 1/2:
+
+    The kernel is a space of polynomials with Wronskian supported on {0, 1},
+    so the coefficients are regular off {0, 1, infinity} with at most an
+    (x - p)^-i pole in the d^(7-i) coefficient.  The d^6 coefficient is
+    -ln'(prod g_k / (T1^2 T2)^7) = 0, so the indicial polynomial at p is
+    [s]_7 + A_p [s]_5 + (lower [s]_j), with A_p the (x - p)^-2 coefficient
+    of h2, and the second elementary symmetric function of its roots is
+    175 + A_p.  With exponents i + delta_i at 0, where delta runs over
+    (-2a-b, -a-b, -a, 0, a, a+b, 2a+b) for lam = (a, b), that gives
+    A_0 = -sum i delta_i - sum delta_i^2 / 2 = -c(lam); likewise
+    A_1 = -c(omega2), and at infinity x^2 h2 -> -c(mu).  Partial fractions,
+    h2 = A_0/x^2 + A_1/(x-1)^2 + R (1/(x-1) - 1/x), expand at infinity to
+    (A_0 + A_1 + R)/x^2, so R = -c(mu) + c(lam) + c(omega2) = -2e and
+    res_0 h2 = -R = 2e.  Hence -N res_0 h2 = -2Ne equals -e exactly for
+    N = 1/2, in every case at once: no case calibrates it."""
     if i not in bethe.admissible_ls(lam):
         raise ValueError(f"case {i} not admissible for {lam}")
     D = appendix_operator(lam, i, conjugated=True)
     h2 = D.coeffs[1]
-    got = -residue_at(h2, Fraction(0)) * _h2_normalization()
+    got = -residue_at(h2, Fraction(0)) * _H2_NORMALIZATION
     mu = rd.sub(rd.add(lam, rd.OMEGA2), bethe.alpha_of_l(bethe.L_LIST[i]))
     eig = Fraction(repn.casimir_eigenvalue(mu) - repn.casimir_eigenvalue(lam)
                    - repn.casimir_eigenvalue(rd.OMEGA2), 2)

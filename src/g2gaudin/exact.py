@@ -8,6 +8,7 @@ operations are pure; every value is immutable after construction.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -326,40 +327,194 @@ def divides(f: Poly, g: Poly) -> bool:
     return (g % f).is_zero()
 
 
-def poly_det(matrix: Sequence[Sequence[Poly]]) -> Poly:
-    """Determinant of a square polynomial matrix (fraction-free Bareiss)."""
-    n = len(matrix)
+# Integer polynomial core.  The Q[x] hot paths (poly_det, wronskian, the
+# operator product and kernel in diffop, the rational rref in linalg) clear
+# denominators once on entry, compute on lists of Python ints (lowest degree
+# first, no trailing zeros, [] for zero) and build one Fraction per output
+# coefficient on exit.
+
+
+def _denominator(coeffs) -> int:
+    """Least common denominator of rational coefficients; TypeError on any
+    other scalar."""
+    den = 1
+    for c in coeffs:
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"{c!r} is not rational: this path is over Q only")
+        den = lcm(den, c.denominator)
+    return den
+
+
+def zclear(coeffs):
+    """(a, den): integer coefficients a with coeffs = a / den, den > 0."""
+    den = _denominator(coeffs)
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def zpoly(a, den=1) -> Poly:
+    """The Poly a / den."""
+    return Poly([Fraction(c, den) for c in a])
+
+
+def zadd(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def zscale(c, a):
+    return [c * v for v in a] if c else []
+
+
+def zsub(a, b):
+    return zadd(a, zscale(-1, b))
+
+
+def zmul(a, b):
+    if not a or not b:
+        return []
+    if len(a) < len(b):
+        a, b = b, a
+    out = [0] * (len(a) + len(b) - 1)
+    for j, cb in enumerate(b):
+        if cb:
+            for i, ca in enumerate(a):
+                out[i + j] += ca * cb
+    return out
+
+
+def zderiv(a):
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def zquo(a, b):
+    """a / b, required to lie in Z[x]; ValueError otherwise."""
+    db, lead = len(b) - 1, b[-1]
+    rem = list(a)
+    q = [0] * max(0, len(a) - db)
+    for i in range(len(rem) - 1, db - 1, -1):
+        f, r = divmod(rem[i], lead)
+        if r:
+            raise ValueError("inexact polynomial division")
+        if f:
+            q[i - db] = f
+            for j, c in enumerate(b):
+                rem[i - db + j] -= f * c
+    if any(rem[:db]):
+        raise ValueError("inexact polynomial division")
+    return q
+
+
+def zprimitive(a):
+    """a divided by its content, with positive leading coefficient."""
+    if not a:
+        return a
+    c = gcd(*a)
+    if a[-1] < 0:
+        c = -c
+    return a if c == 1 else [v // c for v in a]
+
+
+def _zprem(a, b):
+    """A nonzero constant multiple of the remainder of a by b."""
+    rem, db, lead = list(a), len(b) - 1, b[-1]
+    while len(rem) > db:
+        c = rem[-1]
+        g = gcd(c, lead)
+        s, f = lead // g, c // g
+        rem = [s * v for v in rem]
+        for j, v in enumerate(b):
+            rem[len(rem) - 1 - db + j] -= f * v
+        while rem and not rem[-1]:
+            rem.pop()
+    return rem
+
+
+def zgcd(a, b):
+    """Primitive gcd in Z[x] with positive leading coefficient, by the
+    primitive remainder sequence; [] when both are zero."""
+    a, b = zprimitive(a), zprimitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, zprimitive(_zprem(a, b))
+    return a
+
+
+def zlcm(a, b):
+    """Primitive lcm of nonzero a and b."""
+    return zprimitive(zmul(a, zquo(zprimitive(b), zgcd(a, b))))
+
+
+def zdet(m):
+    """Determinant of a square matrix over Z[x] by fraction-free Bareiss
+    elimination: after step k every entry is a (k+1)-minor, so the division
+    by the previous pivot is exact (Bareiss 1968)."""
+    n = len(m)
     if n == 0:
-        return Poly([Fraction(1)])
-    m = [list(row) for row in matrix]
-    sign = 1
-    prev = Poly([Fraction(1)])
+        return [1]
+    m = [list(row) for row in m]
+    sign, prev = 1, [1]
     for k in range(n - 1):
-        if m[k][k].is_zero():
+        if not m[k][k]:
             for i in range(k + 1, n):
-                if not m[i][k].is_zero():
+                if m[i][k]:
                     m[k], m[i] = m[i], m[k]
                     sign = -sign
                     break
             else:
-                return Poly()
-        for i in range(k + 1, n):
+                return []
+        pivot, row_k = m[k][k], m[k]
+        for row in m[k + 1:]:
+            f = row[k]
             for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]).exact_div(prev)
-            m[i][k] = Poly()
-        prev = m[k][k]
-    return m[n - 1][n - 1] if sign == 1 else -m[n - 1][n - 1]
+                t = zsub(zmul(pivot, row[j]), zmul(f, row_k[j]))
+                row[j] = zquo(t, prev) if len(prev) > 1 or prev[0] != 1 else t
+        prev = pivot
+    return m[n - 1][n - 1] if sign == 1 else zscale(-1, m[n - 1][n - 1])
+
+
+def zratfunc(num, den) -> "RatFunc":
+    """The RatFunc num / den for coprime num and den in Z[x], den nonzero,
+    built without the gcd that RatFunc() runs: only den is made monic."""
+    lead = den[-1] if num else 1
+    out = object.__new__(RatFunc)
+    object.__setattr__(out, "num", zpoly(num, lead))
+    object.__setattr__(out, "den", zpoly(den if num else [1], lead))
+    return out
+
+
+def poly_det(matrix: Sequence[Sequence[Poly]]) -> Poly:
+    """Determinant of a square matrix of polynomials over Q: each row is
+    cleared to Z[x] once, then fraction-free Bareiss.  Raises TypeError on a
+    coefficient outside Q, such as a QSqrt2."""
+    rows, scale = [], 1
+    for row in matrix:
+        den = lcm(*(_denominator(p.coeffs) for p in row))
+        rows.append([[c.numerator * (den // c.denominator) for c in p.coeffs]
+                     for p in row])
+        scale *= den
+    return zpoly(zdet(rows), scale)
 
 
 def wronskian(fs: Sequence[Poly]) -> Poly:
-    """Wronskian determinant det(d^{i-1} f_j / dx^{i-1}); 1 for the empty family."""
-    fs = list(fs)
+    """Wronskian determinant det(d^{i-1} f_j / dx^{i-1}) over Q; 1 for the
+    empty family.  Raises TypeError on a coefficient outside Q."""
+    cur, scale = [], 1
+    for f in fs:
+        a, den = zclear(f.coeffs)
+        cur.append(a)
+        scale *= den
     rows = []
-    cur = fs
-    for _ in range(len(fs)):
+    for _ in range(len(cur)):
         rows.append(cur)
-        cur = [f.derivative() for f in cur]
-    return poly_det(rows)
+        cur = [zderiv(a) for a in cur]
+    return zpoly(zdet(rows), scale)
 
 
 class RatFunc:

@@ -3,10 +3,54 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+
+from .exact import zclear
 
 
 def rref(matrix):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
+    """Reduced row echelon form; returns (rows, pivot_columns).  A matrix of
+    ints and Fractions is reduced fraction-free over Z; any other entries
+    (QSqrt2) go through the generic field elimination."""
+    if all(isinstance(v, (int, Fraction)) for row in matrix for v in row):
+        return _rref_rational(matrix)
+    return _rref_field(matrix)
+
+
+def _rref_rational(matrix):
+    """rref over Q: each row is cleared to integers once, eliminated by
+    integer row combinations divided by their content, and divided by its
+    pivot only at the end."""
+    m = [zclear(row)[0] for row in matrix]
+    if not m:
+        return m, []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        prow = m[r]
+        p = prow[c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if i != r and f:
+                row = [p * a - f * b for a, b in zip(row, prow)]
+                g = gcd(*row)
+                m[i] = [v // g for v in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return ([[Fraction(v, row[c]) for v in row] for row, c in zip(m, pivots)]
+            + [[Fraction(0)] * ncols for _ in range(len(m) - r)]), pivots
+
+
+def _rref_field(matrix):
+    """rref by field operations, for any scalars with inverse (QSqrt2) or
+    Fraction entries."""
     m = [list(row) for row in matrix]
     if not m:
         return m, []

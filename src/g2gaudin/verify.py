@@ -154,7 +154,7 @@ def _exp_infinity(a, b):
 
 def check_kernels():
     """7-dimensional kernels, self-duality, ssd witness, exponents."""
-    hi = min(3, _lmax())
+    hi = _lmax()
     n = 0
     for lam in _grid(hi):
         for i in bethe.admissible_ls(lam):
@@ -190,7 +190,7 @@ def check_kernels():
 
 
 def check_h2():
-    hi = min(3, _lmax())
+    hi = _lmax()
     n = 0
     for lam in _grid(hi):
         for i in bethe.admissible_ls(lam):
@@ -279,7 +279,7 @@ def check_covering():
 
 
 def check_wronskian():
-    hi = min(3, _lmax())
+    hi = _lmax()
     x = Poly([0, 1])
     n = 0
     for lam in _grid(hi):

@@ -66,6 +66,50 @@ def test_common_denominator_product_matches_reference():
                 assert (g.num, g.den) == (w.num, w.den), (lam, i, conjugated, k)
 
 
+def _reference_product(gs):
+    """(d - ln' g_1)...(d - ln' g_m) as the plain RatFunc product."""
+    cs = [RatFunc(Poly([1]))]
+    for g in reversed(gs):
+        cs = diffop._lmul_factor(-log_deriv(g), cs)
+    return diffop.DiffOp(tuple(reversed(cs[:-1])))
+
+
+_x = Poly([0, 1])
+# (y, T1, T2) on which x, x - 1, y1 and y2 are not coprime and squarefree
+NONGENERIC = {
+    "y1 shares a root with x": (PolyPair(_x * (_x - 2), _x - 3),
+                                _x, _x * (_x - 1)),
+    "y1 has a repeated root": (PolyPair((_x - 2) ** 2 * (_x + 1), _x - 3),
+                               _x, _x * (_x - 1)),
+    "y2 shares a root with y1": (PolyPair((_x - 2) * (_x + 3),
+                                          (_x - 2) * (_x - 5)),
+                                 _x, _x * (_x - 1)),
+    "T exponents above 1": (PolyPair(_x * 3 - Fraction(1, 2), _x - 4),
+                            _x ** 3 * (_x - 1) ** 2, _x ** 2 * (_x - 1) ** 3),
+    "all at once, rational": (PolyPair(_x ** 2 * (_x - 1) * Fraction(2, 3),
+                                       (_x - 1) ** 2 * (_x + Fraction(1, 5))),
+                              _x ** 2, _x ** 2 * (_x - 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NONGENERIC))
+def test_direct_factor_product_on_nongeneric_inputs(name):
+    y, T1, T2 = NONGENERIC[name]
+    gs = diffop.dy_factor_functions(y, T1, T2)
+    f = RatFunc(T1 ** 2 * T2)
+    want = _reference_product(gs)
+    want_conj = diffop.conjugate(want, f)
+    for got, ref in ((diffop.build_Dy(y, T1, T2), want),
+                     (diffop.from_log_factors(gs), want),
+                     (diffop._factor_product(y, T1, T2, diffop._CONJUGATOR),
+                      want_conj),
+                     (diffop.from_log_factors([g / f for g in gs]),
+                      want_conj)):
+        assert got.order == 7
+        for k, (g, w) in enumerate(zip(got.coeffs, ref.coeffs)):
+            assert (g.num, g.den) == (w.num, w.den), (name, k)
+
+
 def test_exponents_regular_point():
     y = PolyPair(Poly([1]), Poly([1]))
     D = diffop.build_Dy(y, Poly([1]), Poly([1]))
@@ -120,6 +164,14 @@ def test_h2_examples():
     assert got == expected
     assert expected == -Fraction(repn_c((0, 0)) - repn_c((0, 1))
                                  - repn_c((0, 1)), 2)
+
+
+def test_h2_normalization_is_not_calibrated(monkeypatch):
+    got, expected = diffop.h2_casimir_values((0, 1), 0)
+    assert got == expected != 0
+    monkeypatch.setattr(diffop, "_H2_NORMALIZATION", Fraction(1))
+    got, expected = diffop.h2_casimir_values((0, 1), 0)
+    assert got == 2 * expected != expected
 
 
 def repn_c(mu):

@@ -1,13 +1,15 @@
 """Exact arithmetic: Q(sqrt2), polynomials, rational functions."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2gaudin.exact import (Poly, QSqrt2, RatFunc, log_deriv, poly_gcd,
-                            poly_lcm, residue_at, wronskian)
+from g2gaudin.exact import (Poly, QSqrt2, RatFunc, log_deriv, poly_det,
+                            poly_gcd, poly_lcm, residue_at, wronskian, zclear,
+                            zgcd, zpoly)
 
 fracs = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 10))
 qs = st.builds(QSqrt2, fracs, fracs)
@@ -105,3 +107,61 @@ def test_residue_and_log_deriv():
     # product rule
     g = RatFunc(x - Poly([1]))
     assert log_deriv(f * g) == log_deriv(f) + log_deriv(g)
+
+
+@st.composite
+def poly_matrices(draw):
+    """Square matrices of rational polynomials, n <= 4, with zero entries
+    (forcing pivot swaps) and, sometimes, a last row that is a polynomial
+    multiple of the first (a singular matrix)."""
+    n = draw(st.integers(0, 4))
+    entry = st.one_of(st.just(Poly()), small_polys)
+    m = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        q = draw(small_polys)
+        m[-1] = [q * p for p in m[0]]
+    return m
+
+
+def _leibniz_det(m):
+    total = Poly()
+    for perm in itertools.permutations(range(len(m))):
+        term = Poly([1])
+        for i, j in enumerate(perm):
+            term = term * m[i][j]
+        inversions = sum(perm[a] > perm[b] for a in range(len(perm))
+                         for b in range(a + 1, len(perm)))
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+@given(poly_matrices())
+@settings(max_examples=60, deadline=None)
+def test_poly_det_matches_leibniz(m):
+    got = poly_det(m)
+    assert got == _leibniz_det(m)
+    assert all(isinstance(c, Fraction) for c in got.coeffs)
+
+
+@given(st.lists(small_polys, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_wronskian_matches_leibniz(fs):
+    rows = [fs]
+    for _ in range(len(fs) - 1):
+        rows.append([f.derivative() for f in rows[-1]])
+    assert wronskian(fs) == _leibniz_det(rows if fs else [])
+
+
+@given(small_polys, small_polys)
+@settings(max_examples=60, deadline=None)
+def test_integer_gcd_matches_field_gcd(a, b):
+    g = zgcd(zclear(a.coeffs)[0], zclear(b.coeffs)[0])
+    assert zpoly(g).monic() == poly_gcd(a, b)
+
+
+def test_q_only_paths_reject_qsqrt2():
+    p = Poly([QSqrt2(0, 1), Fraction(1)])
+    with pytest.raises(TypeError):
+        poly_det([[p]])
+    with pytest.raises(TypeError):
+        wronskian([Poly([1, 1]), p])
