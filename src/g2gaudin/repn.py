@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from types import MappingProxyType
 
 from . import rootdata as rd
@@ -250,17 +251,23 @@ def _root_weight(c1, c2):
     return (2 * c1 - c2, -3 * c1 + 2 * c2)
 
 
+# (w, c1*alpha1 + c2*alpha2) = 3*c1*w1 + c2*w2 in fundamental coordinates,
+# since (omega_i, alpha_j) = delta_ij (alpha_j, alpha_j)/2 with
+# (alpha1, alpha1) = 6 and (alpha2, alpha2) = 2
+_RHO_PRODUCT = prod(3 * c1 + c2 for c1, c2 in rd.POSITIVE_ROOTS)
+
+
+@lru_cache(maxsize=None)
 def weyl_dim(lam) -> int:
-    """Weyl dimension formula over the 6 positive roots."""
+    """Weyl dimension formula over the 6 positive roots, in integers: the
+    product of (lam + rho, beta) divided by that of (rho, beta).  Cached."""
     if not rd.is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
-    num = Fraction(1)
-    lr = rd.add(lam, rd.RHO)
-    for c1, c2 in rd.POSITIVE_ROOTS:
-        beta = _root_weight(c1, c2)
-        num *= Fraction(rd.bilinear(lr, beta), rd.bilinear(rd.RHO, beta))
-    assert num.denominator == 1
-    return int(num)
+    l1, l2 = lam[0] + 1, lam[1] + 1
+    num = prod(3 * c1 * l1 + c2 * l2 for c1, c2 in rd.POSITIVE_ROOTS)
+    dim, rem = divmod(num, _RHO_PRODUCT)
+    assert rem == 0
+    return dim
 
 
 @lru_cache(maxsize=None)
@@ -321,9 +328,17 @@ def weight_multiplicities(lam):
 
 
 def tensor_decompose(lam, mu):
-    """Decomposition of V_lam (x) V_mu by the Brauer-Klimyk rule."""
+    """Decomposition of V_lam (x) V_mu by the Brauer-Klimyk rule, as a
+    read-only mapping weight -> multiplicity: the result is cached per
+    pair and shared by every caller."""
+    lam, mu = tuple(lam), tuple(mu)
     if not (rd.is_dominant(lam) and rd.is_dominant(mu)):
         raise ValueError("both weights must be dominant")
+    return _tensor_decompose(lam, mu)
+
+
+@lru_cache(maxsize=None)
+def _tensor_decompose(lam, mu):
     result = {}
     for nu, m in weight_multiplicities(mu).items():
         xi = rd.add(rd.add(lam, nu), rd.RHO)
@@ -336,7 +351,7 @@ def tensor_decompose(lam, mu):
     assert all(v > 0 for v in result.values())
     assert sum(v * weyl_dim(k) for k, v in result.items()) == \
         weyl_dim(lam) * weyl_dim(mu)
-    return result
+    return MappingProxyType(result)
 
 
 def decompose_sequence(weights):

@@ -170,13 +170,13 @@ def hasse_diagram(d: int) -> HasseDiagram:
     if d > MAX_D:
         raise ValueError(f"d > {MAX_D} not supported")
     nodes = enumerate_nontrivial(d)
-    node_set = set(nodes)
+    pos = {n: i for i, n in enumerate(nodes)}
     edges = []
     for A in nodes:
         for B in simple_degenerations(A, require_nontrivial=True):
-            if B in node_set:
+            if B in pos:
                 edges.append((A, B))
-    edges.sort(key=lambda e: (nodes.index(e[0]), nodes.index(e[1])))
+    edges.sort(key=lambda e: (pos[e[0]], pos[e[1]]))
     return HasseDiagram(tuple(nodes), tuple(edges))
 
 

@@ -1,6 +1,7 @@
 """The 7-dimensional representation, Casimir, and character combinatorics."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -75,6 +76,77 @@ def test_weyl_dims():
     assert repn.weyl_dim(rd.OMEGA1) == 14
     assert repn.weyl_dim((0, 2)) == 27
     assert repn.weyl_dim((1, 1)) == 64
+    assert repn.weyl_dim((2, 0)) == 77
+    assert repn.weyl_dim((0, 3)) == 77
+
+
+def _weyl_dim_reference(lam):
+    """The Weyl product over the positive roots in Fractions, with the
+    invariant form of rootdata."""
+    lr = rd.add(lam, rd.RHO)
+    num = Fraction(1)
+    for c1, c2 in rd.POSITIVE_ROOTS:
+        beta = rd.from_alpha(c1, c2)
+        num *= rd.bilinear(lr, beta) / rd.bilinear(rd.RHO, beta)
+    return num
+
+
+def test_integer_weyl_dim_matches_fraction_product():
+    for l1 in range(7):
+        for l2 in range(7):
+            assert repn.weyl_dim((l1, l2)) == _weyl_dim_reference((l1, l2))
+
+
+def _brauer_klimyk_reference(lam, mu):
+    """V_lam (x) V_mu from the weights of V_lam shifted by mu + rho: the
+    other factor than repn uses, with the Weyl element found by search over
+    the whole group."""
+    group = rd.weyl_group()
+    out = {}
+    for nu, m in repn.weight_multiplicities(lam).items():
+        xi = rd.add(rd.add(mu, nu), rd.RHO)
+        for sigma in group:
+            dom = sigma(xi)
+            if dom[0] > 0 and dom[1] > 0:
+                target = rd.sub(dom, rd.RHO)
+                out[target] = out.get(target, 0) + sigma.sign() * m
+                break
+    return {k: v for k, v in out.items() if v}
+
+
+def test_tensor_decompose_matches_uncached_reference():
+    weights = [(a, b) for a in range(4) for b in range(4)]
+    for lam in weights:
+        for mu in weights:
+            assert repn.tensor_decompose(lam, mu) == \
+                _brauer_klimyk_reference(lam, mu)
+
+
+def test_tensor_decompose_is_cached_and_read_only():
+    dec = repn.tensor_decompose([0, 1], [0, 1])
+    assert dec is repn.tensor_decompose((0, 1), (0, 1))
+    with pytest.raises(TypeError):
+        dec[(0, 0)] = 2
+    assert dec[(0, 0)] == 1
+
+
+def test_tensor_decompose_checks_dimension_once_per_pair(monkeypatch):
+    weyl_dim = repn.weyl_dim
+
+    def wrong(lam):
+        return 28 if tuple(lam) == (0, 2) else weyl_dim(lam)
+
+    repn._tensor_decompose.cache_clear()
+    weyl_dim.cache_clear()
+    try:
+        with monkeypatch.context() as mp:
+            mp.setattr(repn, "weyl_dim", wrong)
+            with pytest.raises(AssertionError):
+                repn.tensor_decompose(rd.OMEGA2, rd.OMEGA2)
+    finally:
+        repn._tensor_decompose.cache_clear()
+        weyl_dim.cache_clear()
+    assert repn.tensor_decompose(rd.OMEGA2, rd.OMEGA2)[(0, 2)] == 1
 
 
 def test_casimir_eigenvalues():
@@ -102,6 +174,14 @@ def test_invariant_dims():
     assert repn.invariant_dim([]) == 1
 
 
+def test_invariant_dim_ignores_order():
+    for ws in ([(0, 1), (1, 0), (0, 2), (1, 1)],
+               [(0, 1), (0, 1), (1, 0), (0, 3)],
+               [(2, 0), (0, 1), (0, 1), (0, 1), (1, 0)]):
+        dims = {repn.invariant_dim(list(p)) for p in permutations(ws)}
+        assert len(dims) == 1
+
+
 def test_hom_multiplicity():
     assert repn.hom_multiplicity((0, 2), [(0, 1), (0, 1)]) == 1
     assert repn.hom_multiplicity((2, 0), [(0, 1), (0, 1)]) == 0
@@ -116,3 +196,7 @@ def test_weight_multiplicities_of_adjoint():
 def test_tensor_rejects_nondominant():
     with pytest.raises(ValueError):
         repn.tensor_decompose((-1, 0), (0, 1))
+    with pytest.raises(ValueError):  # raised on every call, not cached
+        repn.tensor_decompose((-1, 0), (0, 1))
+    with pytest.raises(ValueError):
+        repn.weyl_dim((0, -1))

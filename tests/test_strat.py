@@ -90,6 +90,16 @@ def test_hasse_d11_shape():
     assert [n.name() for n in minimal] == ["((0,0)_4)"]
 
 
+@pytest.mark.parametrize("d, nodes, edges", [(12, 38, 101), (13, 101, 377)])
+def test_hasse_counts_d12_d13(d, nodes, edges):
+    H = strat.hasse_diagram(d)
+    assert (len(H.nodes), len(H.edges)) == (nodes, edges)
+    assert len(set(H.nodes)) == nodes and len(set(H.edges)) == edges
+    pos = {n: i for i, n in enumerate(H.nodes)}
+    assert all(a.dim == b.dim + 1 for a, b in H.edges)
+    assert list(H.edges) == sorted(H.edges, key=lambda e: (pos[e[0]], pos[e[1]]))
+
+
 def test_hasse_maximal_nodes_d11():
     H = strat.hasse_diagram(11)
     lowers = {b for _, b in H.edges}
