@@ -4,6 +4,7 @@ success, 1 on a failed mathematical check, 2 on usage errors."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -222,7 +223,7 @@ def cmd_wronski(args):
     w = sgrass.space_wronskian(X)
     out = {"wronskian": _poly_json(w), "wronskian_str": _poly_str(w)}
     if args.reduced:
-        r = sgrass.reduced_wronski(X)
+        r = sgrass._seventh_root(w)
         out["reduced"] = _poly_json(r)
         out["reduced_str"] = _poly_str(r)
     return _emit(out)
@@ -261,7 +262,9 @@ def _add_case_args(p, case_required=True):
                    choices=range(7))
 
 
+@functools.cache
 def build_parser():
+    """The parser, built once per process: main() may run many queries."""
     ap = argparse.ArgumentParser(prog="g2", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

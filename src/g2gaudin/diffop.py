@@ -70,18 +70,14 @@ _DY_EXPONENTS = ((4, 2, -1, 0), (3, 2, 1, -1), (3, 1, -2, 1), (2, 1, 0, 0),
 _CONJUGATOR = (2, 1, 0, 0)
 
 
-def _log_factor_product(fs, exps) -> DiffOp:
-    """(d - ln' g_1)...(d - ln' g_m) for g_k = prod_j fs[j]^exps[k][j], with
-    fs integer coefficient lists.
+def _log_factors(fs, exps):
+    """(Q, [W_k]) with ln' g_k = W_k / Q for g_k = prod_j fs[j]^exps[k][j],
+    fs integer coefficient lists and Q, W_k in Z[x].
 
     For primitive f with g = gcd(f, f'), ln' f = (f'/g) / rad f, where
     rad f = f/g is squarefree; both quotients lie in Z[x].  Q is the lcm of
     the radicals and W_k = Q ln' g_k = sum_j e_kj (f_j'/g_j) (Q / rad f_j),
-    for any f_j, coprime and squarefree or not.  The partial product of
-    order n is carried as sum_k P_k / Q^(n-k) d^k with P_k in Z[x]:
-    left-composing with d - W/Q sends P_k d^k to P_k d^(k+1) plus
-    (Q P_k' - (n-k) Q' P_k - W P_k) / Q^(n+1-k) d^k, which needs no division
-    and no gcd.  Each coefficient is reduced once, at the end."""
+    for any f_j, coprime and squarefree or not."""
     Q, rads, logs = [1], [], []
     for j, f in enumerate(fs):
         if len(f) < 2 or not any(e[j] for e in exps):
@@ -102,13 +98,28 @@ def _log_factor_product(fs, exps) -> DiffOp:
             if ej and lg:
                 W = zadd(W, zscale(ej, zmul(lg, cof)))
         Ws.append(W)
-    dQ = zderiv(Q)
-    ps = [[1]]
+    return Q, Ws
+
+
+def apply_log_factor(Q, dQ, W, P, j):
+    """Q^(j+1) (d - W/Q)(P / Q^j) = Q P' - j Q' P - W P, for dQ = Q'."""
+    return zsub(zmul(Q, zderiv(P)), zmul(zadd(zscale(j, dQ), W), P))
+
+
+def _log_factor_product(Q, Ws) -> DiffOp:
+    """(d - W_1/Q)...(d - W_m/Q), leftmost factor first, for Q, W_k in Z[x]
+    with Q squarefree (as from _log_factors).
+
+    The partial product of order n is carried as sum_k P_k / Q^(n-k) d^k
+    with P_k in Z[x]: left-composing with d - W/Q sends P_k d^k to
+    P_k d^(k+1) plus apply_log_factor(Q, Q', W, P_k, n - k) / Q^(n+1-k) d^k,
+    which needs no division and no gcd.  Each coefficient is reduced once,
+    at the end."""
+    dQ, ps = zderiv(Q), [[1]]
     for n, W in enumerate(reversed(Ws)):
         out = [[]] + ps
         for k, p in enumerate(ps):
-            out[k] = zadd(out[k], zsub(zmul(Q, zderiv(p)),
-                                       zmul(zadd(zscale(n - k, dQ), W), p)))
+            out[k] = zadd(out[k], apply_log_factor(Q, dQ, W, p, n - k))
         ps = out
     m = len(ps) - 1
     return DiffOp(tuple(zratfunc(*_reduce_over_power(ps[k], Q, m - k))
@@ -147,9 +158,9 @@ def from_log_factors(gs) -> DiffOp:
                 bases.setdefault(key, len(bases))
                 e[bases[key]] = e.get(bases[key], 0) + sign
         exps.append(e)
-    return _log_factor_product([list(b) for b in bases],
-                               [[e.get(j, 0) for j in range(len(bases))]
-                                for e in exps])
+    return _log_factor_product(*_log_factors(
+        [list(b) for b in bases],
+        [[e.get(j, 0) for j in range(len(bases))] for e in exps]))
 
 
 def dy_factor_functions(y: bethe.PolyPair, T1: Poly, T2: Poly):
@@ -168,12 +179,17 @@ def dy_factor_functions(y: bethe.PolyPair, T1: Poly, T2: Poly):
             y1)
 
 
-def _factor_product(y: bethe.PolyPair, T1: Poly, T2: Poly, shift=(0,) * 4):
-    """D_y, or with shift = _CONJUGATOR its conjugate by T1^2 T2, since
-    f^{-1} (d - ln' g) f = d - ln'(g / f)."""
+def dy_log_factors(y: bethe.PolyPair, T1: Poly, T2: Poly, shift=(0,) * 4):
+    """(Q, [W_1..W_7]) with D_y = (d - W_1/Q)...(d - W_7/Q), or its
+    conjugate by T1^2 T2 for shift = _CONJUGATOR: f^-1 (d - ln' g) f is
+    d - ln'(g/f)."""
     fs = [zclear(p.coeffs)[0] for p in (T1, T2, y.y1, y.y2)]
-    return _log_factor_product(fs, [[a - b for a, b in zip(e, shift)]
-                                    for e in _DY_EXPONENTS])
+    return _log_factors(fs, [[a - b for a, b in zip(e, shift)]
+                             for e in _DY_EXPONENTS])
+
+
+def _factor_product(y: bethe.PolyPair, T1: Poly, T2: Poly, shift=(0,) * 4):
+    return _log_factor_product(*dy_log_factors(y, T1, T2, shift))
 
 
 def build_Dy(y: bethe.PolyPair, T1: Poly, T2: Poly) -> DiffOp:
@@ -245,33 +261,30 @@ def _falling(n: int):
     return p
 
 
+def _divide_out(a, r, s=1):
+    """(v, q) with a = (s x - r)^v q in Z[x] and q(r / s) != 0."""
+    v = 0
+    while True:
+        try:
+            a, v = zquo(a, [-r, s]), v + 1
+        except ValueError:
+            return v, a
+
+
 def _integer_roots(p: Poly):
     """All roots of p, required to be integers (with multiplicity); errors
-    otherwise."""
-    roots = []
-    v = p.valuation() if not p.is_zero() else 0
-    roots.extend([0] * v)
-    if v:
-        p = Poly(p.coeffs[v:])
-    while p.degree > 0:
-        # clear denominators, scan divisors of the constant term
-        L = 1
-        for c in p.coeffs:
-            L = L * c.denominator // gcd(L, c.denominator)
-        c0 = abs(int(p.coeffs[0] * L))
-        found = None
-        for r in range(1, c0 + 1):
-            if c0 % r == 0:
-                for cand in (r, -r):
-                    if p(Fraction(cand)) == 0:
-                        found = cand
-                        break
-            if found is not None:
+    otherwise.  Each divides the constant term of what is left in Z[x]."""
+    a, roots = zclear(p.coeffs)[0], []
+    while len(a) > 1:
+        c0 = abs(a[0])
+        for r in ((t * d for d in range(1, c0 + 1) if c0 % d == 0
+                   for t in (1, -1)) if c0 else (0,)):
+            v, a = _divide_out(a, r)
+            roots += [r] * v
+            if v:
                 break
-        if found is None:
+        else:
             raise ValueError("indicial polynomial has a non-integer root")
-        roots.append(found)
-        p = p.exact_div(Poly([-found, 1]))
     return sorted(roots)
 
 
@@ -279,17 +292,21 @@ def _laurent_coeff(f: RatFunc, p, m: int):
     """Coefficient of (x-p)^{-m} in the expansion of f at p (m >= 1)."""
     if f.is_zero():
         return Fraction(0)
-    num = f.num.shift(p)
-    den = f.den.shift(p)
-    vn, vd = num.valuation(), den.valuation()
+    r, s = Fraction(p).numerator, Fraction(p).denominator
+    lead = []
+    for g in (f.num, f.den):
+        # g = (s x - r)^v q / den has (x - p)^v coefficient s^v q(p) / den
+        a, den = zclear(g.coeffs)
+        v, q = _divide_out(a, r, s)
+        d = len(q) - 1
+        lead.append((v, Fraction(sum(c * r ** k * s ** (d - k + v)
+                                     for k, c in enumerate(q)), den * s ** d)))
+    (vn, tn), (vd, td) = lead
     if vn - vd > -m:
         return Fraction(0)
     if vn - vd < -m:
         raise ValueError(f"pole order exceeds {m} at {p}: not Fuchsian")
-    n0 = Poly(num.coeffs[vn:])
-    d0 = Poly(den.coeffs[vd:])
-    # constant term of the power series n0/d0
-    return n0.coeffs[0] / d0.coeffs[0]
+    return tn / td
 
 
 @dataclass(frozen=True)
@@ -298,33 +315,30 @@ class ExponentList:
     exponents: tuple
 
 
+def _infinity_coeff(c: RatFunc, i: int):
+    """Coefficient of x^{-i} in the expansion of c at infinity; errors if c
+    decays slower than x^{-i}."""
+    if c.is_zero() or c.num.degree + i < c.den.degree:
+        return Fraction(0)
+    if c.num.degree + i > c.den.degree:
+        raise ValueError("coefficient decay too slow at infinity")
+    return c.num.leading() / c.den.leading()
+
+
 def exponents_at(D: DiffOp, p) -> ExponentList:
-    """The 7 indicial roots at a finite point p or at infinity ("inf")."""
-    n = D.order
-    full = D.full()
-    if p == "inf" or p == bethe.INF:
-        chi = _falling(n)
-        for i in range(1, n + 1):
-            c = full[n - i]
-            if c.is_zero():
-                continue
-            dn, dd = c.num.degree, c.den.degree
-            if dn + i > dd:
-                raise ValueError("coefficient decay too slow at infinity")
-            if dn + i == dd:
-                gamma = c.num.leading() / c.den.leading()
-                chi = chi + gamma * _falling(n - i)
-        # roots s of chi(-s) = 0
-        chi_neg = Poly([c if k % 2 == 0 else -c
-                        for k, c in enumerate(chi.coeffs)])
-        return ExponentList("inf", tuple(_integer_roots(chi_neg)))
+    """The 7 indicial roots at a finite point p or at infinity ("inf"),
+    where they are the roots s of chi(-s) = 0."""
+    n, full = D.order, D.full()
+    inf = p == "inf" or p == bethe.INF
     chi = _falling(n)
     for i in range(1, n + 1):
-        c = full[n - i]
-        b = _laurent_coeff(c, p, i)
+        b = (_infinity_coeff(full[n - i], i) if inf
+             else _laurent_coeff(full[n - i], p, i))
         if b:
             chi = chi + b * _falling(n - i)
-    return ExponentList(p, tuple(_integer_roots(chi)))
+    if inf:
+        chi = Poly([c if k % 2 == 0 else -c for k, c in enumerate(chi.coeffs)])
+    return ExponentList("inf" if inf else p, tuple(_integer_roots(chi)))
 
 
 def appendix_operator(lam, i, conjugated=False) -> DiffOp:

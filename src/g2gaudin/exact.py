@@ -8,7 +8,7 @@ operations are pure; every value is immutable after construction.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -145,14 +145,6 @@ class Poly:
 
     def __setattr__(self, *args):
         raise AttributeError("Poly is immutable")
-
-    @staticmethod
-    def const(c: Scalar) -> "Poly":
-        return Poly([c])
-
-    @staticmethod
-    def x(field=Fraction) -> "Poly":
-        return Poly([field(0), field(1)])
 
     @property
     def degree(self) -> int:
@@ -451,32 +443,43 @@ def zlcm(a, b):
     return zprimitive(zmul(a, zquo(zprimitive(b), zgcd(a, b))))
 
 
-def zdet(m):
-    """Determinant of a square matrix over Z[x] by fraction-free Bareiss
-    elimination: after step k every entry is a (k+1)-minor, so the division
-    by the previous pivot is exact (Bareiss 1968)."""
-    n = len(m)
-    if n == 0:
-        return [1]
-    m = [list(row) for row in m]
-    sign, prev = 1, [1]
-    for k in range(n - 1):
-        if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return []
-        pivot, row_k = m[k][k], m[k]
-        for row in m[k + 1:]:
-            f = row[k]
-            for j in range(k + 1, n):
-                t = zsub(zmul(pivot, row[j]), zmul(f, row_k[j]))
-                row[j] = zquo(t, prev) if len(prev) > 1 or prev[0] != 1 else t
+def zeliminate(m, jordan=False):
+    """Fraction-free elimination in place of an n x c matrix over Z[x],
+    n <= c (Bareiss 1968): every entry stays a minor, so each division is
+    exact.  Returns (sign of the row exchanges, pivots), stopping at a
+    column with no pivot.  With jordan, rows above the pivots are cleared
+    too: n pivots leave [d I | C], d the last pivot and C[i][j] the minor
+    of the first n columns with column n + j in place of i (Cramer)."""
+    sign, prev, pivots = 1, [1], []
+    for k in range(len(m)):
+        r = next((r for r in range(k, len(m)) if m[r][k]), None)
+        if r is None:
+            break
+        if r != k:
+            m[k], m[r], sign = m[r], m[k], -sign
+        row_k = m[k]
+        pivot = row_k[k]
+        for i in range(0 if jordan else k + 1, len(m)):
+            row = m[i]
+            if i != k:
+                f = row[k]
+                for j in range(k + 1, len(row)):
+                    row[j] = zquo(zsub(zmul(pivot, row[j]),
+                                       zmul(f, row_k[j])), prev)
+                row[k] = []
+                if i < k:
+                    row[i] = pivot
         prev = pivot
-    return m[n - 1][n - 1] if sign == 1 else zscale(-1, m[n - 1][n - 1])
+        pivots.append(pivot)
+    return sign, pivots
+
+
+def zdet(m):
+    """Determinant of a square matrix over Z[x], by zeliminate."""
+    sign, pivots = zeliminate([list(row) for row in m])
+    if len(pivots) < len(m):
+        return []
+    return zscale(sign, pivots[-1]) if pivots else [1]
 
 
 def zratfunc(num, den) -> "RatFunc":
@@ -502,19 +505,24 @@ def poly_det(matrix: Sequence[Sequence[Poly]]) -> Poly:
     return zpoly(zdet(rows), scale)
 
 
+def zwronski_matrix(fs, n=None):
+    """(rows, dens): the first n rows (default all) of the Wronski matrix
+    (d^i f_j), cleared to Z[x] as f_j dens[j].  zeliminate makes no row
+    exchange on it: its pivots are the Wronskians of f_1..f_k, k = 1, 2..."""
+    pairs = [zclear(f.coeffs) for f in fs]
+    cur, dens = [a for a, _ in pairs], [d for _, d in pairs]
+    rows = []
+    for _ in range(len(cur) if n is None else n):
+        rows.append(cur)
+        cur = [zderiv(a) for a in cur]
+    return rows, dens
+
+
 def wronskian(fs: Sequence[Poly]) -> Poly:
     """Wronskian determinant det(d^{i-1} f_j / dx^{i-1}) over Q; 1 for the
     empty family.  Raises TypeError on a coefficient outside Q."""
-    cur, scale = [], 1
-    for f in fs:
-        a, den = zclear(f.coeffs)
-        cur.append(a)
-        scale *= den
-    rows = []
-    for _ in range(len(cur)):
-        rows.append(cur)
-        cur = [zderiv(a) for a in cur]
-    return zpoly(zdet(rows), scale)
+    rows, dens = zwronski_matrix(fs)
+    return zpoly(zdet(rows), prod(dens))
 
 
 class RatFunc:
@@ -553,11 +561,6 @@ class RatFunc:
 
     def is_poly(self) -> bool:
         return self.den.degree == 0
-
-    def as_poly(self) -> Poly:
-        if not self.is_poly():
-            raise ValueError("not a polynomial")
-        return self.num
 
     @staticmethod
     def _coerce(x) -> "RatFunc":

@@ -6,11 +6,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import prod
 
 from . import bethe
 from . import diffop
 from . import rootdata as rd
-from .exact import Poly, wronskian
+from .exact import (Poly, wronskian, zadd, zclear, zdet, zderiv, zeliminate,
+                    zmul, zpoly, zquo, zscale, zwronski_matrix)
 from .linalg import nullspace, rank, solve
 
 N = 7
@@ -18,22 +21,14 @@ N = 7
 
 def _flag_adapted(basis):
     """Echelon basis with strictly increasing degrees, monic."""
-    out = []
-    for p in sorted(basis, key=lambda q: q.degree):
-        q = p
-        changed = True
-        while changed and not q.is_zero():
-            changed = False
-            for u in out:
-                if u.degree == q.degree:
-                    q = q - u * q.leading()  # u monic
-                    changed = True
-                    break
+    out = {}
+    for q in sorted(basis, key=lambda p: p.degree):
+        while q and q.degree in out:
+            q = q - out[q.degree] * q.leading()  # out[d] monic
         if q.is_zero():
             raise ValueError("basis is linearly dependent")
-        out.append(q.monic())
-    out.sort(key=lambda p: p.degree)
-    return tuple(out)
+        out[q.degree] = q.monic()
+    return tuple(out[d] for d in sorted(out))
 
 
 def _span_equal(polys_a, polys_b):
@@ -102,6 +97,17 @@ class RamificationData:
             T.append(t)
         object.__setattr__(self, "T", tuple(T))
 
+    @cached_property
+    def divisors(self):
+        """(t_i, den_i), i = 0..7: the divisor prod_{j=1}^i T_{8-j}^{i+1-j}
+        of a divided Wronskian as t_i / den_i, t_i primitive in Z[x]."""
+        out, s = [([1], 1)], ([1], 1)
+        for i in range(1, N + 1):
+            a, d = zclear(self.T[N - i].coeffs)
+            s = (zmul(s[0], a), s[1] * d)
+            out.append((zmul(out[-1][0], s[0]), out[-1][1] * s[1]))
+        return out
+
 
 def trivial_ramification() -> RamificationData:
     return RamificationData((), ())
@@ -117,27 +123,30 @@ def space_wronskian(X: PolySpace) -> Poly:
     return wronskian(X.basis).monic()
 
 
+def _divide(w, scale, R: RamificationData, i):
+    """The Poly w / scale / prod_{j=1}^i T_{8-j}^{i+1-j} for w in Z[x], by
+    one exact division in Z[x]; ValueError if it is inexact."""
+    t, den = R.divisors[i]
+    return zpoly(zscale(den, zquo(w, t)), scale)
+
+
 def divided_wronskian(gs, R: RamificationData) -> Poly:
     """Wr(g_1..g_i) divided by prod_{j=1}^i T_{8-j}^{i+1-j}; errors if the
     division is inexact."""
-    i = len(gs)
-    w = wronskian(list(gs))
-    for j in range(1, i + 1):
-        t = R.T[N - j]
-        if t.degree == 0:
-            continue
-        for _ in range(i + 1 - j):
-            w = w.exact_div(t)
-    return w
+    rows, dens = zwronski_matrix(gs)
+    return _divide(zdet(rows), prod(dens), R, len(gs))
 
 
 def dual_space(X: PolySpace, R: RamificationData) -> PolySpace:
-    """Span of divided Wronskians of the 6-element subsets of a flag basis."""
-    u = X.flag_basis
-    duals = []
-    for omit in range(N):
-        gs = [u[j] for j in range(N) if j != omit]
-        duals.append(divided_wronskian(gs, R))
+    """Span of divided Wronskians of the 6-element subsets of a flag basis:
+    the maximal minors of its 6 x 7 Wronski matrix, held by the fraction-free
+    Gauss-Jordan form [d I | c] as (-1)^(5-r) c_r (u_{r+1} left out) and d."""
+    rows, dens = zwronski_matrix(X.flag_basis, N - 1)
+    zeliminate(rows, jordan=True)
+    minors = [zscale((-1) ** (N - 2 - r), rows[r][N - 1])
+              for r in range(N - 1)] + [rows[0][0]]
+    duals = [_divide(w, prod(dens[:r] + dens[r + 1:]), R, N - 1)
+             for r, w in enumerate(minors)]
     d = max(p.degree for p in duals)
     if rank([[p[i] for i in range(d + 1)] for p in duals]) != N:
         raise ValueError("dual Wronskians do not span a 7-dimensional space")
@@ -145,19 +154,24 @@ def dual_space(X: PolySpace, R: RamificationData) -> PolySpace:
 
 
 def _seventh_root(w: Poly) -> Poly:
-    """Monic 7th root of a monic polynomial; errors if not a 7th power."""
+    """Monic 7th root of a monic polynomial; errors if not a 7th power.
+    For w = a / c in Z[x] / c, wc = c^n w(x / c) is monic in Z[x], n = 7m,
+    and so is its root c^m r(x / c), whose coefficient R_k of x^(m-k) is
+    sum_{j=1}^k (8j - 7k) wc_(n-j) R_(k-j) / 7k, by W R' = R W' / 7."""
     if w.is_zero() or w.degree % N:
         raise ValueError("not a 7th power")
-    m = w.degree // N
-    # reversed power series: determine root coefficients top-down
-    s = [Fraction(1)] + [Fraction(0)] * m
-    for k in range(1, m + 1):
-        p = Poly(s) ** N
-        s[k] = (w[w.degree - k] - p[k]) / N
-    r = Poly(list(reversed(s)))
-    if r ** N != w:
+    a, c = zclear(w.coeffs)
+    n, m = w.degree, w.degree // N
+    wc = [v * c ** (n - i - 1) for i, v in enumerate(a[:n])] + [1]
+    R = [1]
+    for k in range(1, m + 1):  # inexact only if w is no 7th power
+        R.append(sum((8 * j - 7 * k) * wc[n - j] * R[k - j]
+                     for j in range(1, k + 1)) // (7 * k))
+    r = R[::-1]
+    r2 = zmul(r, r)
+    if a[n] != c or zmul(zmul(r2, r2), zmul(r2, r)) != wc:
         raise ValueError("not a 7th power")
-    return r
+    return Poly([Fraction(v, c ** (m - i)) for i, v in enumerate(r)])
 
 
 def reduced_wronski(X: PolySpace) -> Poly:
@@ -166,11 +180,11 @@ def reduced_wronski(X: PolySpace) -> Poly:
 
 
 def self_dual_factor(X: PolySpace, R: RamificationData):
-    """The polynomial g with X = g * dual(X), or None."""
+    """The polynomial g with X = g * dual(X), or None; such a g maps the
+    monic lowest-degree element of dual(X) to that of X."""
     Xd = dual_space(X, R)
     try:
-        q = space_wronskian(X).exact_div(space_wronskian(Xd))
-        g = _seventh_root(q.monic())
+        g = X.flag_basis[0].exact_div(Xd.flag_basis[0])
     except ValueError:
         return None
     if _span_equal([g * v for v in Xd.basis], list(X.basis)):
@@ -191,8 +205,7 @@ def kappa_form(X: PolySpace, R: RamificationData):
     space.  kappa(u, v) = Wr-dagger(u, g_1..g_6) whenever v is the divided
     Wronskian of g_1..g_6."""
     u = X.flag_basis
-    w = [divided_wronskian([u[j] for j in range(N) if j != omit], R)
-         for omit in range(N)]
+    w = dual_space(X, R).basis
     W7 = divided_wronskian(list(u), R)
     if W7.degree != 0:
         raise ValueError("top divided Wronskian is not constant; "
@@ -211,10 +224,8 @@ def kappa_form(X: PolySpace, R: RamificationData):
     # the term survives only for j = a, giving (-1)^a times the full one.
     gram = [[C[b][a] * (Fraction(-1) ** a) * w7 for b in range(N)]
             for a in range(N)]
-    for a in range(N):
-        for b in range(N):
-            if gram[a][b] != gram[b][a]:
-                raise ValueError("kappa form is not symmetric")
+    if any(gram[a][b] != gram[b][a] for a in range(N) for b in range(N)):
+        raise ValueError("kappa form is not symmetric")
     if rank(gram) != N:
         raise ValueError("kappa form is degenerate")
     return gram
@@ -222,11 +233,13 @@ def kappa_form(X: PolySpace, R: RamificationData):
 
 def y_from_basis(gamma, R: RamificationData):
     """The tuple (y_1, ..., y_6) with y_{7-i} the divided Wronskian of the
-    first i elements of the ordered basis gamma."""
-    ys = [None] * N
-    for i in range(1, N):
-        ys[N - i] = divided_wronskian(list(gamma[:i]), R)
-    return tuple(ys[1:])
+    first i elements of the ordered basis gamma, read off the pivots of one
+    elimination of the Wronski matrix; after a zero one the rest vanish."""
+    rows, dens = zwronski_matrix(gamma[:N - 1])
+    _, pivots = zeliminate(rows)
+    ys = [_divide(pivots[i - 1] if i <= len(pivots) else [],
+                  prod(dens[:i]), R, i) for i in range(1, N)]
+    return tuple(reversed(ys))
 
 
 def ssd_witness_check(X: PolySpace, R: RamificationData, gamma) -> bool:
@@ -248,30 +261,18 @@ def isotropic_definition_check(X: PolySpace, R: RamificationData,
     """f perpendicular to U, U kappa-isotropic, and Wr(U) = T1^2 T2 f^2 up
     to normalization."""
     gram = kappa_form(X, R)
-    vecs = [f] + list(U)
-    coords = []
-    for p in vecs:
-        c = X.coordinates(p)
-        if c is None:
-            return False
-        coords.append(c)
+    coords = [X.coordinates(p) for p in [f] + list(U)]
+    if any(c is None for c in coords):
+        return False
     kappa = lambda a, b: sum(a[i] * gram[i][j] * b[j]
                              for i in range(N) for j in range(N))
     cf, cu = coords[0], coords[1:]
-    if len(cu) != 3:
+    if len(cu) != 3 or any(kappa(cf, a) for a in cu) or \
+            any(kappa(a, b) for a in cu for b in cu):
         return False
-    for a in cu:
-        if kappa(cf, a):
-            return False
-    for a in cu:
-        for b in cu:
-            if kappa(a, b):
-                return False
     wr = wronskian(list(U))
-    if wr.is_zero():
-        return False
     target = R.T[0] ** 2 * R.T[1] * f * f
-    return wr.monic() == target.monic()
+    return not wr.is_zero() and wr.monic() == target.monic()
 
 
 def find_isotropic_witness(X: PolySpace, R: RamificationData, f: Poly):
@@ -317,7 +318,6 @@ def find_isotropic_witness(X: PolySpace, R: RamificationData, f: Poly):
                                             for i in range(m)
                                             for j in range(m))))
         vs = [sum(rows[a][j] * wsym[j] for j in range(m)) for a in range(3)]
-        wr = vs[0] * sympy.diff(vs[1], x) - vs[1] * sympy.diff(vs[0], x)
         wr = sympy.Matrix([[sympy.diff(v, x, k) for v in vs]
                            for k in range(3)]).det()
         tgt = to_sym(target)
@@ -370,13 +370,7 @@ def shift_space(X: PolySpace, z, k) -> PolySpace:
             g = g * Poly([-zs, 1]) ** ks
         else:
             h = h * Poly([-zs, 1]) ** (-ks)
-    basis = []
-    for p in X.basis:
-        q = p * g
-        if h.degree:
-            q = q.exact_div(h)
-        basis.append(q)
-    return PolySpace(tuple(basis))
+    return PolySpace(tuple((p * g).exact_div(h) for p in X.basis))
 
 
 def bethe_kernel_instance(lam, i):
@@ -397,29 +391,25 @@ def bethe_kernel_instance(lam, i):
 def flag_from_factorization(kernel_basis, y: bethe.PolyPair,
                             T1: Poly, T2: Poly):
     """Ordered basis u_1..u_7 of the kernel with Wr(u_1..u_i) proportional
-    to the product of the rightmost i factor functions."""
-    y1, y2 = y.y1, y.y2
-    W = (y1,
-         T1 * y2,
-         T1 ** 2 * T2 * y1 ** 2,
-         T1 ** 4 * T2 ** 2 * y1 ** 2,
-         T1 ** 7 * T2 ** 3 * y2,
-         T1 ** 10 * T2 ** 5 * y1,
-         T1 ** 14 * T2 ** 7)
-    flag = []
-    for i in range(N):
-        wrs = [wronskian(flag + [b]) for b in kernel_basis]
-        d = max(max(p.degree for p in wrs), W[i].degree)
-        A = [[wrs[k][r] for k in range(N)] + [-W[i][r]]
-             for r in range(d + 1)]
-        picked = None
-        for v in nullspace(A):
-            if v[N]:
-                picked = v
-                break
-        if picked is None:
-            raise ValueError(f"no flag element at step {i + 1}")
-        u = sum((Poly([picked[k]]) * kernel_basis[k] for k in range(N)),
-                Poly())
-        flag.append(u.monic())
+    to the product of the rightmost i factor functions: u_1..u_i span
+    ker(L_m...L_7), m = 8 - i, for D_y = L_1...L_7 (Mukhin-Varchenko).
+    Step i applies L_m to the kernel basis images, in Z[x], and takes one
+    nullspace; u_i is its monic vector at the free column new at step i."""
+    Q, Ws = diffop.dy_log_factors(y, T1, T2)
+    dQ = zderiv(Q)
+    basis = [zclear(b.coeffs)[0] for b in kernel_basis]
+    images, free, flag = basis, set(), []
+    for i, W in enumerate(reversed(Ws), 1):
+        images = [diffop.apply_log_factor(Q, dQ, W, p, i - 1) for p in images]
+        ns = nullspace([[p[r] if r < len(p) else 0 for p in images]
+                        for r in range(max(map(len, images)))], ncols=N)
+        at = {max(k for k in range(N) if v[k]): v for v in ns}
+        new = at.keys() - free
+        if len(ns) != i or len(new) != 1:
+            raise ValueError(f"no flag element at step {i}")
+        free |= new
+        u = []
+        for c, b in zip(zclear(at[new.pop()])[0], basis):
+            u = zadd(u, zscale(c, b))
+        flag.append(zpoly(u, u[-1]))
     return tuple(flag)

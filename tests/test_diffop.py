@@ -182,3 +182,47 @@ def repn_c(mu):
 def test_h2_rejects_inadmissible():
     with pytest.raises(ValueError):
         diffop.h2_casimir_values((0, 0), 3)
+
+
+def _laurent_by_shift(f, p, m):
+    """Coefficient of (x-p)^-m of f at p from the Taylor shift over Q."""
+    num, den = f.num.shift(p), f.den.shift(p)
+    vn, vd = num.valuation(), den.valuation()
+    if vn - vd > -m:
+        return Fraction(0)
+    if vn - vd < -m:
+        raise ValueError("pole too high")
+    return num.coeffs[vn] / den.coeffs[vd]
+
+
+def test_laurent_coeff_matches_taylor_shift():
+    x = Poly([0, 1])
+    ps = [Fraction(0), Fraction(1), Fraction(-3), Fraction(1, 2),
+          Fraction(-2, 3)]
+    fs = [RatFunc(Poly([5, -1, 2]), (x - Poly([p])) ** k * (x + Poly([7])))
+          for p in ps for k in range(3)]
+    fs.append(RatFunc((x - Poly([Fraction(1, 2)])) ** 2 * Poly([3, 1]),
+                      Poly([Fraction(2, 9), 0, 1])))
+    fs.append(RatFunc(Poly()))
+    checked = 0
+    for f in fs:
+        for p in ps:
+            for m in (1, 2, 3):
+                try:
+                    want = _laurent_by_shift(f, p, m)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        diffop._laurent_coeff(f, p, m)
+                    continue
+                assert diffop._laurent_coeff(f, p, m) == want, (f, p, m)
+                checked += want != 0
+    assert checked >= 10
+
+
+def test_exponents_at_rational_points():
+    D = diffop.appendix_operator((1, 2), 5, conjugated=True)
+    for p in (Fraction(1, 2), Fraction(-7, 3)):
+        assert diffop.exponents_at(D, p).exponents == tuple(range(7))
+    with pytest.raises(ValueError):
+        diffop._integer_roots(Poly([Fraction(-1, 4), 0, 1]))
+    assert diffop._integer_roots(Poly([0, 0, -6, 1, 1])) == [-3, 0, 0, 2]

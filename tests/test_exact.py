@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from g2gaudin.exact import (Poly, QSqrt2, RatFunc, log_deriv, poly_det,
                             poly_gcd, poly_lcm, residue_at, wronskian, zclear,
-                            zgcd, zpoly)
+                            zeliminate, zgcd, zpoly, zwronski_matrix)
 
 fracs = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 10))
 qs = st.builds(QSqrt2, fracs, fracs)
@@ -165,3 +165,54 @@ def test_q_only_paths_reject_qsqrt2():
         poly_det([[p]])
     with pytest.raises(TypeError):
         wronskian([Poly([1, 1]), p])
+
+
+def _int_poly_matrix(rng, n, c):
+    """Integer coefficient lists without trailing zeros."""
+    return [[zclear(Poly([rng.randint(-4, 4)
+                          for _ in range(rng.randint(0, 3))]).coeffs)[0]
+             for _ in range(c)] for _ in range(n)]
+
+
+def test_gauss_jordan_gives_cramer_minors():
+    """[d I | C] after a full fraction-free Gauss-Jordan run: d is the
+    leading n-minor and C[i][j] the minor with column n + j in place i."""
+    import random
+    rng = random.Random(5)
+    det = lambda m: poly_det([[zpoly(e) for e in row] for row in m])
+    for n, extra in ((1, 1), (2, 2), (3, 2), (4, 1)):
+        for _ in range(10):
+            m = _int_poly_matrix(rng, n, n + extra)
+            work = [list(row) for row in m]
+            sign, pivots = zeliminate(work, jordan=True)
+            lead = det([row[:n] for row in m])
+            if lead.is_zero():
+                continue
+            assert len(pivots) == n and sign in (1, -1)
+            assert zpoly(pivots[-1]) * sign == lead
+            for i in range(n):
+                assert zpoly(work[i][i]) == zpoly(pivots[-1])
+                assert all(not work[i][k] for k in range(n) if k != i)
+                for j in range(extra):
+                    cols = [row[:i] + [row[n + j]] + row[i + 1:n]
+                            for row in m]
+                    assert zpoly(work[i][n + j]) * sign == det(cols)
+
+
+@given(st.lists(small_polys, min_size=1, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_wronski_pivots_are_leading_wronskians(fs):
+    """No row exchange on a Wronski matrix: pivot k is Wr(f_1..f_k) up to
+    the column denominators, and the pivots stop exactly where the f_j
+    become dependent."""
+    rows, dens = zwronski_matrix(fs)
+    sign, pivots = zeliminate(rows)
+    assert sign == 1
+    scale = 1
+    for k in range(len(fs)):
+        scale *= dens[k]
+        w = wronskian(fs[:k + 1])
+        if k < len(pivots):
+            assert zpoly(pivots[k], scale) == w and not w.is_zero()
+        else:
+            assert w.is_zero()

@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 
 from g2gaudin import bethe
+from g2gaudin import diffop
 from g2gaudin import rootdata as rd
 from g2gaudin import sgrass as sg
 from g2gaudin.exact import Poly, wronskian
+from g2gaudin.linalg import nullspace
 
 X0 = sg.monomial_space()
 R0 = sg.trivial_ramification()
@@ -155,3 +157,140 @@ def test_shift_space():
     assert sg._span_equal(list(back.basis), list(X.basis))
     same = sg.shift_space(X, [Fraction(0)], [0])
     assert same.basis == X.basis
+
+
+# the 84 closed-form cases with lambda in {0..3}^2
+GRID3 = [((a, b), i) for a in range(4) for b in range(4)
+         for i in bethe.admissible_ls((a, b))]
+
+
+def _factorization_data(lam, i):
+    y = bethe.appendix_solution(lam, i)
+    T1, T2 = bethe.build_calT([lam, rd.OMEGA2], [Fraction(0), Fraction(1)])
+    return diffop.kernel_for_case(lam, i), y, T1, T2
+
+
+def _flag_by_wronskian_search(kernel_basis, y, T1, T2):
+    """Reference flag: at step i, the kernel element u with
+    Wr(u_1..u_{i-1}, u) = W_i, the product of the rightmost i factor
+    functions, read off the nullspace of [Wr(flag, b_1) .. Wr(flag, b_7) |
+    -W_i] at its last column (49 Wronskians in all)."""
+    y1, y2 = y.y1, y.y2
+    W = (y1, T1 * y2, T1 ** 2 * T2 * y1 ** 2, T1 ** 4 * T2 ** 2 * y1 ** 2,
+         T1 ** 7 * T2 ** 3 * y2, T1 ** 10 * T2 ** 5 * y1, T1 ** 14 * T2 ** 7)
+    flag = []
+    for i in range(7):
+        wrs = [wronskian(flag + [b]) for b in kernel_basis]
+        d = max(max(p.degree for p in wrs), W[i].degree)
+        A = [[wrs[k][r] for k in range(7)] + [-W[i][r]]
+             for r in range(d + 1)]
+        picked = next(v for v in nullspace(A) if v[7])
+        u = sum((Poly([picked[k]]) * kernel_basis[k] for k in range(7)),
+                Poly())
+        flag.append(u.monic())
+    return tuple(flag)
+
+
+def _divided_by_division(gs, R):
+    """Reference divided Wronskian: Wr(gs) divided by each T_{8-j}, j <= i,
+    i + 1 - j times, by long division over Q."""
+    i, w = len(gs), wronskian(list(gs))
+    for j in range(1, i + 1):
+        for _ in range(i + 1 - j):
+            w = w.exact_div(R.T[7 - j])
+    return w
+
+
+# x - 1/2 times the polynomials of degree < 7, with its ramification at
+# 1/2: T_7 = x - 1/2 has a non-integer coefficient
+_HALF = Poly([Fraction(-1, 2), 1])
+X_HALF = sg.PolySpace(tuple(_HALF ** k for k in range(1, 8)))
+R_HALF = sg.RamificationData((Fraction(1, 2),), ((1,) * 7,))
+
+
+def test_flag_matches_wronskian_search_on_3_grid():
+    assert len(GRID3) == 84
+    for lam, i in GRID3:
+        data = _factorization_data(lam, i)
+        got = sg.flag_from_factorization(*data)
+        want = _flag_by_wronskian_search(*data)
+        assert [p.coeffs for p in got] == [p.coeffs for p in want], (lam, i)
+    # the flag depends on the order of the kernel basis; so must the search
+    for lam, i in GRID3[::6]:
+        ker, y, T1, T2 = _factorization_data(lam, i)
+        ker = ker[::-1]
+        assert sg.flag_from_factorization(ker, y, T1, T2) == \
+            _flag_by_wronskian_search(ker, y, T1, T2)
+
+
+def test_dual_space_is_the_subset_divided_wronskians():
+    spaces = [(X0, R0), (X_HALF, R_HALF)]
+    for lam, i in GRID3:
+        X, R, _ = sg.bethe_kernel_instance(lam, i)
+        spaces.append((X, R))
+    for X, R in spaces:
+        u = X.flag_basis
+        want = [_divided_by_division([u[j] for j in range(7) if j != omit], R)
+                for omit in range(7)]
+        got = sg.dual_space(X, R).basis
+        assert [p.coeffs for p in got] == [p.coeffs for p in want]
+        for k in range(8):
+            assert sg.divided_wronskian(u[:k], R) == \
+                _divided_by_division(u[:k], R)
+
+
+def test_y_from_basis_matches_divided_wronskians():
+    X, R, gamma = sg.bethe_kernel_instance((2, 2), 4)
+    for basis, ram in ((gamma, R), (X_HALF.basis, R_HALF)):
+        want = tuple(_divided_by_division(basis[:k], ram)
+                     for k in range(6, 0, -1))
+        assert sg.y_from_basis(basis, ram) == want
+    # a dependent prefix: every later divided Wronskian vanishes
+    ys = sg.y_from_basis((_mono(0), _mono(0)) + X0.basis[2:], R0)
+    assert ys[-1] == _mono(0) and all(p.is_zero() for p in ys[:-1])
+
+
+def test_self_dual_factor_is_the_wronskian_ratio_root():
+    cases = [(X0, R0), (X_HALF, R_HALF)]
+    for lam, i in GRID3[::4]:
+        X, R, _ = sg.bethe_kernel_instance(lam, i)
+        cases.append((X, R))
+    for X, R in cases:
+        Xd = sg.dual_space(X, R)
+        q = sg.space_wronskian(X).exact_div(sg.space_wronskian(Xd))
+        g = sg.self_dual_factor(X, R)
+        assert g is not None and g == sg._seventh_root(q.monic())
+    assert sg.self_dual_factor(X_HALF, R_HALF) == _HALF
+    assert sg.is_self_dual(X_HALF, R_HALF)
+
+
+def test_flag_rejects_perturbed_kernel_basis():
+    for lam, i in (((0, 1), 1), ((2, 2), 4), ((3, 3), 6)):
+        ker, y, T1, T2 = _factorization_data(lam, i)
+        for k in (0, 6):
+            bad = list(ker)
+            bad[k] = bad[k] + _mono(1)
+            with pytest.raises(ValueError):
+                sg.flag_from_factorization(bad, y, T1, T2)
+
+
+def test_ssd_witness_rejects_swapped_bethe_flag():
+    for lam, i in (((0, 1), 1), ((1, 1), 3), ((3, 2), 5)):
+        X, R, gamma = sg.bethe_kernel_instance(lam, i)
+        assert sg.ssd_witness_check(X, R, gamma)
+        swapped = (gamma[1], gamma[0]) + gamma[2:]
+        assert not sg.ssd_witness_check(X, R, swapped)
+
+
+def test_perturbed_bethe_kernel_is_not_self_dual():
+    """Adding x^K (x-1)^K, K above every exponent, to the top flag element
+    keeps the ramification at 0 and 1, so every division stays exact, but
+    moves the Wronskian off {0, 1}."""
+    x = _mono(1)
+    for lam, i in (((0, 1), 1), ((1, 0), 2), ((2, 2), 4)):
+        X, R, _ = sg.bethe_kernel_instance(lam, i)
+        assert sg.is_self_dual(X, R)
+        u = X.flag_basis
+        K = u[-1].degree + 1
+        bad = sg.PolySpace(u[:-1] + (u[-1] + x ** K * (x - _mono(0)) ** K,))
+        assert not sg.is_self_dual(bad, R)
