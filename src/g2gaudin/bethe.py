@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from . import repn
 from . import rootdata as rd
-from .exact import Poly, poly_gcd
+from .exact import Poly, zclear, zderiv, zgcd, zmul, zpoly, zprem, zwr
 from .linalg import solve
 
 INF = float("inf")
@@ -42,16 +42,10 @@ class PolyPair:
         if self.y1.is_zero() or self.y2.is_zero():
             raise ValueError("pair components must be nonzero")
 
-    def monic(self):
-        return PolyPair(self.y1.monic(), self.y2.monic())
-
     def proportional(self, other) -> bool:
         """Projective equality, componentwise."""
         return (self.y1.monic() == other.y1.monic()
                 and self.y2.monic() == other.y2.monic())
-
-    def degrees(self):
-        return (self.y1.degree, self.y2.degree)
 
 
 @dataclass(frozen=True)
@@ -70,20 +64,28 @@ class BetheData:
             raise ValueError("weights and points must have equal length")
 
 
+def _zlinear_power(pairs):
+    """prod (s x - r)^e over the pairs (p, e), p = r/s finite, on integer
+    lists: prod (x - p)^e times its leading coefficient prod s^e."""
+    out = [1]
+    for p, e in pairs:
+        p = Fraction(p)
+        for _ in range(e):
+            out = zmul(out, [-p.numerator, p.denominator])
+    return out
+
+
 def build_calT(Lambda, z):
     """T_j(x) = prod_s (x - z_s)^{<lambda^(s), coroot_j>}; the factor for an
     infinite point is the constant 1."""
     out = []
     for j in (0, 1):
-        t = Poly([Fraction(1)])
-        for lam, p in zip(Lambda, z):
-            if p == INF:
-                continue
-            e = lam[j]
+        pairs = [(p, lam[j]) for lam, p in zip(Lambda, z) if p != INF]
+        for p, e in pairs:
             if e < 0:
                 raise ValueError(f"negative exponent {e} at finite point {p}")
-            t = t * Poly([-Fraction(p), Fraction(1)]) ** e
-        out.append(t)
+        t = _zlinear_power(pairs)
+        out.append(zpoly(t, t[-1]))
     return tuple(out)
 
 
@@ -205,17 +207,36 @@ def appendix_solution(lam, i) -> PolyPair:
 
 def is_generic(y: PolyPair, Lambda, z) -> bool:
     """Genericity of a pair: squarefree components, roots avoiding the roots
-    and singularities of T_j, and no common roots.  All by exact gcds."""
-    for j, yj in enumerate((y.y1, y.y2)):
-        if poly_gcd(yj, yj.derivative()).degree > 0:
+    and singularities of T_j, and no common roots.  All by primitive gcds
+    on Z[x]; a point p = r/s enters as s x - r."""
+    ys = [zclear(yj.coeffs)[0] for yj in (y.y1, y.y2)]
+    for j, a in enumerate(ys):
+        sing = _zlinear_power((p, 1) for lam, p in zip(Lambda, z)
+                              if p != INF and lam[j] != 0)
+        if len(zgcd(a, zderiv(a))) > 1 or len(zgcd(a, sing)) > 1:
             return False
-        sing = Poly([Fraction(1)])
-        for lam, p in zip(Lambda, z):
-            if p != INF and lam[j] != 0:
-                sing = sing * Poly([-Fraction(p), Fraction(1)])
-        if poly_gcd(yj, sing).degree > 0:
+    return len(zgcd(*ys)) <= 1
+
+
+def fertility_rhs(y: PolyPair, T1: Poly, T2: Poly):
+    """(F_1, F_2) = (T_1 y_2, T_2 y_1^3), the right-hand sides of the two
+    fertility equations Wr(y_j, x^{a_j} g_j) = F_j, each cleared to Z[x]: a
+    positive multiple, which does not change whether a g_j exists."""
+    y1, y2, t1, t2 = (zclear(p.coeffs)[0] for p in (y.y1, y.y2, T1, T2))
+    return zmul(t1, y2), zmul(t2, zmul(y1, zmul(y1, y1)))
+
+
+def bae_exact(y: PolyPair, T1: Poly, T2: Poly) -> bool:
+    """The Bethe equations as divisibilities on Z[x]: y_j divides
+    Wr(y_j', F_j) = y_j' F_j' - y_j'' F_j, F_j as in fertility_rhs.  At a
+    simple root t of y_j, y_j''/y_j' = sum_{k != i} 2/(t - t_k), so this says
+    F_j'/F_j = y_j''/y_j' at t: the equation of bae_residual divided by its
+    weight (6 for y_1, 2 for y_2).  Exact for a generic pair."""
+    for yj, F in zip((y.y1, y.y2), fertility_rhs(y, T1, T2)):
+        a = zclear(yj.coeffs)[0]
+        if zprem(zwr(zderiv(a), F), a):
             return False
-    return poly_gcd(y.y1, y.y2).degree <= 0
+    return True
 
 
 def bae_residual(y: PolyPair, Lambda, z) -> float:
@@ -223,73 +244,46 @@ def bae_residual(y: PolyPair, Lambda, z) -> float:
     numerically extracted roots of y1, y2."""
     import numpy as np  # only this numeric check needs numpy
 
-    roots = []
-    for yj in (y.y1, y.y2):
-        cs = [float(c) for c in yj.monic().coeffs]
-        roots.append(np.roots(list(reversed(cs))) if yj.degree > 0
-                     else np.array([]))
-    t1, t2 = roots
+    t1, t2 = (np.roots([float(c) for c in reversed(yj.monic().coeffs)])
+              if yj.degree > 0 else np.array([]) for yj in (y.y1, y.y2))
     allr = list(t1) + list(t2)
     for ii in range(len(allr)):
         for jj in range(ii + 1, len(allr)):
             if abs(allr[ii] - allr[jj]) < 1e-6:
                 raise ValueError("numeric root collision; pair not generic")
-    zs = [p for p in z if p != INF]
-    lam_fin = [lam for lam, p in zip(Lambda, z) if p != INF]
-    for t, lams, p in [(tt, ll, pp) for tt in t1 for ll, pp in
-                       zip(lam_fin, zs) if rd.bilinear(ll, rd.from_alpha(1, 0))]:
-        if abs(t - float(p)) < 1e-6:
-            raise ValueError("root collides with an evaluation point")
-    for t, lams, p in [(tt, ll, pp) for tt in t2 for ll, pp in
-                       zip(lam_fin, zs) if rd.bilinear(ll, rd.from_alpha(0, 1))]:
-        if abs(t - float(p)) < 1e-6:
-            raise ValueError("root collides with an evaluation point")
-    alpha1 = rd.from_alpha(1, 0)
-    alpha2 = rd.from_alpha(0, 1)
     res = 0.0
-    for i, t in enumerate(t1):
-        v = 0.0
-        for lam, p in zip(Lambda, z):
-            if p != INF:
-                v -= float(rd.bilinear(lam, alpha1)) / (t - float(p))
-        for u in t2:
-            v -= 3.0 / (t - u)
-        for k, u in enumerate(t1):
-            if k != i:
-                v += 6.0 / (t - u)
-        res = max(res, abs(v))
-    for i, t in enumerate(t2):
-        v = 0.0
-        for lam, p in zip(Lambda, z):
-            if p != INF:
-                v -= float(rd.bilinear(lam, alpha2)) / (t - float(p))
-        for u in t1:
-            v -= 3.0 / (t - u)
-        for k, u in enumerate(t2):
-            if k != i:
-                v += 2.0 / (t - u)
-        res = max(res, abs(v))
+    for own, other, alpha, w in ((t1, t2, rd.from_alpha(1, 0), 6.0),
+                                 (t2, t1, rd.from_alpha(0, 1), 2.0)):
+        fin = [(float(rd.bilinear(lam, alpha)), float(p))
+               for lam, p in zip(Lambda, z) if p != INF]
+        for i, t in enumerate(own):
+            if any(c and abs(t - p) < 1e-6 for c, p in fin):
+                raise ValueError("root collides with an evaluation point")
+            v = 0.0
+            for c, p in fin:
+                v -= c / (t - p)
+            for u in other:
+                v -= 3.0 / (t - u)
+            for k, u in enumerate(own):
+                if k != i:
+                    v += w / (t - u)
+            res = max(res, abs(v))
     return res
 
 
 def _solve_cleared(y: Poly, r: Poly, a: int):
     """Solve a*y*g + x*y*g' - x*y'*g = r for a polynomial g, canonicalized so
     the coefficient along the homogeneous solution x^{-a} y (when polynomial)
-    vanishes.  Returns None if no solution exists."""
-    dy = y.degree
+    vanishes.  Returns None if no solution exists.  The image of x^k has
+    coefficient (a + 2k - row) y[row - k] at x^row; with y = Y / den the
+    matrix holds the integers Y and the right-hand side is den * r."""
+    Y, den = zclear(y.coeffs)
+    dy = len(Y) - 1
     D = max(r.degree - dy, dy - a, 0)
-    x = Poly([Fraction(0), Fraction(1)])
-    xy = x * y
-    xyp = x * y.derivative()
-    ay = y * Fraction(a)
     nrows = max(dy + D + 1, r.degree + 1)
-    cols = []
-    for k in range(D + 1):
-        g = Poly([Fraction(0)] * k + [Fraction(1)])
-        img = ay * g + xy * g.derivative() - xyp * g
-        cols.append([img[row] for row in range(nrows)])
-    A = [[cols[k][row] for k in range(D + 1)] for row in range(nrows)]
-    sol = solve(A, [r[row] for row in range(nrows)])
+    A = [[(a + 2 * k - row) * Y[row - k] if 0 <= row - k <= dy else 0
+          for k in range(D + 1)] for row in range(nrows)]
+    sol = solve(A, [r[row] * den for row in range(nrows)])
     if sol is None:
         return None
     g = Poly(sol)
@@ -315,7 +309,7 @@ def fertility_solve(y: Poly, rhs: Poly, a: int):
             return None
         r = Poly(rhs.coeffs[a - 1:])
     else:
-        r = rhs * Poly([Fraction(0), Fraction(1)]) ** (1 - a)
+        r = Poly([0] * (1 - a) + list(rhs.coeffs))
     return _solve_cleared(y, r, a)
 
 
@@ -328,17 +322,16 @@ def reproduce(y: PolyPair, direction: int, data: BetheData):
     j = direction
     lam1 = data.Lambda[0]
     a = lam1[j - 1] + 1  # <lambda^(1) + rho, coroot_j>
-    rhs_core = Poly([Fraction(1)])
-    for lam, p in zip(data.Lambda[1:], data.z[1:]):
-        if p == INF:
-            continue
-        e = lam[j - 1]
-        if e < 0:
-            raise ValueError("non-first weights must be dominant")
-        rhs_core = rhs_core * Poly([-Fraction(p), Fraction(1)]) ** e
-    rhs_core = rhs_core * (y.y2 if j == 1 else y.y1 ** 3)
+    pairs = [(p, lam[j - 1]) for lam, p in zip(data.Lambda[1:], data.z[1:])
+             if p != INF]
+    if any(e < 0 for _, e in pairs):
+        raise ValueError("non-first weights must be dominant")
+    y1, y2 = (zclear(p.coeffs)[0] for p in (y.y1, y.y2))
+    # a positive multiple of the right-hand side: g is made monic below
+    rhs_core = zmul(_zlinear_power(pairs),
+                    y2 if j == 1 else zmul(y1, zmul(y1, y1)))
     # Wr(y_j, x^a g) = x^{lam1_j} * rhs_core; the x-powers cancel exactly
-    g = _solve_cleared(y.y1 if j == 1 else y.y2, rhs_core, a)
+    g = _solve_cleared(y.y1 if j == 1 else y.y2, zpoly(rhs_core), a)
     if g is None or g.is_zero():
         raise ValueError("no fertility witness; input does not represent "
                          "a solution")
@@ -353,20 +346,3 @@ def reproduce(y: PolyPair, direction: int, data: BetheData):
     if not is_generic(new_pair, new_data.Lambda, new_data.z):
         return None
     return new_pair, new_data
-
-
-def affine_map_poly(p: Poly, c, s) -> Poly:
-    """Monic image of p under x -> (x - c)/s (roots move by t -> c + s t)."""
-    c, s = Fraction(c), Fraction(s)
-    q = Poly([-c / s, 1 / s])
-    acc = Poly()
-    for coef in reversed(p.coeffs):
-        acc = acc * q + Poly([coef])
-    return acc.monic() if not acc.is_zero() else acc
-
-
-def translate_pair(y: PolyPair, z1, z2) -> PolyPair:
-    """Move a solution normalized at z = (0, 1) to points (z1, z2)."""
-    s = Fraction(z2) - Fraction(z1)
-    return PolyPair(affine_map_poly(y.y1, Fraction(z1), s),
-                    affine_map_poly(y.y2, Fraction(z1), s))

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 
 from . import bethe
@@ -253,12 +254,10 @@ def _clear_coefficients(cs):
             for p in parts]
 
 
-def _falling(n: int):
-    """The polynomial s(s-1)...(s-n+1) in the symbol s."""
-    p = Poly([Fraction(1)])
-    for k in range(n):
-        p = p * Poly([-k, 1])
-    return p
+# s(s - 1)...(s - n + 1) in the symbol s for n = 0..7, on integer lists:
+# the indicial polynomial of an operator of order n sums them
+_FALLING = tuple(reduce(zmul, ([-k, 1] for k in range(n)), [1])
+                 for n in range(8))
 
 
 def _divide_out(a, r, s=1):
@@ -330,15 +329,17 @@ def exponents_at(D: DiffOp, p) -> ExponentList:
     where they are the roots s of chi(-s) = 0."""
     n, full = D.order, D.full()
     inf = p == "inf" or p == bethe.INF
-    chi = _falling(n)
+    chi = list(_FALLING[n])
     for i in range(1, n + 1):
         b = (_infinity_coeff(full[n - i], i) if inf
              else _laurent_coeff(full[n - i], p, i))
         if b:
-            chi = chi + b * _falling(n - i)
+            for k, c in enumerate(_FALLING[n - i]):
+                chi[k] += b * c
     if inf:
-        chi = Poly([c if k % 2 == 0 else -c for k, c in enumerate(chi.coeffs)])
-    return ExponentList("inf" if inf else p, tuple(_integer_roots(chi)))
+        chi = [c if k % 2 == 0 else -c for k, c in enumerate(chi)]
+    return ExponentList("inf" if inf else p,
+                        tuple(_integer_roots(Poly(chi))))
 
 
 def appendix_operator(lam, i, conjugated=False) -> DiffOp:

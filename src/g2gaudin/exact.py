@@ -306,24 +306,11 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     return a.monic() if not a.is_zero() else a
 
 
-def poly_lcm(f: Poly, g: Poly) -> Poly:
-    if f.is_zero() or g.is_zero():
-        return Poly()
-    return (f * g).exact_div(poly_gcd(f, g)).monic()
-
-
-def divides(f: Poly, g: Poly) -> bool:
-    """Whether f divides g exactly; errors on f = 0."""
-    if f.is_zero():
-        raise ZeroDivisionError("divisibility by the zero polynomial")
-    return (g % f).is_zero()
-
-
 # Integer polynomial core.  The Q[x] hot paths (poly_det, wronskian, the
-# operator product and kernel in diffop, the rational rref in linalg) clear
-# denominators once on entry, compute on lists of Python ints (lowest degree
-# first, no trailing zeros, [] for zero) and build one Fraction per output
-# coefficient on exit.
+# operator product and kernel in diffop, the Bethe layer, the rational rref
+# in linalg) clear denominators once on entry, compute on lists of Python
+# ints (lowest degree first, no trailing zeros, [] for zero) and build one
+# Fraction per output coefficient on exit.
 
 
 def _denominator(coeffs) -> int:
@@ -384,6 +371,11 @@ def zderiv(a):
     return [i * c for i, c in enumerate(a)][1:]
 
 
+def zwr(f, g):
+    """The Wronskian f g' - f' g."""
+    return zsub(zmul(f, zderiv(g)), zmul(zderiv(f), g))
+
+
 def zquo(a, b):
     """a / b, required to lie in Z[x]; ValueError otherwise."""
     db, lead = len(b) - 1, b[-1]
@@ -412,8 +404,9 @@ def zprimitive(a):
     return a if c == 1 else [v // c for v in a]
 
 
-def _zprem(a, b):
-    """A nonzero constant multiple of the remainder of a by b."""
+def zprem(a, b):
+    """A nonzero constant multiple of the remainder of a by b: [] exactly
+    when b divides a in Q[x]."""
     rem, db, lead = list(a), len(b) - 1, b[-1]
     while len(rem) > db:
         c = rem[-1]
@@ -434,7 +427,7 @@ def zgcd(a, b):
     if len(a) < len(b):
         a, b = b, a
     while b:
-        a, b = b, zprimitive(_zprem(a, b))
+        a, b = b, zprimitive(zprem(a, b))
     return a
 
 

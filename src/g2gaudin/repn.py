@@ -355,15 +355,22 @@ def _tensor_decompose(lam, mu):
 
 
 def decompose_sequence(weights):
-    """Iterated decomposition of a tensor product, left to right."""
-    acc = {(0, 0): 1}
-    for w in weights:
-        nxt = {}
-        for lam, m in acc.items():
-            for mu, m2 in tensor_decompose(lam, w).items():
-                nxt[mu] = nxt.get(mu, 0) + m * m2
-        acc = nxt
-    return acc
+    """Decomposition of the tensor product of the V_w, as a read-only
+    mapping weight -> multiplicity.  The product does not depend on the
+    order of its factors, so the result is cached on the sorted weights,
+    and each cached product extends the cached product of its prefix."""
+    return _decompose_sorted(tuple(sorted(tuple(w) for w in weights)))
+
+
+@lru_cache(maxsize=None)
+def _decompose_sorted(weights):
+    if not weights:
+        return MappingProxyType({(0, 0): 1})
+    acc = {}
+    for lam, m in _decompose_sorted(weights[:-1]).items():
+        for mu, m2 in tensor_decompose(lam, weights[-1]).items():
+            acc[mu] = acc.get(mu, 0) + m * m2
+    return MappingProxyType(acc)
 
 
 def invariant_dim(weights) -> int:

@@ -1,10 +1,14 @@
 """Command-line interface: JSON output, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from g2gaudin import cli
+import g2gaudin
+from g2gaudin import bethe, cli
 
 
 def run(argv, capsys):
@@ -39,6 +43,25 @@ def test_bae_verify(capsys):
     rc, out = run(["bae-verify", "--lambda", "2,1", "--case", "5"], capsys)
     assert rc == 0
     assert json.loads(out)["ok"] is True
+
+
+def test_bae_verify_gates_on_exact_equations(capsys, monkeypatch):
+    rc, out = run(["bae-verify", "--lambda", "3,2", "--case", "6"], capsys)
+    data = json.loads(out)
+    assert rc == 0 and data["ok"] is True and data["residual"] < 1e-6
+    # the exact certificate alone decides ok; the residual is reported only
+    monkeypatch.setattr(bethe, "bae_exact", lambda y, T1, T2: False)
+    rc, out = run(["bae-verify", "--lambda", "3,2", "--case", "6"], capsys)
+    data = json.loads(out)
+    assert rc == 1 and data["ok"] is False
+    assert data["generic"] is data["fertile"] is True
+    assert data["residual"] < 1e-6
+    # the tolerance of the former residual gate is gone
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bae-verify", "--lambda", "2,1", "--case", "5",
+                  "--tol", "1"])
+    capsys.readouterr()
+    assert exc.value.code == 2
 
 
 def test_bae_verify_inadmissible(capsys):
@@ -155,3 +178,33 @@ def test_parser_built_once_and_reused(capsys):
     capsys.readouterr()
     assert [run(argv, capsys) for argv in argvs] == fresh
     assert [run(argv, capsys) for argv in reversed(argvs)] == fresh[::-1]
+
+
+def _loaded_after(argv):
+    """The g2gaudin layers (and numpy) loaded by a fresh interpreter after
+    `import g2gaudin.cli` and, if argv is given, one query."""
+    code = ("import json, sys, g2gaudin.cli\n"
+            f"argv = {argv!r}\n"
+            "rc = g2gaudin.cli.main(argv) if argv else 0\n"
+            "print(json.dumps([m.split('.')[-1] for m in sys.modules if\n"
+            "    m.startswith('g2gaudin.') or m == 'numpy']))\n"
+            "sys.exit(rc)\n")
+    src = os.path.dirname(os.path.dirname(g2gaudin.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_commands_import_only_their_layers():
+    core = {"cli", "exact", "rootdata"}
+    assert _loaded_after(None) == core
+    repn_only = core | {"repn", "linalg"}
+    assert _loaded_after(["tensor", "--left", "1,0", "--right", "0,1"]) == \
+        repn_only
+    assert _loaded_after(["invdim", "--weights", "0,1;0,1"]) == repn_only
+    for suite in ("chevalley", "casimir"):
+        assert _loaded_after(["verify", "--suite", suite]) == \
+            repn_only | {"verify"}
+    loaded = _loaded_after(["verify", "--suite", "bae-grid"])
+    assert "bethe" in loaded and "numpy" not in loaded

@@ -1,5 +1,6 @@
 """Order-7 operators: factorization, conjugation, kernels, exponents."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -226,3 +227,30 @@ def test_exponents_at_rational_points():
     with pytest.raises(ValueError):
         diffop._integer_roots(Poly([Fraction(-1, 4), 0, 1]))
     assert diffop._integer_roots(Poly([0, 0, -6, 1, 1])) == [-3, 0, 0, 2]
+
+
+def test_falling_factorials():
+    s = Poly([0, 1])
+    for n, f in enumerate(diffop._FALLING):
+        want = Poly([1])
+        for k in range(n):
+            want = want * (s - k)
+        assert Poly(f) == want and all(isinstance(c, int) for c in f)
+
+
+def test_exponents_parity_on_3_grid():
+    # SHA-256 of the exponent lists of the raw and conjugated operators of
+    # all 84 cases at 0, 1, inf, 1/2 and -3/2, as computed by the Fraction
+    # Poly indicial polynomial that the integer falling factorials replaced
+    h = hashlib.sha256()
+    for a in range(4):
+        for b in range(4):
+            for i in bethe.admissible_ls((a, b)):
+                for conj in (False, True):
+                    D = diffop.appendix_operator((a, b), i, conjugated=conj)
+                    for p in (Fraction(0), Fraction(1), "inf",
+                              Fraction(1, 2), Fraction(-3, 2)):
+                        h.update(repr(diffop.exponents_at(D, p).exponents)
+                                 .encode())
+    assert h.hexdigest() == ("3757f74922c2146722118e41e48eb034"
+                             "f159e4ad560794ba8df5890b01339209")

@@ -1,7 +1,7 @@
 """The 7-dimensional representation, Casimir, and character combinatorics."""
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -179,7 +179,45 @@ def test_invariant_dim_ignores_order():
                [(0, 1), (0, 1), (1, 0), (0, 3)],
                [(2, 0), (0, 1), (0, 1), (0, 1), (1, 0)]):
         dims = {repn.invariant_dim(list(p)) for p in permutations(ws)}
-        assert len(dims) == 1
+        # decompose_sequence sorts before its cache; the uncached product
+        # in each order is what shows the order does not matter
+        refs = {_decompose_left_to_right(p).get((0, 0), 0)
+                for p in permutations(ws)}
+        assert len(dims) == 1 and dims == refs
+
+
+def _decompose_left_to_right(weights):
+    """The iterated decomposition, uncached, in the order given."""
+    acc = {(0, 0): 1}
+    for w in weights:
+        nxt = {}
+        for lam, m in acc.items():
+            for mu, m2 in repn.tensor_decompose(lam, w).items():
+                nxt[mu] = nxt.get(mu, 0) + m * m2
+        acc = nxt
+    return acc
+
+
+def test_decompose_sequence_matches_left_to_right_reference():
+    small = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    n = 0
+    for k in range(5):
+        for ws in product(small, repeat=k):
+            assert dict(repn.decompose_sequence(list(ws))) == \
+                _decompose_left_to_right(ws), ws
+            n += 1
+    assert n == 341
+
+
+def test_decompose_sequence_is_cached_and_read_only():
+    a = repn.decompose_sequence([(0, 1), [1, 0], (0, 1)])
+    assert repn.decompose_sequence([[1, 0], (0, 1), (0, 1)]) is a
+    with pytest.raises(TypeError):
+        a[(0, 0)] = 5
+    with pytest.raises(ValueError):  # raised on every call, not cached
+        repn.decompose_sequence([(0, 1), (-1, 1)])
+    with pytest.raises(ValueError):
+        repn.decompose_sequence([(-1, 1), (0, 1)])
 
 
 def test_hom_multiplicity():
