@@ -75,18 +75,23 @@ def _zlinear_power(pairs):
     return out
 
 
-def build_calT(Lambda, z):
-    """T_j(x) = prod_s (x - z_s)^{<lambda^(s), coroot_j>}; the factor for an
-    infinite point is the constant 1."""
+def zcalT(Lambda, z):
+    """T_1, T_2 on Z[x]: the products prod (s x - r)^e, positive multiples
+    of build_calT's."""
     out = []
     for j in (0, 1):
         pairs = [(p, lam[j]) for lam, p in zip(Lambda, z) if p != INF]
         for p, e in pairs:
             if e < 0:
                 raise ValueError(f"negative exponent {e} at finite point {p}")
-        t = _zlinear_power(pairs)
-        out.append(zpoly(t, t[-1]))
-    return tuple(out)
+        out.append(_zlinear_power(pairs))
+    return out
+
+
+def build_calT(Lambda, z):
+    """T_j(x) = prod_s (x - z_s)^{<lambda^(s), coroot_j>}; the factor for an
+    infinite point is the constant 1."""
+    return tuple(zpoly(t, t[-1]) for t in zcalT(Lambda, z))
 
 
 def admissible_ls(lam):
@@ -218,21 +223,27 @@ def is_generic(y: PolyPair, Lambda, z) -> bool:
     return len(zgcd(*ys)) <= 1
 
 
-def fertility_rhs(y: PolyPair, T1: Poly, T2: Poly):
+def fertility_rhs(y: PolyPair, t1, t2):
     """(F_1, F_2) = (T_1 y_2, T_2 y_1^3), the right-hand sides of the two
-    fertility equations Wr(y_j, x^{a_j} g_j) = F_j, each cleared to Z[x]: a
-    positive multiple, which does not change whether a g_j exists."""
-    y1, y2, t1, t2 = (zclear(p.coeffs)[0] for p in (y.y1, y.y2, T1, T2))
+    fertility equations Wr(y_j, x^{a_j} g_j) = F_j, on Z[x] for T_j from
+    zcalT: positive multiples, which do not change whether a g_j exists."""
+    y1, y2 = (zclear(p.coeffs)[0] for p in (y.y1, y.y2))
     return zmul(t1, y2), zmul(t2, zmul(y1, zmul(y1, y1)))
 
 
-def bae_exact(y: PolyPair, T1: Poly, T2: Poly) -> bool:
+def bae_exact(y: PolyPair, t1, t2) -> bool:
     """The Bethe equations as divisibilities on Z[x]: y_j divides
-    Wr(y_j', F_j) = y_j' F_j' - y_j'' F_j, F_j as in fertility_rhs.  At a
-    simple root t of y_j, y_j''/y_j' = sum_{k != i} 2/(t - t_k), so this says
-    F_j'/F_j = y_j''/y_j' at t: the equation of bae_residual divided by its
-    weight (6 for y_1, 2 for y_2).  Exact for a generic pair."""
-    for yj, F in zip((y.y1, y.y2), fertility_rhs(y, T1, T2)):
+    Wr(y_j', F_j) = y_j' F_j' - y_j'' F_j, for (F_1, F_2) the fertility_rhs
+    of y and the T_j of zcalT.  At a simple root t of y_j, y_j''/y_j' =
+    sum_{k != i} 2/(t - t_k), so this says F_j'/F_j = y_j''/y_j' at t: the
+    equation of bae_residual divided by its weight (6 for y_1, 2 for y_2).
+    Exact for a generic pair.
+
+    On a generic pair this decides the same thing as fertility: a polynomial
+    g_j with Wr(y_j, x^{a_j} g_j) = F_j exists exactly when F_j / y_j^2 has
+    no residue at the simple roots of y_j, which is this divisibility.  The
+    fertility solve is then a cross-check, and it builds the witness."""
+    for yj, F in zip((y.y1, y.y2), fertility_rhs(y, t1, t2)):
         a = zclear(yj.coeffs)[0]
         if zprem(zwr(zderiv(a), F), a):
             return False
@@ -244,30 +255,52 @@ def bae_residual(y: PolyPair, Lambda, z) -> float:
     numerically extracted roots of y1, y2."""
     import numpy as np  # only this numeric check needs numpy
 
-    t1, t2 = (np.roots([float(c) for c in reversed(yj.monic().coeffs)])
-              if yj.degree > 0 else np.array([]) for yj in (y.y1, y.y2))
+    roots = []
+    for yj in (y.y1, y.y2):
+        cs = [float(c) for c in yj.monic().coeffs]
+        roots.append(np.roots(list(reversed(cs))) if yj.degree > 0
+                     else np.array([]))
+    t1, t2 = roots
     allr = list(t1) + list(t2)
     for ii in range(len(allr)):
         for jj in range(ii + 1, len(allr)):
             if abs(allr[ii] - allr[jj]) < 1e-6:
                 raise ValueError("numeric root collision; pair not generic")
+    zs = [p for p in z if p != INF]
+    lam_fin = [lam for lam, p in zip(Lambda, z) if p != INF]
+    for t, lams, p in [(tt, ll, pp) for tt in t1 for ll, pp in
+                       zip(lam_fin, zs) if rd.bilinear(ll, rd.from_alpha(1, 0))]:
+        if abs(t - float(p)) < 1e-6:
+            raise ValueError("root collides with an evaluation point")
+    for t, lams, p in [(tt, ll, pp) for tt in t2 for ll, pp in
+                       zip(lam_fin, zs) if rd.bilinear(ll, rd.from_alpha(0, 1))]:
+        if abs(t - float(p)) < 1e-6:
+            raise ValueError("root collides with an evaluation point")
+    alpha1 = rd.from_alpha(1, 0)
+    alpha2 = rd.from_alpha(0, 1)
     res = 0.0
-    for own, other, alpha, w in ((t1, t2, rd.from_alpha(1, 0), 6.0),
-                                 (t2, t1, rd.from_alpha(0, 1), 2.0)):
-        fin = [(float(rd.bilinear(lam, alpha)), float(p))
-               for lam, p in zip(Lambda, z) if p != INF]
-        for i, t in enumerate(own):
-            if any(c and abs(t - p) < 1e-6 for c, p in fin):
-                raise ValueError("root collides with an evaluation point")
-            v = 0.0
-            for c, p in fin:
-                v -= c / (t - p)
-            for u in other:
-                v -= 3.0 / (t - u)
-            for k, u in enumerate(own):
-                if k != i:
-                    v += w / (t - u)
-            res = max(res, abs(v))
+    for i, t in enumerate(t1):
+        v = 0.0
+        for lam, p in zip(Lambda, z):
+            if p != INF:
+                v -= float(rd.bilinear(lam, alpha1)) / (t - float(p))
+        for u in t2:
+            v -= 3.0 / (t - u)
+        for k, u in enumerate(t1):
+            if k != i:
+                v += 6.0 / (t - u)
+        res = max(res, abs(v))
+    for i, t in enumerate(t2):
+        v = 0.0
+        for lam, p in zip(Lambda, z):
+            if p != INF:
+                v -= float(rd.bilinear(lam, alpha2)) / (t - float(p))
+        for u in t1:
+            v -= 3.0 / (t - u)
+        for k, u in enumerate(t2):
+            if k != i:
+                v += 2.0 / (t - u)
+        res = max(res, abs(v))
     return res
 
 

@@ -1,6 +1,5 @@
 """Command-line front end: JSON in/out, deterministic output, exit code 0 on
-success, 1 on a failed mathematical check, 2 on usage errors.  Each command
-imports the layers it uses, so a one-shot query loads only those."""
+success, 1 on a failed mathematical check, 2 on usage errors."""
 
 from __future__ import annotations
 
@@ -67,24 +66,21 @@ def _emit(obj) -> int:
     return 0
 
 
-def _operator_layers():
-    """(diffop, sgrass), imported together by every command that builds
-    D_y.  A process answering many queries then compiles both before the
-    first case's work, not on top of it: without a bytecode cache, compiling
-    sgrass midway through a case sweep raised its peak RSS by about 1 MB."""
-    from . import diffop, sgrass
-    return diffop, sgrass
+# Each command imports the layers it uses.  The commands that build D_y
+# import sgrass (which imports diffop) even where they use only diffop: a
+# many-query process then compiles both up front, not midway through a case
+# sweep, where without a bytecode cache it raised peak RSS by about 1 MB.
 
 
 def _load_space(path):
-    _, sgrass = _operator_layers()
+    from . import sgrass
     with open(path) as fh:
         data = json.load(fh)
     return sgrass.PolySpace(tuple(_poly_from_json(c) for c in data))
 
 
 def _load_ram(path):
-    _, sgrass = _operator_layers()
+    from . import sgrass
     with open(path) as fh:
         data = json.load(fh)
     pts = tuple("inf" if p == "inf" else Fraction(str(p))
@@ -95,7 +91,7 @@ def _load_ram(path):
 
 def _bethe_instance(args):
     """(X, R, gamma) from --lam/--case, or from --space/--ram files."""
-    _, sgrass = _operator_layers()
+    from . import sgrass
     if args.lam is not None:
         return sgrass.bethe_kernel_instance(args.lam, args.case)
     X = _load_space(args.space)
@@ -153,10 +149,11 @@ def cmd_bae_verify(args):
               file=sys.stderr)
         return 1
     y = bethe.appendix_solution(args.lam, args.case)
-    T1, T2 = bethe.build_calT(Lam, z)
+    T = bethe.zcalT(Lam, z)
     generic = bethe.is_generic(y, Lam, z)
-    exact = bethe.bae_exact(y, T1, T2)
-    F = bethe.fertility_rhs(y, T1, T2)
+    # fertility is a cross-check: on a generic pair it agrees with bae_exact
+    exact = bethe.bae_exact(y, *T)
+    F = bethe.fertility_rhs(y, *T)
     fertile = all(bethe.fertility_solve(yj, zpoly(Fj), a + 1) is not None
                   for yj, Fj, a in zip((y.y1, y.y2), F, args.lam))
     res = float(bethe.bae_residual(y, Lam, z))
@@ -182,7 +179,7 @@ def cmd_reproduce(args):
 
 
 def cmd_diffop(args):
-    diffop, _ = _operator_layers()
+    from . import diffop, sgrass
     D = diffop.appendix_operator(args.lam, args.case,
                                  conjugated=args.conjugated)
     return _emit({"order": D.order,
@@ -190,14 +187,14 @@ def cmd_diffop(args):
 
 
 def cmd_kernel(args):
-    diffop, _ = _operator_layers()
+    from . import diffop, sgrass
     ker = diffop.kernel_for_case(args.lam, args.case)
     return _emit({"dimension": len(ker),
                   "basis": [_poly_json(p) for p in ker]})
 
 
 def cmd_exponents(args):
-    diffop, _ = _operator_layers()
+    from . import diffop, sgrass
     D = diffop.appendix_operator(args.lam, args.case,
                                  conjugated=not args.raw)
     e = diffop.exponents_at(D, args.point)
@@ -206,7 +203,7 @@ def cmd_exponents(args):
 
 
 def cmd_h2check(args):
-    diffop, _ = _operator_layers()
+    from . import diffop, sgrass
     got, expected = diffop.h2_casimir_values(args.lam, args.case)
     ok = got == expected
     _emit({"lambda": list(args.lam), "case": args.case,
@@ -216,7 +213,7 @@ def cmd_h2check(args):
 
 
 def cmd_ssd_check(args):
-    _, sgrass = _operator_layers()
+    from . import sgrass
     X, R, gamma = _bethe_instance(args)
     sd = sgrass.is_self_dual(X, R)
     out = {"self_dual": sd, "ssd_witness": None}
@@ -230,7 +227,7 @@ def cmd_ssd_check(args):
 
 
 def cmd_wronski(args):
-    diffop, sgrass = _operator_layers()
+    from . import diffop, sgrass
     if args.lam is not None:
         ker = diffop.kernel_for_case(args.lam, args.case)
         X = sgrass.PolySpace(tuple(ker))

@@ -354,23 +354,25 @@ def _tensor_decompose(lam, mu):
     return MappingProxyType(result)
 
 
+# node = (product of the weights on its path, children by next weight)
+_SEQUENCES = (MappingProxyType({(0, 0): 1}), {})
+
+
 def decompose_sequence(weights):
     """Decomposition of the tensor product of the V_w, as a read-only
     mapping weight -> multiplicity.  The product does not depend on the
-    order of its factors, so the result is cached on the sorted weights,
-    and each cached product extends the cached product of its prefix."""
-    return _decompose_sorted(tuple(sorted(tuple(w) for w in weights)))
-
-
-@lru_cache(maxsize=None)
-def _decompose_sorted(weights):
-    if not weights:
-        return MappingProxyType({(0, 0): 1})
-    acc = {}
-    for lam, m in _decompose_sorted(weights[:-1]).items():
-        for mu, m2 in tensor_decompose(lam, weights[-1]).items():
-            acc[mu] = acc.get(mu, 0) + m * m2
-    return MappingProxyType(acc)
+    order of its factors, so products are cached on the sorted weights, in a
+    tree where each one extends the product of its prefix."""
+    node = _SEQUENCES
+    for w in sorted(tuple(w) for w in weights):
+        if w not in node[1]:
+            acc = {}
+            for lam, m in node[0].items():
+                for mu, m2 in tensor_decompose(lam, w).items():
+                    acc[mu] = acc.get(mu, 0) + m * m2
+            node[1][w] = (MappingProxyType(acc), {})
+        node = node[1][w]
+    return node[0]
 
 
 def invariant_dim(weights) -> int:

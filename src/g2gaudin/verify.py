@@ -73,23 +73,24 @@ def check_casimir():
 
 
 def check_bae_grid():
-    """Closed-form grid: genericity, the exact Bethe equations and exact
-    fertility, each fertility identity checked on Z[x]."""
+    """Closed-form grid: genericity, the exact Bethe equations, and exact
+    fertility with each identity checked on Z[x], a cross-check: on a
+    generic pair fertility decides the same thing as bethe.bae_exact."""
     from . import bethe
     z = (Fraction(0), Fraction(1))
     hi = _lmax()
     count = 0
     for lam in _grid(hi):
         Lam = [lam, rd.OMEGA2]
-        T1, T2 = bethe.build_calT(Lam, z)
+        T = bethe.zcalT(Lam, z)
         for i in bethe.admissible_ls(lam):
             y = bethe.appendix_solution(lam, i)
             if not bethe.is_generic(y, Lam, z):
                 return False, f"genericity fails at {lam}, case {i}"
-            if not bethe.bae_exact(y, T1, T2):
+            if not bethe.bae_exact(y, *T):
                 return False, f"Bethe equations fail at {lam}, case {i}"
             for j, (yj, F) in enumerate(zip((y.y1, y.y2),
-                                            bethe.fertility_rhs(y, T1, T2))):
+                                            bethe.fertility_rhs(y, *T))):
                 g = bethe.fertility_solve(yj, zpoly(F), lam[j] + 1)
                 if g is None:
                     return False, f"fertility fails at {lam}, case {i}"

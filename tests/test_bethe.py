@@ -7,7 +7,7 @@ import pytest
 from g2gaudin import bethe, verify
 from g2gaudin import rootdata as rd
 from g2gaudin.bethe import INF, L_LIST, BetheData, PolyPair
-from g2gaudin.exact import Poly, poly_gcd, wronskian
+from g2gaudin.exact import Poly, poly_gcd, wronskian, zpoly
 from g2gaudin.linalg import solve
 
 Z = (Fraction(0), Fraction(1))
@@ -293,21 +293,29 @@ def test_translated_pairs_match_oracles():
         moved = translate_pair(bethe.appendix_solution((2, 1), i), *z)
         assert bethe.is_generic(moved, Lam, z)
         assert _is_generic_ref(moved, Lam, z)
-        assert bethe.bae_exact(moved, *bethe.build_calT(Lam, z))
+        assert bethe.bae_exact(moved, *bethe.zcalT(Lam, z))
         for yj, r, a in _fertility_inputs(moved, Lam, z):
             got = bethe._solve_cleared(yj, r, a)
             assert got is not None and _same(got, _solve_cleared_ref(yj, r, a))
 
 
+def _fertile(y, Lambda):
+    """Both fertility witnesses exist, at z = (0, 1)."""
+    F = bethe.fertility_rhs(y, *bethe.zcalT(Lambda, Z))
+    return all(bethe.fertility_solve(yj, zpoly(Fj), Lambda[0][j] + 1)
+               is not None for j, (yj, Fj) in enumerate(zip((y.y1, y.y2), F)))
+
+
 def test_exact_gate_rejects_every_perturbed_coefficient():
     # +1 on one coefficient of a nonconstant y_j; a constant y_j is left
-    # alone, since a multiple of a solution is the same solution
+    # alone, since a multiple of a solution is the same solution.  On a
+    # generic pair the exact gate and fertility decide the same thing.
     rejected = {"generic": 0, "exact": 0}
     for lam, i in _grid(3):
         Lam = [lam, rd.OMEGA2]
-        T1, T2 = bethe.build_calT(Lam, Z)
+        T = bethe.zcalT(Lam, Z)
         y = bethe.appendix_solution(lam, i)
-        assert bethe.bae_exact(y, T1, T2)
+        assert bethe.bae_exact(y, *T) and _fertile(y, Lam)
         for j, yj in enumerate((y.y1, y.y2)):
             for k in range(yj.degree + 1 if yj.degree > 0 else 0):
                 cs = list(yj.coeffs)
@@ -317,7 +325,8 @@ def test_exact_gate_rejects_every_perturbed_coefficient():
                 if not bethe.is_generic(bad, Lam, Z):
                     rejected["generic"] += 1
                     continue
-                assert not bethe.bae_exact(bad, T1, T2), (lam, i, j, k)
+                assert not bethe.bae_exact(bad, *T), (lam, i, j, k)
+                assert not _fertile(bad, Lam), (lam, i, j, k)
                 assert bethe.bae_residual(bad, Lam, Z) > 1e-6, (lam, i, j, k)
                 rejected["exact"] += 1
     assert rejected == {"generic": 5, "exact": 355}
@@ -331,8 +340,8 @@ def test_exact_gate_follows_the_weights():
     for i in bethe.admissible_ls(lam):
         y = bethe.appendix_solution(lam, i)
         for yj, other in ((y.y1, (3, 1)), (y.y2, (2, 2))):
-            T1, T2 = bethe.build_calT([other, rd.OMEGA2], Z)
-            assert bethe.bae_exact(y, T1, T2) is (yj.degree < 1), (i, other)
+            T = bethe.zcalT([other, rd.OMEGA2], Z)
+            assert bethe.bae_exact(y, *T) is (yj.degree < 1), (i, other)
 
 
 def test_bae_grid_suite_gates_on_exact_equations(monkeypatch):
@@ -349,7 +358,3 @@ def test_bae_grid_suite_gates_on_exact_equations(monkeypatch):
     monkeypatch.setattr(bethe, "appendix_solution", planted)
     assert verify.check_bae_grid() == (
         False, "Bethe equations fail at (1, 1), case 1")
-    monkeypatch.setattr(bethe, "appendix_solution", real)
-    monkeypatch.setattr(bethe, "bae_exact", lambda y, T1, T2: False)
-    assert verify.check_bae_grid() == (
-        False, "Bethe equations fail at (0, 0), case 0")

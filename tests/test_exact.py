@@ -56,6 +56,13 @@ def test_poly_divmod(a, b):
     assert r.is_zero() or r.degree < b.degree
 
 
+def poly_lcm(f, g):
+    """The monic lcm of f and g, 0 if either is 0."""
+    if f.is_zero() or g.is_zero():
+        return Poly()
+    return (f * g).exact_div(poly_gcd(f, g)).monic()
+
+
 @given(small_polys, small_polys)
 @settings(max_examples=50, deadline=None)
 def test_gcd_divides(a, b):
@@ -65,6 +72,9 @@ def test_gcd_divides(a, b):
         return
     assert a.divmod(g)[1].is_zero()
     assert b.divmod(g)[1].is_zero()
+    if a and b:
+        lcm = poly_lcm(a, b)
+        assert lcm.divmod(a)[1].is_zero() and lcm.divmod(b)[1].is_zero()
 
 
 def test_exact_div_raises():

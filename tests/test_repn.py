@@ -220,6 +220,12 @@ def test_decompose_sequence_is_cached_and_read_only():
         repn.decompose_sequence([(-1, 1), (0, 1)])
 
 
+def test_decompose_sequence_of_a_long_list():
+    # far more factors than the interpreter's recursion limit
+    assert dict(repn.decompose_sequence([(0, 0)] * 3000)) == {(0, 0): 1}
+    assert repn.invariant_dim([(0, 0)] * 2999 + [(1, 0)]) == 0
+
+
 def test_hom_multiplicity():
     assert repn.hom_multiplicity((0, 2), [(0, 1), (0, 1)]) == 1
     assert repn.hom_multiplicity((2, 0), [(0, 1), (0, 1)]) == 0
