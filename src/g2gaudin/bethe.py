@@ -64,7 +64,7 @@ class BetheData:
             raise ValueError("weights and points must have equal length")
 
 
-def _zlinear_power(pairs):
+def zlinear_power(pairs):
     """prod (s x - r)^e over the pairs (p, e), p = r/s finite, on integer
     lists: prod (x - p)^e times its leading coefficient prod s^e."""
     out = [1]
@@ -84,7 +84,7 @@ def zcalT(Lambda, z):
         for p, e in pairs:
             if e < 0:
                 raise ValueError(f"negative exponent {e} at finite point {p}")
-        out.append(_zlinear_power(pairs))
+        out.append(zlinear_power(pairs))
     return out
 
 
@@ -216,8 +216,8 @@ def is_generic(y: PolyPair, Lambda, z) -> bool:
     on Z[x]; a point p = r/s enters as s x - r."""
     ys = [zclear(yj.coeffs)[0] for yj in (y.y1, y.y2)]
     for j, a in enumerate(ys):
-        sing = _zlinear_power((p, 1) for lam, p in zip(Lambda, z)
-                              if p != INF and lam[j] != 0)
+        sing = zlinear_power((p, 1) for lam, p in zip(Lambda, z)
+                             if p != INF and lam[j] != 0)
         if len(zgcd(a, zderiv(a))) > 1 or len(zgcd(a, sing)) > 1:
             return False
     return len(zgcd(*ys)) <= 1
@@ -361,7 +361,7 @@ def reproduce(y: PolyPair, direction: int, data: BetheData):
         raise ValueError("non-first weights must be dominant")
     y1, y2 = (zclear(p.coeffs)[0] for p in (y.y1, y.y2))
     # a positive multiple of the right-hand side: g is made monic below
-    rhs_core = zmul(_zlinear_power(pairs),
+    rhs_core = zmul(zlinear_power(pairs),
                     y2 if j == 1 else zmul(y1, zmul(y1, y1)))
     # Wr(y_j, x^a g) = x^{lam1_j} * rhs_core; the x-powers cancel exactly
     g = _solve_cleared(y.y1 if j == 1 else y.y2, zpoly(rhs_core), a)

@@ -229,8 +229,7 @@ def cmd_ssd_check(args):
 def cmd_wronski(args):
     from . import diffop, sgrass
     if args.lam is not None:
-        ker = diffop.kernel_for_case(args.lam, args.case)
-        X = sgrass.PolySpace(tuple(ker))
+        X = sgrass.PolySpace(diffop.kernel_for_case(args.lam, args.case))
     else:
         X = _load_space(args.space)
     w = sgrass.space_wronskian(X)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, lru_cache, reduce
 from math import gcd, lcm
 
 from . import bethe
@@ -67,7 +67,7 @@ def _lmul_factor(w: RatFunc, cs):
 # leftmost factor first; see dy_factor_functions
 _DY_EXPONENTS = ((4, 2, -1, 0), (3, 2, 1, -1), (3, 1, -2, 1), (2, 1, 0, 0),
                  (1, 1, 2, -1), (1, 0, -1, 1), (0, 0, 1, 0))
-# the exponents of T1^2 T2, by which appendix_operator conjugates
+# the exponents of T1^2 T2, by which Case.conjugated conjugates
 _CONJUGATOR = (2, 1, 0, 0)
 
 
@@ -342,14 +342,67 @@ def exponents_at(D: DiffOp, p) -> ExponentList:
                         tuple(_integer_roots(Poly(chi))))
 
 
+# Cases kept by case(): one holds about 50-75 KB at lam <= 5, so an
+# unbounded cache would grow with every case a process touches
+CASE_CACHE_SIZE = 8
+
+
+@dataclass(frozen=True)
+class Case:
+    """The closed-form case (lam, i): the Bethe pair y for (lam, omega2) at
+    z = (0, 1) and the objects built from it, each on first use and then
+    kept.  Construction checks only that the case is admissible."""
+    lam: tuple
+    i: int
+
+    def __post_init__(self):
+        if self.i not in bethe.admissible_ls(self.lam):
+            raise ValueError(f"case {self.i} not admissible for {self.lam}")
+
+    @cached_property
+    def y(self) -> bethe.PolyPair:
+        return bethe.appendix_solution(self.lam, self.i)
+
+    @cached_property
+    def T(self):
+        """(T1, T2), monic."""
+        return bethe.build_calT([self.lam, rd.OMEGA2],
+                                [Fraction(0), Fraction(1)])
+
+    @cached_property
+    def operator(self) -> DiffOp:
+        """D_y."""
+        return build_Dy(self.y, *self.T)
+
+    @cached_property
+    def conjugated(self) -> DiffOp:
+        """D_y conjugated by T1^2 T2."""
+        return _factor_product(self.y, *self.T, _CONJUGATOR)
+
+    @cached_property
+    def kernel(self):
+        """The polynomial kernel of D_y, a tuple; errors unless it has
+        dimension 7."""
+        basis = polynomial_kernel(self.operator,
+                                  default_degree_bound(self.lam, self.i))
+        if len(basis) != 7:
+            raise ValueError(f"kernel dimension {len(basis)} != 7 for "
+                             f"{self.lam}, case {self.i}")
+        return tuple(basis)
+
+
+@lru_cache(maxsize=CASE_CACHE_SIZE)
+def case(lam, i) -> Case:
+    """The Case (lam, i), shared by every caller while it stays among the
+    CASE_CACHE_SIZE most recently used; lam a tuple."""
+    return Case(lam, i)
+
+
 def appendix_operator(lam, i, conjugated=False) -> DiffOp:
     """The operator attached to the closed-form solution for (lam, omega2),
     z = (0, 1); optionally conjugated by T1^2 T2."""
-    y = bethe.appendix_solution(lam, i)
-    T1, T2 = bethe.build_calT([lam, rd.OMEGA2], [Fraction(0), Fraction(1)])
-    if not conjugated:
-        return build_Dy(y, T1, T2)
-    return _factor_product(y, T1, T2, _CONJUGATOR)
+    c = case(lam, i)
+    return c.conjugated if conjugated else c.operator
 
 
 def default_degree_bound(lam, i) -> int:
@@ -362,13 +415,7 @@ def default_degree_bound(lam, i) -> int:
 
 def kernel_for_case(lam, i):
     """Polynomial kernel of D_y for a closed-form case, dimension-checked."""
-    D = appendix_operator(lam, i)
-    bound = default_degree_bound(lam, i)
-    basis = polynomial_kernel(D, bound)
-    if len(basis) != 7:
-        raise ValueError(f"kernel dimension {len(basis)} != 7 for "
-                         f"{lam}, case {i}")
-    return basis
+    return case(lam, i).kernel
 
 
 # Constant relating the d^5 coefficient of the conjugated operator to the
@@ -398,11 +445,10 @@ def h2_casimir_values(lam, i):
     h2 = A_0/x^2 + A_1/(x-1)^2 + R (1/(x-1) - 1/x), expand at infinity to
     (A_0 + A_1 + R)/x^2, so R = -c(mu) + c(lam) + c(omega2) = -2e and
     res_0 h2 = -R = 2e.  Hence -N res_0 h2 = -2Ne equals -e exactly for
-    N = 1/2, in every case at once: no case calibrates it."""
-    if i not in bethe.admissible_ls(lam):
-        raise ValueError(f"case {i} not admissible for {lam}")
-    D = appendix_operator(lam, i, conjugated=True)
-    h2 = D.coeffs[1]
+    N = 1/2, in every case at once: no case calibrates it.  Only the
+    operator comes from the cached case; both sides are computed anew on
+    every call."""
+    h2 = case(lam, i).conjugated.coeffs[1]
     got = -residue_at(h2, Fraction(0)) * _H2_NORMALIZATION
     mu = rd.sub(rd.add(lam, rd.OMEGA2), bethe.alpha_of_l(bethe.L_LIST[i]))
     eig = Fraction(repn.casimir_eigenvalue(mu) - repn.casimir_eigenvalue(lam)

@@ -8,19 +8,29 @@ from math import gcd
 from .exact import zclear
 
 
+def _is_rational(matrix):
+    return all(isinstance(v, (int, Fraction)) for row in matrix for v in row)
+
+
 def rref(matrix):
     """Reduced row echelon form; returns (rows, pivot_columns).  A matrix of
     ints and Fractions is reduced fraction-free over Z; any other entries
     (QSqrt2) go through the generic field elimination."""
-    if all(isinstance(v, (int, Fraction)) for row in matrix for v in row):
-        return _rref_rational(matrix)
+    if _is_rational(matrix):
+        m, pivots = _zrref(matrix)
+        ncols = len(m[0]) if m else 0
+        return ([[Fraction(v, row[c]) for v in row]
+                 for row, c in zip(m, pivots)]
+                + [[Fraction(0)] * ncols for _ in range(len(m) - len(pivots))],
+                pivots)
     return _rref_field(matrix)
 
 
-def _rref_rational(matrix):
-    """rref over Q: each row is cleared to integers once, eliminated by
-    integer row combinations divided by their content, and divided by its
-    pivot only at the end."""
+def _zrref(matrix):
+    """(integer rows, pivots) for a rational matrix: row r of its rref is
+    rows[r] / rows[r][pivots[r]].  Each row is cleared to integers once and
+    eliminated by integer row combinations divided by their content; rows
+    past the rank are zero."""
     m = [zclear(row)[0] for row in matrix]
     if not m:
         return m, []
@@ -44,8 +54,17 @@ def _rref_rational(matrix):
         r += 1
         if r == len(m):
             break
-    return ([[Fraction(v, row[c]) for v in row] for row, c in zip(m, pivots)]
-            + [[Fraction(0)] * ncols for _ in range(len(m) - r)]), pivots
+    return m, pivots
+
+
+def _reduced(matrix):
+    """(entry, pivots): entry(r, c) is the (r, c) entry of rref(matrix),
+    over Q built only when it is read."""
+    if _is_rational(matrix):
+        m, pivots = _zrref(matrix)
+        return (lambda r, c: Fraction(m[r][c], m[r][pivots[r]])), pivots
+    red, pivots = _rref_field(matrix)
+    return (lambda r, c: red[r][c]), pivots
 
 
 def _rref_field(matrix):
@@ -89,14 +108,14 @@ def nullspace(matrix, ncols=None):
         return [] if not ncols else [[Fraction(1) if i == j else Fraction(0)
                                       for i in range(ncols)] for j in range(ncols)]
     ncols = len(matrix[0])
-    red, pivots = rref(matrix)
+    entry, pivots = _reduced(matrix)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+            v[pc] = -entry(r, fc)
         basis.append(v)
     return basis
 
@@ -105,10 +124,10 @@ def solve(matrix, rhs):
     """One solution of A x = b, or None if inconsistent."""
     aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
     ncols = len(matrix[0]) if matrix else 0
-    red, pivots = rref(aug)
+    entry, pivots = _reduced(aug)
     if ncols in pivots:
         return None
     x = [Fraction(0)] * ncols
     for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
+        x[pc] = entry(r, ncols)
     return x

@@ -31,15 +31,6 @@ def _flag_adapted(basis):
     return tuple(out[d] for d in sorted(out))
 
 
-def _span_equal(polys_a, polys_b):
-    d = max(max(p.degree for p in polys_a), max(p.degree for p in polys_b))
-    rows = lambda ps: [[p[i] for i in range(d + 1)] for p in ps]
-    ra = rank(rows(polys_a))
-    rb = rank(rows(polys_b))
-    rab = rank(rows(list(polys_a) + list(polys_b)))
-    return ra == rb == rab
-
-
 @dataclass(frozen=True)
 class PolySpace:
     """A 7-dimensional space of polynomials, held by a basis."""
@@ -60,6 +51,17 @@ class PolySpace:
     @property
     def degrees(self):
         return tuple(p.degree for p in self._flag)
+
+    def contains(self, p: Poly) -> bool:
+        """Whether p lies in the space: p reduces to 0 against the flag
+        basis, which is monic with strictly increasing degrees."""
+        by_degree = dict(zip(self.degrees, self._flag))
+        while p:
+            u = by_degree.get(p.degree)
+            if u is None:
+                return False
+            p = p - u * p.leading()
+        return True
 
     def coordinates(self, p: Poly):
         """Coordinates of p in the flag basis, or None."""
@@ -86,16 +88,16 @@ class RamificationData:
         for p in self.partitions:
             if len(p) != N or any(p[i] < p[i + 1] for i in range(N - 1)):
                 raise ValueError(f"not a partition with {N} parts: {p}")
-        T = []
-        for i in range(N):
-            t = Poly([Fraction(1)])
-            for zs, p in zip(self.z, self.partitions):
-                if zs == bethe.INF or zs == "inf":
-                    continue
-                nxt = p[i + 1] if i + 1 < N else 0
-                t = t * Poly([-zs, 1]) ** (p[i] - nxt)
-            T.append(t)
-        object.__setattr__(self, "T", tuple(T))
+        # T_i on Z[x] as prod (s x - r)^(p_i - p_(i+1)) over the finite
+        # points z_s = r / s, with p_8 = 0; made monic once
+        steps = [(zs, [a - b for a, b in zip(p, p[1:] + (0,))])
+                 for zs, p in zip(self.z, self.partitions)
+                 if zs != bethe.INF and zs != "inf"]
+        if any(e[-1] < 0 for _, e in steps):
+            raise ValueError("negative power of a polynomial")
+        T = [bethe.zlinear_power([(zs, e[i]) for zs, e in steps])
+             for i in range(N)]
+        object.__setattr__(self, "T", tuple(zpoly(t, t[-1]) for t in T))
 
     @cached_property
     def divisors(self):
@@ -181,13 +183,14 @@ def reduced_wronski(X: PolySpace) -> Poly:
 
 def self_dual_factor(X: PolySpace, R: RamificationData):
     """The polynomial g with X = g * dual(X), or None; such a g maps the
-    monic lowest-degree element of dual(X) to that of X."""
+    monic lowest-degree element of dual(X) to that of X.  dual(X) has
+    dimension 7 and g != 0, so g * dual(X) = X once X contains each g d_i."""
     Xd = dual_space(X, R)
     try:
         g = X.flag_basis[0].exact_div(Xd.flag_basis[0])
     except ValueError:
         return None
-    if _span_equal([g * v for v in Xd.basis], list(X.basis)):
+    if all(X.contains(g * v) for v in Xd.basis):
         return g
     return None
 
@@ -377,15 +380,12 @@ def bethe_kernel_instance(lam, i):
     """(X, R, gamma) for the kernel of the operator of a closed-form case:
     the space, its ramification data at z = (0, 1), and the ordered basis
     from the factorization flag."""
-    ker = diffop.kernel_for_case(lam, i)
-    X = PolySpace(tuple(ker))
+    c = diffop.case(lam, i)
     R = RamificationData((Fraction(0), Fraction(1)),
                          (rd.partition_from_weight(lam, 0),
                           rd.partition_from_weight(rd.OMEGA2, 0)))
-    y = bethe.appendix_solution(lam, i)
-    T1, T2 = bethe.build_calT([lam, rd.OMEGA2], [Fraction(0), Fraction(1)])
-    gamma = flag_from_factorization(ker, y, T1, T2)
-    return X, R, gamma
+    return (PolySpace(c.kernel), R,
+            flag_from_factorization(c.kernel, c.y, *c.T))
 
 
 def flag_from_factorization(kernel_basis, y: bethe.PolyPair,

@@ -158,13 +158,13 @@ def check_kernels():
     n = 0
     for lam in _grid(hi):
         for i in bethe.admissible_ls(lam):
-            # kernel_for_case raises unless the kernel has dimension 7
+            # the case's kernel raises unless it has dimension 7
             X, R, gamma = sgrass.bethe_kernel_instance(lam, i)
             if not sgrass.is_self_dual(X, R):
                 return False, f"not self-dual at {lam}, case {i}"
             if not sgrass.ssd_witness_check(X, R, gamma):
                 return False, f"ssd witness fails at {lam}, case {i}"
-            D = diffop.appendix_operator(lam, i, conjugated=True)
+            D = diffop.case(lam, i).conjugated
             mu = rd.sub(rd.add(lam, rd.OMEGA2),
                         bethe.alpha_of_l(bethe.L_LIST[i]))
             if diffop.exponents_at(D, Fraction(0)).exponents != \
@@ -278,8 +278,7 @@ def check_wronskian():
     n = 0
     for lam in _grid(hi):
         for i in bethe.admissible_ls(lam):
-            ker = diffop.kernel_for_case(lam, i)
-            X = sgrass.PolySpace(tuple(ker))
+            X = sgrass.PolySpace(diffop.kernel_for_case(lam, i))
             w = sgrass.space_wronskian(X)
             l1, l2 = lam
             want = (x ** (7 * (2 * l1 + l2)) * (x - 1) ** 7).monic()

@@ -1,5 +1,6 @@
 """Command-line interface: JSON output, exit codes, determinism."""
 
+import collections
 import json
 import os
 import subprocess
@@ -8,7 +9,8 @@ import sys
 import pytest
 
 import g2gaudin
-from g2gaudin import cli
+from g2gaudin import cli, diffop, sgrass
+from g2gaudin import rootdata as rd
 
 
 def run(argv, capsys):
@@ -109,6 +111,51 @@ def test_ssd_check_files(tmp_path, capsys):
                   capsys)
     assert rc == 0
     assert json.loads(out)["self_dual"] is True
+
+
+def test_case_commands_build_each_object_once(tmp_path, monkeypatch,
+                                             capsys):
+    """Every case command on one case in one process, as an exploring user
+    runs them: D_y and its conjugate are built once each (one operator
+    product apiece), the kernel once."""
+    lam, i = (2, 1), 5
+    _, _, gamma = sgrass.bethe_kernel_instance(lam, i)
+    flag = [cli._poly_json(p) for p in gamma]
+    ram = {"points": ["0", "1"],
+           "partitions": [rd.partition_from_weight(lam, 0),
+                          rd.partition_from_weight(rd.OMEGA2, 0)]}
+    files = {}
+    for role, content in (("space", flag), ("ram", ram), ("witness", flag),
+                          ("swapped", [flag[1], flag[0]] + flag[2:])):
+        files[role] = str(tmp_path / f"{role}.json")
+        with open(files[role], "w") as fh:
+            json.dump(content, fh)
+    counts = collections.Counter()
+
+    def counted(name):
+        fn = getattr(diffop, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("_log_factor_product", "polynomial_kernel"):
+        monkeypatch.setattr(diffop, name, counted(name))
+    diffop.case.cache_clear()
+    case = ["--lambda", "2,1", "--case", "5"]
+    files_argv = ["ssd-check", "--space", files["space"], "--ram", files["ram"]]
+    queries = [(["bae-verify"] + case, 0), (["diffop", "--conjugated"] + case, 0),
+               (["kernel"] + case, 0)]
+    queries += [(["exponents", "--point", p] + case, 0)
+                for p in ("0", "1", "inf")]
+    queries += [(["h2check"] + case, 0), (["ssd-check"] + case, 0),
+                (["wronski", "--reduced"] + case, 0),
+                (files_argv + ["--witness", files["witness"]], 0),
+                (files_argv + ["--witness", files["swapped"]], 1)]
+    for argv, rc in queries:
+        assert run(argv, capsys)[0] == rc, argv
+    assert counts == {"_log_factor_product": 2, "polynomial_kernel": 1}
 
 
 def test_wronski(capsys):

@@ -150,9 +150,54 @@ def test_kernel_rejects_perturbed_solution(monkeypatch):
             return PolyPair(y.y1 + Fraction(1, 7), y.y2)
         return y
 
+    # a cached good case would hide the fault; a cached faulty case would
+    # leak into later tests
+    diffop.case.cache_clear()
     monkeypatch.setattr(bethe, "appendix_solution", perturbed)
-    with pytest.raises(ValueError, match="kernel dimension"):
-        diffop.kernel_for_case((1, 1), 2)
+    try:
+        for _ in range(2):  # a failed kernel is not cached
+            with pytest.raises(ValueError, match="kernel dimension"):
+                diffop.kernel_for_case((1, 1), 2)
+    finally:
+        monkeypatch.undo()
+        diffop.case.cache_clear()
+
+
+CASES = (((0, 0), 0), ((0, 1), 1), ((1, 1), 3), ((2, 1), 5), ((3, 3), 6))
+
+
+def test_case_matches_fresh_build():
+    for lam, i in CASES:
+        c = diffop.case(lam, i)
+        assert diffop.case(lam, i) is c
+        y = bethe.appendix_solution(lam, i)
+        T1, T2 = bethe.build_calT([lam, rd.OMEGA2], [Fraction(0), Fraction(1)])
+        D = diffop.build_Dy(y, T1, T2)
+        assert (c.y, c.T, c.operator) == (y, (T1, T2), D)
+        assert c.conjugated == diffop._factor_product(y, T1, T2,
+                                                      diffop._CONJUGATOR)
+        bound = diffop.default_degree_bound(lam, i)
+        assert c.kernel == tuple(diffop.polynomial_kernel(D, bound))
+        assert diffop.appendix_operator(lam, i) is c.operator
+        assert diffop.appendix_operator(lam, i, conjugated=True) is \
+            c.conjugated
+        assert diffop.kernel_for_case(lam, i) is c.kernel
+
+
+def test_case_cache_is_bounded_and_caches_no_error():
+    diffop.case.cache_clear()
+    assert diffop.case.cache_info().maxsize == diffop.CASE_CACHE_SIZE
+    for a in range(3):
+        for b in range(4):
+            diffop.case((a, b), 0)
+    assert diffop.case.cache_info().currsize == diffop.CASE_CACHE_SIZE
+    misses = diffop.case.cache_info().misses
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not admissible"):
+            diffop.case((0, 0), 3)
+    info = diffop.case.cache_info()
+    assert (info.misses, info.currsize) == (misses + 2,
+                                            diffop.CASE_CACHE_SIZE)
 
 
 def test_h2_examples():

@@ -47,3 +47,55 @@ def test_rational_rref_examples():
     assert red == [[1, 2], [0, 0], [0, 0]]
     assert linalg.nullspace(m) == [[Fraction(-2), Fraction(1)]]
     assert linalg.rref([[0, 3], [5, 0]]) == ([[1, 0], [0, 1]], [0, 1])
+
+
+def _solve_by_rref(A, b):
+    """Reference solve: the last column of the rref of [A | b]."""
+    ncols = len(A[0]) if A else 0
+    red, pivots = linalg.rref([list(row) + [v] for row, v in zip(A, b)])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][ncols]
+    return x
+
+
+def _nullspace_by_rref(A):
+    """Reference nullspace: the free columns of the rref of A."""
+    ncols = len(A[0])
+    red, pivots = linalg.rref(A)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(v)
+    return basis
+
+
+@st.composite
+def linear_systems(draw):
+    """(A, b): b a combination of the columns of A (consistent), an
+    arbitrary vector (often inconsistent) or zero."""
+    A = draw(rational_matrices())
+    cols = len(A[0]) if A else 0
+    kind = draw(st.sampled_from(("combination", "arbitrary", "zero")))
+    if kind == "combination":
+        c = [draw(fracs) for _ in range(cols)]
+        b = [sum((a * v for a, v in zip(row, c)), Fraction(0)) for row in A]
+    elif kind == "arbitrary":
+        b = [draw(entries) for _ in A]
+    else:
+        b = [Fraction(0)] * len(A)
+    return A, b
+
+
+@given(linear_systems())
+@settings(max_examples=200, deadline=None)
+def test_solve_and_nullspace_match_rref_reference(system):
+    A, b = system
+    assert repr(linalg.solve(A, b)) == repr(_solve_by_rref(A, b))
+    if A:
+        assert repr(linalg.nullspace(A)) == repr(_nullspace_by_rref(A))

@@ -9,7 +9,7 @@ from g2gaudin import diffop
 from g2gaudin import rootdata as rd
 from g2gaudin import sgrass as sg
 from g2gaudin.exact import Poly, wronskian
-from g2gaudin.linalg import nullspace
+from g2gaudin.linalg import nullspace, rank
 
 X0 = sg.monomial_space()
 R0 = sg.trivial_ramification()
@@ -17,6 +17,16 @@ R0 = sg.trivial_ramification()
 
 def _mono(k):
     return Poly([Fraction(0)] * k + [Fraction(1)])
+
+
+def _span_equal(polys_a, polys_b):
+    """Reference span equality by three rational ranks."""
+    d = max(max(p.degree for p in polys_a), max(p.degree for p in polys_b))
+    rows = lambda ps: [[p[i] for i in range(d + 1)] for p in ps]
+    ra = rank(rows(polys_a))
+    rb = rank(rows(polys_b))
+    rab = rank(rows(list(polys_a) + list(polys_b)))
+    return ra == rb == rab
 
 
 def test_polyspace_validation():
@@ -61,7 +71,7 @@ def test_divided_wronskian_inexact_raises():
 
 def test_dual_space_monomials():
     Xd = sg.dual_space(X0, R0)
-    assert sg._span_equal(list(Xd.basis), list(X0.basis))
+    assert _span_equal(list(Xd.basis), list(X0.basis))
 
 
 def test_self_dual():
@@ -108,7 +118,7 @@ def test_bethe_kernel_instance():
 def test_dual_involution_on_bethe_instance():
     X, R, _ = sg.bethe_kernel_instance((1, 0), 2)
     Xdd = sg.dual_space(sg.dual_space(X, R), R)
-    assert sg._span_equal(list(Xdd.basis), list(X.basis))
+    assert _span_equal(list(Xdd.basis), list(X.basis))
 
 
 def test_space_wronskian_formula():
@@ -154,7 +164,7 @@ def test_shift_space():
     assert sg.space_wronskian(Xs) == \
         (x ** 21 * (x - Poly([1])) ** 7).monic()
     back = sg.shift_space(Xs, [Fraction(0)], [-2])
-    assert sg._span_equal(list(back.basis), list(X.basis))
+    assert _span_equal(list(back.basis), list(X.basis))
     same = sg.shift_space(X, [Fraction(0)], [0])
     assert same.basis == X.basis
 
@@ -294,3 +304,53 @@ def test_perturbed_bethe_kernel_is_not_self_dual():
         K = u[-1].degree + 1
         bad = sg.PolySpace(u[:-1] + (u[-1] + x ** K * (x - _mono(0)) ** K,))
         assert not sg.is_self_dual(bad, R)
+
+
+def test_membership_matches_rank_oracle_on_3_grid():
+    """X = g * dual(X) by reducing each g d_i against the flag basis of X,
+    as the three-rank span equality decides it; a planted term at a degree
+    missing from the flag makes both reject."""
+    for lam, i in GRID3:
+        X, R, _ = sg.bethe_kernel_instance(lam, i)
+        Xd = sg.dual_space(X, R)
+        g = sg.self_dual_factor(X, R)
+        assert g is not None, (lam, i)
+        gd = [g * v for v in Xd.basis]
+        assert all(X.contains(p) for p in gd)
+        assert _span_equal(gd, list(X.basis))
+        gap = next(d for d in range(X.degrees[-1]) if d not in X.degrees)
+        k = (lam[0] + i) % 7
+        planted = gd[:k] + [gd[k] + _mono(gap) * Fraction(1, 7)] + gd[k + 1:]
+        assert not X.contains(planted[k])
+        assert not _span_equal(planted, list(X.basis)), (lam, i)
+
+
+def _T_by_fraction_powers(z, partitions):
+    """Reference T_i: products of Poly powers (x - z_s)^e over Q."""
+    T = []
+    for i in range(7):
+        t = Poly([Fraction(1)])
+        for zs, p in zip(z, partitions):
+            if zs == bethe.INF or zs == "inf":
+                continue
+            nxt = p[i + 1] if i + 1 < 7 else 0
+            t = t * Poly([-zs, 1]) ** (p[i] - nxt)
+        T.append(t)
+    return tuple(T)
+
+
+def test_ramification_T_matches_fraction_powers():
+    part = rd.partition_from_weight
+    data = [((Fraction(0), Fraction(1)), (part(lam, 0), part(rd.OMEGA2, 0)))
+            for lam in ((0, 0), (1, 0), (2, 3), (5, 4))]
+    data += [((Fraction(1, 2), "inf"), (part((1, 2), 0), part((3, 0), 0))),
+             ((Fraction(-2, 3), Fraction(5), bethe.INF),
+              ((4, 4, 3, 1, 1, 0, 0), (2, 1, 1, 1, 1, 1, 1),
+               (9, 0, 0, 0, 0, 0, -3))),
+             ((), ())]
+    for z, parts in data:
+        got = sg.RamificationData(z, parts).T
+        assert repr(got) == repr(_T_by_fraction_powers(z, parts)), z
+        assert all(t.leading() == 1 for t in got)
+    with pytest.raises(ValueError):
+        sg.RamificationData((Fraction(0),), ((0,) * 6 + (-1,),))
