@@ -342,10 +342,11 @@ def exponents_at(D: DiffOp, p) -> ExponentList:
                         tuple(_integer_roots(Poly(chi))))
 
 
-# Cases kept by case(): a built case holds 15-26 KB at lam <= 5 (by
-# tracemalloc), and an unbounded cache would grow with every case a
-# process touches
-CASE_CACHE_SIZE = 8
+# Cases kept by case(): every caller (the case commands, the suites, a
+# benchmark run) finishes one case before it starts the next, so the last
+# case is all that is ever asked for again; a built case holds 15-26 KB at
+# lam <= 5 (by tracemalloc)
+CASE_CACHE_SIZE = 1
 
 
 @dataclass(frozen=True)
@@ -358,7 +359,7 @@ class Case:
 
     def __post_init__(self):
         if self.i not in bethe.admissible_ls(self.lam):
-            raise ValueError(f"case {self.i} not admissible for {self.lam}")
+            raise ValueError(f"l_{self.i} is not admissible for {self.lam}")
 
     @cached_property
     def y(self) -> bethe.PolyPair:
@@ -395,14 +396,14 @@ class Case:
 @lru_cache(maxsize=CASE_CACHE_SIZE)
 def case(lam, i) -> Case:
     """The Case (lam, i), shared by every caller while it stays among the
-    CASE_CACHE_SIZE most recently used; lam a tuple."""
+    CASE_CACHE_SIZE most recently used; lam a tuple, since it is hashed."""
     return Case(lam, i)
 
 
 def appendix_operator(lam, i, conjugated=False) -> DiffOp:
     """The operator attached to the closed-form solution for (lam, omega2),
     z = (0, 1); optionally conjugated by T1^2 T2."""
-    c = case(lam, i)
+    c = case(tuple(lam), i)
     return c.conjugated if conjugated else c.operator
 
 
@@ -416,7 +417,7 @@ def default_degree_bound(lam, i) -> int:
 
 def kernel_for_case(lam, i):
     """Polynomial kernel of D_y for a closed-form case, dimension-checked."""
-    return case(lam, i).kernel
+    return case(tuple(lam), i).kernel
 
 
 # Constant relating the d^5 coefficient of the conjugated operator to the
@@ -449,7 +450,7 @@ def h2_casimir_values(lam, i):
     N = 1/2, in every case at once: no case calibrates it.  Only the
     operator comes from the cached case; both sides are computed anew on
     every call."""
-    h2 = case(lam, i).conjugated.coeffs[1]
+    h2 = case(tuple(lam), i).conjugated.coeffs[1]
     got = -residue_at(h2, Fraction(0)) * _H2_NORMALIZATION
     mu = rd.sub(rd.add(lam, rd.OMEGA2), bethe.alpha_of_l(bethe.L_LIST[i]))
     eig = Fraction(repn.casimir_eigenvalue(mu) - repn.casimir_eigenvalue(lam)

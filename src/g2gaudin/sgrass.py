@@ -52,23 +52,19 @@ class PolySpace:
     def degrees(self):
         return tuple(p.degree for p in self._flag)
 
-    def contains(self, p: Poly) -> bool:
-        """Whether p lies in the space: p reduces to 0 against the flag
-        basis, which is monic with strictly increasing degrees."""
-        by_degree = dict(zip(self.degrees, self._flag))
-        while p:
-            u = by_degree.get(p.degree)
-            if u is None:
-                return False
-            p = p - u * p.leading()
-        return True
-
     def coordinates(self, p: Poly):
-        """Coordinates of p in the flag basis, or None."""
-        d = max(self.degrees[-1], p.degree)
-        A = [[u[i] for u in self._flag] for i in range(d + 1)]
-        b = [p[i] for i in range(d + 1)]
-        return solve(A, b)
+        """Coordinates of p in the flag basis, or None if p is not in the
+        space: p reduces against the flag basis, monic with strictly
+        increasing degrees, one leading term at a time."""
+        slot = {d: k for k, d in enumerate(self.degrees)}
+        coords = [Fraction(0)] * N
+        while p:
+            k = slot.get(p.degree)
+            if k is None:
+                return None
+            coords[k] = p.leading()
+            p = p - self._flag[k] * coords[k]
+        return coords
 
 
 @dataclass(frozen=True)
@@ -190,7 +186,7 @@ def self_dual_factor(X: PolySpace, R: RamificationData):
         g = X.flag_basis[0].exact_div(Xd.flag_basis[0])
     except ValueError:
         return None
-    if all(X.contains(g * v) for v in Xd.basis):
+    if all(X.coordinates(g * v) is not None for v in Xd.basis):
         return g
     return None
 
@@ -380,7 +376,7 @@ def bethe_kernel_instance(lam, i):
     """(X, R, gamma) for the kernel of the operator of a closed-form case:
     the space, its ramification data at z = (0, 1), and the ordered basis
     from the factorization flag."""
-    c = diffop.case(lam, i)
+    c = diffop.case(tuple(lam), i)
     R = RamificationData((Fraction(0), Fraction(1)),
                          (rd.partition_from_weight(lam, 0),
                           rd.partition_from_weight(rd.OMEGA2, 0)))

@@ -158,6 +158,18 @@ def test_case_commands_build_each_object_once(tmp_path, monkeypatch,
     assert counts == {"_log_factor_product": 2, "polynomial_kernel": 1}
 
 
+@pytest.mark.parametrize("cmd", [["diffop"], ["kernel"], ["h2check"],
+                                 ["exponents", "--point", "0"],
+                                 ["ssd-check"], ["wronski"]])
+def test_inadmissible_case_is_one_error(cmd, capsys):
+    """Every case command rejects an inadmissible case with the message of
+    bethe.appendix_solution."""
+    rc = cli.main(cmd + ["--lambda", "0,0", "--case", "3"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (1, "")
+    assert captured.err == "error: l_3 is not admissible for (0, 0)\n"
+
+
 def test_wronski(capsys):
     rc, out = run(["wronski", "--lambda", "1,0", "--case", "2", "--reduced"],
                   capsys)

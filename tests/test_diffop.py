@@ -184,6 +184,16 @@ def test_case_matches_fresh_build():
         assert diffop.kernel_for_case(lam, i) is c.kernel
 
 
+def test_case_readers_accept_a_weight_list():
+    """The public readers hash lam as a tuple, so a list still works."""
+    lam, i = (1, 0), 2
+    assert diffop.kernel_for_case([1, 0], i) is diffop.kernel_for_case(lam, i)
+    assert diffop.appendix_operator([1, 0], i) is \
+        diffop.appendix_operator(lam, i)
+    assert diffop.h2_casimir_values([1, 0], i) == \
+        diffop.h2_casimir_values(lam, i)
+
+
 def test_case_cache_is_bounded_and_caches_no_error():
     diffop.case.cache_clear()
     assert diffop.case.cache_info().maxsize == diffop.CASE_CACHE_SIZE
@@ -193,7 +203,8 @@ def test_case_cache_is_bounded_and_caches_no_error():
     assert diffop.case.cache_info().currsize == diffop.CASE_CACHE_SIZE
     misses = diffop.case.cache_info().misses
     for _ in range(2):
-        with pytest.raises(ValueError, match="not admissible"):
+        with pytest.raises(ValueError,
+                           match=r"^l_3 is not admissible for \(0, 0\)$"):
             diffop.case((0, 0), 3)
     info = diffop.case.cache_info()
     assert (info.misses, info.currsize) == (misses + 2,

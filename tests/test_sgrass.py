@@ -9,7 +9,7 @@ from g2gaudin import diffop
 from g2gaudin import rootdata as rd
 from g2gaudin import sgrass as sg
 from g2gaudin.exact import Poly, wronskian
-from g2gaudin.linalg import nullspace, rank
+from g2gaudin.linalg import nullspace, rank, solve
 
 X0 = sg.monomial_space()
 R0 = sg.trivial_ramification()
@@ -27,6 +27,13 @@ def _span_equal(polys_a, polys_b):
     rb = rank(rows(polys_b))
     rab = rank(rows(list(polys_a) + list(polys_b)))
     return ra == rb == rab
+
+
+def _solved_coordinates(X, p):
+    """Reference coordinates of p in the flag basis by a rational solve."""
+    d = max(X.degrees[-1], p.degree)
+    return solve([[u[i] for u in X.flag_basis] for i in range(d + 1)],
+                 [p[i] for i in range(d + 1)])
 
 
 def test_polyspace_validation():
@@ -308,21 +315,30 @@ def test_perturbed_bethe_kernel_is_not_self_dual():
 
 def test_membership_matches_rank_oracle_on_3_grid():
     """X = g * dual(X) by reducing each g d_i against the flag basis of X,
-    as the three-rank span equality decides it; a planted term at a degree
-    missing from the flag makes both reject."""
+    as the three-rank span equality decides it, with the coordinates a
+    rational solve finds; a planted term at a degree missing from the flag
+    makes both reject."""
     for lam, i in GRID3:
         X, R, _ = sg.bethe_kernel_instance(lam, i)
         Xd = sg.dual_space(X, R)
         g = sg.self_dual_factor(X, R)
         assert g is not None, (lam, i)
         gd = [g * v for v in Xd.basis]
-        assert all(X.contains(p) for p in gd)
+        for p in gd + list(X.basis):
+            c = X.coordinates(p)
+            assert c is not None and c == _solved_coordinates(X, p)
         assert _span_equal(gd, list(X.basis))
         gap = next(d for d in range(X.degrees[-1]) if d not in X.degrees)
         k = (lam[0] + i) % 7
         planted = gd[:k] + [gd[k] + _mono(gap) * Fraction(1, 7)] + gd[k + 1:]
-        assert not X.contains(planted[k])
+        assert X.coordinates(planted[k]) is None
+        assert _solved_coordinates(X, planted[k]) is None
         assert not _span_equal(planted, list(X.basis)), (lam, i)
+
+
+def test_bethe_kernel_instance_accepts_a_weight_list():
+    X, R, gamma = sg.bethe_kernel_instance((1, 0), 2)
+    assert sg.bethe_kernel_instance([1, 0], 2) == (X, R, gamma)
 
 
 def _T_by_fraction_powers(z, partitions):

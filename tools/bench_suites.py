@@ -1,22 +1,23 @@
 """Record suite times and benchmark pairs in one BENCH_<n>.json, so that a
 speed claim can be read off two such files.
 
-    python3 tools/bench_suites.py suites OUT.json [--grids 5 7] [--runs 2]
+    python3 tools/bench_suites.py suites OUT.json
 
-times the kernels, h2 and wronskian suites of `g2 verify`, each in a fresh
-process with G2_LMAX set to the grid; the time is the suite call alone,
-without the import.
+times the kernels, h2 and wronskian suites of `g2 verify` twice on the 5-
+and on the 7-grid, each run in a fresh process with G2_LMAX set to the
+grid; the time is the suite call alone, without the import.
 
     python3 tools/bench_suites.py pairs OUT.json --parent DIR --seed0 N
-        [--pairs 10] [--workloads case-sweep case-explore cold-cli]
 
 runs `perfbench/run.py` alternately in DIR (a checkout of the parent
-commit) and in this checkout, one pair per seed N, N+1, ..., the parent
-first in even pairs and second in odd ones.  For every end-to-end metric it
-records each pair, the medians and quartiles of both sides, the ratio of
-the medians and the number of pairs the change wins.
+commit) and in this checkout on every workload, ten pairs per workload,
+one per seed N, N+1, ..., the parent first in even pairs and second in odd
+ones, each run with an empty bytecode cache.  For every end-to-end metric
+it records each pair, the medians and quartiles of both sides, the ratio
+of the medians and the number of pairs the change wins.
 
-Each subcommand adds its section to OUT.json, beside the machine it ran on.
+Each subcommand writes its section of OUT.json, beside the machine it ran
+on.
 """
 
 import argparse
@@ -26,6 +27,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SUITES = ("kernels", "h2", "wronskian")
@@ -34,6 +36,9 @@ WORKLOADS = ("case-sweep", "case-explore", "cold-cli")
 METRICS = {"ops_per_s": True, "op_p50_s": False, "op_tail_s": False,
            "setup_s": False, "peak_rss_mb": False}
 RUN_SECONDS = 45
+GRIDS = (5, 7)
+SUITE_RUNS = 2
+PAIRS = 10
 
 SUITE_SNIPPET = """\
 import json, sys, time
@@ -67,12 +72,12 @@ def time_suite(name, grid):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def suites(grids, runs):
+def suites():
     out = []
-    for grid in grids:
+    for grid in GRIDS:
         for name in SUITES:
             times = []
-            for _ in range(runs):
+            for _ in range(SUITE_RUNS):
                 r = time_suite(name, grid)
                 if not r["ok"]:
                     raise SystemExit(f"suite {name} failed on the {grid}-grid:"
@@ -85,10 +90,14 @@ def suites(grids, runs):
 
 
 def bench_run(checkout, workload, seed):
-    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload",
-                           workload, "--seed", str(seed), "--seconds",
-                           str(RUN_SECONDS)], cwd=checkout,
-                          capture_output=True, text=True, check=True)
+    # an empty bytecode cache for each run: a checkout's own __pycache__
+    # would spare one side the compile and move setup_s and cold-cli
+    with tempfile.TemporaryDirectory() as cache:
+        proc = subprocess.run([sys.executable, "perfbench/run.py",
+                               "--workload", workload, "--seed", str(seed),
+                               "--seconds", str(RUN_SECONDS)], cwd=checkout,
+                              env=dict(os.environ, PYTHONPYCACHEPREFIX=cache),
+                              capture_output=True, text=True, check=True)
     line = json.loads(proc.stdout.splitlines()[-1])
     if not line["correct"]:
         raise SystemExit(f"{checkout}: {workload} seed {seed} has "
@@ -101,11 +110,11 @@ def quartiles(values):
     return {"q1": q1, "median": q2, "q3": q3}
 
 
-def pairs(parent, seed0, count, workloads):
+def pairs(parent, seed0):
     out = {}
-    for workload in workloads:
+    for workload in WORKLOADS:
         runs = []
-        for k in range(count):
+        for k in range(PAIRS):
             seed = seed0 + k
             order = [("parent", parent), ("change", ROOT)]
             if k % 2:
@@ -126,7 +135,7 @@ def pairs(parent, seed0, count, workloads):
             summary[metric] = {"higher_is_better": higher, "parent": pq,
                                "change": cq,
                                "median_ratio": cq["median"] / pq["median"],
-                               "change_wins": wins, "pairs": count}
+                               "change_wins": wins, "pairs": PAIRS}
         out[workload] = {"runs": runs, "summary": summary}
     return out
 
@@ -136,15 +145,10 @@ def main(argv=None):
     sub = ap.add_subparsers(dest="command", required=True)
     p = sub.add_parser("suites")
     p.add_argument("out")
-    p.add_argument("--grids", type=int, nargs="+", default=[5, 7])
-    p.add_argument("--runs", type=int, default=2)
     p = sub.add_parser("pairs")
     p.add_argument("out")
     p.add_argument("--parent", required=True)
     p.add_argument("--seed0", type=int, required=True)
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--workloads", nargs="+", choices=WORKLOADS,
-                   default=list(WORKLOADS))
     args = ap.parse_args(argv)
     record = {}
     if os.path.exists(args.out):
@@ -152,14 +156,11 @@ def main(argv=None):
             record = json.load(fh)
     if args.command == "suites":
         record["suites"] = {"machine": machine(),
-                            "times": suites(args.grids, args.runs)}
+                            "times": suites()}
     else:
-        found = pairs(os.path.abspath(args.parent), args.seed0, args.pairs,
-                      args.workloads)
-        section = record.setdefault("benchmark_pairs", {})
-        section["machine"] = machine()
-        section["run_seconds"] = RUN_SECONDS
-        section.setdefault("workloads", {}).update(found)
+        record["benchmark_pairs"] = {
+            "machine": machine(), "run_seconds": RUN_SECONDS,
+            "workloads": pairs(os.path.abspath(args.parent), args.seed0)}
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
