@@ -159,9 +159,3 @@ def pair_size(mu, k: int) -> int:
     """|mu_{A,k}| / 7 = k + 2*mu1 + mu2 (the per-point weight budget)."""
     return k + 2 * mu[0] + mu[1]
 
-
-def lambda_Ak_size(weights, ks) -> int:
-    """Total size |Lambda_{A,k}| = 7 * sum(k_s + 2 l1 + l2)."""
-    if len(weights) != len(ks):
-        raise ValueError("weights and ks must have equal length")
-    return 7 * sum(pair_size(w, k) for w, k in zip(weights, ks))

@@ -258,7 +258,9 @@ def ssd_witness_check(X: PolySpace, R: RamificationData, gamma) -> bool:
 def isotropic_definition_check(X: PolySpace, R: RamificationData,
                                f: Poly, U) -> bool:
     """f perpendicular to U, U kappa-isotropic, and Wr(U) = T1^2 T2 f^2 up
-    to normalization."""
+    to normalization.  For a Bethe space the factorization flag u_1..u_7
+    is such a witness: Wr(u_1, u_2, u_3) is proportional to T1^2 T2 y1^2
+    and u_1 to y1, so f = u_1 and U = <u_1, u_2, u_3>."""
     gram = kappa_form(X, R)
     coords = [X.coordinates(p) for p in [f] + list(U)]
     if any(c is None for c in coords):
@@ -272,104 +274,6 @@ def isotropic_definition_check(X: PolySpace, R: RamificationData,
     wr = wronskian(list(U))
     target = R.T[0] ** 2 * R.T[1] * f * f
     return not wr.is_zero() and wr.monic() == target.monic()
-
-
-def find_isotropic_witness(X: PolySpace, R: RamificationData, f: Poly):
-    """Search for a 3-dimensional kappa-isotropic U with f perp U and
-    Wr(U) = T1^2 T2 f^2, over echelon parametrizations of subspaces of the
-    kappa-orthogonal complement of f.  Returns a basis or None."""
-    import itertools
-    import sympy
-
-    gram = kappa_form(X, R)
-    cf = X.coordinates(f)
-    if cf is None:
-        raise ValueError("f is not in the space")
-    # basis of the orthogonal complement of f
-    row = [sum(cf[i] * gram[i][j] for i in range(N)) for j in range(N)]
-    perp = nullspace([row])
-    flag = X.flag_basis
-    wpolys = [sum((Poly([c]) * u for c, u in zip(v, flag)), Poly())
-              for v in perp]
-    target = (R.T[0] ** 2 * R.T[1] * f * f).monic()
-    x = sympy.symbols("x")
-    to_sym = lambda p: sympy.Poly([sympy.Rational(c) for c in
-                                   reversed(p.coeffs)] or [0], x).as_expr()
-    wsym = [to_sym(p) for p in wpolys]
-    kap = [[sum(perp[a][i] * gram[i][j] * perp[b][j]
-                for i in range(N) for j in range(N))
-            for b in range(len(perp))] for a in range(len(perp))]
-    m = len(perp)
-    for pivots in itertools.combinations(range(m), 3):
-        free = [j for j in range(m) if j not in pivots]
-        params = sympy.symbols(f"c0:{3 * len(free)}")
-        rows = []
-        for k, pv in enumerate(pivots):
-            coeff = [sympy.Integer(0)] * m
-            coeff[pv] = sympy.Integer(1)
-            for t, j in enumerate(free):
-                coeff[j] = params[k * len(free) + t]
-            rows.append(coeff)
-        eqs = []
-        for a in range(3):
-            for b in range(a, 3):
-                eqs.append(sympy.expand(sum(rows[a][i] * kap[i][j] * rows[b][j]
-                                            for i in range(m)
-                                            for j in range(m))))
-        vs = [sum(rows[a][j] * wsym[j] for j in range(m)) for a in range(3)]
-        wr = sympy.Matrix([[sympy.diff(v, x, k) for v in vs]
-                           for k in range(3)]).det()
-        tgt = to_sym(target)
-        lead = sympy.symbols("c_lead")
-        residual = sympy.expand(wr - lead * tgt)
-        pol = sympy.Poly(residual, x)
-        eqs.extend(pol.all_coeffs())
-        sols = sympy.solve(eqs, list(params) + [lead], dict=True)
-        for sol in sols:
-            if sol.get(lead, 0) == 0:
-                continue
-            if any(v.free_symbols for v in sol.values()):
-                sol = {k: (v.subs({s: 1 for s in v.free_symbols})
-                           if v.free_symbols else v)
-                       for k, v in sol.items()}
-                if sol.get(lead, 0) == 0:
-                    continue
-            basis = []
-            ok = True
-            for a in range(3):
-                coeff = []
-                for j in range(m):
-                    c = rows[a][j].subs(sol) if hasattr(rows[a][j], "subs") \
-                        else rows[a][j]
-                    if getattr(c, "free_symbols", None):
-                        ok = False
-                        break
-                    coeff.append(Fraction(int(sympy.nsimplify(c).p),
-                                          int(sympy.nsimplify(c).q))
-                                 if not isinstance(c, int) else Fraction(c))
-                if not ok:
-                    break
-                basis.append(sum((Poly([cc]) * p
-                                  for cc, p in zip(coeff, wpolys)), Poly()))
-            if not ok:
-                continue
-            if isotropic_definition_check(X, R, f, basis):
-                return basis
-    return None
-
-
-def shift_space(X: PolySpace, z, k) -> PolySpace:
-    """Multiply the space by prod (x - z_s)^{k_s}; negative k divides."""
-    g = Poly([Fraction(1)])
-    h = Poly([Fraction(1)])
-    for zs, ks in zip(z, k):
-        if zs == bethe.INF or zs == "inf" or ks == 0:
-            continue
-        if ks > 0:
-            g = g * Poly([-zs, 1]) ** ks
-        else:
-            h = h * Poly([-zs, 1]) ** (-ks)
-    return PolySpace(tuple((p * g).exact_div(h) for p in X.basis))
 
 
 def bethe_kernel_instance(lam, i):

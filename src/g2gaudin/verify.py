@@ -14,11 +14,14 @@ from .exact import Poly, QSqrt2, zclear, zpoly, zscale, zwr
 from .repn import bracket, mat_eq, mat_scale, mat_sub, mat_zero
 
 
-def _lmax(default=5):
-    try:
-        return int(os.environ.get("G2_LMAX", default))
-    except ValueError:
-        return default
+def lmax():
+    """The grid bound G2_LMAX (default 5); ValueError unless it is a
+    non-negative integer, since an empty grid would pass every sweep."""
+    raw = os.environ.get("G2_LMAX", "5")
+    if not (raw.isascii() and raw.isdigit()):
+        raise ValueError(f"G2_LMAX must be a non-negative integer, "
+                         f"got {raw!r}")
+    return int(raw)
 
 
 def _grid(hi):
@@ -78,7 +81,7 @@ def check_bae_grid():
     generic pair fertility decides the same thing as bethe.bae_exact."""
     from . import bethe
     z = (Fraction(0), Fraction(1))
-    hi = _lmax()
+    hi = lmax()
     count = 0
     for lam in _grid(hi):
         Lam = [lam, rd.OMEGA2]
@@ -105,7 +108,7 @@ def check_bae_grid():
 def check_reproduction():
     """Reproduction chains from the trivial pair reach the closed forms."""
     from . import bethe
-    hi = min(3, _lmax())
+    hi = min(3, lmax())
     cases = {1: (2,), 2: (2, 1), 4: (2, 1, 2), 5: (2, 1, 2, 1),
              6: (2, 1, 2, 1, 2)}
     z = (Fraction(0), Fraction(1))
@@ -154,7 +157,7 @@ def _exp_infinity(a, b):
 def check_kernels():
     """7-dimensional kernels, self-duality, ssd witness, exponents."""
     from . import bethe, diffop, sgrass
-    hi = _lmax()
+    hi = lmax()
     n = 0
     for lam in _grid(hi):
         for i in bethe.admissible_ls(lam):
@@ -181,7 +184,7 @@ def check_kernels():
 
 def check_h2():
     from . import bethe, diffop
-    hi = _lmax()
+    hi = lmax()
     n = 0
     for lam in _grid(hi):
         for i in bethe.admissible_ls(lam):
@@ -273,7 +276,7 @@ def check_covering():
 
 def check_wronskian():
     from . import bethe, diffop, sgrass
-    hi = _lmax()
+    hi = lmax()
     x = Poly([0, 1])
     n = 0
     for lam in _grid(hi):

@@ -48,16 +48,19 @@ def test_bae_verify(capsys):
 
 
 def test_bae_verify_reports_residual_without_tol(capsys):
+    """The exact certificate decides ok, and bae-verify reports no float
+    residual; the tolerance of the former residual gate and the numeric
+    roots of `bae` are gone."""
     rc, out = run(["bae-verify", "--lambda", "3,2", "--case", "6"], capsys)
     data = json.loads(out)
-    assert rc == 0 and data["ok"] is True and data["residual"] < 1e-6
-    # the exact certificate decides ok; the residual is reported only, and
-    # the tolerance of the former residual gate is gone
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["bae-verify", "--lambda", "2,1", "--case", "5",
-                  "--tol", "1"])
-    capsys.readouterr()
-    assert exc.value.code == 2
+    assert rc == 0 and data["ok"] is True and "residual" not in data
+    case = ["--lambda", "2,1", "--case", "5"]
+    for argv in (["bae-verify"] + case + ["--tol", "1"],
+                 ["bae"] + case + ["--numeric"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        capsys.readouterr()
+        assert exc.value.code == 2
 
 
 def test_bae_verify_inadmissible(capsys):
@@ -160,7 +163,9 @@ def test_case_commands_build_each_object_once(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("cmd", [["diffop"], ["kernel"], ["h2check"],
                                  ["exponents", "--point", "0"],
-                                 ["ssd-check"], ["wronski"]])
+                                 ["ssd-check"], ["wronski"], ["bae"],
+                                 ["bae-verify"],
+                                 ["reproduce", "--direction", "1"]])
 def test_inadmissible_case_is_one_error(cmd, capsys):
     """Every case command rejects an inadmissible case with the message of
     bethe.appendix_solution."""
@@ -168,6 +173,38 @@ def test_inadmissible_case_is_one_error(cmd, capsys):
     captured = capsys.readouterr()
     assert (rc, captured.out) == (1, "")
     assert captured.err == "error: l_3 is not admissible for (0, 0)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["ssd-check", "--space", "s.json"],
+    ["ssd-check", "--lambda", "1,1"],
+    ["wronski", "--lambda", "1,1"],
+    ["ssd-check", "--lambda", "1,1", "--case", "1", "--space", "s.json"],
+    ["wronski", "--lambda", "1,1", "--case", "1", "--space", "s.json"],
+    ["ssd-check", "--lambda", "1,1", "--case", "1", "--ram", "r.json"],
+    ["ssd-check", "--lambda", "1,1", "--case", "1", "--witness", "w.json"],
+    ["ssd-check", "--space", "s.json", "--ram", "r.json", "--case", "1"],
+    ["wronski", "--space", "s.json", "--case", "1"],
+    ["ssd-check", "--witness", "w.json"],
+    ["wronski"]])
+def test_input_modes_are_usage_errors(argv, capsys):
+    """A case needs --lambda and --case, a space file excludes them, and
+    ssd-check reads a space only with its --ram; the files are never read."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "error: " in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("value", ["abc", "", "-1"])
+def test_malformed_grid_bound_runs_no_suite(value, monkeypatch, capsys):
+    monkeypatch.setenv("G2_LMAX", value)
+    rc = cli.main(["verify", "--suite", "kernels"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (2, "")
+    assert captured.err == ("error: G2_LMAX must be a non-negative integer, "
+                            f"got {value!r}\n")
 
 
 def test_wronski(capsys):
@@ -233,20 +270,27 @@ def test_parser_built_once_and_reused(capsys):
     assert [run(argv, capsys) for argv in reversed(argvs)] == fresh[::-1]
 
 
-def _loaded_after(argv):
-    """The g2gaudin layers (and numpy) loaded by a fresh interpreter after
-    `import g2gaudin.cli` and, if argv is given, one query."""
-    code = ("import json, sys, g2gaudin.cli\n"
-            f"argv = {argv!r}\n"
-            "rc = g2gaudin.cli.main(argv) if argv else 0\n"
-            "print(json.dumps([m.split('.')[-1] for m in sys.modules if\n"
-            "    m.startswith('g2gaudin.') or m == 'numpy']))\n"
-            "sys.exit(rc)\n")
+def _fresh_python(code, **env):
+    """Run code in a fresh interpreter with the package on its path; its
+    last line of output, read as JSON."""
     src = os.path.dirname(os.path.dirname(g2gaudin.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=src, **env)
     proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True)
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _loaded_after(argv):
+    """The g2gaudin layers (and numpy and sympy) loaded by a fresh
+    interpreter after `import g2gaudin.cli` and, if argv is given, one
+    query."""
+    return set(_fresh_python(
+        "import json, sys, g2gaudin.cli\n"
+        f"argv = {argv!r}\n"
+        "rc = g2gaudin.cli.main(argv) if argv else 0\n"
+        "print(json.dumps([m.split('.')[-1] for m in sys.modules if\n"
+        "    m.startswith('g2gaudin.') or m in ('numpy', 'sympy')]))\n"
+        "sys.exit(rc)\n"))
 
 
 def test_commands_import_only_their_layers():
@@ -261,3 +305,47 @@ def test_commands_import_only_their_layers():
             repn_only | {"verify"}
     loaded = _loaded_after(["verify", "--suite", "bae-grid"])
     assert "bethe" in loaded and "numpy" not in loaded
+
+
+def test_every_command_runs_without_numpy_or_sympy(tmp_path):
+    """A fresh interpreter in which importing numpy or sympy fails answers
+    every subcommand, the file inputs of ssd-check and wronski and all nine
+    suites (on the 1-grid) with the usual exit codes."""
+    lam, i = (2, 1), 5
+    X, _, gamma = sgrass.bethe_kernel_instance(lam, i)
+    polys = {"space": X.basis, "witness": gamma,
+             "swapped": (gamma[1], gamma[0]) + gamma[2:]}
+    contents = {role: [cli._poly_json(p) for p in ps]
+                for role, ps in polys.items()}
+    contents["ram"] = {"points": ["0", "1"],
+                       "partitions": [rd.partition_from_weight(lam, 0),
+                                      rd.partition_from_weight(rd.OMEGA2, 0)]}
+    files = {role: str(tmp_path / f"{role}.json") for role in contents}
+    for role, content in contents.items():
+        with open(files[role], "w") as fh:
+            json.dump(content, fh)
+    case = ["--lambda", "2,1", "--case", "5"]
+    space = ["--space", files["space"]]
+    queries = [
+        (["tensor", "--left", "1,0", "--right", "0,1"], 0),
+        (["invdim", "--weights", "0,1;0,1;0,1;0,1"], 0),
+        (["bae"] + case, 0), (["bae-verify"] + case, 0),
+        (["reproduce", "--direction", "1"] + case, 0),
+        (["diffop", "--conjugated"] + case, 0), (["kernel"] + case, 0),
+        (["exponents", "--point", "inf"] + case, 0),
+        (["h2check"] + case, 0), (["ssd-check"] + case, 0),
+        (["ssd-check", "--ram", files["ram"], "--witness", files["witness"]]
+         + space, 0),
+        (["ssd-check", "--ram", files["ram"], "--witness", files["swapped"]]
+         + space, 1),
+        (["wronski", "--reduced"] + case, 0), (["wronski"] + space, 0),
+        (["strata", "--d", "11"], 0), (["verify", "--suite", "all"], 0)]
+    code = ("import contextlib, io, json, sys\n"
+            "sys.modules['numpy'] = sys.modules['sympy'] = None\n"
+            "from g2gaudin import cli\n"
+            "rcs = []\n"
+            f"for argv in {[argv for argv, _ in queries]!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        rcs.append(cli.main(argv))\n"
+            "print(json.dumps(rcs))\n")
+    assert _fresh_python(code, G2_LMAX="1") == [rc for _, rc in queries]

@@ -75,7 +75,3 @@ def test_pair_size_matches_partition():
         for k in (0, 1, 2):
             p = rd.partition_from_weight(mu, k)
             assert sum(p) == 7 * rd.pair_size(mu, k)
-
-
-def test_lambda_ak_size():
-    assert rd.lambda_Ak_size([(0, 1), (0, 1)], [0, 0]) == 14

@@ -146,13 +146,6 @@ def test_isotropic_examples():
                                              [_mono(0), _mono(4), _mono(6)])
 
 
-def test_isotropic_witness_search():
-    f = _mono(3) + Poly([2])
-    U = sg.find_isotropic_witness(X0, R0, f)
-    assert U is not None
-    assert sg.isotropic_definition_check(X0, R0, f, U)
-
-
 def test_reduced_wronski():
     assert sg._seventh_root(_mono(14)) == _mono(2)
     x = _mono(1)
@@ -162,18 +155,6 @@ def test_reduced_wronski():
         sg._seventh_root(_mono(3))
     with pytest.raises(ValueError):
         sg._seventh_root((_mono(7) + Poly([1])))
-
-
-def test_shift_space():
-    X, R, _ = sg.bethe_kernel_instance((0, 1), 1)
-    Xs = sg.shift_space(X, [Fraction(0)], [2])
-    x = _mono(1)
-    assert sg.space_wronskian(Xs) == \
-        (x ** 21 * (x - Poly([1])) ** 7).monic()
-    back = sg.shift_space(Xs, [Fraction(0)], [-2])
-    assert _span_equal(list(back.basis), list(X.basis))
-    same = sg.shift_space(X, [Fraction(0)], [0])
-    assert same.basis == X.basis
 
 
 # the 84 closed-form cases with lambda in {0..3}^2
@@ -238,6 +219,21 @@ def test_flag_matches_wronskian_search_on_3_grid():
         ker = ker[::-1]
         assert sg.flag_from_factorization(ker, y, T1, T2) == \
             _flag_by_wronskian_search(ker, y, T1, T2)
+
+
+def test_bethe_flag_is_isotropic_witness():
+    """The definition of a self-self-dual space holds with the witness the
+    factorization flag gives: f = u_1, proportional to y_1, and U = <u_1,
+    u_2, u_3>, whose Wronskian is proportional to T1^2 T2 y_1^2.  With u_4
+    in place of u_3 it fails."""
+    for lam, i in GRID3:
+        X, R, gamma = sg.bethe_kernel_instance(lam, i)
+        y1 = bethe.appendix_solution(lam, i).y1
+        assert sg.isotropic_definition_check(X, R, y1, gamma[:3]), (lam, i)
+        assert not sg.isotropic_definition_check(
+            X, R, y1, gamma[:2] + gamma[3:4]), (lam, i)
+    assert sg.isotropic_definition_check(X0, R0, _mono(0),
+                                         [_mono(0), _mono(1), _mono(2)])
 
 
 def test_dual_space_is_the_subset_divided_wronskians():
