@@ -20,10 +20,17 @@ def _parse_weight(s):
     return (int(parts[0]), int(parts[1]))
 
 
+def _parse_weights(s):
+    return [_parse_weight(t) for t in s.split(";")]
+
+
 def _parse_point(s):
     if s == "inf":
         return "inf"
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"point has denominator 0: {s!r}")
 
 
 def _poly_json(p: Poly):
@@ -110,9 +117,8 @@ def cmd_tensor(args):
 
 def cmd_invdim(args):
     from . import repn
-    ws = [_parse_weight(s) for s in args.weights.split(";")]
-    return _emit({"weights": [list(w) for w in ws],
-                  "invariant_dim": repn.invariant_dim(ws)})
+    return _emit({"weights": [list(w) for w in args.weights],
+                  "invariant_dim": repn.invariant_dim(args.weights)})
 
 
 def cmd_bae(args):
@@ -294,7 +300,7 @@ def build_parser():
     p.set_defaults(func=cmd_tensor)
 
     p = sub.add_parser("invdim", help="invariant dimension of a product")
-    p.add_argument("--weights", required=True,
+    p.add_argument("--weights", type=_parse_weights, required=True,
                    help="semicolon-separated weights, e.g. '0,1;0,1'")
     p.set_defaults(func=cmd_invdim)
 

@@ -71,14 +71,16 @@ _DY_EXPONENTS = ((4, 2, -1, 0), (3, 2, 1, -1), (3, 1, -2, 1), (2, 1, 0, 0),
 _CONJUGATOR = (2, 1, 0, 0)
 
 
-def _log_factors(fs, exps):
-    """(Q, [W_k]) with ln' g_k = W_k / Q for g_k = prod_j fs[j]^exps[k][j],
-    fs integer coefficient lists and Q, W_k in Z[x].
+def _log_factors(fs, exps, marked=0):
+    """(Q, [W_k], Y) with ln' g_k = W_k / Q for g_k = prod_j fs[j]^exps[k][j],
+    fs integer coefficient lists and Q, W_k in Z[x], and Y = Q / Q_m for
+    Q_m the lcm of the radicals of fs[:marked].
 
     For primitive f with g = gcd(f, f'), ln' f = (f'/g) / rad f, where
     rad f = f/g is squarefree; both quotients lie in Z[x].  Q is the lcm of
     the radicals and W_k = Q ln' g_k = sum_j e_kj (f_j'/g_j) (Q / rad f_j),
-    for any f_j, coprime and squarefree or not."""
+    for any f_j, coprime and squarefree or not.  Q is squarefree, so Y is
+    coprime to Q_m."""
     Q, rads, logs = [1], [], []
     for j, f in enumerate(fs):
         if len(f) < 2 or not any(e[j] for e in exps):
@@ -99,7 +101,7 @@ def _log_factors(fs, exps):
             if ej and lg:
                 W = zadd(W, zscale(ej, zmul(lg, cof)))
         Ws.append(W)
-    return Q, Ws
+    return Q, Ws, zquo(Q, reduce(zlcm, rads[:marked], [1]))
 
 
 def apply_log_factor(Q, dQ, W, P, j):
@@ -107,24 +109,35 @@ def apply_log_factor(Q, dQ, W, P, j):
     return zsub(zmul(Q, zderiv(P)), zmul(zadd(zscale(j, dQ), W), P))
 
 
-def _log_factor_product(Q, Ws) -> DiffOp:
+def _log_factor_product(Q, Ws, Y=(1,)) -> DiffOp:
     """(d - W_1/Q)...(d - W_m/Q), leftmost factor first, for Q, W_k in Z[x]
-    with Q squarefree (as from _log_factors).
+    with Q squarefree (as from _log_factors) and Y a factor of Q expected to
+    cancel from every coefficient.
 
     The partial product of order n is carried as sum_k P_k / Q^(n-k) d^k
     with P_k in Z[x]: left-composing with d - W/Q sends P_k d^k to
     P_k d^(k+1) plus apply_log_factor(Q, Q', W, P_k, n - k) / Q^(n+1-k) d^k,
     which needs no division and no gcd.  Each coefficient is reduced once,
-    at the end."""
+    at the end: P_k is divided by Y^(m-k) and reduced over Q / Y alone, or,
+    when that division is inexact, reduced over Q.  Both give the same
+    lowest terms.  For D_y, Y is the y-part of Q: the kernel is a space of
+    polynomials with Wronskian supported on the roots of T1 T2, so D_y has
+    no pole at a root of y1 y2 and on a Bethe pair the division is exact."""
     dQ, ps = zderiv(Q), [[1]]
     for n, W in enumerate(reversed(Ws)):
         out = [[]] + ps
         for k, p in enumerate(ps):
             out[k] = zadd(out[k], apply_log_factor(Q, dQ, W, p, n - k))
         ps = out
-    m = len(ps) - 1
-    return DiffOp(tuple(zratfunc(*_reduce_over_power(ps[k], Q, m - k))
-                        for k in range(m - 1, -1, -1)))
+    m, QT, Ye, cs = len(ps) - 1, zquo(Q, Y), [1], []
+    for k in range(m - 1, -1, -1):
+        Ye = zmul(Ye, Y)
+        try:
+            P, modulus = zquo(ps[k], Ye), QT
+        except ValueError:
+            P, modulus = ps[k], Q
+        cs.append(zratfunc(*_reduce_over_power(P, modulus, m - k)))
+    return DiffOp(tuple(cs))
 
 
 def _reduce_over_power(P, Q, e):
@@ -159,9 +172,10 @@ def from_log_factors(gs) -> DiffOp:
                 bases.setdefault(key, len(bases))
                 e[bases[key]] = e.get(bases[key], 0) + sign
         exps.append(e)
-    return _log_factor_product(*_log_factors(
+    Q, Ws, _ = _log_factors(
         [list(b) for b in bases],
-        [[e.get(j, 0) for j in range(len(bases))] for e in exps]))
+        [[e.get(j, 0) for j in range(len(bases))] for e in exps])
+    return _log_factor_product(Q, Ws)
 
 
 def dy_factor_functions(y: bethe.PolyPair, T1: Poly, T2: Poly):
@@ -181,12 +195,12 @@ def dy_factor_functions(y: bethe.PolyPair, T1: Poly, T2: Poly):
 
 
 def dy_log_factors(y: bethe.PolyPair, T1: Poly, T2: Poly, shift=(0,) * 4):
-    """(Q, [W_1..W_7]) with D_y = (d - W_1/Q)...(d - W_7/Q), or its
+    """(Q, [W_1..W_7], Y) with D_y = (d - W_1/Q)...(d - W_7/Q), or its
     conjugate by T1^2 T2 for shift = _CONJUGATOR: f^-1 (d - ln' g) f is
-    d - ln'(g/f)."""
+    d - ln'(g/f).  Y is the y-part of Q: Q / Y divides T1 T2."""
     fs = [zclear(p.coeffs)[0] for p in (T1, T2, y.y1, y.y2)]
     return _log_factors(fs, [[a - b for a, b in zip(e, shift)]
-                             for e in _DY_EXPONENTS])
+                             for e in _DY_EXPONENTS], marked=2)
 
 
 def _factor_product(y: bethe.PolyPair, T1: Poly, T2: Poly, shift=(0,) * 4):

@@ -295,7 +295,7 @@ def flag_from_factorization(kernel_basis, y: bethe.PolyPair,
     ker(L_m...L_7), m = 8 - i, for D_y = L_1...L_7 (Mukhin-Varchenko).
     Step i applies L_m to the kernel basis images, in Z[x], and takes one
     nullspace; u_i is its monic vector at the free column new at step i."""
-    Q, Ws = diffop.dy_log_factors(y, T1, T2)
+    Q, Ws, _ = diffop.dy_log_factors(y, T1, T2)
     dQ = zderiv(Q)
     basis = [zclear(b.coeffs)[0] for b in kernel_basis]
     images, free, flag = basis, set(), []

@@ -197,6 +197,23 @@ def test_input_modes_are_usage_errors(argv, capsys):
     assert "error: " in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["exponents", "--lambda", "1,1", "--case", "2", "--point", "1/0"],
+    ["exponents", "--lambda", "1,1", "--case", "2", "--point", "x"],
+    ["invdim", "--weights", "0,1;x"],
+    ["invdim", "--weights", "0,x"],
+    ["invdim", "--weights", ""]])
+def test_malformed_values_are_usage_errors(argv, capsys):
+    """A point or a weight list that does not parse is rejected by the
+    parser, with exit 2 and no traceback, before any command runs."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "error: argument --" in captured.err
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("value", ["abc", "", "-1"])
 def test_malformed_grid_bound_runs_no_suite(value, monkeypatch, capsys):
     monkeypatch.setenv("G2_LMAX", value)

@@ -9,7 +9,7 @@ from g2gaudin import bethe
 from g2gaudin import diffop
 from g2gaudin import rootdata as rd
 from g2gaudin.bethe import PolyPair
-from g2gaudin.exact import Poly, RatFunc, log_deriv
+from g2gaudin.exact import Poly, RatFunc, log_deriv, zclear, zprem, zquo
 
 
 def test_trivial_factorization_is_d7():
@@ -109,6 +109,64 @@ def test_direct_factor_product_on_nongeneric_inputs(name):
         assert got.order == 7
         for k, (g, w) in enumerate(zip(got.coeffs, ref.coeffs)):
             assert (g.num, g.den) == (w.num, w.den), (name, k)
+
+
+def _recorded_moduli(monkeypatch, build):
+    """The moduli _reduce_over_power is called with while build() runs."""
+    seen, reduce_over_power = [], diffop._reduce_over_power
+
+    def record(P, Q, e):
+        seen.append(Q)
+        return reduce_over_power(P, Q, e)
+
+    monkeypatch.setattr(diffop, "_reduce_over_power", record)
+    try:
+        build()
+    finally:
+        monkeypatch.undo()
+    return seen
+
+
+def _both_operators(y, T1, T2):
+    diffop.build_Dy(y, T1, T2)
+    diffop._factor_product(y, T1, T2, diffop._CONJUGATOR)
+
+
+def test_bethe_pair_reduces_over_the_marked_points_only(monkeypatch):
+    """On a Bethe pair the y-part Y of Q divides the d^k numerator Y^(7-k)
+    times, so all 14 coefficients of D_y and its conjugate are reduced over
+    Q / Y, whose roots are the marked points 0 and 1."""
+    cases = [((a, b), i) for a in range(4) for b in range(4)
+             for i in bethe.admissible_ls((a, b))]
+    assert len(cases) == 84
+    for lam, i in cases:
+        y = bethe.appendix_solution(lam, i)
+        T1, T2 = bethe.build_calT([lam, rd.OMEGA2], [Fraction(0), Fraction(1)])
+        marked = [diffop.dy_log_factors(y, T1, T2, shift)
+                  for shift in ((0,) * 4, diffop._CONJUGATOR)]
+        want = [zquo(Q, Y) for Q, _, Y in marked for _ in range(7)]
+        assert all(len(m) <= 3 and not zprem(zclear((T1 * T2).coeffs)[0], m)
+                   for m in want), (lam, i)
+        got = _recorded_moduli(monkeypatch,
+                               lambda: _both_operators(y, T1, T2))
+        assert got == want, (lam, i)
+
+
+def _perturbed_pair():
+    y = bethe.appendix_solution((1, 1), 2)
+    T = bethe.build_calT([(1, 1), rd.OMEGA2], [Fraction(0), Fraction(1)])
+    return (PolyPair(y.y1 + Fraction(1, 7), y.y2), *T)
+
+
+@pytest.mark.parametrize("name", sorted(NONGENERIC) + ["perturbed"])
+def test_non_bethe_input_reduces_over_all_of_q(name, monkeypatch):
+    """Off a Bethe pair the division by a power of Y is inexact for some
+    coefficient, which is then reduced over all of Q, as before."""
+    y, T1, T2 = NONGENERIC[name] if name in NONGENERIC else _perturbed_pair()
+    Q, _, Y = diffop.dy_log_factors(y, T1, T2)
+    assert len(Y) > 1
+    assert Q in _recorded_moduli(monkeypatch,
+                                 lambda: diffop.build_Dy(y, T1, T2))
 
 
 def test_exponents_regular_point():

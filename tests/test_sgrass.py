@@ -236,6 +236,17 @@ def test_bethe_flag_is_isotropic_witness():
                                          [_mono(0), _mono(1), _mono(2)])
 
 
+def test_isotropic_check_rejects_a_non_isotropic_u(monkeypatch):
+    """f = 1 and U = <1, x, x^2> on the monomial space: f is orthogonal to U
+    and Wr(U) = T1^2 T2 f^2 up to a constant, but under a form with
+    kappa(x, x) = 1 U is not isotropic, so only that condition fails."""
+    gram = [[Fraction(0)] * 7 for _ in range(7)]
+    gram[1][1] = Fraction(1)
+    monkeypatch.setattr(sg, "kappa_form", lambda X, R: gram)
+    assert not sg.isotropic_definition_check(X0, R0, _mono(0),
+                                             [_mono(0), _mono(1), _mono(2)])
+
+
 def test_dual_space_is_the_subset_divided_wronskians():
     spaces = [(X0, R0), (X_HALF, R_HALF)]
     for lam, i in GRID3:
