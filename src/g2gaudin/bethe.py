@@ -12,21 +12,22 @@ from . import rootdata as rd
 from .exact import Poly, zclear, zderiv, zgcd, zmul, zpoly, zprem, zwr
 from .linalg import solve
 
-INF = float("inf")
+# the point at infinity, spelled as in the JSON formats
+INF = "inf"
 
 # the seven l-pairs that can be admissible
 L_LIST = ((0, 0), (0, 1), (1, 1), (1, 2), (1, 3), (2, 3), (2, 4))
 
 
-def alpha_of_l(l):
-    """l1*alpha1 + l2*alpha2 in fundamental coordinates."""
-    l1, l2 = l
-    return (l1 * rd.ALPHA1[0] + l2 * rd.ALPHA2[0],
-            l1 * rd.ALPHA1[1] + l2 * rd.ALPHA2[1])
+def summand_weight(lam, i):
+    """lam + omega2 - (l1 alpha1 + l2 alpha2) for (l1, l2) = L_LIST[i]: the
+    weight of the summand of V_lam (x) V_omega2 that case i belongs to."""
+    return rd.sub(rd.add(lam, rd.OMEGA2), rd.from_alpha(*L_LIST[i]))
 
 
 def l_of_alpha(w):
-    """Inverse of alpha_of_l; errors if w is not in the root lattice cone."""
+    """The alpha-coordinates (l1, l2) of w, inverse to rd.from_alpha; errors
+    if w is not in the root lattice cone."""
     a, b = rd.to_alpha(w)
     if a < 0 or b < 0:
         raise ValueError(f"{w} is not a nonnegative root-lattice element")
@@ -51,7 +52,7 @@ class PolyPair:
 @dataclass(frozen=True)
 class BetheData:
     Lambda: tuple  # sequence of weights
-    z: tuple       # evaluation points (scalars, at most one INF)
+    z: tuple       # evaluation points (rationals, at most one INF)
     l: tuple       # (l1, l2)
 
     def __post_init__(self):
@@ -100,12 +101,8 @@ def admissible_ls(lam):
     if not rd.is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
     summands = repn.tensor_decompose(lam, rd.OMEGA2)
-    out = []
-    for i, l in enumerate(L_LIST):
-        mu = rd.sub(rd.add(lam, rd.OMEGA2), alpha_of_l(l))
-        if mu in summands:
-            out.append(i)
-    return out
+    return [i for i in range(len(L_LIST))
+            if summand_weight(lam, i) in summands]
 
 
 def _f(expr_num, expr_den):
@@ -373,7 +370,7 @@ def reproduce(y: PolyPair, direction: int, data: BetheData):
     rest = (0, 0)
     for lam in data.Lambda[1:]:
         rest = rd.add(rest, lam)
-    refl = rd.reflect(j, rd.sub(rest, alpha_of_l(data.l)))
+    refl = rd.reflect(j, rd.sub(rest, rd.from_alpha(*data.l)))
     new_l = l_of_alpha(rd.sub(rest, refl))
     new_data = BetheData((new_lam1,) + tuple(data.Lambda[1:]), data.z, new_l)
     if not is_generic(new_pair, new_data.Lambda, new_data.z):

@@ -1,5 +1,8 @@
 """Command-line front end: JSON in/out, deterministic output, exit code 0 on
-success, 1 on a failed mathematical check, 2 on usage errors."""
+success, 1 on a failed mathematical check, 2 on usage errors.
+
+This module owns the JSON codec: a rational is the string "p" or "p/q" in
+lowest terms, the point at infinity the string "inf"."""
 
 from __future__ import annotations
 
@@ -10,14 +13,19 @@ import sys
 from fractions import Fraction
 
 from . import rootdata as rd
-from .exact import Poly, scalar_from_str, scalar_to_str, zpoly
+from .exact import Poly, zpoly
 
 
 def _parse_weight(s):
-    parts = s.split(",")
-    if len(parts) != 2:
+    """A dominant weight 'a,b': two non-negative integers."""
+    try:
+        a, b = (int(t) for t in s.split(","))
+    except ValueError:
         raise argparse.ArgumentTypeError(f"weight must be 'a,b', got {s!r}")
-    return (int(parts[0]), int(parts[1]))
+    if a < 0 or b < 0:
+        raise argparse.ArgumentTypeError(
+            f"weight must be dominant (a, b >= 0), got {s!r}")
+    return (a, b)
 
 
 def _parse_weights(s):
@@ -25,20 +33,24 @@ def _parse_weights(s):
 
 
 def _parse_point(s):
+    """A rational, or "inf" for the point at infinity."""
     if s == "inf":
-        return "inf"
+        return s
     try:
         return Fraction(s)
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError(f"point has denominator 0: {s!r}")
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"point must be a rational or 'inf', got {s!r}")
 
 
 def _poly_json(p: Poly):
-    return [scalar_to_str(c) for c in p.coeffs]
+    return [str(c) for c in p.coeffs]
 
 
 def _poly_from_json(coeffs) -> Poly:
-    return Poly([scalar_from_str(str(c)) for c in coeffs])
+    return Poly([Fraction(str(c)) for c in coeffs])
 
 
 def _poly_str(p: Poly) -> str:
@@ -49,9 +61,7 @@ def _poly_str(p: Poly) -> str:
         c = p[k]
         if not c:
             continue
-        mag = scalar_to_str(abs(c)) if isinstance(c, Fraction) \
-            else scalar_to_str(c)
-        neg = isinstance(c, Fraction) and c < 0
+        mag, neg = str(abs(c)), c < 0
         if k == 0:
             body = mag
         else:
@@ -89,7 +99,7 @@ def _load_ram(path):
     from . import sgrass
     with open(path) as fh:
         data = json.load(fh)
-    pts = tuple("inf" if p == "inf" else Fraction(str(p))
+    pts = tuple(p if p == "inf" else Fraction(str(p))
                 for p in data["points"])
     return sgrass.RamificationData(pts, tuple(tuple(p)
                                               for p in data["partitions"]))
@@ -182,7 +192,7 @@ def cmd_exponents(args):
     D = diffop.appendix_operator(args.lam, args.case,
                                  conjugated=not args.raw)
     e = diffop.exponents_at(D, args.point)
-    return _emit({"point": "inf" if e.point == "inf" else str(e.point),
+    return _emit({"point": str(e.point),
                   "exponents": list(e.exponents)})
 
 
@@ -191,8 +201,8 @@ def cmd_h2check(args):
     got, expected = diffop.h2_casimir_values(args.lam, args.case)
     ok = got == expected
     _emit({"lambda": list(args.lam), "case": args.case,
-           "residue_side": scalar_to_str(got),
-           "casimir_side": scalar_to_str(expected), "ok": ok})
+           "residue_side": str(got), "casimir_side": str(expected),
+           "ok": ok})
     return 0 if ok else 1
 
 
@@ -351,7 +361,9 @@ def build_parser():
     p.set_defaults(func=cmd_wronski)
 
     p = sub.add_parser("strata", help="stratification of SGr_d")
-    p.add_argument("--d", type=int, required=True)
+    # strat.MAX_D = 14; strat loads only when the command runs
+    p.add_argument("--d", type=int, required=True, choices=range(7, 15),
+                   metavar="7..14")
     p.add_argument("--format", choices=("dot", "json"), default="dot")
     p.set_defaults(func=cmd_strata)
 

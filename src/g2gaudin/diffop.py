@@ -324,7 +324,7 @@ def _laurent_coeff(f: RatFunc, p, m: int):
 
 @dataclass(frozen=True)
 class ExponentList:
-    point: object  # scalar or "inf"
+    point: object  # a rational or bethe.INF
     exponents: tuple
 
 
@@ -339,10 +339,10 @@ def _infinity_coeff(c: RatFunc, i: int):
 
 
 def exponents_at(D: DiffOp, p) -> ExponentList:
-    """The 7 indicial roots at a finite point p or at infinity ("inf"),
+    """The 7 indicial roots at a finite point p or at infinity (bethe.INF),
     where they are the roots s of chi(-s) = 0."""
     n, full = D.order, D.full()
-    inf = p == "inf" or p == bethe.INF
+    inf = p == bethe.INF
     chi = list(_FALLING[n])
     for i in range(1, n + 1):
         b = (_infinity_coeff(full[n - i], i) if inf
@@ -352,8 +352,7 @@ def exponents_at(D: DiffOp, p) -> ExponentList:
                 chi[k] += b * c
     if inf:
         chi = [c if k % 2 == 0 else -c for k, c in enumerate(chi)]
-    return ExponentList("inf" if inf else p,
-                        tuple(_integer_roots(Poly(chi))))
+    return ExponentList(p, tuple(_integer_roots(Poly(chi))))
 
 
 # Cases kept by case(): every caller (the case commands, the suites, a
@@ -425,7 +424,7 @@ def default_degree_bound(lam, i) -> int:
     """1 + the largest exponent of D_y at infinity: the largest exponent of
     the conjugated operator is 2*mu1 + mu2 with mu the resulting weight, and
     the twist by T1^2 T2 adds its degree, 2*lam1 + lam2 + 1."""
-    mu = rd.sub(rd.add(lam, rd.OMEGA2), bethe.alpha_of_l(bethe.L_LIST[i]))
+    mu = bethe.summand_weight(lam, i)
     return 2 * mu[0] + mu[1] + 6 + (2 * lam[0] + lam[1] + 1) + 1
 
 
@@ -466,7 +465,7 @@ def h2_casimir_values(lam, i):
     every call."""
     h2 = case(tuple(lam), i).conjugated.coeffs[1]
     got = -residue_at(h2, Fraction(0)) * _H2_NORMALIZATION
-    mu = rd.sub(rd.add(lam, rd.OMEGA2), bethe.alpha_of_l(bethe.L_LIST[i]))
+    mu = bethe.summand_weight(lam, i)
     eig = Fraction(repn.casimir_eigenvalue(mu) - repn.casimir_eigenvalue(lam)
                    - repn.casimir_eigenvalue(rd.OMEGA2), 2)
     expected = eig / (Fraction(0) - Fraction(1))

@@ -1,7 +1,8 @@
 """Exact scalar and polynomial arithmetic.
 
-Scalars are either `fractions.Fraction` or `QSqrt2` (the field Q(sqrt 2)).
-Polynomials are dense, coefficients stored lowest degree first.  All
+Polynomials and rational functions are over Q: dense, coefficients
+`fractions.Fraction` stored lowest degree first.  `QSqrt2` (the field
+Q(sqrt 2)) is the scalar of the matrix layer (repn, linalg) only.  All
 operations are pure; every value is immutable after construction.
 """
 
@@ -9,11 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Iterable, Sequence, Union
-
-Rational = Fraction
-
-Scalar = Union[int, Fraction, "QSqrt2"]
+from typing import Iterable, Sequence
 
 
 def _frac(x) -> Fraction:
@@ -118,27 +115,14 @@ class QSqrt2:
 SQRT2 = QSqrt2(0, 1)
 
 
-def scalar_to_str(x: Scalar):
-    """Render a scalar for JSON: "p/q" for rationals, {"a":..,"b":..} for Q(sqrt2)."""
-    if isinstance(x, QSqrt2):
-        return {"a": scalar_to_str(x.a), "b": scalar_to_str(x.b)}
-    f = _frac(x)
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else f"{f.numerator}"
-
-
-def scalar_from_str(s) -> Scalar:
-    if isinstance(s, dict):
-        return QSqrt2(scalar_from_str(s["a"]), scalar_from_str(s["b"]))
-    return Fraction(s)
-
-
 class Poly:
-    """Dense univariate polynomial, coefficients lowest degree first."""
+    """Dense univariate polynomial over Q, coefficients lowest degree first;
+    a coefficient that is not rational raises TypeError."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(c) if isinstance(c, int) else c for c in coeffs]
+    def __init__(self, coeffs: Iterable[Fraction] = ()):
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -157,16 +141,16 @@ class Poly:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def leading(self) -> Scalar:
+    def leading(self) -> Fraction:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def __getitem__(self, i: int) -> Scalar:
+    def __getitem__(self, i: int) -> Fraction:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, QSqrt2)):
+        if isinstance(other, (int, Fraction)):
             other = Poly([other])
         if not isinstance(other, Poly):
             return NotImplemented
@@ -176,7 +160,7 @@ class Poly:
         return hash(self.coeffs)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, QSqrt2)):
+        if isinstance(other, (int, Fraction)):
             other = Poly([other])
         n = max(len(self.coeffs), len(other.coeffs))
         return Poly([self[i] + other[i] for i in range(n)])
@@ -187,7 +171,7 @@ class Poly:
         return Poly([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, QSqrt2)):
+        if isinstance(other, (int, Fraction)):
             other = Poly([other])
         return self + (-other)
 
@@ -195,7 +179,7 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QSqrt2)):
+        if isinstance(other, (int, Fraction)):
             return Poly([c * other for c in self.coeffs])
         if not isinstance(other, Poly):
             return NotImplemented
@@ -215,8 +199,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly([type(self.leading() if self.coeffs else Fraction(0))(1)]) \
-            if self.coeffs else Poly([Fraction(1)])
+        result = Poly([Fraction(1)])
         base = self
         while n:
             if n & 1:
@@ -314,14 +297,8 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 
 
 def _denominator(coeffs) -> int:
-    """Least common denominator of rational coefficients; TypeError on any
-    other scalar."""
-    den = 1
-    for c in coeffs:
-        if not isinstance(c, (int, Fraction)):
-            raise TypeError(f"{c!r} is not rational: this path is over Q only")
-        den = lcm(den, c.denominator)
-    return den
+    """Least common denominator of rational coefficients."""
+    return lcm(*(c.denominator for c in coeffs))
 
 
 def zclear(coeffs):
@@ -487,8 +464,7 @@ def zratfunc(num, den) -> "RatFunc":
 
 def poly_det(matrix: Sequence[Sequence[Poly]]) -> Poly:
     """Determinant of a square matrix of polynomials over Q: each row is
-    cleared to Z[x] once, then fraction-free Bareiss.  Raises TypeError on a
-    coefficient outside Q, such as a QSqrt2."""
+    cleared to Z[x] once, then fraction-free Bareiss."""
     rows, scale = [], 1
     for row in matrix:
         den = lcm(*(_denominator(p.coeffs) for p in row))
@@ -513,7 +489,7 @@ def zwronski_matrix(fs, n=None):
 
 def wronskian(fs: Sequence[Poly]) -> Poly:
     """Wronskian determinant det(d^{i-1} f_j / dx^{i-1}) over Q; 1 for the
-    empty family.  Raises TypeError on a coefficient outside Q."""
+    empty family."""
     rows, dens = zwronski_matrix(fs)
     return zpoly(zdet(rows), prod(dens))
 
@@ -524,11 +500,11 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly = None):
-        if isinstance(num, (int, Fraction, QSqrt2)):
+        if not isinstance(num, Poly):
             num = Poly([num])
         if den is None:
             den = Poly([Fraction(1)])
-        if isinstance(den, (int, Fraction, QSqrt2)):
+        elif not isinstance(den, Poly):
             den = Poly([den])
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
@@ -538,7 +514,7 @@ class RatFunc:
             den = den.exact_div(g)
         lead = den.leading()
         if lead != 1:
-            num = num * (Fraction(1) / lead if not isinstance(lead, QSqrt2) else lead.inverse())
+            num = num * (1 / lead)
             den = den.monic()
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -559,7 +535,7 @@ class RatFunc:
     def _coerce(x) -> "RatFunc":
         if isinstance(x, RatFunc):
             return x
-        if isinstance(x, (int, Fraction, QSqrt2, Poly)):
+        if isinstance(x, (int, Fraction, Poly)):
             return RatFunc(x if isinstance(x, Poly) else Poly([x]))
         return NotImplemented
 
@@ -639,7 +615,7 @@ def log_deriv(f) -> RatFunc:
             else RatFunc(f.num.derivative(), f.num) - RatFunc(f.den.derivative(), f.den))
 
 
-def residue_at(f: RatFunc, z) -> Scalar:
+def residue_at(f: RatFunc, z) -> Fraction:
     """Coefficient of (x - z)^{-1} in the Laurent expansion of f at z."""
     if f.den.is_zero():
         raise ZeroDivisionError("denominator vanishes identically")
@@ -650,7 +626,7 @@ def residue_at(f: RatFunc, z) -> Scalar:
         return Fraction(0)
     # den = x^m * d0 with d0(0) != 0; residue = [x^{m-1}] num * d0^{-1} (power series)
     d0 = Poly(den.coeffs[m:])
-    inv0 = 1 / d0.coeffs[0] if not isinstance(d0.coeffs[0], QSqrt2) else d0.coeffs[0].inverse()
+    inv0 = 1 / d0.coeffs[0]
     # power series inverse of d0 to order m
     inv = [inv0]
     for k in range(1, m):

@@ -246,11 +246,6 @@ def casimir_blocks():
 # ------------------------------------------------------- weight combinatorics
 
 
-def _root_weight(c1, c2):
-    """c1*alpha1 + c2*alpha2 in fundamental coordinates."""
-    return (2 * c1 - c2, -3 * c1 + 2 * c2)
-
-
 # (w, c1*alpha1 + c2*alpha2) = 3*c1*w1 + c2*w2 in fundamental coordinates,
 # since (omega_i, alpha_j) = delta_ij (alpha_j, alpha_j)/2 with
 # (alpha1, alpha1) = 6 and (alpha2, alpha2) = 2
@@ -296,7 +291,7 @@ def _dominant_multiplicities(lam):
         denom = clam - rd.bilinear(rd.add(mu, rd.RHO), rd.add(mu, rd.RHO))
         total = Fraction(0)
         for c1, c2 in rd.POSITIVE_ROOTS:
-            beta = _root_weight(c1, c2)
+            beta = rd.from_alpha(c1, c2)
             j = 1
             while True:
                 w = rd.add(mu, (j * beta[0], j * beta[1]))
@@ -317,12 +312,10 @@ def _dominant_multiplicities(lam):
 @lru_cache(maxsize=None)
 def weight_multiplicities(lam):
     """All weights of V_lam with multiplicities (W-orbit expansion)."""
-    doms = _dominant_multiplicities(lam)
-    group = rd.weyl_group()
     out = {}
-    for mu, m in doms.items():
-        for sigma in group:
-            out[sigma(mu)] = m
+    for mu, m in _dominant_multiplicities(lam).items():
+        for w in rd.weyl_orbit(mu):
+            out[w] = m
     assert sum(out.values()) == weyl_dim(lam)
     return out
 
@@ -342,11 +335,11 @@ def _tensor_decompose(lam, mu):
     result = {}
     for nu, m in weight_multiplicities(mu).items():
         xi = rd.add(rd.add(lam, nu), rd.RHO)
-        sigma, dom = rd.dominant_chamber(xi)
+        sign, dom = rd.dominant_chamber(xi)
         if dom[0] == 0 or dom[1] == 0:
             continue  # on a wall
         target = rd.sub(dom, rd.RHO)
-        result[target] = result.get(target, 0) + sigma.sign() * m
+        result[target] = result.get(target, 0) + sign * m
     result = {k: v for k, v in result.items() if v}
     assert all(v > 0 for v in result.values())
     assert sum(v * weyl_dim(k) for k, v in result.items()) == \

@@ -1,4 +1,5 @@
-"""G2 Cartan data: bilinear form, Weyl group, weight-to-partition dictionary.
+"""G2 Cartan data: bilinear form, the Weyl group as words in the simple
+reflections (orbits, signs, dominant images), weight-to-partition dictionary.
 
 Weights are pairs (l1, l2) of integers in fundamental-weight coordinates,
 l_i = <lambda, coroot_i>.  The Cartan matrix is ((2,-1),(-3,2)) with
@@ -68,77 +69,34 @@ def apply_word(word, w):
     return w
 
 
-class WeylElement:
-    """Weyl group element, canonicalized by its (linear) action on weights."""
-
-    __slots__ = ("word", "matrix")
-
-    def __init__(self, word=()):
-        word = tuple(word)
-        e1 = apply_word(word, (1, 0))
-        e2 = apply_word(word, (0, 1))
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "matrix", (e1, e2))
-
-    def __setattr__(self, *args):
-        raise AttributeError("WeylElement is immutable")
-
-    def __call__(self, w):
-        e1, e2 = self.matrix
-        return (w[0] * e1[0] + w[1] * e2[0], w[0] * e1[1] + w[1] * e2[1])
-
-    def __mul__(self, other):
-        return WeylElement(self.word + other.word)
-
-    def __eq__(self, other):
-        return self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash(self.matrix)
-
-    def sign(self) -> int:
-        e1, e2 = self.matrix
-        det = e1[0] * e2[1] - e1[1] * e2[0]
-        return 1 if det > 0 else -1
-
-    def __repr__(self):
-        return "WeylElement(%s)" % ("".join(f"s{i}" for i in self.word) or "e")
-
-
-def weyl_group():
-    """All 12 elements, generated from the simple reflections."""
-    seen = {WeylElement(())}
-    frontier = [WeylElement(())]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for i in (1, 2):
-                h = WeylElement((i,) + g.word)
-                if h not in seen:
-                    seen.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    return sorted(seen, key=lambda g: (len(g.word), g.word))
-
-
-def shifted_action(sigma: WeylElement, w):
-    """sigma . w = sigma(w + rho) - rho."""
-    return sub(sigma(add(w, RHO)), RHO)
-
-
 def shifted_action_word(word, w):
-    return shifted_action(WeylElement(word), w)
+    """word . w = word(w + rho) - rho."""
+    return sub(apply_word(word, add(w, RHO)), RHO)
+
+
+def weyl_orbit(w):
+    """The Weyl group orbit of w, the closure of {w} under the two simple
+    reflections, as a frozenset."""
+    orbit, frontier = {w}, [w]
+    while frontier:
+        v = frontier.pop()
+        for i in (1, 2):
+            u = reflect(i, v)
+            if u not in orbit:
+                orbit.add(u)
+                frontier.append(u)
+    return frozenset(orbit)
 
 
 def dominant_chamber(w):
-    """(sigma, dominant image) with sigma(w) dominant (plain action)."""
-    word = []
-    cur = w
-    while not is_dominant(cur):
-        i = 1 if cur[0] < 0 else 2
-        cur = reflect(i, cur)
-        word.append(i)
-    return WeylElement(tuple(reversed(word))), cur
+    """(sign, dominant image): the image sigma(w) is dominant for sigma the
+    product of the simple reflections applied, and sign = det sigma =
+    (-1)^(their number)."""
+    sign = 1
+    while not is_dominant(w):
+        w = reflect(1 if w[0] < 0 else 2, w)
+        sign = -sign
+    return sign, w
 
 
 def partition_from_weight(mu, k: int):

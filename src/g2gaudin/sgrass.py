@@ -88,7 +88,7 @@ class RamificationData:
         # points z_s = r / s, with p_8 = 0; made monic once
         steps = [(zs, [a - b for a, b in zip(p, p[1:] + (0,))])
                  for zs, p in zip(self.z, self.partitions)
-                 if zs != bethe.INF and zs != "inf"]
+                 if zs != bethe.INF]
         if any(e[-1] < 0 for _, e in steps):
             raise ValueError("negative power of a polynomial")
         T = [bethe.zlinear_power([(zs, e[i]) for zs, e in steps])
@@ -138,16 +138,14 @@ def divided_wronskian(gs, R: RamificationData) -> Poly:
 def dual_space(X: PolySpace, R: RamificationData) -> PolySpace:
     """Span of divided Wronskians of the 6-element subsets of a flag basis:
     the maximal minors of its 6 x 7 Wronski matrix, held by the fraction-free
-    Gauss-Jordan form [d I | c] as (-1)^(5-r) c_r (u_{r+1} left out) and d."""
+    Gauss-Jordan form [d I | c] as (-1)^(5-r) c_r (u_{r+1} left out) and d.
+    PolySpace raises ValueError if the seven are linearly dependent."""
     rows, dens = zwronski_matrix(X.flag_basis, N - 1)
     zeliminate(rows, jordan=True)
     minors = [zscale((-1) ** (N - 2 - r), rows[r][N - 1])
               for r in range(N - 1)] + [rows[0][0]]
     duals = [_divide(w, prod(dens[:r] + dens[r + 1:]), R, N - 1)
              for r, w in enumerate(minors)]
-    d = max(p.degree for p in duals)
-    if rank([[p[i] for i in range(d + 1)] for p in duals]) != N:
-        raise ValueError("dual Wronskians do not span a 7-dimensional space")
     return PolySpace(tuple(duals))
 
 

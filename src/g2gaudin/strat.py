@@ -137,10 +137,8 @@ def stratum_leq(A: StratumLabel, B: StratumLabel) -> bool:
     return rec(0, [[] for _ in range(m)])
 
 
-def simple_degenerations(A: StratumLabel, require_nontrivial=False):
-    """Labels obtained by merging exactly two pairs of A.  By default the
-    raw merge list; with require_nontrivial only targets carrying invariant
-    vectors (as used for diagram edges)."""
+def simple_degenerations(A: StratumLabel):
+    """Labels obtained by merging exactly two pairs of A, trivial or not."""
     out = set()
     n = A.dim
     for j1 in range(n):
@@ -152,10 +150,7 @@ def simple_degenerations(A: StratumLabel, require_nontrivial=False):
                 r = total - rd.pair_size(xi, 0)
                 if r < 0 or total == 0:
                     continue
-                B = StratumLabel(tuple(rest + [(xi, r)]))
-                if require_nontrivial and not is_nontrivial(B):
-                    continue
-                out.add(B)
+                out.add(StratumLabel(tuple(rest + [(xi, r)])))
     return sorted(out, key=lambda L: (-L.dim,
                                       tuple(_pair_key(p) for p in L.pairs)))
 
@@ -167,13 +162,15 @@ class HasseDiagram:
 
 
 def hasse_diagram(d: int) -> HasseDiagram:
+    """The d-nontrivial labels, with an edge from A to each simple
+    degeneration of A that is itself a node."""
     if d > MAX_D:
         raise ValueError(f"d > {MAX_D} not supported")
     nodes = enumerate_nontrivial(d)
     pos = {n: i for i, n in enumerate(nodes)}
     edges = []
     for A in nodes:
-        for B in simple_degenerations(A, require_nontrivial=True):
+        for B in simple_degenerations(A):
             if B in pos:
                 edges.append((A, B))
     edges.sort(key=lambda e: (pos[e[0]], pos[e[1]]))

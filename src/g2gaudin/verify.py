@@ -168,8 +168,7 @@ def check_kernels():
             if not sgrass.ssd_witness_check(X, R, gamma):
                 return False, f"ssd witness fails at {lam}, case {i}"
             D = diffop.case(lam, i).conjugated
-            mu = rd.sub(rd.add(lam, rd.OMEGA2),
-                        bethe.alpha_of_l(bethe.L_LIST[i]))
+            mu = bethe.summand_weight(lam, i)
             if diffop.exponents_at(D, Fraction(0)).exponents != \
                     _exp_finite(*lam):
                 return False, f"exponents at 0 wrong for {lam}, case {i}"

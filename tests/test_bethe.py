@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from g2gaudin import bethe, verify
+from g2gaudin import bethe, repn, verify
 from g2gaudin import rootdata as rd
 from g2gaudin.bethe import INF, L_LIST, BetheData, PolyPair
 from g2gaudin.exact import Poly, poly_gcd, wronskian, zpoly
@@ -99,13 +99,18 @@ def _fertility_inputs(y, Lambda, z):
 def test_l_list_and_alpha():
     assert L_LIST[0] == (0, 0) and L_LIST[6] == (2, 4)
     for l in L_LIST:
-        assert bethe.l_of_alpha(bethe.alpha_of_l(l)) == l
+        assert bethe.l_of_alpha(rd.from_alpha(*l)) == l
 
 
 def test_admissible_cases():
     assert bethe.admissible_ls((0, 0)) == [0]
     assert bethe.admissible_ls((0, 1)) == [0, 1, 3, 6]
     assert bethe.admissible_ls((2, 2)) == [0, 1, 2, 3, 4, 5, 6]
+    # each admissible case is one summand of V_lam (x) V_omega2
+    for lam in ((0, 0), (0, 1), (1, 0), (2, 2)):
+        assert {bethe.summand_weight(lam, i)
+                for i in bethe.admissible_ls(lam)} == \
+            set(repn.tensor_decompose(lam, rd.OMEGA2))
 
 
 def test_calT():

@@ -202,16 +202,26 @@ def test_input_modes_are_usage_errors(argv, capsys):
     ["exponents", "--lambda", "1,1", "--case", "2", "--point", "x"],
     ["invdim", "--weights", "0,1;x"],
     ["invdim", "--weights", "0,x"],
-    ["invdim", "--weights", ""]])
+    ["invdim", "--weights", ""],
+    ["invdim", "--weights=-1,0;0,1"],
+    ["kernel", "--lambda", "0,x", "--case", "0"],
+    ["kernel", "--lambda=-1,0", "--case", "0"],
+    ["bae", "--lambda", "1,2,3", "--case", "0"],
+    ["tensor", "--left=-1,0", "--right", "0,1"],
+    ["tensor", "--left", "0,1", "--right=0,-2"],
+    ["strata", "--d", "6"],
+    ["strata", "--d", "15"]])
 def test_malformed_values_are_usage_errors(argv, capsys):
-    """A point or a weight list that does not parse is rejected by the
-    parser, with exit 2 and no traceback, before any command runs."""
+    """A point, a weight or a weight list that does not parse, a weight
+    that is not dominant and a d outside 7..14 are rejected by the parser,
+    with exit 2 and no traceback, before any command runs; the message
+    names the option, not the parsing function."""
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
     assert "error: argument --" in captured.err
-    assert "Traceback" not in captured.err
+    assert "Traceback" not in captured.err and "_parse" not in captured.err
 
 
 @pytest.mark.parametrize("value", ["abc", "", "-1"])

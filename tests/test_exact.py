@@ -167,11 +167,14 @@ def test_integer_gcd_matches_field_gcd(a, b):
 
 
 def test_q_only_paths_reject_qsqrt2():
-    p = Poly([QSqrt2(0, 1), Fraction(1)])
+    """Polynomials are over Q: a QSqrt2 coefficient is rejected when the
+    Poly or RatFunc is built."""
     with pytest.raises(TypeError):
-        poly_det([[p]])
+        Poly([QSqrt2(0, 1), Fraction(1)])
     with pytest.raises(TypeError):
-        wronskian([Poly([1, 1]), p])
+        RatFunc(QSqrt2(0, 1))
+    with pytest.raises(TypeError):
+        RatFunc(Poly([1, 1]), QSqrt2(1, 1))
 
 
 def _int_poly_matrix(rng, n, c):

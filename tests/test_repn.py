@@ -97,19 +97,43 @@ def test_integer_weyl_dim_matches_fraction_product():
             assert repn.weyl_dim((l1, l2)) == _weyl_dim_reference((l1, l2))
 
 
+# the simple reflections as integer matrices on fundamental-weight
+# coordinates, s_i(w) = w - w_i alpha_i with alpha1 = (2, -3), alpha2 = (-1, 2)
+_S1 = ((-1, 0), (3, 1))
+_S2 = ((1, 1), (0, -1))
+
+
+def _weyl_group_matrices():
+    """The 12 elements of W as matrices, products of _S1 and _S2."""
+    mul = lambda a, b: tuple(tuple(sum(a[r][k] * b[k][c] for k in range(2))
+                                   for c in range(2)) for r in range(2))
+    group, frontier = {((1, 0), (0, 1))}, [((1, 0), (0, 1))]
+    while frontier:
+        g = frontier.pop()
+        for s in (_S1, _S2):
+            h = mul(s, g)
+            if h not in group:
+                group.add(h)
+                frontier.append(h)
+    assert len(group) == 12
+    return sorted(group)
+
+
 def _brauer_klimyk_reference(lam, mu):
     """V_lam (x) V_mu from the weights of V_lam shifted by mu + rho: the
     other factor than repn uses, with the Weyl element found by search over
-    the whole group."""
-    group = rd.weyl_group()
+    the whole group, built here from the reflection matrices."""
+    group = [(g, g[0][0] * g[1][1] - g[0][1] * g[1][0])
+             for g in _weyl_group_matrices()]
     out = {}
     for nu, m in repn.weight_multiplicities(lam).items():
         xi = rd.add(rd.add(mu, nu), rd.RHO)
-        for sigma in group:
-            dom = sigma(xi)
+        for g, det in group:
+            dom = (g[0][0] * xi[0] + g[0][1] * xi[1],
+                   g[1][0] * xi[0] + g[1][1] * xi[1])
             if dom[0] > 0 and dom[1] > 0:
                 target = rd.sub(dom, rd.RHO)
-                out[target] = out.get(target, 0) + sigma.sign() * m
+                out[target] = out.get(target, 0) + det * m
                 break
     return {k: v for k, v in out.items() if v}
 

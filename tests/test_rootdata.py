@@ -1,4 +1,5 @@
-"""Root data of G2: roots, Weyl group, bilinear form, partitions."""
+"""Root data of G2: roots, Weyl orbits and signs, bilinear form,
+partitions."""
 
 from fractions import Fraction
 
@@ -26,11 +27,50 @@ def test_bilinear_form():
             assert rd.bilinear(au, av) == rd.bilinear(av, au)
 
 
+def _weyl_group():
+    """The 12 elements of W as integer matrices (columns: images of omega1
+    and omega2), generated from the two simple reflections."""
+    gens = [tuple(zip(*(rd.reflect(i, e) for e in (rd.OMEGA1, rd.OMEGA2))))
+            for i in (1, 2)]
+    mul = lambda a, b: tuple(tuple(sum(a[r][k] * b[k][c] for k in range(2))
+                                   for c in range(2)) for r in range(2))
+    group, frontier = {((1, 0), (0, 1))}, [((1, 0), (0, 1))]
+    while frontier:
+        g = frontier.pop()
+        for s in gens:
+            h = mul(s, g)
+            if h not in group:
+                group.add(h)
+                frontier.append(h)
+    return group
+
+
+def _act(g, w):
+    return tuple(g[r][0] * w[0] + g[r][1] * w[1] for r in range(2))
+
+
+def _det(g):
+    return g[0][0] * g[1][1] - g[0][1] * g[1][0]
+
+
 def test_weyl_group_order():
-    W = rd.weyl_group()
-    assert len(W) == 12
-    signs = [w.sign() for w in W]
+    orbit = rd.weyl_orbit(rd.RHO)
+    assert len(orbit) == 12 and len(_weyl_group()) == 12
+    signs = [rd.dominant_chamber(w)[0] for w in orbit]
     assert signs.count(1) == 6 and signs.count(-1) == 6
+
+
+def test_orbit_sign_and_image_match_the_group():
+    """On [-6, 6]^2: the orbit is {g(w) : g in W}, and the sign and image of
+    dominant_chamber are det g and g(w) for the g in W with g(w) dominant."""
+    group = _weyl_group()
+    for a in range(-6, 7):
+        for b in range(-6, 7):
+            w = (a, b)
+            assert rd.weyl_orbit(w) == {_act(g, w) for g in group}
+            sign, dom = rd.dominant_chamber(w)
+            assert sign in {_det(g) for g in group if _act(g, w) == dom}
+            assert rd.is_dominant(dom)
 
 
 def test_reflections_preserve_form():
@@ -44,8 +84,8 @@ def test_reflections_preserve_form():
 
 def test_dominant_chamber_roundtrip():
     for w in ((5, 2), (-3, 4), (2, -7), (-1, -1)):
-        sigma, dom = rd.dominant_chamber(w)
-        assert sigma(w) == dom
+        _, dom = rd.dominant_chamber(w)
+        assert dom in rd.weyl_orbit(w)
         assert dom[0] >= 0 and dom[1] >= 0
 
 

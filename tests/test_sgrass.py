@@ -76,6 +76,21 @@ def test_divided_wronskian_inexact_raises():
         sg.divided_wronskian([_mono(0)], R)
 
 
+def test_dependent_duals_are_rejected(monkeypatch):
+    """dual_space checks independence once, through PolySpace: a dual
+    family with two equal members raises ValueError."""
+    divide, duals = sg._divide, []
+
+    def planted(w, scale, R, i):
+        duals.append(divide(w, scale, R, i))
+        return duals[0] if len(duals) == 2 else duals[-1]
+
+    monkeypatch.setattr(sg, "_divide", planted)
+    with pytest.raises(ValueError, match="linearly dependent"):
+        sg.dual_space(X0, R0)
+    assert len(duals) == 7
+
+
 def test_dual_space_monomials():
     Xd = sg.dual_space(X0, R0)
     assert _span_equal(list(Xd.basis), list(X0.basis))
@@ -354,7 +369,7 @@ def _T_by_fraction_powers(z, partitions):
     for i in range(7):
         t = Poly([Fraction(1)])
         for zs, p in zip(z, partitions):
-            if zs == bethe.INF or zs == "inf":
+            if zs == bethe.INF:
                 continue
             nxt = p[i + 1] if i + 1 < 7 else 0
             t = t * Poly([-zs, 1]) ** (p[i] - nxt)
