@@ -9,7 +9,8 @@ from fractions import Fraction
 
 from . import repn
 from . import rootdata as rd
-from .exact import Poly, zclear, zderiv, zgcd, zmul, zpoly, zprem, zwr
+from .exact import (Poly, wronskian, zclear, zderiv, zgcd, zmul, zpoly, zprem,
+                    zwr)
 from .linalg import solve
 
 # the point at infinity, spelled as in the JSON formats
@@ -109,11 +110,19 @@ def _f(expr_num, expr_den):
     return Fraction(expr_num, expr_den)
 
 
-def appendix_solution(lam, i) -> PolyPair:
-    """The closed-form solution pair for Lambda = (lam, omega2), z = (0, 1),
-    and the i-th admissible l-pair."""
+def closed_form(lam, i) -> BetheData:
+    """The Bethe data of the closed-form case (lam, i): Lambda = (lam, omega2)
+    at z = (0, 1) with the l-pair L_LIST[i]; errors unless case i is
+    admissible for lam."""
+    lam = tuple(lam)
     if i not in admissible_ls(lam):
         raise ValueError(f"l_{i} is not admissible for {lam}")
+    return BetheData((lam, rd.OMEGA2), (Fraction(0), Fraction(1)), L_LIST[i])
+
+
+def appendix_solution(lam, i) -> PolyPair:
+    """The closed-form solution pair for the Bethe data closed_form(lam, i)."""
+    closed_form(lam, i)  # errors unless the case is admissible
     a, b = lam  # lambda_1, lambda_2
     one = Poly([Fraction(1)])
     if i == 0:
@@ -247,6 +256,28 @@ def bae_exact(y: PolyPair, t1, t2) -> bool:
     return True
 
 
+def certify(y: PolyPair, data: BetheData) -> dict:
+    """{generic, exact, fertile} for y on data with z_1 = 0: is_generic,
+    bae_exact, and fertility, which holds only when each witness g_j of
+    Wr(y_j, x^(a_j) g_j) = F_j, a_j = Lambda_1[j] + 1, is solved and
+    satisfies that identity.  On a generic pair fertility decides the same
+    thing as bae_exact, so it cross-checks the solve."""
+    if data.z[0] != 0:
+        raise ValueError("fertility requires z1 = 0")
+    T = zcalT(data.Lambda, data.z)
+
+    def fertile(yj, F, a):
+        g = fertility_solve(yj, F, a)
+        return g is not None and wronskian(
+            [yj, Poly([0] * a + list(g.coeffs))]) == F
+
+    return {"generic": is_generic(y, data.Lambda, data.z),
+            "exact": bae_exact(y, *T),
+            "fertile": all(fertile(yj, zpoly(F), lam_j + 1) for yj, F, lam_j
+                           in zip((y.y1, y.y2), fertility_rhs(y, *T),
+                                  data.Lambda[0]))}
+
+
 def bae_residual(y: PolyPair, Lambda, z) -> float:
     """Max absolute value of the Bethe-equation left-hand sides at the
     numerically extracted roots of y1, y2."""
@@ -263,41 +294,23 @@ def bae_residual(y: PolyPair, Lambda, z) -> float:
         for jj in range(ii + 1, len(allr)):
             if abs(allr[ii] - allr[jj]) < 1e-6:
                 raise ValueError("numeric root collision; pair not generic")
-    zs = [p for p in z if p != INF]
-    lam_fin = [lam for lam, p in zip(Lambda, z) if p != INF]
-    for t, lams, p in [(tt, ll, pp) for tt in t1 for ll, pp in
-                       zip(lam_fin, zs) if rd.bilinear(ll, rd.from_alpha(1, 0))]:
-        if abs(t - float(p)) < 1e-6:
-            raise ValueError("root collides with an evaluation point")
-    for t, lams, p in [(tt, ll, pp) for tt in t2 for ll, pp in
-                       zip(lam_fin, zs) if rd.bilinear(ll, rd.from_alpha(0, 1))]:
-        if abs(t - float(p)) < 1e-6:
-            raise ValueError("root collides with an evaluation point")
-    alpha1 = rd.from_alpha(1, 0)
-    alpha2 = rd.from_alpha(0, 1)
     res = 0.0
-    for i, t in enumerate(t1):
-        v = 0.0
-        for lam, p in zip(Lambda, z):
-            if p != INF:
-                v -= float(rd.bilinear(lam, alpha1)) / (t - float(p))
-        for u in t2:
-            v -= 3.0 / (t - u)
-        for k, u in enumerate(t1):
-            if k != i:
-                v += 6.0 / (t - u)
-        res = max(res, abs(v))
-    for i, t in enumerate(t2):
-        v = 0.0
-        for lam, p in zip(Lambda, z):
-            if p != INF:
-                v -= float(rd.bilinear(lam, alpha2)) / (t - float(p))
-        for u in t1:
-            v -= 3.0 / (t - u)
-        for k, u in enumerate(t2):
-            if k != i:
-                v += 2.0 / (t - u)
-        res = max(res, abs(v))
+    for ts, other, alpha, w in ((t1, t2, rd.from_alpha(1, 0), 6.0),
+                                (t2, t1, rd.from_alpha(0, 1), 2.0)):
+        pts = [(float(rd.bilinear(lam, alpha)), float(p))
+               for lam, p in zip(Lambda, z) if p != INF]
+        for i, t in enumerate(ts):
+            v = 0.0
+            for c, p in pts:
+                if c and abs(t - p) < 1e-6:
+                    raise ValueError("root collides with an evaluation point")
+                v -= c / (t - p)
+            for u in other:
+                v -= 3.0 / (t - u)
+            for k, u in enumerate(ts):
+                if k != i:
+                    v += w / (t - u)
+            res = max(res, abs(v))
     return res
 
 
@@ -352,16 +365,11 @@ def reproduce(y: PolyPair, direction: int, data: BetheData):
     j = direction
     lam1 = data.Lambda[0]
     a = lam1[j - 1] + 1  # <lambda^(1) + rho, coroot_j>
-    pairs = [(p, lam[j - 1]) for lam, p in zip(data.Lambda[1:], data.z[1:])
-             if p != INF]
-    if any(e < 0 for _, e in pairs):
-        raise ValueError("non-first weights must be dominant")
-    y1, y2 = (zclear(p.coeffs)[0] for p in (y.y1, y.y2))
-    # a positive multiple of the right-hand side: g is made monic below
-    rhs_core = zmul(zlinear_power(pairs),
-                    y2 if j == 1 else zmul(y1, zmul(y1, y1)))
-    # Wr(y_j, x^a g) = x^{lam1_j} * rhs_core; the x-powers cancel exactly
-    g = _solve_cleared(y.y1 if j == 1 else y.y2, zpoly(rhs_core), a)
+    # F_j for the points after z1 (zcalT rejects a negative exponent at
+    # one), a positive multiple of the right-hand side: g is made monic below
+    F = fertility_rhs(y, *zcalT(data.Lambda[1:], data.z[1:]))[j - 1]
+    # Wr(y_j, x^a g) = x^{lam1_j} * F; the x-powers cancel exactly
+    g = _solve_cleared(y.y1 if j == 1 else y.y2, zpoly(F), a)
     if g is None or g.is_zero():
         raise ValueError("no fertility witness; input does not represent "
                          "a solution")

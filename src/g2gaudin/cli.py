@@ -12,8 +12,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import rootdata as rd
-from .exact import Poly, zpoly
+from .exact import Poly
 
 
 def _parse_weight(s):
@@ -89,20 +88,34 @@ def _emit(obj) -> int:
 # sweep, where without a bytecode cache it raised peak RSS by about 1 MB.
 
 
-def _load_polys(path):
-    """A JSON array of coefficient arrays: a space or an ordered basis."""
+def _load(option, path, build):
+    """build(the JSON content of the file given to --option).  A file that
+    does not parse as JSON or that build rejects is a usage error naming
+    the option."""
     with open(path) as fh:
-        return tuple(_poly_from_json(c) for c in json.load(fh))
+        try:
+            return build(json.load(fh))
+        except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+            build_parser().error(f"argument --{option}: malformed file "
+                                 f"{path}: {type(exc).__name__}: {exc}")
+
+
+def _load_polys(option, path):
+    """A JSON array of coefficient arrays: a space or an ordered basis."""
+    return _load(option, path,
+                 lambda content: tuple(map(_poly_from_json, content)))
 
 
 def _load_ram(path):
+    """{"points": [...], "partitions": [...]}: sgrass.RamificationData."""
     from . import sgrass
-    with open(path) as fh:
-        data = json.load(fh)
-    pts = tuple(p if p == "inf" else Fraction(str(p))
-                for p in data["points"])
-    return sgrass.RamificationData(pts, tuple(tuple(p)
-                                              for p in data["partitions"]))
+
+    def build(data):
+        pts = tuple(p if p == "inf" else Fraction(str(p))
+                    for p in data["points"])
+        return sgrass.RamificationData(pts, tuple(tuple(p) for p in
+                                                  data["partitions"]))
+    return _load("ram", path, build)
 
 
 def _bethe_instance(args):
@@ -110,9 +123,10 @@ def _bethe_instance(args):
     from . import sgrass
     if args.lam is not None:
         return sgrass.bethe_kernel_instance(args.lam, args.case)
-    X = sgrass.PolySpace(_load_polys(args.space))
+    X = sgrass.PolySpace(_load_polys("space", args.space))
     R = _load_ram(args.ram)
-    gamma = None if args.witness is None else _load_polys(args.witness)
+    gamma = (None if args.witness is None
+             else _load_polys("witness", args.witness))
     return X, R, gamma
 
 
@@ -141,29 +155,19 @@ def cmd_bae(args):
 
 def cmd_bae_verify(args):
     from . import bethe
-    z = [Fraction(0), Fraction(1)]
-    Lam = [args.lam, rd.OMEGA2]
-    y = bethe.appendix_solution(args.lam, args.case)
-    T = bethe.zcalT(Lam, z)
-    generic = bethe.is_generic(y, Lam, z)
-    # fertility is a cross-check: on a generic pair it agrees with bae_exact
-    exact = bethe.bae_exact(y, *T)
-    F = bethe.fertility_rhs(y, *T)
-    fertile = all(bethe.fertility_solve(yj, zpoly(Fj), a + 1) is not None
-                  for yj, Fj, a in zip((y.y1, y.y2), F, args.lam))
-    ok = generic and exact and fertile
-    _emit({"lambda": list(args.lam), "case": args.case, "generic": generic,
-           "fertile": fertile, "ok": ok})
+    cert = bethe.certify(bethe.appendix_solution(args.lam, args.case),
+                         bethe.closed_form(args.lam, args.case))
+    ok = all(cert.values())
+    _emit({"lambda": list(args.lam), "case": args.case,
+           "generic": cert["generic"], "fertile": cert["fertile"], "ok": ok})
     return 0 if ok else 1
 
 
 def cmd_reproduce(args):
     from . import bethe
     y = bethe.appendix_solution(args.lam, args.case)
-    data = bethe.BetheData((args.lam, rd.OMEGA2),
-                           (Fraction(0), Fraction(1)),
-                           bethe.L_LIST[args.case])
-    out = bethe.reproduce(y, args.direction, data)
+    out = bethe.reproduce(y, args.direction,
+                          bethe.closed_form(args.lam, args.case))
     if out is None:
         _emit({"result": "absent"})
         return 1
@@ -225,7 +229,7 @@ def cmd_wronski(args):
     if args.lam is not None:
         X = sgrass.PolySpace(diffop.kernel_for_case(args.lam, args.case))
     else:
-        X = sgrass.PolySpace(_load_polys(args.space))
+        X = sgrass.PolySpace(_load_polys("space", args.space))
     w = sgrass.space_wronskian(X)
     out = {"wronskian": _poly_json(w), "wronskian_str": _poly_str(w)}
     if args.reduced:
@@ -376,6 +380,12 @@ def build_parser():
 
 def main(argv=None):
     ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads a point such as -1/2 as an option: join it to --point
+    for k in range(len(argv) - 1):
+        if argv[k] == "--point" and argv[k + 1].startswith("-"):
+            argv[k:k + 2] = [f"--point={argv[k + 1]}"]
+            break
     args = ap.parse_args(argv)
     if hasattr(args, "space"):
         _check_inputs(ap, args)

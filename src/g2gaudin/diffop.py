@@ -4,17 +4,16 @@ Fuchsian exponents."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from math import gcd, lcm
 
 from . import bethe
 from . import repn
-from . import rootdata as rd
 from .exact import (Poly, RatFunc, log_deriv, residue_at, zclear, zadd,
-                    zderiv, zgcd, zlcm, zmul, zprimitive, zquo, zratfunc,
-                    zscale, zsub)
+                    zderiv, zgcd, zlcm, zmul, zpoly, zprimitive, zquo,
+                    zratfunc, zscale, zsub)
 from .linalg import nullspace
 
 RF_ZERO = RatFunc(Poly())
@@ -107,6 +106,33 @@ def _log_factors(fs, exps, marked=0):
 def apply_log_factor(Q, dQ, W, P, j):
     """Q^(j+1) (d - W/Q)(P / Q^j) = Q P' - j Q' P - W P, for dQ = Q'."""
     return zsub(zmul(Q, zderiv(P)), zmul(zadd(zscale(j, dQ), W), P))
+
+
+def flag_from_factorization(kernel_basis, y: bethe.PolyPair,
+                            T1: Poly, T2: Poly):
+    """Ordered basis u_1..u_7 of the kernel with Wr(u_1..u_i) proportional
+    to the product of the rightmost i factor functions: u_1..u_i span
+    ker(L_m...L_7), m = 8 - i, for D_y = L_1...L_7 (Mukhin-Varchenko).
+    Step i applies L_m to the kernel basis images, in Z[x], and takes one
+    nullspace; u_i is its monic vector at the free column new at step i."""
+    Q, Ws, _ = dy_log_factors(y, T1, T2)
+    dQ, n = zderiv(Q), len(kernel_basis)
+    basis = [zclear(b.coeffs)[0] for b in kernel_basis]
+    images, free, flag = basis, set(), []
+    for i, W in enumerate(reversed(Ws), 1):
+        images = [apply_log_factor(Q, dQ, W, p, i - 1) for p in images]
+        ns = nullspace([[p[r] if r < len(p) else 0 for p in images]
+                        for r in range(max(map(len, images)))], ncols=n)
+        at = {max(k for k in range(n) if v[k]): v for v in ns}
+        new = at.keys() - free
+        if len(ns) != i or len(new) != 1:
+            raise ValueError(f"no flag element at step {i}")
+        free |= new
+        u = []
+        for c, b in zip(zclear(at[new.pop()])[0], basis):
+            u = zadd(u, zscale(c, b))
+        flag.append(zpoly(u, u[-1]))
+    return tuple(flag)
 
 
 def _log_factor_product(Q, Ws, Y=(1,)) -> DiffOp:
@@ -364,15 +390,16 @@ CASE_CACHE_SIZE = 1
 
 @dataclass(frozen=True)
 class Case:
-    """The closed-form case (lam, i): the Bethe pair y for (lam, omega2) at
-    z = (0, 1) and the objects built from it, each on first use and then
-    kept.  Construction checks only that the case is admissible."""
+    """The closed-form case (lam, i): its Bethe data bethe.closed_form(lam, i),
+    the Bethe pair y, and the objects built from them, each on first use
+    and then kept.  Construction builds only the data, which checks that
+    the case is admissible."""
     lam: tuple
     i: int
+    data: bethe.BetheData = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.i not in bethe.admissible_ls(self.lam):
-            raise ValueError(f"l_{self.i} is not admissible for {self.lam}")
+        object.__setattr__(self, "data", bethe.closed_form(self.lam, self.i))
 
     @cached_property
     def y(self) -> bethe.PolyPair:
@@ -381,8 +408,7 @@ class Case:
     @cached_property
     def T(self):
         """(T1, T2), monic."""
-        return bethe.build_calT([self.lam, rd.OMEGA2],
-                                [Fraction(0), Fraction(1)])
+        return bethe.build_calT(self.data.Lambda, self.data.z)
 
     @cached_property
     def operator(self) -> DiffOp:
@@ -405,6 +431,11 @@ class Case:
                              f"{self.lam}, case {self.i}")
         return tuple(basis)
 
+    @cached_property
+    def flag(self):
+        """The kernel's factorization flag u_1..u_7, a tuple."""
+        return flag_from_factorization(self.kernel, self.y, *self.T)
+
 
 @lru_cache(maxsize=CASE_CACHE_SIZE)
 def case(lam, i) -> Case:
@@ -414,8 +445,8 @@ def case(lam, i) -> Case:
 
 
 def appendix_operator(lam, i, conjugated=False) -> DiffOp:
-    """The operator attached to the closed-form solution for (lam, omega2),
-    z = (0, 1); optionally conjugated by T1^2 T2."""
+    """The operator D_y of the closed-form case (lam, i); optionally
+    conjugated by T1^2 T2."""
     c = case(tuple(lam), i)
     return c.conjugated if conjugated else c.operator
 
@@ -463,10 +494,10 @@ def h2_casimir_values(lam, i):
     N = 1/2, in every case at once: no case calibrates it.  Only the
     operator comes from the cached case; both sides are computed anew on
     every call."""
-    h2 = case(tuple(lam), i).conjugated.coeffs[1]
-    got = -residue_at(h2, Fraction(0)) * _H2_NORMALIZATION
+    c = case(tuple(lam), i)
+    (z1, z2), Lambda = c.data.z, c.data.Lambda
+    got = -residue_at(c.conjugated.coeffs[1], z1) * _H2_NORMALIZATION
     mu = bethe.summand_weight(lam, i)
-    eig = Fraction(repn.casimir_eigenvalue(mu) - repn.casimir_eigenvalue(lam)
-                   - repn.casimir_eigenvalue(rd.OMEGA2), 2)
-    expected = eig / (Fraction(0) - Fraction(1))
-    return got, expected
+    eig = Fraction(repn.casimir_eigenvalue(mu)
+                   - sum(map(repn.casimir_eigenvalue, Lambda)), 2)
+    return got, eig / (z1 - z2)

@@ -12,9 +12,9 @@ from math import prod
 from . import bethe
 from . import diffop
 from . import rootdata as rd
-from .exact import (Poly, wronskian, zadd, zclear, zdet, zderiv, zeliminate,
-                    zmul, zpoly, zquo, zscale, zwronski_matrix)
-from .linalg import nullspace, rank, solve
+from .exact import (Poly, wronskian, zclear, zdet, zeliminate, zmul, zpoly,
+                    zquo, zscale, zwronski_matrix)
+from .linalg import rank, solve
 
 N = 7
 
@@ -275,39 +275,16 @@ def isotropic_definition_check(X: PolySpace, R: RamificationData,
 
 
 def bethe_kernel_instance(lam, i):
-    """(X, R, gamma) for the kernel of the operator of a closed-form case:
-    the space, its ramification data at z = (0, 1), and the ordered basis
-    from the factorization flag."""
+    """(X, R, gamma) for the closed-form case (lam, i): its kernel, the
+    ramification data of its points and weights, and its flag."""
     c = diffop.case(tuple(lam), i)
-    R = RamificationData((Fraction(0), Fraction(1)),
-                         (rd.partition_from_weight(lam, 0),
-                          rd.partition_from_weight(rd.OMEGA2, 0)))
-    return (PolySpace(c.kernel), R,
-            flag_from_factorization(c.kernel, c.y, *c.T))
+    R = RamificationData(c.data.z, tuple(rd.partition_from_weight(w, 0)
+                                         for w in c.data.Lambda))
+    return PolySpace(c.kernel), R, c.flag
 
 
 def flag_from_factorization(kernel_basis, y: bethe.PolyPair,
                             T1: Poly, T2: Poly):
-    """Ordered basis u_1..u_7 of the kernel with Wr(u_1..u_i) proportional
-    to the product of the rightmost i factor functions: u_1..u_i span
-    ker(L_m...L_7), m = 8 - i, for D_y = L_1...L_7 (Mukhin-Varchenko).
-    Step i applies L_m to the kernel basis images, in Z[x], and takes one
-    nullspace; u_i is its monic vector at the free column new at step i."""
-    Q, Ws, _ = diffop.dy_log_factors(y, T1, T2)
-    dQ = zderiv(Q)
-    basis = [zclear(b.coeffs)[0] for b in kernel_basis]
-    images, free, flag = basis, set(), []
-    for i, W in enumerate(reversed(Ws), 1):
-        images = [diffop.apply_log_factor(Q, dQ, W, p, i - 1) for p in images]
-        ns = nullspace([[p[r] if r < len(p) else 0 for p in images]
-                        for r in range(max(map(len, images)))], ncols=N)
-        at = {max(k for k in range(N) if v[k]): v for v in ns}
-        new = at.keys() - free
-        if len(ns) != i or len(new) != 1:
-            raise ValueError(f"no flag element at step {i}")
-        free |= new
-        u = []
-        for c, b in zip(zclear(at[new.pop()])[0], basis):
-            u = zadd(u, zscale(c, b))
-        flag.append(zpoly(u, u[-1]))
-    return tuple(flag)
+    """diffop.flag_from_factorization: the ordered basis u_1..u_7 of the
+    kernel adapted to the factorization of D_y."""
+    return diffop.flag_from_factorization(kernel_basis, y, T1, T2)

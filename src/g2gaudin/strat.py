@@ -177,30 +177,9 @@ def hasse_diagram(d: int) -> HasseDiagram:
     return HasseDiagram(tuple(nodes), tuple(edges))
 
 
-def transitive_reduction(H: HasseDiagram) -> HasseDiagram:
-    succ = {n: set() for n in H.nodes}
-    for a, b in H.edges:
-        succ[a].add(b)
-
-    def reachable(a, b, skip):
-        stack = [c for c in succ[a] if (a, c) != skip]
-        seen = set()
-        while stack:
-            c = stack.pop()
-            if c == b:
-                return True
-            if c in seen:
-                continue
-            seen.add(c)
-            stack.extend(succ[c])
-        return False
-
-    kept = tuple((a, b) for a, b in H.edges if not reachable(a, b, (a, b)))
-    return HasseDiagram(H.nodes, kept)
-
-
 def to_dot(H: HasseDiagram) -> str:
-    H = transitive_reduction(H)
+    """H in DOT, its edges as they are: each merges two points, so it lowers
+    the dimension by exactly one and no longer path joins its ends."""
     lines = ["digraph strata {"]
     for n in H.nodes:
         lines.append(f'  "{n.name()}";')

@@ -6,11 +6,13 @@ only those."""
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 from fractions import Fraction
+from functools import wraps
 
 from . import repn
 from . import rootdata as rd
-from .exact import Poly, QSqrt2, zclear, zpoly, zscale, zwr
+from .exact import Poly, QSqrt2
 from .repn import bracket, mat_eq, mat_scale, mat_sub, mat_zero
 
 
@@ -24,8 +26,34 @@ def lmax():
     return int(raw)
 
 
-def _grid(hi):
-    return [(a, b) for a in range(hi + 1) for b in range(hi + 1)]
+def _cases(hi):
+    """The closed-form cases (lam, i) with lam on the hi-grid, in order."""
+    from . import bethe
+    return [((a, b), i) for a in range(hi + 1) for b in range(hi + 1)
+            for i in bethe.admissible_ls((a, b))]
+
+
+def _sweep(passed):
+    """A suite from check(lam, i), which returns a failure message or None:
+    check runs on every case of the G2_LMAX grid.  The first failure, or a
+    ValueError raised while building or checking a case, gives (False,
+    "<message> at <lam>, case <i>"); else (True, passed with its {n} and
+    {hi} filled in)."""
+    def suite(check):
+        @wraps(check)
+        def run():
+            hi = lmax()
+            cases = _cases(hi)
+            for lam, i in cases:
+                try:
+                    failure = check(lam, i)
+                except ValueError as exc:
+                    failure = str(exc)
+                if failure:
+                    return False, f"{failure} at {lam}, case {i}"
+            return True, passed.format(n=len(cases), hi=hi)
+        return run
+    return suite
 
 
 def check_chevalley():
@@ -75,72 +103,54 @@ def check_casimir():
     return True, f"eigenvalue blocks {dict(sorted(blocks.items()))}"
 
 
-def check_bae_grid():
-    """Closed-form grid: genericity, the exact Bethe equations, and exact
-    fertility with each identity checked on Z[x], a cross-check: on a
-    generic pair fertility decides the same thing as bethe.bae_exact."""
+_BAE_STAGES = (("generic", "genericity fails"),
+               ("exact", "Bethe equations fail"),
+               ("fertile", "fertility fails"))
+
+
+@_sweep("{n} cases on the {hi}-grid; Bethe equations exact")
+def check_bae_grid(lam, i):
+    """Closed-form grid: bethe.certify, failing at its first stage that
+    fails: genericity, the exact Bethe equations, then fertility, the
+    cross-check with each witness identity checked."""
     from . import bethe
-    z = (Fraction(0), Fraction(1))
-    hi = lmax()
-    count = 0
-    for lam in _grid(hi):
-        Lam = [lam, rd.OMEGA2]
-        T = bethe.zcalT(Lam, z)
-        for i in bethe.admissible_ls(lam):
-            y = bethe.appendix_solution(lam, i)
-            if not bethe.is_generic(y, Lam, z):
-                return False, f"genericity fails at {lam}, case {i}"
-            if not bethe.bae_exact(y, *T):
-                return False, f"Bethe equations fail at {lam}, case {i}"
-            for j, (yj, F) in enumerate(zip((y.y1, y.y2),
-                                            bethe.fertility_rhs(y, *T))):
-                g = bethe.fertility_solve(yj, zpoly(F), lam[j] + 1)
-                if g is None:
-                    return False, f"fertility fails at {lam}, case {i}"
-                (a, da), (b, db) = zclear(yj.coeffs), zclear(g.coeffs)
-                if zwr(a, [0] * (lam[j] + 1) + b) != zscale(da * db, F):
-                    return False, (f"fertility identity {j + 1} fails at "
-                                   f"{lam}, {i}")
-            count += 1
-    return True, f"{count} cases on the {hi}-grid; Bethe equations exact"
+    cert = bethe.certify(bethe.appendix_solution(lam, i),
+                         bethe.closed_form(lam, i))
+    return next((msg for stage, msg in _BAE_STAGES if not cert[stage]), None)
 
 
 def check_reproduction():
     """Reproduction chains from the trivial pair reach the closed forms."""
     from . import bethe
-    hi = min(3, lmax())
-    cases = {1: (2,), 2: (2, 1), 4: (2, 1, 2), 5: (2, 1, 2, 1),
-             6: (2, 1, 2, 1, 2)}
-    z = (Fraction(0), Fraction(1))
+    chains = {1: (2,), 2: (2, 1), 4: (2, 1, 2), 5: (2, 1, 2, 1),
+              6: (2, 1, 2, 1, 2)}
     n = 0
-    for lam in _grid(hi):
-        for i, chain in cases.items():
-            if i not in bethe.admissible_ls(lam):
-                continue
-            theta = rd.shifted_action_word(chain, lam)
-            data = bethe.BetheData((theta, rd.OMEGA2), z, (0, 0))
+    for lam, i in _cases(min(3, lmax())):
+        target = bethe.closed_form(lam, i)
+        y0 = bethe.appendix_solution(lam, i)
+        if i in chains:
+            theta = rd.shifted_action_word(chains[i], lam)
+            data = replace(target, Lambda=(theta,) + target.Lambda[1:],
+                           l=(0, 0))
             y = bethe.PolyPair(Poly([1]), Poly([1]))
-            for d in chain:
+            for d in chains[i]:
                 out = bethe.reproduce(y, d, data)
                 if out is None:
                     return False, f"chain stalls at {lam}, case {i}, dir {d}"
                 y, data = out
-            if data.Lambda[0] != lam or data.l != bethe.L_LIST[i]:
+            if data != target:
                 return False, f"chain lands at wrong data for {lam}, {i}"
-            if not y.proportional(bethe.appendix_solution(lam, i)):
+            if not y.proportional(y0):
                 return False, f"chain mismatch at {lam}, case {i}"
             n += 1
         # involution
-        for i in bethe.admissible_ls(lam):
-            y = bethe.appendix_solution(lam, i)
-            data = bethe.BetheData((lam, rd.OMEGA2), z, bethe.L_LIST[i])
-            for d in (1, 2):
-                out = bethe.reproduce(y, d, data)
-                if out is None:
-                    continue
-                back = bethe.reproduce(out[0], d, out[1])
-                if back is None or not back[0].proportional(y):
-                    return False, f"involution fails at {lam}, {i}, dir {d}"
+        for d in (1, 2):
+            out = bethe.reproduce(y0, d, target)
+            if out is None:
+                continue
+            back = bethe.reproduce(out[0], d, out[1])
+            if back is None or not back[0].proportional(y0):
+                return False, f"involution fails at {lam}, {i}, dir {d}"
     return True, f"{n} chains reproduce the closed forms; involution holds"
 
 
@@ -154,45 +164,32 @@ def _exp_infinity(a, b):
                          a - 2, a + b - 1, 2 * a + b)))
 
 
-def check_kernels():
+@_sweep("{n} kernels: dim 7, self-dual, ssd witness, exponents")
+def check_kernels(lam, i):
     """7-dimensional kernels, self-duality, ssd witness, exponents."""
     from . import bethe, diffop, sgrass
-    hi = lmax()
-    n = 0
-    for lam in _grid(hi):
-        for i in bethe.admissible_ls(lam):
-            # the case's kernel raises unless it has dimension 7
-            X, R, gamma = sgrass.bethe_kernel_instance(lam, i)
-            if not sgrass.is_self_dual(X, R):
-                return False, f"not self-dual at {lam}, case {i}"
-            if not sgrass.ssd_witness_check(X, R, gamma):
-                return False, f"ssd witness fails at {lam}, case {i}"
-            D = diffop.case(lam, i).conjugated
-            mu = bethe.summand_weight(lam, i)
-            if diffop.exponents_at(D, Fraction(0)).exponents != \
-                    _exp_finite(*lam):
-                return False, f"exponents at 0 wrong for {lam}, case {i}"
-            if diffop.exponents_at(D, Fraction(1)).exponents != \
-                    _exp_finite(*rd.OMEGA2):
-                return False, f"exponents at 1 wrong for {lam}, case {i}"
-            if diffop.exponents_at(D, "inf").exponents != _exp_infinity(*mu):
-                return False, f"exponents at inf wrong for {lam}, case {i}"
-            n += 1
-    return True, f"{n} kernels: dim 7, self-dual, ssd witness, exponents"
+    # the case's kernel raises unless it has dimension 7
+    X, R, gamma = sgrass.bethe_kernel_instance(lam, i)
+    if not sgrass.is_self_dual(X, R):
+        return "not self-dual"
+    if not sgrass.ssd_witness_check(X, R, gamma):
+        return "ssd witness fails"
+    c = diffop.case(lam, i)
+    for w, p in zip(c.data.Lambda, c.data.z):
+        if diffop.exponents_at(c.conjugated, p).exponents != _exp_finite(*w):
+            return f"exponents at {p} wrong"
+    mu = bethe.summand_weight(lam, i)
+    if diffop.exponents_at(c.conjugated, bethe.INF).exponents != \
+            _exp_infinity(*mu):
+        return "exponents at inf wrong"
 
 
-def check_h2():
-    from . import bethe, diffop
-    hi = lmax()
-    n = 0
-    for lam in _grid(hi):
-        for i in bethe.admissible_ls(lam):
-            got, expected = diffop.h2_casimir_values(lam, i)
-            if got != expected:
-                return False, (f"h2 mismatch at {lam}, case {i}: "
-                               f"{got} != {expected}")
-            n += 1
-    return True, f"{n} residue/Casimir cross-checks exact"
+@_sweep("{n} residue/Casimir cross-checks exact")
+def check_h2(lam, i):
+    from . import diffop
+    got, expected = diffop.h2_casimir_values(lam, i)
+    if got != expected:
+        return f"h2 mismatch {got} != {expected}"
 
 
 # frozen golden arrow set for d = 11 (29 simple degenerations)
@@ -273,24 +270,15 @@ def check_covering():
     return True, "covering degrees 1,1,4 match; n=2 anchor has 4 fibers"
 
 
-def check_wronskian():
-    from . import bethe, diffop, sgrass
-    hi = lmax()
-    x = Poly([0, 1])
-    n = 0
-    for lam in _grid(hi):
-        for i in bethe.admissible_ls(lam):
-            X = sgrass.PolySpace(diffop.kernel_for_case(lam, i))
-            w = sgrass.space_wronskian(X)
-            l1, l2 = lam
-            want = (x ** (7 * (2 * l1 + l2)) * (x - 1) ** 7).monic()
-            if w != want:
-                return False, f"space Wronskian wrong at {lam}, case {i}"
-            r = sgrass._seventh_root(w)
-            if r ** 7 != w:
-                return False, f"reduced Wronski wrong at {lam}, case {i}"
-            n += 1
-    return True, f"{n} spaces match the Wronskian formula with exact 7th roots"
+@_sweep("{n} spaces match the Wronskian formula with exact 7th roots")
+def check_wronskian(lam, i):
+    from . import diffop, sgrass
+    X = sgrass.PolySpace(diffop.kernel_for_case(lam, i))
+    w = sgrass.space_wronskian(X)
+    x, (l1, l2) = Poly([0, 1]), lam
+    if w != (x ** (7 * (2 * l1 + l2)) * (x - 1) ** 7).monic():
+        return "space Wronskian wrong"
+    sgrass._seventh_root(w)  # raises unless w is a 7th power
 
 
 SUITES = {

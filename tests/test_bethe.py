@@ -1,10 +1,11 @@
 """Closed-form Bethe solutions, fertility, and reproduction."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
-from g2gaudin import bethe, repn, verify
+from g2gaudin import bethe, diffop, repn, verify
 from g2gaudin import rootdata as rd
 from g2gaudin.bethe import INF, L_LIST, BetheData, PolyPair
 from g2gaudin.exact import Poly, poly_gcd, wronskian, zpoly
@@ -363,3 +364,37 @@ def test_bae_grid_suite_gates_on_exact_equations(monkeypatch):
     monkeypatch.setattr(bethe, "appendix_solution", planted)
     assert verify.check_bae_grid() == (
         False, "Bethe equations fail at (1, 1), case 1")
+
+
+def test_closed_form_is_the_one_admissibility_test():
+    """closed_form is the data of every closed-form case, (lam, omega2) at
+    z = (0, 1) with l_i; it, appendix_solution and diffop.Case reject an
+    inadmissible case with its one message."""
+    for lam, i in _grid(2):
+        assert bethe.closed_form(lam, i) == \
+            BetheData((lam, rd.OMEGA2), Z, L_LIST[i])
+    assert bethe.closed_form([1, 0], 2) == bethe.closed_form((1, 0), 2)
+    for build in (bethe.closed_form, bethe.appendix_solution, diffop.Case):
+        with pytest.raises(ValueError, match=re.escape(
+                "l_3 is not admissible for (0, 0)")):
+            build((0, 0), 3)
+    assert diffop.case((2, 1), 5).data == bethe.closed_form((2, 1), 5)
+
+
+def test_certify_names_each_failing_stage():
+    """certify holds on the closed forms; a repeated root fails genericity,
+    a perturbed coefficient the Bethe equations and fertility alike."""
+    for lam, i in _grid(2):
+        cert = bethe.certify(bethe.appendix_solution(lam, i),
+                             bethe.closed_form(lam, i))
+        assert cert == {"generic": True, "exact": True, "fertile": True}
+    data = bethe.closed_form((2, 1), 5)
+    y = bethe.appendix_solution((2, 1), 5)
+    square = (X - Poly([2])) ** 2
+    assert not bethe.certify(PolyPair(square, y.y2), data)["generic"]
+    bad = PolyPair(y.y1, y.y2 + Poly([1]))
+    assert bethe.certify(bad, data) == {"generic": True, "exact": False,
+                                        "fertile": False}
+    with pytest.raises(ValueError, match="z1 = 0"):
+        bethe.certify(y, BetheData(data.Lambda, (Fraction(2), Fraction(5)),
+                                   data.l))

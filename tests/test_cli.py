@@ -9,8 +9,9 @@ import sys
 import pytest
 
 import g2gaudin
-from g2gaudin import cli, diffop, sgrass
+from g2gaudin import bethe, cli, diffop, sgrass, verify
 from g2gaudin import rootdata as rd
+from g2gaudin.exact import Poly
 
 
 def run(argv, capsys):
@@ -168,7 +169,7 @@ def test_case_commands_build_each_object_once(tmp_path, monkeypatch,
                                  ["reproduce", "--direction", "1"]])
 def test_inadmissible_case_is_one_error(cmd, capsys):
     """Every case command rejects an inadmissible case with the message of
-    bethe.appendix_solution."""
+    bethe.closed_form."""
     rc = cli.main(cmd + ["--lambda", "0,0", "--case", "3"])
     captured = capsys.readouterr()
     assert (rc, captured.out) == (1, "")
@@ -222,6 +223,124 @@ def test_malformed_values_are_usage_errors(argv, capsys):
     assert exc.value.code == 2 and captured.out == ""
     assert "error: argument --" in captured.err
     assert "Traceback" not in captured.err and "_parse" not in captured.err
+
+
+def _case_files(tmp_path, lam, i, **replaced):
+    """The --space, --ram and --witness files of the closed-form case
+    (lam, i): its kernel basis, its ramification data and its flag, with
+    the roles in replaced written as given instead (a str verbatim)."""
+    X, _, gamma = sgrass.bethe_kernel_instance(lam, i)
+    contents = {"space": [cli._poly_json(p) for p in X.basis],
+                "ram": {"points": ["0", "1"],
+                        "partitions": [rd.partition_from_weight(lam, 0),
+                                       rd.partition_from_weight(rd.OMEGA2,
+                                                                0)]},
+                "witness": [cli._poly_json(p) for p in gamma]}
+    contents.update(replaced)
+    files = {}
+    for role, content in contents.items():
+        files[role] = tmp_path / f"{role}.json"
+        files[role].write_text(content if isinstance(content, str)
+                               else json.dumps(content))
+    return [a for role, path in files.items() for a in (f"--{role}",
+                                                        str(path))]
+
+
+_PARTITIONS = [[3, 2, 2, 1, 1, 0, 0], [1, 1, 1, 1, 1, 0, 0]]
+
+
+@pytest.mark.parametrize("role, content", [
+    ("space", [["1/0"]] + [["0", "1"]] * 6),
+    ("space", "[[\"1\"], "),
+    ("witness", [["1", "1/0"]] * 7),
+    ("witness", {"basis": []}),
+    ("ram", {"points": ["1/0", "1"], "partitions": _PARTITIONS}),
+    ("ram", {"partitions": _PARTITIONS}),
+    ("ram", [["0", "1"], _PARTITIONS]),
+    ("ram", {"points": ["0", "1"], "partitions": [[1, 2, 0, 0, 0, 0, 0],
+                                                   _PARTITIONS[1]]}),
+    ("ram", {"points": ["0", "1"], "partitions": [[1, 1], [1, 1]]})])
+def test_malformed_files_are_usage_errors(role, content, tmp_path, capsys):
+    """A --space, --ram or --witness file that is not JSON, lacks a key,
+    has the wrong shape, a zero denominator or a partition that is not one
+    is rejected with exit 2, a message naming the option and no traceback,
+    by ssd-check and, for a space, by wronski."""
+    files = _case_files(tmp_path, (1, 0), 2, **{role: content})
+    argvs = [["ssd-check"] + files]
+    if role == "space":
+        argvs.append(["wronski"] + files[:2])
+    for argv in argvs:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert f"error: argument --{role}: malformed file " in captured.err
+        assert "Traceback" not in captured.err
+
+
+def test_valid_files_of_a_space_that_is_not_self_dual_fail(tmp_path, capsys):
+    """Well-formed files whose space is not self-dual for the given data
+    are a failed check, exit 1: the monomials of degree < 7 with one point
+    whose T-pattern is not symmetric, or at the points of (1, 0), case 2,
+    where a dual Wronskian does not divide."""
+    monomials = [["0"] * k + ["1"] for k in range(7)]
+    files = _case_files(tmp_path, (1, 0), 2, space=monomials,
+                        ram={"points": ["0"],
+                             "partitions": [[1, 0, 0, 0, 0, 0, 0]]})
+    rc, out = run(["ssd-check"] + files, capsys)
+    assert rc == 1 and json.loads(out)["self_dual"] is False
+    files = _case_files(tmp_path, (1, 0), 2, space=monomials)
+    assert cli.main(["ssd-check"] + files) == 1
+    assert capsys.readouterr().err == "error: inexact polynomial division\n"
+
+
+@pytest.mark.parametrize("point", ["-1/2", "-3/2", "-1", "-1.5", "-2/1"])
+def test_a_negative_point_takes_either_spelling(point, capsys):
+    """--point followed by a negative rational as its own token answers as
+    --point=<rational> does."""
+    case = ["exponents", "--lambda", "1,1", "--case", "2"]
+    split = run(case + ["--point", point], capsys)
+    joined = run(case + [f"--point={point}"], capsys)
+    assert split == joined and split[0] == 0
+    assert json.loads(split[1])["exponents"] == [0, 1, 2, 3, 4, 5, 6]
+
+
+def test_one_certificate_gates_bae_verify_and_bae_grid(monkeypatch, capsys):
+    """bae-verify and the bae-grid suite read one certificate,
+    bethe.certify: a fertility solve planted to return g + 1 for the
+    witness g fails both, since the witness identity no longer holds."""
+    real = bethe.fertility_solve
+
+    def planted(*args):
+        g = real(*args)
+        return None if g is None else g + Poly([1])
+    monkeypatch.setattr(bethe, "fertility_solve", planted)
+    rc, out = run(["bae-verify", "--lambda", "1,1", "--case", "2"], capsys)
+    assert rc == 1
+    assert json.loads(out) == {"lambda": [1, 1], "case": 2, "generic": True,
+                               "fertile": False, "ok": False}
+    monkeypatch.setenv("G2_LMAX", "1")
+    assert verify.check_bae_grid() == (False,
+                                       "fertility fails at (0, 0), case 0")
+
+
+def test_a_case_that_fails_to_build_is_a_named_fail_line(monkeypatch,
+                                                         capsys):
+    """A ValueError raised while a grid suite builds or checks one case is
+    that suite's FAIL line, naming the case, and the other suites still
+    run."""
+    def broken(*args):
+        raise ValueError("planted fault")
+    monkeypatch.setenv("G2_LMAX", "1")
+    monkeypatch.setattr(diffop, "exponents_at", broken)
+    monkeypatch.setattr(sgrass, "_seventh_root", broken)
+    for suite in ("kernels", "wronskian"):
+        assert run(["verify", "--suite", suite], capsys) == (
+            1, f"FAIL {suite}: planted fault at (0, 0), case 0\n")
+    results = verify.run_suite("all")
+    assert list(results) == list(verify.SUITES)
+    assert [k for k, (ok, _) in results.items() if not ok] == \
+        ["kernels", "wronskian"]
 
 
 @pytest.mark.parametrize("value", ["abc", "", "-1"])
@@ -321,9 +440,9 @@ def _loaded_after(argv):
 
 
 def test_commands_import_only_their_layers():
-    core = {"cli", "exact", "rootdata"}
+    core = {"cli", "exact"}
     assert _loaded_after(None) == core
-    repn_only = core | {"repn", "linalg"}
+    repn_only = core | {"repn", "linalg", "rootdata"}
     assert _loaded_after(["tensor", "--left", "1,0", "--right", "0,1"]) == \
         repn_only
     assert _loaded_after(["invdim", "--weights", "0,1;0,1"]) == repn_only

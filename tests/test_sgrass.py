@@ -137,6 +137,16 @@ def test_bethe_kernel_instance():
                                        m(y.y1 ** 2), m(y.y2), m(y.y1))
 
 
+def test_the_case_owns_its_flag():
+    """bethe_kernel_instance reads the flag built once on the case, and
+    sgrass.flag_from_factorization is the same construction."""
+    *_, gamma = sg.bethe_kernel_instance((2, 1), 5)
+    assert sg.bethe_kernel_instance((2, 1), 5)[2] is gamma
+    c = diffop.case((2, 1), 5)
+    assert c.flag is gamma
+    assert sg.flag_from_factorization(c.kernel, c.y, *c.T) == gamma
+
+
 def test_dual_involution_on_bethe_instance():
     X, R, _ = sg.bethe_kernel_instance((1, 0), 2)
     Xdd = sg.dual_space(sg.dual_space(X, R), R)

@@ -100,6 +100,20 @@ def test_hasse_counts_d12_d13(d, nodes, edges):
     assert list(H.edges) == sorted(H.edges, key=lambda e: (pos[e[0]], pos[e[1]]))
 
 
+@pytest.mark.parametrize("d", range(7, 15))
+def test_hasse_edges_lower_the_dimension_by_one(d):
+    """Each edge merges two points, so no longer path joins its ends and
+    the diagram is its own transitive reduction."""
+    assert all(a.dim == b.dim + 1 for a, b in strat.hasse_diagram(d).edges)
+
+
+@pytest.mark.parametrize("d", range(9, 14))
+def test_dot_edges_are_the_hasse_edges(d):
+    H = strat.hasse_diagram(d)
+    lines = [ln for ln in strat.to_dot(H).splitlines() if " -> " in ln]
+    assert lines == [f'  "{a.name()}" -> "{b.name()}";' for a, b in H.edges]
+
+
 def test_hasse_maximal_nodes_d11():
     H = strat.hasse_diagram(11)
     lowers = {b for _, b in H.edges}

@@ -14,8 +14,9 @@ every case i in 0..6, admissible or not, bae, bae-verify, reproduce in
 both directions, diffop with and without --conjugated, kernel, h2check,
 ssd-check, wronski with and without --reduced, and exponents at 0, 1,
 inf and -1/2 with and without --raw; then strata for d = 7..14 in json
-and dot, tensor for every pair of grid weights, and invdim on 0,1
-repeated 1 to 5 times.
+and dot, tensor for every pair of grid weights, invdim on 0,1 repeated 1
+to 5 times, and `verify --suite NAME` for each of the nine suites, whose
+grid suites run on the same G2_LMAX grid.
 """
 
 import contextlib
@@ -26,6 +27,11 @@ import os
 import sys
 
 from g2gaudin import cli
+
+# the nine suites of `g2 verify`, listed here so that every checkout is
+# hashed on the same commands
+SUITES = ("chevalley", "casimir", "bae-grid", "reproduction", "kernels", "h2",
+          "strata", "covering", "wronskian")
 
 
 def commands(lmax):
@@ -56,6 +62,8 @@ def commands(lmax):
             yield ["tensor", "--left", left, "--right", right]
     for n in range(1, 6):
         yield ["invdim", "--weights", ";".join(["0,1"] * n)]
+    for suite in SUITES:
+        yield ["verify", "--suite", suite]
 
 
 def run(argv):
