@@ -1,5 +1,6 @@
 """Order-7 differential operators attached to Bethe solutions: construction
-from the 7-factor product, conjugation, exact polynomial kernels, and
+from the 7-factor product, conjugation, the polynomial kernel and its flag
+by exact integration (and the kernel by a nullspace, as a reference), and
 Fuchsian exponents."""
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from . import repn
 from .exact import (Poly, RatFunc, log_deriv, residue_at, zclear, zadd,
                     zderiv, zgcd, zlcm, zmul, zpoly, zprimitive, zquo,
                     zratfunc, zscale, zsub)
-from .linalg import nullspace
+from .linalg import nullspace, rref
 
 RF_ZERO = RatFunc(Poly())
 RF_ONE = RatFunc(Poly([1]))
@@ -108,28 +109,161 @@ def apply_log_factor(Q, dQ, W, P, j):
     return zsub(zmul(Q, zderiv(P)), zmul(zadd(zscale(j, dQ), W), P))
 
 
+def _integral(N, d, bases):
+    """(A, e) with A / prod B_j^e_j an antiderivative of N / prod B_j^d_j up
+    to a nonzero constant factor, B_j = bases[j], d_j >= 0 and
+    e_j = max(d_j - 1, 0): Hermite reduction with the denominator known.
+
+    With E = prod B_j^e_j, rad the product of the B_j with d_j > 0 and
+    S = sum_j e_j B_j' rad / B_j, (A / E)' = (A' rad - A S) / (E rad) for any
+    polynomials B_j, so A solves A' rad - A S = c N.  The solve is
+    triangular: x^k reaches x^(k - 1 + deg rad) with the pivot
+    k lead(rad) - S_(deg rad - 1), which is lead(rad) (k - deg E); each
+    pivot that does not divide is cleared by scaling the residual, which
+    fixes c.  The zero pivot, k = deg E, is the constant of integration,
+    taken 0.  For pairwise coprime squarefree B_j a solution exists exactly
+    when the integrand has no residue; a residual left over, at the zero
+    pivot or below the last one, raises ValueError."""
+    active = [j for j, dj in enumerate(d) if dj]
+    rad, S = [1], []
+    for j in active:
+        rad = zmul(rad, bases[j])
+        if d[j] > 1:
+            cof = reduce(zmul, (bases[k] for k in active if k != j), [1])
+            S = zadd(S, zscale(d[j] - 1, zmul(zderiv(bases[j]), cof)))
+    r = len(rad) - 1
+    top = S[r - 1] if r and len(S) == r else 0
+    R, A = list(zprimitive(N)), [0] * max(len(N) - r + 1, 0)
+    for t in range(len(R) - 1, max(r - 1, 0) - 1, -1):
+        k = t - r + 1
+        p = k * rad[-1] - top
+        if not (R[t] and p):  # a nonzero R[t] at p = 0 stays, and raises
+            continue
+        g = gcd(R[t], p)
+        m, a = abs(p // g), R[t] // g * (1 if p > 0 else -1)
+        if m > 1:
+            R, A = [m * v for v in R], [m * v for v in A]
+        A[k] = a
+        for i, v in enumerate(rad):
+            R[k - 1 + i] -= a * k * v
+        for i, v in enumerate(S):
+            R[k + i] += a * v
+    if any(R):
+        raise ValueError("the integrand has a residue: not a Bethe pair")
+    return zprimitive(zadd(A, [])), tuple(max(dj - 1, 0) for dj in d)
+
+
+def _times(N, d, c, bases):
+    """N / prod B_j^d_j times prod B_j^c_j, as (numerator, d'), d' >= 0."""
+    out = []
+    for j, (dj, cj) in enumerate(zip(d, c)):
+        if dj < cj:
+            for _ in range(cj - dj):
+                N = zmul(N, bases[j])
+        out.append(max(dj - cj, 0))
+    return N, tuple(out)
+
+
+def _population_flag(bases, factors):
+    """Integer lists w_1..w_7 with w_1..w_i in ker(L_m...L_7), m = 8 - i,
+    and a basis of it once independent (_echelon checks that), for
+    D_y = L_1...L_7, L_k = d - ln' h_k; given pairwise coprime squarefree
+    integer lists B_j = bases[j] and the exponents of each B_j in T1, T2,
+    y1 and y2 (factors[0..3]).
+
+    Mukhin-Varchenko's population: h^-1 L_k h = d - ln'(h_k / h), so the flag
+    of (h_1..h_m) is h_m followed by h_m times an antiderivative of each
+    element of the flag of (h_1 / h_m, ..., h_(m-1) / h_m).  Unrolled,
+    w_i = h_7 int r_6 int r_5 ... int r_(8-i) with r_k = h_k / h_(k+1):
+    21 integrals in all, each a _integral over the known bases, so no gcd
+    is taken.  Every step is an identity and the last is an exact
+    division in Z[x]; ValueError if an integrand has a residue or an
+    element is not a polynomial, so each element returned is a polynomial
+    in ker D_y."""
+    h = [[sum(e * f[j] for e, f in zip(ek, factors))
+          for j in range(len(bases))] for ek in _DY_EXPONENTS]
+    ratios = [[a - b for a, b in zip(h[k], h[k + 1])] for k in range(6)]
+    flag = []
+    for i in range(7):
+        N, d = [1], (0,) * len(bases)
+        for r in ratios[6 - i:]:
+            N, d = _integral(*_times(N, d, r, bases), bases)
+        N, d = _times(N, d, h[6], bases)
+        for B, dj in zip(bases, d):
+            for _ in range(dj):
+                try:
+                    N = zquo(N, B)
+                except ValueError:
+                    raise ValueError("a flag element is not a polynomial: "
+                                     "not a Bethe pair") from None
+        flag.append(zprimitive(N))
+    return flag
+
+
+def _echelon(vectors):
+    """The vectors, integer lists, reduced in order so that v_i vanishes at
+    the last index f_j of each v_j, j < i; v_i is then the one line of
+    span(v_1..v_i) doing so, and its last index f_i is new.  ValueError if
+    the vectors are linearly dependent."""
+    out = []
+    for v in vectors:
+        for u in out:
+            f = len(u) - 1
+            if f < len(v) and v[f]:
+                v = zprimitive(zsub(zscale(u[f], v), zscale(v[f], u)))
+        if not v:
+            raise ValueError("flag elements are linearly dependent")
+        out.append(v)
+    return out
+
+
+def _factor_base(fs):
+    """(bases, factors): pairwise coprime squarefree primitive B_j with
+    each fs[i] a constant times prod_j B_j^factors[i][j], by splitting off
+    gcds until none is left (factor refinement)."""
+    todo, bases = [zprimitive(f) for f in fs if len(f) > 1], []
+    while todo:
+        f = todo.pop()
+        g = zgcd(f, zderiv(f))
+        if len(g) > 1:
+            todo += [zquo(f, g), g]
+            continue
+        for k, b in enumerate(bases):
+            g = zgcd(f, b)
+            if len(g) > 1:
+                del bases[k]
+                todo += [p for p in (zquo(f, g), zquo(b, g), g) if len(p) > 1]
+                break
+        else:
+            bases.append(f)
+    return bases, [[_divide_out(f, b)[0] for b in bases] for f in fs]
+
+
 def flag_from_factorization(kernel_basis, y: bethe.PolyPair,
                             T1: Poly, T2: Poly):
     """Ordered basis u_1..u_7 of the kernel with Wr(u_1..u_i) proportional
     to the product of the rightmost i factor functions: u_1..u_i span
     ker(L_m...L_7), m = 8 - i, for D_y = L_1...L_7 (Mukhin-Varchenko).
-    Step i applies L_m to the kernel basis images, in Z[x], and takes one
-    nullspace; u_i is its monic vector at the free column new at step i."""
-    Q, Ws, _ = dy_log_factors(y, T1, T2)
-    dQ, n = zderiv(Q), len(kernel_basis)
+    The spans come from _population_flag over the pairwise coprime factors
+    of T1, T2, y1 and y2; u_i is the monic element of the i-th span whose
+    coordinates in kernel_basis vanish at the last nonzero coordinate of
+    each u_j, j < i, which for the reduced echelon basis means zero at the
+    degrees of u_1..u_(i-1).  ValueError unless the flag lies in the span
+    of kernel_basis, a basis of 7 polynomials."""
+    bases, factors = _factor_base(
+        [zclear(p.coeffs)[0] for p in (T1, T2, y.y1, y.y2)])
+    ws = _population_flag(bases, factors)
     basis = [zclear(b.coeffs)[0] for b in kernel_basis]
-    images, free, flag = basis, set(), []
-    for i, W in enumerate(reversed(Ws), 1):
-        images = [apply_log_factor(Q, dQ, W, p, i - 1) for p in images]
-        ns = nullspace([[p[r] if r < len(p) else 0 for p in images]
-                        for r in range(max(map(len, images)))], ncols=n)
-        at = {max(k for k in range(n) if v[k]): v for v in ns}
-        new = at.keys() - free
-        if len(ns) != i or len(new) != 1:
-            raise ValueError(f"no flag element at step {i}")
-        free |= new
+    n = len(basis)
+    red, pivots = rref([[v[r] if r < len(v) else 0 for v in basis + ws]
+                        for r in range(max(map(len, basis + ws)))])
+    if pivots != list(range(n)):
+        raise ValueError("the flag does not lie in the span of the basis")
+    flag = []
+    for v in _echelon([zadd(zclear([red[r][n + i] for r in range(n)])[0], [])
+                       for i in range(len(ws))]):
         u = []
-        for c, b in zip(zclear(at[new.pop()])[0], basis):
+        for c, b in zip(v, basis):
             u = zadd(u, zscale(c, b))
         flag.append(zpoly(u, u[-1]))
     return tuple(flag)
@@ -300,12 +434,12 @@ _FALLING = tuple(reduce(zmul, ([-k, 1] for k in range(n)), [1])
                  for n in range(8))
 
 
-def _divide_out(a, r, s=1):
-    """(v, q) with a = (s x - r)^v q in Z[x] and q(r / s) != 0."""
+def _divide_out(a, b):
+    """(v, q) with a = b^v q in Z[x] and b not dividing q, for a != 0."""
     v = 0
     while True:
         try:
-            a, v = zquo(a, [-r, s]), v + 1
+            a, v = zquo(a, b), v + 1
         except ValueError:
             return v, a
 
@@ -318,7 +452,7 @@ def _integer_roots(p: Poly):
         c0 = abs(a[0])
         for r in ((t * d for d in range(1, c0 + 1) if c0 % d == 0
                    for t in (1, -1)) if c0 else (0,)):
-            v, a = _divide_out(a, r)
+            v, a = _divide_out(a, [-r, 1])
             roots += [r] * v
             if v:
                 break
@@ -336,7 +470,7 @@ def _laurent_coeff(f: RatFunc, p, m: int):
     for g in (f.num, f.den):
         # g = (s x - r)^v q / den has (x - p)^v coefficient s^v q(p) / den
         a, den = zclear(g.coeffs)
-        v, q = _divide_out(a, r, s)
+        v, q = _divide_out(a, [-r, s])
         d = len(q) - 1
         lead.append((v, Fraction(sum(c * r ** k * s ** (d - k + v)
                                      for k, c in enumerate(q)), den * s ** d)))
@@ -421,20 +555,33 @@ class Case:
         return _factor_product(self.y, *self.T, _CONJUGATOR)
 
     @cached_property
-    def kernel(self):
-        """The polynomial kernel of D_y, a tuple; errors unless it has
-        dimension 7."""
-        basis = polynomial_kernel(self.operator,
-                                  default_degree_bound(self.lam, self.i))
-        if len(basis) != 7:
-            raise ValueError(f"kernel dimension {len(basis)} != 7 for "
-                             f"{self.lam}, case {self.i}")
-        return tuple(basis)
+    def flag(self):
+        """The kernel's factorization flag u_1..u_7, a tuple: the population
+        flag over the linear factors s x - r of the finite points z_s = r / s
+        and y1, y2, each u_i monic and zero at the degrees of u_1..u_(i-1)
+        (flag_from_factorization against the reduced echelon basis)."""
+        bases, factors = [], ([], [], [], [])
+        for p, w in zip(self.data.z, self.data.Lambda):
+            if p != bethe.INF:
+                bases.append([-p.numerator, p.denominator])
+                for f, e in zip(factors, (w[0], w[1], 0, 0)):
+                    f.append(e)
+        for j, yj in enumerate((self.y.y1, self.y.y2), 2):
+            a = zprimitive(zclear(yj.coeffs)[0])
+            if len(a) > 1:
+                bases.append(a)
+                for k, f in enumerate(factors):
+                    f.append(int(k == j))
+        return tuple(zpoly(v, v[-1]) for v in
+                     _echelon(_population_flag(bases, factors)))
 
     @cached_property
-    def flag(self):
-        """The kernel's factorization flag u_1..u_7, a tuple."""
-        return flag_from_factorization(self.kernel, self.y, *self.T)
+    def kernel(self):
+        """The polynomial kernel of D_y, a tuple: the reduced echelon basis
+        of the flag's span, by increasing degree, each element monic and
+        zero at the degrees of the others."""
+        return tuple(zpoly(v, v[-1]) for v in _echelon(sorted(
+            (zclear(u.coeffs)[0] for u in self.flag), key=len)))
 
 
 @lru_cache(maxsize=CASE_CACHE_SIZE)

@@ -120,8 +120,8 @@ def test_ssd_check_files(tmp_path, capsys):
 def test_case_commands_build_each_object_once(tmp_path, monkeypatch,
                                              capsys):
     """Every case command on one case in one process, as an exploring user
-    runs them: D_y and its conjugate are built once each (one operator
-    product apiece), the kernel once."""
+    runs them: the conjugate of D_y is built once (one operator product),
+    and neither D_y itself nor a nullspace kernel is built."""
     lam, i = (2, 1), 5
     _, _, gamma = sgrass.bethe_kernel_instance(lam, i)
     flag = [cli._poly_json(p) for p in gamma]
@@ -159,7 +159,8 @@ def test_case_commands_build_each_object_once(tmp_path, monkeypatch,
                 (files_argv + ["--witness", files["swapped"]], 1)]
     for argv, rc in queries:
         assert run(argv, capsys)[0] == rc, argv
-    assert counts == {"_log_factor_product": 2, "polynomial_kernel": 1}
+    assert counts["polynomial_kernel"] == 0
+    assert counts == {"_log_factor_product": 1}
 
 
 @pytest.mark.parametrize("cmd", [["diffop"], ["kernel"], ["h2check"],
@@ -495,3 +496,25 @@ def test_every_command_runs_without_numpy_or_sympy(tmp_path):
             "        rcs.append(cli.main(argv))\n"
             "print(json.dumps(rcs))\n")
     assert _fresh_python(code, G2_LMAX="1") == [rc for _, rc in queries]
+
+
+def test_a_reproduction_error_is_a_named_fail_line(monkeypatch, capsys):
+    """A ValueError from bethe.reproduce (no fertility witness) is the
+    reproduction suite's FAIL line, naming the case, and all nine suites
+    still report; bae-grid, whose fertility cross-check uses the same
+    solve, fails too."""
+    solve = bethe._solve_cleared
+
+    def planted(y, r, a):
+        return None if y.degree > 0 else solve(y, r, a)
+
+    monkeypatch.setenv("G2_LMAX", "1")
+    monkeypatch.setattr(bethe, "_solve_cleared", planted)
+    rc, out = run(["verify", "--suite", "reproduction"], capsys)
+    assert (rc, out) == (1, "FAIL reproduction: no fertility witness; input "
+                            "does not represent a solution at (0, 0), "
+                            "case 0\n")
+    results = verify.run_suite("all")
+    assert list(results) == list(verify.SUITES)
+    assert [k for k, (ok, _) in results.items() if not ok] == \
+        ["bae-grid", "reproduction"]

@@ -214,7 +214,7 @@ def test_kernel_rejects_perturbed_solution(monkeypatch):
     monkeypatch.setattr(bethe, "appendix_solution", perturbed)
     try:
         for _ in range(2):  # a failed kernel is not cached
-            with pytest.raises(ValueError, match="kernel dimension"):
+            with pytest.raises(ValueError, match="residue: not a Bethe pair"):
                 diffop.kernel_for_case((1, 1), 2)
     finally:
         monkeypatch.undo()
@@ -368,3 +368,113 @@ def test_exponents_parity_on_3_grid():
                                  .encode())
     assert h.hexdigest() == ("3757f74922c2146722118e41e48eb034"
                              "f159e4ad560794ba8df5890b01339209")
+
+
+GRID3 = [((a, b), i) for a in range(4) for b in range(4)
+         for i in bethe.admissible_ls((a, b))]
+
+
+def test_kernel_is_the_nullspace_kernel_on_3_grid():
+    """The reduced echelon basis of the integrated flag is, Poly for Poly,
+    the nullspace basis of the expanded D_y below the degree bound."""
+    assert len(GRID3) == 84
+    for lam, i in GRID3:
+        c = diffop.Case(lam, i)
+        D = diffop.build_Dy(c.y, *c.T)
+        assert c.kernel == tuple(diffop.polynomial_kernel(
+            D, diffop.default_degree_bound(lam, i))), (lam, i)
+
+
+def _population(y, T1, T2):
+    """The integrated flag of (y, T1, T2) as Polys, over the pairwise coprime
+    factors of T1, T2, y1 and y2."""
+    fs = [zclear(p.coeffs)[0] for p in (T1, T2, y.y1, y.y2)]
+    return [Poly(w) for w in
+            diffop._population_flag(*diffop._factor_base(fs))]
+
+
+def test_perturbed_pairs_have_no_population_flag():
+    """+1 on any coefficient of y1 or y2 below the leading one leaves a
+    residue in some integral or a flag element that is not a polynomial,
+    on every case of the 3-grid."""
+    seen = 0
+    for lam, i in GRID3:
+        y = bethe.appendix_solution(lam, i)
+        T = bethe.build_calT([lam, rd.OMEGA2], [Fraction(0), Fraction(1)])
+        for j in (0, 1):
+            for k in range((y.y1, y.y2)[j].degree):
+                ys = [list(y.y1.coeffs), list(y.y2.coeffs)]
+                ys[j][k] += 1
+                with pytest.raises(ValueError, match="not a Bethe pair"):
+                    _population(PolyPair(Poly(ys[0]), Poly(ys[1])), *T)
+                seen += 1
+    assert seen == 236
+
+
+def _assert_annihilated_basis(flag, y, T1, T2):
+    D = diffop.build_Dy(y, T1, T2)
+    assert len({p.degree for p in flag}) == 7
+    assert all(D.apply(p).is_zero() for p in flag)
+
+
+@pytest.mark.parametrize("name", sorted(NONGENERIC))
+def test_population_flag_on_nongeneric_inputs(name):
+    """On inputs whose factors are not coprime and squarefree, the
+    integrated flag either raises or is a basis of 7 polynomials that D_y
+    annihilates."""
+    y, T1, T2 = NONGENERIC[name]
+    try:
+        flag = _population(y, T1, T2)
+    except ValueError:
+        return
+    _assert_annihilated_basis(flag, y, T1, T2)
+
+
+def test_population_flag_through_factor_refinement():
+    """Given T1 = x^a and T2 = x^b (x - 1) as polynomials, the factors are
+    found by refinement, and the flag of a Bethe pair is a basis of ker D_y;
+    so is the flag of the trivial pair, the monomials below degree 7."""
+    one = Poly([1])
+    assert _population(PolyPair(one, one), one, one) == \
+        [Poly([0] * k + [1]) for k in range(7)]
+    for lam, i in (((0, 1), 1), ((2, 1), 5), ((3, 3), 6)):
+        y = bethe.appendix_solution(lam, i)
+        T = bethe.build_calT([lam, rd.OMEGA2], [Fraction(0), Fraction(1)])
+        _assert_annihilated_basis(_population(y, *T), y, *T)
+
+
+def test_integral_is_exact_or_raises():
+    """_integral of N / prod B_j^d_j, with N the numerator of (A / E)' over
+    prod B_j^d_j, E = prod B_j^(d_j - 1), returns A2 with (A2 / E)' a
+    constant multiple of it, and leaves N as it was; an integrand with a
+    residue raises, by the residual left at the zero pivot (1/x) or below
+    the last pivot (1/(x (x - 1)), whose residues cancel at infinity)."""
+    x, x1, q = [0, 1], [-1, 1], [3, 0, 2]  # q = 2x^2 + 3
+    for A, d, bases in (([1], (2,), [x]),
+                        ([1], (2, 2), [x, x1]),
+                        ([5, 0, 0, 0, 7], (3, 0, 2), [x, x1, q]),
+                        ([0, 6, 3, 2], (0,), [x]),
+                        ([2, -3, 0, 1], (1, 3), [q, x1]),
+                        ([4, 0, 1], (4, 1, 1), [x, x1, q])):
+        E, D = (_power_product(bases, [max(dj - s, 0) for dj in d])
+                for s in (1, 0))
+        N = RatFunc(Poly(A), E).derivative() * RatFunc(D)
+        assert N.is_poly()
+        N = zclear(N.num.coeffs)[0]
+        kept = list(N)
+        A2, e = diffop._integral(N, d, bases)
+        assert N == kept
+        assert e == tuple(max(dj - 1, 0) for dj in d)
+        ratio = RatFunc(Poly(A2), E).derivative() * RatFunc(D) / Poly(N)
+        assert ratio.is_poly() and ratio.num.degree == 0, (A, d)
+    for N, d, bases in (([1], (1,), [x]), ([1], (1, 1), [x, x1]),
+                        ([0, 1], (2, 1), [x, x1])):
+        with pytest.raises(ValueError, match="residue"):
+            diffop._integral(N, d, bases)
+
+
+def _power_product(bases, ex):
+    out = Poly([1])
+    for b, e in zip(bases, ex):
+        out = out * Poly(b) ** e
+    return out

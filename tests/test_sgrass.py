@@ -8,7 +8,8 @@ from g2gaudin import bethe
 from g2gaudin import diffop
 from g2gaudin import rootdata as rd
 from g2gaudin import sgrass as sg
-from g2gaudin.exact import Poly, wronskian
+from g2gaudin.exact import (Poly, wronskian, zadd, zclear, zderiv, zpoly,
+                            zscale)
 from g2gaudin.linalg import nullspace, rank, solve
 
 X0 = sg.monomial_space()
@@ -212,6 +213,49 @@ def _flag_by_wronskian_search(kernel_basis, y, T1, T2):
                 Poly())
         flag.append(u.monic())
     return tuple(flag)
+
+
+def _flag_by_nullspaces(kernel_basis, y, T1, T2):
+    """Reference flag: step i applies L_m, m = 8 - i, to the images of the
+    kernel basis under L_(m+1)...L_7, in Z[x], and takes one nullspace;
+    u_i is the monic combination at the free column new at step i (the
+    construction before the integrated flag)."""
+    Q, Ws, _ = diffop.dy_log_factors(y, T1, T2)
+    dQ, n = zderiv(Q), len(kernel_basis)
+    basis = [zclear(b.coeffs)[0] for b in kernel_basis]
+    images, free, flag = basis, set(), []
+    for i, W in enumerate(reversed(Ws), 1):
+        images = [diffop.apply_log_factor(Q, dQ, W, p, i - 1) for p in images]
+        ns = nullspace([[p[r] if r < len(p) else 0 for p in images]
+                        for r in range(max(map(len, images)))], ncols=n)
+        at = {max(k for k in range(n) if v[k]): v for v in ns}
+        new = at.keys() - free
+        assert len(ns) == i and len(new) == 1
+        free |= new
+        u = []
+        for c, b in zip(zclear(at[new.pop()])[0], basis):
+            u = zadd(u, zscale(c, b))
+        flag.append(zpoly(u, u[-1]))
+    return tuple(flag)
+
+
+def test_flag_matches_nullspace_flag_on_3_grid():
+    """The integrated flag, on the case and through flag_from_factorization,
+    equals the nullspace flag of the nullspace kernel coefficient for
+    coefficient on all 84 cases, and for a reversed kernel basis on every
+    sixth."""
+    for k, (lam, i) in enumerate(GRID3):
+        _, y, T1, T2 = _factorization_data(lam, i)
+        ker = diffop.polynomial_kernel(diffop.build_Dy(y, T1, T2),
+                                       diffop.default_degree_bound(lam, i))
+        want = [p.coeffs for p in _flag_by_nullspaces(ker, y, T1, T2)]
+        assert [p.coeffs for p in diffop.case(lam, i).flag] == want, (lam, i)
+        assert [p.coeffs for p in sg.flag_from_factorization(
+            ker, y, T1, T2)] == want, (lam, i)
+        if k % 6 == 0:
+            ker = ker[::-1]
+            assert sg.flag_from_factorization(ker, y, T1, T2) == \
+                _flag_by_nullspaces(ker, y, T1, T2), (lam, i)
 
 
 def _divided_by_division(gs, R):

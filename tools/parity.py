@@ -3,9 +3,11 @@ leaves every answer as it was.
 
     PYTHONPATH=src python3 tools/parity.py
 
-runs each command in this process through `g2gaudin.cli.main` and prints
-the number of commands and one SHA-256 over the argv, exit code, stdout
-and stderr of each.  g2gaudin is imported from PYTHONPATH, so pointing
+runs each command in this process through `g2gaudin.cli.main`, then
+reads the flag `diffop.case(lam, i).flag` of every admissible case on the
+grid, which no command prints, and prints the number of commands and of
+flags and one SHA-256 over the argv, exit code, stdout and stderr of each
+command and the coefficients of each flag.  g2gaudin is imported from PYTHONPATH, so pointing
 PYTHONPATH at the `src/` of another checkout hashes that checkout with the
 same script; equal digests mean equal output.
 
@@ -66,6 +68,17 @@ def commands(lmax):
         yield ["verify", "--suite", suite]
 
 
+def flags(lmax):
+    """(lam, i, coefficients of each flag element) for every admissible
+    case on the grid."""
+    from g2gaudin import bethe, diffop
+    for a in range(lmax + 1):
+        for b in range(lmax + 1):
+            for i in bethe.admissible_ls((a, b)):
+                yield ((a, b), i, [[str(c) for c in p.coeffs]
+                                   for p in diffop.case((a, b), i).flag])
+
+
 def run(argv):
     """(exit code, stdout, stderr) of one cli.main(argv) call; a crash is
     recorded by its exception type and message, without the traceback."""
@@ -81,12 +94,16 @@ def run(argv):
 
 
 def main():
-    digest, n = hashlib.sha256(), 0
-    for argv in commands(int(os.environ.get("G2_LMAX", "5"))):
+    digest, n, lmax = hashlib.sha256(), 0, int(os.environ.get("G2_LMAX", "5"))
+    for argv in commands(lmax):
         rc, out, err = run(argv)
         digest.update(json.dumps([argv, rc, out, err]).encode() + b"\n")
         n += 1
-    print(f"{n} commands")
+    m = 0
+    for lam, i, flag in flags(lmax):
+        digest.update(json.dumps([lam, i, flag]).encode() + b"\n")
+        m += 1
+    print(f"{n} commands, {m} flags")
     print(f"sha256 {digest.hexdigest()}")
 
 
