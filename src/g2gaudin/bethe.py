@@ -57,12 +57,10 @@ class BetheData:
     l: tuple       # (l1, l2)
 
     def __post_init__(self):
-        zs = list(self.z)
-        if len(set(zs)) != len(zs):
+        # INF is one value, so distinct points hold at most one infinite one
+        if len(set(self.z)) != len(self.z):
             raise ValueError("evaluation points must be distinct")
-        if sum(1 for p in zs if p == INF) > 1:
-            raise ValueError("at most one evaluation point may be infinite")
-        if len(self.Lambda) != len(zs):
+        if len(self.Lambda) != len(self.z):
             raise ValueError("weights and points must have equal length")
 
 

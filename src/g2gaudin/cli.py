@@ -100,10 +100,15 @@ def _load(option, path, build):
                                  f"{path}: {type(exc).__name__}: {exc}")
 
 
-def _load_polys(option, path):
-    """A JSON array of coefficient arrays: a space or an ordered basis."""
-    return _load(option, path,
-                 lambda content: tuple(map(_poly_from_json, content)))
+def _load_polys(option, path, build=tuple):
+    """build(the 7 Polys of a JSON array of coefficient arrays), by _load:
+    a space (sgrass.PolySpace) or an ordered basis."""
+    def read(content):
+        polys = tuple(map(_poly_from_json, content))
+        if len(polys) != 7:
+            raise ValueError(f"need 7 polynomials, got {len(polys)}")
+        return build(polys)
+    return _load(option, path, read)
 
 
 def _load_ram(path):
@@ -123,7 +128,7 @@ def _bethe_instance(args):
     from . import sgrass
     if args.lam is not None:
         return sgrass.bethe_kernel_instance(args.lam, args.case)
-    X = sgrass.PolySpace(_load_polys("space", args.space))
+    X = _load_polys("space", args.space, sgrass.PolySpace)
     R = _load_ram(args.ram)
     gamma = (None if args.witness is None
              else _load_polys("witness", args.witness))
@@ -225,11 +230,9 @@ def cmd_ssd_check(args):
 
 
 def cmd_wronski(args):
-    from . import diffop, sgrass
-    if args.lam is not None:
-        X = sgrass.PolySpace(diffop.kernel_for_case(args.lam, args.case))
-    else:
-        X = sgrass.PolySpace(_load_polys("space", args.space))
+    from . import sgrass
+    X = (sgrass.kernel_space(args.lam, args.case) if args.lam is not None
+         else _load_polys("space", args.space, sgrass.PolySpace))
     w = sgrass.space_wronskian(X)
     out = {"wronskian": _poly_json(w), "wronskian_str": _poly_str(w)}
     if args.reduced:

@@ -13,9 +13,9 @@ from math import gcd, lcm
 from . import bethe
 from . import repn
 from .exact import (Poly, RatFunc, log_deriv, residue_at, zclear, zadd,
-                    zderiv, zgcd, zlcm, zmul, zpoly, zprimitive, zquo,
-                    zratfunc, zscale, zsub)
-from .linalg import nullspace, rref
+                    zderiv, zechelon, zgcd, zlcm, zmul, zpoly, zprimitive,
+                    zquo, zratfunc, zreduce, zscale, zsub)
+from .linalg import nullspace
 
 RF_ZERO = RatFunc(Poly())
 RF_ONE = RatFunc(Poly([1]))
@@ -166,7 +166,7 @@ def _times(N, d, c, bases):
 
 def _population_flag(bases, factors):
     """Integer lists w_1..w_7 with w_1..w_i in ker(L_m...L_7), m = 8 - i,
-    and a basis of it once independent (_echelon checks that), for
+    and a basis of it once independent (zechelon checks that), for
     D_y = L_1...L_7, L_k = d - ln' h_k; given pairwise coprime squarefree
     integer lists B_j = bases[j] and the exponents of each B_j in T1, T2,
     y1 and y2 (factors[0..3]).
@@ -200,23 +200,6 @@ def _population_flag(bases, factors):
     return flag
 
 
-def _echelon(vectors):
-    """The vectors, integer lists, reduced in order so that v_i vanishes at
-    the last index f_j of each v_j, j < i; v_i is then the one line of
-    span(v_1..v_i) doing so, and its last index f_i is new.  ValueError if
-    the vectors are linearly dependent."""
-    out = []
-    for v in vectors:
-        for u in out:
-            f = len(u) - 1
-            if f < len(v) and v[f]:
-                v = zprimitive(zsub(zscale(u[f], v), zscale(v[f], u)))
-        if not v:
-            raise ValueError("flag elements are linearly dependent")
-        out.append(v)
-    return out
-
-
 def _factor_base(fs):
     """(bases, factors): pairwise coprime squarefree primitive B_j with
     each fs[i] a constant times prod_j B_j^factors[i][j], by splitting off
@@ -245,28 +228,18 @@ def flag_from_factorization(kernel_basis, y: bethe.PolyPair,
     to the product of the rightmost i factor functions: u_1..u_i span
     ker(L_m...L_7), m = 8 - i, for D_y = L_1...L_7 (Mukhin-Varchenko).
     The spans come from _population_flag over the pairwise coprime factors
-    of T1, T2, y1 and y2; u_i is the monic element of the i-th span whose
-    coordinates in kernel_basis vanish at the last nonzero coordinate of
-    each u_j, j < i, which for the reduced echelon basis means zero at the
-    degrees of u_1..u_(i-1).  ValueError unless the flag lies in the span
-    of kernel_basis, a basis of 7 polynomials."""
+    of T1, T2, y1 and y2, and u_i is the monic element of the i-th span
+    zero at the degrees of u_1..u_(i-1): the flag depends on the spans
+    alone, so it is Case.flag for any basis of the kernel.  ValueError
+    unless kernel_basis is 7 independent polynomials whose span holds the
+    flag."""
     bases, factors = _factor_base(
         [zclear(p.coeffs)[0] for p in (T1, T2, y.y1, y.y2)])
     ws = _population_flag(bases, factors)
-    basis = [zclear(b.coeffs)[0] for b in kernel_basis]
-    n = len(basis)
-    red, pivots = rref([[v[r] if r < len(v) else 0 for v in basis + ws]
-                        for r in range(max(map(len, basis + ws)))])
-    if pivots != list(range(n)):
+    basis = zechelon([zclear(b.coeffs)[0] for b in kernel_basis])
+    if len(basis) != 7 or any(zreduce(basis, w) for w in ws):
         raise ValueError("the flag does not lie in the span of the basis")
-    flag = []
-    for v in _echelon([zadd(zclear([red[r][n + i] for r in range(n)])[0], [])
-                       for i in range(len(ws))]):
-        u = []
-        for c, b in zip(v, basis):
-            u = zadd(u, zscale(c, b))
-        flag.append(zpoly(u, u[-1]))
-    return tuple(flag)
+    return tuple(zpoly(v, v[-1]) for v in zechelon(ws))
 
 
 def _log_factor_product(Q, Ws, Y=(1,)) -> DiffOp:
@@ -555,11 +528,10 @@ class Case:
         return _factor_product(self.y, *self.T, _CONJUGATOR)
 
     @cached_property
-    def flag(self):
-        """The kernel's factorization flag u_1..u_7, a tuple: the population
+    def flag_rows(self):
+        """The flag as primitive integer lists (zechelon): the population
         flag over the linear factors s x - r of the finite points z_s = r / s
-        and y1, y2, each u_i monic and zero at the degrees of u_1..u_(i-1)
-        (flag_from_factorization against the reduced echelon basis)."""
+        and y1, y2; flag_from_factorization gives it for any kernel basis."""
         bases, factors = [], ([], [], [], [])
         for p, w in zip(self.data.z, self.data.Lambda):
             if p != bethe.INF:
@@ -572,16 +544,19 @@ class Case:
                 bases.append(a)
                 for k, f in enumerate(factors):
                     f.append(int(k == j))
-        return tuple(zpoly(v, v[-1]) for v in
-                     _echelon(_population_flag(bases, factors)))
+        return zechelon(_population_flag(bases, factors))
+
+    @cached_property
+    def flag(self):
+        """The flag u_1..u_7, a tuple of monic Polys."""
+        return tuple(zpoly(v, v[-1]) for v in self.flag_rows)
 
     @cached_property
     def kernel(self):
         """The polynomial kernel of D_y, a tuple: the reduced echelon basis
         of the flag's span, by increasing degree, each element monic and
         zero at the degrees of the others."""
-        return tuple(zpoly(v, v[-1]) for v in _echelon(sorted(
-            (zclear(u.coeffs)[0] for u in self.flag), key=len)))
+        return tuple(zpoly(v, v[-1]) for v in zechelon(self.flag_rows, True))
 
 
 @lru_cache(maxsize=CASE_CACHE_SIZE)

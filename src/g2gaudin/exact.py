@@ -452,6 +452,33 @@ def zdet(m):
     return zscale(sign, pivots[-1]) if pivots else [1]
 
 
+def zreduce(rows, v):
+    """v reduced against each row u in turn to vanish at the last index of
+    u, by integer combinations, and made primitive.  For rows as zechelon
+    returns them, the result is [] exactly when v lies in their span."""
+    for u in rows:
+        f = len(u) - 1
+        if f < len(v) and v[f]:
+            v = zprimitive(zsub(zscale(u[f], v), zscale(v[f], u)))
+    return zprimitive(v)
+
+
+def zechelon(vectors, reduced=False):
+    """The integer lists v_i, each zreduced against the ones before it: so
+    the last indices are distinct and v_1..v_i keep their span.  With
+    reduced, the reduced echelon basis of the span, by the same run over
+    the result sorted by length: each vector zero at the last index of
+    every other one, canonical (equal spans give equal lists).  ValueError
+    if the vectors are linearly dependent."""
+    out = []
+    for v in vectors:
+        v = zreduce(out, v)
+        if not v:
+            raise ValueError("the polynomials are linearly dependent")
+        out.append(v)
+    return zechelon(sorted(out, key=len)) if reduced else out
+
+
 def zratfunc(num, den) -> "RatFunc":
     """The RatFunc num / den for coprime num and den in Z[x], den nonzero,
     built without the gcd that RatFunc() runs: only den is made monic."""
@@ -475,23 +502,22 @@ def poly_det(matrix: Sequence[Sequence[Poly]]) -> Poly:
 
 
 def zwronski_matrix(fs, n=None):
-    """(rows, dens): the first n rows (default all) of the Wronski matrix
-    (d^i f_j), cleared to Z[x] as f_j dens[j].  zeliminate makes no row
-    exchange on it: its pivots are the Wronskians of f_1..f_k, k = 1, 2..."""
-    pairs = [zclear(f.coeffs) for f in fs]
-    cur, dens = [a for a, _ in pairs], [d for _, d in pairs]
-    rows = []
+    """The first n rows (default all) of the Wronski matrix (d^i f_j) of
+    integer lists f_j.  zeliminate makes no row exchange on it: its pivots
+    are the Wronskians of f_1..f_k, k = 1, 2..."""
+    cur, rows = list(fs), []
     for _ in range(len(cur) if n is None else n):
         rows.append(cur)
         cur = [zderiv(a) for a in cur]
-    return rows, dens
+    return rows
 
 
 def wronskian(fs: Sequence[Poly]) -> Poly:
     """Wronskian determinant det(d^{i-1} f_j / dx^{i-1}) over Q; 1 for the
     empty family."""
-    rows, dens = zwronski_matrix(fs)
-    return zpoly(zdet(rows), prod(dens))
+    pairs = [zclear(f.coeffs) for f in fs]
+    return zpoly(zdet(zwronski_matrix([a for a, _ in pairs])),
+                 prod(d for _, d in pairs))
 
 
 class RatFunc:

@@ -7,64 +7,53 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import prod
 
 from . import bethe
 from . import diffop
 from . import rootdata as rd
-from .exact import (Poly, wronskian, zclear, zdet, zeliminate, zmul, zpoly,
-                    zquo, zscale, zwronski_matrix)
+from .exact import (Poly, wronskian, zclear, zdet, zechelon, zeliminate,
+                    zmul, zpoly, zprimitive, zquo, zreduce, zscale,
+                    zwronski_matrix)
 from .linalg import rank, solve
 
 N = 7
 
 
-def _flag_adapted(basis):
-    """Echelon basis with strictly increasing degrees, monic."""
-    out = {}
-    for q in sorted(basis, key=lambda p: p.degree):
-        while q and q.degree in out:
-            q = q - out[q.degree] * q.leading()  # out[d] monic
-        if q.is_zero():
-            raise ValueError("basis is linearly dependent")
-        out[q.degree] = q.monic()
-    return tuple(out[d] for d in sorted(out))
+def _row(p):
+    """p, a Poly or an integer list, as an integer list on the same line."""
+    return zclear(p.coeffs)[0] if isinstance(p, Poly) else p
 
 
 @dataclass(frozen=True)
 class PolySpace:
-    """A 7-dimensional space of polynomials, held by a basis."""
+    """A 7-dimensional space of polynomials, built from 7 independent ones
+    (Polys or integer lists) and held by its reduced echelon basis: primitive
+    integer lists with strictly increasing degrees, each zero at the degrees
+    of the others.  The basis is canonical, so equal spaces are equal."""
     basis: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "basis", tuple(self.basis))
-        if len(self.basis) != N:
+        rows = [_row(p) for p in self.basis]
+        if len(rows) != N:
             raise ValueError(f"need {N} basis polynomials")
-        object.__setattr__(self, "_flag", _flag_adapted(self.basis))
+        object.__setattr__(self, "basis", tuple(zechelon(rows, True)))
 
-    @property
+    @cached_property
     def flag_basis(self):
-        """Basis with strictly increasing degrees (adapted to the flag at
-        infinity)."""
-        return self._flag
+        """The basis as monic Polys (adapted to the flag at infinity)."""
+        return tuple(zpoly(r, r[-1]) for r in self.basis)
 
     @property
     def degrees(self):
-        return tuple(p.degree for p in self._flag)
+        return tuple(len(r) - 1 for r in self.basis)
 
     def coordinates(self, p: Poly):
         """Coordinates of p in the flag basis, or None if p is not in the
-        space: p reduces against the flag basis, monic with strictly
-        increasing degrees, one leading term at a time."""
-        slot = {d: k for k, d in enumerate(self.degrees)}
-        coords = [Fraction(0)] * N
-        while p:
-            k = slot.get(p.degree)
-            if k is None:
-                return None
-            coords[k] = p.leading()
-            p = p - self._flag[k] * coords[k]
-        return coords
+        space: the basis is reduced, so they are p's coefficients at its
+        degrees once p reduces to 0 against it."""
+        if zreduce(self.basis, _row(p)):
+            return None
+        return [p[d] for d in self.degrees]
 
 
 @dataclass(frozen=True)
@@ -79,6 +68,8 @@ class RamificationData:
         object.__setattr__(self, "z", tuple(self.z))
         object.__setattr__(self, "partitions",
                            tuple(tuple(p) for p in self.partitions))
+        if len(set(self.z)) != len(self.z):  # as in bethe.BetheData
+            raise ValueError("evaluation points must be distinct")
         if len(self.z) != len(self.partitions):
             raise ValueError("points / partitions length mismatch")
         for p in self.partitions:
@@ -113,40 +104,37 @@ def trivial_ramification() -> RamificationData:
 
 def monomial_space() -> PolySpace:
     """Ker of the 7th derivative: polynomials of degree < 7."""
-    return PolySpace(tuple(Poly([Fraction(0)] * k + [Fraction(1)])
-                           for k in range(N)))
+    return PolySpace([[0] * k + [1] for k in range(N)])
 
 
 def space_wronskian(X: PolySpace) -> Poly:
-    return wronskian(X.basis).monic()
+    w = zdet(zwronski_matrix(X.basis))
+    return zpoly(w, w[-1])
 
 
-def _divide(w, scale, R: RamificationData, i):
-    """The Poly w / scale / prod_{j=1}^i T_{8-j}^{i+1-j} for w in Z[x], by
-    one exact division in Z[x]; ValueError if it is inexact."""
+def _divide(w, R: RamificationData, i):
+    """w / prod_{j=1}^i T_{8-j}^{i+1-j} for w in Z[x], by one exact division
+    in Z[x]; ValueError if it is inexact."""
     t, den = R.divisors[i]
-    return zpoly(zscale(den, zquo(w, t)), scale)
+    return zscale(den, zquo(w, t))
 
 
-def divided_wronskian(gs, R: RamificationData) -> Poly:
-    """Wr(g_1..g_i) divided by prod_{j=1}^i T_{8-j}^{i+1-j}; errors if the
-    division is inexact."""
-    rows, dens = zwronski_matrix(gs)
-    return _divide(zdet(rows), prod(dens), R, len(gs))
+def divided_wronskian(gs, R: RamificationData):
+    """Wr(g_1..g_i) divided by prod_{j=1}^i T_{8-j}^{i+1-j}, for integer lists
+    g_j; errors if the division is inexact."""
+    return _divide(zdet(zwronski_matrix(gs)), R, len(gs))
 
 
 def dual_space(X: PolySpace, R: RamificationData) -> PolySpace:
-    """Span of divided Wronskians of the 6-element subsets of a flag basis:
-    the maximal minors of its 6 x 7 Wronski matrix, held by the fraction-free
-    Gauss-Jordan form [d I | c] as (-1)^(5-r) c_r (u_{r+1} left out) and d.
-    PolySpace raises ValueError if the seven are linearly dependent."""
-    rows, dens = zwronski_matrix(X.flag_basis, N - 1)
+    """Span of divided Wronskians of the 6-element subsets of a basis of X:
+    up to sign, the maximal minors of its 6 x 7 Wronski matrix, which the
+    fraction-free Gauss-Jordan form [d I | c] holds as c_r (u_{r+1} left
+    out) and d.  PolySpace raises ValueError if the seven are linearly
+    dependent."""
+    rows = zwronski_matrix(X.basis, N - 1)
     zeliminate(rows, jordan=True)
-    minors = [zscale((-1) ** (N - 2 - r), rows[r][N - 1])
-              for r in range(N - 1)] + [rows[0][0]]
-    duals = [_divide(w, prod(dens[:r] + dens[r + 1:]), R, N - 1)
-             for r, w in enumerate(minors)]
-    return PolySpace(tuple(duals))
+    minors = [rows[r][N - 1] for r in range(N - 1)] + [rows[0][0]]
+    return PolySpace([_divide(w, R, N - 1) for w in minors])
 
 
 def _seventh_root(w: Poly) -> Poly:
@@ -176,17 +164,15 @@ def reduced_wronski(X: PolySpace) -> Poly:
 
 
 def self_dual_factor(X: PolySpace, R: RamificationData):
-    """The polynomial g with X = g * dual(X), or None; such a g maps the
-    monic lowest-degree element of dual(X) to that of X.  dual(X) has
-    dimension 7 and g != 0, so g * dual(X) = X once X contains each g d_i."""
+    """The primitive g in Z[x] with X = g * dual(X), or None; such a g maps
+    the lowest row of dual(X) to that of X.  dual(X) has dimension 7 and
+    g != 0, so g * dual(X) = X once each g d_i reduces to 0 against X."""
     Xd = dual_space(X, R)
     try:
-        g = X.flag_basis[0].exact_div(Xd.flag_basis[0])
+        g = zquo(X.basis[0], Xd.basis[0])
     except ValueError:
         return None
-    if all(X.coordinates(g * v) is not None for v in Xd.basis):
-        return g
-    return None
+    return None if any(zreduce(X.basis, zmul(g, v)) for v in Xd.basis) else g
 
 
 def is_self_dual(X: PolySpace, R: RamificationData) -> bool:
@@ -198,29 +184,30 @@ def is_self_dual(X: PolySpace, R: RamificationData) -> bool:
 
 
 def kappa_form(X: PolySpace, R: RamificationData):
-    """Gram matrix of the form kappa on the flag basis of a pure self-dual
-    space.  kappa(u, v) = Wr-dagger(u, g_1..g_6) whenever v is the divided
-    Wronskian of g_1..g_6."""
-    u = X.flag_basis
-    w = dual_space(X, R).basis
-    W7 = divided_wronskian(list(u), R)
-    if W7.degree != 0:
+    """Gram matrix of the form kappa on the flag basis u_a = r_a / lead(r_a)
+    of a pure self-dual space, r the basis of X.  kappa(r_a, v) =
+    Wr-dagger(r_a, g_1..g_6) whenever v is the divided Wronskian of
+    g_1..g_6."""
+    r = X.basis
+    w7 = divided_wronskian(r, R)
+    if len(w7) != 1:
         raise ValueError("top divided Wronskian is not constant; "
                          "space is not pure with the claimed data")
-    w7 = W7[0]
-    d = max(max(p.degree for p in w), u[-1].degree)
-    A = [[w[j][i] for j in range(N)] for i in range(d + 1)]
+    w = [divided_wronskian(r[:j] + r[j + 1:], R) for j in range(N)]
+    d = max(map(len, w + list(r)))
+    pad = lambda p: [p[i] if i < len(p) else 0 for i in range(d)]
+    A = [list(col) for col in zip(*map(pad, w))]
     C = []
     for b in range(N):
-        cb = solve(A, [u[b][i] for i in range(d + 1)])
+        cb = solve(A, pad(r[b]))
         if cb is None:
             raise ValueError("space is not self-dual: basis element outside "
                              "the dual span")
         C.append(cb)
-    # kappa(u_a, u_b) = sum_j C[b][j] * Wr-dagger(u_a, subset omitting j);
+    # kappa(r_a, r_b) = sum_j C[b][j] * Wr-dagger(r_a, subset omitting j);
     # the term survives only for j = a, giving (-1)^a times the full one.
-    gram = [[C[b][a] * (Fraction(-1) ** a) * w7 for b in range(N)]
-            for a in range(N)]
+    gram = [[C[b][a] * Fraction((-1) ** a * w7[0], r[a][-1] * r[b][-1])
+             for b in range(N)] for a in range(N)]
     if any(gram[a][b] != gram[b][a] for a in range(N) for b in range(N)):
         raise ValueError("kappa form is not symmetric")
     if rank(gram) != N:
@@ -229,28 +216,35 @@ def kappa_form(X: PolySpace, R: RamificationData):
 
 
 def y_from_basis(gamma, R: RamificationData):
-    """The tuple (y_1, ..., y_6) with y_{7-i} the divided Wronskian of the
-    first i elements of the ordered basis gamma, read off the pivots of one
-    elimination of the Wronski matrix; after a zero one the rest vanish."""
-    rows, dens = zwronski_matrix(gamma[:N - 1])
-    _, pivots = zeliminate(rows)
-    ys = [_divide(pivots[i - 1] if i <= len(pivots) else [],
-                  prod(dens[:i]), R, i) for i in range(1, N)]
+    """The tuple (y_1, ..., y_6), primitive integer lists, with y_{7-i} the
+    divided Wronskian of the first i elements of the ordered basis gamma
+    (Polys or integer lists), read off the pivots of one elimination of the
+    Wronski matrix; after a zero one the rest vanish."""
+    _, pivots = zeliminate(zwronski_matrix([_row(p) for p in gamma[:N - 1]]))
+    ys = [zprimitive(_divide(pivots[i - 1] if i <= len(pivots) else [], R, i))
+          for i in range(1, N)]
     return tuple(reversed(ys))
 
 
 def ssd_witness_check(X: PolySpace, R: RamificationData, gamma) -> bool:
     """Test the pattern y1^2 = y6^2 = y3 = y4, y2 = y5 projectively for the
-    ordered basis gamma; requires the T-pattern T1=T3=T4=T6, T2=T5."""
+    ordered basis gamma of X (Polys or integer lists); requires the
+    T-pattern T1=T3=T4=T6, T2=T5.  False unless gamma is 7 polynomials
+    spanning X."""
     T = R.T
     if not (T[0] == T[2] == T[3] == T[5] and T[1] == T[4]):
         return False
-    y1, y2, y3, y4, y5, y6 = y_from_basis(gamma, R)
-    if any(p.is_zero() for p in (y1, y2, y3, y4, y5, y6)):
+    rows = [_row(p) for p in gamma]
+    try:
+        if PolySpace(rows) != X:
+            return False
+    except ValueError:
         return False
-    sq1 = (y1 * y1).monic()
-    return (sq1 == (y6 * y6).monic() == y3.monic() == y4.monic()
-            and y2.monic() == y5.monic())
+    y1, y2, y3, y4, y5, y6 = y_from_basis(rows, R)
+    if not all((y1, y2, y3, y4, y5, y6)):
+        return False
+    sq1 = zprimitive(zmul(y1, y1))
+    return sq1 == zprimitive(zmul(y6, y6)) == y3 == y4 and y2 == y5
 
 
 def isotropic_definition_check(X: PolySpace, R: RamificationData,
@@ -274,17 +268,19 @@ def isotropic_definition_check(X: PolySpace, R: RamificationData,
     return not wr.is_zero() and wr.monic() == target.monic()
 
 
+def kernel_space(lam, i) -> PolySpace:
+    """The kernel of D_y of the closed-form case (lam, i), from its flag."""
+    return PolySpace(diffop.case(tuple(lam), i).flag_rows)
+
+
 def bethe_kernel_instance(lam, i):
     """(X, R, gamma) for the closed-form case (lam, i): its kernel, the
     ramification data of its points and weights, and its flag."""
     c = diffop.case(tuple(lam), i)
     R = RamificationData(c.data.z, tuple(rd.partition_from_weight(w, 0)
                                          for w in c.data.Lambda))
-    return PolySpace(c.kernel), R, c.flag
+    return kernel_space(lam, i), R, c.flag
 
 
-def flag_from_factorization(kernel_basis, y: bethe.PolyPair,
-                            T1: Poly, T2: Poly):
-    """diffop.flag_from_factorization: the ordered basis u_1..u_7 of the
-    kernel adapted to the factorization of D_y."""
-    return diffop.flag_from_factorization(kernel_basis, y, T1, T2)
+# the ordered basis u_1..u_7 of the kernel adapted to the factorization of D_y
+flag_from_factorization = diffop.flag_from_factorization

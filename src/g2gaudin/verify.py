@@ -288,9 +288,8 @@ def check_covering():
 
 @_sweep("{n} spaces match the Wronskian formula with exact 7th roots")
 def check_wronskian(lam, i):
-    from . import diffop, sgrass
-    X = sgrass.PolySpace(diffop.kernel_for_case(lam, i))
-    w = sgrass.space_wronskian(X)
+    from . import sgrass
+    w = sgrass.space_wronskian(sgrass.kernel_space(lam, i))
     x, (l1, l2) = Poly([0, 1]), lam
     if w != (x ** (7 * (2 * l1 + l2)) * (x - 1) ** 7).monic():
         return "space Wronskian wrong"

@@ -231,7 +231,7 @@ def _case_files(tmp_path, lam, i, **replaced):
     (lam, i): its kernel basis, its ramification data and its flag, with
     the roles in replaced written as given instead (a str verbatim)."""
     X, _, gamma = sgrass.bethe_kernel_instance(lam, i)
-    contents = {"space": [cli._poly_json(p) for p in X.basis],
+    contents = {"space": [cli._poly_json(p) for p in X.flag_basis],
                 "ram": {"points": ["0", "1"],
                         "partitions": [rd.partition_from_weight(lam, 0),
                                        rd.partition_from_weight(rd.OMEGA2,
@@ -260,12 +260,20 @@ _PARTITIONS = [[3, 2, 2, 1, 1, 0, 0], [1, 1, 1, 1, 1, 0, 0]]
     ("ram", [["0", "1"], _PARTITIONS]),
     ("ram", {"points": ["0", "1"], "partitions": [[1, 2, 0, 0, 0, 0, 0],
                                                    _PARTITIONS[1]]}),
-    ("ram", {"points": ["0", "1"], "partitions": [[1, 1], [1, 1]]})])
+    ("ram", {"points": ["0", "1"], "partitions": [[1, 1], [1, 1]]}),
+    ("ram", {"points": ["0", "0"], "partitions": _PARTITIONS}),
+    ("ram", {"points": ["inf", "inf"], "partitions": _PARTITIONS}),
+    ("space", [["0"] * k + ["1"] for k in range(6)]),
+    ("space", [["0"] * k + ["1"] for k in range(6)] + [["2", "3"]]),
+    ("witness", [["0"] * k + ["1"] for k in range(6)]),
+    ("witness", [["0"] * k + ["1"] for k in range(8)])])
 def test_malformed_files_are_usage_errors(role, content, tmp_path, capsys):
     """A --space, --ram or --witness file that is not JSON, lacks a key,
-    has the wrong shape, a zero denominator or a partition that is not one
-    is rejected with exit 2, a message naming the option and no traceback,
-    by ssd-check and, for a space, by wronski."""
+    has the wrong shape, a zero denominator or a partition that is not one,
+    a space that is not 7 independent polynomials, a witness that is not
+    7 polynomials or repeated points is rejected with exit 2, a message
+    naming the option and no traceback, by ssd-check and, for a space, by
+    wronski."""
     files = _case_files(tmp_path, (1, 0), 2, **{role: content})
     argvs = [["ssd-check"] + files]
     if role == "space":
@@ -293,6 +301,20 @@ def test_valid_files_of_a_space_that_is_not_self_dual_fail(tmp_path, capsys):
     files = _case_files(tmp_path, (1, 0), 2, space=monomials)
     assert cli.main(["ssd-check"] + files) == 1
     assert capsys.readouterr().err == "error: inexact polynomial division\n"
+
+
+def test_a_witness_of_another_space_fails(tmp_path, capsys):
+    """The flag of (1, 1), case 0 is no witness for the space of (1, 1),
+    case 6, whose own flag is; both spaces are self-dual at the same
+    points, so only the witness check fails."""
+    _, _, other = sgrass.bethe_kernel_instance((1, 1), 0)
+    for witness, ok in ((None, True),
+                        ([cli._poly_json(p) for p in other], False)):
+        files = _case_files(tmp_path, (1, 1), 6,
+                            **({} if witness is None else {"witness": witness}))
+        rc, out = run(["ssd-check"] + files, capsys)
+        assert (rc, json.loads(out)) == (0 if ok else 1, {
+            "self_dual": True, "ssd_witness": ok})
 
 
 @pytest.mark.parametrize("point", ["-1/2", "-3/2", "-1", "-1.5", "-2/1"])
@@ -460,7 +482,7 @@ def test_every_command_runs_without_numpy_or_sympy(tmp_path):
     suites (on the 1-grid) with the usual exit codes."""
     lam, i = (2, 1), 5
     X, _, gamma = sgrass.bethe_kernel_instance(lam, i)
-    polys = {"space": X.basis, "witness": gamma,
+    polys = {"space": X.flag_basis, "witness": gamma,
              "swapped": (gamma[1], gamma[0]) + gamma[2:]}
     contents = {role: [cli._poly_json(p) for p in ps]
                 for role, ps in polys.items()}

@@ -215,8 +215,9 @@ def test_wronski_pivots_are_leading_wronskians(fs):
     """No row exchange on a Wronski matrix: pivot k is Wr(f_1..f_k) up to
     the column denominators, and the pivots stop exactly where the f_j
     become dependent."""
-    rows, dens = zwronski_matrix(fs)
-    sign, pivots = zeliminate(rows)
+    pairs = [zclear(f.coeffs) for f in fs]
+    dens = [d for _, d in pairs]
+    sign, pivots = zeliminate(zwronski_matrix([a for a, _ in pairs]))
     assert sign == 1
     scale = 1
     for k in range(len(fs)):

@@ -1,16 +1,21 @@
 """Spaces of polynomials: Wronskians, duality, kappa, self-self-duality."""
 
 from fractions import Fraction
+from math import prod
+
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2gaudin import bethe
 from g2gaudin import diffop
 from g2gaudin import rootdata as rd
 from g2gaudin import sgrass as sg
-from g2gaudin.exact import (Poly, wronskian, zadd, zclear, zderiv, zpoly,
-                            zscale)
-from g2gaudin.linalg import nullspace, rank, solve
+from g2gaudin.exact import (Poly, wronskian, zadd, zclear, zderiv, zmul,
+                            zpoly, zprimitive, zscale)
+from g2gaudin.linalg import nullspace, rank, rref, solve
 
 X0 = sg.monomial_space()
 R0 = sg.trivial_ramification()
@@ -18,6 +23,11 @@ R0 = sg.trivial_ramification()
 
 def _mono(k):
     return Poly([Fraction(0)] * k + [Fraction(1)])
+
+
+def _primitive(p):
+    """The primitive integer list on the line of the Poly p."""
+    return zprimitive(zclear(p.coeffs)[0])
 
 
 def _span_equal(polys_a, polys_b):
@@ -57,16 +67,15 @@ def test_space_wronskian_examples():
 
 
 def test_wronskian_basis_independent():
-    mixed = (X0.basis[0] + X0.basis[3], X0.basis[1] * 2, X0.basis[2],
-             X0.basis[3], X0.basis[4] + X0.basis[6], X0.basis[5],
-             X0.basis[6])
+    u = X0.flag_basis
+    mixed = (u[0] + u[3], u[1] * 2, u[2], u[3], u[4] + u[6], u[5], u[6])
     assert sg.space_wronskian(sg.PolySpace(mixed)) == sg.space_wronskian(X0)
 
 
 def test_divided_wronskian_trivial():
-    gs = [_mono(0), _mono(1), _mono(3)]
-    assert sg.divided_wronskian(gs, R0) == wronskian(gs)
-    assert sg.divided_wronskian([_mono(2)], R0) == _mono(2)
+    gs = [[1], [0, 1], [0, 0, 0, 1]]
+    assert zpoly(sg.divided_wronskian(gs, R0)) == wronskian(map(Poly, gs))
+    assert sg.divided_wronskian([[0, 0, 1]], R0) == [0, 0, 1]
 
 
 def test_divided_wronskian_inexact_raises():
@@ -74,7 +83,7 @@ def test_divided_wronskian_inexact_raises():
                             (rd.partition_from_weight((0, 0), 1),))
     assert R.T[6] == _mono(1)  # T7 = x
     with pytest.raises(ValueError):
-        sg.divided_wronskian([_mono(0)], R)
+        sg.divided_wronskian([[1]], R)
 
 
 def test_dependent_duals_are_rejected(monkeypatch):
@@ -82,8 +91,8 @@ def test_dependent_duals_are_rejected(monkeypatch):
     family with two equal members raises ValueError."""
     divide, duals = sg._divide, []
 
-    def planted(w, scale, R, i):
-        duals.append(divide(w, scale, R, i))
+    def planted(w, R, i):
+        duals.append(divide(w, R, i))
         return duals[0] if len(duals) == 2 else duals[-1]
 
     monkeypatch.setattr(sg, "_divide", planted)
@@ -94,7 +103,8 @@ def test_dependent_duals_are_rejected(monkeypatch):
 
 def test_dual_space_monomials():
     Xd = sg.dual_space(X0, R0)
-    assert _span_equal(list(Xd.basis), list(X0.basis))
+    assert _span_equal(list(Xd.flag_basis), list(X0.flag_basis))
+    assert Xd == X0
 
 
 def test_self_dual():
@@ -132,10 +142,8 @@ def test_bethe_kernel_instance():
     assert sg.is_self_dual(X, R)
     assert sg.ssd_witness_check(X, R, gamma)
     y = bethe.appendix_solution((0, 1), 1)
-    ys = sg.y_from_basis(gamma, R)
-    m = lambda p: p.monic()
-    assert tuple(m(p) for p in ys) == (m(y.y1), m(y.y2), m(y.y1 ** 2),
-                                       m(y.y1 ** 2), m(y.y2), m(y.y1))
+    assert sg.y_from_basis(gamma, R) == tuple(
+        _primitive(p) for p in (y.y1, y.y2, y.y1 ** 2, y.y1 ** 2, y.y2, y.y1))
 
 
 def test_the_case_owns_its_flag():
@@ -151,7 +159,8 @@ def test_the_case_owns_its_flag():
 def test_dual_involution_on_bethe_instance():
     X, R, _ = sg.bethe_kernel_instance((1, 0), 2)
     Xdd = sg.dual_space(sg.dual_space(X, R), R)
-    assert _span_equal(list(Xdd.basis), list(X.basis))
+    assert _span_equal(list(Xdd.flag_basis), list(X.flag_basis))
+    assert Xdd == X
 
 
 def test_space_wronskian_formula():
@@ -282,7 +291,7 @@ def test_flag_matches_wronskian_search_on_3_grid():
         got = sg.flag_from_factorization(*data)
         want = _flag_by_wronskian_search(*data)
         assert [p.coeffs for p in got] == [p.coeffs for p in want], (lam, i)
-    # the flag depends on the order of the kernel basis; so must the search
+    # a reversed kernel basis: the flag and the search both stay the same
     for lam, i in GRID3[::6]:
         ker, y, T1, T2 = _factorization_data(lam, i)
         ker = ker[::-1]
@@ -317,30 +326,35 @@ def test_isotropic_check_rejects_a_non_isotropic_u(monkeypatch):
 
 
 def test_dual_space_is_the_subset_divided_wronskians():
+    """dual_space is the span of the divided Wronskians of the 6-element
+    subsets of a basis; divided_wronskian is each of them exactly, for the
+    integer rows of X, and its primitive part for the monic flag basis."""
     spaces = [(X0, R0), (X_HALF, R_HALF)]
     for lam, i in GRID3:
         X, R, _ = sg.bethe_kernel_instance(lam, i)
         spaces.append((X, R))
     for X, R in spaces:
-        u = X.flag_basis
+        u, r = X.flag_basis, X.basis
         want = [_divided_by_division([u[j] for j in range(7) if j != omit], R)
                 for omit in range(7)]
-        got = sg.dual_space(X, R).basis
-        assert [p.coeffs for p in got] == [p.coeffs for p in want]
+        assert sg.dual_space(X, R) == sg.PolySpace(want)
         for k in range(8):
-            assert sg.divided_wronskian(u[:k], R) == \
-                _divided_by_division(u[:k], R)
+            ref = _divided_by_division(u[:k], R)
+            got = sg.divided_wronskian(r[:k], R)
+            assert zpoly(got) == ref * prod(v[-1] for v in r[:k])
 
 
 def test_y_from_basis_matches_divided_wronskians():
     X, R, gamma = sg.bethe_kernel_instance((2, 2), 4)
-    for basis, ram in ((gamma, R), (X_HALF.basis, R_HALF)):
-        want = tuple(_divided_by_division(basis[:k], ram)
+    for basis, ram in ((gamma, R), (X_HALF.flag_basis, R_HALF),
+                       (X_HALF.basis, R_HALF)):
+        polys = [p if isinstance(p, Poly) else Poly(p) for p in basis]
+        want = tuple(_primitive(_divided_by_division(polys[:k], ram))
                      for k in range(6, 0, -1))
         assert sg.y_from_basis(basis, ram) == want
     # a dependent prefix: every later divided Wronskian vanishes
-    ys = sg.y_from_basis((_mono(0), _mono(0)) + X0.basis[2:], R0)
-    assert ys[-1] == _mono(0) and all(p.is_zero() for p in ys[:-1])
+    ys = sg.y_from_basis((_mono(0), _mono(0)) + X0.flag_basis[2:], R0)
+    assert ys[-1] == [1] and not any(ys[:-1])
 
 
 def test_self_dual_factor_is_the_wronskian_ratio_root():
@@ -352,8 +366,8 @@ def test_self_dual_factor_is_the_wronskian_ratio_root():
         Xd = sg.dual_space(X, R)
         q = sg.space_wronskian(X).exact_div(sg.space_wronskian(Xd))
         g = sg.self_dual_factor(X, R)
-        assert g is not None and g == sg._seventh_root(q.monic())
-    assert sg.self_dual_factor(X_HALF, R_HALF) == _HALF
+        assert g is not None and g == _primitive(sg._seventh_root(q.monic()))
+    assert sg.self_dual_factor(X_HALF, R_HALF) == [-1, 2]
     assert sg.is_self_dual(X_HALF, R_HALF)
 
 
@@ -399,17 +413,17 @@ def test_membership_matches_rank_oracle_on_3_grid():
         Xd = sg.dual_space(X, R)
         g = sg.self_dual_factor(X, R)
         assert g is not None, (lam, i)
-        gd = [g * v for v in Xd.basis]
-        for p in gd + list(X.basis):
+        gd = [zpoly(zmul(g, v)) for v in Xd.basis]
+        for p in gd + list(X.flag_basis):
             c = X.coordinates(p)
             assert c is not None and c == _solved_coordinates(X, p)
-        assert _span_equal(gd, list(X.basis))
+        assert _span_equal(gd, list(X.flag_basis))
         gap = next(d for d in range(X.degrees[-1]) if d not in X.degrees)
         k = (lam[0] + i) % 7
         planted = gd[:k] + [gd[k] + _mono(gap) * Fraction(1, 7)] + gd[k + 1:]
         assert X.coordinates(planted[k]) is None
         assert _solved_coordinates(X, planted[k]) is None
-        assert not _span_equal(planted, list(X.basis)), (lam, i)
+        assert not _span_equal(planted, list(X.flag_basis)), (lam, i)
 
 
 def test_bethe_kernel_instance_accepts_a_weight_list():
@@ -446,3 +460,142 @@ def test_ramification_T_matches_fraction_powers():
         assert all(t.leading() == 1 for t in got)
     with pytest.raises(ValueError):
         sg.RamificationData((Fraction(0),), ((0,) * 6 + (-1,),))
+
+
+def test_ramification_rejects_repeated_points():
+    """Repeated points, infinite ones included, are rejected as BetheData
+    rejects them."""
+    part = rd.partition_from_weight((1, 1), 0)
+    for z in ((Fraction(0), Fraction(0)), (bethe.INF, bethe.INF)):
+        with pytest.raises(ValueError, match="distinct"):
+            sg.RamificationData(z, (part, part))
+
+
+def _flag_adapted(basis):
+    """Reference echelon basis over Q (the construction before the integer
+    one): by increasing degree, each leading term removed by the monic
+    element of that degree until the degree is new; strictly increasing
+    degrees, monic, not reduced below the leading terms."""
+    out = {}
+    for q in sorted(basis, key=lambda p: p.degree):
+        while q and q.degree in out:
+            q = q - out[q.degree] * q.leading()  # out[d] monic
+        if q.is_zero():
+            raise ValueError("basis is linearly dependent")
+        out[q.degree] = q.monic()
+    return tuple(out[d] for d in sorted(out))
+
+
+def _fraction_coordinates(flag, p):
+    """Reference coordinates of p in a monic basis with strictly increasing
+    degrees, or None if p is not in its span: p reduced over Q one leading
+    term at a time."""
+    slot = {u.degree: k for k, u in enumerate(flag)}
+    coords = [Fraction(0)] * len(flag)
+    while p:
+        k = slot.get(p.degree)
+        if k is None:
+            return None
+        coords[k] = p.leading()
+        p = p - flag[k] * coords[k]
+    return coords
+
+
+def _rref_basis(basis):
+    """Reference reduced echelon basis: the rational rref of the coefficient
+    matrix with the highest degree first, as monic Polys by increasing
+    degree; None if the rank is below len(basis)."""
+    d = max(p.degree for p in basis)
+    red, pivots = rref([[p[d - c] for c in range(d + 1)] for p in basis])
+    if len(pivots) < len(basis):
+        return None
+    return tuple(Poly(row[::-1]) for row in red[::-1])
+
+
+_small = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+_unit = _small.filter(bool)
+
+
+@st.composite
+def _bases(draw):
+    """7 polynomials with rational coefficients and degrees below 9, drawn
+    so that equal degrees are common; in about half the draws one of them
+    is a rational combination of the others."""
+    polys = [Poly(draw(st.lists(_small, min_size=d, max_size=d))
+                  + [draw(_unit)])
+             for d in draw(st.lists(st.integers(0, 8), min_size=7,
+                                    max_size=7))]
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 6))
+        polys[k] = sum((c * p for j, (c, p) in enumerate(
+            zip(draw(st.lists(_small, min_size=7, max_size=7)), polys))
+            if j != k), Poly())
+    return polys
+
+
+@given(_bases(), st.lists(_small, min_size=7, max_size=7),
+       st.integers(0, 9))
+@settings(max_examples=150, deadline=None)
+def test_integer_space_matches_fraction_oracles(basis, combo, extra):
+    """PolySpace on Z[x] spans what the Fraction echelon spans, with the same
+    degrees, holds the monic rows of the rational rref as its flag basis,
+    is equal for the two bases, and decides membership and coordinates as
+    the Fraction reduction does; a dependent set raises in all three."""
+    want = _rref_basis(basis)
+    if want is None:
+        with pytest.raises(ValueError, match="linearly dependent"):
+            _flag_adapted(basis)
+        with pytest.raises(ValueError, match="linearly dependent"):
+            sg.PolySpace(basis)
+        return
+    flag = _flag_adapted(basis)
+    X = sg.PolySpace(basis)
+    assert X.flag_basis == want
+    assert X.degrees == tuple(u.degree for u in flag)
+    assert sg.PolySpace(flag) == X
+    assert all(r == zprimitive(r) and r[-1] > 0 for r in X.basis)
+    member = sum((c * u for c, u in zip(combo, flag)), Poly())
+    for p in (member, member + _mono(extra)):
+        got = X.coordinates(p)
+        assert got == _fraction_coordinates(X.flag_basis, p)
+        assert (got is None) == (_fraction_coordinates(flag, p) is None)
+    assert X.coordinates(member) is not None
+
+
+def test_ssd_witness_must_span_the_space():
+    """A witness is an ordered basis of X: the flag of another space with
+    the same ramification, the flag with an eighth element or with one
+    left out, and a flag with a dependent element all fail; the flag
+    itself and the flag as integer lists pass."""
+    _, R0, other = sg.bethe_kernel_instance((1, 1), 0)
+    X, R, gamma = sg.bethe_kernel_instance((1, 1), 6)
+    assert R0 == R and sg.is_self_dual(X, R)
+    for bad in (other, gamma + gamma[:1], gamma[:6],
+                gamma[:6] + (gamma[0] * 2,)):
+        assert not sg.ssd_witness_check(X, R, bad)
+    assert sg.ssd_witness_check(X, R, gamma)
+    assert sg.ssd_witness_check(X, R, diffop.case((1, 1), 6).flag_rows)
+
+
+def _unimodular_mix(basis, rng):
+    """The basis under a random integer matrix of determinant +-1: a product
+    of row additions with multipliers in -3..3 and row exchanges."""
+    rows = list(basis)
+    for _ in range(12):
+        i, j = rng.sample(range(len(rows)), 2)
+        if rng.random() < 0.2:
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            rows[i] = rows[i] + rows[j] * rng.randint(-3, 3)
+    return rows
+
+
+def test_flag_is_independent_of_the_kernel_basis_on_3_grid():
+    """flag_from_factorization is Case.flag for a random unimodular mix of
+    the kernel basis, on every case of the 3-grid."""
+    rng = random.Random(15)
+    for lam, i in GRID3:
+        ker, y, T1, T2 = _factorization_data(lam, i)
+        mixed = _unimodular_mix(ker, rng)
+        assert sg.flag_from_factorization(mixed, y, T1, T2) == \
+            diffop.case(lam, i).flag, (lam, i)

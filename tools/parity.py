@@ -3,11 +3,12 @@ leaves every answer as it was.
 
     PYTHONPATH=src python3 tools/parity.py
 
-runs each command in this process through `g2gaudin.cli.main`, then
-reads the flag `diffop.case(lam, i).flag` of every admissible case on the
-grid, which no command prints, and prints the number of commands and of
-flags and one SHA-256 over the argv, exit code, stdout and stderr of each
-command and the coefficients of each flag.  g2gaudin is imported from PYTHONPATH, so pointing
+runs each command in this process through `g2gaudin.cli.main`, then the
+file-input commands of every admissible case on the grid, then reads the
+flag `diffop.case(lam, i).flag` of every admissible case, which no command
+prints, and prints the number of commands and of flags and one SHA-256 over
+the argv, exit code, stdout and stderr of each command and the
+coefficients of each flag.  g2gaudin is imported from PYTHONPATH, so pointing
 PYTHONPATH at the `src/` of another checkout hashes that checkout with the
 same script; equal digests mean equal output.
 
@@ -18,7 +19,13 @@ ssd-check, wronski with and without --reduced, and exponents at 0, 1,
 inf and -1/2 with and without --raw; then strata for d = 7..14 in json
 and dot, tensor for every pair of grid weights, invdim on 0,1 repeated 1
 to 5 times, and `verify --suite NAME` for each of the nine suites, whose
-grid suites run on the same G2_LMAX grid.
+grid suites run on the same G2_LMAX grid.  The file-input commands, for
+each admissible case, read files written from the case's kernel, its
+ramification data at z = (0, 1) and its flag: ssd-check with the kernel
+space, the data and the flag as witness, the same with the first two
+flag elements swapped, and wronski on the space with and without
+--reduced.  Their argv is hashed with each file named by its role and the
+case, not by its path.
 """
 
 import contextlib
@@ -27,6 +34,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 
 from g2gaudin import cli
 
@@ -68,15 +76,49 @@ def commands(lmax):
         yield ["verify", "--suite", suite]
 
 
-def flags(lmax):
-    """(lam, i, coefficients of each flag element) for every admissible
-    case on the grid."""
-    from g2gaudin import bethe, diffop
+def _admissible(lmax):
+    from g2gaudin import bethe
     for a in range(lmax + 1):
         for b in range(lmax + 1):
             for i in bethe.admissible_ls((a, b)):
-                yield ((a, b), i, [[str(c) for c in p.coeffs]
-                                   for p in diffop.case((a, b), i).flag])
+                yield (a, b), i
+
+
+def file_commands(lmax, tmp):
+    """(argv, argv as hashed) of the file-input commands of every admissible
+    case on the grid, the files written to the directory tmp just before
+    the case's commands are yielded."""
+    from g2gaudin import diffop
+    from g2gaudin import rootdata as rd
+    for lam, i in _admissible(lmax):
+        c = diffop.case(lam, i)
+        flag = [cli._poly_json(p) for p in c.flag]
+        contents = {
+            "space": [cli._poly_json(p) for p in c.kernel],
+            "ram": {"points": ["0", "1"],
+                    "partitions": [rd.partition_from_weight(w, 0)
+                                   for w in (lam, rd.OMEGA2)]},
+            "witness": flag, "swapped": [flag[1], flag[0]] + flag[2:]}
+        paths = {}
+        for role, content in contents.items():
+            paths[role] = os.path.join(tmp, f"{role}.json")
+            with open(paths[role], "w") as fh:
+                json.dump(content, fh)
+        ssd = ["ssd-check", "--space", "space", "--ram", "ram", "--witness"]
+        for roles in (ssd + ["witness"], ssd + ["swapped"],
+                      ["wronski", "--space", "space"],
+                      ["wronski", "--space", "space", "--reduced"]):
+            yield ([paths.get(t, t) for t in roles],
+                   [f"{lam[0]},{lam[1]}", str(i)] + roles)
+
+
+def flags(lmax):
+    """(lam, i, coefficients of each flag element) for every admissible
+    case on the grid."""
+    from g2gaudin import diffop
+    for lam, i in _admissible(lmax):
+        yield lam, i, [[str(c) for c in p.coeffs]
+                       for p in diffop.case(lam, i).flag]
 
 
 def run(argv):
@@ -99,6 +141,12 @@ def main():
         rc, out, err = run(argv)
         digest.update(json.dumps([argv, rc, out, err]).encode() + b"\n")
         n += 1
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv, named in file_commands(lmax, tmp):
+            rc, out, err = run(argv)
+            out, err = out.replace(tmp, "TMP"), err.replace(tmp, "TMP")
+            digest.update(json.dumps([named, rc, out, err]).encode() + b"\n")
+            n += 1
     m = 0
     for lam, i, flag in flags(lmax):
         digest.update(json.dumps([lam, i, flag]).encode() + b"\n")
