@@ -149,6 +149,9 @@ class Poly:
     def __getitem__(self, i: int) -> Fraction:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
 
+    def __iter__(self):  # else iter() would run __getitem__ without end
+        raise TypeError("a Poly is not iterable; iterate its coeffs")
+
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly([other])
@@ -289,11 +292,11 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     return a.monic() if not a.is_zero() else a
 
 
-# Integer polynomial core.  The Q[x] hot paths (poly_det, wronskian, the
-# operator product and kernel in diffop, the Bethe layer, the rational rref
-# in linalg) clear denominators once on entry, compute on lists of Python
-# ints (lowest degree first, no trailing zeros, [] for zero) and build one
-# Fraction per output coefficient on exit.
+# Integer polynomial core.  The Q[x] hot paths (every Wronskian, by the
+# Jacobi recursion of zwronskians; the operator product and kernel in
+# diffop, the Bethe layer, the rational rref in linalg) clear denominators
+# once on entry, compute on lists of Python ints (lowest degree first, no
+# trailing zeros, [] for zero) and build one Fraction per output coefficient.
 
 
 def _denominator(coeffs) -> int:
@@ -413,43 +416,52 @@ def zlcm(a, b):
     return zprimitive(zmul(a, zquo(zprimitive(b), zgcd(a, b))))
 
 
-def zeliminate(m, jordan=False):
-    """Fraction-free elimination in place of an n x c matrix over Z[x],
-    n <= c (Bareiss 1968): every entry stays a minor, so each division is
-    exact.  Returns (sign of the row exchanges, pivots), stopping at a
-    column with no pivot.  With jordan, rows above the pivots are cleared
-    too: n pivots leave [d I | C], d the last pivot and C[i][j] the minor
-    of the first n columns with column n + j in place of i (Cramer)."""
-    sign, prev, pivots = 1, [1], []
+def zdet(m):
+    """Determinant of a square matrix over Z[x] by fraction-free forward
+    elimination (Bareiss 1968): each entry stays a minor, so each division
+    is exact."""
+    m, sign, prev = [list(row) for row in m], 1, [1]
     for k in range(len(m)):
         r = next((r for r in range(k, len(m)) if m[r][k]), None)
         if r is None:
-            break
+            return []
         if r != k:
             m[k], m[r], sign = m[r], m[k], -sign
-        row_k = m[k]
-        pivot = row_k[k]
-        for i in range(0 if jordan else k + 1, len(m)):
-            row = m[i]
-            if i != k:
-                f = row[k]
-                for j in range(k + 1, len(row)):
-                    row[j] = zquo(zsub(zmul(pivot, row[j]),
-                                       zmul(f, row_k[j])), prev)
-                row[k] = []
-                if i < k:
-                    row[i] = pivot
-        prev = pivot
-        pivots.append(pivot)
-    return sign, pivots
+        for row in m[k + 1:]:
+            row[k + 1:] = [zquo(zsub(zmul(m[k][k], a), zmul(row[k], b)), prev)
+                           for a, b in zip(row[k + 1:], m[k][k + 1:])]
+        prev = m[k][k]
+    return zscale(sign, prev)
 
 
-def zdet(m):
-    """Determinant of a square matrix over Z[x], by zeliminate."""
-    sign, pivots = zeliminate([list(row) for row in m])
-    if len(pivots) < len(m):
-        return []
-    return zscale(sign, pivots[-1]) if pivots else [1]
+def _zjacobi(gs, prev):
+    """The levels (prev, gs) of the Jacobi recursion over a family F, with
+    prev = Wr(F) != 0 and gs = [Wr(F, h_j)] for the h_j still to come.  As
+    Wr(Wr(F, g), Wr(F, h)) = Wr(F) Wr(F, g, h), the next level has the
+    pivot p = gs[0] as prev and Wr(p, g) / prev, an exact division, for
+    each later g.  Stops after a zero pivot."""
+    while True:
+        yield prev, gs
+        if not gs or not gs[0]:
+            return
+        prev, gs = gs[0], [zquo(zwr(gs[0], g), prev) for g in gs[1:]]
+
+
+def zwronskians(fs):
+    """[Wr(f_1..f_k) for k = 0..n] of integer lists f_1..f_n, Wr() = [1]:
+    the pivots of the Jacobi recursion.  After a zero one the rest vanish."""
+    out = [prev for prev, _ in _zjacobi(list(fs), [1])]
+    return out + [[]] * (len(fs) + 1 - len(out))
+
+
+def zwronski_minors(fs):
+    """[Wr(f_1..f_(i-1), f_(i+1)..f_n) for i = 1..n] of integer lists, each
+    the recursion of f_1..f_(i-1) continued over f_(i+1)..f_n."""
+    out = []
+    for _, (prev, gs) in zip(fs, _zjacobi(list(fs), [1])):
+        *_, (top, rest) = _zjacobi(gs[1:], prev)
+        out.append([] if rest else top)
+    return out + [[]] * (len(fs) - len(out))
 
 
 def zreduce(rows, v):
@@ -491,7 +503,7 @@ def zratfunc(num, den) -> "RatFunc":
 
 def poly_det(matrix: Sequence[Sequence[Poly]]) -> Poly:
     """Determinant of a square matrix of polynomials over Q: each row is
-    cleared to Z[x] once, then fraction-free Bareiss."""
+    cleared to Z[x] once, then zdet."""
     rows, scale = [], 1
     for row in matrix:
         den = lcm(*(_denominator(p.coeffs) for p in row))
@@ -501,22 +513,11 @@ def poly_det(matrix: Sequence[Sequence[Poly]]) -> Poly:
     return zpoly(zdet(rows), scale)
 
 
-def zwronski_matrix(fs, n=None):
-    """The first n rows (default all) of the Wronski matrix (d^i f_j) of
-    integer lists f_j.  zeliminate makes no row exchange on it: its pivots
-    are the Wronskians of f_1..f_k, k = 1, 2..."""
-    cur, rows = list(fs), []
-    for _ in range(len(cur) if n is None else n):
-        rows.append(cur)
-        cur = [zderiv(a) for a in cur]
-    return rows
-
-
 def wronskian(fs: Sequence[Poly]) -> Poly:
     """Wronskian determinant det(d^{i-1} f_j / dx^{i-1}) over Q; 1 for the
     empty family."""
     pairs = [zclear(f.coeffs) for f in fs]
-    return zpoly(zdet(zwronski_matrix([a for a, _ in pairs])),
+    return zpoly(zwronskians([a for a, _ in pairs])[-1],
                  prod(d for _, d in pairs))
 
 

@@ -11,9 +11,9 @@ from functools import cached_property
 from . import bethe
 from . import diffop
 from . import rootdata as rd
-from .exact import (Poly, wronskian, zclear, zdet, zechelon, zeliminate,
-                    zmul, zpoly, zprimitive, zquo, zreduce, zscale,
-                    zwronski_matrix)
+from .exact import (Poly, wronskian, zclear, zechelon, zmul, zpoly,
+                    zprimitive, zquo, zreduce, zscale, zwronski_minors,
+                    zwronskians)
 from .linalg import rank, solve
 
 N = 7
@@ -108,7 +108,7 @@ def monomial_space() -> PolySpace:
 
 
 def space_wronskian(X: PolySpace) -> Poly:
-    w = zdet(zwronski_matrix(X.basis))
+    w = zwronskians(X.basis)[-1]
     return zpoly(w, w[-1])
 
 
@@ -122,19 +122,14 @@ def _divide(w, R: RamificationData, i):
 def divided_wronskian(gs, R: RamificationData):
     """Wr(g_1..g_i) divided by prod_{j=1}^i T_{8-j}^{i+1-j}, for integer lists
     g_j; errors if the division is inexact."""
-    return _divide(zdet(zwronski_matrix(gs)), R, len(gs))
+    return _divide(zwronskians(gs)[-1], R, len(gs))
 
 
 def dual_space(X: PolySpace, R: RamificationData) -> PolySpace:
-    """Span of divided Wronskians of the 6-element subsets of a basis of X:
-    up to sign, the maximal minors of its 6 x 7 Wronski matrix, which the
-    fraction-free Gauss-Jordan form [d I | c] holds as c_r (u_{r+1} left
-    out) and d.  PolySpace raises ValueError if the seven are linearly
-    dependent."""
-    rows = zwronski_matrix(X.basis, N - 1)
-    zeliminate(rows, jordan=True)
-    minors = [rows[r][N - 1] for r in range(N - 1)] + [rows[0][0]]
-    return PolySpace([_divide(w, R, N - 1) for w in minors])
+    """Span of divided Wronskians of the 6-element subsets of a basis of X,
+    the Wronskians from one Jacobi recursion (zwronski_minors).  PolySpace
+    raises ValueError if the seven are linearly dependent."""
+    return PolySpace([_divide(w, R, N - 1) for w in zwronski_minors(X.basis)])
 
 
 def _seventh_root(w: Poly) -> Poly:
@@ -193,7 +188,7 @@ def kappa_form(X: PolySpace, R: RamificationData):
     if len(w7) != 1:
         raise ValueError("top divided Wronskian is not constant; "
                          "space is not pure with the claimed data")
-    w = [divided_wronskian(r[:j] + r[j + 1:], R) for j in range(N)]
+    w = [_divide(m, R, N - 1) for m in zwronski_minors(r)]
     d = max(map(len, w + list(r)))
     pad = lambda p: [p[i] if i < len(p) else 0 for i in range(d)]
     A = [list(col) for col in zip(*map(pad, w))]
@@ -218,12 +213,10 @@ def kappa_form(X: PolySpace, R: RamificationData):
 def y_from_basis(gamma, R: RamificationData):
     """The tuple (y_1, ..., y_6), primitive integer lists, with y_{7-i} the
     divided Wronskian of the first i elements of the ordered basis gamma
-    (Polys or integer lists), read off the pivots of one elimination of the
-    Wronski matrix; after a zero one the rest vanish."""
-    _, pivots = zeliminate(zwronski_matrix([_row(p) for p in gamma[:N - 1]]))
-    ys = [zprimitive(_divide(pivots[i - 1] if i <= len(pivots) else [], R, i))
-          for i in range(1, N)]
-    return tuple(reversed(ys))
+    (Polys or integer lists), from the leading Wronskians of one Jacobi
+    recursion (zwronskians); after a zero one the rest vanish."""
+    ws = zwronskians([_row(p) for p in gamma[:N - 1]])
+    return tuple(zprimitive(_divide(ws[i], R, i)) for i in range(N - 1, 0, -1))
 
 
 def ssd_witness_check(X: PolySpace, R: RamificationData, gamma) -> bool:

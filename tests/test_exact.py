@@ -1,6 +1,7 @@
 """Exact arithmetic: Q(sqrt2), polynomials, rational functions."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2gaudin.exact import (Poly, QSqrt2, RatFunc, log_deriv, poly_det,
-                            poly_gcd, residue_at, wronskian, zclear,
-                            zeliminate, zgcd, zpoly, zwronski_matrix)
+                            poly_gcd, residue_at, wronskian, zadd, zclear,
+                            zderiv, zgcd, zmul, zpoly, zscale,
+                            zwronski_minors, zwronskians)
 
 fracs = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 10))
 qs = st.builds(QSqrt2, fracs, fracs)
@@ -177,53 +179,93 @@ def test_q_only_paths_reject_qsqrt2():
         RatFunc(Poly([1, 1]), QSqrt2(1, 1))
 
 
-def _int_poly_matrix(rng, n, c):
-    """Integer coefficient lists without trailing zeros."""
-    return [[zclear(Poly([rng.randint(-4, 4)
-                          for _ in range(rng.randint(0, 3))]).coeffs)[0]
-             for _ in range(c)] for _ in range(n)]
+@st.composite
+def int_families(draw):
+    """Families of n <= 7 integer polynomials as integer lists: all of one
+    degree top >= n - 1 or of distinct degrees at most top, and in half of
+    them one member replaced by an integer combination of earlier ones (a
+    dependent family)."""
+    n = draw(st.integers(0, 7))
+    top = draw(st.integers(max(0, n - 1), 8))
+    degs = draw(st.one_of(st.just([top] * n),
+                          st.permutations(range(top + 1))))[:n]
+    fs = []
+    for deg in degs:
+        f = draw(st.lists(st.integers(-4, 4), min_size=deg, max_size=deg))
+        fs.append(f + [draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))])
+    if n >= 2 and draw(st.booleans()):
+        k = draw(st.integers(1, n - 1))
+        a, b = draw(st.sampled_from(fs[:k])), draw(st.sampled_from(fs[:k]))
+        fs[k] = zadd(zscale(draw(st.integers(-2, 2)), a),
+                     zscale(draw(st.integers(-2, 2)), b))
+    return fs
 
 
-def test_gauss_jordan_gives_cramer_minors():
-    """[d I | C] after a full fraction-free Gauss-Jordan run: d is the
-    leading n-minor and C[i][j] the minor with column n + j in place i."""
-    import random
-    rng = random.Random(5)
-    det = lambda m: poly_det([[zpoly(e) for e in row] for row in m])
-    for n, extra in ((1, 1), (2, 2), (3, 2), (4, 1)):
-        for _ in range(10):
-            m = _int_poly_matrix(rng, n, n + extra)
-            work = [list(row) for row in m]
-            sign, pivots = zeliminate(work, jordan=True)
-            lead = det([row[:n] for row in m])
-            if lead.is_zero():
-                continue
-            assert len(pivots) == n and sign in (1, -1)
-            assert zpoly(pivots[-1]) * sign == lead
-            for i in range(n):
-                assert zpoly(work[i][i]) == zpoly(pivots[-1])
-                assert all(not work[i][k] for k in range(n) if k != i)
-                for j in range(extra):
-                    cols = [row[:i] + [row[n + j]] + row[i + 1:n]
-                            for row in m]
-                    assert zpoly(work[i][n + j]) * sign == det(cols)
+def _zleibniz_det(m):
+    """Determinant of a square matrix of integer lists by the Leibniz
+    formula: the signed sum over the permutations p of the products
+    m[0][p(0)] ... m[n-1][p(n-1)], built row by row and skipping those
+    through a zero entry.  Column j taken as the k-th of those left adds k
+    inversions."""
+    def terms(i, cols, acc, sign):
+        if i == len(m):
+            yield zscale(sign, acc)
+            return
+        for k, j in enumerate(cols):
+            if m[i][j]:
+                yield from terms(i + 1, cols[:k] + cols[k + 1:],
+                                 zmul(acc, m[i][j]), sign * (-1) ** k)
+    total = []
+    for t in terms(0, list(range(len(m))), [1], 1):
+        total = zadd(total, t)
+    return total
 
 
-@given(st.lists(small_polys, min_size=1, max_size=5))
+def _wronski_det(fs):
+    """Wr(fs) of integer lists by _zleibniz_det of the Wronski matrix."""
+    rows = [list(fs)]
+    for _ in range(len(fs) - 1):
+        rows.append([zderiv(f) for f in rows[-1]])
+    return _zleibniz_det(rows if fs else [])
+
+
+def test_leibniz_oracles_agree():
+    """The integer Leibniz oracle against the Poly one on small matrices."""
+    rng = random.Random(7)
+    entry = lambda d: [] if d < 0 else \
+        [rng.randint(-3, 3) for _ in range(d)] + [rng.choice((-2, -1, 1, 2))]
+    for n in range(5):
+        m = [[entry(rng.randint(-1, 2)) for _ in range(n)] for _ in range(n)]
+        want = _leibniz_det([[Poly(f) for f in row] for row in m])
+        assert zpoly(_zleibniz_det(m)) == want
+
+
+def test_empty_wronskians():
+    assert zwronskians([]) == [[1]] and zwronski_minors([]) == []
+    assert zwronski_minors([[0, 1]]) == [[1]]
+
+
+@given(int_families())
 @settings(max_examples=60, deadline=None)
-def test_wronski_pivots_are_leading_wronskians(fs):
-    """No row exchange on a Wronski matrix: pivot k is Wr(f_1..f_k) up to
-    the column denominators, and the pivots stop exactly where the f_j
-    become dependent."""
-    pairs = [zclear(f.coeffs) for f in fs]
-    dens = [d for _, d in pairs]
-    sign, pivots = zeliminate(zwronski_matrix([a for a, _ in pairs]))
-    assert sign == 1
-    scale = 1
-    for k in range(len(fs)):
-        scale *= dens[k]
-        w = wronskian(fs[:k + 1])
-        if k < len(pivots):
-            assert zpoly(pivots[k], scale) == w and not w.is_zero()
-        else:
-            assert w.is_zero()
+def test_leading_wronskians_match_leibniz(fs):
+    """zwronskians(fs)[k] is Wr(f_1..f_k) exactly, sign included, also
+    past a dependent prefix."""
+    assert zwronskians(fs) == [_wronski_det(fs[:k])
+                               for k in range(len(fs) + 1)]
+
+
+@given(int_families())
+@settings(max_examples=60, deadline=None)
+def test_wronski_minors_match_leibniz(fs):
+    """zwronski_minors(fs)[i] is Wr of fs without f_(i+1), in order."""
+    assert zwronski_minors(fs) == [_wronski_det(fs[:i] + fs[i + 1:])
+                                   for i in range(len(fs))]
+
+
+def test_poly_is_not_iterable():
+    """A Poly where an integer list is expected fails at once: iterating
+    it would otherwise run through __getitem__ without end."""
+    with pytest.raises(TypeError):
+        iter(Poly([1, 2]))
+    with pytest.raises(TypeError):
+        zwronskians([Poly([1, 2]), Poly([0, 1])])

@@ -13,8 +13,8 @@ from g2gaudin import bethe
 from g2gaudin import diffop
 from g2gaudin import rootdata as rd
 from g2gaudin import sgrass as sg
-from g2gaudin.exact import (Poly, wronskian, zadd, zclear, zderiv, zmul,
-                            zpoly, zprimitive, zscale)
+from g2gaudin.exact import (Poly, poly_det, wronskian, zadd, zclear, zderiv,
+                            zmul, zpoly, zprimitive, zscale)
 from g2gaudin.linalg import nullspace, rank, rref, solve
 
 X0 = sg.monomial_space()
@@ -267,10 +267,19 @@ def test_flag_matches_nullspace_flag_on_3_grid():
                 _flag_by_nullspaces(ker, y, T1, T2), (lam, i)
 
 
+def _wronski_det(gs):
+    """Reference Wronskian of Polys: poly_det of the Wronski matrix, which
+    shares nothing with the Jacobi recursion of sgrass."""
+    rows = [list(gs)]
+    for _ in range(len(gs) - 1):
+        rows.append([p.derivative() for p in rows[-1]])
+    return poly_det(rows if gs else [])
+
+
 def _divided_by_division(gs, R):
     """Reference divided Wronskian: Wr(gs) divided by each T_{8-j}, j <= i,
     i + 1 - j times, by long division over Q."""
-    i, w = len(gs), wronskian(list(gs))
+    i, w = len(gs), _wronski_det(list(gs))
     for j in range(1, i + 1):
         for _ in range(i + 1 - j):
             w = w.exact_div(R.T[7 - j])
