@@ -12,55 +12,36 @@ from math import gcd, lcm
 
 from . import bethe
 from . import repn
-from .exact import (Poly, RatFunc, log_deriv, residue_at, zclear, zadd,
-                    zderiv, zechelon, zgcd, zlcm, zmul, zpoly, zprimitive,
-                    zquo, zratfunc, zreduce, zscale, zsub)
+from .exact import (Poly, RatFunc, zclear, zadd, zderiv, zechelon, zgcd,
+                    zlcm, zmul, zpoly, zprimitive, zquo, zratfunc, zreduce,
+                    zscale, zsub)
 from .linalg import nullspace
 
-RF_ZERO = RatFunc(Poly())
-RF_ONE = RatFunc(Poly([1]))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiffOp:
-    """Monic operator d^order + sum coeffs[i] d^(order-1-i); coeffs run from
-    the sub-leading coefficient down to the constant one."""
-    coeffs: tuple  # RatFunc entries, for d^{order-1} .. d^0
+    """The monic operator d^n + sum_(k<n) P[k] / Q^(n-k) d^k over Z[x]: Q
+    squarefree and primitive, P[k] integer lists.  The d^k coefficient has
+    a pole of order at most n - k at each root of Q and none elsewhere, so
+    the operator is Fuchsian at every finite point.  == compares the
+    operators, not their representations."""
+    Q: list
+    P: tuple
 
     @property
     def order(self):
-        return len(self.coeffs)
+        return len(self.P)
 
-    def full(self):
-        """Coefficient list indexed by derivative order 0..order."""
+    @cached_property
+    def coeffs(self):
+        """The coefficients of d^(n-1) .. d^0 as RatFuncs in lowest terms:
+        the one place an operator becomes RatFuncs."""
         n = self.order
-        out = [RF_ZERO] * (n + 1)
-        out[n] = RF_ONE
-        for i, c in enumerate(self.coeffs):
-            out[n - 1 - i] = c
-        return out
-
-    def apply(self, p: Poly) -> RatFunc:
-        acc = RatFunc(Poly())
-        d = p
-        for k, c in enumerate(self.full()):
-            if k:
-                d = d.derivative()
-            acc = acc + c * RatFunc(d)
-        return acc
+        return tuple(zratfunc(*_reduce_over_power(self.P[k], self.Q, n - k))
+                     for k in range(n - 1, -1, -1))
 
     def __eq__(self, other):
         return isinstance(other, DiffOp) and self.coeffs == other.coeffs
-
-
-def _lmul_factor(w: RatFunc, cs):
-    """Coefficients of (d + w) composed with sum cs[k] d^k."""
-    n = len(cs)
-    out = [RF_ZERO] * (n + 1)
-    for k, c in enumerate(cs):
-        out[k + 1] = out[k + 1] + c
-        out[k] = out[k] + c.derivative() + w * c
-    return out
 
 
 # exponents of the seven factor functions g_k over (T1, T2, y1, y2),
@@ -244,33 +225,32 @@ def flag_from_factorization(kernel_basis, y: bethe.PolyPair,
 
 def _log_factor_product(Q, Ws, Y=(1,)) -> DiffOp:
     """(d - W_1/Q)...(d - W_m/Q), leftmost factor first, for Q, W_k in Z[x]
-    with Q squarefree (as from _log_factors) and Y a factor of Q expected to
-    cancel from every coefficient.
+    with Q squarefree and primitive (as from _log_factors) and Y a factor
+    of Q expected to cancel from every coefficient.
 
     The partial product of order n is carried as sum_k P_k / Q^(n-k) d^k
     with P_k in Z[x]: left-composing with d - W/Q sends P_k d^k to
     P_k d^(k+1) plus apply_log_factor(Q, Q', W, P_k, n - k) / Q^(n+1-k) d^k,
-    which needs no division and no gcd.  Each coefficient is reduced once,
-    at the end: P_k is divided by Y^(m-k) and reduced over Q / Y alone, or,
-    when that division is inexact, reduced over Q.  Both give the same
-    lowest terms.  For D_y, Y is the y-part of Q: the kernel is a space of
+    which needs no division and no gcd.  Then each P_k is divided by
+    Y^(m-k) and Q by Y, or, when one of these divisions is inexact, none
+    is.  For D_y, Y is the y-part of Q: the kernel is a space of
     polynomials with Wronskian supported on the roots of T1 T2, so D_y has
-    no pole at a root of y1 y2 and on a Bethe pair the division is exact."""
+    no pole at a root of y1 y2, and on a Bethe pair the divisions are exact
+    and the Q left divides T1 T2."""
     dQ, ps = zderiv(Q), [[1]]
     for n, W in enumerate(reversed(Ws)):
         out = [[]] + ps
         for k, p in enumerate(ps):
             out[k] = zadd(out[k], apply_log_factor(Q, dQ, W, p, n - k))
         ps = out
-    m, QT, Ye, cs = len(ps) - 1, zquo(Q, Y), [1], []
+    m, Ye, qs = len(ps) - 1, [1], []
     for k in range(m - 1, -1, -1):
         Ye = zmul(Ye, Y)
         try:
-            P, modulus = zquo(ps[k], Ye), QT
+            qs.append(zquo(ps[k], Ye))
         except ValueError:
-            P, modulus = ps[k], Q
-        cs.append(zratfunc(*_reduce_over_power(P, modulus, m - k)))
-    return DiffOp(tuple(cs))
+            return DiffOp(Q, tuple(ps[:m]))
+    return DiffOp(zquo(Q, Y), tuple(reversed(qs)))
 
 
 def _reduce_over_power(P, Q, e):
@@ -344,30 +324,42 @@ def build_Dy(y: bethe.PolyPair, T1: Poly, T2: Poly) -> DiffOp:
     return _factor_product(y, T1, T2)
 
 
-def conjugate(D: DiffOp, f: RatFunc) -> DiffOp:
-    """f^{-1} D f: substitute d -> d + f'/f and re-expand."""
-    if isinstance(f, Poly):
-        f = RatFunc(f)
-    w = log_deriv(f)
-    n = D.order
-    powers = [[RF_ONE]]
-    for _ in range(n):
-        powers.append(_lmul_factor(w, powers[-1]))
-    full = D.full()
-    out = [RF_ZERO] * (n + 1)
-    for i, c in enumerate(full):
-        for k, p in enumerate(powers[i]):
-            out[k] = out[k] + c * p
-    assert out[n] == RF_ONE
-    return DiffOp(tuple(out[n - 1 - i] for i in range(n)))
+def conjugate(D: DiffOp, f) -> DiffOp:
+    """f^-1 D f for a nonzero polynomial or rational function f: d becomes
+    d + W/R, with ln' f = W / R from _log_factors.  Over Q' = lcm(Q, R)
+    the powers of d + W/R are expanded by apply_log_factor, as in
+    _log_factor_product, and the d^i coefficient P_i / Q^(n-i) times the
+    d^k term A_ik / Q'^(i-k) of (d + W/R)^i adds to the d^k numerator over
+    Q'^(n-k)."""
+    f = RatFunc._coerce(f)
+    if f.is_zero():
+        raise ZeroDivisionError("conjugation by zero")
+    R, (W,), _ = _log_factors([zclear(g.coeffs)[0] for g in (f.num, f.den)],
+                              [(1, -1)])
+    n, Q = D.order, zlcm(D.Q, R)
+    dQ, W, u = zderiv(Q), zscale(-1, zmul(W, zquo(Q, R))), zquo(Q, D.Q)
+    powers, scales = [[[1]]], [[1]]
+    for i in range(n):
+        out = [[]] + powers[-1]
+        for k, a in enumerate(powers[-1]):
+            out[k] = zadd(out[k], apply_log_factor(Q, dQ, W, a, i - k))
+        powers.append(out)
+        scales.append(zmul(scales[-1], u))
+    cs = [zmul(p, scales[n - i]) for i, p in enumerate(D.P)] + [[1]]
+    return DiffOp(Q, tuple(
+        reduce(zadd, (zmul(c, a[k]) for c, a in zip(cs[k:], powers[k:])), [])
+        for k in range(n)))
 
 
 def polynomial_kernel(D: DiffOp, degree_bound: int):
     """Basis of the kernel of D among polynomials of degree < degree_bound.
-    With the coefficients C_i of d^i cleared to Z[x] by one common
-    denominator, column j of the matrix is the image of x^j,
+    With the coefficients cleared to C_i = P_i Q^i in Z[x] (Q^n times D),
+    column j of the matrix is the image of x^j,
     sum_i j!/(j-i)! x^(j-i) C_i."""
-    cleared = _clear_coefficients(D.full())
+    cleared, Qi = [], [1]
+    for p in D.P + ([1],):
+        cleared.append(zmul(p, Qi))
+        Qi = zmul(Qi, D.Q)
     rows = degree_bound + max(len(c) for c in cleared)
     cols = []
     for j in range(degree_bound):
@@ -379,26 +371,6 @@ def polynomial_kernel(D: DiffOp, degree_bound: int):
             fall *= j - i
         cols.append(img)
     return [Poly(v) for v in nullspace([list(r) for r in zip(*cols)])]
-
-
-def _clear_coefficients(cs):
-    """Integer lists C_i with C_i = s L cs[i] for one rational s != 0, where
-    L is the lcm of the denominators of the RatFuncs cs."""
-    parts, L = [], [1]
-    for c in cs:
-        if c.is_zero():
-            parts.append(None)
-            continue
-        num, nd = zclear(c.num.coeffs)
-        den, dd = zclear(c.den.coeffs)
-        cont = gcd(*den)
-        den = [v // cont for v in den]
-        parts.append((num, den, Fraction(dd, nd * cont)))
-        L = zlcm(L, den)
-    scale = lcm(*(p[2].denominator for p in parts if p))
-    return [zscale(p[2].numerator * (scale // p[2].denominator),
-                   zmul(p[0], zquo(L, p[1]))) if p else []
-            for p in parts]
 
 
 # s(s - 1)...(s - n + 1) in the symbol s for n = 0..7, on integer lists:
@@ -417,42 +389,30 @@ def _divide_out(a, b):
             return v, a
 
 
-def _integer_roots(p: Poly):
-    """All roots of p, required to be integers (with multiplicity); errors
-    otherwise.  Each divides the constant term of what is left in Z[x]."""
-    a, roots = zclear(p.coeffs)[0], []
+def _homogeneous(a, r, s):
+    """s^(len(a) - 1) a(r / s), an integer, for an integer list a."""
+    h, sk = 0, 1
+    for c in reversed(a):
+        h, sk = h * r + c * sk, sk * s
+    return h
+
+
+def _integer_roots(a):
+    """All roots of the integer list a, required to be integers (with
+    multiplicity); ValueError otherwise.  Each divides the constant term of
+    what is left, and is divided out once found by evaluation."""
+    roots = []
     while len(a) > 1:
         c0 = abs(a[0])
         for r in ((t * d for d in range(1, c0 + 1) if c0 % d == 0
                    for t in (1, -1)) if c0 else (0,)):
-            v, a = _divide_out(a, [-r, 1])
-            roots += [r] * v
-            if v:
+            if not _homogeneous(a, r, 1):
+                v, a = _divide_out(a, [-r, 1])
+                roots += [r] * v
                 break
         else:
             raise ValueError("indicial polynomial has a non-integer root")
     return sorted(roots)
-
-
-def _laurent_coeff(f: RatFunc, p, m: int):
-    """Coefficient of (x-p)^{-m} in the expansion of f at p (m >= 1)."""
-    if f.is_zero():
-        return Fraction(0)
-    r, s = Fraction(p).numerator, Fraction(p).denominator
-    lead = []
-    for g in (f.num, f.den):
-        # g = (s x - r)^v q / den has (x - p)^v coefficient s^v q(p) / den
-        a, den = zclear(g.coeffs)
-        v, q = _divide_out(a, [-r, s])
-        d = len(q) - 1
-        lead.append((v, Fraction(sum(c * r ** k * s ** (d - k + v)
-                                     for k, c in enumerate(q)), den * s ** d)))
-    (vn, tn), (vd, td) = lead
-    if vn - vd > -m:
-        return Fraction(0)
-    if vn - vd < -m:
-        raise ValueError(f"pole order exceeds {m} at {p}: not Fuchsian")
-    return tn / td
 
 
 @dataclass(frozen=True)
@@ -461,31 +421,50 @@ class ExponentList:
     exponents: tuple
 
 
-def _infinity_coeff(c: RatFunc, i: int):
-    """Coefficient of x^{-i} in the expansion of c at infinity; errors if c
-    decays slower than x^{-i}."""
-    if c.is_zero() or c.num.degree + i < c.den.degree:
-        return Fraction(0)
-    if c.num.degree + i > c.den.degree:
-        raise ValueError("coefficient decay too slow at infinity")
-    return c.num.leading() / c.den.leading()
+def _pole_coeffs(D: DiffOp, p):
+    """[(num_i, den_i) for i = 1..n]: b_i = num_i / den_i is the (x - p)^-i
+    coefficient of P_(n-i) / Q^i at a finite p, or its x^-i coefficient at
+    infinity (bethe.INF), read off the integer form.  At p = r / s, b_i is
+    0 unless s x - r divides Q, as Q is squarefree; for Q = (s x - r) Q~ it
+    is P_(n-i)(p) / (s^i Q~(p)^i).  At infinity it comes from the leading
+    coefficients, and a coefficient decaying slower than x^-i raises."""
+    Q, out = D.Q, []
+    if p == bethe.INF:
+        for i, P in enumerate(reversed(D.P), 1):
+            excess = len(P) + i - 1 - i * (len(Q) - 1)
+            if P and excess > 0:
+                raise ValueError("coefficient decay too slow at infinity")
+            out.append((P[-1], Q[-1] ** i) if P and not excess else (0, 1))
+        return out
+    p = Fraction(p)
+    r, s = p.numerator, p.denominator
+    try:
+        Qt = zquo(Q, [-r, s])
+    except ValueError:
+        return [(0, 1)] * D.order
+    q, dq = _homogeneous(Qt, r, s), len(Qt) - 1
+    for i, P in enumerate(reversed(D.P), 1):
+        # P(p) = h(P) / s^deg P and s Q~(p) = h(Q~) / s^(deg Q~ - 1)
+        e = i * (dq - 1) - (len(P) - 1)
+        out.append((_homogeneous(P, r, s) * s ** max(e, 0),
+                    q ** i * s ** max(-e, 0)))
+    return out
 
 
 def exponents_at(D: DiffOp, p) -> ExponentList:
-    """The 7 indicial roots at a finite point p or at infinity (bethe.INF),
-    where they are the roots s of chi(-s) = 0."""
-    n, full = D.order, D.full()
-    inf = p == bethe.INF
-    chi = list(_FALLING[n])
-    for i in range(1, n + 1):
-        b = (_infinity_coeff(full[n - i], i) if inf
-             else _laurent_coeff(full[n - i], p, i))
-        if b:
-            for k, c in enumerate(_FALLING[n - i]):
-                chi[k] += b * c
-    if inf:
+    """The indicial roots of D at a finite point p or at infinity
+    (bethe.INF), where they are the roots s of chi(-s) = 0; ValueError
+    unless they are integers.  chi(s) = [s]_n + sum_i b_i [s]_(n-i), with
+    [s]_j the falling factorial and b_i from _pole_coeffs, is cleared to
+    Z[s] by one common denominator."""
+    n, bs = D.order, _pole_coeffs(D, p)
+    L = lcm(*(den for _, den in bs))
+    chi = zscale(L, _FALLING[n])
+    for i, (num, den) in enumerate(bs, 1):
+        chi = zadd(chi, zscale(num * (L // den), _FALLING[n - i]))
+    if p == bethe.INF:
         chi = [c if k % 2 == 0 else -c for k, c in enumerate(chi)]
-    return ExponentList(p, tuple(_integer_roots(Poly(chi))))
+    return ExponentList(p, tuple(_integer_roots(zprimitive(chi))))
 
 
 # Cases kept by case(): every caller (the case commands, the suites, a
@@ -594,8 +573,8 @@ _H2_NORMALIZATION = Fraction(1, 2)
 def h2_casimir_values(lam, i):
     """(residue-side value, eigenvalue-side value), both exact.
 
-    The residue side is -N res_0 h2, where h2 is the d^5 coefficient of the
-    operator conjugated by T1^2 T2; the eigenvalue side is
+    The residue side is -N res_0 h2, where h2 = P_5 / Q^2 is the d^5
+    coefficient of the operator conjugated by T1^2 T2; the eigenvalue side is
     e / (z1 - z2) = -e, with e = (c(mu) - c(lam) - c(omega2)) / 2 the
     eigenvalue of the pair Casimir and c(nu) = (nu, nu + 2 rho), so that
     c(a, b) = 6a^2 + 6ab + 2b^2 + 18a + 10b.  N = _H2_NORMALIZATION = 1/2:
@@ -613,12 +592,28 @@ def h2_casimir_values(lam, i):
     h2 = A_0/x^2 + A_1/(x-1)^2 + R (1/(x-1) - 1/x), expand at infinity to
     (A_0 + A_1 + R)/x^2, so R = -c(mu) + c(lam) + c(omega2) = -2e and
     res_0 h2 = -R = 2e.  Hence -N res_0 h2 = -2Ne equals -e exactly for
-    N = 1/2, in every case at once: no case calibrates it.  Only the
-    operator comes from the cached case; both sides are computed anew on
-    every call."""
+    N = 1/2, in every case at once: no case calibrates it.
+
+    The residue is read off the integer form at z1 = r / s: Q is squarefree,
+    so h2 has no residue there unless s x - r divides Q; for
+    Q = (s x - r) Q~, h2 = (P_5 / (s Q~)^2) / (x - z1)^2, whose residue is
+    (P_5' Q~ - 2 P_5 Q~') / (s^2 Q~^3) at z1.  Only the operator comes from
+    the cached case; both sides are computed anew on every call."""
     c = case(tuple(lam), i)
     (z1, z2), Lambda = c.data.z, c.data.Lambda
-    got = -residue_at(c.conjugated.coeffs[1], z1) * _H2_NORMALIZATION
+    D, r, s = c.conjugated, z1.numerator, z1.denominator
+    P, res = D.P[D.order - 2], Fraction(0)
+    try:
+        Qt = zquo(D.Q, [-r, s])
+    except ValueError:
+        pass
+    else:
+        def at(a):
+            return Fraction(_homogeneous(a, r, s), s ** max(len(a) - 1, 0))
+        q = at(Qt)
+        res = ((at(zderiv(P)) * q - 2 * at(P) * at(zderiv(Qt)))
+               / (s * s * q ** 3))
+    got = -res * _H2_NORMALIZATION
     mu = bethe.summand_weight(lam, i)
     eig = Fraction(repn.casimir_eigenvalue(mu)
                    - sum(map(repn.casimir_eigenvalue, Lambda)), 2)

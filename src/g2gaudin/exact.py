@@ -256,21 +256,12 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def shift(self, a) -> "Poly":
-        """Compose with x + a: returns p(x + a)."""
-        acc = Poly()
-        xa = Poly([a, 1])
-        for c in reversed(self.coeffs):
-            acc = acc * xa + Poly([c])
-        return acc
-
-    def valuation(self, z=None) -> int:
-        """Order of vanishing at z (at 0 if z is None); large for the zero poly."""
-        p = self if z in (None, 0) else self.shift(z)
-        if p.is_zero():
+    def valuation(self) -> int:
+        """Order of vanishing at 0; large for the zero poly."""
+        if self.is_zero():
             return 1 << 30
         v = 0
-        while not p.coeffs[v]:
+        while not self.coeffs[v]:
             v += 1
         return v
 
@@ -293,10 +284,12 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 
 
 # Integer polynomial core.  The Q[x] hot paths (every Wronskian, by the
-# Jacobi recursion of zwronskians; the operator product and kernel in
-# diffop, the Bethe layer, the rational rref in linalg) clear denominators
-# once on entry, compute on lists of Python ints (lowest degree first, no
-# trailing zeros, [] for zero) and build one Fraction per output coefficient.
+# Jacobi recursion of zwronskians; the Bethe layer; the rational rref in
+# linalg) clear denominators once on entry, compute on lists of Python ints
+# (lowest degree first, no trailing zeros, [] for zero) and build one
+# Fraction per output coefficient.  An operator in diffop lives on these
+# lists only (numerators over powers of a squarefree Q, with its exponents
+# and residue read off them); zratfunc turns it into RatFuncs for output.
 
 
 def _denominator(coeffs) -> int:
@@ -456,12 +449,17 @@ def zwronskians(fs):
 
 def zwronski_minors(fs):
     """[Wr(f_1..f_(i-1), f_(i+1)..f_n) for i = 1..n] of integer lists, each
-    the recursion of f_1..f_(i-1) continued over f_(i+1)..f_n."""
-    out = []
-    for _, (prev, gs) in zip(fs, _zjacobi(list(fs), [1])):
+    the recursion of f_1..f_(i-1) continued over f_(i+1)..f_n.  The last,
+    Wr(f_1..f_(n-1)), is the pivot of level n - 2, so the prefix chain stops
+    there and the full Wronskian is never formed."""
+    if not fs:
+        return []
+    out, last = [], [1]
+    for _, (prev, gs) in zip(fs[1:], _zjacobi(list(fs), [1])):
         *_, (top, rest) = _zjacobi(gs[1:], prev)
         out.append([] if rest else top)
-    return out + [[]] * (len(fs) - len(out))
+        last = gs[0]
+    return out + [[]] * (len(fs) - 1 - len(out)) + [last]
 
 
 def zreduce(rows, v):
@@ -555,9 +553,6 @@ class RatFunc:
     def __bool__(self):
         return bool(self.num)
 
-    def is_poly(self) -> bool:
-        return self.den.degree == 0
-
     @staticmethod
     def _coerce(x) -> "RatFunc":
         if isinstance(x, RatFunc):
@@ -622,42 +617,6 @@ class RatFunc:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def derivative(self) -> "RatFunc":
-        return RatFunc(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
-
     def __repr__(self):
         return f"({self.num!r})/({self.den!r})" if self.den.degree > 0 or self.den != 1 \
             else repr(self.num)
-
-
-def log_deriv(f) -> RatFunc:
-    """Logarithmic derivative f'/f of a polynomial or rational function."""
-    f = RatFunc._coerce(f)
-    if f.is_zero():
-        raise ZeroDivisionError("log derivative of zero")
-    return (RatFunc(f.num.derivative(), f.num) if f.is_poly()
-            else RatFunc(f.num.derivative(), f.num) - RatFunc(f.den.derivative(), f.den))
-
-
-def residue_at(f: RatFunc, z) -> Fraction:
-    """Coefficient of (x - z)^{-1} in the Laurent expansion of f at z."""
-    if f.den.is_zero():
-        raise ZeroDivisionError("denominator vanishes identically")
-    num = f.num.shift(z)
-    den = f.den.shift(z)
-    m = den.valuation()
-    if m == 0:
-        return Fraction(0)
-    # den = x^m * d0 with d0(0) != 0; residue = [x^{m-1}] num * d0^{-1} (power series)
-    d0 = Poly(den.coeffs[m:])
-    inv0 = 1 / d0.coeffs[0]
-    # power series inverse of d0 to order m
-    inv = [inv0]
-    for k in range(1, m):
-        s = sum((d0[j] * inv[k - j] for j in range(1, k + 1)), Fraction(0))
-        inv.append(-inv0 * s)
-    res = sum((num[j] * inv[m - 1 - j] for j in range(m)), Fraction(0))
-    return res

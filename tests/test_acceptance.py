@@ -1,14 +1,20 @@
 """Acceptance gate: the nine primary criteria, one test each, with the
-stated runtime budgets.  Every test prints a [PASS]/[FAIL] line."""
+stated runtime budgets, on the 7-grid.  Every test prints a [PASS]/[FAIL]
+line."""
 
-import os
 import time
 
 import pytest
 
 from g2gaudin import verify
 
-os.environ["G2_LMAX"] = "5"
+
+@pytest.fixture(scope="module", autouse=True)
+def grid_7():
+    """G2_LMAX = 7 for this module's tests only."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("G2_LMAX", "7")
+        yield
 
 
 def _run(name, budget_seconds):

@@ -9,7 +9,15 @@ from g2gaudin import bethe
 from g2gaudin import diffop
 from g2gaudin import rootdata as rd
 from g2gaudin.bethe import PolyPair
-from g2gaudin.exact import Poly, RatFunc, log_deriv, zclear, zprem, zquo
+from g2gaudin.exact import Poly, RatFunc, zclear, zprem, zquo
+import oracles
+from oracles import full
+
+
+def _coeffs(cs):
+    """The coefficients of d^(n-1) .. d^0 of a full oracle list, as
+    DiffOp.coeffs orders them."""
+    return tuple(reversed(cs[:-1]))
 
 
 def test_trivial_factorization_is_d7():
@@ -25,7 +33,14 @@ def test_trivial_factorization_is_d7():
 def test_apply_and_kernel_membership():
     D = diffop.appendix_operator((0, 1), 1)
     for p in diffop.kernel_for_case((0, 1), 1):
-        assert D.apply(p).is_zero()
+        assert oracles.apply(full(D), p).is_zero()
+
+
+def _conjugate_matches_oracle(D, f):
+    """diffop.conjugate(D, f), checked against the RatFunc substitution."""
+    got = diffop.conjugate(D, f)
+    assert got.coeffs == _coeffs(oracles.conjugate(full(D), f))
+    return got
 
 
 def test_conjugate_group_action():
@@ -33,26 +48,37 @@ def test_conjugate_group_action():
     x = Poly([0, 1])
     f = RatFunc(x)
     g = RatFunc(x - Poly([1]))
-    assert diffop.conjugate(D, f * g) == \
-        diffop.conjugate(diffop.conjugate(D, f), g)
+    assert _conjugate_matches_oracle(D, f * g) == \
+        _conjugate_matches_oracle(_conjugate_matches_oracle(D, f), g)
+    assert _conjugate_matches_oracle(D, f * g) != D
 
 
 def test_conjugation_roundtrip():
     D = diffop.appendix_operator((1, 1), 2)
-    f = RatFunc(Poly([0, 1]) ** 2)
-    assert diffop.conjugate(diffop.conjugate(D, f),
-                            RatFunc(Poly([1])) / f) == D
+    f = RatFunc(Poly([0, 1]) ** 2 * Poly([1, 3])) / Poly([Fraction(2, 3), 1])
+    E = _conjugate_matches_oracle(D, f)
+    assert E != D
+    assert _conjugate_matches_oracle(E, RatFunc(Poly([1])) / f) == D
+    assert diffop.conjugate(D, Poly([5])) == D
+
+
+def test_conjugate_by_t_gives_the_conjugated_case():
+    """conjugate over lcm(Q, R) is the operator the factor product builds
+    for the shifted exponents directly, on a case of every i."""
+    for lam, i in (((0, 0), 0), ((0, 1), 1), ((1, 0), 2), ((1, 1), 3),
+                   ((1, 2), 4), ((2, 1), 5), ((3, 3), 6)):
+        c = diffop.case(lam, i)
+        T1, T2 = c.T
+        assert diffop.conjugate(c.operator, T1 ** 2 * T2) == c.conjugated
 
 
 def _reference_operator(lam, i, conjugated):
-    """D_y as the plain RatFunc product, conjugated by diffop.conjugate."""
+    """D_y as the plain RatFunc product, conjugated by substitution."""
     y = bethe.appendix_solution(lam, i)
     T1, T2 = bethe.build_calT([lam, rd.OMEGA2], [Fraction(0), Fraction(1)])
-    cs = [RatFunc(Poly([1]))]
-    for g in reversed(diffop.dy_factor_functions(y, T1, T2)):
-        cs = diffop._lmul_factor(-log_deriv(g), cs)
-    D = diffop.DiffOp(tuple(reversed(cs[:-1])))
-    return diffop.conjugate(D, RatFunc(T1 ** 2 * T2)) if conjugated else D
+    cs = oracles.product(diffop.dy_factor_functions(y, T1, T2))
+    return _coeffs(oracles.conjugate(cs, RatFunc(T1 ** 2 * T2))
+                   if conjugated else cs)
 
 
 def test_common_denominator_product_matches_reference():
@@ -63,16 +89,8 @@ def test_common_denominator_product_matches_reference():
         for conjugated in (False, True):
             want = _reference_operator(lam, i, conjugated)
             got = diffop.appendix_operator(lam, i, conjugated=conjugated)
-            for k, (g, w) in enumerate(zip(got.coeffs, want.coeffs)):
+            for k, (g, w) in enumerate(zip(got.coeffs, want)):
                 assert (g.num, g.den) == (w.num, w.den), (lam, i, conjugated, k)
-
-
-def _reference_product(gs):
-    """(d - ln' g_1)...(d - ln' g_m) as the plain RatFunc product."""
-    cs = [RatFunc(Poly([1]))]
-    for g in reversed(gs):
-        cs = diffop._lmul_factor(-log_deriv(g), cs)
-    return diffop.DiffOp(tuple(reversed(cs[:-1])))
 
 
 _x = Poly([0, 1])
@@ -98,16 +116,19 @@ def test_direct_factor_product_on_nongeneric_inputs(name):
     y, T1, T2 = NONGENERIC[name]
     gs = diffop.dy_factor_functions(y, T1, T2)
     f = RatFunc(T1 ** 2 * T2)
-    want = _reference_product(gs)
-    want_conj = diffop.conjugate(want, f)
+    want = oracles.product(gs)
+    want_conj = _coeffs(oracles.conjugate(want, f))
+    want = _coeffs(want)
     for got, ref in ((diffop.build_Dy(y, T1, T2), want),
                      (diffop.from_log_factors(gs), want),
                      (diffop._factor_product(y, T1, T2, diffop._CONJUGATOR),
                       want_conj),
                      (diffop.from_log_factors([g / f for g in gs]),
+                      want_conj),
+                     (diffop.conjugate(diffop.build_Dy(y, T1, T2), f),
                       want_conj)):
         assert got.order == 7
-        for k, (g, w) in enumerate(zip(got.coeffs, ref.coeffs)):
+        for k, (g, w) in enumerate(zip(got.coeffs, ref)):
             assert (g.num, g.den) == (w.num, w.den), (name, k)
 
 
@@ -128,14 +149,14 @@ def _recorded_moduli(monkeypatch, build):
 
 
 def _both_operators(y, T1, T2):
-    diffop.build_Dy(y, T1, T2)
-    diffop._factor_product(y, T1, T2, diffop._CONJUGATOR)
+    return (diffop.build_Dy(y, T1, T2),
+            diffop._factor_product(y, T1, T2, diffop._CONJUGATOR))
 
 
 def test_bethe_pair_reduces_over_the_marked_points_only(monkeypatch):
     """On a Bethe pair the y-part Y of Q divides the d^k numerator Y^(7-k)
-    times, so all 14 coefficients of D_y and its conjugate are reduced over
-    Q / Y, whose roots are the marked points 0 and 1."""
+    times, so D_y and its conjugate are held over Q / Y, whose roots are the
+    marked points 0 and 1, and all 14 coefficients are reduced over it."""
     cases = [((a, b), i) for a in range(4) for b in range(4)
              for i in bethe.admissible_ls((a, b))]
     assert len(cases) == 84
@@ -147,8 +168,10 @@ def test_bethe_pair_reduces_over_the_marked_points_only(monkeypatch):
         want = [zquo(Q, Y) for Q, _, Y in marked for _ in range(7)]
         assert all(len(m) <= 3 and not zprem(zclear((T1 * T2).coeffs)[0], m)
                    for m in want), (lam, i)
+        ops = _both_operators(y, T1, T2)
+        assert [D.Q for D in ops] == want[::7], (lam, i)
         got = _recorded_moduli(monkeypatch,
-                               lambda: _both_operators(y, T1, T2))
+                               lambda: [D.coeffs for D in ops])
         assert got == want, (lam, i)
 
 
@@ -161,12 +184,14 @@ def _perturbed_pair():
 @pytest.mark.parametrize("name", sorted(NONGENERIC) + ["perturbed"])
 def test_non_bethe_input_reduces_over_all_of_q(name, monkeypatch):
     """Off a Bethe pair the division by a power of Y is inexact for some
-    coefficient, which is then reduced over all of Q, as before."""
+    coefficient, so no numerator is divided: the operator is held over all
+    of Q, and every coefficient is reduced over it."""
     y, T1, T2 = NONGENERIC[name] if name in NONGENERIC else _perturbed_pair()
     Q, _, Y = diffop.dy_log_factors(y, T1, T2)
     assert len(Y) > 1
-    assert Q in _recorded_moduli(monkeypatch,
-                                 lambda: diffop.build_Dy(y, T1, T2))
+    D = diffop.build_Dy(y, T1, T2)
+    assert D.Q == Q
+    assert _recorded_moduli(monkeypatch, lambda: D.coeffs) == [Q] * 7
 
 
 def test_exponents_regular_point():
@@ -299,48 +324,52 @@ def test_h2_rejects_inadmissible():
         diffop.h2_casimir_values((0, 0), 3)
 
 
-def _laurent_by_shift(f, p, m):
-    """Coefficient of (x-p)^-m of f at p from the Taylor shift over Q."""
-    num, den = f.num.shift(p), f.den.shift(p)
-    vn, vd = num.valuation(), den.valuation()
-    if vn - vd > -m:
-        return Fraction(0)
-    if vn - vd < -m:
-        raise ValueError("pole too high")
-    return num.coeffs[vn] / den.coeffs[vd]
-
-
 def test_laurent_coeff_matches_taylor_shift():
+    """The pole coefficients read off the integer form equal the Laurent
+    coefficients of the RatFunc coefficients by Taylor shifts (and their
+    x^-i coefficients at infinity), on products of log-factors with poles
+    at integer and non-integer points and on their conjugates."""
     x = Poly([0, 1])
     ps = [Fraction(0), Fraction(1), Fraction(-3), Fraction(1, 2),
           Fraction(-2, 3)]
-    fs = [RatFunc(Poly([5, -1, 2]), (x - Poly([p])) ** k * (x + Poly([7])))
-          for p in ps for k in range(3)]
-    fs.append(RatFunc((x - Poly([Fraction(1, 2)])) ** 2 * Poly([3, 1]),
-                      Poly([Fraction(2, 9), 0, 1])))
-    fs.append(RatFunc(Poly()))
+    ops = []
+    for p in ps:
+        xp = x - Poly([p])
+        gs = [xp ** 3 * (x + Poly([7])), RatFunc(Poly([5, -1, 2]), xp),
+              RatFunc(x - Poly([2]), Poly([Fraction(2, 9), 0, 1])), xp]
+        D = diffop.from_log_factors(gs)
+        ops += [D, diffop.conjugate(D, RatFunc(xp ** 2, Poly([1, 3])))]
     checked = 0
-    for f in fs:
-        for p in ps:
-            for m in (1, 2, 3):
-                try:
-                    want = _laurent_by_shift(f, p, m)
-                except ValueError:
-                    with pytest.raises(ValueError):
-                        diffop._laurent_coeff(f, p, m)
-                    continue
-                assert diffop._laurent_coeff(f, p, m) == want, (f, p, m)
-                checked += want != 0
-    assert checked >= 10
+    for D in ops:
+        cs = full(D)
+        for p in ps + ["inf"]:
+            got = [Fraction(*b) for b in diffop._pole_coeffs(D, p)]
+            want = [oracles.infinity_coeff(cs[4 - i], i) if p == "inf"
+                    else oracles.laurent_coeff(cs[4 - i], p, i)
+                    for i in range(1, 5)]
+            assert got == want, (D, p)
+            checked += sum(w != 0 for w in want)
+    assert checked >= 60
 
 
 def test_exponents_at_rational_points():
     D = diffop.appendix_operator((1, 2), 5, conjugated=True)
     for p in (Fraction(1, 2), Fraction(-7, 3)):
         assert diffop.exponents_at(D, p).exponents == tuple(range(7))
-    with pytest.raises(ValueError):
-        diffop._integer_roots(Poly([Fraction(-1, 4), 0, 1]))
-    assert diffop._integer_roots(Poly([0, 0, -6, 1, 1])) == [-3, 0, 0, 2]
+    with pytest.raises(ValueError, match="non-integer root"):
+        diffop._integer_roots([-1, 0, 4])
+    assert diffop._integer_roots([0, 0, -6, 1, 1]) == [-3, 0, 0, 2]
+
+
+def test_exponent_checks_can_fail():
+    """d - x decays too slowly at infinity; d - 1/(x^2 - 1) has the
+    exponent 1/2 at 1."""
+    with pytest.raises(ValueError, match="decay too slow"):
+        diffop.exponents_at(diffop._log_factor_product([1], [[0, 1]]), "inf")
+    D = diffop._log_factor_product([-1, 0, 1], [[1]])
+    assert diffop.exponents_at(D, "inf").exponents == (0,)
+    with pytest.raises(ValueError, match="non-integer root"):
+        diffop.exponents_at(D, Fraction(1))
 
 
 def test_falling_factorials():
@@ -368,6 +397,34 @@ def test_exponents_parity_on_3_grid():
                                  .encode())
     assert h.hexdigest() == ("3757f74922c2146722118e41e48eb034"
                              "f159e4ad560794ba8df5890b01339209")
+
+
+GRID5 = [((a, b), i) for a in range(6) for b in range(6)
+         for i in bethe.admissible_ls((a, b))]
+
+
+def test_exponents_and_h2_match_ratfunc_oracles_on_5_grid():
+    """On all 210 cases of the 5-grid, for D_y and its conjugate: Q divides
+    T1 T2, of degree at most 2; the exponents at 0, 1, inf, -1/2 and 2 are
+    the roots of the indicial polynomial that the RatFunc Laurent oracle
+    builds; and the h2 residue side is the oracle's residue at z1 of the
+    d^5 coefficient of the conjugate."""
+    assert len(GRID5) == 210
+    s = Poly([0, 1])
+    for lam, i in GRID5:
+        c = diffop.case(lam, i)
+        T12 = zclear((c.T[0] * c.T[1]).coeffs)[0]
+        for D in (c.operator, c.conjugated):
+            assert len(D.Q) <= 3 and not zprem(T12, D.Q), (lam, i)
+            for p in (Fraction(0), Fraction(1), "inf", Fraction(-1, 2),
+                      Fraction(2)):
+                got = Poly([1])
+                for e in diffop.exponents_at(D, p).exponents:
+                    got = got * (s - e)
+                assert got == oracles.indicial(full(D), p), (lam, i, p)
+        want = -oracles.residue_at(c.conjugated.coeffs[1], c.data.z[0])
+        assert diffop.h2_casimir_values(lam, i)[0] == \
+            want * diffop._H2_NORMALIZATION, (lam, i)
 
 
 GRID3 = [((a, b), i) for a in range(4) for b in range(4)
@@ -414,7 +471,7 @@ def test_perturbed_pairs_have_no_population_flag():
 def _assert_annihilated_basis(flag, y, T1, T2):
     D = diffop.build_Dy(y, T1, T2)
     assert len({p.degree for p in flag}) == 7
-    assert all(D.apply(p).is_zero() for p in flag)
+    assert all(oracles.apply(full(D), p).is_zero() for p in flag)
 
 
 @pytest.mark.parametrize("name", sorted(NONGENERIC))
@@ -458,15 +515,15 @@ def test_integral_is_exact_or_raises():
                         ([4, 0, 1], (4, 1, 1), [x, x1, q])):
         E, D = (_power_product(bases, [max(dj - s, 0) for dj in d])
                 for s in (1, 0))
-        N = RatFunc(Poly(A), E).derivative() * RatFunc(D)
-        assert N.is_poly()
+        N = oracles.derivative(RatFunc(Poly(A), E)) * RatFunc(D)
+        assert N.den.degree == 0
         N = zclear(N.num.coeffs)[0]
         kept = list(N)
         A2, e = diffop._integral(N, d, bases)
         assert N == kept
         assert e == tuple(max(dj - 1, 0) for dj in d)
-        ratio = RatFunc(Poly(A2), E).derivative() * RatFunc(D) / Poly(N)
-        assert ratio.is_poly() and ratio.num.degree == 0, (A, d)
+        ratio = oracles.derivative(RatFunc(Poly(A2), E)) * RatFunc(D) / Poly(N)
+        assert ratio.den.degree == 0 and ratio.num.degree == 0, (A, d)
     for N, d, bases in (([1], (1,), [x]), ([1], (1, 1), [x, x1]),
                         ([0, 1], (2, 1), [x, x1])):
         with pytest.raises(ValueError, match="residue"):

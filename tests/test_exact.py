@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2gaudin.exact import (Poly, QSqrt2, RatFunc, log_deriv, poly_det,
-                            poly_gcd, residue_at, wronskian, zadd, zclear,
-                            zderiv, zgcd, zmul, zpoly, zscale,
-                            zwronski_minors, zwronskians)
+from g2gaudin import exact
+from g2gaudin.exact import (Poly, QSqrt2, RatFunc, poly_det, poly_gcd,
+                            wronskian, zadd, zclear, zderiv, zgcd, zmul,
+                            zpoly, zscale, zwronski_minors, zwronskians)
+from oracles import log_deriv, residue_at, shift
 
 fracs = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 10))
 qs = st.builds(QSqrt2, fracs, fracs)
@@ -85,9 +86,12 @@ def test_exact_div_raises():
 
 
 def test_shift_and_valuation():
+    """The oracles' Taylor shift, and the valuation at 0."""
     p = Poly([0, 0, 1])  # x^2
-    assert p.shift(1) == Poly([1, 2, 1])
-    assert (Poly([-1, 1]) ** 3).valuation(1) == 3
+    assert shift(p, 1) == Poly([1, 2, 1])
+    assert shift(Poly([-1, 1]) ** 3, 1).valuation() == 3
+    assert Poly([0, 0, 5, 1]).valuation() == 2
+    assert Poly().valuation() > 1000
 
 
 def test_wronskian_examples():
@@ -108,6 +112,7 @@ def test_ratfunc_reduction_and_pow():
 
 
 def test_residue_and_log_deriv():
+    """The oracles' residue and logarithmic derivative."""
     x = Poly([0, 1])
     assert residue_at(RatFunc(Poly([1]), x), Fraction(0)) == 1
     assert residue_at(RatFunc(Poly([3]), x - Poly([2])), Fraction(2)) == 3
@@ -243,6 +248,24 @@ def test_leibniz_oracles_agree():
 def test_empty_wronskians():
     assert zwronskians([]) == [[1]] and zwronski_minors([]) == []
     assert zwronski_minors([[0, 1]]) == [[1]]
+    assert zwronski_minors([[0, 1], [1]]) == [[1], [0, 1]]
+
+
+def test_wronski_minors_never_form_the_full_wronskian(monkeypatch):
+    """For seven functions the minors take 20 zwr on the prefix chain (its
+    levels 0..5) and 35 continuing it, 55 in all: the level-6 step, whose
+    only entry would be the full Wronskian, is never taken."""
+    calls, zwr = [], exact.zwr
+
+    def counted(f, g):
+        calls.append(1)
+        return zwr(f, g)
+
+    fs = [[0] * k + [1, k + 1] for k in range(7)]
+    want = [_wronski_det(fs[:i] + fs[i + 1:]) for i in range(7)]
+    monkeypatch.setattr(exact, "zwr", counted)
+    assert zwronski_minors(fs) == want
+    assert len(calls) == 55
 
 
 @given(int_families())
