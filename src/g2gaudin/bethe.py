@@ -4,13 +4,14 @@ criterion, and the reproduction procedure."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import repn
 from . import rootdata as rd
 from .exact import (Poly, wronskian, zclear, zderiv, zgcd, zmul, zpoly, zprem,
-                    zwr)
+                    zrow, zwr)
 from .linalg import solve
 
 # the point at infinity, spelled as in the JSON formats
@@ -69,14 +70,54 @@ def zlinear_power(pairs):
     lists: prod (x - p)^e times its leading coefficient prod s^e."""
     out = [1]
     for p, e in pairs:
-        p = Fraction(p)
         for _ in range(e):
             out = zmul(out, [-p.numerator, p.denominator])
     return out
 
 
+@dataclass(frozen=True)
+class RamificationData:
+    """Marked points z_s with partitions p of 7 parts each.  T_i, i = 1..7,
+    is prod (s x - r)^(p_i - p_(i+1)) over the finite points z_s = r / s,
+    with p_8 = 0, as a primitive integer list: the monic product of the
+    (x - z_s)^(p_i - p_(i+1)) times its leading coefficient.  The points
+    and partitions determine the T_i, so == compares only those."""
+    z: tuple
+    partitions: tuple
+    T: tuple = field(init=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "z", tuple(self.z))
+        object.__setattr__(self, "partitions",
+                           tuple(tuple(p) for p in self.partitions))
+        if len(set(self.z)) != len(self.z):  # as in BetheData
+            raise ValueError("evaluation points must be distinct")
+        if len(self.z) != len(self.partitions):
+            raise ValueError("points / partitions length mismatch")
+        for p in self.partitions:
+            if len(p) != 7 or any(p[i] < p[i + 1] for i in range(6)):
+                raise ValueError(f"not a partition with 7 parts: {p}")
+        steps = [(zs, [a - b for a, b in zip(p, p[1:] + (0,))])
+                 for zs, p in zip(self.z, self.partitions) if zs != INF]
+        if any(e[-1] < 0 for _, e in steps):
+            raise ValueError("negative power of a polynomial")
+        object.__setattr__(self, "T", tuple(
+            zlinear_power([(zs, e[i]) for zs, e in steps]) for i in range(7)))
+
+    @cached_property
+    def divisors(self):
+        """t_i, i = 0..7: prod_{j=1}^i T_{8-j}^{i+1-j}, a primitive integer
+        list; the divisor of a divided Wronskian is t_i / t_i[-1], the same
+        product of the monic T_{8-j}."""
+        out, s = [[1]], [1]
+        for i in range(1, 8):
+            s = zmul(s, self.T[7 - i])
+            out.append(zmul(out[-1], s))
+        return out
+
+
 def zcalT(Lambda, z):
-    """T_1, T_2 on Z[x]: the products prod (s x - r)^e, positive multiples
+    """(T_1, T_2) on Z[x]: the products prod (s x - r)^e, positive multiples
     of build_calT's."""
     out = []
     for j in (0, 1):
@@ -85,7 +126,7 @@ def zcalT(Lambda, z):
             if e < 0:
                 raise ValueError(f"negative exponent {e} at finite point {p}")
         out.append(zlinear_power(pairs))
-    return out
+    return tuple(out)
 
 
 def build_calT(Lambda, z):
@@ -218,7 +259,7 @@ def is_generic(y: PolyPair, Lambda, z) -> bool:
     """Genericity of a pair: squarefree components, roots avoiding the roots
     and singularities of T_j, and no common roots.  All by primitive gcds
     on Z[x]; a point p = r/s enters as s x - r."""
-    ys = [zclear(yj.coeffs)[0] for yj in (y.y1, y.y2)]
+    ys = [zrow(yj) for yj in (y.y1, y.y2)]
     for j, a in enumerate(ys):
         sing = zlinear_power((p, 1) for lam, p in zip(Lambda, z)
                              if p != INF and lam[j] != 0)
@@ -231,7 +272,7 @@ def fertility_rhs(y: PolyPair, t1, t2):
     """(F_1, F_2) = (T_1 y_2, T_2 y_1^3), the right-hand sides of the two
     fertility equations Wr(y_j, x^{a_j} g_j) = F_j, on Z[x] for T_j from
     zcalT: positive multiples, which do not change whether a g_j exists."""
-    y1, y2 = (zclear(p.coeffs)[0] for p in (y.y1, y.y2))
+    y1, y2 = (zrow(p) for p in (y.y1, y.y2))
     return zmul(t1, y2), zmul(t2, zmul(y1, zmul(y1, y1)))
 
 
@@ -248,7 +289,7 @@ def bae_exact(y: PolyPair, t1, t2) -> bool:
     no residue at the simple roots of y_j, which is this divisibility.  The
     fertility solve is then a cross-check, and it builds the witness."""
     for yj, F in zip((y.y1, y.y2), fertility_rhs(y, t1, t2)):
-        a = zclear(yj.coeffs)[0]
+        a = zrow(yj)
         if zprem(zwr(zderiv(a), F), a):
             return False
     return True

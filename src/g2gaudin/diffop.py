@@ -12,9 +12,10 @@ from math import gcd, lcm
 
 from . import bethe
 from . import repn
-from .exact import (Poly, RatFunc, zclear, zadd, zderiv, zechelon, zgcd,
+from . import rootdata as rd
+from .exact import (Poly, RatFunc, zadd, zderiv, zechelon, zgcd,
                     zlcm, zmul, zpoly, zprimitive, zquo, zratfunc, zreduce,
-                    zscale, zsub)
+                    zrow, zscale, zsub)
 from .linalg import nullspace
 
 
@@ -211,13 +212,12 @@ def flag_from_factorization(kernel_basis, y: bethe.PolyPair,
     The spans come from _population_flag over the pairwise coprime factors
     of T1, T2, y1 and y2, and u_i is the monic element of the i-th span
     zero at the degrees of u_1..u_(i-1): the flag depends on the spans
-    alone, so it is Case.flag for any basis of the kernel.  ValueError
-    unless kernel_basis is 7 independent polynomials whose span holds the
-    flag."""
-    bases, factors = _factor_base(
-        [zclear(p.coeffs)[0] for p in (T1, T2, y.y1, y.y2)])
+    alone, so it is Case.flag for any basis of the kernel.  T1, T2 and the
+    basis may be Polys or integer lists.  ValueError unless kernel_basis is
+    7 independent polynomials whose span holds the flag."""
+    bases, factors = _factor_base([zrow(p) for p in (T1, T2, y.y1, y.y2)])
     ws = _population_flag(bases, factors)
-    basis = zechelon([zclear(b.coeffs)[0] for b in kernel_basis])
+    basis = zechelon([zrow(b) for b in kernel_basis])
     if len(basis) != 7 or any(zreduce(basis, w) for w in ws):
         raise ValueError("the flag does not lie in the span of the basis")
     return tuple(zpoly(v, v[-1]) for v in zechelon(ws))
@@ -279,7 +279,7 @@ def from_log_factors(gs) -> DiffOp:
         g = RatFunc._coerce(g)
         e = {}
         for part, sign in ((g.num, 1), (g.den, -1)):
-            a = zprimitive(zclear(part.coeffs)[0])
+            a = zprimitive(zrow(part))
             if len(a) > 1:
                 key = tuple(a)
                 bases.setdefault(key, len(bases))
@@ -310,8 +310,9 @@ def dy_factor_functions(y: bethe.PolyPair, T1: Poly, T2: Poly):
 def dy_log_factors(y: bethe.PolyPair, T1: Poly, T2: Poly, shift=(0,) * 4):
     """(Q, [W_1..W_7], Y) with D_y = (d - W_1/Q)...(d - W_7/Q), or its
     conjugate by T1^2 T2 for shift = _CONJUGATOR: f^-1 (d - ln' g) f is
-    d - ln'(g/f).  Y is the y-part of Q: Q / Y divides T1 T2."""
-    fs = [zclear(p.coeffs)[0] for p in (T1, T2, y.y1, y.y2)]
+    d - ln'(g/f).  Y is the y-part of Q: Q / Y divides T1 T2.  T1 and T2
+    may be Polys or integer lists: only their lines matter."""
+    fs = [zrow(p) for p in (T1, T2, y.y1, y.y2)]
     return _log_factors(fs, [[a - b for a, b in zip(e, shift)]
                              for e in _DY_EXPONENTS], marked=2)
 
@@ -334,7 +335,7 @@ def conjugate(D: DiffOp, f) -> DiffOp:
     f = RatFunc._coerce(f)
     if f.is_zero():
         raise ZeroDivisionError("conjugation by zero")
-    R, (W,), _ = _log_factors([zclear(g.coeffs)[0] for g in (f.num, f.den)],
+    R, (W,), _ = _log_factors([zrow(g) for g in (f.num, f.den)],
                               [(1, -1)])
     n, Q = D.order, zlcm(D.Q, R)
     dQ, W, u = zderiv(Q), zscale(-1, zmul(W, zquo(Q, R))), zquo(Q, D.Q)
@@ -492,19 +493,21 @@ class Case:
         return bethe.appendix_solution(self.lam, self.i)
 
     @cached_property
-    def T(self):
-        """(T1, T2), monic."""
-        return bethe.build_calT(self.data.Lambda, self.data.z)
+    def ramification(self) -> bethe.RamificationData:
+        """The ramification data of the points and weights: T_1..T_7 as
+        primitive integer lists, of which D_y reads T1 and T2."""
+        return bethe.RamificationData(self.data.z, tuple(
+            rd.partition_from_weight(w, 0) for w in self.data.Lambda))
 
     @cached_property
     def operator(self) -> DiffOp:
         """D_y."""
-        return build_Dy(self.y, *self.T)
+        return build_Dy(self.y, *self.ramification.T[:2])
 
     @cached_property
     def conjugated(self) -> DiffOp:
         """D_y conjugated by T1^2 T2."""
-        return _factor_product(self.y, *self.T, _CONJUGATOR)
+        return _factor_product(self.y, *self.ramification.T[:2], _CONJUGATOR)
 
     @cached_property
     def flag_rows(self):
@@ -518,7 +521,7 @@ class Case:
                 for f, e in zip(factors, (w[0], w[1], 0, 0)):
                     f.append(e)
         for j, yj in enumerate((self.y.y1, self.y.y2), 2):
-            a = zprimitive(zclear(yj.coeffs)[0])
+            a = zprimitive(zrow(yj))
             if len(a) > 1:
                 bases.append(a)
                 for k, f in enumerate(factors):

@@ -157,7 +157,7 @@ class Poly:
             other = Poly([other])
         if not isinstance(other, Poly):
             return NotImplemented
-        return (self - other).is_zero()
+        return self.coeffs == other.coeffs  # both normalised
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -301,6 +301,11 @@ def zclear(coeffs):
     """(a, den): integer coefficients a with coeffs = a / den, den > 0."""
     den = _denominator(coeffs)
     return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def zrow(p):
+    """p, a Poly or an integer list, as an integer list on the same line."""
+    return zclear(p.coeffs)[0] if isinstance(p, Poly) else p
 
 
 def zpoly(a, den=1) -> Poly:

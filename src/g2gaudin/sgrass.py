@@ -4,24 +4,17 @@ self-dual and self-self-dual verification, reduced Wronski map."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from . import bethe
 from . import diffop
-from . import rootdata as rd
-from .exact import (Poly, wronskian, zclear, zechelon, zmul, zpoly,
-                    zprimitive, zquo, zreduce, zscale, zwronski_minors,
-                    zwronskians)
+from .bethe import RamificationData
+from .exact import (Poly, zclear, zechelon, zmul, zpoly, zprimitive, zquo,
+                    zreduce, zrow, zscale, zwronski_minors, zwronskians)
 from .linalg import rank, solve
 
 N = 7
-
-
-def _row(p):
-    """p, a Poly or an integer list, as an integer list on the same line."""
-    return zclear(p.coeffs)[0] if isinstance(p, Poly) else p
 
 
 @dataclass(frozen=True)
@@ -33,7 +26,7 @@ class PolySpace:
     basis: tuple
 
     def __post_init__(self):
-        rows = [_row(p) for p in self.basis]
+        rows = [zrow(p) for p in self.basis]
         if len(rows) != N:
             raise ValueError(f"need {N} basis polynomials")
         object.__setattr__(self, "basis", tuple(zechelon(rows, True)))
@@ -51,51 +44,9 @@ class PolySpace:
         """Coordinates of p in the flag basis, or None if p is not in the
         space: the basis is reduced, so they are p's coefficients at its
         degrees once p reduces to 0 against it."""
-        if zreduce(self.basis, _row(p)):
+        if zreduce(self.basis, zrow(p)):
             return None
         return [p[d] for d in self.degrees]
-
-
-@dataclass(frozen=True)
-class RamificationData:
-    """Marked points with partitions (7 parts each); T_i is the product of
-    (x - z_s)^(lam_i - lam_{i+1}) over the finite points."""
-    z: tuple
-    partitions: tuple
-    T: tuple = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "z", tuple(self.z))
-        object.__setattr__(self, "partitions",
-                           tuple(tuple(p) for p in self.partitions))
-        if len(set(self.z)) != len(self.z):  # as in bethe.BetheData
-            raise ValueError("evaluation points must be distinct")
-        if len(self.z) != len(self.partitions):
-            raise ValueError("points / partitions length mismatch")
-        for p in self.partitions:
-            if len(p) != N or any(p[i] < p[i + 1] for i in range(N - 1)):
-                raise ValueError(f"not a partition with {N} parts: {p}")
-        # T_i on Z[x] as prod (s x - r)^(p_i - p_(i+1)) over the finite
-        # points z_s = r / s, with p_8 = 0; made monic once
-        steps = [(zs, [a - b for a, b in zip(p, p[1:] + (0,))])
-                 for zs, p in zip(self.z, self.partitions)
-                 if zs != bethe.INF]
-        if any(e[-1] < 0 for _, e in steps):
-            raise ValueError("negative power of a polynomial")
-        T = [bethe.zlinear_power([(zs, e[i]) for zs, e in steps])
-             for i in range(N)]
-        object.__setattr__(self, "T", tuple(zpoly(t, t[-1]) for t in T))
-
-    @cached_property
-    def divisors(self):
-        """(t_i, den_i), i = 0..7: the divisor prod_{j=1}^i T_{8-j}^{i+1-j}
-        of a divided Wronskian as t_i / den_i, t_i primitive in Z[x]."""
-        out, s = [([1], 1)], ([1], 1)
-        for i in range(1, N + 1):
-            a, d = zclear(self.T[N - i].coeffs)
-            s = (zmul(s[0], a), s[1] * d)
-            out.append((zmul(out[-1][0], s[0]), out[-1][1] * s[1]))
-        return out
 
 
 def trivial_ramification() -> RamificationData:
@@ -113,10 +64,11 @@ def space_wronskian(X: PolySpace) -> Poly:
 
 
 def _divide(w, R: RamificationData, i):
-    """w / prod_{j=1}^i T_{8-j}^{i+1-j} for w in Z[x], by one exact division
-    in Z[x]; ValueError if it is inexact."""
-    t, den = R.divisors[i]
-    return zscale(den, zquo(w, t))
+    """w / prod_{j=1}^i T_{8-j}^{i+1-j} for w in Z[x] and the T_j monic: the
+    divisor is t / t[-1] for t = R.divisors[i], so one exact division by t
+    in Z[x] and a scale by t[-1]; ValueError if the division is inexact."""
+    t = R.divisors[i]
+    return zscale(t[-1], zquo(w, t))
 
 
 def divided_wronskian(gs, R: RamificationData):
@@ -215,7 +167,7 @@ def y_from_basis(gamma, R: RamificationData):
     divided Wronskian of the first i elements of the ordered basis gamma
     (Polys or integer lists), from the leading Wronskians of one Jacobi
     recursion (zwronskians); after a zero one the rest vanish."""
-    ws = zwronskians([_row(p) for p in gamma[:N - 1]])
+    ws = zwronskians([zrow(p) for p in gamma[:N - 1]])
     return tuple(zprimitive(_divide(ws[i], R, i)) for i in range(N - 1, 0, -1))
 
 
@@ -227,7 +179,7 @@ def ssd_witness_check(X: PolySpace, R: RamificationData, gamma) -> bool:
     T = R.T
     if not (T[0] == T[2] == T[3] == T[5] and T[1] == T[4]):
         return False
-    rows = [_row(p) for p in gamma]
+    rows = [zrow(p) for p in gamma]
     try:
         if PolySpace(rows) != X:
             return False
@@ -256,9 +208,10 @@ def isotropic_definition_check(X: PolySpace, R: RamificationData,
     if len(cu) != 3 or any(kappa(cf, a) for a in cu) or \
             any(kappa(a, b) for a in cu for b in cu):
         return False
-    wr = wronskian(list(U))
-    target = R.T[0] ** 2 * R.T[1] * f * f
-    return not wr.is_zero() and wr.monic() == target.monic()
+    wr = zwronskians([zrow(u) for u in U])[-1]
+    (t1, t2), f = R.T[:2], zrow(f)
+    target = zmul(zmul(t1, t1), zmul(t2, zmul(f, f)))
+    return bool(wr) and zprimitive(wr) == zprimitive(target)
 
 
 def kernel_space(lam, i) -> PolySpace:
@@ -267,12 +220,10 @@ def kernel_space(lam, i) -> PolySpace:
 
 
 def bethe_kernel_instance(lam, i):
-    """(X, R, gamma) for the closed-form case (lam, i): its kernel, the
-    ramification data of its points and weights, and its flag."""
+    """(X, R, gamma) for the closed-form case (lam, i): its kernel, its
+    ramification data and its flag as monic Polys, all held by the case."""
     c = diffop.case(tuple(lam), i)
-    R = RamificationData(c.data.z, tuple(rd.partition_from_weight(w, 0)
-                                         for w in c.data.Lambda))
-    return kernel_space(lam, i), R, c.flag
+    return kernel_space(lam, i), c.ramification, c.flag
 
 
 # the ordered basis u_1..u_7 of the kernel adapted to the factorization of D_y

@@ -184,13 +184,14 @@ def _exp_infinity(a, b):
 def check_kernels(lam, i):
     """7-dimensional kernels, self-duality, ssd witness, exponents."""
     from . import bethe, diffop, sgrass
-    # the case's kernel raises unless it has dimension 7
-    X, R, gamma = sgrass.bethe_kernel_instance(lam, i)
+    # the case's kernel raises unless it has dimension 7; the witness is
+    # its flag as integer lists
+    c = diffop.case(lam, i)
+    X, R = sgrass.kernel_space(lam, i), c.ramification
     if not sgrass.is_self_dual(X, R):
         return "not self-dual"
-    if not sgrass.ssd_witness_check(X, R, gamma):
+    if not sgrass.ssd_witness_check(X, R, c.flag_rows):
         return "ssd witness fails"
-    c = diffop.case(lam, i)
     for w, p in zip(c.data.Lambda, c.data.z):
         if diffop.exponents_at(c.conjugated, p).exponents != _exp_finite(*w):
             return f"exponents at {p} wrong"

@@ -8,10 +8,16 @@ import pytest
 from g2gaudin import bethe
 from g2gaudin import diffop
 from g2gaudin import rootdata as rd
+from g2gaudin import sgrass
 from g2gaudin.bethe import PolyPair
-from g2gaudin.exact import Poly, RatFunc, zclear, zprem, zquo
+from g2gaudin.exact import Poly, RatFunc, zclear, zmul, zpoly, zprem, zquo
 import oracles
 from oracles import full
+
+
+def _T_polys(c):
+    """T1 and T2 of the case c as monic Polys, as build_calT gives them."""
+    return tuple(zpoly(t, t[-1]) for t in c.ramification.T[:2])
 
 
 def _coeffs(cs):
@@ -68,7 +74,7 @@ def test_conjugate_by_t_gives_the_conjugated_case():
     for lam, i in (((0, 0), 0), ((0, 1), 1), ((1, 0), 2), ((1, 1), 3),
                    ((1, 2), 4), ((2, 1), 5), ((3, 3), 6)):
         c = diffop.case(lam, i)
-        T1, T2 = c.T
+        T1, T2 = _T_polys(c)
         assert diffop.conjugate(c.operator, T1 ** 2 * T2) == c.conjugated
 
 
@@ -256,7 +262,7 @@ def test_case_matches_fresh_build():
         y = bethe.appendix_solution(lam, i)
         T1, T2 = bethe.build_calT([lam, rd.OMEGA2], [Fraction(0), Fraction(1)])
         D = diffop.build_Dy(y, T1, T2)
-        assert (c.y, c.T, c.operator) == (y, (T1, T2), D)
+        assert (c.y, _T_polys(c), c.operator) == (y, (T1, T2), D)
         assert c.conjugated == diffop._factor_product(y, T1, T2,
                                                       diffop._CONJUGATOR)
         bound = diffop.default_degree_bound(lam, i)
@@ -413,7 +419,7 @@ def test_exponents_and_h2_match_ratfunc_oracles_on_5_grid():
     s = Poly([0, 1])
     for lam, i in GRID5:
         c = diffop.case(lam, i)
-        T12 = zclear((c.T[0] * c.T[1]).coeffs)[0]
+        T12 = zmul(*c.ramification.T[:2])
         for D in (c.operator, c.conjugated):
             assert len(D.Q) <= 3 and not zprem(T12, D.Q), (lam, i)
             for p in (Fraction(0), Fraction(1), "inf", Fraction(-1, 2),
@@ -427,6 +433,16 @@ def test_exponents_and_h2_match_ratfunc_oracles_on_5_grid():
             want * diffop._H2_NORMALIZATION, (lam, i)
 
 
+def test_case_ramification_is_the_certified_T_on_5_grid():
+    """On all 210 cases of the 5-grid the case's one RamificationData holds
+    as T1, T2 the integer lists that certify and reproduce read
+    (bethe.zcalT), and it is the data the self-duality checks receive."""
+    for lam, i in GRID5:
+        c = diffop.case(lam, i)
+        assert c.ramification.T[:2] == bethe.zcalT(c.data.Lambda, c.data.z)
+        assert sgrass.bethe_kernel_instance(lam, i)[1] is c.ramification
+
+
 GRID3 = [((a, b), i) for a in range(4) for b in range(4)
          for i in bethe.admissible_ls((a, b))]
 
@@ -437,7 +453,7 @@ def test_kernel_is_the_nullspace_kernel_on_3_grid():
     assert len(GRID3) == 84
     for lam, i in GRID3:
         c = diffop.Case(lam, i)
-        D = diffop.build_Dy(c.y, *c.T)
+        D = diffop.build_Dy(c.y, *_T_polys(c))
         assert c.kernel == tuple(diffop.polynomial_kernel(
             D, diffop.default_degree_bound(lam, i))), (lam, i)
 

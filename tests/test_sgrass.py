@@ -25,6 +25,11 @@ def _mono(k):
     return Poly([Fraction(0)] * k + [Fraction(1)])
 
 
+def _monic(ts):
+    """Integer lists as monic Polys, as RamificationData held its T's."""
+    return tuple(zpoly(t, t[-1]) for t in ts)
+
+
 def _primitive(p):
     """The primitive integer list on the line of the Poly p."""
     return zprimitive(zclear(p.coeffs)[0])
@@ -81,7 +86,7 @@ def test_divided_wronskian_trivial():
 def test_divided_wronskian_inexact_raises():
     R = sg.RamificationData((Fraction(0),),
                             (rd.partition_from_weight((0, 0), 1),))
-    assert R.T[6] == _mono(1)  # T7 = x
+    assert R.T[6] == [0, 1]  # T7 = x
     with pytest.raises(ValueError):
         sg.divided_wronskian([[1]], R)
 
@@ -153,7 +158,8 @@ def test_the_case_owns_its_flag():
     assert sg.bethe_kernel_instance((2, 1), 5)[2] is gamma
     c = diffop.case((2, 1), 5)
     assert c.flag is gamma
-    assert sg.flag_from_factorization(c.kernel, c.y, *c.T) == gamma
+    T1, T2 = _monic(c.ramification.T[:2])
+    assert sg.flag_from_factorization(c.kernel, c.y, T1, T2) == gamma
 
 
 def test_dual_involution_on_bethe_instance():
@@ -279,10 +285,10 @@ def _wronski_det(gs):
 def _divided_by_division(gs, R):
     """Reference divided Wronskian: Wr(gs) divided by each T_{8-j}, j <= i,
     i + 1 - j times, by long division over Q."""
-    i, w = len(gs), _wronski_det(list(gs))
+    i, w, T = len(gs), _wronski_det(list(gs)), _monic(R.T)
     for j in range(1, i + 1):
         for _ in range(i + 1 - j):
-            w = w.exact_div(R.T[7 - j])
+            w = w.exact_div(T[7 - j])
     return w
 
 
@@ -465,8 +471,8 @@ def test_ramification_T_matches_fraction_powers():
              ((), ())]
     for z, parts in data:
         got = sg.RamificationData(z, parts).T
-        assert repr(got) == repr(_T_by_fraction_powers(z, parts)), z
-        assert all(t.leading() == 1 for t in got)
+        assert repr(_monic(got)) == repr(_T_by_fraction_powers(z, parts)), z
+        assert all(t == zprimitive(t) and t[-1] > 0 for t in got)
     with pytest.raises(ValueError):
         sg.RamificationData((Fraction(0),), ((0,) * 6 + (-1,),))
 

@@ -5,7 +5,10 @@ speed claim can be read off two such files.
 
 times the kernels, h2 and wronskian suites of `g2 verify` twice on the 5-
 and on the 7-grid, each run in a fresh process with G2_LMAX set to the
-grid; the time is the suite call alone, without the import.
+grid; the time is the suite call alone, without the import.  One more
+fresh run of each suite and grid under cProfile counts the calls of
+`Fraction.__new__` and of `exact.zpoly`, the Fraction Polys built from
+integer lists.
 
     python3 tools/bench_suites.py pairs OUT.json --parent DIR --seed0 N
 
@@ -49,6 +52,20 @@ print(json.dumps({"ok": ok, "detail": detail,
                   "seconds": time.perf_counter() - t}))
 """
 
+PROFILE_SNIPPET = """\
+import cProfile, json, pstats, sys
+from g2gaudin import verify
+prof = cProfile.Profile()
+ok, detail = prof.runcall(verify.SUITES[sys.argv[1]])
+calls = {"Fraction.__new__": ("fractions.py", "__new__"),
+         "exact.zpoly": ("exact.py", "zpoly")}
+stats = pstats.Stats(prof).stats
+print(json.dumps({"ok": ok, "detail": detail, "calls": {
+    name: sum(v[1] for (path, _, fn), v in stats.items()
+              if path.endswith(f) and fn == func)
+    for name, (f, func) in calls.items()}}))
+"""
+
 
 def machine():
     cpu = platform.processor() or platform.machine()
@@ -64,28 +81,29 @@ def machine():
             "loadavg": list(os.getloadavg())}
 
 
-def time_suite(name, grid):
+def run_suite(snippet, name, grid):
     env = dict(os.environ, G2_LMAX=str(grid),
                PYTHONPATH=os.path.join(ROOT, "src"))
-    proc = subprocess.run([sys.executable, "-c", SUITE_SNIPPET, name],
+    proc = subprocess.run([sys.executable, "-c", snippet, name],
                           env=env, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.splitlines()[-1])
+    r = json.loads(proc.stdout.splitlines()[-1])
+    if not r["ok"]:
+        raise SystemExit(f"suite {name} failed on the {grid}-grid:"
+                         f" {r['detail']}")
+    return r
 
 
 def suites():
     out = []
     for grid in GRIDS:
         for name in SUITES:
-            times = []
-            for _ in range(SUITE_RUNS):
-                r = time_suite(name, grid)
-                if not r["ok"]:
-                    raise SystemExit(f"suite {name} failed on the {grid}-grid:"
-                                     f" {r['detail']}")
-                times.append(round(r["seconds"], 3))
+            times = [round(run_suite(SUITE_SNIPPET, name, grid)["seconds"], 3)
+                     for _ in range(SUITE_RUNS)]
+            r = run_suite(PROFILE_SNIPPET, name, grid)
             out.append({"suite": name, "G2_LMAX": grid, "seconds": times,
-                        "detail": r["detail"]})
-            print(f"{name} on the {grid}-grid: {times}", file=sys.stderr)
+                        "detail": r["detail"], "profiled_calls": r["calls"]})
+            print(f"{name} on the {grid}-grid: {times}, {r['calls']}",
+                  file=sys.stderr)
     return out
 
 
