@@ -101,8 +101,12 @@ class RamificationData:
                  for zs, p in zip(self.z, self.partitions) if zs != INF]
         if any(e[-1] < 0 for _, e in steps):
             raise ValueError("negative power of a polynomial")
-        object.__setattr__(self, "T", tuple(
-            zlinear_power([(zs, e[i]) for zs, e in steps]) for i in range(7)))
+        # one product per distinct exponent vector: for G2 weights
+        # T1 = T3 = T4 = T6 and T2 = T5
+        points = [zs for zs, _ in steps]
+        exps = [tuple(e[i] for _, e in steps) for i in range(7)]
+        powers = {k: zlinear_power(zip(points, k)) for k in set(exps)}
+        object.__setattr__(self, "T", tuple(powers[k] for k in exps))
 
     @cached_property
     def divisors(self):
@@ -162,6 +166,12 @@ def closed_form(lam, i) -> BetheData:
 def appendix_solution(lam, i) -> PolyPair:
     """The closed-form solution pair for the Bethe data closed_form(lam, i)."""
     closed_form(lam, i)  # errors unless the case is admissible
+    return closed_form_pair(lam, i)
+
+
+def closed_form_pair(lam, i) -> PolyPair:
+    """The closed-form solution pair of the case (lam, i), with no
+    admissibility check: for callers that already hold closed_form(lam, i)."""
     a, b = lam  # lambda_1, lambda_2
     one = Poly([Fraction(1)])
     if i == 0:

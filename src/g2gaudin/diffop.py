@@ -490,7 +490,7 @@ class Case:
 
     @cached_property
     def y(self) -> bethe.PolyPair:
-        return bethe.appendix_solution(self.lam, self.i)
+        return bethe.closed_form_pair(self.lam, self.i)  # data checked it
 
     @cached_property
     def ramification(self) -> bethe.RamificationData:

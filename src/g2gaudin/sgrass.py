@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import diffop
 from .bethe import RamificationData
@@ -22,7 +22,8 @@ class PolySpace:
     """A 7-dimensional space of polynomials, built from 7 independent ones
     (Polys or integer lists) and held by its reduced echelon basis: primitive
     integer lists with strictly increasing degrees, each zero at the degrees
-    of the others.  The basis is canonical, so equal spaces are equal."""
+    of the others.  The basis is canonical, so equal spaces are equal and
+    hash alike."""
     basis: tuple
 
     def __post_init__(self):
@@ -30,6 +31,9 @@ class PolySpace:
         if len(rows) != N:
             raise ValueError(f"need {N} basis polynomials")
         object.__setattr__(self, "basis", tuple(zechelon(rows, True)))
+
+    def __hash__(self):
+        return hash(tuple(map(tuple, self.basis)))
 
     @cached_property
     def flag_basis(self):
@@ -77,22 +81,32 @@ def divided_wronskian(gs, R: RamificationData):
     return _divide(zwronskians(gs)[-1], R, len(gs))
 
 
+# kept for the diffop.CASE_CACHE_SIZE most recently used (X, R): every
+# caller finishes one space before it starts the next, and the ssd-checks
+# of one case, on the case or on files of its kernel, meet the same (X, R)
+@lru_cache(maxsize=diffop.CASE_CACHE_SIZE)
 def dual_space(X: PolySpace, R: RamificationData) -> PolySpace:
     """Span of divided Wronskians of the 6-element subsets of a basis of X,
     the Wronskians from one Jacobi recursion (zwronski_minors).  PolySpace
-    raises ValueError if the seven are linearly dependent."""
+    raises ValueError if the seven are linearly dependent; an error is not
+    cached."""
     return PolySpace([_divide(w, R, N - 1) for w in zwronski_minors(X.basis)])
 
 
-def _seventh_root(w: Poly) -> Poly:
-    """Monic 7th root of a monic polynomial; errors if not a 7th power.
+def _seventh_root(w) -> Poly:
+    """Monic 7th root of w, a monic Poly or an integer list standing for
+    its monic multiple; errors if not a 7th power.
     For w = a / c in Z[x] / c, wc = c^n w(x / c) is monic in Z[x], n = 7m,
     and so is its root c^m r(x / c), whose coefficient R_k of x^(m-k) is
     sum_{j=1}^k (8j - 7k) wc_(n-j) R_(k-j) / 7k, by W R' = R W' / 7."""
-    if w.is_zero() or w.degree % N:
+    if isinstance(w, Poly):
+        a, c = zclear(w.coeffs)
+    else:
+        a = zprimitive(w)
+        c = a[-1] if a else 1
+    n, m = len(a) - 1, (len(a) - 1) // N
+    if n < 0 or n % N:
         raise ValueError("not a 7th power")
-    a, c = zclear(w.coeffs)
-    n, m = w.degree, w.degree // N
     wc = [v * c ** (n - i - 1) for i, v in enumerate(a[:n])] + [1]
     R = [1]
     for k in range(1, m + 1):  # inexact only if w is no 7th power

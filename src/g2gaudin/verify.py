@@ -12,7 +12,7 @@ from functools import wraps
 
 from . import repn
 from . import rootdata as rd
-from .exact import Poly, QSqrt2
+from .exact import Poly, QSqrt2, zprimitive, zwronskians
 from .repn import bracket, mat_eq, mat_scale, mat_sub, mat_zero
 
 
@@ -289,10 +289,11 @@ def check_covering():
 
 @_sweep("{n} spaces match the Wronskian formula with exact 7th roots")
 def check_wronskian(lam, i):
-    from . import sgrass
-    w = sgrass.space_wronskian(sgrass.kernel_space(lam, i))
-    x, (l1, l2) = Poly([0, 1]), lam
-    if w != (x ** (7 * (2 * l1 + l2)) * (x - 1) ** 7).monic():
+    """The primitive space Wronskian is x^(7(2 l1 + l2)) (x - 1)^7, on Z[x]."""
+    from . import bethe, sgrass
+    w = zprimitive(zwronskians(sgrass.kernel_space(lam, i).basis)[-1])
+    l1, l2 = lam
+    if w != bethe.zlinear_power([(0, 7 * (2 * l1 + l2)), (1, 7)]):
         return "space Wronskian wrong"
     sgrass._seventh_root(w)  # raises unless w is a 7th power
 

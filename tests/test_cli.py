@@ -121,7 +121,10 @@ def test_case_commands_build_each_object_once(tmp_path, monkeypatch,
                                              capsys):
     """Every case command on one case in one process, as an exploring user
     runs them: the conjugate of D_y is built once (one operator product),
-    and neither D_y itself nor a nullspace kernel is built."""
+    neither D_y itself nor a nullspace kernel is built, and the three
+    ssd-checks (on the case, and on files of its kernel with the flag and
+    the swapped flag) build the dual space once (one call of the
+    leave-one-out Wronskians)."""
     lam, i = (2, 1), 5
     _, _, gamma = sgrass.bethe_kernel_instance(lam, i)
     flag = [cli._poly_json(p) for p in gamma]
@@ -136,17 +139,20 @@ def test_case_commands_build_each_object_once(tmp_path, monkeypatch,
             json.dump(content, fh)
     counts = collections.Counter()
 
-    def counted(name):
-        fn = getattr(diffop, name)
+    def counted(module, name):
+        fn = getattr(module, name)
 
         def wrapper(*args):
             counts[name] += 1
             return fn(*args)
         return wrapper
 
-    for name in ("_log_factor_product", "polynomial_kernel"):
-        monkeypatch.setattr(diffop, name, counted(name))
+    for module, name in ((diffop, "_log_factor_product"),
+                         (diffop, "polynomial_kernel"),
+                         (sgrass, "zwronski_minors")):
+        monkeypatch.setattr(module, name, counted(module, name))
     diffop.case.cache_clear()
+    sgrass.dual_space.cache_clear()
     case = ["--lambda", "2,1", "--case", "5"]
     files_argv = ["ssd-check", "--space", files["space"], "--ram", files["ram"]]
     queries = [(["bae-verify"] + case, 0), (["diffop", "--conjugated"] + case, 0),
@@ -160,7 +166,19 @@ def test_case_commands_build_each_object_once(tmp_path, monkeypatch,
     for argv, rc in queries:
         assert run(argv, capsys)[0] == rc, argv
     assert counts["polynomial_kernel"] == 0
-    assert counts == {"_log_factor_product": 1}
+    assert counts == {"_log_factor_product": 1, "zwronski_minors": 1}
+
+
+def test_wronskian_suite_fails_on_a_wrong_exponent(monkeypatch, capsys):
+    """The wronskian suite compares with x^(7(2 l1 + l2)) (x - 1)^7 built
+    by zlinear_power: one more power of x there is a FAIL line naming the
+    first case."""
+    real = bethe.zlinear_power
+    monkeypatch.setenv("G2_LMAX", "1")
+    monkeypatch.setattr(bethe, "zlinear_power", lambda pairs: real(
+        [(p, e + (p == 0)) for p, e in pairs]))
+    assert run(["verify", "--suite", "wronskian"], capsys) == (
+        1, "FAIL wronskian: space Wronskian wrong at (0, 0), case 0\n")
 
 
 @pytest.mark.parametrize("cmd", [["diffop"], ["kernel"], ["h2check"],

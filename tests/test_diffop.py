@@ -231,7 +231,7 @@ def test_kernel_dimension():
 
 
 def test_kernel_rejects_perturbed_solution(monkeypatch):
-    exact = bethe.appendix_solution
+    exact = bethe.closed_form_pair
 
     def perturbed(lam, i):
         y = exact(lam, i)
@@ -242,7 +242,7 @@ def test_kernel_rejects_perturbed_solution(monkeypatch):
     # a cached good case would hide the fault; a cached faulty case would
     # leak into later tests
     diffop.case.cache_clear()
-    monkeypatch.setattr(bethe, "appendix_solution", perturbed)
+    monkeypatch.setattr(bethe, "closed_form_pair", perturbed)
     try:
         for _ in range(2):  # a failed kernel is not cached
             with pytest.raises(ValueError, match="residue: not a Bethe pair"):

@@ -101,9 +101,57 @@ def test_dependent_duals_are_rejected(monkeypatch):
         return duals[0] if len(duals) == 2 else duals[-1]
 
     monkeypatch.setattr(sg, "_divide", planted)
-    with pytest.raises(ValueError, match="linearly dependent"):
-        sg.dual_space(X0, R0)
-    assert len(duals) == 7
+    # a cached dual of (X0, R0) would hide the planted fault, and a planted
+    # dual that got cached would leak into later tests
+    sg.dual_space.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="linearly dependent"):
+            sg.dual_space(X0, R0)
+        assert len(duals) == 7
+    finally:
+        monkeypatch.undo()
+        sg.dual_space.cache_clear()
+
+
+def test_equal_spaces_hash_alike():
+    """A space hashes on its canonical basis: two bases of one span give
+    equal spaces with equal hashes, and one dict entry."""
+    u = X0.flag_basis
+    mixed = sg.PolySpace((u[0] + u[3], u[1] * 2, u[2], u[3], u[4] + u[6],
+                          u[5], u[6]))
+    assert mixed == X0 and hash(mixed) == hash(X0)
+    assert len({X0: 0, mixed: 1, sg.monomial_space(): 2}) == 1
+    X, R, gamma = sg.bethe_kernel_instance((2, 1), 5)
+    again = sg.PolySpace(list(reversed(gamma)))
+    assert again == X and hash(again) == hash(X)
+    assert hash(X) != hash(X0)
+
+
+def test_dual_space_is_kept_per_space_and_ramification(monkeypatch):
+    """dual_space computes the leave-one-out Wronskians once for the most
+    recently used (X, R): an equal space rebuilt from another basis hits
+    the cache, and the same X with another R is computed again and has
+    another dual."""
+    calls, minors = [], sg.zwronski_minors
+
+    def counted(fs):
+        calls.append(fs)
+        return minors(fs)
+    monkeypatch.setattr(sg, "zwronski_minors", counted)
+    sg.dual_space.cache_clear()
+    try:
+        assert sg.dual_space.cache_info().maxsize == diffop.CASE_CACHE_SIZE
+        X, R, gamma = sg.bethe_kernel_instance((2, 1), 5)
+        Xd = sg.dual_space(X, R)
+        assert sg.dual_space(sg.PolySpace(gamma), R) is Xd
+        assert len(calls) == 1
+        plain = sg.dual_space(X, R0)
+        assert len(calls) == 2 and plain != Xd
+        assert sg.dual_space(X, R0) is plain and len(calls) == 2
+        assert sg.dual_space(X, R) == Xd and len(calls) == 3
+    finally:
+        monkeypatch.undo()
+        sg.dual_space.cache_clear()
 
 
 def test_dual_space_monomials():

@@ -19,6 +19,11 @@ ones, each run with an empty bytecode cache.  For every end-to-end metric
 it records each pair, the medians and quartiles of both sides, the ratio
 of the medians and the number of pairs the change wins.
 
+    python3 tools/bench_suites.py parity OUT.json
+
+runs tools/parity.py in a fresh process on the 1-, 3- and 5-grids and
+records each digest line, to show that the change moved no answer.
+
 Each subcommand writes its section of OUT.json, beside the machine it ran
 on.
 """
@@ -40,6 +45,7 @@ METRICS = {"ops_per_s": True, "op_p50_s": False, "op_tail_s": False,
            "setup_s": False, "peak_rss_mb": False}
 RUN_SECONDS = 45
 GRIDS = (5, 7)
+PARITY_GRIDS = (1, 3, 5)
 SUITE_RUNS = 2
 PAIRS = 10
 
@@ -107,6 +113,22 @@ def suites():
     return out
 
 
+def parity():
+    out = []
+    for grid in PARITY_GRIDS:
+        env = dict(os.environ, G2_LMAX=str(grid),
+                   PYTHONPATH=os.path.join(ROOT, "src"))
+        proc = subprocess.run(
+            [sys.executable, os.path.join(ROOT, "tools", "parity.py")],
+            env=env, capture_output=True, text=True, check=True)
+        counts, digest = proc.stdout.splitlines()[-2:]
+        out.append({"G2_LMAX": grid, "counts": counts,
+                    "sha256": digest.split()[-1]})
+        print(f"parity on the {grid}-grid: {counts}, {digest}",
+              file=sys.stderr)
+    return out
+
+
 def bench_run(checkout, workload, seed):
     # an empty bytecode cache for each run: a checkout's own __pycache__
     # would spare one side the compile and move setup_s and cold-cli
@@ -163,6 +185,8 @@ def main(argv=None):
     sub = ap.add_subparsers(dest="command", required=True)
     p = sub.add_parser("suites")
     p.add_argument("out")
+    p = sub.add_parser("parity")
+    p.add_argument("out")
     p = sub.add_parser("pairs")
     p.add_argument("out")
     p.add_argument("--parent", required=True)
@@ -175,6 +199,8 @@ def main(argv=None):
     if args.command == "suites":
         record["suites"] = {"machine": machine(),
                             "times": suites()}
+    elif args.command == "parity":
+        record["parity"] = {"machine": machine(), "digests": parity()}
     else:
         record["benchmark_pairs"] = {
             "machine": machine(), "run_seconds": RUN_SECONDS,
