@@ -11,8 +11,7 @@ from functools import cached_property
 from . import repn
 from . import rootdata as rd
 from .exact import (Poly, wronskian, zclear, zderiv, zgcd, zmul, zpoly, zprem,
-                    zrow, zwr)
-from .linalg import solve
+                    zrow, zscale, zsolve1, zsub, zwr)
 
 # the point at infinity, spelled as in the JSON formats
 INF = "inf"
@@ -366,34 +365,33 @@ def bae_residual(y: PolyPair, Lambda, z) -> float:
 def _solve_cleared(y: Poly, r: Poly, a: int):
     """Solve a*y*g + x*y*g' - x*y'*g = r for a polynomial g, canonicalized so
     the coefficient along the homogeneous solution x^{-a} y (when polynomial)
-    vanishes.  Returns None if no solution exists.  The image of x^k has
-    coefficient (a + 2k - row) y[row - k] at x^row; with y = Y / den the
-    matrix holds the integers Y and the right-hand side is den * r."""
+    vanishes; None if there is none.  By exact.zsolve1: for a <= 0 of this
+    equation, for a >= 1 of Wr(y, G) = x^(a-1) r, G = x^a g, and then G
+    moves along y, its homogeneous solution, until x^a divides it."""
     Y, den = zclear(y.coeffs)
-    dy = len(Y) - 1
-    D = max(r.degree - dy, dy - a, 0)
-    nrows = max(dy + D + 1, r.degree + 1)
-    A = [[(a + 2 * k - row) * Y[row - k] if 0 <= row - k <= dy else 0
-          for k in range(D + 1)] for row in range(nrows)]
-    sol = solve(A, [r[row] * den for row in range(nrows)])
+    R, rden = zclear(r.coeffs)
+    if a <= 0:
+        sol = zsolve1([0] + Y, zsub(zscale(a, Y), [0] + zderiv(Y)), R)
+    else:
+        sol = zsolve1(Y, zscale(-1, zderiv(Y)), [0] * (a - 1) + R)
     if sol is None:
         return None
-    g = Poly(sol)
-    # kernel reduction
-    if a <= 0 or y.valuation() >= a:
-        ker = Poly(([Fraction(0)] * (-a) + list(y.coeffs)) if a <= 0
-                   else list(y.coeffs[a:]))
-        dk = ker.degree
-        if dk >= 0 and g[dk]:
-            g = g - ker * (g[dk] / ker.leading())
-    return g
+    G, c = sol
+    if a >= 1:
+        v = y.valuation()
+        if v < a and v < len(G):
+            G, c = zsub(zscale(Y[v], G), zscale(G[v], Y)), c * Y[v]
+        if any(G[:a]):
+            return None
+        G = G[a:]
+    return Poly([Fraction(u * den, c * rden) for u in G])
 
 
 def fertility_solve(y: Poly, rhs: Poly, a: int):
     """A polynomial g with Wr(y, x^a g) = rhs, if one exists.
 
     Wr(y, x^a g) = x^{a-1} (a y g + x y g' - x y' g), so the problem reduces
-    to the cleared linear system; a may be any integer."""
+    to _solve_cleared; a may be any integer."""
     if y.is_zero():
         raise ValueError("y must be nonzero")
     if a >= 1:

@@ -12,7 +12,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .exact import Poly
+from .exact import Poly, zadd, zclear
 
 
 def _parse_weight(s):
@@ -46,10 +46,6 @@ def _parse_point(s):
 
 def _poly_json(p: Poly):
     return [str(c) for c in p.coeffs]
-
-
-def _poly_from_json(coeffs) -> Poly:
-    return Poly([Fraction(str(c)) for c in coeffs])
 
 
 def _poly_str(p: Poly) -> str:
@@ -101,13 +97,16 @@ def _load(option, path, build):
 
 
 def _load_polys(option, path, build=tuple):
-    """build(the 7 Polys of a JSON array of coefficient arrays), by _load:
-    a space (sgrass.PolySpace) or an ordered basis."""
+    """build(the 7 integer rows of a JSON array of coefficient arrays), by
+    _load: a space (sgrass.PolySpace) or an ordered basis.  Each row is its
+    coefficients cleared of denominators, without trailing zeros, so a zero
+    polynomial is [] (zprimitive divides by the content of [0])."""
     def read(content):
-        polys = tuple(map(_poly_from_json, content))
-        if len(polys) != 7:
-            raise ValueError(f"need 7 polynomials, got {len(polys)}")
-        return build(polys)
+        rows = tuple(zadd(zclear([Fraction(str(c)) for c in cs])[0], [])
+                     for cs in content)
+        if len(rows) != 7:
+            raise ValueError(f"need 7 polynomials, got {len(rows)}")
+        return build(rows)
     return _load(option, path, read)
 
 

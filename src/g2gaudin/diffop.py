@@ -8,14 +8,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from math import gcd, lcm
+from math import lcm
 
 from . import bethe
 from . import repn
 from . import rootdata as rd
 from .exact import (Poly, RatFunc, zadd, zderiv, zechelon, zgcd,
                     zlcm, zmul, zpoly, zprimitive, zquo, zratfunc, zreduce,
-                    zrow, zscale, zsub)
+                    zrow, zscale, zsolve1, zsub)
 from .linalg import nullspace
 
 
@@ -98,14 +98,9 @@ def _integral(N, d, bases):
 
     With E = prod B_j^e_j, rad the product of the B_j with d_j > 0 and
     S = sum_j e_j B_j' rad / B_j, (A / E)' = (A' rad - A S) / (E rad) for any
-    polynomials B_j, so A solves A' rad - A S = c N.  The solve is
-    triangular: x^k reaches x^(k - 1 + deg rad) with the pivot
-    k lead(rad) - S_(deg rad - 1), which is lead(rad) (k - deg E); each
-    pivot that does not divide is cleared by scaling the residual, which
-    fixes c.  The zero pivot, k = deg E, is the constant of integration,
-    taken 0.  For pairwise coprime squarefree B_j a solution exists exactly
-    when the integrand has no residue; a residual left over, at the zero
-    pivot or below the last one, raises ValueError."""
+    polynomials B_j; exact.zsolve1 solves A' rad - A S = c N, its zero pivot
+    deg E the constant of integration.  For pairwise coprime squarefree B_j
+    that fails, with ValueError, exactly when the integrand has a residue."""
     active = [j for j, dj in enumerate(d) if dj]
     rad, S = [1], []
     for j in active:
@@ -113,26 +108,10 @@ def _integral(N, d, bases):
         if d[j] > 1:
             cof = reduce(zmul, (bases[k] for k in active if k != j), [1])
             S = zadd(S, zscale(d[j] - 1, zmul(zderiv(bases[j]), cof)))
-    r = len(rad) - 1
-    top = S[r - 1] if r and len(S) == r else 0
-    R, A = list(zprimitive(N)), [0] * max(len(N) - r + 1, 0)
-    for t in range(len(R) - 1, max(r - 1, 0) - 1, -1):
-        k = t - r + 1
-        p = k * rad[-1] - top
-        if not (R[t] and p):  # a nonzero R[t] at p = 0 stays, and raises
-            continue
-        g = gcd(R[t], p)
-        m, a = abs(p // g), R[t] // g * (1 if p > 0 else -1)
-        if m > 1:
-            R, A = [m * v for v in R], [m * v for v in A]
-        A[k] = a
-        for i, v in enumerate(rad):
-            R[k - 1 + i] -= a * k * v
-        for i, v in enumerate(S):
-            R[k + i] += a * v
-    if any(R):
+    sol = zsolve1(rad, zscale(-1, S), zprimitive(N))
+    if sol is None:
         raise ValueError("the integrand has a residue: not a Bethe pair")
-    return zprimitive(zadd(A, [])), tuple(max(dj - 1, 0) for dj in d)
+    return zprimitive(sol[0]), tuple(max(dj - 1, 0) for dj in d)
 
 
 def _times(N, d, c, bases):

@@ -398,6 +398,34 @@ def zprem(a, b):
     return rem
 
 
+def zsolve1(p, q, N):
+    """(A, c) with p A' + q A = c N, c > 0 and A 0 at the zero pivot, for
+    integer lists p != 0 and q, deg q < deg p; None if there is none.  The
+    solve is triangular: x^k reaches x^(k - 1 + deg p) with the pivot
+    k lead(p) + q_(deg p - 1), zero for at most one k.  If no pivot is zero,
+    or p H' + q H = 0 has a polynomial solution H (of that degree k), None
+    means no polynomial A solves it at all.  A pivot that does not divide
+    scales the residual and c."""
+    r = len(p) - 1
+    top = q[r - 1] if 0 < r == len(q) else 0
+    R, A, c = list(N), [0] * max(len(N) - r + 1, 0), 1
+    for t in range(len(R) - 1, max(r - 1, 0) - 1, -1):
+        k = t - r + 1
+        piv = k * p[-1] + top
+        if not (R[t] and piv):  # a nonzero R[t] at piv = 0 stays
+            continue
+        g = gcd(R[t], piv)
+        m, a = abs(piv // g), R[t] // g * (1 if piv > 0 else -1)
+        if m > 1:
+            R, A, c = [m * v for v in R], [m * v for v in A], m * c
+        A[k] = a
+        for i, v in enumerate(p):
+            R[k - 1 + i] -= a * k * v
+        for i, v in enumerate(q):
+            R[k + i] -= a * v
+    return None if any(R) else (zadd(A, []), c)
+
+
 def zgcd(a, b):
     """Primitive gcd in Z[x] with positive leading coefficient, by the
     primitive remainder sequence; [] when both are zero."""

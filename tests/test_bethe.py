@@ -1,5 +1,6 @@
 """Closed-form Bethe solutions, fertility, and reproduction."""
 
+import random
 import re
 from fractions import Fraction
 
@@ -262,6 +263,36 @@ def test_solve_cleared_matches_oracle_on_reproduction_chains(monkeypatch):
     assert any(a <= 0 for _, _, a in calls)
     for y, r, a in calls:
         assert _same(real(y, r, a), _solve_cleared_ref(y, r, a)), (y, r, a)
+
+
+def test_solve_cleared_matches_oracle_on_random_inputs():
+    """400 seeded (y, r, a), deg y <= 5, val y <= 3, -3 <= a <= 4, half of
+    them with r the image of a random g (sometimes off by a monomial): the
+    triangular solve gives the oracle's answer, solvable or not."""
+    rng = random.Random(20)
+
+    def rand(deg, val):
+        cs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+              for _ in range(deg + 1)]
+        cs[:val] = [0] * min(val, deg + 1)
+        return Poly(cs[:-1] + [cs[-1] or 1])
+
+    solvable = 0
+    for n in range(400):
+        v = rng.randint(0, 3)
+        y, a = rand(max(rng.randint(0, 5), v), v), rng.randint(-3, 4)
+        if n % 2:
+            r = rand(rng.randint(0, 8), rng.randint(0, 3))
+        else:
+            g = rand(rng.randint(0, 5), rng.randint(0, 2))
+            r = (y * g * Fraction(a) + X * y * g.derivative()
+                 - X * y.derivative() * g)
+            if n % 3 == 0:
+                r = r + Poly([0] * rng.randint(0, 4) + [1])
+        want = _solve_cleared_ref(y, r, a)
+        assert _same(bethe._solve_cleared(y, r, a), want), (y, r, a)
+        solvable += want is not None
+    assert 100 < solvable < 300
 
 
 NONGENERIC = [

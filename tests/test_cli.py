@@ -284,11 +284,14 @@ _PARTITIONS = [[3, 2, 2, 1, 1, 0, 0], [1, 1, 1, 1, 1, 0, 0]]
     ("space", [["0"] * k + ["1"] for k in range(6)]),
     ("space", [["0"] * k + ["1"] for k in range(6)] + [["2", "3"]]),
     ("witness", [["0"] * k + ["1"] for k in range(6)]),
-    ("witness", [["0"] * k + ["1"] for k in range(8)])])
+    ("witness", [["0"] * k + ["1"] for k in range(8)]),
+    ("space", [["0"]] + [["0"] * k + ["1"] for k in range(1, 7)]),
+    ("space", [["0"] * k + ["1"] for k in range(6)] + [["0", "1", "0"]])])
 def test_malformed_files_are_usage_errors(role, content, tmp_path, capsys):
     """A --space, --ram or --witness file that is not JSON, lacks a key,
     has the wrong shape, a zero denominator or a partition that is not one,
-    a space that is not 7 independent polynomials, a witness that is not
+    a space that is not 7 independent polynomials (a zero row, or a row
+    equal to another but for a trailing zero), a witness that is not
     7 polynomials or repeated points is rejected with exit 2, a message
     naming the option and no traceback, by ssd-check and, for a space, by
     wronski."""
@@ -324,10 +327,16 @@ def test_valid_files_of_a_space_that_is_not_self_dual_fail(tmp_path, capsys):
 def test_a_witness_of_another_space_fails(tmp_path, capsys):
     """The flag of (1, 1), case 0 is no witness for the space of (1, 1),
     case 6, whose own flag is; both spaces are self-dual at the same
-    points, so only the witness check fails."""
+    points, so only the witness check fails.  A trailing zero coefficient
+    changes no row; a zero row fails the check instead of raising."""
     _, _, other = sgrass.bethe_kernel_instance((1, 1), 0)
+    _, _, own = sgrass.bethe_kernel_instance((1, 1), 6)
+    flag = [cli._poly_json(p) for p in own]
     for witness, ok in ((None, True),
-                        ([cli._poly_json(p) for p in other], False)):
+                        ([cli._poly_json(p) for p in other], False),
+                        (flag[:3] + [flag[3] + ["0", "0"]] + flag[4:], True),
+                        (flag[:3] + [["0"]] + flag[4:], False),
+                        (flag[:3] + [[]] + flag[4:], False)):
         files = _case_files(tmp_path, (1, 1), 6,
                             **({} if witness is None else {"witness": witness}))
         rc, out = run(["ssd-check"] + files, capsys)

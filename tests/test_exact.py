@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from g2gaudin import exact
 from g2gaudin.exact import (Poly, QSqrt2, RatFunc, poly_det, poly_gcd,
                             wronskian, zadd, zclear, zderiv, zgcd, zmul,
-                            zpoly, zscale, zwronski_minors, zwronskians)
+                            zpoly, zscale, zsub, zwronski_minors,
+                            zwronskians)
 from oracles import log_deriv, residue_at, shift
 
 fracs = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 10))
@@ -292,3 +293,54 @@ def test_poly_is_not_iterable():
         iter(Poly([1, 2]))
     with pytest.raises(TypeError):
         zwronskians([Poly([1, 2]), Poly([0, 1])])
+
+
+def _image(p, q, A):
+    """p A' + q A."""
+    return zadd(zmul(p, zderiv(A)), zmul(q, A))
+
+
+def test_first_order_solve_satisfies_its_equation():
+    """zsolve1 on N = p B' + q B for random integer lists B.  With no zero
+    pivot k lead(p) + q_(deg p - 1), k >= 0, it returns (c B, c), c > 0.
+    For p = H P and q = -H' P, whose homogeneous solution is H, it returns
+    c B less the multiple of H that makes it 0 at the zero pivot deg H."""
+    rng = random.Random(2020)
+
+    def rand(d):
+        return [rng.randint(-4, 4) for _ in range(d)] + [rng.choice((-3, 1, 2))]
+
+    for n in range(400):
+        B = zadd([rng.randint(-4, 4) for _ in range(rng.randint(0, 7))], [])
+        if n % 2:
+            dp = rng.randint(1, 4)
+            p, q = rand(dp), rand(dp - 1)
+            if q[-1] % p[-1] == 0 and q[-1] // p[-1] <= 0:
+                q[-1] = p[-1]  # the zero pivot at -1
+        else:
+            H, P = rand(rng.randint(0, 3)), rand(rng.randint(0, 2))
+            p, q = zmul(H, P), zscale(-1, zmul(zderiv(H), P))
+        N = _image(p, q, B)
+        A, c = exact.zsolve1(p, q, N)
+        assert c > 0 and _image(p, q, A) == zscale(c, N)
+        if n % 2:
+            assert A == zscale(c, B)
+        else:
+            k0 = len(H) - 1
+            Ak0, Bk0 = ((f + [0] * len(H))[k0] for f in (A, B))
+            assert Ak0 == 0 and zscale(H[-1], A) == zsub(
+                zscale(c * H[-1], B), zscale(c * Bk0, H))
+
+
+def test_first_order_solve_sets_the_zero_pivot_and_finds_residues():
+    """x A' - 3 A = N: the homogeneous solution x^3 is the zero pivot, so
+    1 + x^3 + 2 x^4 comes back as 1 + 2 x^4, and x^3 itself, a residual
+    at the zero pivot, has no solution; nor has 1 / (x (x - 1)), a residual
+    below the last pivot, whose two residues cancel at infinity."""
+    x, q = [0, 1], [-3]
+    B = [1, 0, 0, 1, 2]
+    A, c = exact.zsolve1(x, q, _image(x, q, B))
+    assert A == zscale(c, [1, 0, 0, 0, 2])
+    assert exact.zsolve1(x, q, [0, 0, 0, 1]) is None
+    assert exact.zsolve1([0, -1, 1], [], [1]) is None
+    assert exact.zsolve1([0, -1, 1], [], []) == ([], 1)

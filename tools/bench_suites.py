@@ -3,9 +3,10 @@ speed claim can be read off two such files.
 
     python3 tools/bench_suites.py suites OUT.json
 
-times the kernels, h2 and wronskian suites of `g2 verify` twice on the 5-
-and on the 7-grid, each run in a fresh process with G2_LMAX set to the
-grid; the time is the suite call alone, without the import.  One more
+times the kernels, h2, wronskian, bae-grid and reproduction suites of
+`g2 verify` twice on the 5- and on the 7-grid (reproduction caps itself at
+the 3-grid), each run in a fresh process with G2_LMAX set to the grid; the
+time is the suite call alone, without the import.  One more
 fresh run of each suite and grid under cProfile counts the calls of
 `Fraction.__new__` and of `exact.zpoly`, the Fraction Polys built from
 integer lists.
@@ -38,7 +39,7 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SUITES = ("kernels", "h2", "wronskian")
+SUITES = ("kernels", "h2", "wronskian", "bae-grid", "reproduction")
 WORKLOADS = ("case-sweep", "case-explore", "cold-cli")
 # end-to-end metrics of BENCHMARK.json and whether higher is better
 METRICS = {"ops_per_s": True, "op_p50_s": False, "op_tail_s": False,
