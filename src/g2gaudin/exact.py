@@ -1,9 +1,8 @@
-"""Exact scalar and polynomial arithmetic.
+"""Exact polynomial arithmetic over Q, the one scalar field of the package.
 
-Polynomials and rational functions are over Q: dense, coefficients
-`fractions.Fraction` stored lowest degree first.  `QSqrt2` (the field
-Q(sqrt 2)) is the scalar of the matrix layer (repn, linalg) only.  All
-operations are pure; every value is immutable after construction.
+Polynomials and rational functions are dense, coefficients
+`fractions.Fraction` stored lowest degree first.  All operations are pure;
+every value is immutable after construction.
 """
 
 from __future__ import annotations
@@ -11,108 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"cannot coerce {x!r} to Fraction")
-
-
-class QSqrt2:
-    """Element a + b*sqrt(2) of the quadratic field Q(sqrt 2)."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a=0, b=0):
-        object.__setattr__(self, "a", _frac(a))
-        object.__setattr__(self, "b", _frac(b))
-
-    def __setattr__(self, *args):
-        raise AttributeError("QSqrt2 is immutable")
-
-    @staticmethod
-    def _coerce(x) -> "QSqrt2":
-        if isinstance(x, QSqrt2):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return QSqrt2(x)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = QSqrt2._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QSqrt2(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QSqrt2(-self.a, -self.b)
-
-    def __sub__(self, other):
-        o = QSqrt2._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QSqrt2(self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other):
-        o = QSqrt2._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = QSqrt2._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QSqrt2(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "QSqrt2":
-        n = self.a * self.a - 2 * self.b * self.b
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt 2)")
-        return QSqrt2(self.a / n, -self.b / n)
-
-    def __truediv__(self, other):
-        o = QSqrt2._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = QSqrt2._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o * self.inverse()
-
-    def conjugate(self) -> "QSqrt2":
-        """The field automorphism a + b*sqrt2 -> a - b*sqrt2."""
-        return QSqrt2(self.a, -self.b)
-
-    def __eq__(self, other):
-        o = QSqrt2._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def __bool__(self):
-        return bool(self.a) or bool(self.b)
-
-    def __repr__(self):
-        if not self.b:
-            return f"{self.a}"
-        return f"({self.a}+{self.b}*sqrt2)"
-
-
-SQRT2 = QSqrt2(0, 1)
 
 
 class Poly:

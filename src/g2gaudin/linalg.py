@@ -1,4 +1,5 @@
-"""Exact linear algebra over a field (Fraction or QSqrt2 entries)."""
+"""Exact linear algebra over Q: matrices of ints and Fractions, eliminated
+fraction-free over Z."""
 
 from __future__ import annotations
 
@@ -8,22 +9,14 @@ from math import gcd
 from .exact import zclear
 
 
-def _is_rational(matrix):
-    return all(isinstance(v, (int, Fraction)) for row in matrix for v in row)
-
-
 def rref(matrix):
-    """Reduced row echelon form; returns (rows, pivot_columns).  A matrix of
-    ints and Fractions is reduced fraction-free over Z; any other entries
-    (QSqrt2) go through the generic field elimination."""
-    if _is_rational(matrix):
-        m, pivots = _zrref(matrix)
-        ncols = len(m[0]) if m else 0
-        return ([[Fraction(v, row[c]) for v in row]
-                 for row, c in zip(m, pivots)]
-                + [[Fraction(0)] * ncols for _ in range(len(m) - len(pivots))],
-                pivots)
-    return _rref_field(matrix)
+    """Reduced row echelon form of a matrix of ints and Fractions, reduced
+    fraction-free over Z; returns (rows, pivot_columns)."""
+    m, pivots = _zrref(matrix)
+    ncols = len(m[0]) if m else 0
+    return ([[Fraction(v, row[c]) for v in row] for row, c in zip(m, pivots)]
+            + [[Fraction(0)] * ncols for _ in range(len(m) - len(pivots))],
+            pivots)
 
 
 def _zrref(matrix):
@@ -60,42 +53,8 @@ def _zrref(matrix):
 def _reduced(matrix):
     """(entry, pivots): entry(r, c) is the (r, c) entry of rref(matrix),
     over Q built only when it is read."""
-    if _is_rational(matrix):
-        m, pivots = _zrref(matrix)
-        return (lambda r, c: Fraction(m[r][c], m[r][pivots[r]])), pivots
-    red, pivots = _rref_field(matrix)
-    return (lambda r, c: red[r][c]), pivots
-
-
-def _rref_field(matrix):
-    """rref by field operations, for any scalars with inverse (QSqrt2) or
-    Fraction entries."""
-    m = [list(row) for row in matrix]
-    if not m:
-        return m, []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = 1 / m[r][c] if isinstance(m[r][c], Fraction) else m[r][c].inverse()
-        m[r] = [inv * v for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+    m, pivots = _zrref(matrix)
+    return (lambda r, c: Fraction(m[r][c], m[r][pivots[r]])), pivots
 
 
 def rank(matrix) -> int:

@@ -1,6 +1,12 @@
-"""The 7-dimensional matrix realization of G2 over Q(sqrt 2) and
-representation combinatorics: Weyl dimensions, weight multiplicities,
-tensor decompositions, invariant dimensions.
+"""The 7-dimensional representation of G2 over Q and representation
+combinatorics: Weyl dimensions, weight multiplicities, tensor
+decompositions, invariant dimensions.
+
+The paper prints the module with sqrt2 among its entries.  It is held here
+conjugated by D = diag(1, 1, 1, sqrt2, 1, 1, 1), where it is integral: the
+Chevalley generators are integer matrices, and each printed G_ij is
+D (sqrt2^eps_ij Ĝ_ij) D^-1 with Ĝ_ij = `build_G()[i, j]` an integer matrix
+and eps_ij = `sqrt2_power(i, j)`.
 """
 
 from __future__ import annotations
@@ -11,63 +17,58 @@ from math import prod
 from types import MappingProxyType
 
 from . import rootdata as rd
-from .exact import QSqrt2, SQRT2
-from .linalg import nullspace, rank
+from .linalg import nullspace, rank, rref
 
 N = 7
 
 # ---------------------------------------------------------------- matrices
 
-ZERO = QSqrt2(0)
-ONE = QSqrt2(1)
-
 
 def mat_zero():
-    return tuple(tuple(ZERO for _ in range(N)) for _ in range(N))
+    return ((0,) * N,) * N
 
 
-def mat_unit(i, j, c=ONE):
+def mat_unit(i, j, c=1):
     """c * e_{ij}, 1-based indices."""
-    return tuple(tuple(c if (r, s) == (i - 1, j - 1) else ZERO for s in range(N))
+    return tuple(tuple(c if (r, s) == (i - 1, j - 1) else 0 for s in range(N))
                  for r in range(N))
 
 
 def mat_add(*ms):
-    return tuple(tuple(sum((m[r][s] for m in ms if m[r][s]), ZERO)
-                       for s in range(N)) for r in range(N))
+    return tuple(tuple(sum(m[r][s] for m in ms) for s in range(N))
+                 for r in range(N))
 
 
 def mat_scale(c, m):
-    return tuple(tuple(c * v if v else ZERO for v in row) for row in m)
+    return tuple(tuple(c * v for v in row) for row in m)
 
 
 def mat_lincomb(terms):
     """sum c * m over the (c, m) pairs, skipping zero coefficients and entries."""
-    out = [[ZERO] * N for _ in range(N)]
+    out = [[0] * N for _ in range(N)]
     for c, m in terms:
         if not c:
             continue
         for r in range(N):
             for s, v in enumerate(m[r]):
                 if v:
-                    out[r][s] = out[r][s] + c * v
+                    out[r][s] += c * v
     return tuple(tuple(row) for row in out)
 
 
 def mat_sub(a, b):
-    return tuple(tuple(x - y if y else x for x, y in zip(ra, rb))
-                 for ra, rb in zip(a, b))
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_mul(a, b):
-    out = [[ZERO] * N for _ in range(N)]
+    out = [[0] * N for _ in range(N)]
     for r in range(N):
         for k, x in enumerate(a[r]):
             if not x:
                 continue
             for s, y in enumerate(b[k]):
                 if y:
-                    out[r][s] = out[r][s] + x * y
+                    out[r][s] += x * y
     return tuple(tuple(row) for row in out)
 
 
@@ -81,15 +82,21 @@ def mat_eq(a, b):
 
 def trace_form(a, b):
     """The invariant form (x, y) = tr(xy)/6 on 7x7 matrices."""
-    t = sum((a[i][j] * b[j][i] for i in range(N) for j in range(N)
-             if a[i][j] and b[j][i]), ZERO)
-    return t * Fraction(1, 6)
+    return Fraction(sum(a[i][j] * b[j][i] for i in range(N) for j in range(N)),
+                    6)
+
+
+def sqrt2_power(i, j) -> int:
+    """eps_ij: 1 when exactly one of i, j is 4, else 0."""
+    return int((i == 4) != (j == 4))
 
 
 def F(i, j):
-    """so7 generator F_ij = e_ij - (-1)^{i+j} e_{8-j,8-i}."""
-    sign = QSqrt2((-1) ** (i + j))
-    return mat_sub(mat_unit(i, j), mat_unit(8 - j, 8 - i, sign))
+    """The so7 generator e_ij - (-1)^{i+j} e_{8-j,8-i}, conjugated by D and
+    times sqrt2^([i=4] + [j=4]):
+    2^[j=4] e_ij - (-1)^{i+j} 2^[i=4] e_{8-j,8-i}."""
+    return mat_sub(mat_unit(i, j, 2 if j == 4 else 1),
+                   mat_unit(8 - j, 8 - i, (-1) ** (i + j) * (2 if i == 4 else 1)))
 
 
 @lru_cache(maxsize=None)
@@ -97,9 +104,9 @@ def chevalley_matrices():
     """(e1, e2, f1, f2, h1, h2) in the basis v1..v7 of the 7-dim module."""
     e1 = mat_add(mat_unit(2, 3), mat_unit(5, 6))
     f1 = mat_add(mat_unit(3, 2), mat_unit(6, 5))
-    e2 = mat_add(mat_unit(1, 2), mat_unit(3, 4, SQRT2), mat_unit(4, 5, SQRT2),
+    e2 = mat_add(mat_unit(1, 2), mat_unit(3, 4, 2), mat_unit(4, 5),
                  mat_unit(6, 7))
-    f2 = mat_add(mat_unit(2, 1), mat_unit(4, 3, SQRT2), mat_unit(5, 4, SQRT2),
+    f2 = mat_add(mat_unit(2, 1), mat_unit(4, 3), mat_unit(5, 4, 2),
                  mat_unit(7, 6))
     h1 = bracket(e1, f1)
     h2 = bracket(e2, f2)
@@ -119,78 +126,57 @@ def g2_basis():
     return tuple(basis)
 
 
+# the six printed relations G_ij = s sqrt2 G_kl, as (ij, kl, s); the paper
+# prints G_ij = 2 F_ij + s sqrt2 F_kl with the same (ij, kl, s)
+PROPORTIONALITIES = (((2, 4), (1, 3), -1), ((3, 4), (6, 7), 1),
+                     ((7, 4), (5, 2), -1), ((4, 2), (3, 1), -1),
+                     ((4, 3), (7, 6), 1), ((4, 7), (2, 5), -1))
+
+
 @lru_cache(maxsize=None)
 def build_G():
-    """All 49 entries G_ij as 7x7 matrices, from the printed formulas, as a
-    read-only mapping: the result is cached and shared by every caller."""
-    half_sqrt2 = QSqrt2(0, Fraction(1, 2))  # 1/sqrt2
+    """All 49 entries Ĝ_ij as integer 7x7 matrices, from the printed
+    formulas, as a read-only mapping: the result is cached and shared by
+    every caller."""
     G = {}
     for i in (2, 3, 7):
         for j in (2, 3, 7):
             if i != j:
-                G[(i, j)] = mat_scale(QSqrt2(3), F(i, j))
-    G[(2, 2)] = mat_sub(mat_scale(QSqrt2(2), F(2, 2)), mat_add(F(3, 3), F(7, 7)))
-    G[(3, 3)] = mat_sub(mat_scale(QSqrt2(2), F(3, 3)), mat_add(F(2, 2), F(7, 7)))
-    G[(7, 7)] = mat_sub(mat_scale(QSqrt2(2), F(7, 7)), mat_add(F(2, 2), F(3, 3)))
-    G[(2, 4)] = mat_sub(mat_scale(QSqrt2(2), F(2, 4)), mat_scale(SQRT2, F(1, 3)))
-    G[(3, 4)] = mat_add(mat_scale(QSqrt2(2), F(3, 4)), mat_scale(SQRT2, F(6, 7)))
-    G[(7, 4)] = mat_sub(mat_scale(QSqrt2(2), F(7, 4)), mat_scale(SQRT2, F(5, 2)))
-    G[(4, 2)] = mat_sub(mat_scale(QSqrt2(2), F(4, 2)), mat_scale(SQRT2, F(3, 1)))
-    G[(4, 3)] = mat_add(mat_scale(QSqrt2(2), F(4, 3)), mat_scale(SQRT2, F(7, 6)))
-    G[(4, 7)] = mat_sub(mat_scale(QSqrt2(2), F(4, 7)), mat_scale(SQRT2, F(2, 5)))
-    # proportionality relations, e.g. G_24 = -sqrt2 G_13
-    G[(1, 3)] = mat_scale(-half_sqrt2, G[(2, 4)])
-    G[(6, 7)] = mat_scale(half_sqrt2, G[(3, 4)])
-    G[(5, 2)] = mat_scale(-half_sqrt2, G[(7, 4)])
-    G[(3, 1)] = mat_scale(-half_sqrt2, G[(4, 2)])
-    G[(7, 6)] = mat_scale(half_sqrt2, G[(4, 3)])
-    G[(2, 5)] = mat_scale(-half_sqrt2, G[(4, 7)])
-    # close under G_ij + (-1)^{i+j} G_{8-j,8-i} = 0
-    changed = True
-    while changed:
-        changed = False
-        for i in range(1, 8):
-            for j in range(1, 8):
-                if (i, j) not in G and (8 - j, 8 - i) in G:
-                    sign = QSqrt2(-((-1) ** (i + j)))
-                    G[(i, j)] = mat_scale(sign, G[(8 - j, 8 - i)])
-                    changed = True
+                G[(i, j)] = mat_scale(3, F(i, j))
+    for i, j, k in ((2, 3, 7), (3, 2, 7), (7, 2, 3)):
+        G[(i, i)] = mat_sub(mat_scale(2, F(i, i)), mat_add(F(j, j), F(k, k)))
+    # the printed G_ij = 2 F_ij + s sqrt2 F_kl = s sqrt2 G_kl becomes
+    # Ĝ_ij = F(ij) + s F(kl) and Ĝ_kl = s Ĝ_ij
+    for ij, kl, s in PROPORTIONALITIES:
+        G[ij] = mat_add(F(*ij), mat_scale(s, F(*kl)))
+        G[kl] = mat_scale(s, G[ij])
+    # close under G_ij + (-1)^{i+j} G_{8-j,8-i} = 0: no entry above is the
+    # partner of another, so one pass fills each partner; G_{i,8-i} = 0
     for i in range(1, 8):
         for j in range(1, 8):
-            if (i, j) not in G:
-                if i + j != 8:
-                    raise AssertionError(f"entry G[{i},{j}] unreachable")
+            if (i, j) in G:
+                continue
+            if (8 - j, 8 - i) in G:
+                G[(i, j)] = mat_scale(-(-1) ** (i + j), G[(8 - j, 8 - i)])
+            elif i + j == 8:
                 G[(i, j)] = mat_zero()
-    # consistency: skew relation holds everywhere
-    for i in range(1, 8):
-        for j in range(1, 8):
-            sign = QSqrt2((-1) ** (i + j))
-            if not mat_eq(mat_add(G[(i, j)], mat_scale(sign, G[(8 - j, 8 - i)])),
-                          mat_zero()):
-                raise AssertionError(f"skew relation fails at ({i},{j})")
-    # consistency: the six printed proportionality relations
-    for (lhs, rhs, s) in [((2, 4), (1, 3), -1), ((3, 4), (6, 7), 1),
-                          ((7, 4), (5, 2), -1), ((4, 2), (3, 1), -1),
-                          ((4, 3), (7, 6), 1), ((4, 7), (2, 5), -1)]:
-        if not mat_eq(G[lhs], mat_scale(QSqrt2(s) * SQRT2, G[rhs])):
-            raise AssertionError(f"proportionality G{lhs} = {s}*sqrt2*G{rhs} fails")
+            else:
+                raise AssertionError(f"entry G[{i},{j}] unreachable")
     return MappingProxyType(G)
 
 
 def dual_basis_G():
-    """G entries recomputed basis-independently: G_ij = sum_a (x_a)_ji x^a
-    for dual bases of the trace form.  Cross-check for build_G:
-    `verify.check_chevalley` compares its result with `build_G()` entry by
-    entry on all 49 (i, j) and fails at the first entry that differs.  It
-    yields the same Casimir since sum_ij G_ji (x) G_ij is symmetric in the
-    convention."""
+    """The Ĝ_ij recomputed basis-independently, from dual bases x_a, x^a of
+    the trace form: sum_a (x_a)_ji x^a is D^-1 G_ij D times d_i/d_j, which
+    is c_ij Ĝ_ij with c_ij = 2 when i = 4 != j and 1 otherwise.
+    Cross-check for build_G: `verify.check_chevalley` compares its result
+    with `build_G()` entry by entry on all 49 (i, j) and fails at the first
+    entry that differs."""
     basis = g2_basis()
     gram = [[trace_form(x, y) for y in basis] for x in basis]
-    # invert the Gram matrix over Q(sqrt2)
+    # invert the Gram matrix over Q
     n = len(basis)
-    aug = [list(gram[i]) + [ONE if j == i else ZERO for j in range(n)]
-           for i in range(n)]
-    from .linalg import rref
+    aug = [list(gram[i]) + [int(j == i) for j in range(n)] for i in range(n)]
     red, piv = rref(aug)
     if piv != list(range(n)):
         raise AssertionError("trace form degenerate on g2 basis")
@@ -199,7 +185,8 @@ def dual_basis_G():
     G = {}
     for i in range(1, 8):
         for j in range(1, 8):
-            G[(i, j)] = mat_lincomb((xa[j - 1][i - 1], xda)
+            c = Fraction(1, 2) if i == 4 != j else 1
+            G[(i, j)] = mat_lincomb((c * xa[j - 1][i - 1], xda)
                                     for xa, xda in zip(basis, dual))
     return G
 
@@ -210,20 +197,19 @@ def _nonzero_entries(m):
 
 @lru_cache(maxsize=None)
 def casimir_on_pair():
-    """The 49x49 matrix of the Casimir on V_{omega2} (x) V_{omega2}: one sixth
-    of the sum of the Kronecker products G_ji (x) G_ij, accumulated over the
-    nonzero entries of the two factors only."""
+    """The 49x49 matrix of the Casimir on V_{omega2} (x) V_{omega2},
+    conjugated by D (x) D: one sixth of the sum of the Kronecker products
+    G_ji (x) G_ij = 2^eps_ij Ĝ_ji (x) Ĝ_ij, accumulated over the nonzero
+    entries of the two factors only."""
     G = build_G()
-    omega = [[ZERO] * 49 for _ in range(49)]
-    for i in range(1, 8):
-        for j in range(1, 8):
-            b = _nonzero_entries(G[(i, j)])
-            for r1, s1, x in _nonzero_entries(G[(j, i)]):
-                for r2, s2, y in b:
-                    r, s = N * r1 + r2, N * s1 + s2
-                    omega[r][s] = omega[r][s] + x * y
-    sixth = Fraction(1, 6)
-    return tuple(tuple(sixth * v for v in row) for row in omega)
+    omega = [[0] * 49 for _ in range(49)]
+    for (i, j), gij in G.items():
+        w = 2 ** sqrt2_power(i, j)
+        b = _nonzero_entries(gij)
+        for r1, s1, x in _nonzero_entries(G[(j, i)]):
+            for r2, s2, y in b:
+                omega[N * r1 + r2][N * s1 + s2] += w * x * y
+    return tuple(tuple(Fraction(v, 6) for v in row) for row in omega)
 
 
 def casimir_eigenvalue(mu) -> Fraction:

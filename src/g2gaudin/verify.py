@@ -9,11 +9,12 @@ import os
 from dataclasses import replace
 from fractions import Fraction
 from functools import wraps
+from itertools import permutations
 
 from . import repn
 from . import rootdata as rd
-from .exact import Poly, QSqrt2, zprimitive, zwronskians
-from .repn import bracket, mat_eq, mat_scale, mat_sub, mat_zero
+from .exact import Poly, zprimitive, zwronskians
+from .repn import bracket, mat_eq, mat_scale, mat_zero
 
 
 def lmax():
@@ -57,7 +58,10 @@ def _sweep(passed):
 
 
 def check_chevalley():
-    """Chevalley relations over Q(sqrt2) and the G-matrix identities."""
+    """Chevalley relations and the G-matrix identities of the printed
+    matrices, checked exactly on the module conjugated by D over Q: each
+    printed G_ij = s sqrt2 G_kl holds when eps_ij = eps_kl + 1 and
+    Ĝ_ij = s Ĝ_kl."""
     e1, e2, f1, f2, h1, h2 = repn.chevalley_matrices()
     es, fs, hs = (e1, e2), (f1, f2), (h1, h2)
     for i in range(2):
@@ -66,19 +70,20 @@ def check_chevalley():
             if not mat_eq(bracket(es[i], fs[j]), delta):
                 return False, f"[e{i+1}, f{j+1}] != delta*h"
             a = rd.CARTAN[i][j]
-            if not mat_eq(bracket(hs[i], es[j]), mat_scale(QSqrt2(a), es[j])):
+            if not mat_eq(bracket(hs[i], es[j]), mat_scale(a, es[j])):
                 return False, f"[h{i+1}, e{j+1}] != a_ij e{j+1}"
-            if not mat_eq(bracket(hs[i], fs[j]), mat_scale(QSqrt2(-a), fs[j])):
+            if not mat_eq(bracket(hs[i], fs[j]), mat_scale(-a, fs[j])):
                 return False, f"[h{i+1}, f{j+1}] != -a_ij f{j+1}"
-    G = repn.build_G()  # internally asserts skew + proportionality
+    G = repn.build_G()
     for i in range(1, 8):
         for j in range(1, 8):
-            sign = QSqrt2((-1) ** (i + j))
-            if not mat_eq(mat_sub(G[(i, j)],
-                                  mat_scale(QSqrt2(-1) * sign,
-                                            G[(8 - j, 8 - i)])),
-                          mat_zero()):
+            if not mat_eq(G[(i, j)],
+                          mat_scale(-(-1) ** (i + j), G[(8 - j, 8 - i)])):
                 return False, f"skew relation fails at G[{i},{j}]"
+    for ij, kl, s in repn.PROPORTIONALITIES:
+        if (repn.sqrt2_power(*ij) != repn.sqrt2_power(*kl) + 1
+                or not mat_eq(G[ij], mat_scale(s, G[kl]))):
+            return False, f"proportionality G{ij} = {s}*sqrt2*G{kl} fails"
     # dual basis identity ties G to the invariant form
     dual = repn.dual_basis_G()
     for i in range(1, 8):
@@ -243,6 +248,25 @@ _D11_EDGES = """
 """.strip().splitlines()
 
 
+def _closure_mismatch(H):
+    """(n, extra, missing): the transitive closure of H's edges has n
+    relations; extra and missing name the pairs (upper, lower) in it and not
+    in the strict `strat.stratum_leq` on H's nodes, and the other way."""
+    from . import strat
+    below = {a: set() for a in H.nodes}
+    # an edge lowers the dimension by one, and H.edges is in node order, so
+    # in reverse every edge below b has been read before an edge into b
+    for a, b in reversed(H.edges):
+        below[a] |= below[b] | {b}
+    closure = {(a, b) for a in H.nodes for b in below[a]}
+    leq = {(a, b) for a in H.nodes for b in H.nodes
+           if a != b and strat.stratum_leq(a, b)}
+
+    def names(pairs):
+        return sorted((a.name(), b.name()) for a, b in pairs)
+    return len(closure), names(closure - leq), names(leq - closure)
+
+
 def check_strata():
     from . import strat
     H = strat.hasse_diagram(11)
@@ -261,6 +285,10 @@ def check_strata():
     if got != want:
         return False, (f"arrow set differs: extra {sorted(got - want)}, "
                        f"missing {sorted(want - got)}")
+    _, extra, missing = _closure_mismatch(H)
+    if extra or missing:
+        return False, (f"edge closure differs from stratum_leq: extra "
+                       f"{extra}, missing {missing}")
     d1 = strat.to_dot(H)
     d2 = strat.to_dot(strat.hasse_diagram(11))
     if d1 != d2:
@@ -272,6 +300,23 @@ def check_strata():
     return True, "d=11: 17 nodes (layers 4,6,6,1), 29 golden arrows; d=7,8 ok"
 
 
+# the d = 11 nodes whose symmetry coefficient is above 1 (6, 4 and 2)
+_COVERING_ANCHORS = (
+    (((0, 0), 1), ((0, 0), 1), ((0, 1), 0), ((0, 1), 0)),
+    (((0, 0), 1), ((0, 1), 0), ((0, 1), 0), ((0, 1), 0)),
+    (((0, 1), 1), ((0, 0), 1), ((0, 1), 0)),
+)
+
+
+def _orderings(pairs):
+    """The number of distinct orderings of pairs within each size class."""
+    n = 1
+    for size in {rd.pair_size(*p) for p in pairs}:
+        n *= len(set(permutations(p for p in pairs
+                                  if rd.pair_size(*p) == size)))
+    return n
+
+
 def check_covering():
     from . import bethe, strat
     for n, want in ((2, 1), (3, 1), (4, 4)):
@@ -280,6 +325,12 @@ def check_covering():
         inv = repn.invariant_dim(A.weights)
         if deg != want or deg != inv:
             return False, f"covering degree {deg} != {want} at n={n}"
+    for pairs in _COVERING_ANCHORS:
+        A = strat.StratumLabel(pairs)
+        # the invariant dimension is 1 at each of these anchors
+        deg, want = strat.covering_degree(A), _orderings(A.pairs)
+        if deg != want:
+            return False, f"covering degree {deg} != {want} at {A.name()}"
     if len(bethe.admissible_ls((0, 1))) != 4:
         return False, "admissible-case count at the n=2 anchor != 4"
     if len(repn.tensor_decompose(rd.OMEGA2, rd.OMEGA2)) != 4:

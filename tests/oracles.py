@@ -1,14 +1,21 @@
-"""RatFunc reference implementations of the operator layer, kept as oracles
-for the integer code of `diffop`: the plain RatFunc product of log-factors,
-conjugation by substitution, application to a polynomial, Laurent and
-infinity coefficients by Taylor shifts, the indicial polynomial over Q and
-residues.  An operator here is its full coefficient list, indexed by
-derivative order 0..n, of RatFuncs."""
+"""Reference implementations kept as oracles for the exact code.
+
+RatFunc versions of the operator layer, for the integer code of `diffop`:
+the plain RatFunc product of log-factors, conjugation by substitution,
+application to a polynomial, Laurent and infinity coefficients by Taylor
+shifts, the indicial polynomial over Q and residues.  An operator here is
+its full coefficient list, indexed by derivative order 0..n, of RatFuncs.
+
+The 7-dimensional module as the paper prints it, over Q(sqrt 2), for the
+rational module of `repn`, with the field elimination that `linalg`'s
+fraction-free rref is compared against."""
 
 from fractions import Fraction
 from functools import lru_cache
 
 from g2gaudin.exact import Poly, RatFunc
+from g2gaudin.repn import (bracket, mat_add, mat_scale, mat_sub, mat_unit,
+                          mat_zero)
 
 ZERO = RatFunc(Poly())
 ONE = RatFunc(Poly([1]))
@@ -139,3 +146,155 @@ def residue_at(f: RatFunc, z) -> Fraction:
                    -inv0 * sum((d0[j] * inv[k - j] for j in range(1, k + 1)),
                                Fraction(0)))
     return sum((num[j] * inv[m - 1 - j] for j in range(m)), Fraction(0))
+
+
+class QSqrt2:
+    """Element a + b*sqrt(2) of the quadratic field Q(sqrt 2)."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a=0, b=0):
+        self.a, self.b = Fraction(a), Fraction(b)
+
+    @staticmethod
+    def _of(x):
+        return x if isinstance(x, QSqrt2) else QSqrt2(x)
+
+    def __add__(self, other):
+        o = QSqrt2._of(other)
+        return QSqrt2(self.a + o.a, self.b + o.b)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return QSqrt2(-self.a, -self.b)
+
+    def __sub__(self, other):
+        return self + -QSqrt2._of(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        o = QSqrt2._of(other)
+        return QSqrt2(self.a * o.a + 2 * self.b * o.b,
+                      self.a * o.b + self.b * o.a)
+
+    __rmul__ = __mul__
+
+    def conjugate(self):
+        """The field automorphism a + b*sqrt2 -> a - b*sqrt2."""
+        return QSqrt2(self.a, -self.b)
+
+    def inverse(self):
+        n = self.a * self.a - 2 * self.b * self.b
+        return QSqrt2(self.a / n, -self.b / n)
+
+    def __truediv__(self, other):
+        return self * QSqrt2._of(other).inverse()
+
+    def __rtruediv__(self, other):
+        return QSqrt2._of(other) * self.inverse()
+
+    def __eq__(self, other):
+        o = QSqrt2._of(other)
+        return (self.a, self.b) == (o.a, o.b)
+
+    def __hash__(self):
+        return hash((self.a, self.b))
+
+    def __bool__(self):
+        return bool(self.a or self.b)
+
+    def __repr__(self):
+        return f"({self.a}+{self.b}*sqrt2)"
+
+
+SQRT2 = QSqrt2(0, 1)
+# D = diag(1, 1, 1, sqrt2, 1, 1, 1), the change of basis to repn's module
+D = (1, 1, 1, SQRT2, 1, 1, 1)
+
+
+def conjugate_by_D(m):
+    """D^-1 m D, entry by entry: m_rs d_s / d_r."""
+    return tuple(tuple(QSqrt2._of(v) * D[s] / D[r] for s, v in enumerate(row))
+                 for r, row in enumerate(m))
+
+
+def printed_F(i, j):
+    """so7 generator F_ij = e_ij - (-1)^{i+j} e_{8-j,8-i}."""
+    return mat_sub(mat_unit(i, j), mat_unit(8 - j, 8 - i, (-1) ** (i + j)))
+
+
+def printed_chevalley():
+    """(e1, e2, f1, f2, h1, h2) as printed, with sqrt2 in e2 and f2."""
+    e1 = mat_add(mat_unit(2, 3), mat_unit(5, 6))
+    f1 = mat_add(mat_unit(3, 2), mat_unit(6, 5))
+    e2 = mat_add(mat_unit(1, 2), mat_unit(3, 4, SQRT2), mat_unit(4, 5, SQRT2),
+                 mat_unit(6, 7))
+    f2 = mat_add(mat_unit(2, 1), mat_unit(4, 3, SQRT2), mat_unit(5, 4, SQRT2),
+                 mat_unit(7, 6))
+    return e1, e2, f1, f2, bracket(e1, f1), bracket(e2, f2)
+
+
+@lru_cache(maxsize=None)
+def printed_G():
+    """All 49 G_ij over Q(sqrt2), from the printed formulas and the printed
+    proportionalities, closed under the skew relation."""
+    F = printed_F
+    G = {}
+    for i in (2, 3, 7):
+        for j in (2, 3, 7):
+            if i != j:
+                G[(i, j)] = mat_scale(3, F(i, j))
+    G[(2, 2)] = mat_sub(mat_scale(2, F(2, 2)), mat_add(F(3, 3), F(7, 7)))
+    G[(3, 3)] = mat_sub(mat_scale(2, F(3, 3)), mat_add(F(2, 2), F(7, 7)))
+    G[(7, 7)] = mat_sub(mat_scale(2, F(7, 7)), mat_add(F(2, 2), F(3, 3)))
+    G[(2, 4)] = mat_sub(mat_scale(2, F(2, 4)), mat_scale(SQRT2, F(1, 3)))
+    G[(3, 4)] = mat_add(mat_scale(2, F(3, 4)), mat_scale(SQRT2, F(6, 7)))
+    G[(7, 4)] = mat_sub(mat_scale(2, F(7, 4)), mat_scale(SQRT2, F(5, 2)))
+    G[(4, 2)] = mat_sub(mat_scale(2, F(4, 2)), mat_scale(SQRT2, F(3, 1)))
+    G[(4, 3)] = mat_add(mat_scale(2, F(4, 3)), mat_scale(SQRT2, F(7, 6)))
+    G[(4, 7)] = mat_sub(mat_scale(2, F(4, 7)), mat_scale(SQRT2, F(2, 5)))
+    # G_24 = -sqrt2 G_13, G_34 = sqrt2 G_67, ...
+    half_sqrt2 = SQRT2 / 2
+    G[(1, 3)] = mat_scale(-half_sqrt2, G[(2, 4)])
+    G[(6, 7)] = mat_scale(half_sqrt2, G[(3, 4)])
+    G[(5, 2)] = mat_scale(-half_sqrt2, G[(7, 4)])
+    G[(3, 1)] = mat_scale(-half_sqrt2, G[(4, 2)])
+    G[(7, 6)] = mat_scale(half_sqrt2, G[(4, 3)])
+    G[(2, 5)] = mat_scale(-half_sqrt2, G[(4, 7)])
+    for i in range(1, 8):
+        for j in range(1, 8):
+            if (i, j) not in G and (8 - j, 8 - i) in G:
+                G[(i, j)] = mat_scale(-((-1) ** (i + j)), G[(8 - j, 8 - i)])
+    for i in range(1, 8):
+        G.setdefault((i, 8 - i), mat_zero())
+    assert len(G) == 49
+    return G
+
+
+def rref_field(matrix):
+    """rref by field operations, for Fraction or QSqrt2 entries."""
+    m = [list(row) for row in matrix]
+    if not m:
+        return m, []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [inv * v for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots

@@ -1,4 +1,5 @@
-"""Exact arithmetic: Q(sqrt2), polynomials, rational functions."""
+"""Exact arithmetic: polynomials and rational functions over Q, and the
+Q(sqrt2) scalar of the oracles."""
 
 import itertools
 import random
@@ -9,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2gaudin import exact
-from g2gaudin.exact import (Poly, QSqrt2, RatFunc, poly_det, poly_gcd,
+from g2gaudin.exact import (Poly, RatFunc, poly_det, poly_gcd,
                             wronskian, zadd, zclear, zderiv, zgcd, zmul,
                             zpoly, zscale, zsub, zwronski_minors,
                             zwronskians)
-from oracles import log_deriv, residue_at, shift
+from oracles import QSqrt2, log_deriv, residue_at, shift
 
 fracs = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 10))
 qs = st.builds(QSqrt2, fracs, fracs)
@@ -175,8 +176,8 @@ def test_integer_gcd_matches_field_gcd(a, b):
 
 
 def test_q_only_paths_reject_qsqrt2():
-    """Polynomials are over Q: a QSqrt2 coefficient is rejected when the
-    Poly or RatFunc is built."""
+    """Polynomials are over Q: a coefficient in Q(sqrt2) (the oracles'
+    scalar) is rejected when the Poly or RatFunc is built."""
     with pytest.raises(TypeError):
         Poly([QSqrt2(0, 1), Fraction(1)])
     with pytest.raises(TypeError):

@@ -1,5 +1,5 @@
 """Exact linear algebra: the fraction-free rational rref against the field
-elimination that serves Q(sqrt2)."""
+elimination of the oracles."""
 
 from fractions import Fraction
 
@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2gaudin import linalg
+from oracles import rref_field
 
 fracs = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
 entries = st.one_of(st.just(Fraction(0)), fracs)
@@ -35,7 +36,7 @@ def rational_matrices(draw):
 @settings(max_examples=150, deadline=None)
 def test_rational_rref_matches_field_elimination(m):
     red, pivots = linalg.rref(m)
-    assert (red, pivots) == linalg._rref_field(m)
+    assert (red, pivots) == rref_field(m)
     assert all(isinstance(v, Fraction) for row in red for v in row)
 
 

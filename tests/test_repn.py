@@ -8,8 +8,8 @@ import pytest
 from g2gaudin import repn
 from g2gaudin import rootdata as rd
 from g2gaudin import verify
-from g2gaudin.exact import QSqrt2
 from g2gaudin.repn import bracket, mat_eq, mat_scale, mat_zero
+from oracles import D, SQRT2, conjugate_by_D, printed_chevalley, printed_G
 
 
 def test_chevalley_relations():
@@ -20,10 +20,8 @@ def test_chevalley_relations():
             target = hs[i] if i == j else mat_zero()
             assert mat_eq(bracket(es[i], fs[j]), target)
             a = rd.CARTAN[i][j]
-            assert mat_eq(bracket(hs[i], es[j]),
-                          mat_scale(QSqrt2(a), es[j]))
-            assert mat_eq(bracket(hs[i], fs[j]),
-                          mat_scale(QSqrt2(-a), fs[j]))
+            assert mat_eq(bracket(hs[i], es[j]), mat_scale(a, es[j]))
+            assert mat_eq(bracket(hs[i], fs[j]), mat_scale(-a, fs[j]))
 
 
 def test_serre_like_brackets():
@@ -57,17 +55,89 @@ def test_chevalley_rejects_corrupted_G(monkeypatch):
     good = repn.build_G()
     bad = dict(good)
     for ij in ((2, 3), (5, 6)):
-        bad[ij] = mat_scale(QSqrt2(2), good[ij])
+        bad[ij] = mat_scale(2, good[ij])
+    assert _chevalley_with(monkeypatch, bad) == \
+        (False, "dual-basis identity fails at G[2,3]")
+    assert repn.build_G() is good and verify.check_chevalley()[0]
+
+
+def _chevalley_with(monkeypatch, G):
+    """check_chevalley with build_G returning G."""
     repn.g2_basis.cache_clear()
     try:
         with monkeypatch.context() as mp:
-            mp.setattr(repn, "build_G", lambda: bad)
-            ok, detail = verify.check_chevalley()
+            mp.setattr(repn, "build_G", lambda: G)
+            return verify.check_chevalley()
     finally:
         repn.g2_basis.cache_clear()  # it may have cached the corrupted entries
-    assert not ok
-    assert detail == "dual-basis identity fails at G[2,3]"
-    assert repn.build_G() is good and verify.check_chevalley()[0]
+
+
+def _with_entry(m, r, s, v):
+    return tuple(tuple(v if (a, b) == (r, s) else x for b, x in enumerate(row))
+                 for a, row in enumerate(m))
+
+
+def test_chevalley_rejects_one_wrong_sqrt2_graded_entry(monkeypatch):
+    # Ĝ_24 = 2 e_24 - e_46 - e_13 + e_57; its (2, 4) entry made 3
+    good = repn.build_G()
+    bad = dict(good)
+    bad[(2, 4)] = _with_entry(good[(2, 4)], 1, 3, 3)
+    assert good[(2, 4)][1][3] == 2 and repn.sqrt2_power(2, 4) == 1
+    assert _chevalley_with(monkeypatch, bad) == \
+        (False, "skew relation fails at G[2,4]")
+    # with its skew partner Ĝ_46 = -Ĝ_24 changed to match, the printed
+    # G_24 = -sqrt2 G_13 catches it
+    bad[(4, 6)] = mat_scale(-1, bad[(2, 4)])
+    assert _chevalley_with(monkeypatch, bad) == \
+        (False, "proportionality G(2, 4) = -1*sqrt2*G(1, 3) fails")
+    assert verify.check_chevalley()[0]
+
+
+def test_wrong_sqrt2_grading_fails_chevalley_and_casimir(monkeypatch):
+    repn.casimir_on_pair.cache_clear()
+    try:
+        with monkeypatch.context() as mp:
+            mp.setattr(repn, "sqrt2_power", lambda i, j: 0)
+            assert not verify.check_chevalley()[0]
+            assert not verify.check_casimir()[0]
+    finally:
+        repn.casimir_on_pair.cache_clear()
+    assert verify.check_casimir()[0]
+
+
+def test_module_is_the_printed_one_conjugated_by_D():
+    # D^-1 X D for the printed Chevalley generators, and D^-1 G_ij D =
+    # sqrt2^eps_ij Ĝ_ij for all 49 printed G_ij, entry by entry
+    for printed, ours in zip(printed_chevalley(), repn.chevalley_matrices()):
+        assert mat_eq(conjugate_by_D(printed), ours)
+    G, graded = repn.build_G(), 0
+    for (i, j), m in printed_G().items():
+        eps = repn.sqrt2_power(i, j)
+        assert eps == repn.sqrt2_power(j, i)
+        assert mat_eq(conjugate_by_D(m),
+                      mat_scale(SQRT2 if eps else 1, G[(i, j)])), (i, j)
+        graded += eps
+    assert graded == 12
+
+
+def test_casimir_is_the_printed_one_conjugated_by_D():
+    # (D (x) D)^-1 Omega (D (x) D), Omega from the printed G over Q(sqrt2)
+    G, n = printed_G(), repn.N
+    omega = [[0] * n * n for _ in range(n * n)]
+    for (i, j), gij in G.items():
+        for r1, row1 in enumerate(G[(j, i)]):
+            for s1, x in enumerate(row1):
+                if not x:
+                    continue
+                for r2, row2 in enumerate(gij):
+                    for s2, y in enumerate(row2):
+                        if y:
+                            omega[n * r1 + r2][n * s1 + s2] += x * y
+    d = [a * b for a in D for b in D]
+    ours = repn.casimir_on_pair()
+    assert all(omega[r][s] * d[s] / d[r] == 6 * ours[r][s]
+               for r in range(n * n) for s in range(n * n))
+    assert sum(1 for row in ours for v in row if v) == 156
 
 
 def test_weyl_dims():

@@ -1,8 +1,11 @@
 """Stratification combinatorics: labels, order, degenerations, coverings."""
 
+from math import factorial
+from types import SimpleNamespace
+
 import pytest
 
-from g2gaudin import strat
+from g2gaudin import repn, strat, verify
 from g2gaudin.strat import StratumLabel as S
 
 
@@ -56,6 +59,60 @@ def test_stratum_leq_transitive_on_d11():
         for b in bs:
             for c in succ.get(b, []):
                 assert strat.stratum_leq(a, c)
+
+
+@pytest.mark.parametrize("d, relations", [(12, 227), (13, 1123)])
+def test_edge_closure_is_the_strict_order(d, relations):
+    # the check_strata comparison, at the next two d
+    assert verify._closure_mismatch(strat.hasse_diagram(d)) == \
+        (relations, [], [])
+
+
+def test_strata_check_fails_on_a_dropped_tensor_summand(monkeypatch):
+    # simple_degenerations loses the omega2 summand of V_omega2 (x) V_omega2;
+    # stratum_leq, through Hom multiplicities, keeps it
+    def dropped(lam, mu):
+        dec = dict(repn.tensor_decompose(lam, mu))
+        if tuple(lam) == tuple(mu) == (0, 1):
+            del dec[(0, 1)]
+        return dec
+
+    monkeypatch.setattr(strat, "repn", SimpleNamespace(
+        **dict(vars(repn), tensor_decompose=dropped)))
+    n, extra, missing = verify._closure_mismatch(strat.hasse_diagram(11))
+    assert not extra and n < 53
+    assert ("((0,1),(0,1),(0,1),(0,1))", "((0,1)_1,(0,1),(0,1))") in missing
+    assert not verify.check_strata()[0]
+
+
+def _unclassed_multinomial(A):
+    """The multinomial over all pairs, not per size class."""
+    counts = {}
+    for p in A.pairs:
+        counts[p] = counts.get(p, 0) + 1
+    num = factorial(len(A.pairs))
+    for c in counts.values():
+        num //= factorial(c)
+    return num
+
+
+@pytest.mark.parametrize("wrong", [lambda A: 1, _unclassed_multinomial])
+def test_covering_check_fails_on_a_wrong_multinomial(monkeypatch, wrong):
+    # both agree with symmetry_coefficient when all pairs are equal, as at
+    # the (0,1)^n anchors
+    for n in (2, 3, 4):
+        assert wrong(S((((0, 1), 0),) * n)) == 1
+    monkeypatch.setattr(strat, "symmetry_coefficient", wrong)
+    assert not verify.check_covering()[0]
+
+
+def test_covering_anchors():
+    # symmetry coefficients 6, 4 and 2, each with one invariant
+    for pairs, b in zip(verify._COVERING_ANCHORS, (6, 4, 2)):
+        A = S(pairs)
+        assert strat.symmetry_coefficient(A) == verify._orderings(pairs) == b
+        assert repn.invariant_dim(A.weights) == 1
+        assert A in strat.enumerate_nontrivial(11)
 
 
 def test_simple_degenerations_d9():
