@@ -247,12 +247,41 @@ def zderiv(a):
 
 
 def zwr(f, g):
-    """The Wronskian f g' - f' g."""
-    return zsub(zmul(f, zderiv(g)), zmul(zderiv(f), g))
+    """The Wronskian f g' - f' g in one pass: f_i g_j enters the coefficient
+    of x^(i + j - 1) with weight j - i.  Only nonzero coefficients take
+    part, so the low x-power that a point of ramification at 0 puts in
+    both operands costs nothing."""
+    gs = [(j, c) for j, c in enumerate(g) if c]
+    out = [0] * max(len(f) + len(g) - 2, 0)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in gs:
+                if j != i:
+                    out[i + j - 1] += (j - i) * a * b
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _zval(a):
+    """The x-adic valuation of a nonzero integer list."""
+    v = 0
+    while not a[v]:
+        v += 1
+    return v
 
 
 def zquo(a, b):
-    """a / b, required to lie in Z[x]; ValueError otherwise."""
+    """a / b, required to lie in Z[x]; ValueError otherwise.  The x-power
+    of b is stripped first: a must carry at least as high a one, and the
+    quotient of the stripped lists is padded with the difference."""
+    vb = _zval(b)
+    if not a:
+        return []
+    va = _zval(a)
+    if va < vb:
+        raise ValueError("inexact polynomial division")
+    a, b = a[va:], b[vb:]
     db, lead = len(b) - 1, b[-1]
     rem = list(a)
     q = [0] * max(0, len(a) - db)
@@ -266,7 +295,7 @@ def zquo(a, b):
                 rem[i - db + j] -= f * c
     if any(rem[:db]):
         raise ValueError("inexact polynomial division")
-    return q
+    return [0] * (va - vb) + q
 
 
 def zprimitive(a):

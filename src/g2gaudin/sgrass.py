@@ -180,8 +180,15 @@ def y_from_basis(gamma, R: RamificationData):
     """The tuple (y_1, ..., y_6), primitive integer lists, with y_{7-i} the
     divided Wronskian of the first i elements of the ordered basis gamma
     (Polys or integer lists), from the leading Wronskians of one Jacobi
-    recursion (zwronskians); after a zero one the rest vanish."""
-    ws = zwronskians([zrow(p) for p in gamma[:N - 1]])
+    recursion (zwronskians); after a zero one the rest vanish.  Cached on
+    the rows of those six elements and R, as dual_space is: ssd-check on a
+    case and on a witness file of its flag compute the recursion once."""
+    return _y_from_rows(tuple(tuple(zrow(p)) for p in gamma[:N - 1]), R)
+
+
+@lru_cache(maxsize=diffop.CASE_CACHE_SIZE)
+def _y_from_rows(rows, R: RamificationData):
+    ws = zwronskians([list(r) for r in rows])
     return tuple(zprimitive(_divide(ws[i], R, i)) for i in range(N - 1, 0, -1))
 
 

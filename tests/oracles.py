@@ -8,17 +8,26 @@ its full coefficient list, indexed by derivative order 0..n, of RatFuncs.
 
 The 7-dimensional module as the paper prints it, over Q(sqrt 2), for the
 rational module of `repn`, with the field elimination that `linalg`'s
-fraction-free rref is compared against."""
+fraction-free rref is compared against.
+
+The Wronskian f g' - f' g of integer lists by its four temporaries, for
+the one-pass `exact.zwr`."""
 
 from fractions import Fraction
 from functools import lru_cache
 
-from g2gaudin.exact import Poly, RatFunc
+from g2gaudin.exact import Poly, RatFunc, zderiv, zmul, zsub
 from g2gaudin.repn import (bracket, mat_add, mat_scale, mat_sub, mat_unit,
                           mat_zero)
 
 ZERO = RatFunc(Poly())
 ONE = RatFunc(Poly([1]))
+
+
+def zwr_by_products(f, g):
+    """f g' - f' g of integer lists: two derivatives, two schoolbook
+    products and their difference."""
+    return zsub(zmul(f, zderiv(g)), zmul(zderiv(f), g))
 
 
 def full(D):

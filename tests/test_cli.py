@@ -344,6 +344,36 @@ def test_a_witness_of_another_space_fails(tmp_path, capsys):
             "self_dual": True, "ssd_witness": ok})
 
 
+def test_witness_wronskians_are_computed_once_per_flag(tmp_path,
+                                                        monkeypatch, capsys):
+    """ssd-check on a case and on a witness file of its flag, in one
+    process, take the leading Wronskians of the flag once: y_from_basis is
+    cached on the witness rows and R.  The swapped flag is another witness,
+    computed afresh, and still fails."""
+    lam, i = (2, 1), 5
+    _, _, gamma = sgrass.bethe_kernel_instance(lam, i)
+    flag = [cli._poly_json(p) for p in gamma]
+    calls, zwronskians = [], sgrass.zwronskians
+
+    def counted(fs):
+        calls.append(1)
+        return zwronskians(fs)
+
+    monkeypatch.setattr(sgrass, "zwronskians", counted)
+    sgrass._y_from_rows.cache_clear()
+    want = {"self_dual": True, "ssd_witness": True}
+    rc, out = run(["ssd-check", "--lambda", "2,1", "--case", "5"], capsys)
+    assert (rc, json.loads(out), len(calls)) == (0, want, 1)
+    files = _case_files(tmp_path, lam, i)
+    rc, out = run(["ssd-check"] + files, capsys)
+    assert (rc, json.loads(out), len(calls)) == (0, want, 1)
+    files = _case_files(tmp_path, lam, i,
+                        witness=[flag[1], flag[0]] + flag[2:])
+    rc, out = run(["ssd-check"] + files, capsys)
+    assert (rc, json.loads(out), len(calls)) == (
+        1, {"self_dual": True, "ssd_witness": False}, 2)
+
+
 @pytest.mark.parametrize("point", ["-1/2", "-3/2", "-1", "-1.5", "-2/1"])
 def test_a_negative_point_takes_either_spelling(point, capsys):
     """--point followed by a negative rational as its own token answers as

@@ -6,15 +6,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from g2gaudin import exact
 from g2gaudin.exact import (Poly, RatFunc, poly_det, poly_gcd,
                             wronskian, zadd, zclear, zderiv, zgcd, zmul,
-                            zpoly, zscale, zsub, zwronski_minors,
-                            zwronskians)
-from oracles import QSqrt2, log_deriv, residue_at, shift
+                            zpoly, zquo, zscale, zsub, zwr,
+                            zwronski_minors, zwronskians)
+from oracles import QSqrt2, log_deriv, residue_at, shift, zwr_by_products
 
 fracs = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 10))
 qs = st.builds(QSqrt2, fracs, fracs)
@@ -189,9 +189,11 @@ def test_q_only_paths_reject_qsqrt2():
 @st.composite
 def int_families(draw):
     """Families of n <= 7 integer polynomials as integer lists: all of one
-    degree top >= n - 1 or of distinct degrees at most top, and in half of
-    them one member replaced by an integer combination of earlier ones (a
-    dependent family)."""
+    degree top >= n - 1 or of distinct degrees at most top, in half of them
+    each member times its own x^k, k <= 3 (as ramification at 0 makes them,
+    so the Wronskians carry powers of x), and in half of them one member
+    replaced by an integer combination of earlier ones (a dependent
+    family)."""
     n = draw(st.integers(0, 7))
     top = draw(st.integers(max(0, n - 1), 8))
     degs = draw(st.one_of(st.just([top] * n),
@@ -200,12 +202,54 @@ def int_families(draw):
     for deg in degs:
         f = draw(st.lists(st.integers(-4, 4), min_size=deg, max_size=deg))
         fs.append(f + [draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))])
+    if draw(st.booleans()):
+        fs = [[0] * draw(st.integers(0, 3)) + f for f in fs]
     if n >= 2 and draw(st.booleans()):
         k = draw(st.integers(1, n - 1))
         a, b = draw(st.sampled_from(fs[:k])), draw(st.sampled_from(fs[:k]))
         fs[k] = zadd(zscale(draw(st.integers(-2, 2)), a),
                      zscale(draw(st.integers(-2, 2)), b))
     return fs
+
+
+@st.composite
+def xpower_rows(draw):
+    """Integer lists of degree < 6 times x^k, 0 <= k <= 12: [] and the
+    constants among them."""
+    f = zadd(draw(st.lists(st.integers(-9, 9), max_size=6)), [])
+    return [0] * draw(st.integers(0, 12)) + f if f else []
+
+
+@given(xpower_rows(), xpower_rows())
+@settings(max_examples=200, deadline=None)
+def test_one_pass_wronskian_matches_the_products(f, g):
+    """zwr, one pass over the nonzero coefficients, against f g' - f' g by
+    two derivatives and two full products."""
+    assert zwr(f, g) == zwr_by_products(f, g)
+
+
+@given(xpower_rows(), xpower_rows(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_quotient_matches_poly_divmod(q, b, multiple):
+    """zquo(a, b) for a = b q or a = q: the quotient of Poly.divmod when it
+    is exact and integer, ValueError otherwise, so also whenever a carries
+    a lower power of x than b."""
+    assume(b)
+    a = zmul(b, q) if multiple else q
+    want, r = Poly(a).divmod(Poly(b))
+    if r or any(c.denominator != 1 for c in want.coeffs):
+        with pytest.raises(ValueError):
+            zquo(a, b)
+    else:
+        assert zquo(a, b) == [int(c) for c in want.coeffs]
+
+
+def test_quotient_strips_the_power_of_x():
+    assert zquo([0, 0, 0, 6, 3], [0, 0, 3]) == [0, 2, 1]
+    assert zquo([], [0, 0, 3]) == [] and zquo([5], [5]) == [1]
+    for a in ([0, 1], [1, 1], [0, 4, 0, 0, 1]):
+        with pytest.raises(ValueError):
+            zquo(a, [0, 0, 1])
 
 
 def _zleibniz_det(m):

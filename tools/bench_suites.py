@@ -14,11 +14,14 @@ integer lists.
     python3 tools/bench_suites.py pairs OUT.json --parent DIR --seed0 N
 
 runs `perfbench/run.py` alternately in DIR (a checkout of the parent
-commit) and in this checkout on every workload, ten pairs per workload,
-one per seed N, N+1, ..., the parent first in even pairs and second in odd
-ones, each run with an empty bytecode cache.  For every end-to-end metric
-it records each pair, the medians and quartiles of both sides, the ratio
-of the medians and the number of pairs the change wins.
+commit) and in a copy of this checkout on every workload, ten pairs per
+workload, one per seed N, N+1, ..., the parent first in even pairs and
+second in odd ones, each run with an empty bytecode cache.  The copy holds
+this checkout's tracked and untracked files, not the ignored ones (build
+output, caches), in a temporary directory beside DIR, so that the two
+sides differ only in their files.  For every end-to-end metric it records
+each pair, the medians and quartiles of both sides, the ratio of the
+medians and the number of pairs the change wins.
 
     python3 tools/bench_suites.py parity OUT.json
 
@@ -33,6 +36,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -151,13 +155,26 @@ def quartiles(values):
     return {"q1": q1, "median": q2, "q3": q3}
 
 
-def pairs(parent, seed0):
+def copy_checkout(dest):
+    """Copy this checkout's tracked and untracked files, without the ignored
+    ones, into dest."""
+    names = subprocess.run(
+        ["git", "ls-files", "-z", "-c", "-o", "--exclude-standard"],
+        cwd=ROOT, capture_output=True, text=True, check=True).stdout
+    for name in filter(None, names.split("\0")):
+        src, dst = os.path.join(ROOT, name), os.path.join(dest, name)
+        if os.path.isfile(src):  # -c still lists a deleted tracked file
+            os.makedirs(os.path.dirname(dst), exist_ok=True)
+            shutil.copy2(src, dst)
+
+
+def pairs(parent, change, seed0):
     out = {}
     for workload in WORKLOADS:
         runs = []
         for k in range(PAIRS):
             seed = seed0 + k
-            order = [("parent", parent), ("change", ROOT)]
+            order = [("parent", parent), ("change", change)]
             if k % 2:
                 order.reverse()
             pair = {side: bench_run(path, workload, seed)
@@ -203,9 +220,13 @@ def main(argv=None):
     elif args.command == "parity":
         record["parity"] = {"machine": machine(), "digests": parity()}
     else:
-        record["benchmark_pairs"] = {
-            "machine": machine(), "run_seconds": RUN_SECONDS,
-            "workloads": pairs(os.path.abspath(args.parent), args.seed0)}
+        parent = os.path.abspath(args.parent)
+        beside = os.path.dirname(parent)
+        with tempfile.TemporaryDirectory(dir=beside) as change:
+            copy_checkout(change)
+            record["benchmark_pairs"] = {
+                "machine": machine(), "run_seconds": RUN_SECONDS,
+                "workloads": pairs(parent, change, args.seed0)}
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
