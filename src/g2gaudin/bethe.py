@@ -10,8 +10,8 @@ from functools import cached_property
 
 from . import repn
 from . import rootdata as rd
-from .exact import (Poly, wronskian, zclear, zderiv, zgcd, zmul, zpoly, zprem,
-                    zrow, zscale, zsolve1, zsub, zwr)
+from .exact import (Poly, zderiv, zgcd, zmul, zpoly, zprem, zprimitive, zrow,
+                    zscale, zsolve1, zsub, zwr)
 
 # the point at infinity, spelled as in the JSON formats
 INF = "inf"
@@ -46,8 +46,12 @@ class PolyPair:
 
     def proportional(self, other) -> bool:
         """Projective equality, componentwise."""
-        return (self.y1.monic() == other.y1.monic()
-                and self.y2.monic() == other.y2.monic())
+        return self.rows == other.rows
+
+    @cached_property
+    def rows(self):
+        """(y1, y2) as primitive integer lists, cleared once."""
+        return tuple(zprimitive(zrow(p)) for p in (self.y1, self.y2))
 
 
 @dataclass(frozen=True)
@@ -69,8 +73,11 @@ def zlinear_power(pairs):
     lists: prod (x - p)^e times its leading coefficient prod s^e."""
     out = [1]
     for p, e in pairs:
-        for _ in range(e):
-            out = zmul(out, [-p.numerator, p.denominator])
+        if p == 0:  # x^e, a shift
+            out = [0] * e + out
+        else:
+            for _ in range(e):
+                out = zmul(out, [-p.numerator, p.denominator])
     return out
 
 
@@ -268,20 +275,19 @@ def is_generic(y: PolyPair, Lambda, z) -> bool:
     """Genericity of a pair: squarefree components, roots avoiding the roots
     and singularities of T_j, and no common roots.  All by primitive gcds
     on Z[x]; a point p = r/s enters as s x - r."""
-    ys = [zrow(yj) for yj in (y.y1, y.y2)]
-    for j, a in enumerate(ys):
+    for j, a in enumerate(y.rows):
         sing = zlinear_power((p, 1) for lam, p in zip(Lambda, z)
                              if p != INF and lam[j] != 0)
         if len(zgcd(a, zderiv(a))) > 1 or len(zgcd(a, sing)) > 1:
             return False
-    return len(zgcd(*ys)) <= 1
+    return len(zgcd(*y.rows)) <= 1
 
 
 def fertility_rhs(y: PolyPair, t1, t2):
     """(F_1, F_2) = (T_1 y_2, T_2 y_1^3), the right-hand sides of the two
-    fertility equations Wr(y_j, x^{a_j} g_j) = F_j, on Z[x] for T_j from
-    zcalT: positive multiples, which do not change whether a g_j exists."""
-    y1, y2 = (zrow(p) for p in (y.y1, y.y2))
+    fertility equations Wr(y_j, x^{a_j} g_j) = F_j, on Z[x] for the rows of
+    y and T_j from zcalT: multiples, which do not change whether g_j exists."""
+    y1, y2 = y.rows
     return zmul(t1, y2), zmul(t2, zmul(y1, zmul(y1, y1)))
 
 
@@ -297,8 +303,7 @@ def bae_exact(y: PolyPair, t1, t2) -> bool:
     g_j with Wr(y_j, x^{a_j} g_j) = F_j exists exactly when F_j / y_j^2 has
     no residue at the simple roots of y_j, which is this divisibility.  The
     fertility solve is then a cross-check, and it builds the witness."""
-    for yj, F in zip((y.y1, y.y2), fertility_rhs(y, t1, t2)):
-        a = zrow(yj)
+    for a, F in zip(y.rows, fertility_rhs(y, t1, t2)):
         if zprem(zwr(zderiv(a), F), a):
             return False
     return True
@@ -306,23 +311,22 @@ def bae_exact(y: PolyPair, t1, t2) -> bool:
 
 def certify(y: PolyPair, data: BetheData) -> dict:
     """{generic, exact, fertile} for y on data with z_1 = 0: is_generic,
-    bae_exact, and fertility, which holds only when each witness g_j of
-    Wr(y_j, x^(a_j) g_j) = F_j, a_j = Lambda_1[j] + 1, is solved and
-    satisfies that identity.  On a generic pair fertility decides the same
-    thing as bae_exact, so it cross-checks the solve."""
+    bae_exact, and fertility, which holds only when each witness (G_j, c_j)
+    of Wr(y_j, x^(a_j) G_j) = c_j F_j, a_j = Lambda_1[j] + 1, is solved and
+    satisfies that identity on Z[x].  On a generic pair fertility decides
+    the same thing as bae_exact, so it cross-checks the solve."""
     if data.z[0] != 0:
         raise ValueError("fertility requires z1 = 0")
-    T = zcalT(data.Lambda, data.z)
+    T = zcalT(data.Lambda, data.z)  # rejects a negative Lambda_1, so a >= 1
 
-    def fertile(yj, F, a):
-        g = fertility_solve(yj, F, a)
-        return g is not None and wronskian(
-            [yj, Poly([0] * a + list(g.coeffs))]) == F
+    def fertile(Y, F, a):
+        G, c = fertility_solve(Y, F[a - 1:], a) or (None, 0)
+        return G is not None and zwr(Y, [0] * a + G) == zscale(c, F)
 
     return {"generic": is_generic(y, data.Lambda, data.z),
             "exact": bae_exact(y, *T),
-            "fertile": all(fertile(yj, zpoly(F), lam_j + 1) for yj, F, lam_j
-                           in zip((y.y1, y.y2), fertility_rhs(y, *T),
+            "fertile": all(fertile(Y, F, lam_j + 1) for Y, F, lam_j
+                           in zip(y.rows, fertility_rhs(y, *T),
                                   data.Lambda[0]))}
 
 
@@ -362,45 +366,26 @@ def bae_residual(y: PolyPair, Lambda, z) -> float:
     return res
 
 
-def _solve_cleared(y: Poly, r: Poly, a: int):
-    """Solve a*y*g + x*y*g' - x*y'*g = r for a polynomial g, canonicalized so
-    the coefficient along the homogeneous solution x^{-a} y (when polynomial)
-    vanishes; None if there is none.  By exact.zsolve1: for a <= 0 of this
-    equation, for a >= 1 of Wr(y, G) = x^(a-1) r, G = x^a g, and then G
-    moves along y, its homogeneous solution, until x^a divides it."""
-    Y, den = zclear(y.coeffs)
-    R, rden = zclear(r.coeffs)
+def fertility_solve(Y, R, a):
+    """(G, c) with a Y G + x (Y G' - Y' G) = c R and c > 0, that is
+    Wr(Y, x^a G) = c x^(a-1) R, for integer lists Y != 0, R and an integer
+    a; None if no polynomial G solves it.  G has no part along x^(-a) Y, the
+    homogeneous solution, when that is a polynomial.  By exact.zsolve1: for
+    a <= 0 of this equation, for a >= 1 of Wr(Y, H) = c x^(a-1) R, H = x^a G,
+    and then H moves along Y until x^a divides it."""
     if a <= 0:
-        sol = zsolve1([0] + Y, zsub(zscale(a, Y), [0] + zderiv(Y)), R)
-    else:
-        sol = zsolve1(Y, zscale(-1, zderiv(Y)), [0] * (a - 1) + R)
+        return zsolve1([0] + Y, zsub(zscale(a, Y), [0] + zderiv(Y)), R)
+    sol = zsolve1(Y, zscale(-1, zderiv(Y)), [0] * (a - 1) + R)
     if sol is None:
         return None
-    G, c = sol
-    if a >= 1:
-        v = y.valuation()
-        if v < a and v < len(G):
-            G, c = zsub(zscale(Y[v], G), zscale(G[v], Y)), c * Y[v]
-        if any(G[:a]):
-            return None
-        G = G[a:]
-    return Poly([Fraction(u * den, c * rden) for u in G])
-
-
-def fertility_solve(y: Poly, rhs: Poly, a: int):
-    """A polynomial g with Wr(y, x^a g) = rhs, if one exists.
-
-    Wr(y, x^a g) = x^{a-1} (a y g + x y g' - x y' g), so the problem reduces
-    to _solve_cleared; a may be any integer."""
-    if y.is_zero():
-        raise ValueError("y must be nonzero")
-    if a >= 1:
-        if not rhs.is_zero() and rhs.valuation() < a - 1:
-            return None
-        r = Poly(rhs.coeffs[a - 1:])
-    else:
-        r = Poly([0] * (1 - a) + list(rhs.coeffs))
-    return _solve_cleared(y, r, a)
+    H, c = sol
+    v = next(k for k, u in enumerate(Y) if u)
+    if v < a and v < len(H) and H[v]:  # |Y_v| keeps c > 0
+        u = abs(Y[v])
+        H, c = zsub(zscale(u, H), zscale(H[v] * u // Y[v], Y)), c * u
+    if any(H[:a]):
+        return None
+    return H[a:], c
 
 
 def reproduce(y: PolyPair, direction: int, data: BetheData):
@@ -413,14 +398,15 @@ def reproduce(y: PolyPair, direction: int, data: BetheData):
     lam1 = data.Lambda[0]
     a = lam1[j - 1] + 1  # <lambda^(1) + rho, coroot_j>
     # F_j for the points after z1 (zcalT rejects a negative exponent at
-    # one), a positive multiple of the right-hand side: g is made monic below
+    # one), a multiple of the right-hand side: g is made monic below
     F = fertility_rhs(y, *zcalT(data.Lambda[1:], data.z[1:]))[j - 1]
-    # Wr(y_j, x^a g) = x^{lam1_j} * F; the x-powers cancel exactly
-    g = _solve_cleared(y.y1 if j == 1 else y.y2, zpoly(F), a)
-    if g is None or g.is_zero():
+    # Wr(y_j, x^a G) = c x^{lam1_j} F; the x-powers cancel exactly
+    G, _ = fertility_solve(y.rows[j - 1], F, a) or ([], 1)
+    if not G:
         raise ValueError("no fertility witness; input does not represent "
                          "a solution")
-    new_pair = PolyPair(g.monic(), y.y2) if j == 1 else PolyPair(y.y1, g.monic())
+    g = zpoly(G, G[-1])
+    new_pair = PolyPair(g, y.y2) if j == 1 else PolyPair(y.y1, g)
     new_lam1 = rd.shifted_action_word((j,), lam1)
     rest = (0, 0)
     for lam in data.Lambda[1:]:

@@ -291,7 +291,7 @@ def dy_log_factors(y: bethe.PolyPair, T1: Poly, T2: Poly, shift=(0,) * 4):
     conjugate by T1^2 T2 for shift = _CONJUGATOR: f^-1 (d - ln' g) f is
     d - ln'(g/f).  Y is the y-part of Q: Q / Y divides T1 T2.  T1 and T2
     may be Polys or integer lists: only their lines matter."""
-    fs = [zrow(p) for p in (T1, T2, y.y1, y.y2)]
+    fs = [zrow(T1), zrow(T2), *y.rows]
     return _log_factors(fs, [[a - b for a, b in zip(e, shift)]
                              for e in _DY_EXPONENTS], marked=2)
 
@@ -499,8 +499,7 @@ class Case:
                 bases.append([-p.numerator, p.denominator])
                 for f, e in zip(factors, (w[0], w[1], 0, 0)):
                     f.append(e)
-        for j, yj in enumerate((self.y.y1, self.y.y2), 2):
-            a = zprimitive(zrow(yj))
+        for j, a in enumerate(self.y.rows, 2):
             if len(a) > 1:
                 bases.append(a)
                 for k, f in enumerate(factors):

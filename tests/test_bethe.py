@@ -9,7 +9,8 @@ import pytest
 from g2gaudin import bethe, diffop, repn, verify
 from g2gaudin import rootdata as rd
 from g2gaudin.bethe import INF, L_LIST, BetheData, PolyPair
-from g2gaudin.exact import Poly, poly_gcd, wronskian, zpoly
+from g2gaudin.exact import (Poly, poly_gcd, wronskian, zadd, zmul, zpoly,
+                            zrow, zscale, zwr)
 from g2gaudin.linalg import solve
 
 Z = (Fraction(0), Fraction(1))
@@ -86,15 +87,33 @@ def _same(got, want):
         got is None or got.coeffs == want.coeffs)
 
 
+def _solve(Y, R, a):
+    """fertility_solve(Y, R, a) as the Poly G / c, or None, after checking
+    c > 0 and a Y G + x (Y G' - Y' G) = c R on Z[x]."""
+    sol = bethe.fertility_solve(Y, R, a)
+    if sol is None:
+        return None
+    G, c = sol
+    assert c > 0 and zadd(zscale(a, zmul(Y, G)), [0] + zwr(Y, G)) == \
+        zscale(c, R), (Y, R, a)
+    return zpoly(G, c)
+
+
+def _solve_ref(Y, R, a):
+    return _solve_cleared_ref(zpoly(Y), zpoly(R), a)
+
+
 def _fertility_inputs(y, Lambda, z):
-    """(y_j, r, a) of the two solves behind fertility_solve(y_j, F_j, a)
-    for F_1 = T_1 y_2 and F_2 = T_2 y_1^3, a = <lambda^(1), coroot_j> + 1;
-    at z_1 = 0 the rhs is divisible by x^(a - 1), elsewhere a = 0."""
+    """(Y_j, R, a) of the two solves behind the fertility witnesses of
+    Wr(y_j, x^a g) = F_j for F_1 = T_1 y_2 and F_2 = T_2 y_1^3, a =
+    <lambda^(1), coroot_j> + 1, as integer lists: at z_1 = 0, R is F_j
+    divided by x^(a - 1); elsewhere a = 0 and R is x F_j."""
     T1, T2 = bethe.build_calT(Lambda, z)
     out = []
     for j, (yj, F) in enumerate(((y.y1, T1 * y.y2), (y.y2, T2 * y.y1 ** 3))):
         e = Lambda[0][j] if z[0] == 0 else -1
-        out.append((yj, Poly(F.coeffs[e:]) if e >= 0 else F * X, e + 1))
+        r = Poly(F.coeffs[e:]) if e >= 0 else F * X
+        out.append((zrow(yj), zrow(r), e + 1))
     return out
 
 
@@ -154,28 +173,36 @@ def test_genericity():
 
 def test_fertility_solve_examples():
     x = Poly([0, 1])
-    # antiderivative case
-    g = bethe.fertility_solve(Poly([1]), Poly([0, 2]), 0)
-    assert g == x * x
-    # first-order case with kernel canonicalized away
-    g = bethe.fertility_solve(x, x * x, 0)
-    assert g == x * x
+    # antiderivative case, Wr(1, g) = 2x: at a = 0 the equation is x g' = 2x^2
+    assert _solve([1], [0, 0, 2], 0) == x * x
+    # first-order case with kernel canonicalized away: Wr(x, g) = x^2
+    assert _solve([0, 1], [0, 0, 0, 1], 0) == x * x
     # constant right-hand side: the witness -1 satisfies x*g' - g = 1
-    g = bethe.fertility_solve(x, Poly([1]), 0)
+    g = _solve([0, 1], [0, 1], 0)
     assert g == Poly([-1])
     assert wronskian([x, g]) == Poly([1])
+    # a = 2, y = 2x - 1: Wr(y, x^2) = x (2x - 2), and of the solutions
+    # x^2 + C y of Wr(y, H) = x (2x - 2) only C = 0 is divisible by x^2
+    assert _solve([-1, 2], [-2, 2], 2) == Poly([1])
+    # a = 1, y = x: Wr(x, x g) = x^2 g'; x^(-1) y = 1 is polynomial, so the
+    # canonical g has no constant term, and x^2 g' = 1 has no solution
+    assert _solve([0, 1], [0, 0, 1], 1) == x
+    assert bethe.fertility_solve([0, 1], [1], 1) is None
 
 
 def test_fertility_identities():
+    """The witnesses (G_j, c_j) of (2, 1) satisfy Wr(y_j, x^a G_j) = c_j F_j
+    on Z[x], and over Q by the Fraction Wronskian of the Polys."""
     lam = (2, 1)
-    T1, T2 = bethe.build_calT([lam, rd.OMEGA2], Z)
+    T = bethe.zcalT([lam, rd.OMEGA2], Z)
     x = Poly([0, 1])
     for i in bethe.admissible_ls(lam):
         y = bethe.appendix_solution(lam, i)
-        g1 = bethe.fertility_solve(y.y1, T1 * y.y2, lam[0] + 1)
-        g2 = bethe.fertility_solve(y.y2, T2 * y.y1 ** 3, lam[1] + 1)
-        assert wronskian([y.y1, x ** (lam[0] + 1) * g1]) == T1 * y.y2
-        assert wronskian([y.y2, x ** (lam[1] + 1) * g2]) == T2 * y.y1 ** 3
+        for Y, F, a in zip(y.rows, bethe.fertility_rhs(y, *T),
+                           (lam[0] + 1, lam[1] + 1)):
+            G, c = bethe.fertility_solve(Y, F[a - 1:], a)
+            assert c > 0 and zwr(Y, [0] * a + G) == zscale(c, F)
+            assert wronskian([zpoly(Y), x ** a * zpoly(G, c)]) == zpoly(F)
 
 
 def test_bae_residual():
@@ -201,6 +228,9 @@ def test_reproduction_chain_case2():
         y, data = bethe.reproduce(y, d, data)
     assert data.Lambda[0] == lam and data.l == L_LIST[2]
     assert y.proportional(bethe.appendix_solution(lam, 2))
+    # proportional compares lines: any nonzero multiples, not a shifted pair
+    assert y.proportional(PolyPair(y.y1 * 3, y.y2 * Fraction(-1, 2)))
+    assert not y.proportional(PolyPair(y.y1, y.y2 + Poly([1])))
 
 
 def test_reproduction_involution():
@@ -235,40 +265,55 @@ def test_calT_at_rational_points():
         bethe.build_calT([(1, -1), rd.OMEGA2], Z)
 
 
+def test_zlinear_power_is_the_product_of_linear_factors():
+    """A point 0 enters as a shift; the result is the product of the
+    factors s x - r, one zmul each, at 0, 1 and -2/3."""
+    pts = [(Fraction(0), 4), (Fraction(1), 3), (Fraction(-2, 3), 2)]
+    for k in range(len(pts) + 1):
+        for pairs in (pts[:k], pts[k:], pts[k:] + pts[:k]):
+            want = [1]
+            for p, e in pairs:
+                for _ in range(e):
+                    want = zmul(want, [-p.numerator, p.denominator])
+            assert bethe.zlinear_power(pairs) == want, pairs
+    assert bethe.zlinear_power([(0, 3)]) == [0, 0, 0, 1]
+    assert bethe.zlinear_power([(0, 0), (1, 0)]) == [1]
+
+
 def test_solve_cleared_matches_oracle_on_5_grid():
     n = 0
     for lam, i in _grid(5):
         y = bethe.appendix_solution(lam, i)
-        for yj, r, a in _fertility_inputs(y, [lam, rd.OMEGA2], Z):
-            got = bethe._solve_cleared(yj, r, a)
-            assert got is not None and _same(got, _solve_cleared_ref(yj, r, a))
+        for Y, R, a in _fertility_inputs(y, [lam, rd.OMEGA2], Z):
+            got = _solve(Y, R, a)
+            assert got is not None and _same(got, _solve_ref(Y, R, a))
             # a right-hand side off by one: no witness, or the same one
-            r1 = r + Poly([1])
-            assert _same(bethe._solve_cleared(yj, r1, a),
-                         _solve_cleared_ref(yj, r1, a)), (lam, i)
+            R1 = zadd(R, [1])
+            assert _same(_solve(Y, R1, a), _solve_ref(Y, R1, a)), (lam, i)
             n += 1
     assert n == 420
 
 
 def test_solve_cleared_matches_oracle_on_reproduction_chains(monkeypatch):
-    calls, real = [], bethe._solve_cleared
+    calls, real = [], bethe.fertility_solve
 
-    def record(y, r, a):
-        calls.append((y, r, a))
-        return real(y, r, a)
+    def record(Y, R, a):
+        calls.append((Y, R, a))
+        return real(Y, R, a)
     monkeypatch.setenv("G2_LMAX", "3")
-    monkeypatch.setattr(bethe, "_solve_cleared", record)
+    monkeypatch.setattr(bethe, "fertility_solve", record)
     assert verify.check_reproduction()[0]
     monkeypatch.undo()
     assert any(a <= 0 for _, _, a in calls)
-    for y, r, a in calls:
-        assert _same(real(y, r, a), _solve_cleared_ref(y, r, a)), (y, r, a)
+    for Y, R, a in calls:
+        assert _same(_solve(Y, R, a), _solve_ref(Y, R, a)), (Y, R, a)
 
 
 def test_solve_cleared_matches_oracle_on_random_inputs():
     """400 seeded (y, r, a), deg y <= 5, val y <= 3, -3 <= a <= 4, half of
-    them with r the image of a random g (sometimes off by a monomial): the
-    triangular solve gives the oracle's answer, solvable or not."""
+    them with r the image of a random g (sometimes off by a monomial),
+    cleared to integer lists: the triangular solve gives the oracle's
+    answer, solvable or not."""
     rng = random.Random(20)
 
     def rand(deg, val):
@@ -289,8 +334,9 @@ def test_solve_cleared_matches_oracle_on_random_inputs():
                  - X * y.derivative() * g)
             if n % 3 == 0:
                 r = r + Poly([0] * rng.randint(0, 4) + [1])
-        want = _solve_cleared_ref(y, r, a)
-        assert _same(bethe._solve_cleared(y, r, a), want), (y, r, a)
+        Y, R = zrow(y), zrow(r)
+        want = _solve_ref(Y, R, a)
+        assert _same(_solve(Y, R, a), want), (y, r, a)
         solvable += want is not None
     assert 100 < solvable < 300
 
@@ -318,9 +364,8 @@ NONGENERIC = [
 def test_genericity_and_solve_match_oracles(y, z, generic):
     Lam = [(1, 1), rd.OMEGA2]
     assert bethe.is_generic(y, Lam, z) is _is_generic_ref(y, Lam, z) is generic
-    for yj, r, a in _fertility_inputs(y, Lam, z):
-        assert _same(bethe._solve_cleared(yj, r, a),
-                     _solve_cleared_ref(yj, r, a))
+    for Y, R, a in _fertility_inputs(y, Lam, z):
+        assert _same(_solve(Y, R, a), _solve_ref(Y, R, a))
 
 
 def test_translated_pairs_match_oracles():
@@ -331,16 +376,16 @@ def test_translated_pairs_match_oracles():
         assert bethe.is_generic(moved, Lam, z)
         assert _is_generic_ref(moved, Lam, z)
         assert bethe.bae_exact(moved, *bethe.zcalT(Lam, z))
-        for yj, r, a in _fertility_inputs(moved, Lam, z):
-            got = bethe._solve_cleared(yj, r, a)
-            assert got is not None and _same(got, _solve_cleared_ref(yj, r, a))
+        for Y, R, a in _fertility_inputs(moved, Lam, z):
+            got = _solve(Y, R, a)
+            assert got is not None and _same(got, _solve_ref(Y, R, a))
 
 
 def _fertile(y, Lambda):
     """Both fertility witnesses exist, at z = (0, 1)."""
     F = bethe.fertility_rhs(y, *bethe.zcalT(Lambda, Z))
-    return all(bethe.fertility_solve(yj, zpoly(Fj), Lambda[0][j] + 1)
-               is not None for j, (yj, Fj) in enumerate(zip((y.y1, y.y2), F)))
+    return all(bethe.fertility_solve(Y, Fj[a - 1:], a) is not None
+               for Y, Fj, a in zip(y.rows, F, (lam + 1 for lam in Lambda[0])))
 
 
 def test_exact_gate_rejects_every_perturbed_coefficient():

@@ -11,7 +11,7 @@ import pytest
 import g2gaudin
 from g2gaudin import bethe, cli, diffop, sgrass, verify
 from g2gaudin import rootdata as rd
-from g2gaudin.exact import Poly
+from g2gaudin.exact import zadd
 
 
 def run(argv, capsys):
@@ -385,15 +385,14 @@ def test_a_negative_point_takes_either_spelling(point, capsys):
     assert json.loads(split[1])["exponents"] == [0, 1, 2, 3, 4, 5, 6]
 
 
-def test_one_certificate_gates_bae_verify_and_bae_grid(monkeypatch, capsys):
-    """bae-verify and the bae-grid suite read one certificate,
-    bethe.certify: a fertility solve planted to return g + 1 for the
-    witness g fails both, since the witness identity no longer holds."""
+def _plant_fertility_solve(plant, monkeypatch, capsys):
+    """bae-verify and the 1-grid bae-grid suite fail, on their fertility
+    stage, with bethe.fertility_solve's (G, c) replaced by plant(G, c)."""
     real = bethe.fertility_solve
 
     def planted(*args):
-        g = real(*args)
-        return None if g is None else g + Poly([1])
+        sol = real(*args)
+        return None if sol is None else plant(*sol)
     monkeypatch.setattr(bethe, "fertility_solve", planted)
     rc, out = run(["bae-verify", "--lambda", "1,1", "--case", "2"], capsys)
     assert rc == 1
@@ -402,6 +401,21 @@ def test_one_certificate_gates_bae_verify_and_bae_grid(monkeypatch, capsys):
     monkeypatch.setenv("G2_LMAX", "1")
     assert verify.check_bae_grid() == (False,
                                        "fertility fails at (0, 0), case 0")
+
+
+def test_one_certificate_gates_bae_verify_and_bae_grid(monkeypatch, capsys):
+    """bae-verify and the bae-grid suite read one certificate,
+    bethe.certify: a fertility solve planted to return g + 1 for the
+    witness g = G / c fails both, since the witness identity
+    Wr(y_j, x^a G) = c F_j no longer holds."""
+    _plant_fertility_solve(lambda G, c: (zadd(G, [c]), c), monkeypatch,
+                           capsys)
+
+
+def test_the_witness_scalar_is_part_of_the_certificate(monkeypatch, capsys):
+    """A fertility solve planted to return its witness G with the scalar c
+    doubled fails the certificate too: c is checked, not trusted."""
+    _plant_fertility_solve(lambda G, c: (G, 2 * c), monkeypatch, capsys)
 
 
 def test_a_case_that_fails_to_build_is_a_named_fail_line(monkeypatch,
@@ -582,13 +596,13 @@ def test_a_reproduction_error_is_a_named_fail_line(monkeypatch, capsys):
     reproduction suite's FAIL line, naming the case, and all nine suites
     still report; bae-grid, whose fertility cross-check uses the same
     solve, fails too."""
-    solve = bethe._solve_cleared
+    solve = bethe.fertility_solve
 
-    def planted(y, r, a):
-        return None if y.degree > 0 else solve(y, r, a)
+    def planted(Y, R, a):
+        return None if len(Y) > 1 else solve(Y, R, a)
 
     monkeypatch.setenv("G2_LMAX", "1")
-    monkeypatch.setattr(bethe, "_solve_cleared", planted)
+    monkeypatch.setattr(bethe, "fertility_solve", planted)
     rc, out = run(["verify", "--suite", "reproduction"], capsys)
     assert (rc, out) == (1, "FAIL reproduction: no fertility witness; input "
                             "does not represent a solution at (0, 0), "

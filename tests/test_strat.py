@@ -50,20 +50,9 @@ def test_stratum_leq_examples():
     assert strat.stratum_leq(A, A)
 
 
-def test_stratum_leq_transitive_on_d11():
-    H = strat.hasse_diagram(11)
-    succ = {}
-    for a, b in H.edges:
-        succ.setdefault(a, []).append(b)
-    for a, bs in succ.items():
-        for b in bs:
-            for c in succ.get(b, []):
-                assert strat.stratum_leq(a, c)
-
-
-@pytest.mark.parametrize("d, relations", [(12, 227), (13, 1123)])
+@pytest.mark.parametrize("d, relations", [(11, 53), (12, 227), (13, 1123)])
 def test_edge_closure_is_the_strict_order(d, relations):
-    # the check_strata comparison, at the next two d
+    # the check_strata comparison, at its d = 11 and the next two d
     assert verify._closure_mismatch(strat.hasse_diagram(d)) == \
         (relations, [], [])
 

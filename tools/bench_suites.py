@@ -8,8 +8,9 @@ times the kernels, h2, wronskian, bae-grid and reproduction suites of
 the 3-grid), each run in a fresh process with G2_LMAX set to the grid; the
 time is the suite call alone, without the import.  One more
 fresh run of each suite and grid under cProfile counts the calls of
-`Fraction.__new__` and of `exact.zpoly`, the Fraction Polys built from
-integer lists.
+`Fraction.__new__`, of `exact.zpoly`, the Fraction Polys built from
+integer lists, and of `exact.zclear`, the rational lists cleared to
+integer ones.
 
     python3 tools/bench_suites.py pairs OUT.json --parent DIR --seed0 N
 
@@ -69,7 +70,8 @@ from g2gaudin import verify
 prof = cProfile.Profile()
 ok, detail = prof.runcall(verify.SUITES[sys.argv[1]])
 calls = {"Fraction.__new__": ("fractions.py", "__new__"),
-         "exact.zpoly": ("exact.py", "zpoly")}
+         "exact.zpoly": ("exact.py", "zpoly"),
+         "exact.zclear": ("exact.py", "zclear")}
 stats = pstats.Stats(prof).stats
 print(json.dumps({"ok": ok, "detail": detail, "calls": {
     name: sum(v[1] for (path, _, fn), v in stats.items()
