@@ -12,8 +12,6 @@ import json
 import sys
 from fractions import Fraction
 
-from .exact import Poly, zadd, zclear
-
 
 def _parse_weight(s):
     """A dominant weight 'a,b': two non-negative integers."""
@@ -78,10 +76,13 @@ def _emit(obj) -> int:
     return 0
 
 
-# Each command imports the layers it uses.  The commands that build D_y
-# import sgrass (which imports diffop) even where they use only diffop: a
-# many-query process then compiles both up front, not midway through a case
-# sweep, where without a bytecode cache it raised peak RSS by about 1 MB.
+# Each command imports the layers it uses, and this module imports none at
+# load time (Poly appears only in annotations, which are strings here): a
+# one-shot process without a bytecode cache compiles only what its command
+# runs.  The commands that build D_y import sgrass (which imports diffop)
+# even where they use only diffop: a many-query process then compiles both
+# up front, not midway through a case sweep, where without a bytecode cache
+# it raised peak RSS by about 1 MB.
 
 
 def _load(option, path, build):
@@ -101,6 +102,8 @@ def _load_polys(option, path, build=tuple):
     _load: a space (sgrass.PolySpace) or an ordered basis.  Each row is its
     coefficients cleared of denominators, without trailing zeros, so a zero
     polynomial is [] (zprimitive divides by the content of [0])."""
+    from .exact import zadd, zclear
+
     def read(content):
         rows = tuple(zadd(zclear([Fraction(str(c)) for c in cs])[0], [])
                      for cs in content)
@@ -159,8 +162,8 @@ def cmd_bae(args):
 
 def cmd_bae_verify(args):
     from . import bethe
-    cert = bethe.certify(bethe.appendix_solution(args.lam, args.case),
-                         bethe.closed_form(args.lam, args.case))
+    data = bethe.closed_form(args.lam, args.case)
+    cert = bethe.certify(bethe.closed_form_pair(args.lam, args.case), data)
     ok = all(cert.values())
     _emit({"lambda": list(args.lam), "case": args.case,
            "generic": cert["generic"], "fertile": cert["fertile"], "ok": ok})
@@ -169,9 +172,9 @@ def cmd_bae_verify(args):
 
 def cmd_reproduce(args):
     from . import bethe
-    y = bethe.appendix_solution(args.lam, args.case)
-    out = bethe.reproduce(y, args.direction,
-                          bethe.closed_form(args.lam, args.case))
+    data = bethe.closed_form(args.lam, args.case)
+    out = bethe.reproduce(bethe.closed_form_pair(args.lam, args.case),
+                          args.direction, data)
     if out is None:
         _emit({"result": "absent"})
         return 1

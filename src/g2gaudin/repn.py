@@ -17,7 +17,6 @@ from math import prod
 from types import MappingProxyType
 
 from . import rootdata as rd
-from .linalg import nullspace, rank, rref
 
 N = 7
 
@@ -116,6 +115,7 @@ def chevalley_matrices():
 @lru_cache(maxsize=None)
 def g2_basis():
     """A 14-element basis of the image of g2 in so7 (from the matrix G)."""
+    from .linalg import rank
     G = build_G()
     idx = [(2, 2), (3, 3)] + [(i, j) for i in (2, 3, 4, 7) for j in (2, 3, 4, 7)
                               if i != j]
@@ -172,6 +172,7 @@ def dual_basis_G():
     Cross-check for build_G: `verify.check_chevalley` compares its result
     with `build_G()` entry by entry on all 49 (i, j) and fails at the first
     entry that differs."""
+    from .linalg import rref
     basis = g2_basis()
     gram = [[trace_form(x, y) for y in basis] for x in basis]
     # invert the Gram matrix over Q
@@ -219,6 +220,7 @@ def casimir_eigenvalue(mu) -> Fraction:
 
 def casimir_blocks():
     """Mapping eigenvalue -> exact eigenspace dimension of the pair Casimir."""
+    from .linalg import nullspace
     omega = [list(row) for row in casimir_on_pair()]
     out = {}
     for mu, mult in tensor_decompose(rd.OMEGA2, rd.OMEGA2).items():

@@ -1,7 +1,8 @@
 """End-to-end verification suites.  Each suite returns (ok, detail) and is
 exposed both to the CLI (`g2 verify --suite NAME`) and to the test harness.
-Each suite imports the layers it uses, so a one-shot `g2 verify` loads
-only those."""
+This module loads repn and rootdata only, and each suite imports the
+further layers it uses, so a one-shot `g2 verify --suite NAME` loads only
+those: chevalley and casimir add linalg and exact, strata adds strat."""
 
 from __future__ import annotations
 
@@ -13,7 +14,6 @@ from itertools import permutations
 
 from . import repn
 from . import rootdata as rd
-from .exact import Poly, zprimitive, zwronskians
 from .repn import bracket, mat_eq, mat_scale, mat_zero
 
 
@@ -119,8 +119,8 @@ def check_bae_grid(lam, i):
     fails: genericity, the exact Bethe equations, then fertility, the
     cross-check with each witness identity checked."""
     from . import bethe
-    cert = bethe.certify(bethe.appendix_solution(lam, i),
-                         bethe.closed_form(lam, i))
+    data = bethe.closed_form(lam, i)
+    cert = bethe.certify(bethe.closed_form_pair(lam, i), data)
     return next((msg for stage, msg in _BAE_STAGES if not cert[stage]), None)
 
 
@@ -135,8 +135,9 @@ def _reproduction_failure(lam, i):
     data of (lam, i), and each direction is an involution on it; a failure
     message or None."""
     from . import bethe
+    from .exact import Poly
     target = bethe.closed_form(lam, i)
-    y0 = bethe.appendix_solution(lam, i)
+    y0 = bethe.closed_form_pair(lam, i)
     if i in _CHAINS:
         theta = rd.shifted_action_word(_CHAINS[i], lam)
         data = replace(target, Lambda=(theta,) + target.Lambda[1:], l=(0, 0))
@@ -342,6 +343,7 @@ def check_covering():
 def check_wronskian(lam, i):
     """The primitive space Wronskian is x^(7(2 l1 + l2)) (x - 1)^7, on Z[x]."""
     from . import bethe, sgrass
+    from .exact import zprimitive, zwronskians
     w = zprimitive(zwronskians(sgrass.kernel_space(lam, i).basis)[-1])
     l1, l2 = lam
     if w != bethe.zlinear_power([(0, 7 * (2 * l1 + l2)), (1, 7)]):

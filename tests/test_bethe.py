@@ -431,13 +431,13 @@ def test_bae_grid_suite_gates_on_exact_equations(monkeypatch):
     assert verify.check_bae_grid() == (True, "14 cases on the 1-grid; "
                                               "Bethe equations exact")
     # a planted wrong pair: y_2 + 1 for (1, 1), case 1
-    real = bethe.appendix_solution
+    real = bethe.closed_form_pair
 
     def planted(lam, i):
         y = real(lam, i)
         return PolyPair(y.y1, y.y2 + Poly([1])) if (lam, i) == ((1, 1), 1) \
             else y
-    monkeypatch.setattr(bethe, "appendix_solution", planted)
+    monkeypatch.setattr(bethe, "closed_form_pair", planted)
     assert verify.check_bae_grid() == (
         False, "Bethe equations fail at (1, 1), case 1")
 

@@ -534,15 +534,19 @@ def _loaded_after(argv):
 
 
 def test_commands_import_only_their_layers():
-    core = {"cli", "exact"}
-    assert _loaded_after(None) == core
-    repn_only = core | {"repn", "linalg", "rootdata"}
+    # exact and linalg load only where a command eliminates or builds a Poly
+    assert _loaded_after(None) == {"cli"}
+    repn_only = {"cli", "repn", "rootdata"}
     assert _loaded_after(["tensor", "--left", "1,0", "--right", "0,1"]) == \
         repn_only
     assert _loaded_after(["invdim", "--weights", "0,1;0,1"]) == repn_only
+    strata = repn_only | {"strat"}
+    assert _loaded_after(["strata", "--d", "12"]) == strata
+    assert _loaded_after(["verify", "--suite", "strata"]) == \
+        strata | {"verify"}
     for suite in ("chevalley", "casimir"):
         assert _loaded_after(["verify", "--suite", suite]) == \
-            repn_only | {"verify"}
+            repn_only | {"linalg", "exact", "verify"}
     loaded = _loaded_after(["verify", "--suite", "bae-grid"])
     assert "bethe" in loaded and "numpy" not in loaded
 

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from g2gaudin import repn, strat, verify
+from g2gaudin import rootdata as rd
 from g2gaudin.strat import StratumLabel as S
 
 
@@ -93,6 +94,24 @@ def test_covering_check_fails_on_a_wrong_multinomial(monkeypatch, wrong):
         assert wrong(S((((0, 1), 0),) * n)) == 1
     monkeypatch.setattr(strat, "symmetry_coefficient", wrong)
     assert not verify.check_covering()[0]
+
+
+def test_strata_check_fails_on_an_off_by_one_pair_size(monkeypatch):
+    # every pair one larger: the budget d = 11 holds 3 labels, not 17
+    size = rd.pair_size
+    monkeypatch.setattr(rd, "pair_size", lambda mu, k: size(mu, k) + 1)
+    assert verify.check_strata() == (False, "3 nodes at d=11")
+
+
+@pytest.mark.parametrize("off", [1, -1])
+def test_covering_check_fails_on_an_off_by_one_invariant_dim(monkeypatch,
+                                                             off):
+    # covering_degree reads invariant_dim too, so the two still agree: the
+    # n = 2 anchor's known degree 1 is what fails
+    dim = repn.invariant_dim
+    monkeypatch.setattr(repn, "invariant_dim", lambda ws: dim(ws) + off)
+    assert verify.check_covering() == (
+        False, f"covering degree {1 + off} != 1 at n=2")
 
 
 def test_covering_anchors():

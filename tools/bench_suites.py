@@ -17,12 +17,15 @@ integer ones.
 runs `perfbench/run.py` alternately in DIR (a checkout of the parent
 commit) and in a copy of this checkout on every workload, ten pairs per
 workload, one per seed N, N+1, ..., the parent first in even pairs and
-second in odd ones, each run with an empty bytecode cache.  The copy holds
-this checkout's tracked and untracked files, not the ignored ones (build
-output, caches), in a temporary directory beside DIR, so that the two
-sides differ only in their files.  For every end-to-end metric it records
-each pair, the medians and quartiles of both sides, the ratio of the
-medians and the number of pairs the change wins.
+second in odd ones.  As on the benchmark's host, each run has
+PYTHONDONTWRITEBYTECODE=1 in a checkout that holds no bytecode, so every
+cold process compiles the program's modules and reads the standard
+library's installed bytecode; a DIR that holds a __pycache__ is refused.
+The copy holds this checkout's tracked and untracked files, not the
+ignored ones (build output, caches), in a temporary directory beside DIR,
+so that the two sides differ only in their files.  For every end-to-end
+metric it records each pair, the medians and quartiles of both sides, the
+ratio of the medians and the number of pairs the change wins.
 
     python3 tools/bench_suites.py parity OUT.json
 
@@ -137,14 +140,15 @@ def parity():
 
 
 def bench_run(checkout, workload, seed):
-    # an empty bytecode cache for each run: a checkout's own __pycache__
-    # would spare one side the compile and move setup_s and cold-cli
-    with tempfile.TemporaryDirectory() as cache:
-        proc = subprocess.run([sys.executable, "perfbench/run.py",
-                               "--workload", workload, "--seed", str(seed),
-                               "--seconds", str(RUN_SECONDS)], cwd=checkout,
-                              env=dict(os.environ, PYTHONPYCACHEPREFIX=cache),
-                              capture_output=True, text=True, check=True)
+    # no bytecode written: the run's first child would spare the later ones
+    # the compile and move setup_s and cold-cli.  No PYTHONPYCACHEPREFIX
+    # either: it hides the installed standard-library bytecode too, and
+    # the compile of argparse, json and fractions would dilute setup_s
+    proc = subprocess.run([sys.executable, "perfbench/run.py",
+                           "--workload", workload, "--seed", str(seed),
+                           "--seconds", str(RUN_SECONDS)], cwd=checkout,
+                          env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+                          capture_output=True, text=True, check=True)
     line = json.loads(proc.stdout.splitlines()[-1])
     if not line["correct"]:
         raise SystemExit(f"{checkout}: {workload} seed {seed} has "
@@ -223,6 +227,11 @@ def main(argv=None):
         record["parity"] = {"machine": machine(), "digests": parity()}
     else:
         parent = os.path.abspath(args.parent)
+        cached = [d for d, _, _ in os.walk(parent)
+                  if os.path.basename(d) == "__pycache__"]
+        if cached:
+            raise SystemExit(f"{cached[0]}: the parent's bytecode would "
+                             "spare its side the compile; remove it")
         beside = os.path.dirname(parent)
         with tempfile.TemporaryDirectory(dir=beside) as change:
             copy_checkout(change)
