@@ -2,7 +2,8 @@
 success, 1 on a failed mathematical check, 2 on usage errors.
 
 This module owns the JSON codec: a rational is the string "p" or "p/q" in
-lowest terms, the point at infinity the string "inf"."""
+lowest terms, the point at infinity the string "inf"; polycodec reads the
+rationals of a file and reads and prints polynomials, as integers."""
 
 from __future__ import annotations
 
@@ -43,32 +44,14 @@ def _parse_point(s):
 
 
 def _poly_json(p: Poly):
-    return [str(c) for c in p.coeffs]
+    from .exact import zclear
+    from .polycodec import row_json
+    return row_json(*zclear(p.coeffs))
 
 
 def _poly_str(p: Poly) -> str:
-    if p.is_zero():
-        return "0"
-    terms = []
-    for k in range(p.degree, -1, -1):
-        c = p[k]
-        if not c:
-            continue
-        mag, neg = str(abs(c)), c < 0
-        if k == 0:
-            body = mag
-        else:
-            xs = "x" if k == 1 else f"x^{k}"
-            body = xs if mag == "1" else f"{mag}*{xs}"
-        if not terms:
-            terms.append(("-" if neg else "") + body)
-        else:
-            terms.append(("- " if neg else "+ ") + body)
-    return " ".join(terms)
-
-
-def _ratfunc_json(r):
-    return {"num": _poly_json(r.num), "den": _poly_json(r.den)}
+    from .polycodec import text
+    return text(_poly_json(p))
 
 
 def _emit(obj) -> int:
@@ -99,14 +82,13 @@ def _load(option, path, build):
 
 def _load_polys(option, path, build=tuple):
     """build(the 7 integer rows of a JSON array of coefficient arrays), by
-    _load: a space (sgrass.PolySpace) or an ordered basis.  Each row is its
-    coefficients cleared of denominators, without trailing zeros, so a zero
-    polynomial is [] (zprimitive divides by the content of [0])."""
-    from .exact import zadd, zclear
+    _load: a space (sgrass.PolySpace) or an ordered basis, each row read by
+    polycodec.read_row, so a zero polynomial is [] (zprimitive divides by
+    the content of [0])."""
+    from .polycodec import read_row
 
     def read(content):
-        rows = tuple(zadd(zclear([Fraction(str(c)) for c in cs])[0], [])
-                     for cs in content)
+        rows = tuple(map(read_row, content))
         if len(rows) != 7:
             raise ValueError(f"need 7 polynomials, got {len(rows)}")
         return build(rows)
@@ -114,11 +96,13 @@ def _load_polys(option, path, build=tuple):
 
 
 def _load_ram(path):
-    """{"points": [...], "partitions": [...]}: sgrass.RamificationData."""
+    """{"points": [...], "partitions": [...]}: sgrass.RamificationData,
+    each point "inf" or a rational read by polycodec.rational."""
     from . import sgrass
+    from .polycodec import rational
 
     def build(data):
-        pts = tuple(p if p == "inf" else Fraction(str(p))
+        pts = tuple(p if p == "inf" else Fraction(*rational(p))
                     for p in data["points"])
         return sgrass.RamificationData(pts, tuple(tuple(p) for p in
                                                   data["partitions"]))
@@ -184,18 +168,20 @@ def cmd_reproduce(args):
 
 
 def cmd_diffop(args):
-    from . import diffop, sgrass
+    from . import diffop, polycodec, sgrass
     D = diffop.appendix_operator(args.lam, args.case,
                                  conjugated=args.conjugated)
-    return _emit({"order": D.order,
-                  "coefficients": [_ratfunc_json(c) for c in D.coeffs]})
+    return _emit({"order": D.order, "coefficients": [
+        {"num": polycodec.row_json(p, q[-1]),
+         "den": polycodec.row_json(q, q[-1])}
+        for p, q in D.lowest_terms]})
 
 
 def cmd_kernel(args):
-    from . import diffop, sgrass
-    ker = diffop.kernel_for_case(args.lam, args.case)
-    return _emit({"dimension": len(ker),
-                  "basis": [_poly_json(p) for p in ker]})
+    from . import polycodec, sgrass
+    rows = sgrass.kernel_space(args.lam, args.case).basis
+    return _emit({"dimension": len(rows),
+                  "basis": [polycodec.row_json(r, r[-1]) for r in rows]})
 
 
 def cmd_exponents(args):
@@ -232,15 +218,16 @@ def cmd_ssd_check(args):
 
 
 def cmd_wronski(args):
-    from . import sgrass
+    from . import polycodec, sgrass
+    from .exact import zprimitive, zwronskians
     X = (sgrass.kernel_space(args.lam, args.case) if args.lam is not None
          else _load_polys("space", args.space, sgrass.PolySpace))
-    w = sgrass.space_wronskian(X)
-    out = {"wronskian": _poly_json(w), "wronskian_str": _poly_str(w)}
+    w = zprimitive(zwronskians(X.basis)[-1])
+    out = {"wronskian": polycodec.row_json(w, w[-1])}
+    out["wronskian_str"] = polycodec.text(out["wronskian"])
     if args.reduced:
-        r = sgrass._seventh_root(w)
-        out["reduced"] = _poly_json(r)
-        out["reduced_str"] = _poly_str(r)
+        out["reduced"] = polycodec.row_json(*sgrass._seventh_root(w))
+        out["reduced_str"] = polycodec.text(out["reduced"])
     return _emit(out)
 
 

@@ -34,12 +34,19 @@ class DiffOp:
         return len(self.P)
 
     @cached_property
-    def coeffs(self):
-        """The coefficients of d^(n-1) .. d^0 as RatFuncs in lowest terms:
-        the one place an operator becomes RatFuncs."""
+    def lowest_terms(self):
+        """The coefficients of d^(n-1) .. d^0 as (num, den) integer lists in
+        lowest terms, den with positive leading coefficient: the one path
+        from (Q, P) to lowest terms, which g2 diffop prints."""
         n = self.order
-        return tuple(zratfunc(*_reduce_over_power(self.P[k], self.Q, n - k))
+        return tuple(_reduce_over_power(self.P[k], self.Q, n - k)
                      for k in range(n - 1, -1, -1))
+
+    @cached_property
+    def coeffs(self):
+        """lowest_terms as RatFuncs: the one place an operator becomes
+        RatFuncs."""
+        return tuple(zratfunc(*c) for c in self.lowest_terms)
 
     def __eq__(self, other):
         return isinstance(other, DiffOp) and self.coeffs == other.coeffs

@@ -10,8 +10,8 @@ from functools import cached_property, lru_cache
 
 from . import diffop
 from .bethe import RamificationData
-from .exact import (Poly, zclear, zechelon, zmul, zpoly, zprimitive, zquo,
-                    zreduce, zrow, zscale, zwronski_minors, zwronskians)
+from .exact import (Poly, zechelon, zmul, zpoly, zprimitive, zquo, zreduce,
+                    zrow, zscale, zwronski_minors, zwronskians)
 from .linalg import rank, solve
 
 N = 7
@@ -93,17 +93,16 @@ def dual_space(X: PolySpace, R: RamificationData) -> PolySpace:
     return PolySpace([_divide(w, R, N - 1) for w in zwronski_minors(X.basis)])
 
 
-def _seventh_root(w) -> Poly:
-    """Monic 7th root of w, a monic Poly or an integer list standing for
-    its monic multiple; errors if not a 7th power.
-    For w = a / c in Z[x] / c, wc = c^n w(x / c) is monic in Z[x], n = 7m,
-    and so is its root c^m r(x / c), whose coefficient R_k of x^(m-k) is
-    sum_{j=1}^k (8j - 7k) wc_(n-j) R_(k-j) / 7k, by W R' = R W' / 7."""
-    if isinstance(w, Poly):
-        a, c = zclear(w.coeffs)
-    else:
-        a = zprimitive(w)
-        c = a[-1] if a else 1
+def _seventh_root(w):
+    """(r, d), the monic 7th root of w as an integer row over d > 0, for an
+    integer list w standing for its monic multiple; errors if not a 7th
+    power.  For w's primitive part a and c = a[-1], so that W = a / c is
+    monic, wc = c^n W(x / c) is monic in Z[x], n = 7m, and so is its root
+    c^m root(x / c), whose coefficient R_k of x^(m-k) is sum_{j=1}^k
+    (8j - 7k) wc_(n-j) R_(k-j) / 7k, by W R' = R W' / 7; the root's
+    coefficient of x^i is R_(m-i) / c^(m-i) = R_(m-i) c^i / c^m."""
+    a = zprimitive(w)
+    c = a[-1] if a else 1
     n, m = len(a) - 1, (len(a) - 1) // N
     if n < 0 or n % N:
         raise ValueError("not a 7th power")
@@ -114,14 +113,14 @@ def _seventh_root(w) -> Poly:
                      for j in range(1, k + 1)) // (7 * k))
     r = R[::-1]
     r2 = zmul(r, r)
-    if a[n] != c or zmul(zmul(r2, r2), zmul(r2, r)) != wc:
+    if zmul(zmul(r2, r2), zmul(r2, r)) != wc:
         raise ValueError("not a 7th power")
-    return Poly([Fraction(v, c ** (m - i)) for i, v in enumerate(r)])
+    return [v * c ** i for i, v in enumerate(r)], c ** m
 
 
 def reduced_wronski(X: PolySpace) -> Poly:
     """Monic 7th root of the space Wronskian."""
-    return _seventh_root(space_wronskian(X))
+    return zpoly(*_seventh_root(zwronskians(X.basis)[-1]))
 
 
 def self_dual_factor(X: PolySpace, R: RamificationData):

@@ -7,7 +7,6 @@ those: chevalley and casimir add linalg and exact, strata adds strat."""
 from __future__ import annotations
 
 import os
-from dataclasses import replace
 from fractions import Fraction
 from functools import wraps
 from itertools import permutations
@@ -134,6 +133,8 @@ def _reproduction_failure(lam, i):
     """The chain of case i, if it has one, lands on the closed form and
     data of (lam, i), and each direction is an involution on it; a failure
     message or None."""
+    from dataclasses import replace
+
     from . import bethe
     from .exact import Poly
     target = bethe.closed_form(lam, i)

@@ -11,7 +11,10 @@ rational module of `repn`, with the field elimination that `linalg`'s
 fraction-free rref is compared against.
 
 The Wronskian f g' - f' g of integer lists by its four temporaries, for
-the one-pass `exact.zwr`."""
+the one-pass `exact.zwr`.
+
+The codec's Fraction renderers of a Poly, for the integer-row renderers
+of `polycodec`."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -22,6 +25,33 @@ from g2gaudin.repn import (bracket, mat_add, mat_scale, mat_sub, mat_unit,
 
 ZERO = RatFunc(Poly())
 ONE = RatFunc(Poly([1]))
+
+
+def poly_json(p: Poly):
+    """The coefficients of p as the codec's strings, by str(Fraction)."""
+    return [str(c) for c in p.coeffs]
+
+
+def poly_str(p: Poly) -> str:
+    """p as text, highest degree first, from its Fraction coefficients."""
+    if p.is_zero():
+        return "0"
+    terms = []
+    for k in range(p.degree, -1, -1):
+        c = p[k]
+        if not c:
+            continue
+        mag, neg = str(abs(c)), c < 0
+        if k == 0:
+            body = mag
+        else:
+            xs = "x" if k == 1 else f"x^{k}"
+            body = xs if mag == "1" else f"{mag}*{xs}"
+        if not terms:
+            terms.append(("-" if neg else "") + body)
+        else:
+            terms.append(("- " if neg else "+ ") + body)
+    return " ".join(terms)
 
 
 def zwr_by_products(f, g):

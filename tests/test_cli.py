@@ -5,13 +5,17 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import g2gaudin
-from g2gaudin import bethe, cli, diffop, sgrass, verify
+import oracles
+from g2gaudin import bethe, cli, diffop, polycodec, sgrass, verify
 from g2gaudin import rootdata as rd
-from g2gaudin.exact import zadd
+from g2gaudin.exact import Poly, zadd, zclear
 
 
 def run(argv, capsys):
@@ -286,15 +290,23 @@ _PARTITIONS = [[3, 2, 2, 1, 1, 0, 0], [1, 1, 1, 1, 1, 0, 0]]
     ("witness", [["0"] * k + ["1"] for k in range(6)]),
     ("witness", [["0"] * k + ["1"] for k in range(8)]),
     ("space", [["0"]] + [["0"] * k + ["1"] for k in range(1, 7)]),
-    ("space", [["0"] * k + ["1"] for k in range(6)] + [["0", "1", "0"]])])
+    ("space", [["0"] * k + ["1"] for k in range(6)] + [["0", "1", "0"]]),
+    ("space", [["0.5"]] + [["0"] * k + ["1"] for k in range(1, 7)]),
+    ("space", [[1.5]] + [["0"] * k + ["1"] for k in range(1, 7)]),
+    ("space", [["1e3"]] + [["0"] * k + ["1"] for k in range(1, 7)]),
+    ("witness", [["1", "1/-2"]] + [["0"] * k + ["1"] for k in range(2, 8)]),
+    ("space", [[" 1 / 2"]] + [["0"] * k + ["1"] for k in range(1, 7)]),
+    ("space", [["1/+2"]] + [["0"] * k + ["1"] for k in range(1, 7)]),
+    ("ram", {"points": ["0.5", "1"], "partitions": _PARTITIONS})])
 def test_malformed_files_are_usage_errors(role, content, tmp_path, capsys):
     """A --space, --ram or --witness file that is not JSON, lacks a key,
-    has the wrong shape, a zero denominator or a partition that is not one,
-    a space that is not 7 independent polynomials (a zero row, or a row
-    equal to another but for a trailing zero), a witness that is not
-    7 polynomials or repeated points is rejected with exit 2, a message
-    naming the option and no traceback, by ssd-check and, for a space, by
-    wronski."""
+    has the wrong shape, a coefficient or point other than "p" or "p/q"
+    with q > 0 (a decimal, a sign or space where none belongs, or a zero or
+    negative denominator), a partition that is not one, a space that is not
+    7 independent polynomials (a zero row, or a row equal to another but
+    for a trailing zero), a witness that is not 7 polynomials or repeated
+    points is rejected with exit 2, a message naming the option and no
+    traceback, by ssd-check and, for a space, by wronski."""
     files = _case_files(tmp_path, (1, 0), 2, **{role: content})
     argvs = [["ssd-check"] + files]
     if role == "space":
@@ -306,6 +318,78 @@ def test_malformed_files_are_usage_errors(role, content, tmp_path, capsys):
         assert exc.value.code == 2 and captured.out == ""
         assert f"error: argument --{role}: malformed file " in captured.err
         assert "Traceback" not in captured.err
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-10**6, 10**6), max_size=9),
+       st.integers(1, 10**4), st.integers(1, 12))
+@example([0, 0], 3, 2)
+@example([-4, 6, 0, -2], 4, 3)
+def test_row_renderer_matches_the_fraction_oracle(row, den, f):
+    """row / den printed from the integer row, with the denominator sharing
+    the factor f with every coefficient, equals the Fraction renderers of
+    the Poly row / den, and reads back as the Poly's cleared row."""
+    row, den = [f * c for c in row], f * den
+    while row and not row[-1]:
+        row.pop()
+    p = Poly([Fraction(c, den) for c in row])
+    assert polycodec.row_json(row, den) == oracles.poly_json(p)
+    assert polycodec.text(polycodec.row_json(row, den)) == oracles.poly_str(p)
+    assert cli._poly_json(p) == oracles.poly_json(p)
+    assert cli._poly_str(p) == oracles.poly_str(p)
+    assert polycodec.read_row(cli._poly_json(p)) == zclear(p.coeffs)[0]
+
+
+def test_reader_reduces_each_coefficient():
+    """Each coefficient is read in lowest terms before the row is cleared:
+    2/4 reads as 1/2, and a JSON integer or a trailing zero as before."""
+    assert polycodec.read_row(["2/4", "1"]) == polycodec.read_row(["1/2", 1])
+    assert polycodec.read_row(["2/4", "1"]) == [1, 2]
+    assert polycodec.read_row(["-6/4", "0", "1/6", "0/5"]) == [-9, 0, 1]
+    assert polycodec.read_row(["0", "0/3"]) == []
+
+
+def _count_fractions(monkeypatch):
+    """A Counter whose "built" counts the Fractions built from now on in
+    this test."""
+    count, new = collections.Counter(), Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        count["built"] += 1
+        return new(cls, *args, **kwargs)
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    return count
+
+
+def _coefficients(out):
+    """The number of coefficients in a command's JSON output."""
+    if isinstance(out, dict):
+        return sum(_coefficients(v) for k, v in out.items()
+                   if not k.endswith("_str"))
+    if isinstance(out, list):
+        return sum(map(_coefficients, out))
+    return isinstance(out, str)
+
+
+def test_polynomials_cross_the_codec_as_integer_rows(tmp_path, monkeypatch,
+                                                      capsys):
+    """kernel, diffop and wronski print from integer rows: on a case not
+    yet built, each builds fewer Fractions than it prints coefficients (a
+    Poly or RatFunc carrying them would build one per coefficient, on top
+    of those the case builds), and reading a --space file builds none."""
+    args = _case_files(tmp_path, (3, 3), 6)
+    count = _count_fractions(monkeypatch)
+    for argv in (["kernel"], ["diffop", "--conjugated"],
+                 ["wronski", "--reduced"]):
+        diffop.case.cache_clear()
+        count.clear()
+        rc = cli.main(argv + ["--lambda", "3,3", "--case", "6"])
+        printed = _coefficients(json.loads(capsys.readouterr().out))
+        assert rc == 0 and count["built"] < printed, (argv, count, printed)
+    count.clear()
+    X = cli._load_polys("space", args[args.index("--space") + 1],
+                        sgrass.PolySpace)
+    assert count["built"] == 0 and X == sgrass.kernel_space((3, 3), 6)
 
 
 def test_valid_files_of_a_space_that_is_not_self_dual_fail(tmp_path, capsys):
@@ -521,15 +605,16 @@ def _fresh_python(code, **env):
 
 
 def _loaded_after(argv):
-    """The g2gaudin layers (and numpy and sympy) loaded by a fresh
-    interpreter after `import g2gaudin.cli` and, if argv is given, one
-    query."""
+    """The g2gaudin layers (and numpy, sympy and dataclasses) loaded by a
+    fresh interpreter after `import g2gaudin.cli` and, if argv is given,
+    one query."""
     return set(_fresh_python(
         "import json, sys, g2gaudin.cli\n"
         f"argv = {argv!r}\n"
         "rc = g2gaudin.cli.main(argv) if argv else 0\n"
         "print(json.dumps([m.split('.')[-1] for m in sys.modules if\n"
-        "    m.startswith('g2gaudin.') or m in ('numpy', 'sympy')]))\n"
+        "    m.startswith('g2gaudin.') or\n"
+        "    m in ('numpy', 'sympy', 'dataclasses')]))\n"
         "sys.exit(rc)\n"))
 
 
@@ -540,10 +625,12 @@ def test_commands_import_only_their_layers():
     assert _loaded_after(["tensor", "--left", "1,0", "--right", "0,1"]) == \
         repn_only
     assert _loaded_after(["invdim", "--weights", "0,1;0,1"]) == repn_only
-    strata = repn_only | {"strat"}
+    strata = repn_only | {"strat", "dataclasses"}
     assert _loaded_after(["strata", "--d", "12"]) == strata
     assert _loaded_after(["verify", "--suite", "strata"]) == \
         strata | {"verify"}
+    # and no dataclasses (with inspect, about 10 ms of import in a cold
+    # process): none of their layers defines a dataclass
     for suite in ("chevalley", "casimir"):
         assert _loaded_after(["verify", "--suite", suite]) == \
             repn_only | {"linalg", "exact", "verify"}

@@ -235,15 +235,24 @@ def test_isotropic_examples():
                                              [_mono(0), _mono(4), _mono(6)])
 
 
+def _root(p):
+    """The monic 7th root of the Poly p, from its integer row."""
+    return zpoly(*sg._seventh_root(zclear(p.coeffs)[0]))
+
+
 def test_reduced_wronski():
-    assert sg._seventh_root(_mono(14)) == _mono(2)
+    assert _root(_mono(14)) == _mono(2)
     x = _mono(1)
-    assert sg._seventh_root((x ** 7 * (x - Poly([1])) ** 7)) == \
-        x * (x - Poly([1]))
+    assert _root(x ** 7 * (x - Poly([1])) ** 7) == x * (x - Poly([1]))
+    # an integer list stands for its monic multiple, whose root has
+    # denominators: the root of (2x - 1)^14 is (x - 1/2)^2
+    assert _root(prod([Poly([-1, 2])] * 14, start=Poly([1]))) == \
+        Poly([Fraction(1, 4), -1, 1])
+    assert sg.reduced_wronski(X0) == Poly([1])
     with pytest.raises(ValueError):
-        sg._seventh_root(_mono(3))
+        _root(_mono(3))
     with pytest.raises(ValueError):
-        sg._seventh_root((_mono(7) + Poly([1])))
+        _root(_mono(7) + Poly([1]))
 
 
 # the 84 closed-form cases with lambda in {0..3}^2
@@ -429,7 +438,7 @@ def test_self_dual_factor_is_the_wronskian_ratio_root():
         Xd = sg.dual_space(X, R)
         q = sg.space_wronskian(X).exact_div(sg.space_wronskian(Xd))
         g = sg.self_dual_factor(X, R)
-        assert g is not None and g == _primitive(sg._seventh_root(q.monic()))
+        assert g is not None and g == _primitive(_root(q))
     assert sg.self_dual_factor(X_HALF, R_HALF) == [-1, 2]
     assert sg.is_self_dual(X_HALF, R_HALF)
 

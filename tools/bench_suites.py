@@ -1,16 +1,21 @@
 """Record suite times and benchmark pairs in one BENCH_<n>.json, so that a
 speed claim can be read off two such files.
 
-    python3 tools/bench_suites.py suites OUT.json
+    python3 tools/bench_suites.py suites OUT.json --parent DIR
 
 times the kernels, h2, wronskian, bae-grid and reproduction suites of
-`g2 verify` twice on the 5- and on the 7-grid (reproduction caps itself at
-the 3-grid), each run in a fresh process with G2_LMAX set to the grid; the
-time is the suite call alone, without the import.  One more
+`g2 verify` four times on the 5- and on the 7-grid (reproduction caps
+itself at the 3-grid), each run in a fresh process with G2_LMAX set to the
+grid; the time is the suite call alone, without the import.  One more
 fresh run of each suite and grid under cProfile counts the calls of
 `Fraction.__new__`, of `exact.zpoly`, the Fraction Polys built from
 integer lists, and of `exact.zclear`, the rational lists cleared to
-integer ones.
+integer ones.  DIR (a checkout of the parent commit) is the parent side
+and a copy of this checkout the change side, as in `pairs`: the two sides
+alternate on every run of each suite and grid, the parent first in even
+runs, so drift of a shared machine falls on both, and the record holds
+both sides' times and calls and the ratio of the median times, change
+over parent.
 
     python3 tools/bench_suites.py pairs OUT.json --parent DIR --seed0 N
 
@@ -55,12 +60,14 @@ METRICS = {"ops_per_s": True, "op_p50_s": False, "op_tail_s": False,
 RUN_SECONDS = 45
 GRIDS = (5, 7)
 PARITY_GRIDS = (1, 3, 5)
-SUITE_RUNS = 2
+SUITE_RUNS = 4
 PAIRS = 10
 
+# the suites import their layers when they run; sgrass loads every layer
+# they use (and dataclasses), so the time is the suite call alone
 SUITE_SNIPPET = """\
 import json, sys, time
-from g2gaudin import verify
+from g2gaudin import sgrass, verify
 t = time.perf_counter()
 ok, detail = verify.SUITES[sys.argv[1]]()
 print(json.dumps({"ok": ok, "detail": detail,
@@ -69,7 +76,7 @@ print(json.dumps({"ok": ok, "detail": detail,
 
 PROFILE_SNIPPET = """\
 import cProfile, json, pstats, sys
-from g2gaudin import verify
+from g2gaudin import sgrass, verify
 prof = cProfile.Profile()
 ok, detail = prof.runcall(verify.SUITES[sys.argv[1]])
 calls = {"Fraction.__new__": ("fractions.py", "__new__"),
@@ -97,28 +104,38 @@ def machine():
             "loadavg": list(os.getloadavg())}
 
 
-def run_suite(snippet, name, grid):
-    env = dict(os.environ, G2_LMAX=str(grid),
-               PYTHONPATH=os.path.join(ROOT, "src"))
+def run_suite(snippet, name, grid, checkout):
+    env = dict(os.environ, G2_LMAX=str(grid), PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.path.join(checkout, "src"))
     proc = subprocess.run([sys.executable, "-c", snippet, name],
                           env=env, capture_output=True, text=True, check=True)
     r = json.loads(proc.stdout.splitlines()[-1])
     if not r["ok"]:
-        raise SystemExit(f"suite {name} failed on the {grid}-grid:"
-                         f" {r['detail']}")
+        raise SystemExit(f"{checkout}: suite {name} failed on the "
+                         f"{grid}-grid: {r['detail']}")
     return r
 
 
-def suites():
+def suites(sides):
+    """The suite times and profiled calls of each side, a dict from "parent"
+    and "change" to a checkout."""
     out = []
     for grid in GRIDS:
         for name in SUITES:
-            times = [round(run_suite(SUITE_SNIPPET, name, grid)["seconds"], 3)
-                     for _ in range(SUITE_RUNS)]
-            r = run_suite(PROFILE_SNIPPET, name, grid)
+            times = {side: [] for side in sides}
+            for k in range(SUITE_RUNS):
+                for side in sorted(sides, reverse=k % 2 == 0):
+                    r = run_suite(SUITE_SNIPPET, name, grid, sides[side])
+                    times[side].append(round(r["seconds"], 3))
+            profiled = {side: run_suite(PROFILE_SNIPPET, name, grid, path)
+                        for side, path in sides.items()}
+            calls = {side: r["calls"] for side, r in profiled.items()}
             out.append({"suite": name, "G2_LMAX": grid, "seconds": times,
-                        "detail": r["detail"], "profiled_calls": r["calls"]})
-            print(f"{name} on the {grid}-grid: {times}, {r['calls']}",
+                        "detail": profiled["change"]["detail"],
+                        "profiled_calls": calls,
+                        "median_ratio": (statistics.median(times["change"])
+                                         / statistics.median(times["parent"]))})
+            print(f"{name} on the {grid}-grid: {times}, {calls}",
                   file=sys.stderr)
     return out
 
@@ -209,6 +226,7 @@ def main(argv=None):
     sub = ap.add_subparsers(dest="command", required=True)
     p = sub.add_parser("suites")
     p.add_argument("out")
+    p.add_argument("--parent", required=True)
     p = sub.add_parser("parity")
     p.add_argument("out")
     p = sub.add_parser("pairs")
@@ -220,10 +238,7 @@ def main(argv=None):
     if os.path.exists(args.out):
         with open(args.out) as fh:
             record = json.load(fh)
-    if args.command == "suites":
-        record["suites"] = {"machine": machine(),
-                            "times": suites()}
-    elif args.command == "parity":
+    if args.command == "parity":
         record["parity"] = {"machine": machine(), "digests": parity()}
     else:
         parent = os.path.abspath(args.parent)
@@ -235,9 +250,14 @@ def main(argv=None):
         beside = os.path.dirname(parent)
         with tempfile.TemporaryDirectory(dir=beside) as change:
             copy_checkout(change)
-            record["benchmark_pairs"] = {
-                "machine": machine(), "run_seconds": RUN_SECONDS,
-                "workloads": pairs(parent, change, args.seed0)}
+            if args.command == "suites":
+                record["suites"] = {
+                    "machine": machine(),
+                    "times": suites({"parent": parent, "change": change})}
+            else:
+                record["benchmark_pairs"] = {
+                    "machine": machine(), "run_seconds": RUN_SECONDS,
+                    "workloads": pairs(parent, change, args.seed0)}
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
