@@ -8,6 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
+from itertools import accumulate
 from math import lcm
 
 from . import bethe
@@ -60,18 +61,19 @@ _DY_EXPONENTS = ((4, 2, -1, 0), (3, 2, 1, -1), (3, 1, -2, 1), (2, 1, 0, 0),
 _CONJUGATOR = (2, 1, 0, 0)
 
 
-def _log_factors(fs, exps, marked=0):
-    """(Q, [W_k], Y) with ln' g_k = W_k / Q for g_k = prod_j fs[j]^exps[k][j],
-    fs integer coefficient lists and Q, W_k in Z[x], and Y = Q / Q_m for
-    Q_m the lcm of the radicals of fs[:marked].
+def _log_factors(fs, exps):
+    """(Q, [W_k], lcms) with ln' g_k = W_k / Q for
+    g_k = prod_j fs[j]^exps[k][j], fs integer coefficient lists and Q, W_k
+    in Z[x], and lcms[j] the lcm of the radicals of fs[:j].
 
     For primitive f with g = gcd(f, f'), ln' f = (f'/g) / rad f, where
     rad f = f/g is squarefree; both quotients lie in Z[x].  Q is the lcm of
     the radicals and W_k = Q ln' g_k = sum_j e_kj (f_j'/g_j) (Q / rad f_j),
-    for any f_j, coprime and squarefree or not.  Q is squarefree, so Y is
-    coprime to Q_m."""
-    Q, rads, logs = [1], [], []
+    for any f_j, coprime and squarefree or not.  Q is squarefree, so
+    Q / lcms[j] is coprime to lcms[j]."""
+    Q, rads, logs, lcms = [1], [], [], []
     for j, f in enumerate(fs):
+        lcms.append(Q)
         if len(f) < 2 or not any(e[j] for e in exps):
             rads.append([1])
             logs.append([])
@@ -90,12 +92,35 @@ def _log_factors(fs, exps, marked=0):
             if ej and lg:
                 W = zadd(W, zscale(ej, zmul(lg, cof)))
         Ws.append(W)
-    return Q, Ws, zquo(Q, reduce(zlcm, rads[:marked], [1]))
+    return Q, Ws, lcms
 
 
 def apply_log_factor(Q, dQ, W, P, j):
     """Q^(j+1) (d - W/Q)(P / Q^j) = Q P' - j Q' P - W P, for dQ = Q'."""
     return zsub(zmul(Q, zderiv(P)), zmul(zadd(zscale(j, dQ), W), P))
+
+
+def _compose(Q, dQ, W, ps):
+    """The d^k numerators over Q^(n+1-k) of (d - W/Q) ps, for ps the
+    numerators P_k over Q^(n-k) of an operator of order n and dQ = Q': P_k
+    goes to d^(k+1) and apply_log_factor(Q, dQ, W, P_k, n - k) to d^k."""
+    n, out = len(ps) - 1, [[]] + ps
+    for k, p in enumerate(ps):
+        out[k] = zadd(out[k], apply_log_factor(Q, dQ, W, p, n - k))
+    return out
+
+
+def _divided(Q, ps, Y, lift=(1,)):
+    """The operator sum_k ps[k] / Q^(m-k) d^k, ps[m] = [1], over Q / Y, each
+    P_k divided by Y^(m-k); or, when one of these divisions is inexact,
+    over Q lift, each P_k times lift^(m-k)."""
+    def powers(op, F):
+        Fs = accumulate([F] * (len(ps) - 1), zmul)
+        return tuple(reversed([op(p, Fe) for p, Fe in zip(ps[-2::-1], Fs)]))
+    try:
+        return DiffOp(zquo(Q, Y), powers(zquo, Y))
+    except ValueError:
+        return DiffOp(zmul(Q, lift), powers(zmul, lift))
 
 
 def _integral(N, d, bases):
@@ -214,29 +239,16 @@ def _log_factor_product(Q, Ws, Y=(1,)) -> DiffOp:
     with Q squarefree and primitive (as from _log_factors) and Y a factor
     of Q expected to cancel from every coefficient.
 
-    The partial product of order n is carried as sum_k P_k / Q^(n-k) d^k
-    with P_k in Z[x]: left-composing with d - W/Q sends P_k d^k to
-    P_k d^(k+1) plus apply_log_factor(Q, Q', W, P_k, n - k) / Q^(n+1-k) d^k,
-    which needs no division and no gcd.  Then each P_k is divided by
-    Y^(m-k) and Q by Y, or, when one of these divisions is inexact, none
-    is.  For D_y, Y is the y-part of Q: the kernel is a space of
+    The partial product is carried as its numerators P_k in Z[x], each
+    factor left-composed by _compose, and then _divided divides out Y or
+    nothing.  For D_y, Y is the y-part of Q: the kernel is a space of
     polynomials with Wronskian supported on the roots of T1 T2, so D_y has
-    no pole at a root of y1 y2, and on a Bethe pair the divisions are exact
-    and the Q left divides T1 T2."""
+    no pole at a root of y1 y2; on a Bethe pair the divisions are exact and
+    the Q left divides T1 T2."""
     dQ, ps = zderiv(Q), [[1]]
-    for n, W in enumerate(reversed(Ws)):
-        out = [[]] + ps
-        for k, p in enumerate(ps):
-            out[k] = zadd(out[k], apply_log_factor(Q, dQ, W, p, n - k))
-        ps = out
-    m, Ye, qs = len(ps) - 1, [1], []
-    for k in range(m - 1, -1, -1):
-        Ye = zmul(Ye, Y)
-        try:
-            qs.append(zquo(ps[k], Ye))
-        except ValueError:
-            return DiffOp(Q, tuple(ps[:m]))
-    return DiffOp(zquo(Q, Y), tuple(reversed(qs)))
+    for W in reversed(Ws):
+        ps = _compose(Q, dQ, W, ps)
+    return _divided(Q, ps, Y)
 
 
 def _reduce_over_power(P, Q, e):
@@ -299,16 +311,35 @@ def dy_log_factors(y: bethe.PolyPair, T1: Poly, T2: Poly, shift=(0,) * 4):
     d - ln'(g/f).  Y is the y-part of Q: Q / Y divides T1 T2.  T1 and T2
     may be Polys or integer lists: only their lines matter."""
     fs = [zrow(T1), zrow(T2), *y.rows]
-    return _log_factors(fs, [[a - b for a, b in zip(e, shift)]
-                             for e in _DY_EXPONENTS], marked=2)
-
-
-def _factor_product(y: bethe.PolyPair, T1: Poly, T2: Poly, shift=(0,) * 4):
-    return _log_factor_product(*dy_log_factors(y, T1, T2, shift))
+    Q, Ws, lcms = _log_factors(fs, [[a - b for a, b in zip(e, shift)]
+                                    for e in _DY_EXPONENTS])
+    return Q, Ws, zquo(Q, lcms[2])
 
 
 def build_Dy(y: bethe.PolyPair, T1: Poly, T2: Poly) -> DiffOp:
-    return _factor_product(y, T1, T2)
+    return _log_factor_product(*dy_log_factors(y, T1, T2))
+
+
+def build_conjugated(y: bethe.PolyPair, T1: Poly, T2: Poly) -> DiffOp:
+    """D_y conjugated by T1^2 T2, as -B* d B for B = L'_5 L'_6 L'_7: the
+    factors L'_k = d - ln' h_k, h_k = g_k / (T1^2 T2), have h_k h_(8-k) = 1
+    and h_4 = 1, so L'_(8-k) = -L'_k* and L'_4 = d.  ker B has Wronskian
+    h_5 h_6 h_7, free of y2, so on a Bethe pair y2's part of Q leaves B
+    exactly, and the rest runs over the smaller Q_B: with C = d B,
+    -B* d B = d(d(d C - b_2 C) + b_1 C) - b_0 C, each d step a _compose and
+    each b_k C one product P_k C_j per numerator.  Then y1's part of Q_B is
+    divided out, or, when inexact, y2's multiplied back in."""
+    Q, Ws, (_, _, QT, QB) = _log_factors(
+        [zrow(T1), zrow(T2), *y.rows],
+        [[a - b for a, b in zip(e, _CONJUGATOR)] for e in _DY_EXPONENTS[4:]])
+    B = _log_factor_product(Q, Ws, zquo(Q, QB))
+    Q, lift, dQ = B.Q, zquo(Q, B.Q), zderiv(B.Q)
+    C = D = _compose(Q, dQ, [], [*B.P, [1]])
+    for s, b in zip((-1, 1, -1), reversed(B.P)):
+        D, b = _compose(Q, dQ, [], D), zscale(s, b)
+        for k, c in enumerate(C):
+            D[k] = zadd(D[k], zmul(b, c))
+    return _divided(Q, D, zquo(Q, QT), lift)
 
 
 def conjugate(D: DiffOp, f) -> DiffOp:
@@ -326,11 +357,8 @@ def conjugate(D: DiffOp, f) -> DiffOp:
     n, Q = D.order, zlcm(D.Q, R)
     dQ, W, u = zderiv(Q), zscale(-1, zmul(W, zquo(Q, R))), zquo(Q, D.Q)
     powers, scales = [[[1]]], [[1]]
-    for i in range(n):
-        out = [[]] + powers[-1]
-        for k, a in enumerate(powers[-1]):
-            out[k] = zadd(out[k], apply_log_factor(Q, dQ, W, a, i - k))
-        powers.append(out)
+    for _ in range(n):
+        powers.append(_compose(Q, dQ, W, powers[-1]))
         scales.append(zmul(scales[-1], u))
     cs = [zmul(p, scales[n - i]) for i, p in enumerate(D.P)] + [[1]]
     return DiffOp(Q, tuple(
@@ -384,21 +412,33 @@ def _homogeneous(a, r, s):
     return h
 
 
+def _deflate(a, r):
+    """(q, a(r)) with a = (s - r) q + a(r): one synthetic division."""
+    out, v = [], 0
+    for c in reversed(a):
+        v = v * r + c
+        out.append(v)
+    return out[-2::-1], out[-1]
+
+
 def _integer_roots(a):
-    """All roots of the integer list a, required to be integers (with
-    multiplicity); ValueError otherwise.  Each divides the constant term of
-    what is left, and is divided out once found by evaluation."""
-    roots = []
+    """All roots of the primitive integer list a, required to be integers
+    (with multiplicity); ValueError otherwise.  Then a is monic, and zero
+    roots come off as the power of s.  What is left, of degree n, has a
+    root r with |r|^n <= |c_0|: the divisors d of c_0 with d^n <= |c_0|,
+    d = 1, 2, ... and both signs, are tried by synthetic division."""
+    v = next(k for k, c in enumerate(a) if c)
+    roots, a, d = [0] * v, a[v:], 1
     while len(a) > 1:
-        c0 = abs(a[0])
-        for r in ((t * d for d in range(1, c0 + 1) if c0 % d == 0
-                   for t in (1, -1)) if c0 else (0,)):
-            if not _homogeneous(a, r, 1):
-                v, a = _divide_out(a, [-r, 1])
-                roots += [r] * v
-                break
-        else:
+        if a[-1] != 1 or d ** (len(a) - 1) > abs(a[0]):
             raise ValueError("indicial polynomial has a non-integer root")
+        if a[0] % d == 0:
+            for r in (d, -d):
+                q, value = _deflate(a, r)
+                while not value:
+                    roots.append(r)
+                    a, (q, value) = q, _deflate(q, r)
+        d += 1
     return sorted(roots)
 
 
@@ -493,7 +533,7 @@ class Case:
     @cached_property
     def conjugated(self) -> DiffOp:
         """D_y conjugated by T1^2 T2."""
-        return _factor_product(self.y, *self.ramification.T[:2], _CONJUGATOR)
+        return build_conjugated(self.y, *self.ramification.T[:2])
 
     @cached_property
     def flag_rows(self):

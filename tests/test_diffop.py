@@ -4,13 +4,16 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2gaudin import bethe
 from g2gaudin import diffop
 from g2gaudin import rootdata as rd
 from g2gaudin import sgrass
 from g2gaudin.bethe import PolyPair
-from g2gaudin.exact import Poly, RatFunc, zclear, zmul, zpoly, zprem, zquo
+from g2gaudin.exact import (Poly, RatFunc, zclear, zmul, zpoly, zprem,
+                            zprimitive, zquo)
 import oracles
 from oracles import full
 
@@ -69,13 +72,16 @@ def test_conjugation_roundtrip():
 
 
 def test_conjugate_by_t_gives_the_conjugated_case():
-    """conjugate over lcm(Q, R) is the operator the factor product builds
-    for the shifted exponents directly, on a case of every i."""
-    for lam, i in (((0, 0), 0), ((0, 1), 1), ((1, 0), 2), ((1, 1), 3),
-                   ((1, 2), 4), ((2, 1), 5), ((3, 3), 6)):
+    """conjugate over lcm(Q, R) takes D_y to the conjugated operator, and
+    conjugating that back by 1 / (T1^2 T2) gives D_y as (Q, P), on all 84
+    cases of the 3-grid."""
+    for lam, i in GRID3:
         c = diffop.case(lam, i)
         T1, T2 = _T_polys(c)
-        assert diffop.conjugate(c.operator, T1 ** 2 * T2) == c.conjugated
+        T = RatFunc(T1 ** 2 * T2)
+        assert diffop.conjugate(c.operator, T) == c.conjugated, (lam, i)
+        back = diffop.conjugate(c.conjugated, 1 / T)
+        assert (back.Q, back.P) == (c.operator.Q, c.operator.P), (lam, i)
 
 
 def _reference_operator(lam, i, conjugated):
@@ -117,18 +123,34 @@ NONGENERIC = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(NONGENERIC))
+# y2 meets its Bethe equation for y1 and T2, (T2 y1^3)'(2) = 0, and y1 does
+# not: y2's part of Q leaves B exactly, y1's does not leave -B* d B, and the
+# conjugated operator is put back over all of Q
+HALF_BETHE = {"y2 Bethe for y1, y1 not": (PolyPair(_x - 4, _x - 2),
+                                          _x, _x * (_x - 1))}
+
+
+def _sequential_conjugated(y, T1, T2):
+    """The conjugated operator as the seven conjugated factors multiplied
+    out over Q, the reference for diffop.build_conjugated."""
+    return diffop._log_factor_product(
+        *diffop.dy_log_factors(y, T1, T2, diffop._CONJUGATOR))
+
+
+@pytest.mark.parametrize("name", sorted(NONGENERIC) + sorted(HALF_BETHE))
 def test_direct_factor_product_on_nongeneric_inputs(name):
-    y, T1, T2 = NONGENERIC[name]
+    y, T1, T2 = {**NONGENERIC, **HALF_BETHE}[name]
     gs = diffop.dy_factor_functions(y, T1, T2)
     f = RatFunc(T1 ** 2 * T2)
     want = oracles.product(gs)
     want_conj = _coeffs(oracles.conjugate(want, f))
     want = _coeffs(want)
+    conj, seq = (diffop.build_conjugated(y, T1, T2),
+                 _sequential_conjugated(y, T1, T2))
+    assert (conj.Q, conj.P) == (seq.Q, seq.P)
     for got, ref in ((diffop.build_Dy(y, T1, T2), want),
                      (diffop.from_log_factors(gs), want),
-                     (diffop._factor_product(y, T1, T2, diffop._CONJUGATOR),
-                      want_conj),
+                     (conj, want_conj), (seq, want_conj),
                      (diffop.from_log_factors([g / f for g in gs]),
                       want_conj),
                      (diffop.conjugate(diffop.build_Dy(y, T1, T2), f),
@@ -155,8 +177,7 @@ def _recorded_moduli(monkeypatch, build):
 
 
 def _both_operators(y, T1, T2):
-    return (diffop.build_Dy(y, T1, T2),
-            diffop._factor_product(y, T1, T2, diffop._CONJUGATOR))
+    return diffop.build_Dy(y, T1, T2), diffop.build_conjugated(y, T1, T2)
 
 
 def test_bethe_pair_reduces_over_the_marked_points_only(monkeypatch):
@@ -263,8 +284,8 @@ def test_case_matches_fresh_build():
         T1, T2 = bethe.build_calT([lam, rd.OMEGA2], [Fraction(0), Fraction(1)])
         D = diffop.build_Dy(y, T1, T2)
         assert (c.y, _T_polys(c), c.operator) == (y, (T1, T2), D)
-        assert c.conjugated == diffop._factor_product(y, T1, T2,
-                                                      diffop._CONJUGATOR)
+        ref = _sequential_conjugated(y, T1, T2)
+        assert (c.conjugated.Q, c.conjugated.P) == (ref.Q, ref.P)
         bound = diffop.default_degree_bound(lam, i)
         assert c.kernel == tuple(diffop.polynomial_kernel(D, bound))
         assert diffop.appendix_operator(lam, i) is c.operator
@@ -367,6 +388,22 @@ def test_exponents_at_rational_points():
     assert diffop._integer_roots([0, 0, -6, 1, 1]) == [-3, 0, 0, 2]
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-12, 12), max_size=7),
+       st.sampled_from([[1, 2], [3, 0, 2], [2, 0, 1], [-2, 0, 1], [1, 0, 1]]))
+def test_integer_roots_round_trip(roots, other):
+    """A product of s - r over an integer multiset, zeros and repeats
+    included, gives back its roots; times a primitive factor with a root
+    that is not an integer (2s + 1, 2s^2 + 3, s^2 + 2, s^2 - 2, s^2 + 1),
+    it raises."""
+    a = [1]
+    for r in roots:
+        a = zmul(a, [-r, 1])
+    assert diffop._integer_roots(a) == sorted(roots)
+    with pytest.raises(ValueError, match="non-integer root"):
+        diffop._integer_roots(zprimitive(zmul(a, other)))
+
+
 def test_exponent_checks_can_fail():
     """d - x decays too slowly at infinity; d - 1/(x^2 - 1) has the
     exponent 1/2 at 1."""
@@ -431,6 +468,56 @@ def test_exponents_and_h2_match_ratfunc_oracles_on_5_grid():
         want = -oracles.residue_at(c.conjugated.coeffs[1], c.data.z[0])
         assert diffop.h2_casimir_values(lam, i)[0] == \
             want * diffop._H2_NORMALIZATION, (lam, i)
+
+
+def test_conjugated_is_the_sequential_product():
+    """diffop.build_conjugated, -B* d B over the smaller Q_B, holds each
+    operator as (Q, P) exactly as the seven conjugated factors multiplied
+    out over Q do: Case.conjugated on all 210 cases of the 5-grid, and on
+    each pair of the 3-grid five inputs that are no Bethe pair or are not
+    squarefree (y1 + 1, y2 + 3 x^(deg y2 - 1), y1 (x + 1), y1 x^2, y2 y1),
+    on which the divisions of some cases fail and the operator is kept
+    over a larger Q."""
+    for lam, i in GRID5:
+        c = diffop.case(lam, i)
+        ref = _sequential_conjugated(c.y, *c.ramification.T[:2])
+        assert (c.conjugated.Q, c.conjugated.P) == (ref.Q, ref.P), (lam, i)
+    kept = 0
+    for lam, i in GRID3:
+        c = diffop.case(lam, i)
+        T1, T2 = c.ramification.T[:2]
+        y1, y2 = c.y.y1, c.y.y2
+        bump = Poly([0] * max(y2.degree - 1, 0) + [3])
+        for y in (PolyPair(y1 + Poly([1]), y2), PolyPair(y1, y2 + bump),
+                  PolyPair(y1 * (_x + 1), y2), PolyPair(y1 * _x ** 2, y2),
+                  PolyPair(y1, y2 * y1)):
+            got, ref = (diffop.build_conjugated(y, T1, T2),
+                        _sequential_conjugated(y, T1, T2))
+            assert (got.Q, got.P) == (ref.Q, ref.P), (lam, i, y)
+            kept += len(got.Q) > len(c.conjugated.Q)
+    assert kept == 329
+
+
+def test_conjugated_operands_stay_small(monkeypatch):
+    """Building the conjugated operator of (3, 3), case 6 multiplies no
+    integer list longer than 20 coefficients or with a coefficient wider
+    than 160 bits: y2 leaves after three factors and y1 is raised to at
+    most the seventh power of Q_B.  Multiplying the seven factors out over
+    all of Q reaches 43 coefficients and 351 bits."""
+    sizes, zmul_ = [], diffop.zmul
+
+    def record(a, b):
+        sizes.extend((len(v), max((abs(c).bit_length() for c in v), default=0))
+                     for v in (a, b))
+        return zmul_(a, b)
+
+    c = diffop.Case((3, 3), 6)
+    monkeypatch.setattr(diffop, "zmul", record)
+    D = c.conjugated
+    monkeypatch.undo()
+    assert D == _sequential_conjugated(c.y, *c.ramification.T[:2])
+    assert max(n for n, _ in sizes) <= 20
+    assert max(b for _, b in sizes) <= 160
 
 
 def test_case_ramification_is_the_certified_T_on_5_grid():

@@ -9,13 +9,13 @@ itself at the 3-grid), each run in a fresh process with G2_LMAX set to the
 grid; the time is the suite call alone, without the import.  One more
 fresh run of each suite and grid under cProfile counts the calls of
 `Fraction.__new__`, of `exact.zpoly`, the Fraction Polys built from
-integer lists, and of `exact.zclear`, the rational lists cleared to
-integer ones.  DIR (a checkout of the parent commit) is the parent side
-and a copy of this checkout the change side, as in `pairs`: the two sides
-alternate on every run of each suite and grid, the parent first in even
-runs, so drift of a shared machine falls on both, and the record holds
-both sides' times and calls and the ratio of the median times, change
-over parent.
+integer lists, of `exact.zclear`, the rational lists cleared to integer
+ones, and of the integer kernels `exact.zmul` and `exact.zquo`.  DIR (a
+checkout of the parent commit) is the parent side and a copy of this
+checkout the change side, as in `pairs`: the two sides alternate on every
+run of each suite and grid, the parent first in even runs, so drift of a
+shared machine falls on both, and the record holds both sides' times and
+calls and the ratio of the median times, change over parent.
 
     python3 tools/bench_suites.py pairs OUT.json --parent DIR --seed0 N
 
@@ -81,7 +81,9 @@ prof = cProfile.Profile()
 ok, detail = prof.runcall(verify.SUITES[sys.argv[1]])
 calls = {"Fraction.__new__": ("fractions.py", "__new__"),
          "exact.zpoly": ("exact.py", "zpoly"),
-         "exact.zclear": ("exact.py", "zclear")}
+         "exact.zclear": ("exact.py", "zclear"),
+         "exact.zmul": ("exact.py", "zmul"),
+         "exact.zquo": ("exact.py", "zquo")}
 stats = pstats.Stats(prof).stats
 print(json.dumps({"ok": ok, "detail": detail, "calls": {
     name: sum(v[1] for (path, _, fn), v in stats.items()
