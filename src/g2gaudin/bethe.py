@@ -8,22 +8,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from . import repn
 from . import rootdata as rd
 from .exact import (Poly, zderiv, zgcd, zmul, zpoly, zprem, zprimitive, zrow,
                     zscale, zsolve1, zsub, zwr)
+from .repn import L_LIST, admissible_ls, summand_weight  # noqa: F401
 
 # the point at infinity, spelled as in the JSON formats
 INF = "inf"
-
-# the seven l-pairs that can be admissible
-L_LIST = ((0, 0), (0, 1), (1, 1), (1, 2), (1, 3), (2, 3), (2, 4))
-
-
-def summand_weight(lam, i):
-    """lam + omega2 - (l1 alpha1 + l2 alpha2) for (l1, l2) = L_LIST[i]: the
-    weight of the summand of V_lam (x) V_omega2 that case i belongs to."""
-    return rd.sub(rd.add(lam, rd.OMEGA2), rd.from_alpha(*L_LIST[i]))
 
 
 def l_of_alpha(w):
@@ -143,16 +134,6 @@ def build_calT(Lambda, z):
     """T_j(x) = prod_s (x - z_s)^{<lambda^(s), coroot_j>}; the factor for an
     infinite point is the constant 1."""
     return tuple(zpoly(t, t[-1]) for t in zcalT(Lambda, z))
-
-
-def admissible_ls(lam):
-    """Indices i such that V_{lam + omega2 - alpha(l_i)} occurs in
-    V_lam (x) V_{omega2}."""
-    if not rd.is_dominant(lam):
-        raise ValueError(f"{lam} is not dominant")
-    summands = repn.tensor_decompose(lam, rd.OMEGA2)
-    return [i for i in range(len(L_LIST))
-            if summand_weight(lam, i) in summands]
 
 
 def _f(expr_num, expr_den):

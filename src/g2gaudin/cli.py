@@ -7,10 +7,10 @@ rationals of a file and reads and prints polynomials, as integers."""
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
+import types
 from fractions import Fraction
 
 
@@ -19,10 +19,9 @@ def _parse_weight(s):
     try:
         a, b = (int(t) for t in s.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"weight must be 'a,b', got {s!r}")
+        raise ValueError(f"weight must be 'a,b', got {s!r}") from None
     if a < 0 or b < 0:
-        raise argparse.ArgumentTypeError(
-            f"weight must be dominant (a, b >= 0), got {s!r}")
+        raise ValueError(f"weight must be dominant (a, b >= 0), got {s!r}")
     return (a, b)
 
 
@@ -36,11 +35,9 @@ def _parse_point(s):
         return s
     try:
         return Fraction(s)
-    except ZeroDivisionError:
-        raise argparse.ArgumentTypeError(f"point has denominator 0: {s!r}")
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"point must be a rational or 'inf', got {s!r}")
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(
+            f"point must be a rational or 'inf', got {s!r}") from None
 
 
 def _poly_json(p: Poly):
@@ -60,8 +57,9 @@ def _emit(obj) -> int:
 
 
 # Each command imports the layers it uses, and this module imports none at
-# load time (Poly appears only in annotations, which are strings here): a
-# one-shot process without a bytecode cache compiles only what its command
+# load time (Poly appears only in annotations, which are strings here), nor
+# argparse with its gettext and locale: parse_args reads one command table,
+# build_parser(), and a one-shot process compiles only what its command
 # runs.  The commands that build D_y import sgrass (which imports diffop)
 # even where they use only diffop: a many-query process then compiles both
 # up front, not midway through a case sweep, where without a bytecode cache
@@ -76,8 +74,8 @@ def _load(option, path, build):
         try:
             return build(json.load(fh))
         except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
-            build_parser().error(f"argument --{option}: malformed file "
-                                 f"{path}: {type(exc).__name__}: {exc}")
+            error(f"argument --{option}: malformed file {path}: "
+                  f"{type(exc).__name__}: {exc}")
 
 
 def _load_polys(option, path, build=tuple):
@@ -263,132 +261,150 @@ def cmd_verify(args):
     return 0 if ok_all else 1
 
 
-def _add_case_args(p):
-    p.add_argument("--lambda", dest="lam", type=_parse_weight, required=True,
-                   metavar="a,b")
-    p.add_argument("--case", type=int, required=True, choices=range(7))
-
-
-def _add_input_args(p):
-    """A closed-form case (--lambda with --case) or a space file (--space);
-    argparse keeps --lambda and --space apart, _check_inputs the pairings."""
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--lambda", dest="lam", type=_parse_weight,
-                        metavar="a,b", help="build from a closed-form case")
-    source.add_argument("--space", help="JSON file: 7 coefficient arrays")
-    p.add_argument("--case", type=int, choices=range(7))
-
-
-def _check_inputs(ap, args):
-    """--case goes with --lambda and only with it, every file with --space,
-    and ssd-check reads --space only together with --ram."""
-    if args.lam is not None:
-        if args.case is None:
-            ap.error("--lambda needs --case")
-        for name in ("ram", "witness"):
-            if getattr(args, name, None) is not None:
-                ap.error(f"--{name} needs --space")
-    elif args.case is not None:
-        ap.error("--case needs --lambda")
-    elif hasattr(args, "ram") and args.ram is None:
-        ap.error("--space needs --ram")
+# an option maps to (dest, parser, default): the parser reads the value, or
+# is the tuple or range of its choices, or is None for a flag
+REQUIRED = object()
 
 
 @functools.cache
 def build_parser():
-    """The parser, built once per process: main() may run many queries."""
-    ap = argparse.ArgumentParser(prog="g2", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
+    """The command table, built once per process: main() may run many
+    queries.  A command maps to (handler, help line, options by name)."""
+    case = {"--lambda": ("lam", _parse_weight, REQUIRED),
+            "--case": ("case", range(7), REQUIRED)}
+    source = {"--lambda": ("lam", _parse_weight, None),
+              "--space": ("space", str, None),
+              "--case": ("case", range(7), None)}
+    return {
+        "tensor": (cmd_tensor, "decompose a tensor product",
+                   {"--left": ("left", _parse_weight, REQUIRED),
+                    "--right": ("right", _parse_weight, REQUIRED)}),
+        "invdim": (cmd_invdim, "invariant dimension of a product",
+                   {"--weights": ("weights", _parse_weights, REQUIRED)}),
+        "bae": (cmd_bae, "closed-form Bethe solution", case),
+        "bae-verify": (cmd_bae_verify,
+                       "genericity/exact Bethe equations/fertility", case),
+        "reproduce": (cmd_reproduce, "one reproduction step", {
+            **case, "--direction": ("direction", range(1, 3), REQUIRED)}),
+        "diffop": (cmd_diffop, "the order-7 operator",
+                   {**case, "--conjugated": ("conjugated", None, False)}),
+        "kernel": (cmd_kernel, "polynomial kernel basis", case),
+        "exponents": (cmd_exponents, "indicial exponents",
+                      {**case, "--point": ("point", _parse_point, REQUIRED),
+                       "--raw": ("raw", None, False)}),
+        "h2check": (cmd_h2check, "residue vs Casimir cross-check", case),
+        "ssd-check": (cmd_ssd_check, "self-(self-)duality checks",
+                      {**source, "--ram": ("ram", str, None),
+                       "--witness": ("witness", str, None)}),
+        "wronski": (cmd_wronski, "space Wronskian",
+                    {**source, "--reduced": ("reduced", None, False)}),
+        # strat.MAX_D = 14; strat loads only when the command runs
+        "strata": (cmd_strata, "stratification of SGr_d",
+                   {"--d": ("d", range(7, 15), REQUIRED),
+                    "--format": ("format", ("dot", "json"), "dot")}),
+        "verify": (cmd_verify, "run a verification suite",
+                   {"--suite": ("suite", str, "all")})}
 
-    p = sub.add_parser("tensor", help="decompose a tensor product")
-    p.add_argument("--left", type=_parse_weight, required=True)
-    p.add_argument("--right", type=_parse_weight, required=True)
-    p.set_defaults(func=cmd_tensor)
 
-    p = sub.add_parser("invdim", help="invariant dimension of a product")
-    p.add_argument("--weights", type=_parse_weights, required=True,
-                   help="semicolon-separated weights, e.g. '0,1;0,1'")
-    p.set_defaults(func=cmd_invdim)
+def error(message):
+    """A usage error: "g2: error: <message>" on stderr, then exit 2."""
+    print("usage: g2 COMMAND [OPTIONS]", f"g2: error: {message}", sep="\n",
+          file=sys.stderr)
+    sys.exit(2)
 
-    p = sub.add_parser("bae", help="closed-form Bethe solution")
-    _add_case_args(p)
-    p.set_defaults(func=cmd_bae)
 
-    p = sub.add_parser("bae-verify",
-                       help="genericity/exact Bethe equations/fertility")
-    _add_case_args(p)
-    p.set_defaults(func=cmd_bae_verify)
+def _help(command=None):
+    """The usage and help line of every command, or of one; then exit 0."""
+    lines = [] if command else [__doc__, ""]
+    for name, (_, doc, options) in build_parser().items():
+        if command in (None, name):
+            words = [f"g2 {name}"]
+            for opt, (dest, parse, default) in options.items():
+                if parse is not None:
+                    opt += " " + (dest.upper() if callable(parse) else
+                                  "|".join(map(str, parse)))
+                words.append(opt if default is REQUIRED else f"[{opt}]")
+            lines += [" ".join(words), f"    {doc}"]
+    print("\n".join(lines))
+    sys.exit(0)
 
-    p = sub.add_parser("reproduce", help="one reproduction step")
-    _add_case_args(p)
-    p.add_argument("--direction", type=int, required=True, choices=(1, 2))
-    p.set_defaults(func=cmd_reproduce)
 
-    p = sub.add_parser("diffop", help="the order-7 operator")
-    _add_case_args(p)
-    p.add_argument("--conjugated", action="store_true")
-    p.set_defaults(func=cmd_diffop)
+def _value(opt, parse, s):
+    """s read by opt's parser or as one of its choices; else a usage error."""
+    try:
+        if callable(parse):
+            return parse(s)
+        v = int(s) if isinstance(parse, range) else s
+        if v not in parse:
+            raise ValueError(f"{s!r} not in {'|'.join(map(str, parse))}")
+        return v
+    except ValueError as exc:
+        error(f"argument {opt}: {exc}")
 
-    p = sub.add_parser("kernel", help="polynomial kernel basis")
-    _add_case_args(p)
-    p.set_defaults(func=cmd_kernel)
 
-    p = sub.add_parser("exponents", help="indicial exponents")
-    _add_case_args(p)
-    p.add_argument("--point", type=_parse_point, required=True,
-                   help="a rational, or 'inf'")
-    p.add_argument("--raw", action="store_true",
-                   help="use the unconjugated operator")
-    p.set_defaults(func=cmd_exponents)
+def parse_args(argv):
+    """The namespace of argv: command, func (its handler) and a dest for
+    each of the command's options.  An option's value is the rest of its
+    token after "=" or else the next token, whatever it begins with; the
+    last of a repeated option wins."""
+    if argv[:1] in (["-h"], ["--help"]):
+        _help()
+    if not argv or argv[0] not in build_parser():
+        error(f"choose a command from {', '.join(build_parser())}")
+    command, tokens = argv[0], iter(argv[1:])
+    func, _, options = build_parser()[command]
+    args = {dest: None if default is REQUIRED else default
+            for dest, _, default in options.values()}
+    for token in tokens:
+        if token in ("-h", "--help"):
+            _help(command)
+        opt, eq, value = token.partition("=")
+        if opt not in options:
+            error(f"unrecognized arguments: {token}")
+        dest, parse, _ = options[opt]
+        if parse is None and eq:
+            error(f"argument {opt}: takes no value")
+        if parse is not None and not eq:
+            value = next(tokens, None)
+            if value is None:
+                error(f"argument {opt}: expected one argument")
+        args[dest] = True if parse is None else _value(opt, parse, value)
+    # no parser returns None
+    missing = [opt for opt, (dest, _, default) in options.items()
+               if default is REQUIRED and args[dest] is None]
+    if missing:
+        error("the following arguments are required: " + ", ".join(missing))
+    args = types.SimpleNamespace(command=command, func=func, **args)
+    if "--space" in options:
+        _check_inputs(args)
+    return args
 
-    p = sub.add_parser("h2check", help="residue vs Casimir cross-check")
-    _add_case_args(p)
-    p.set_defaults(func=cmd_h2check)
 
-    p = sub.add_parser("ssd-check", help="self-(self-)duality checks")
-    _add_input_args(p)
-    p.add_argument("--ram", help="JSON file: points + partitions")
-    p.add_argument("--witness", help="JSON file: ordered basis")
-    p.set_defaults(func=cmd_ssd_check)
-
-    p = sub.add_parser("wronski", help="space Wronskian")
-    _add_input_args(p)
-    p.add_argument("--reduced", action="store_true")
-    p.set_defaults(func=cmd_wronski)
-
-    p = sub.add_parser("strata", help="stratification of SGr_d")
-    # strat.MAX_D = 14; strat loads only when the command runs
-    p.add_argument("--d", type=int, required=True, choices=range(7, 15),
-                   metavar="7..14")
-    p.add_argument("--format", choices=("dot", "json"), default="dot")
-    p.set_defaults(func=cmd_strata)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", default="all")
-    p.set_defaults(func=cmd_verify)
-
-    return ap
+def _check_inputs(args):
+    """ssd-check and wronski read a case (--lambda) or a space file (--space),
+    not both; --case goes with --lambda and only with it, every file with
+    --space, and ssd-check reads --space only together with --ram."""
+    if (args.lam is None) == (args.space is None):
+        error("give one of the arguments --lambda and --space")
+    if args.lam is not None:
+        if args.case is None:
+            error("--lambda needs --case")
+        for name in ("ram", "witness"):
+            if getattr(args, name, None) is not None:
+                error(f"--{name} needs --space")
+    elif args.case is not None:
+        error("--case needs --lambda")
+    elif hasattr(args, "ram") and args.ram is None:
+        error("--space needs --ram")
 
 
 def main(argv=None):
-    ap = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # argparse reads a point such as -1/2 as an option: join it to --point
-    for k in range(len(argv) - 1):
-        if argv[k] == "--point" and argv[k + 1].startswith("-"):
-            argv[k:k + 2] = [f"--point={argv[k + 1]}"]
-            break
-    args = ap.parse_args(argv)
-    if hasattr(args, "space"):
-        _check_inputs(ap, args)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         rc = args.func(args)
-    except (ValueError, AssertionError) as exc:
+    except (ValueError, AssertionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, OSError) else 1
     return rc
 
 

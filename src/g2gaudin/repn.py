@@ -1,6 +1,6 @@
 """The 7-dimensional representation of G2 over Q and representation
 combinatorics: Weyl dimensions, weight multiplicities, tensor
-decompositions, invariant dimensions.
+decompositions, admissible cases, invariant dimensions.
 
 The paper prints the module with sqrt2 among its entries.  It is held here
 conjugated by D = diag(1, 1, 1, sqrt2, 1, 1, 1), where it is integral: the
@@ -354,6 +354,26 @@ def decompose_sequence(weights):
             node[1][w] = (MappingProxyType(acc), {})
         node = node[1][w]
     return node[0]
+
+
+# the seven l-pairs that can be admissible
+L_LIST = ((0, 0), (0, 1), (1, 1), (1, 2), (1, 3), (2, 3), (2, 4))
+
+
+def summand_weight(lam, i):
+    """lam + omega2 - (l1 alpha1 + l2 alpha2) for (l1, l2) = L_LIST[i]: the
+    weight of the summand of V_lam (x) V_omega2 that case i belongs to."""
+    return rd.sub(rd.add(lam, rd.OMEGA2), rd.from_alpha(*L_LIST[i]))
+
+
+def admissible_ls(lam):
+    """Indices i such that V_{lam + omega2 - alpha(l_i)} occurs in
+    V_lam (x) V_{omega2}."""
+    if not rd.is_dominant(lam):
+        raise ValueError(f"{lam} is not dominant")
+    summands = tensor_decompose(lam, rd.OMEGA2)
+    return [i for i in range(len(L_LIST))
+            if summand_weight(lam, i) in summands]
 
 
 def invariant_dim(weights) -> int:

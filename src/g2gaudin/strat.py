@@ -76,6 +76,8 @@ def enumerate_nontrivial(d: int):
     pool = []
     for s in range(1, budget + 1):
         pool.extend(_pairs_of_size(s))
+    if any(rd.pair_size(*p) <= 0 for p in pool):  # rec would not end
+        raise ValueError("a pair of size <= 0 in the pool of d-labels")
     labels = []
 
     def rec(start, remaining, acc):

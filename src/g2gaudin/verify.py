@@ -2,7 +2,8 @@
 exposed both to the CLI (`g2 verify --suite NAME`) and to the test harness.
 This module loads repn and rootdata only, and each suite imports the
 further layers it uses, so a one-shot `g2 verify --suite NAME` loads only
-those: chevalley and casimir add linalg and exact, strata adds strat."""
+those: chevalley and casimir add linalg and exact, strata and covering add
+strat."""
 
 from __future__ import annotations
 
@@ -28,9 +29,8 @@ def lmax():
 
 def _cases(hi):
     """The closed-form cases (lam, i) with lam on the hi-grid, in order."""
-    from . import bethe
     return [((a, b), i) for a in range(hi + 1) for b in range(hi + 1)
-            for i in bethe.admissible_ls((a, b))]
+            for i in repn.admissible_ls((a, b))]
 
 
 def _sweep(passed):
@@ -202,7 +202,7 @@ def check_kernels(lam, i):
     for w, p in zip(c.data.Lambda, c.data.z):
         if diffop.exponents_at(c.conjugated, p).exponents != _exp_finite(*w):
             return f"exponents at {p} wrong"
-    mu = bethe.summand_weight(lam, i)
+    mu = repn.summand_weight(lam, i)
     if diffop.exponents_at(c.conjugated, bethe.INF).exponents != \
             _exp_infinity(*mu):
         return "exponents at inf wrong"
@@ -320,7 +320,7 @@ def _orderings(pairs):
 
 
 def check_covering():
-    from . import bethe, strat
+    from . import strat
     for n, want in ((2, 1), (3, 1), (4, 4)):
         A = strat.StratumLabel(tuple(((0, 1), 0) for _ in range(n)))
         deg = strat.covering_degree(A)
@@ -333,7 +333,7 @@ def check_covering():
         deg, want = strat.covering_degree(A), _orderings(A.pairs)
         if deg != want:
             return False, f"covering degree {deg} != {want} at {A.name()}"
-    if len(bethe.admissible_ls((0, 1))) != 4:
+    if len(repn.admissible_ls((0, 1))) != 4:
         return False, "admissible-case count at the n=2 anchor != 4"
     if len(repn.tensor_decompose(rd.OMEGA2, rd.OMEGA2)) != 4:
         return False, "summand count of the omega2 square != 4"
@@ -366,11 +366,12 @@ SUITES = {
 
 
 def run_suite(name):
-    if name == "all":
-        results = {}
-        for k, fn in SUITES.items():
-            results[k] = fn()
-        return results
-    if name not in SUITES:
-        raise KeyError(name)
-    return {name: SUITES[name]()}
+    """{suite: (ok, detail)} for the suite name (KeyError if none), or for
+    each under "all"; a ValueError a suite raises is its failure."""
+    results = {}
+    for k in SUITES if name == "all" else (name,):
+        try:
+            results[k] = SUITES[k]()
+        except ValueError as exc:
+            results[k] = (False, str(exc))
+    return results

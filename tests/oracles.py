@@ -14,11 +14,15 @@ The Wronskian f g' - f' g of integer lists by its four temporaries, for
 the one-pass `exact.zwr`.
 
 The codec's Fraction renderers of a Poly, for the integer-row renderers
-of `polycodec`."""
+of `polycodec`.
 
+The argparse parser of `g2`, for the table parser of `cli`."""
+
+import argparse
 from fractions import Fraction
 from functools import lru_cache
 
+from g2gaudin import cli
 from g2gaudin.exact import Poly, RatFunc, zderiv, zmul, zsub
 from g2gaudin.repn import (bracket, mat_add, mat_scale, mat_sub, mat_unit,
                           mat_zero)
@@ -337,3 +341,149 @@ def rref_field(matrix):
         if r == len(m):
             break
     return m, pivots
+
+
+# ---------------------------------------------------------------- the g2 CLI
+
+
+def _add_case_args(p):
+    p.add_argument("--lambda", dest="lam", type=cli._parse_weight,
+                   required=True, metavar="a,b")
+    p.add_argument("--case", type=int, required=True, choices=range(7))
+
+
+def _add_input_args(p):
+    """A closed-form case (--lambda with --case) or a space file (--space);
+    argparse keeps --lambda and --space apart, _check_inputs the pairings."""
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--lambda", dest="lam", type=cli._parse_weight,
+                        metavar="a,b", help="build from a closed-form case")
+    source.add_argument("--space", help="JSON file: 7 coefficient arrays")
+    p.add_argument("--case", type=int, choices=range(7))
+
+
+def _check_inputs(ap, args):
+    """--case goes with --lambda and only with it, every file with --space,
+    and ssd-check reads --space only together with --ram."""
+    if args.lam is not None:
+        if args.case is None:
+            ap.error("--lambda needs --case")
+        for name in ("ram", "witness"):
+            if getattr(args, name, None) is not None:
+                ap.error(f"--{name} needs --space")
+    elif args.case is not None:
+        ap.error("--case needs --lambda")
+    elif hasattr(args, "ram") and args.ram is None:
+        ap.error("--space needs --ram")
+
+
+@lru_cache(maxsize=None)
+def build_parser():
+    """The argparse parser that cli's command table replaced, with cli's
+    handlers and value parsers."""
+    ap = argparse.ArgumentParser(prog="g2", description=cli.__doc__)
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("tensor", help="decompose a tensor product")
+    p.add_argument("--left", type=cli._parse_weight, required=True)
+    p.add_argument("--right", type=cli._parse_weight, required=True)
+    p.set_defaults(func=cli.cmd_tensor)
+
+    p = sub.add_parser("invdim", help="invariant dimension of a product")
+    p.add_argument("--weights", type=cli._parse_weights, required=True,
+                   help="semicolon-separated weights, e.g. '0,1;0,1'")
+    p.set_defaults(func=cli.cmd_invdim)
+
+    p = sub.add_parser("bae", help="closed-form Bethe solution")
+    _add_case_args(p)
+    p.set_defaults(func=cli.cmd_bae)
+
+    p = sub.add_parser("bae-verify",
+                       help="genericity/exact Bethe equations/fertility")
+    _add_case_args(p)
+    p.set_defaults(func=cli.cmd_bae_verify)
+
+    p = sub.add_parser("reproduce", help="one reproduction step")
+    _add_case_args(p)
+    p.add_argument("--direction", type=int, required=True, choices=(1, 2))
+    p.set_defaults(func=cli.cmd_reproduce)
+
+    p = sub.add_parser("diffop", help="the order-7 operator")
+    _add_case_args(p)
+    p.add_argument("--conjugated", action="store_true")
+    p.set_defaults(func=cli.cmd_diffop)
+
+    p = sub.add_parser("kernel", help="polynomial kernel basis")
+    _add_case_args(p)
+    p.set_defaults(func=cli.cmd_kernel)
+
+    p = sub.add_parser("exponents", help="indicial exponents")
+    _add_case_args(p)
+    p.add_argument("--point", type=cli._parse_point, required=True,
+                   help="a rational, or 'inf'")
+    p.add_argument("--raw", action="store_true",
+                   help="use the unconjugated operator")
+    p.set_defaults(func=cli.cmd_exponents)
+
+    p = sub.add_parser("h2check", help="residue vs Casimir cross-check")
+    _add_case_args(p)
+    p.set_defaults(func=cli.cmd_h2check)
+
+    p = sub.add_parser("ssd-check", help="self-(self-)duality checks")
+    _add_input_args(p)
+    p.add_argument("--ram", help="JSON file: points + partitions")
+    p.add_argument("--witness", help="JSON file: ordered basis")
+    p.set_defaults(func=cli.cmd_ssd_check)
+
+    p = sub.add_parser("wronski", help="space Wronskian")
+    _add_input_args(p)
+    p.add_argument("--reduced", action="store_true")
+    p.set_defaults(func=cli.cmd_wronski)
+
+    p = sub.add_parser("strata", help="stratification of SGr_d")
+    p.add_argument("--d", type=int, required=True, choices=range(7, 15),
+                   metavar="7..14")
+    p.add_argument("--format", choices=("dot", "json"), default="dot")
+    p.set_defaults(func=cli.cmd_strata)
+
+    p = sub.add_parser("verify", help="run a verification suite")
+    p.add_argument("--suite", default="all")
+    p.set_defaults(func=cli.cmd_verify)
+
+    return ap
+
+
+def cli_options():
+    """{command: {option string: (dest, whether it takes a value)}} of the
+    argparse parser, -h left out."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {s: (a.dest, a.nargs is None) for a in p._actions
+                   for s in a.option_strings if s not in ("-h", "--help")}
+            for name, p in sub.choices.items()}
+
+
+def parse_args(argv):
+    """The namespace of argv by the argparse parser, then _check_inputs.
+
+    argparse reads a token that begins with '-' as an option, not as the
+    value before it, so main() used to join `--point -1/2` into
+    `--point=-1/2`.  The table parser takes the next token as the value of
+    any option, so this join is applied to every option that takes a
+    value, left to right, each value consumed once."""
+    valued = {s for opts in cli_options().values()
+              for s, (_, takes) in opts.items() if takes}
+    argv, joined = list(argv), []
+    while argv:
+        token = argv.pop(0)
+        if token in valued and argv and argv[0].startswith("-"):
+            token = f"{token}={argv.pop(0)}"
+        elif token in valued and argv:
+            joined.append(token)
+            token = argv.pop(0)
+        joined.append(token)
+    ap = build_parser()
+    args = ap.parse_args(joined)
+    if hasattr(args, "space"):
+        _check_inputs(ap, args)
+    return args

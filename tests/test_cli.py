@@ -1,6 +1,8 @@
 """Command-line interface: JSON output, exit codes, determinism."""
 
 import collections
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -594,6 +596,125 @@ def test_parser_built_once_and_reused(capsys):
     assert [run(argv, capsys) for argv in reversed(argvs)] == fresh[::-1]
 
 
+def _parsed(parse, argv):
+    """vars() of parse(argv), or its exit code, with (stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            got = vars(parse(argv))
+    except SystemExit as exc:
+        got = exc.code
+    return got, out.getvalue(), err.getvalue()
+
+
+def _mostly(good, bad):
+    """good nine times in ten, else bad."""
+    return st.sampled_from([good] * 9 + [bad]).flatmap(lambda s: s)
+
+
+def _ints(lo, hi):
+    """Integers strictly between lo and hi (most draws), lo or hi, or
+    text."""
+    return _mostly(st.integers(lo + 1, hi - 1).map(str), st.one_of(
+        st.sampled_from([lo, hi]).map(str), st.text("-+0123x ", max_size=3)))
+
+
+_WEIGHT = _mostly(st.tuples(st.integers(0, 3), st.integers(0, 3)).map(
+    lambda w: f"{w[0]},{w[1]}"), st.text("-0123,;x ", max_size=5))
+_FILE = st.sampled_from(["f.json", "-f.json", ""])
+# a value of each dest of the reference parser, well-formed or not
+_VALUES = {
+    "left": _WEIGHT, "right": _WEIGHT, "lam": _WEIGHT,
+    "weights": st.lists(_WEIGHT, min_size=1, max_size=3).map(";".join),
+    "case": _ints(-1, 7), "direction": _ints(0, 3), "d": _ints(6, 15),
+    "format": _mostly(st.sampled_from(["dot", "json"]),
+                      st.sampled_from(["svg", "", "-dot", "DOT"])),
+    "point": _mostly(st.sampled_from(["0", "1", "inf", "-1/2", "-1.5", "0.5"]),
+                     st.one_of(st.sampled_from(["1/0", "-x", "", "-inf"]),
+                               st.text("-0123/.inf", max_size=4))),
+    "suite": st.sampled_from(["all", "kernels", "nope", "", "-x"]),
+    "space": _FILE, "ram": _FILE, "witness": _FILE}
+# options no command has, and none an abbreviation of one
+_UNKNOWN = ["--tol", "--numeric", "-q", "--bogus=1", "--x", "--spaces",
+            "--LEFT", "--lambda2"]
+
+
+@st.composite
+def _argvs(draw):
+    """An argv of the g2 grammar: a command or an unknown one, then each of
+    its options absent, present or repeated, each value split from its
+    option or joined by '=', a flag sometimes given a value, and unknown
+    options or those of other commands, the groups in any order."""
+    commands = oracles.cli_options()
+    command = draw(st.sampled_from(sorted(commands) + ["frobnicate",
+                                                       "Tensor", ""]))
+    options = commands.get(command, {})
+    groups = []
+    for opt, (dest, takes) in options.items():
+        for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2]))):
+            if not takes:
+                groups.append([draw(_mostly(st.just(opt),
+                                            st.just(f"{opt}=1")))])
+                continue
+            value = draw(_VALUES[dest])
+            groups.append(draw(st.sampled_from([[opt, value],
+                                                [f"{opt}={value}"]])))
+    foreign = sorted({o for opts in commands.values() for o in opts
+                      if o not in options
+                      and not any(p.startswith(o) for p in options)})
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1]))):
+        opt = draw(st.sampled_from(_UNKNOWN + foreign))
+        groups.append(draw(st.sampled_from([[opt], [opt, "1"]])))
+    groups = draw(st.permutations(groups))
+    return [command] + [t for g in groups for t in g]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_argvs())
+@example([])
+@example(["exponents", "--lambda", "1,1", "--case", "2", "--point", "-1/2",
+          "--point", "-3/2"])
+@example(["ssd-check", "--lambda", "1,1", "--space", "s.json"])
+@example(["wronski", "--space", "--reduced"])
+@example(["kernel", "--lambda", "-0,1", "--case", "06"])
+def test_table_parser_matches_the_argparse_reference(argv):
+    """The table parser and the argparse parser it replaced (tests/oracles,
+    with main()'s --point join applied to every option) either both exit 2,
+    the table parser with "g2: error: " on stderr and nothing on stdout,
+    or both accept argv with equal values for every dest."""
+    got, out, err = _parsed(cli.parse_args, argv)
+    assert got == _parsed(oracles.parse_args, argv)[0], argv
+    if got == 2:
+        assert out == "" and "g2: error: " in err, (argv, out, err)
+
+
+def test_help_and_abbreviations(capsys):
+    """-h lists every command with its options, COMMAND -h that command
+    alone, each exiting 0; argparse's prefix abbreviations of an option
+    (--lam for --lambda) are usage errors."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["-h"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    for name in cli.build_parser():
+        assert f"\ng2 {name} " in out
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["exponents", "--lambda", "1,1", "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0 and out.startswith("g2 exponents --lambda")
+    assert "--point POINT [--raw]" in out and "g2 tensor" not in out
+    for argv, abbreviation in (
+            (["bae", "--lam", "1,1", "--case", "1"], "--lam"),
+            (["diffop", "--lambda", "1,1", "--case", "1", "--conj"], "--conj"),
+            (["strata", "--d", "9", "--form", "json"], "--form")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.endswith(
+            f"g2: error: unrecognized arguments: {abbreviation}\n")
+
+
 def _fresh_python(code, **env):
     """Run code in a fresh interpreter with the package on its path; its
     last line of output, read as JSON."""
@@ -604,22 +725,44 @@ def _fresh_python(code, **env):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+# modules whose load the import tests watch besides g2gaudin's layers;
+# argparse, gettext and locale would be about a third of a cold start
+_WATCHED = ("numpy", "sympy", "dataclasses", "argparse", "gettext", "locale")
+
+
+def _run_fresh(*argvs):
+    """(exit codes, loaded modules) of a fresh interpreter that imports
+    g2gaudin.cli and runs each argv through cli.main, its output dropped
+    and a usage error's or help's exit caught: the g2gaudin layers and the
+    _WATCHED modules loaded at the end."""
+    rcs, loaded = _fresh_python(
+        "import contextlib, io, json, sys, g2gaudin.cli\n"
+        "rcs = []\n"
+        f"for argv in {list(argvs)!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
+        "            contextlib.redirect_stderr(io.StringIO()):\n"
+        "        try:\n"
+        "            rcs.append(g2gaudin.cli.main(argv))\n"
+        "        except SystemExit as exc:\n"
+        "            rcs.append(exc.code)\n"
+        "print(json.dumps([rcs, [m.split('.')[-1] for m in sys.modules if\n"
+        "    m.startswith('g2gaudin.') or m in %r]]))\n" % (_WATCHED,))
+    return rcs, set(loaded)
+
+
 def _loaded_after(argv):
-    """The g2gaudin layers (and numpy, sympy and dataclasses) loaded by a
-    fresh interpreter after `import g2gaudin.cli` and, if argv is given,
-    one query."""
-    return set(_fresh_python(
-        "import json, sys, g2gaudin.cli\n"
-        f"argv = {argv!r}\n"
-        "rc = g2gaudin.cli.main(argv) if argv else 0\n"
-        "print(json.dumps([m.split('.')[-1] for m in sys.modules if\n"
-        "    m.startswith('g2gaudin.') or\n"
-        "    m in ('numpy', 'sympy', 'dataclasses')]))\n"
-        "sys.exit(rc)\n"))
+    """The g2gaudin layers and _WATCHED modules loaded by a fresh
+    interpreter after `import g2gaudin.cli` and, if argv is given, one
+    query, which must exit 0."""
+    rcs, loaded = _run_fresh(*([argv] if argv else []))
+    assert rcs in ([], [0]), (argv, rcs)
+    return loaded
 
 
 def test_commands_import_only_their_layers():
-    # exact and linalg load only where a command eliminates or builds a Poly
+    # exact and linalg load only where a command eliminates or builds a
+    # Poly, and no command, help or usage error loads argparse, gettext or
+    # locale
     assert _loaded_after(None) == {"cli"}
     repn_only = {"cli", "repn", "rootdata"}
     assert _loaded_after(["tensor", "--left", "1,0", "--right", "0,1"]) == \
@@ -627,8 +770,10 @@ def test_commands_import_only_their_layers():
     assert _loaded_after(["invdim", "--weights", "0,1;0,1"]) == repn_only
     strata = repn_only | {"strat", "dataclasses"}
     assert _loaded_after(["strata", "--d", "12"]) == strata
-    assert _loaded_after(["verify", "--suite", "strata"]) == \
-        strata | {"verify"}
+    # the covering suite reads the admissible cases from repn: no bethe
+    for suite in ("strata", "covering"):
+        assert _loaded_after(["verify", "--suite", suite]) == \
+            strata | {"verify"}
     # and no dataclasses (with inspect, about 10 ms of import in a cold
     # process): none of their layers defines a dataclass
     for suite in ("chevalley", "casimir"):
@@ -636,6 +781,19 @@ def test_commands_import_only_their_layers():
             repn_only | {"linalg", "exact", "verify"}
     loaded = _loaded_after(["verify", "--suite", "bae-grid"])
     assert "bethe" in loaded and "numpy" not in loaded
+    case = ["--lambda", "1,1", "--case", "2"]
+    argvs = [["bae"] + case, ["bae-verify"] + case,
+             ["reproduce", "--direction", "1"] + case,
+             ["diffop", "--conjugated"] + case, ["kernel"] + case,
+             ["exponents", "--point", "-1/2"] + case, ["h2check"] + case,
+             ["ssd-check"] + case, ["wronski", "--reduced"] + case,
+             ["tensor", "--left", "1,0", "--right", "0,1"],
+             ["invdim", "--weights", "0,1;0,1"], ["strata", "--d", "9"],
+             ["verify", "--suite", "chevalley"], ["-h"], ["kernel", "-h"],
+             ["kernel", "--lam", "1,1", "--case", "2"], ["frobnicate"]]
+    rcs, loaded = _run_fresh(*argvs)
+    assert rcs == [0] * (len(argvs) - 2) + [2, 2]
+    assert not loaded & {"argparse", "gettext", "locale"}, loaded
 
 
 def test_every_command_runs_without_numpy_or_sympy(tmp_path):
@@ -680,6 +838,34 @@ def test_every_command_runs_without_numpy_or_sympy(tmp_path):
             "        rcs.append(cli.main(argv))\n"
             "print(json.dumps(rcs))\n")
     assert _fresh_python(code, G2_LMAX="1") == [rc for _, rc in queries]
+
+
+def test_a_suite_that_raises_is_its_fail_line():
+    """With rootdata.pair_size planted one too small, a fresh `g2 verify`
+    on the 1-grid reports the strata suite (enumerate_nontrivial meets a
+    pair of size 0 and raises before it recurses) and the covering suite
+    (a zero pair in a stratum label) as FAIL lines, exit 1, with nothing
+    on stderr; under `all` every suite still reports one line."""
+    code = ("import contextlib, io, json\n"
+            "from g2gaudin import cli, rootdata\n"
+            "size = rootdata.pair_size\n"
+            "rootdata.pair_size = lambda mu, k: size(mu, k) - 1\n"
+            "out, err = io.StringIO(), io.StringIO()\n"
+            "with contextlib.redirect_stdout(out), "
+            "contextlib.redirect_stderr(err):\n"
+            "    rc = cli.main(['verify', '--suite', %r])\n"
+            "print(json.dumps([rc, out.getvalue(), err.getvalue()]))\n")
+    for suite, message in (
+            ("strata", "a pair of size <= 0 in the pool of d-labels"),
+            ("covering", "zero pair in a stratum label")):
+        assert _fresh_python(code % suite, G2_LMAX="1") == [
+            1, f"FAIL {suite}: {message}\n", ""]
+    rc, out, err = _fresh_python(code % "all", G2_LMAX="1")
+    lines = out.splitlines()
+    assert (rc, err, len(lines)) == (1, "", len(verify.SUITES))
+    assert [line.split(":")[0] for line in lines] == [
+        f"{'FAIL' if name in ('strata', 'covering') else 'PASS'} {name}"
+        for name in verify.SUITES]
 
 
 def test_a_reproduction_error_is_a_named_fail_line(monkeypatch, capsys):

@@ -61,7 +61,8 @@ def commands(lmax):
             yield ["wronski"] + case
             yield ["wronski"] + case + ["--reduced"]
             for p in ("0", "1", "inf", "-1/2"):
-                # one token: argparse would read "-1/2" alone as an option
+                # joined to its option, as in every earlier digest: the
+                # argv is hashed, so the split spelling would move it
                 yield ["exponents"] + case + [f"--point={p}"]
                 yield ["exponents"] + case + [f"--point={p}", "--raw"]
     for d in range(7, 15):
@@ -128,7 +129,7 @@ def run(argv):
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = cli.main(argv)
-    except SystemExit as exc:  # argparse rejects bad usage by exiting
+    except SystemExit as exc:  # a usage error exits with code 2
         rc = exc.code
     except Exception as exc:
         rc = f"crash: {type(exc).__name__}: {exc}"
