@@ -8,6 +8,7 @@ every value is immutable after construction.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
@@ -406,15 +407,34 @@ def zwronskians(fs):
     return out + [[]] * (len(fs) + 1 - len(out))
 
 
-def zwronski_minors(fs):
+def zprefix_levels(fs):
+    """The levels 0..n-2 of the Jacobi recursion over integer lists
+    f_1..f_n, as _zjacobi yields them (fewer after a zero pivot): level k
+    is (Wr(f_1..f_k), [Wr(f_1..f_k, f_j) for j > k]).  So the pivots and
+    the first entry of the last level are the leading Wronskians up to
+    Wr(f_1..f_(n-1)), zwronskian_past takes the one step to Wr(f_1..f_n),
+    and zwronski_minors continues every level."""
+    return list(islice(_zjacobi(list(fs), [1]), max(len(fs) - 1, 0)))
+
+
+def zwronskian_past(levels):
+    """Wr(f_1..f_n) from zprefix_levels(f_1..f_n), n >= 2: one zwr and one
+    zquo past level n - 2, the one level with two entries; [] when the
+    levels stopped short at a zero pivot."""
+    prev, gs = levels[-1]
+    return zquo(zwr(*gs), prev) if len(gs) == 2 else []
+
+
+def zwronski_minors(fs, levels=None):
     """[Wr(f_1..f_(i-1), f_(i+1)..f_n) for i = 1..n] of integer lists, each
-    the recursion of f_1..f_(i-1) continued over f_(i+1)..f_n.  The last,
-    Wr(f_1..f_(n-1)), is the pivot of level n - 2, so the prefix chain stops
-    there and the full Wronskian is never formed."""
+    the recursion of f_1..f_(i-1) continued over f_(i+1)..f_n from level
+    i - 1 of the prefix chain: levels, zprefix_levels(fs) unless given.
+    The last, Wr(f_1..f_(n-1)), is the first entry of level n - 2, so the
+    full Wronskian is never formed."""
     if not fs:
         return []
     out, last = [], [1]
-    for _, (prev, gs) in zip(fs[1:], _zjacobi(list(fs), [1])):
+    for prev, gs in zprefix_levels(fs) if levels is None else levels:
         *_, (top, rest) = _zjacobi(gs[1:], prev)
         out.append([] if rest else top)
         last = gs[0]

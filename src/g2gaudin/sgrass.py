@@ -10,8 +10,9 @@ from functools import cached_property, lru_cache
 
 from . import diffop
 from .bethe import RamificationData
-from .exact import (Poly, zechelon, zmul, zpoly, zprimitive, zquo, zreduce,
-                    zrow, zscale, zwronski_minors, zwronskians)
+from .exact import (Poly, zechelon, zmul, zpoly, zprefix_levels, zprimitive,
+                    zquo, zreduce, zrow, zscale, zwronski_minors,
+                    zwronskian_past, zwronskians)
 from .linalg import rank, solve
 
 N = 7
@@ -62,8 +63,24 @@ def monomial_space() -> PolySpace:
     return PolySpace([[0] * k + [1] for k in range(N)])
 
 
+# kept for the diffop.CASE_CACHE_SIZE most recently used spaces, as
+# dual_space is: the dual, the space Wronskian and the y's of a witness
+# adapted to X's degrees all continue these levels
+@lru_cache(maxsize=diffop.CASE_CACHE_SIZE)
+def _levels(X: PolySpace):
+    """The prefix levels 0..5 of the Jacobi recursion over X.basis
+    (zprefix_levels); the basis is independent, so no pivot is zero."""
+    return zprefix_levels(X.basis)
+
+
+def wronskian_row(X: PolySpace):
+    """Wr(X.basis) in Z[x], one Jacobi step past the cached levels: the
+    space Wronskian up to a nonzero constant, for every reader of it."""
+    return zwronskian_past(_levels(X))
+
+
 def space_wronskian(X: PolySpace) -> Poly:
-    w = zwronskians(X.basis)[-1]
+    w = wronskian_row(X)
     return zpoly(w, w[-1])
 
 
@@ -89,8 +106,9 @@ def dual_space(X: PolySpace, R: RamificationData) -> PolySpace:
     """Span of divided Wronskians of the 6-element subsets of a basis of X,
     the Wronskians from one Jacobi recursion (zwronski_minors).  PolySpace
     raises ValueError if the seven are linearly dependent; an error is not
-    cached."""
-    return PolySpace([_divide(w, R, N - 1) for w in zwronski_minors(X.basis)])
+    cached.  The recursion continues the space's cached levels."""
+    return PolySpace([_divide(w, R, N - 1)
+                      for w in zwronski_minors(X.basis, _levels(X))])
 
 
 def _seventh_root(w):
@@ -120,7 +138,7 @@ def _seventh_root(w):
 
 def reduced_wronski(X: PolySpace) -> Poly:
     """Monic 7th root of the space Wronskian."""
-    return zpoly(*_seventh_root(zwronskians(X.basis)[-1]))
+    return zpoly(*_seventh_root(wronskian_row(X)))
 
 
 def self_dual_factor(X: PolySpace, R: RamificationData):
@@ -149,11 +167,11 @@ def kappa_form(X: PolySpace, R: RamificationData):
     Wr-dagger(r_a, g_1..g_6) whenever v is the divided Wronskian of
     g_1..g_6."""
     r = X.basis
-    w7 = divided_wronskian(r, R)
+    w7 = _divide(wronskian_row(X), R, N)
     if len(w7) != 1:
         raise ValueError("top divided Wronskian is not constant; "
                          "space is not pure with the claimed data")
-    w = [_divide(m, R, N - 1) for m in zwronski_minors(r)]
+    w = [_divide(m, R, N - 1) for m in zwronski_minors(r, _levels(X))]
     d = max(map(len, w + list(r)))
     pad = lambda p: [p[i] if i < len(p) else 0 for i in range(d)]
     A = [list(col) for col in zip(*map(pad, w))]
@@ -175,27 +193,38 @@ def kappa_form(X: PolySpace, R: RamificationData):
     return gram
 
 
-def y_from_basis(gamma, R: RamificationData):
-    """The tuple (y_1, ..., y_6), primitive integer lists, with y_{7-i} the
-    divided Wronskian of the first i elements of the ordered basis gamma
-    (Polys or integer lists), from the leading Wronskians of one Jacobi
-    recursion (zwronskians); after a zero one the rest vanish.  Cached on
-    the rows of those six elements and R, as dual_space is: ssd-check on a
-    case and on a witness file of its flag compute the recursion once."""
-    return _y_from_rows(tuple(tuple(zrow(p)) for p in gamma[:N - 1]), R)
-
-
-@lru_cache(maxsize=diffop.CASE_CACHE_SIZE)
-def _y_from_rows(rows, R: RamificationData):
-    ws = zwronskians([list(r) for r in rows])
+def _ys(ws, R: RamificationData):
+    """(y_1, ..., y_6), primitive integer lists, with y_{7-i} the leading
+    Wronskian ws[i] of i elements divided by the T_j product."""
     return tuple(zprimitive(_divide(ws[i], R, i)) for i in range(N - 1, 0, -1))
+
+
+def y_from_basis(gamma, R: RamificationData):
+    """The y's of the ordered basis gamma (Polys or integer lists): y_{7-i}
+    is the divided Wronskian of its first i elements, from the leading
+    Wronskians of one Jacobi recursion (zwronskians); after a zero one the
+    rest vanish."""
+    return _ys(zwronskians([zrow(p) for p in gamma[:N - 1]]), R)
+
+
+# kept per (X, R) as dual_space is: ssd-check on a case and on a witness
+# file of its flag meet the same (X, R)
+@lru_cache(maxsize=diffop.CASE_CACHE_SIZE)
+def _space_ys(X: PolySpace, R: RamificationData):
+    """y_from_basis(X.basis, R), read off the cached levels: their pivots
+    and the first entry of the last are Wr(b_1..b_i) for i < 7."""
+    levels = _levels(X)
+    return _ys([prev for prev, _ in levels] + [levels[-1][1][0]], R)
 
 
 def ssd_witness_check(X: PolySpace, R: RamificationData, gamma) -> bool:
     """Test the pattern y1^2 = y6^2 = y3 = y4, y2 = y5 projectively for the
     ordered basis gamma of X (Polys or integer lists); requires the
     T-pattern T1=T3=T4=T6, T2=T5.  False unless gamma is 7 polynomials
-    spanning X."""
+    spanning X.  A gamma with X's degrees in X's order is triangular over
+    X.basis, so each Wr(gamma_1..gamma_i) is Wr(b_1..b_i) times a nonzero
+    constant, which zprimitive removes: its y's are X's own (_space_ys);
+    any other gamma takes its own Wronskians (y_from_basis)."""
     T = R.T
     if not (T[0] == T[2] == T[3] == T[5] and T[1] == T[4]):
         return False
@@ -205,7 +234,9 @@ def ssd_witness_check(X: PolySpace, R: RamificationData, gamma) -> bool:
             return False
     except ValueError:
         return False
-    y1, y2, y3, y4, y5, y6 = y_from_basis(rows, R)
+    adapted = tuple(len(r) - 1 for r in rows) == X.degrees
+    y1, y2, y3, y4, y5, y6 = (_space_ys(X, R) if adapted
+                              else y_from_basis(rows, R))
     if not all((y1, y2, y3, y4, y5, y6)):
         return False
     sq1 = zprimitive(zmul(y1, y1))

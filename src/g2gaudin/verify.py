@@ -344,8 +344,8 @@ def check_covering():
 def check_wronskian(lam, i):
     """The primitive space Wronskian is x^(7(2 l1 + l2)) (x - 1)^7, on Z[x]."""
     from . import bethe, sgrass
-    from .exact import zprimitive, zwronskians
-    w = zprimitive(zwronskians(sgrass.kernel_space(lam, i).basis)[-1])
+    from .exact import zprimitive
+    w = zprimitive(sgrass.wronskian_row(sgrass.kernel_space(lam, i)))
     l1, l2 = lam
     if w != bethe.zlinear_power([(0, 7 * (2 * l1 + l2)), (1, 7)]):
         return "space Wronskian wrong"

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import g2gaudin
 import oracles
-from g2gaudin import bethe, cli, diffop, polycodec, sgrass, verify
+from g2gaudin import bethe, cli, diffop, exact, polycodec, sgrass, verify
 from g2gaudin import rootdata as rd
 from g2gaudin.exact import Poly, zadd, zclear
 
@@ -130,7 +130,11 @@ def test_case_commands_build_each_object_once(tmp_path, monkeypatch,
     neither D_y itself nor a nullspace kernel is built, and the three
     ssd-checks (on the case, and on files of its kernel with the flag and
     the swapped flag) build the dual space once (one call of the
-    leave-one-out Wronskians)."""
+    leave-one-out Wronskians).  The 11 queries make 75 zwr calls: 4 for
+    bae-verify's fertility and exact Bethe checks, 55 for the kernel's
+    prefix levels (20) and the dual's minors (35), whose levels also give
+    the flag's y's, 1 for the space Wronskian past those levels, and 15
+    for the swapped flag's own leading Wronskians."""
     lam, i = (2, 1), 5
     _, _, gamma = sgrass.bethe_kernel_instance(lam, i)
     flag = [cli._poly_json(p) for p in gamma]
@@ -155,10 +159,12 @@ def test_case_commands_build_each_object_once(tmp_path, monkeypatch,
 
     for module, name in ((diffop, "_log_factor_product"),
                          (diffop, "polynomial_kernel"),
-                         (sgrass, "zwronski_minors")):
+                         (sgrass, "zwronski_minors"), (exact, "zwr"),
+                         (bethe, "zwr")):
         monkeypatch.setattr(module, name, counted(module, name))
     diffop.case.cache_clear()
-    sgrass.dual_space.cache_clear()
+    for cached in (sgrass.dual_space, sgrass._levels, sgrass._space_ys):
+        cached.cache_clear()
     case = ["--lambda", "2,1", "--case", "5"]
     files_argv = ["ssd-check", "--space", files["space"], "--ram", files["ram"]]
     queries = [(["bae-verify"] + case, 0), (["diffop", "--conjugated"] + case, 0),
@@ -172,7 +178,8 @@ def test_case_commands_build_each_object_once(tmp_path, monkeypatch,
     for argv, rc in queries:
         assert run(argv, capsys)[0] == rc, argv
     assert counts["polynomial_kernel"] == 0
-    assert counts == {"_log_factor_product": 1, "zwronski_minors": 1}
+    assert counts == {"_log_factor_product": 1, "zwronski_minors": 1,
+                      "zwr": 75}
 
 
 def test_wronskian_suite_fails_on_a_wrong_exponent(monkeypatch, capsys):
@@ -433,31 +440,41 @@ def test_a_witness_of_another_space_fails(tmp_path, capsys):
 def test_witness_wronskians_are_computed_once_per_flag(tmp_path,
                                                         monkeypatch, capsys):
     """ssd-check on a case and on a witness file of its flag, in one
-    process, take the leading Wronskians of the flag once: y_from_basis is
-    cached on the witness rows and R.  The swapped flag is another witness,
-    computed afresh, and still fails."""
+    process, read the flag's leading Wronskians off the kernel's prefix
+    levels, computed once: the flag has the kernel's degrees, so its y's
+    are the space's, cached on (X, R).  The swapped flag is another
+    witness, takes its own Wronskians, and still fails."""
     lam, i = (2, 1), 5
     _, _, gamma = sgrass.bethe_kernel_instance(lam, i)
     flag = [cli._poly_json(p) for p in gamma]
-    calls, zwronskians = [], sgrass.zwronskians
+    calls = collections.Counter()
 
-    def counted(fs):
-        calls.append(1)
-        return zwronskians(fs)
+    def counted(name):
+        fn = getattr(sgrass, name)
 
-    monkeypatch.setattr(sgrass, "zwronskians", counted)
-    sgrass._y_from_rows.cache_clear()
+        def wrapper(fs):
+            calls[name] += 1
+            return fn(fs)
+        monkeypatch.setattr(sgrass, name, wrapper)
+
+    counted("zwronskians")
+    counted("zprefix_levels")
+    for cached in (sgrass.dual_space, sgrass._levels, sgrass._space_ys):
+        cached.cache_clear()
     want = {"self_dual": True, "ssd_witness": True}
     rc, out = run(["ssd-check", "--lambda", "2,1", "--case", "5"], capsys)
-    assert (rc, json.loads(out), len(calls)) == (0, want, 1)
+    assert (rc, json.loads(out)) == (0, want)
+    assert calls == {"zprefix_levels": 1}
     files = _case_files(tmp_path, lam, i)
     rc, out = run(["ssd-check"] + files, capsys)
-    assert (rc, json.loads(out), len(calls)) == (0, want, 1)
+    assert (rc, json.loads(out)) == (0, want)
+    assert calls == {"zprefix_levels": 1}
     files = _case_files(tmp_path, lam, i,
                         witness=[flag[1], flag[0]] + flag[2:])
     rc, out = run(["ssd-check"] + files, capsys)
-    assert (rc, json.loads(out), len(calls)) == (
-        1, {"self_dual": True, "ssd_witness": False}, 2)
+    assert (rc, json.loads(out)) == (
+        1, {"self_dual": True, "ssd_witness": False})
+    assert calls == {"zprefix_levels": 1, "zwronskians": 1}
 
 
 @pytest.mark.parametrize("point", ["-1/2", "-3/2", "-1", "-1.5", "-2/1"])
@@ -563,9 +580,35 @@ def test_verify_single_suite(capsys):
 
 
 def test_verify_unknown_suite(capsys):
-    rc = cli.main(["verify", "--suite", "nope"])
-    capsys.readouterr()
-    assert rc == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--suite", "nope"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert captured.err.endswith(
+        "g2: error: argument --suite: invalid choice: 'nope' (choose from "
+        + ", ".join(map(repr, [*verify.SUITES, "all"])) + ")\n")
+
+
+def test_unknown_suite_is_a_usage_error_in_a_fresh_process():
+    """`g2 verify --suite nope` in a fresh interpreter: the usage line and
+    the invalid-choice error on stderr, nothing on stdout, exit 2.  The
+    check runs in cmd_verify: the command table passes any --suite value
+    and loads no verify."""
+    src = os.path.dirname(os.path.dirname(g2gaudin.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "g2gaudin.cli", "verify", "--suite", "nope"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    choices = ", ".join(map(repr, [*verify.SUITES, "all"]))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "usage: g2 COMMAND [OPTIONS]\ng2: error: argument --suite: "
+        f"invalid choice: 'nope' (choose from {choices})\n")
+    assert _fresh_python(
+        "import json, sys\n"
+        "from g2gaudin import cli\n"
+        "args = cli.parse_args(['verify', '--suite', 'nope'])\n"
+        "print(json.dumps([args.suite, sorted(m for m in sys.modules\n"
+        "                                     if m.startswith('g2gaudin.'))]))"
+    ) == ["nope", ["g2gaudin.cli"]]
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

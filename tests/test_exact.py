@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from g2gaudin import exact
 from g2gaudin.exact import (Poly, RatFunc, poly_det, poly_gcd,
                             wronskian, zadd, zclear, zderiv, zgcd, zmul,
-                            zpoly, zquo, zscale, zsub, zwr,
-                            zwronski_minors, zwronskians)
+                            zpoly, zprefix_levels, zquo, zscale, zsub, zwr,
+                            zwronski_minors, zwronskian_past, zwronskians)
 from oracles import QSqrt2, log_deriv, residue_at, shift, zwr_by_products
 
 fracs = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 10))
@@ -312,6 +312,13 @@ def test_wronski_minors_never_form_the_full_wronskian(monkeypatch):
     monkeypatch.setattr(exact, "zwr", counted)
     assert zwronski_minors(fs) == want
     assert len(calls) == 55
+    # the same 55 split at the levels: 20 on the prefix chain, 35 to
+    # continue it, and the full Wronskian is one more step past them
+    levels = zprefix_levels(fs)
+    assert len(calls) == 75
+    assert zwronski_minors(fs, levels) == want and len(calls) == 110
+    assert zwronskian_past(levels) == _wronski_det(fs)
+    assert len(calls) == 111
 
 
 @given(int_families())
@@ -321,6 +328,23 @@ def test_leading_wronskians_match_leibniz(fs):
     past a dependent prefix."""
     assert zwronskians(fs) == [_wronski_det(fs[:k])
                                for k in range(len(fs) + 1)]
+
+
+@given(int_families())
+@settings(max_examples=60, deadline=None)
+def test_prefix_levels_hold_the_leading_wronskians(fs):
+    """zprefix_levels(fs) holds levels 0..n-2, fewer only after a zero
+    pivot: their pivots and the first entry of the last are Wr(f_1..f_k)
+    for k < n, zwronskian_past is Wr(f_1..f_n), and zwronski_minors given
+    the levels is zwronski_minors from scratch."""
+    assume(len(fs) >= 2)
+    levels = zprefix_levels(fs)
+    ws = [_wronski_det(fs[:k]) for k in range(len(fs) + 1)]
+    pivots = [prev for prev, _ in levels] + [levels[-1][1][0]]
+    assert pivots == ws[:len(pivots)]
+    assert len(levels) == len(fs) - 1 or not pivots[-1]
+    assert zwronskian_past(levels) == ws[-1]
+    assert zwronski_minors(fs, levels) == zwronski_minors(fs)
 
 
 @given(int_families())

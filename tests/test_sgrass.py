@@ -14,7 +14,8 @@ from g2gaudin import diffop
 from g2gaudin import rootdata as rd
 from g2gaudin import sgrass as sg
 from g2gaudin.exact import (Poly, poly_det, wronskian, zadd, zclear, zderiv,
-                            zmul, zpoly, zprimitive, zscale)
+                            zmul, zpoly, zprimitive, zscale, zwronski_minors,
+                            zwronskians)
 from g2gaudin.linalg import nullspace, rank, rref, solve
 
 X0 = sg.monomial_space()
@@ -131,27 +132,38 @@ def test_dual_space_is_kept_per_space_and_ramification(monkeypatch):
     """dual_space computes the leave-one-out Wronskians once for the most
     recently used (X, R): an equal space rebuilt from another basis hits
     the cache, and the same X with another R is computed again and has
-    another dual."""
+    another dual.  Each computation continues the prefix levels of X,
+    which are kept per space: another R reuses them."""
     calls, minors = [], sg.zwronski_minors
+    levels, prefix = [], sg.zprefix_levels
 
-    def counted(fs):
+    def counted(fs, given):
         calls.append(fs)
-        return minors(fs)
+        return minors(fs, given)
+
+    def counted_levels(fs):
+        levels.append(fs)
+        return prefix(fs)
     monkeypatch.setattr(sg, "zwronski_minors", counted)
+    monkeypatch.setattr(sg, "zprefix_levels", counted_levels)
     sg.dual_space.cache_clear()
+    sg._levels.cache_clear()
     try:
         assert sg.dual_space.cache_info().maxsize == diffop.CASE_CACHE_SIZE
+        assert sg._levels.cache_info().maxsize == diffop.CASE_CACHE_SIZE
         X, R, gamma = sg.bethe_kernel_instance((2, 1), 5)
         Xd = sg.dual_space(X, R)
         assert sg.dual_space(sg.PolySpace(gamma), R) is Xd
-        assert len(calls) == 1
+        assert len(calls) == 1 and levels == [X.basis]
         plain = sg.dual_space(X, R0)
         assert len(calls) == 2 and plain != Xd
         assert sg.dual_space(X, R0) is plain and len(calls) == 2
         assert sg.dual_space(X, R) == Xd and len(calls) == 3
+        assert len(levels) == 1
     finally:
         monkeypatch.undo()
         sg.dual_space.cache_clear()
+        sg._levels.cache_clear()
 
 
 def test_dual_space_monomials():
@@ -459,6 +471,39 @@ def test_ssd_witness_rejects_swapped_bethe_flag():
         assert sg.ssd_witness_check(X, R, gamma)
         swapped = (gamma[1], gamma[0]) + gamma[2:]
         assert not sg.ssd_witness_check(X, R, swapped)
+
+
+GRID5 = [((a, b), i) for a in range(6) for b in range(6)
+         for i in bethe.admissible_ls((a, b))]
+
+
+def test_cached_levels_match_fresh_recursions_on_5_grid():
+    """On every case of the 5-grid the space's cached levels give what each
+    reader took from its own recursion before: the leave-one-out
+    Wronskians, the full Wronskian and the y's of the case's flag
+    (y_from_basis).  A random basis adapted to the space's
+    degrees (row k times a nonzero integer plus integer multiples of the
+    rows below) has the space's y's and passes as a witness; with its
+    first two elements exchanged it takes its own y's and fails."""
+    rng = random.Random(30)
+    for lam, i in GRID5:
+        c = diffop.case(lam, i)
+        X, R = sg.kernel_space(lam, i), c.ramification
+        r = X.basis
+        assert zwronski_minors(r, sg._levels(X)) == zwronski_minors(r)
+        assert sg.wronskian_row(X) == zwronskians(r)[-1]
+        ys = sg._space_ys(X, R)
+        assert ys == sg.y_from_basis(c.flag_rows, R)
+        adapted = []
+        for k in range(7):
+            row = zscale(rng.choice((-3, -2, -1, 1, 2, 3)), r[k])
+            for j in range(k):
+                row = zadd(row, zscale(rng.randint(-3, 3), r[j]))
+            adapted.append(row)
+        assert sg.y_from_basis(adapted, R) == ys, (lam, i)
+        assert sg.ssd_witness_check(X, R, adapted)
+        swapped = [adapted[1], adapted[0]] + adapted[2:]
+        assert not sg.ssd_witness_check(X, R, swapped), (lam, i)
 
 
 def test_perturbed_bethe_kernel_is_not_self_dual():

@@ -10,7 +10,8 @@ grid; the time is the suite call alone, without the import.  One more
 fresh run of each suite and grid under cProfile counts the calls of
 `Fraction.__new__`, of `exact.zpoly`, the Fraction Polys built from
 integer lists, of `exact.zclear`, the rational lists cleared to integer
-ones, and of the integer kernels `exact.zmul` and `exact.zquo`.  DIR (a
+ones, and of the integer kernels `exact.zmul`, `exact.zquo` and
+`exact.zwr`, the 2x2 Wronskian of each Jacobi step.  DIR (a
 checkout of the parent commit) is the parent side and a copy of this
 checkout the change side, as in `pairs`: the two sides alternate on every
 run of each suite and grid, the parent first in even runs, so drift of a
@@ -30,7 +31,12 @@ The copy holds this checkout's tracked and untracked files, not the
 ignored ones (build output, caches), in a temporary directory beside DIR,
 so that the two sides differ only in their files.  For every end-to-end
 metric it records each pair, the medians and quartiles of both sides, the
-ratio of the medians and the number of pairs the change wins.
+ratio of the medians and the number of pairs the change wins; the same for
+two raw readings of each run, taken from the run record that the run
+leaves in its side's perfbench/out/run-<workload>-<seed>.json: setup_s
+unscaled (raw_setup_s) and the median process-kernel time
+(process_kernel_s) by which setup_s and cold-cli are scaled, so a moved
+setup_s can be told from a moved kernel.
 
     python3 tools/bench_suites.py parity OUT.json
 
@@ -57,6 +63,8 @@ WORKLOADS = ("case-sweep", "case-explore", "cold-cli")
 # end-to-end metrics of BENCHMARK.json and whether higher is better
 METRICS = {"ops_per_s": True, "op_p50_s": False, "op_tail_s": False,
            "setup_s": False, "peak_rss_mb": False}
+# raw readings of a run record beside them, all lower-is-better
+RAW = {"raw_setup_s": False, "process_kernel_s": False}
 RUN_SECONDS = 45
 GRIDS = (5, 7)
 PARITY_GRIDS = (1, 3, 5)
@@ -83,7 +91,8 @@ calls = {"Fraction.__new__": ("fractions.py", "__new__"),
          "exact.zpoly": ("exact.py", "zpoly"),
          "exact.zclear": ("exact.py", "zclear"),
          "exact.zmul": ("exact.py", "zmul"),
-         "exact.zquo": ("exact.py", "zquo")}
+         "exact.zquo": ("exact.py", "zquo"),
+         "exact.zwr": ("exact.py", "zwr")}
 stats = pstats.Stats(prof).stats
 print(json.dumps({"ok": ok, "detail": detail, "calls": {
     name: sum(v[1] for (path, _, fn), v in stats.items()
@@ -172,7 +181,13 @@ def bench_run(checkout, workload, seed):
     if not line["correct"]:
         raise SystemExit(f"{checkout}: {workload} seed {seed} has "
                          f"{line['failed']} failed queries")
-    return {k: v["value"] for k, v in line["metrics"].items()}
+    path = os.path.join(checkout, "perfbench", "out",
+                        f"run-{workload}-{seed}.json")
+    with open(path) as fh:
+        record = json.load(fh)
+    return {**{k: v["value"] for k, v in line["metrics"].items()},
+            "raw_setup_s": record["raw_metrics"]["setup_s"],
+            "process_kernel_s": record["process_kernel_s"]}
 
 
 def quartiles(values):
@@ -209,7 +224,7 @@ def pairs(parent, change, seed0):
                   f"{pair['parent']['ops_per_s']:.4g} -> "
                   f"{pair['change']['ops_per_s']:.4g}", file=sys.stderr)
         summary = {}
-        for metric, higher in METRICS.items():
+        for metric, higher in {**METRICS, **RAW}.items():
             before = [r["parent"][metric] for r in runs]
             after = [r["change"][metric] for r in runs]
             wins = sum((a > b) if higher else (a < b)
