@@ -108,10 +108,13 @@ def _load_ram(path):
 
 
 def _bethe_instance(args):
-    """(X, R, gamma) from --lam/--case, or from --space/--ram files."""
-    from . import sgrass
+    """(X, R, gamma) from --lam/--case, gamma the case's flag as integer
+    rows, or from --space/--ram files."""
+    from . import diffop, sgrass
     if args.lam is not None:
-        return sgrass.bethe_kernel_instance(args.lam, args.case)
+        c = diffop.case(args.lam, args.case)
+        return (sgrass.kernel_space(args.lam, args.case), c.ramification,
+                c.flag_rows)
     X = _load_polys("space", args.space, sgrass.PolySpace)
     R = _load_ram(args.ram)
     gamma = (None if args.witness is None
@@ -218,9 +221,11 @@ def cmd_ssd_check(args):
 def cmd_wronski(args):
     from . import polycodec, sgrass
     from .exact import zprimitive
-    X = (sgrass.kernel_space(args.lam, args.case) if args.lam is not None
-         else _load_polys("space", args.space, sgrass.PolySpace))
-    w = zprimitive(sgrass.wronskian_row(X))
+    if args.lam is None:
+        X, R = _load_polys("space", args.space, sgrass.PolySpace), None
+    else:
+        X, R, _ = _bethe_instance(args)
+    w = zprimitive(sgrass.wronskian_row(X, R))
     out = {"wronskian": polycodec.row_json(w, w[-1])}
     out["wronskian_str"] = polycodec.text(out["wronskian"])
     if args.reduced:

@@ -387,55 +387,55 @@ def zdet(m):
     return zscale(sign, prev)
 
 
-def _zjacobi(gs, prev):
-    """The levels (prev, gs) of the Jacobi recursion over a family F, with
-    prev = Wr(F) != 0 and gs = [Wr(F, h_j)] for the h_j still to come.  As
-    Wr(Wr(F, g), Wr(F, h)) = Wr(F) Wr(F, g, h), the next level has the
-    pivot p = gs[0] as prev and Wr(p, g) / prev, an exact division, for
-    each later g.  Stops after a zero pivot."""
+def _zjacobi(prev, gs, ts, k=1):
+    """The levels (prev, gs) of the Jacobi recursion over a family F of j
+    elements, prev = Wr(F) / t_j != 0 and gs = [Wr(F, h) / t_(j+1)] for the
+    h to come, t_j = prod_(i<=j) ts[i-1]^(j+1-i), until a zero pivot; level
+    0 (prev None) is the g / ts[0].  As Wr(Wr(F, g), Wr(F, h)) = Wr(F) Wr(F,
+    g, h) and t_(j+1)^2 = t_j t_(j+2) / ts[k], k = j + 1, the next level has
+    p = gs[0] as prev and Wr(p, g) / (prev ts[k]) for each later g, an exact
+    division or ValueError (none for a divisor 1, or past the end of ts)."""
+    if prev is None:
+        t = ts[0] if ts else [1]
+        gs, prev = list(gs) if t == [1] else [zquo(g, t) for g in gs], [1]
     while True:
         yield prev, gs
         if not gs or not gs[0]:
             return
-        prev, gs = gs[0], [zquo(zwr(gs[0], g), prev) for g in gs[1:]]
+        t = ts[k] if k < len(ts) and gs[1:] else [1]
+        d = prev if t == [1] else zmul(prev, t)
+        prev, gs, k = gs[0], [zquo(zwr(gs[0], g), d) for g in gs[1:]], k + 1
 
 
-def zwronskians(fs):
-    """[Wr(f_1..f_k) for k = 0..n] of integer lists f_1..f_n, Wr() = [1]:
-    the pivots of the Jacobi recursion.  After a zero one the rest vanish."""
-    out = [prev for prev, _ in _zjacobi(list(fs), [1])]
+def zwronskians(fs, ts=()):
+    """[Wr(f_1..f_k) / t_k for k = 0..n] of integer lists f_1..f_n, t_k as in
+    _zjacobi (1 by default): the recursion's pivots, [] after a zero one."""
+    out = [prev for prev, _ in _zjacobi(None, fs, ts)]
     return out + [[]] * (len(fs) + 1 - len(out))
 
 
-def zprefix_levels(fs):
-    """The levels 0..n-2 of the Jacobi recursion over integer lists
-    f_1..f_n, as _zjacobi yields them (fewer after a zero pivot): level k
-    is (Wr(f_1..f_k), [Wr(f_1..f_k, f_j) for j > k]).  So the pivots and
-    the first entry of the last level are the leading Wronskians up to
-    Wr(f_1..f_(n-1)), zwronskian_past takes the one step to Wr(f_1..f_n),
-    and zwronski_minors continues every level."""
-    return list(islice(_zjacobi(list(fs), [1]), max(len(fs) - 1, 0)))
+def zprefix_levels(fs, ts=()):
+    """The levels 0..n-2 of the recursion over integer lists f_1..f_n (fewer
+    after a zero pivot): level k is (Wr(f_1..f_k) / t_k, [Wr(f_1..f_k, f_j)
+    / t_(k+1) for j > k]), for zwronskian_past and zwronski_minors."""
+    return list(islice(_zjacobi(None, fs, ts), max(len(fs) - 1, 0)))
 
 
-def zwronskian_past(levels):
-    """Wr(f_1..f_n) from zprefix_levels(f_1..f_n), n >= 2: one zwr and one
-    zquo past level n - 2, the one level with two entries; [] when the
-    levels stopped short at a zero pivot."""
-    prev, gs = levels[-1]
-    return zquo(zwr(*gs), prev) if len(gs) == 2 else []
+def zwronskian_past(levels, ts=()):
+    """Wr(f_1..f_n) / t_n one step past zprefix_levels(f_1..f_n, ts), or []."""
+    *_, (top, rest) = _zjacobi(*levels[-1], ts, len(levels))
+    return [] if rest else top
 
 
-def zwronski_minors(fs, levels=None):
-    """[Wr(f_1..f_(i-1), f_(i+1)..f_n) for i = 1..n] of integer lists, each
-    the recursion of f_1..f_(i-1) continued over f_(i+1)..f_n from level
-    i - 1 of the prefix chain: levels, zprefix_levels(fs) unless given.
-    The last, Wr(f_1..f_(n-1)), is the first entry of level n - 2, so the
-    full Wronskian is never formed."""
+def zwronski_minors(fs, levels=None, ts=()):
+    """[Wr(f_1..f_n without f_i) / t_(n-1) for i = 1..n] of integer lists:
+    level i - 1 of levels (else zprefix_levels(fs, ts)) continued over
+    f_(i+1)..f_n, so the full Wronskian is never formed."""
     if not fs:
         return []
     out, last = [], [1]
-    for prev, gs in zprefix_levels(fs) if levels is None else levels:
-        *_, (top, rest) = _zjacobi(gs[1:], prev)
+    for k, (prev, gs) in enumerate(levels or zprefix_levels(fs, ts), 1):
+        *_, (top, rest) = _zjacobi(prev, gs[1:], ts, k)
         out.append([] if rest else top)
         last = gs[0]
     return out + [[]] * (len(fs) - 1 - len(out)) + [last]

@@ -63,20 +63,31 @@ def monomial_space() -> PolySpace:
     return PolySpace([[0] * k + [1] for k in range(N)])
 
 
-# kept for the diffop.CASE_CACHE_SIZE most recently used spaces, as
+def _ts(R):
+    """The divisors of the Jacobi recursion for R, T_7..T_1 (a divided
+    Wronskian of i elements is over t_i = R.divisors[i]); none without R."""
+    return () if R is None else R.T[::-1]
+
+
+# kept for the diffop.CASE_CACHE_SIZE most recently used (X, R), as
 # dual_space is: the dual, the space Wronskian and the y's of a witness
 # adapted to X's degrees all continue these levels
 @lru_cache(maxsize=diffop.CASE_CACHE_SIZE)
-def _levels(X: PolySpace):
-    """The prefix levels 0..5 of the Jacobi recursion over X.basis
-    (zprefix_levels); the basis is independent, so no pivot is zero."""
-    return zprefix_levels(X.basis)
+def _levels(X: PolySpace, R: RamificationData = None):
+    """The prefix levels 0..5 of the Jacobi recursion over X.basis, divided
+    by R's T's (zprefix_levels), undivided without R: level k holds
+    Wr(b_1..b_k) / t_k and the Wr(b_1..b_k, b_j) / t_(k+1).  The basis is
+    independent, so no pivot is zero; a space without R's ramification
+    raises ValueError at the first inexact division."""
+    return zprefix_levels(X.basis, _ts(R))
 
 
-def wronskian_row(X: PolySpace):
-    """Wr(X.basis) in Z[x], one Jacobi step past the cached levels: the
-    space Wronskian up to a nonzero constant, for every reader of it."""
-    return zwronskian_past(_levels(X))
+def wronskian_row(X: PolySpace, R: RamificationData = None):
+    """Wr(X.basis) in Z[x] up to a nonzero constant, one Jacobi step past the
+    cached levels, for every reader of the space Wronskian: with R, the
+    divided Wronskian times t_7; without R, the undivided one."""
+    w = zwronskian_past(_levels(X, R), _ts(R))
+    return w if R is None else zmul(w, R.divisors[N])
 
 
 def space_wronskian(X: PolySpace) -> Poly:
@@ -84,18 +95,11 @@ def space_wronskian(X: PolySpace) -> Poly:
     return zpoly(w, w[-1])
 
 
-def _divide(w, R: RamificationData, i):
-    """w / prod_{j=1}^i T_{8-j}^{i+1-j} for w in Z[x] and the T_j monic: the
-    divisor is t / t[-1] for t = R.divisors[i], so one exact division by t
-    in Z[x] and a scale by t[-1]; ValueError if the division is inexact."""
-    t = R.divisors[i]
-    return zscale(t[-1], zquo(w, t))
-
-
 def divided_wronskian(gs, R: RamificationData):
-    """Wr(g_1..g_i) divided by prod_{j=1}^i T_{8-j}^{i+1-j}, for integer lists
-    g_j; errors if the division is inexact."""
-    return _divide(zwronskians(gs)[-1], R, len(gs))
+    """Wr(g_1..g_i) divided by prod_{j=1}^i T_{8-j}^{i+1-j}, the T_j monic,
+    for integer lists g_j: the divided recursion's Wr / t_i times t_i's
+    leading coefficient; errors if a division is inexact."""
+    return zscale(R.divisors[len(gs)][-1], zwronskians(gs, _ts(R))[-1])
 
 
 # kept for the diffop.CASE_CACHE_SIZE most recently used (X, R): every
@@ -104,11 +108,10 @@ def divided_wronskian(gs, R: RamificationData):
 @lru_cache(maxsize=diffop.CASE_CACHE_SIZE)
 def dual_space(X: PolySpace, R: RamificationData) -> PolySpace:
     """Span of divided Wronskians of the 6-element subsets of a basis of X,
-    the Wronskians from one Jacobi recursion (zwronski_minors).  PolySpace
-    raises ValueError if the seven are linearly dependent; an error is not
-    cached.  The recursion continues the space's cached levels."""
-    return PolySpace([_divide(w, R, N - 1)
-                      for w in zwronski_minors(X.basis, _levels(X))])
+    the Wronskians from one Jacobi recursion (zwronski_minors) continuing
+    the space's cached divided levels.  PolySpace raises ValueError if the
+    seven are linearly dependent; an error is not cached."""
+    return PolySpace(zwronski_minors(X.basis, _levels(X, R), _ts(R)))
 
 
 def _seventh_root(w):
@@ -165,13 +168,14 @@ def kappa_form(X: PolySpace, R: RamificationData):
     """Gram matrix of the form kappa on the flag basis u_a = r_a / lead(r_a)
     of a pure self-dual space, r the basis of X.  kappa(r_a, v) =
     Wr-dagger(r_a, g_1..g_6) whenever v is the divided Wronskian of
-    g_1..g_6."""
-    r = X.basis
-    w7 = _divide(wronskian_row(X), R, N)
+    g_1..g_6.  The divided recursion gives Wr / t_i, so the constants are
+    rescaled once by the leading coefficients of t_7 and t_6."""
+    r, levels, ts = X.basis, _levels(X, R), _ts(R)
+    w7 = zwronskian_past(levels, ts)
     if len(w7) != 1:
         raise ValueError("top divided Wronskian is not constant; "
                          "space is not pure with the claimed data")
-    w = [_divide(m, R, N - 1) for m in zwronski_minors(r, _levels(X))]
+    w = zwronski_minors(r, levels, ts)
     d = max(map(len, w + list(r)))
     pad = lambda p: [p[i] if i < len(p) else 0 for i in range(d)]
     A = [list(col) for col in zip(*map(pad, w))]
@@ -184,7 +188,8 @@ def kappa_form(X: PolySpace, R: RamificationData):
         C.append(cb)
     # kappa(r_a, r_b) = sum_j C[b][j] * Wr-dagger(r_a, subset omitting j);
     # the term survives only for j = a, giving (-1)^a times the full one.
-    gram = [[C[b][a] * Fraction((-1) ** a * w7[0], r[a][-1] * r[b][-1])
+    top = Fraction(w7[0] * R.divisors[N][-1], R.divisors[N - 1][-1])
+    gram = [[C[b][a] * (-1) ** a * top / (r[a][-1] * r[b][-1])
              for b in range(N)] for a in range(N)]
     if any(gram[a][b] != gram[b][a] for a in range(N) for b in range(N)):
         raise ValueError("kappa form is not symmetric")
@@ -193,28 +198,28 @@ def kappa_form(X: PolySpace, R: RamificationData):
     return gram
 
 
-def _ys(ws, R: RamificationData):
-    """(y_1, ..., y_6), primitive integer lists, with y_{7-i} the leading
-    Wronskian ws[i] of i elements divided by the T_j product."""
-    return tuple(zprimitive(_divide(ws[i], R, i)) for i in range(N - 1, 0, -1))
+def _ys(ws):
+    """(y_1, ..., y_6), primitive integer lists, with y_{7-i} the divided
+    leading Wronskian ws[i] of i elements."""
+    return tuple(zprimitive(ws[i]) for i in range(N - 1, 0, -1))
 
 
 def y_from_basis(gamma, R: RamificationData):
     """The y's of the ordered basis gamma (Polys or integer lists): y_{7-i}
     is the divided Wronskian of its first i elements, from the leading
-    Wronskians of one Jacobi recursion (zwronskians); after a zero one the
-    rest vanish."""
-    return _ys(zwronskians([zrow(p) for p in gamma[:N - 1]]), R)
+    divided Wronskians of one Jacobi recursion (zwronskians); after a zero
+    one the rest vanish."""
+    return _ys(zwronskians([zrow(p) for p in gamma[:N - 1]], _ts(R)))
 
 
 # kept per (X, R) as dual_space is: ssd-check on a case and on a witness
 # file of its flag meet the same (X, R)
 @lru_cache(maxsize=diffop.CASE_CACHE_SIZE)
 def _space_ys(X: PolySpace, R: RamificationData):
-    """y_from_basis(X.basis, R), read off the cached levels: their pivots
-    and the first entry of the last are Wr(b_1..b_i) for i < 7."""
-    levels = _levels(X)
-    return _ys([prev for prev, _ in levels] + [levels[-1][1][0]], R)
+    """y_from_basis(X.basis, R), read off the cached divided levels: their
+    pivots and the first entry of the last are Wr(b_1..b_i) / t_i, i < 7."""
+    levels = _levels(X, R)
+    return _ys([prev for prev, _ in levels] + [levels[-1][1][0]])
 
 
 def ssd_witness_check(X: PolySpace, R: RamificationData, gamma) -> bool:

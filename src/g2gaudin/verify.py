@@ -343,9 +343,10 @@ def check_covering():
 @_sweep("{n} spaces match the Wronskian formula with exact 7th roots")
 def check_wronskian(lam, i):
     """The primitive space Wronskian is x^(7(2 l1 + l2)) (x - 1)^7, on Z[x]."""
-    from . import bethe, sgrass
+    from . import bethe, diffop, sgrass
     from .exact import zprimitive
-    w = zprimitive(sgrass.wronskian_row(sgrass.kernel_space(lam, i)))
+    w = zprimitive(sgrass.wronskian_row(sgrass.kernel_space(lam, i),
+                                        diffop.case(lam, i).ramification))
     l1, l2 = lam
     if w != bethe.zlinear_power([(0, 7 * (2 * l1 + l2)), (1, 7)]):
         return "space Wronskian wrong"

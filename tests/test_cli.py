@@ -4,6 +4,7 @@ import collections
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -188,10 +189,40 @@ def test_wronskian_suite_fails_on_a_wrong_exponent(monkeypatch, capsys):
     first case."""
     real = bethe.zlinear_power
     monkeypatch.setenv("G2_LMAX", "1")
+    # the fault is in the reference alone: the first case, with its
+    # ramification, is built and kept before zlinear_power is patched
+    diffop.case.cache_clear()
+    diffop.case((0, 0), 0).ramification
     monkeypatch.setattr(bethe, "zlinear_power", lambda pairs: real(
         [(p, e + (p == 0)) for p, e in pairs]))
     assert run(["verify", "--suite", "wronskian"], capsys) == (
         1, "FAIL wronskian: space Wronskian wrong at (0, 0), case 0\n")
+
+
+def test_a_perturbed_kernel_row_fails_every_wronskian_reader(
+        tmp_path, monkeypatch, capsys):
+    """1 added to the constant coefficient of one row of the kernel basis of
+    (2,1)/5 takes the space off the case's ramification, so the divided
+    recursion raises at its first inexact level in each reader: ssd-check
+    on a --space file of it exits 1, and with the case's kernel so planted,
+    wronski --lambda exits 1 and the wronskian suite prints a FAIL line
+    naming the case.  sgrass.dual_space on it fails in test_sgrass."""
+    real = sgrass.kernel_space
+    rows = [list(r) for r in real((2, 1), 5).basis]
+    rows[3][0] += 1
+    bad = sgrass.PolySpace(rows)
+    files = _case_files(tmp_path, (2, 1), 5, space=[
+        polycodec.row_json(r, r[-1]) for r in bad.basis])
+    failed = (1, ("", "error: inexact polynomial division\n"))
+    assert (cli.main(["ssd-check"] + files), capsys.readouterr()) == failed
+    monkeypatch.setattr(sgrass, "kernel_space", lambda lam, i: bad if (
+        tuple(lam), i) == ((2, 1), 5) else real(lam, i))
+    assert (cli.main(["wronski", "--lambda", "2,1", "--case", "5"]),
+            capsys.readouterr()) == failed
+    assert run(["wronski", "--lambda", "2,1", "--case", "6"], capsys)[0] == 0
+    monkeypatch.setenv("G2_LMAX", "2")
+    assert run(["verify", "--suite", "wronskian"], capsys) == (
+        1, "FAIL wronskian: inexact polynomial division at (2, 1), case 5\n")
 
 
 @pytest.mark.parametrize("cmd", [["diffop"], ["kernel"], ["h2check"],
@@ -358,6 +389,50 @@ def test_reader_reduces_each_coefficient():
     assert polycodec.read_row(["0", "0/3"]) == []
 
 
+def _regex_read_row(cs):
+    """Reference reader: every coefficient through polycodec.rational's
+    regex, the row cleared by the lcm of the denominators and reduced."""
+    pqs = [polycodec.rational(c) for c in cs]
+    den = math.lcm(*(q for _, q in pqs))
+    out = [p * (den // q) for p, q in pqs]
+    while out and not out[-1]:
+        out.pop()
+    g = math.gcd(den, *out)
+    return [v // g for v in out]
+
+
+_codec_texts = st.one_of(
+    st.integers(-10**4, 10**4).map(str),
+    st.text(alphabet="0123456789-/+_ .e١²", max_size=6),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-99, 99),
+              st.integers(0, 30)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(_codec_texts, st.integers(-10**6, 10**6),
+                          st.booleans(), st.floats(-3, 3)), max_size=8))
+@example(["0.5"])
+@example(["1e3"])
+@example([" 1"])
+@example(["+1"])
+@example(["1_0"])
+@example(["١"])
+@example(["1/0"])
+@example(["-", "1"])
+@example(["3", "-0", "007", 0])
+def test_one_pass_reader_matches_the_regex_reader(cs):
+    """read_row, which reads a row of integers in one pass, returns what
+    the regex reader returns, or raises ValueError where it does: "0.5",
+    "1e3", " 1", "+1", "1_0", non-ASCII digits and "1/0" among them."""
+    try:
+        want = _regex_read_row(cs)
+    except ValueError:
+        with pytest.raises(ValueError):
+            polycodec.read_row(cs)
+        return
+    assert polycodec.read_row(cs) == want
+
+
 def _count_fractions(monkeypatch):
     """A Counter whose "built" counts the Fractions built from now on in
     this test."""
@@ -445,16 +520,17 @@ def test_witness_wronskians_are_computed_once_per_flag(tmp_path,
     are the space's, cached on (X, R).  The swapped flag is another
     witness, takes its own Wronskians, and still fails."""
     lam, i = (2, 1), 5
-    _, _, gamma = sgrass.bethe_kernel_instance(lam, i)
+    _, R, gamma = sgrass.bethe_kernel_instance(lam, i)
     flag = [cli._poly_json(p) for p in gamma]
     calls = collections.Counter()
 
     def counted(name):
         fn = getattr(sgrass, name)
 
-        def wrapper(fs):
+        def wrapper(fs, ts):
             calls[name] += 1
-            return fn(fs)
+            assert ts == R.T[::-1]  # the divided recursion
+            return fn(fs, ts)
         monkeypatch.setattr(sgrass, name, wrapper)
 
     counted("zwronskians")

@@ -1,9 +1,11 @@
 """Exact arithmetic: polynomials and rational functions over Q, and the
 Q(sqrt2) scalar of the oracles."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -353,6 +355,67 @@ def test_wronski_minors_match_leibniz(fs):
     """zwronski_minors(fs)[i] is Wr of fs without f_(i+1), in order."""
     assert zwronski_minors(fs) == [_wronski_det(fs[:i] + fs[i + 1:])
                                    for i in range(len(fs))]
+
+
+@st.composite
+def ramified_families(draw):
+    """(fs, ts): n <= 7 integer lists f_j = (s x - r)^(e_j) u_j, u_j of
+    degree <= 2, one of them in half the draws a sum of two others (so a
+    Wronskian may vanish), with e_j = p_(8-j) + j - 1 for a partition p of
+    7 parts, s > 0 and gcd(r, s) = 1; ts = T_7..T_1 with T_i = (s x -
+    r)^(p_i - p_(i+1)), primitive.  Every k of the f_j vanish at r / s to
+    order at least the sum of the k lowest e_j, so each Wr / t_k is in
+    Z[x]."""
+    s = draw(st.integers(1, 3))
+    r = draw(st.integers(-3, 3).filter(lambda v: gcd(v, s) == 1))
+    steps = draw(st.lists(st.integers(0, 2), min_size=7, max_size=7))
+    p = [sum(steps[i:]) for i in range(7)] + [0]
+    power = lambda e: functools.reduce(zmul, [[-r, s]] * e, [1])
+    ts = tuple(power(p[i] - p[i + 1]) for i in range(6, -1, -1))
+    n = draw(st.integers(1, 7))
+    fs = [zmul(power(p[7 - j] + j - 1),
+               draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3)
+                    .filter(any)))
+          for j in range(1, n + 1)]
+    if n > 2 and draw(st.booleans()):
+        fs[-1] = zadd(fs[0], fs[1])
+    return [zadd(f, []) for f in fs], ts
+
+
+@given(ramified_families())
+@settings(max_examples=80, deadline=None)
+def test_divided_recursion_is_the_undivided_one_divided(family):
+    """With divisors ts every level entry, leading Wronskian, minor and the
+    full Wronskian is the undivided one over t_k = prod_(i<=k) ts[i-1]^(k+1-
+    i), k the number of elements, by one exact division."""
+    fs, ts = family
+    t, step = [[1]], [1]
+    for k in range(7):
+        step = zmul(step, ts[k])
+        t.append(zmul(t[-1], step))
+    div = lambda w, k: zquo(w, t[k]) if w else []
+    assert zwronskians(fs, ts) == [div(w, k)
+                                   for k, w in enumerate(zwronskians(fs))]
+    n = len(fs)
+    assert zwronski_minors(fs, None, ts) == [div(m, n - 1)
+                                             for m in zwronski_minors(fs)]
+    if n < 2:
+        return
+    levels, plain = zprefix_levels(fs, ts), zprefix_levels(fs)
+    assert len(levels) == len(plain)
+    for k, ((p, gs), (q, hs)) in enumerate(zip(levels, plain)):
+        assert p == div(q, k) and gs == [div(h, k + 1) for h in hs]
+    assert zwronski_minors(fs, levels, ts) == zwronski_minors(fs, None, ts)
+    assert zwronskian_past(levels, ts) == div(zwronskian_past(plain), n)
+
+
+def test_divided_recursion_raises_at_the_first_inexact_level():
+    """x and 1 lack the ramification x^2 | Wr that T_6 = x would claim: the
+    level-1 entry Wr(x, 1) = -1 is not divisible by x."""
+    with pytest.raises(ValueError, match="inexact"):
+        zprefix_levels([[0, 1], [1], [0, 0, 1]], ([1], [0, 1]))
+    assert zprefix_levels([[0, 1], [1], [0, 0, 1]], ([1], [1])) == \
+        zprefix_levels([[0, 1], [1], [0, 0, 1]])
 
 
 def test_poly_is_not_iterable():

@@ -14,7 +14,8 @@ from g2gaudin import diffop
 from g2gaudin import rootdata as rd
 from g2gaudin import sgrass as sg
 from g2gaudin.exact import (Poly, poly_det, wronskian, zadd, zclear, zderiv,
-                            zmul, zpoly, zprimitive, zscale, zwronski_minors,
+                            zmul, zpoly, zprefix_levels, zprimitive, zquo,
+                            zscale, zwronski_minors, zwronskian_past,
                             zwronskians)
 from g2gaudin.linalg import nullspace, rank, rref, solve
 
@@ -94,14 +95,15 @@ def test_divided_wronskian_inexact_raises():
 
 def test_dependent_duals_are_rejected(monkeypatch):
     """dual_space checks independence once, through PolySpace: a dual
-    family with two equal members raises ValueError."""
-    divide, duals = sg._divide, []
+    family with two equal members raises ValueError.  The fault is planted
+    in the divided minors, which the dual takes as its rows."""
+    minors, duals = sg.zwronski_minors, []
 
-    def planted(w, R, i):
-        duals.append(divide(w, R, i))
-        return duals[0] if len(duals) == 2 else duals[-1]
+    def planted(fs, levels, ts):
+        duals.extend(minors(fs, levels, ts))
+        return [duals[0]] + duals[:1] + duals[2:]
 
-    monkeypatch.setattr(sg, "_divide", planted)
+    monkeypatch.setattr(sg, "zwronski_minors", planted)
     # a cached dual of (X0, R0) would hide the planted fault, and a planted
     # dual that got cached would leak into later tests
     sg.dual_space.cache_clear()
@@ -132,18 +134,21 @@ def test_dual_space_is_kept_per_space_and_ramification(monkeypatch):
     """dual_space computes the leave-one-out Wronskians once for the most
     recently used (X, R): an equal space rebuilt from another basis hits
     the cache, and the same X with another R is computed again and has
-    another dual.  Each computation continues the prefix levels of X,
-    which are kept per space: another R reuses them."""
+    another dual.  Each computation continues the prefix levels of X
+    divided by R's T's, T_7 first, which are kept per (X, R): another R
+    takes its own, and so does R again once R0 has replaced it."""
     calls, minors = [], sg.zwronski_minors
-    levels, prefix = [], sg.zprefix_levels
+    levels, prefix, made = [], sg.zprefix_levels, []
 
-    def counted(fs, given):
+    def counted(fs, given, ts):
         calls.append(fs)
-        return minors(fs, given)
+        assert given is made[-1] and ts == levels[-1][1]
+        return minors(fs, given, ts)
 
-    def counted_levels(fs):
-        levels.append(fs)
-        return prefix(fs)
+    def counted_levels(fs, ts):
+        levels.append((fs, ts))
+        made.append(prefix(fs, ts))
+        return made[-1]
     monkeypatch.setattr(sg, "zwronski_minors", counted)
     monkeypatch.setattr(sg, "zprefix_levels", counted_levels)
     sg.dual_space.cache_clear()
@@ -154,12 +159,14 @@ def test_dual_space_is_kept_per_space_and_ramification(monkeypatch):
         X, R, gamma = sg.bethe_kernel_instance((2, 1), 5)
         Xd = sg.dual_space(X, R)
         assert sg.dual_space(sg.PolySpace(gamma), R) is Xd
-        assert len(calls) == 1 and levels == [X.basis]
+        assert len(calls) == 1 and levels == [(X.basis, R.T[::-1])]
+        assert R.T[::-1][0] == R.T[6] and len(R.T[::-1]) == 7
         plain = sg.dual_space(X, R0)
         assert len(calls) == 2 and plain != Xd
         assert sg.dual_space(X, R0) is plain and len(calls) == 2
         assert sg.dual_space(X, R) == Xd and len(calls) == 3
-        assert len(levels) == 1
+        assert levels == [(X.basis, R.T[::-1]), (X.basis, R0.T[::-1]),
+                          (X.basis, R.T[::-1])]
     finally:
         monkeypatch.undo()
         sg.dual_space.cache_clear()
@@ -190,6 +197,33 @@ def test_kappa_monomials():
         for b in range(7):
             assert (g[a][b] == 0) == (a + b != 6)
             assert g[a][b] == g[b][a]
+
+
+def test_kappa_constants_match_the_monic_divided_wronskians():
+    """kappa_form, whose divided Wronskians are over the primitive t_i and
+    which rescales its constants once by their leading coefficients, gives
+    the Gram matrix built from divided_wronskian's values over the monic T
+    products, on two Bethe kernels moved to the points (1/2, 3), where
+    the T's at 1/2 are powers of 2x - 1."""
+    spaces = []
+    for lam, i in (((1, 0), 2), ((2, 1), 5)):
+        c = diffop.case(lam, i)
+        R = sg.RamificationData((Fraction(1, 2), Fraction(3), bethe.INF)[
+            :len(c.data.z)], c.ramification.partitions)
+        spaces.append((sg.PolySpace([_moved(r, 2, -1, 5)
+                                     for r in c.flag_rows]), R))
+    for X, R in spaces:
+        r = X.basis
+        w7 = sg.divided_wronskian(r, R)
+        w = [sg.divided_wronskian(r[:j] + r[j + 1:], R) for j in range(7)]
+        d = max(map(len, w + list(r)))
+        pad = lambda p: [p[k] if k < len(p) else 0 for k in range(d)]
+        A = [list(col) for col in zip(*map(pad, w))]
+        C = [solve(A, pad(v)) for v in r]
+        assert sg.kappa_form(X, R) == [
+            [C[b][a] * Fraction((-1) ** a * w7[0], r[a][-1] * r[b][-1])
+             for b in range(7)] for a in range(7)]
+    assert R.divisors[7][-1] != R.divisors[6][-1]
 
 
 def test_ssd_witness_monomials():
@@ -504,6 +538,78 @@ def test_cached_levels_match_fresh_recursions_on_5_grid():
         assert sg.ssd_witness_check(X, R, adapted)
         swapped = [adapted[1], adapted[0]] + adapted[2:]
         assert not sg.ssd_witness_check(X, R, swapped), (lam, i)
+
+
+def _divide(w, R, i):
+    """Reference divided Wronskian of i elements from the undivided w: one
+    exact division by t_i = R.divisors[i] made monic."""
+    t = R.divisors[i]
+    return zscale(t[-1], zquo(w, t))
+
+
+def _moved(row, a, b, den):
+    """den^d p((a x + b) / den) for the integer row of p of degree d: p with
+    each point z taken to (den z - b) / a."""
+    out, power, d = [], [1], len(row) - 1
+    for k, c in enumerate(row):
+        out = zadd(out, zscale(c * den ** (d - k), power))
+        power = zmul(power, [b, a])
+    return out
+
+
+# the points (0, 1) kept, moved to (3, 4) and to (1/2, 3): (a, b, den)
+MOVES = ((1, 0, 1), (1, -3, 1), (2, -1, 5))
+
+
+def test_divided_recursion_matches_dividing_the_undivided_one():
+    """On every case of the 5-grid, at its points (0, 1) and with the
+    kernel and the flag moved to (3, 4) and to (1/2, 3), where the T's are
+    not monic: each divided level entry, minor, y and the space Wronskian
+    is the undivided recursion's followed by one exact division by t_i,
+    up to t_i's leading coefficient, which the divided one leaves out."""
+    for lam, i in GRID5:
+        c = diffop.case(lam, i)
+        for a, b, den in MOVES:
+            flag = [_moved(r, a, b, den) for r in c.flag_rows]
+            R = sg.RamificationData(
+                tuple(z if z == bethe.INF else (den * z - b) / a
+                      for z in c.data.z), c.ramification.partitions)
+            X, ts = sg.PolySpace(flag), R.T[::-1]
+            lead = [t[-1] for t in R.divisors]
+            plain = zprefix_levels(X.basis)
+            levels = sg._levels(X, R)
+            assert len(levels) == len(plain) == 6
+            for k, ((p, gs), (q, hs)) in enumerate(zip(levels, plain)):
+                assert zscale(lead[k], p) == _divide(q, R, k)
+                assert [zscale(lead[k + 1], g) for g in gs] == \
+                    [_divide(h, R, k + 1) for h in hs], (lam, i, k)
+            minors = zwronski_minors(X.basis, levels, ts)
+            assert [zscale(lead[6], m) for m in minors] == \
+                [_divide(m, R, 6) for m in zwronski_minors(X.basis, plain)]
+            ws = [q for q, _ in plain] + [plain[-1][1][0]]
+            assert sg._space_ys(X, R) == tuple(
+                zprimitive(_divide(ws[k], R, k)) for k in range(6, 0, -1))
+            swapped = [flag[1], flag[0]] + flag[2:]
+            ws_swapped = zwronskians(swapped[:6])
+            assert sg.y_from_basis(swapped, R) == tuple(
+                zprimitive(_divide(ws_swapped[k], R, k))
+                for k in range(6, 0, -1))
+            w = zprimitive(zwronskian_past(plain))
+            assert zprimitive(sg.wronskian_row(X, R)) == w
+            assert w == zprimitive(R.divisors[7]), (lam, i, a, b, den)
+
+
+def test_a_perturbed_basis_row_fails_the_dual_space():
+    """One coefficient added to one row of the kernel basis takes the space
+    off its ramification: dual_space raises at the first inexact level."""
+    X, R, _ = sg.bethe_kernel_instance((2, 1), 5)
+    rows = [list(r) for r in X.basis]
+    rows[3][0] += 1
+    bad = sg.PolySpace(rows)
+    sg.dual_space.cache_clear()
+    with pytest.raises(ValueError, match="inexact polynomial division"):
+        sg.dual_space(bad, R)
+    assert sg.dual_space(X, R)
 
 
 def test_perturbed_bethe_kernel_is_not_self_dual():

@@ -38,6 +38,18 @@ unscaled (raw_setup_s) and the median process-kernel time
 (process_kernel_s) by which setup_s and cold-cli are scaled, so a moved
 setup_s can be told from a moved kernel.
 
+    python3 tools/bench_suites.py probe OUT.json --parent DIR
+
+times the Wronskian layer alone over the kernels of the 5-grid (210
+cases): per case, with sgrass's caches cleared, the dual space (the
+recursion's prefix levels and the leave-one-out minors) and the y's, those
+of the case's flag (off the levels) and those of the flag with its first
+two elements swapped (its own recursion).  It does so at the cases' points
+z = (0, 1) and with the kernel, the flag and the points moved to z = (3,
+4) by a Taylor shift, where no Wronskian's power of x - z is free.  Each
+run is a fresh process that builds the inputs untimed, then times them;
+the two sides alternate as in `suites`, PROBE_RUNS runs a side.
+
     python3 tools/bench_suites.py parity OUT.json
 
 runs tools/parity.py in a fresh process on the 1-, 3- and 5-grids and
@@ -69,6 +81,8 @@ RUN_SECONDS = 45
 GRIDS = (5, 7)
 PARITY_GRIDS = (1, 3, 5)
 SUITE_RUNS = 4
+PROBE_RUNS = 4
+PROBE_SHIFTS = (0, 3)
 PAIRS = 10
 
 # the suites import their layers when they run; sgrass loads every layer
@@ -98,6 +112,44 @@ print(json.dumps({"ok": ok, "detail": detail, "calls": {
     name: sum(v[1] for (path, _, fn), v in stats.items()
               if path.endswith(f) and fn == func)
     for name, (f, func) in calls.items()}}))
+"""
+
+# argv[1] = the shift: every point z and every polynomial p(x) moved to
+# z + shift and p(x - shift); the snippet reaches only names that the
+# parent has too
+PROBE_SNIPPET = """\
+import json, sys, time
+from g2gaudin import bethe, diffop, sgrass
+from g2gaudin.exact import zadd, zmul, zscale
+shift = int(sys.argv[1])
+
+def moved(row):
+    out, power = [], [1]
+    for c in row:
+        out, power = zadd(out, zscale(c, power)), zmul(power, [-shift, 1])
+    return out
+
+inputs = []
+for lam in [(a, b) for a in range(6) for b in range(6)]:
+    for i in bethe.admissible_ls(lam):
+        c = diffop.case(lam, i)
+        flag = [moved(r) for r in c.flag_rows]
+        R = bethe.RamificationData(
+            tuple(z if z == bethe.INF else z + shift for z in c.data.z),
+            c.ramification.partitions)
+        inputs.append((sgrass.PolySpace(flag), R,
+                       [flag[1], flag[0]] + flag[2:]))
+dual = ys = 0.0
+for X, R, swapped in inputs:
+    for cached in (sgrass._levels, sgrass.dual_space, sgrass._space_ys):
+        cached.cache_clear()
+    t0 = time.perf_counter()
+    sgrass.dual_space(X, R)
+    t1 = time.perf_counter()
+    sgrass._space_ys(X, R)
+    sgrass.y_from_basis(swapped, R)
+    dual, ys = dual + t1 - t0, ys + time.perf_counter() - t1
+print(json.dumps({"cases": len(inputs), "dual_s": dual, "ys_s": ys}))
 """
 
 
@@ -148,6 +200,33 @@ def suites(sides):
                                          / statistics.median(times["parent"]))})
             print(f"{name} on the {grid}-grid: {times}, {calls}",
                   file=sys.stderr)
+    return out
+
+
+def probe(sides):
+    """The Wronskian-layer times of each side at each shift, a dict from
+    "parent" and "change" to a checkout."""
+    out = []
+    for shift in PROBE_SHIFTS:
+        runs = {side: [] for side in sides}
+        for k in range(PROBE_RUNS):
+            for side in sorted(sides, reverse=k % 2 == 0):
+                env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                           PYTHONPATH=os.path.join(sides[side], "src"))
+                proc = subprocess.run(
+                    [sys.executable, "-c", PROBE_SNIPPET, str(shift)],
+                    env=env, capture_output=True, text=True, check=True)
+                r = json.loads(proc.stdout.splitlines()[-1])
+                r["total_s"] = r["dual_s"] + r["ys_s"]
+                runs[side].append({m: round(v, 4) if isinstance(v, float)
+                                   else v for m, v in r.items()})
+        ratios = {m: statistics.median(r[m] for r in runs["change"])
+                  / statistics.median(r[m] for r in runs["parent"])
+                  for m in ("dual_s", "ys_s", "total_s")}
+        out.append({"points": [shift, shift + 1], "runs": runs,
+                    "median_ratio": ratios})
+        print(f"probe at z = ({shift}, {shift + 1}): {ratios}",
+              file=sys.stderr)
     return out
 
 
@@ -246,6 +325,9 @@ def main(argv=None):
     p.add_argument("--parent", required=True)
     p = sub.add_parser("parity")
     p.add_argument("out")
+    p = sub.add_parser("probe")
+    p.add_argument("out")
+    p.add_argument("--parent", required=True)
     p = sub.add_parser("pairs")
     p.add_argument("out")
     p.add_argument("--parent", required=True)
@@ -267,10 +349,14 @@ def main(argv=None):
         beside = os.path.dirname(parent)
         with tempfile.TemporaryDirectory(dir=beside) as change:
             copy_checkout(change)
+            sides = {"parent": parent, "change": change}
             if args.command == "suites":
-                record["suites"] = {
-                    "machine": machine(),
-                    "times": suites({"parent": parent, "change": change})}
+                record["suites"] = {"machine": machine(),
+                                    "times": suites(sides)}
+            elif args.command == "probe":
+                record["probe"] = {"machine": machine(),
+                                   "runs_per_side": PROBE_RUNS,
+                                   "times": probe(sides)}
             else:
                 record["benchmark_pairs"] = {
                     "machine": machine(), "run_seconds": RUN_SECONDS,
