@@ -28,28 +28,24 @@ def rational(c):
 def read_row(cs):
     """The integer row of the coefficients cs, each read by rational: the
     coefficients in lowest terms cleared by the lcm of their denominators,
-    without trailing zeros, so a zero polynomial is [].  A row of integers,
-    "p" or JSON ints, is read in one pass; a row with any other coefficient
-    goes through rational.  Clearing p_i / q_i as written by L = lcm(q_i)
-    gives that row times g = gcd(L, row): no prime divides both that row
-    and the lcm of the reduced denominators, so one division by g puts
-    every coefficient in lowest terms."""
-    out = []
+    without trailing zeros, so a zero polynomial is [].  A coefficient
+    "p" is read by int() and only the others by rational's regex.  Clearing
+    p_i / q_i as written by L = lcm(q_i) gives that row times
+    g = gcd(L, row): no prime divides both that row and the lcm of the
+    reduced denominators, so one division by g puts every coefficient in
+    lowest terms."""
+    ps, qs = [], []
     for c in cs:
         # a str that _RATIONAL matches without "/": an optional "-", then
         # ASCII digits (int() would also take " 1", "+1", "1_0" and "١")
         if type(c) is str and c.isascii() and c[c[:1] == "-":].isdigit():
-            c = int(c)
-        elif type(c) is not int:
-            break
-        out.append(c)
-    else:
-        while out and not out[-1]:
-            out.pop()
-        return out
-    pqs = [rational(c) for c in cs]
-    den = lcm(*(q for _, q in pqs))
-    out = [p * (den // q) for p, q in pqs]
+            p, q = int(c), 1
+        else:
+            p, q = rational(c)
+        ps.append(p)
+        qs.append(q)
+    den = lcm(*qs)
+    out = ps if den == 1 else [p * (den // q) for p, q in zip(ps, qs)]
     while out and not out[-1]:
         out.pop()
     g = gcd(den, *out)

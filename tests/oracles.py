@@ -377,24 +377,11 @@ def _check_inputs(ap, args):
         ap.error("--space needs --ram")
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """argparse with an option's value "--" read as that value, as the table
-    parser reads it: the argparse of Python 3.11 drops it, as if it ended
-    the options, and stores [] for the option without calling its type."""
-
-    def _get_values(self, action, arg_strings):
-        if action.option_strings and arg_strings == ["--"]:
-            value = self._get_value(action, "--")
-            self._check_value(action, value)
-            return value
-        return super()._get_values(action, arg_strings)
-
-
 @lru_cache(maxsize=None)
 def build_parser():
     """The argparse parser that cli's command table replaced, with cli's
     handlers and value parsers."""
-    ap = _ArgumentParser(prog="g2", description=cli.__doc__)
+    ap = argparse.ArgumentParser(prog="g2", description=cli.__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("tensor", help="decompose a tensor product")

@@ -420,10 +420,13 @@ _codec_texts = st.one_of(
 @example(["1/0"])
 @example(["-", "1"])
 @example(["3", "-0", "007", 0])
+@example(["0", "0", "4851/10240", "-861/608", "1"])
+@example(["0", "1/2", "x", "1"])
 def test_one_pass_reader_matches_the_regex_reader(cs):
-    """read_row, which reads a row of integers in one pass, returns what
-    the regex reader returns, or raises ValueError where it does: "0.5",
-    "1e3", " 1", "+1", "1_0", non-ASCII digits and "1/0" among them."""
+    """read_row, which reads a coefficient "p" with int() and sends only the
+    others through the regex, returns what the regex reader returns, or
+    raises ValueError where it does: "0.5", "1e3", " 1", "+1", "1_0",
+    non-ASCII digits and "1/0" among them."""
     try:
         want = _regex_read_row(cs)
     except ValueError:
@@ -775,7 +778,10 @@ def _argvs(draw):
                 groups.append([draw(_mostly(st.just(opt),
                                             st.just(f"{opt}=1")))])
                 continue
-            value = draw(_VALUES[dest])
+            # the argparse of Python 3.11 strips an option's value "--" and
+            # stores [] without calling the type; the table parser reads it
+            # as the value (test_an_option_value_of_two_dashes_is_that_value)
+            value = draw(_VALUES[dest].filter(lambda v: v != "--"))
             groups.append(draw(st.sampled_from([[opt, value],
                                                 [f"{opt}={value}"]])))
     foreign = sorted({o for opts in commands.values() for o in opts
@@ -805,6 +811,28 @@ def test_table_parser_matches_the_argparse_reference(argv):
     assert got == _parsed(oracles.parse_args, argv)[0], argv
     if got == 2:
         assert out == "" and "g2: error: " in err, (argv, out, err)
+
+
+@pytest.mark.parametrize("joined", [False, True])
+def test_an_option_value_of_two_dashes_is_that_value(capsys, joined):
+    """An option's value "--", split from the option or joined by '=', is
+    read by the option's type like any other value: --lambda -- is a usage
+    error naming --lambda, and --space -- names the file "--".  The
+    reference parser differs here: Python 3.11's argparse drops the "--"
+    and stores [] for --lambda, so the differential test draws no "--"."""
+    def argv(opt, value):
+        return [f"{opt}={value}"] if joined else [opt, value]
+
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args(["bae", "--lambda", "0,0", *argv("--lambda", "--"),
+                        "--case", "0"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.endswith(
+        "g2: error: argument --lambda: weight must be 'a,b', got '--'\n")
+    args = cli.parse_args(["ssd-check", *argv("--space", "--"),
+                           "--ram", "r.json"])
+    assert (args.space, args.ram, args.lam) == ("--", "r.json", None)
 
 
 def test_help_and_abbreviations(capsys):
