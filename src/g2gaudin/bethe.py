@@ -11,7 +11,7 @@ from functools import cached_property
 from . import rootdata as rd
 from .exact import (Poly, zderiv, zgcd, zmul, zpoly, zprem, zprimitive, zrow,
                     zscale, zsolve1, zsub, zwr)
-from .repn import L_LIST, admissible_ls, summand_weight  # noqa: F401
+from .repn import L_LIST, admissible_ls
 
 # the point at infinity, spelled as in the JSON formats
 INF = "inf"

@@ -113,8 +113,7 @@ def _bethe_instance(args):
     from . import diffop, sgrass
     if args.lam is not None:
         c = diffop.case(args.lam, args.case)
-        return (sgrass.kernel_space(args.lam, args.case), c.ramification,
-                c.flag_rows)
+        return c.space, c.ramification, c.flag_rows
     X = _load_polys("space", args.space, sgrass.PolySpace)
     R = _load_ram(args.ram)
     gamma = (None if args.witness is None
@@ -170,8 +169,8 @@ def cmd_reproduce(args):
 
 def cmd_diffop(args):
     from . import diffop, polycodec, sgrass
-    D = diffop.appendix_operator(args.lam, args.case,
-                                 conjugated=args.conjugated)
+    c = diffop.case(args.lam, args.case)
+    D = c.conjugated if args.conjugated else c.operator
     return _emit({"order": D.order, "coefficients": [
         {"num": polycodec.row_json(p, q[-1]),
          "den": polycodec.row_json(q, q[-1])}
@@ -179,16 +178,16 @@ def cmd_diffop(args):
 
 
 def cmd_kernel(args):
-    from . import polycodec, sgrass
-    rows = sgrass.kernel_space(args.lam, args.case).basis
+    from . import diffop, polycodec, sgrass
+    rows = diffop.case(args.lam, args.case).space.basis
     return _emit({"dimension": len(rows),
                   "basis": [polycodec.row_json(r, r[-1]) for r in rows]})
 
 
 def cmd_exponents(args):
     from . import diffop, sgrass
-    D = diffop.appendix_operator(args.lam, args.case,
-                                 conjugated=not args.raw)
+    c = diffop.case(args.lam, args.case)
+    D = c.operator if args.raw else c.conjugated
     e = diffop.exponents_at(D, args.point)
     return _emit({"point": str(e.point),
                   "exponents": list(e.exponents)})

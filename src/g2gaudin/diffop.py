@@ -5,7 +5,7 @@ Fuchsian exponents."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate
@@ -496,27 +496,25 @@ def exponents_at(D: DiffOp, p) -> ExponentList:
 
 # Cases kept by case(): every caller (the case commands, the suites, a
 # benchmark run) finishes one case before it starts the next, so the last
-# case is all that is ever asked for again; a built case holds 15-26 KB at
-# lam <= 5 (by tracemalloc)
+# case is all that is ever asked for again; a case with every property
+# built holds 12-29 KB at lam <= 5, median 21 KB (by tracemalloc)
 CASE_CACHE_SIZE = 1
 
 
 @dataclass(frozen=True)
 class Case:
-    """The closed-form case (lam, i): its Bethe data bethe.closed_form(lam, i),
-    the Bethe pair y, and the objects built from them, each on first use
-    and then kept.  Construction builds only the data, which checks that
-    the case is admissible."""
-    lam: tuple
-    i: int
-    data: bethe.BetheData = field(init=False, repr=False, compare=False)
+    """A Bethe pair y with its Bethe data, and the objects built from them,
+    each on first use and then kept: the closed-form case (lam, i) is
+    case(lam, i), and a pair reached another way, at other points, is
+    Case(data, y)."""
+    data: bethe.BetheData
+    y: bethe.PolyPair
 
-    def __post_init__(self):
-        object.__setattr__(self, "data", bethe.closed_form(self.lam, self.i))
-
-    @cached_property
-    def y(self) -> bethe.PolyPair:
-        return bethe.closed_form_pair(self.lam, self.i)  # data checked it
+    @property
+    def mu(self):
+        """The weight sum(Lambda) - alpha(l) of the pair."""
+        total = reduce(rd.add, self.data.Lambda)
+        return rd.sub(total, rd.from_alpha(*self.data.l))
 
     @cached_property
     def ramification(self) -> bethe.RamificationData:
@@ -559,38 +557,33 @@ class Case:
         return tuple(zpoly(v, v[-1]) for v in self.flag_rows)
 
     @cached_property
-    def kernel(self):
-        """The polynomial kernel of D_y, a tuple: the reduced echelon basis
-        of the flag's span, by increasing degree, each element monic and
-        zero at the degrees of the others."""
-        return tuple(zpoly(v, v[-1]) for v in zechelon(self.flag_rows, True))
+    def space(self):
+        """The polynomial kernel of D_y, the sgrass.PolySpace of the flag's
+        span; sgrass loads here, as the h2 check reads no space."""
+        from .sgrass import PolySpace
+        return PolySpace(self.flag_rows)
 
 
 @lru_cache(maxsize=CASE_CACHE_SIZE)
 def case(lam, i) -> Case:
-    """The Case (lam, i), shared by every caller while it stays among the
-    CASE_CACHE_SIZE most recently used; lam a tuple, since it is hashed."""
-    return Case(lam, i)
-
-
-def appendix_operator(lam, i, conjugated=False) -> DiffOp:
-    """The operator D_y of the closed-form case (lam, i); optionally
-    conjugated by T1^2 T2."""
-    c = case(tuple(lam), i)
-    return c.conjugated if conjugated else c.operator
+    """The closed-form case (lam, i), shared by every caller while it stays
+    among the CASE_CACHE_SIZE most recently used; lam a tuple, since it is
+    hashed.  bethe.closed_form checks that the case is admissible."""
+    return Case(bethe.closed_form(lam, i), bethe.closed_form_pair(lam, i))
 
 
 def default_degree_bound(lam, i) -> int:
     """1 + the largest exponent of D_y at infinity: the largest exponent of
     the conjugated operator is 2*mu1 + mu2 with mu the resulting weight, and
     the twist by T1^2 T2 adds its degree, 2*lam1 + lam2 + 1."""
-    mu = bethe.summand_weight(lam, i)
+    mu = case(tuple(lam), i).mu
     return 2 * mu[0] + mu[1] + 6 + (2 * lam[0] + lam[1] + 1) + 1
 
 
 def kernel_for_case(lam, i):
-    """Polynomial kernel of D_y for a closed-form case, dimension-checked."""
-    return case(tuple(lam), i).kernel
+    """The polynomial kernel of D_y for a closed-form case, as the monic
+    reduced echelon basis of its space."""
+    return case(tuple(lam), i).space.flag_basis
 
 
 # Constant relating the d^5 coefficient of the conjugated operator to the
@@ -642,7 +635,6 @@ def h2_casimir_values(lam, i):
         res = ((at(zderiv(P)) * q - 2 * at(P) * at(zderiv(Qt)))
                / (s * s * q ** 3))
     got = -res * _H2_NORMALIZATION
-    mu = bethe.summand_weight(lam, i)
-    eig = Fraction(repn.casimir_eigenvalue(mu)
+    eig = Fraction(repn.casimir_eigenvalue(c.mu)
                    - sum(map(repn.casimir_eigenvalue, Lambda)), 2)
     return got, eig / (z1 - z2)

@@ -270,16 +270,11 @@ def isotropic_definition_check(X: PolySpace, R: RamificationData,
     return bool(wr) and zprimitive(wr) == zprimitive(target)
 
 
-def kernel_space(lam, i) -> PolySpace:
-    """The kernel of D_y of the closed-form case (lam, i), from its flag."""
-    return PolySpace(diffop.case(tuple(lam), i).flag_rows)
-
-
 def bethe_kernel_instance(lam, i):
     """(X, R, gamma) for the closed-form case (lam, i): its kernel, its
     ramification data and its flag as monic Polys, all held by the case."""
     c = diffop.case(tuple(lam), i)
-    return kernel_space(lam, i), c.ramification, c.flag
+    return c.space, c.ramification, c.flag
 
 
 # the ordered basis u_1..u_7 of the kernel adapted to the factorization of D_y

@@ -187,14 +187,13 @@ def _exp_infinity(a, b):
                          a - 2, a + b - 1, 2 * a + b)))
 
 
-@_sweep("{n} kernels: dim 7, self-dual, ssd witness, exponents")
-def check_kernels(lam, i):
-    """7-dimensional kernels, self-duality, ssd witness, exponents."""
+def kernel_failure(c):
+    """The kernel of the Case c has dimension 7 (c.space raises unless it
+    does), is self-dual, has its flag as ssd witness, and the conjugated
+    operator has the exponents of Lambda at each z_s and of c.mu at
+    infinity; a failure message or None."""
     from . import bethe, diffop, sgrass
-    # the case's kernel raises unless it has dimension 7; the witness is
-    # its flag as integer lists
-    c = diffop.case(lam, i)
-    X, R = sgrass.kernel_space(lam, i), c.ramification
+    X, R = c.space, c.ramification
     if not sgrass.is_self_dual(X, R):
         return "not self-dual"
     if not sgrass.ssd_witness_check(X, R, c.flag_rows):
@@ -202,10 +201,16 @@ def check_kernels(lam, i):
     for w, p in zip(c.data.Lambda, c.data.z):
         if diffop.exponents_at(c.conjugated, p).exponents != _exp_finite(*w):
             return f"exponents at {p} wrong"
-    mu = repn.summand_weight(lam, i)
     if diffop.exponents_at(c.conjugated, bethe.INF).exponents != \
-            _exp_infinity(*mu):
+            _exp_infinity(*c.mu):
         return "exponents at inf wrong"
+
+
+@_sweep("{n} kernels: dim 7, self-dual, ssd witness, exponents")
+def check_kernels(lam, i):
+    """kernel_failure on the closed-form case (lam, i)."""
+    from . import diffop
+    return kernel_failure(diffop.case(lam, i))
 
 
 @_sweep("{n} residue/Casimir cross-checks exact")
@@ -345,8 +350,8 @@ def check_wronskian(lam, i):
     """The primitive space Wronskian is x^(7(2 l1 + l2)) (x - 1)^7, on Z[x]."""
     from . import bethe, diffop, sgrass
     from .exact import zprimitive
-    w = zprimitive(sgrass.wronskian_row(sgrass.kernel_space(lam, i),
-                                        diffop.case(lam, i).ramification))
+    c = diffop.case(lam, i)
+    w = zprimitive(sgrass.wronskian_row(c.space, c.ramification))
     l1, l2 = lam
     if w != bethe.zlinear_power([(0, 7 * (2 * l1 + l2)), (1, 7)]):
         return "space Wronskian wrong"

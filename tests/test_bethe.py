@@ -129,7 +129,7 @@ def test_admissible_cases():
     assert bethe.admissible_ls((2, 2)) == [0, 1, 2, 3, 4, 5, 6]
     # each admissible case is one summand of V_lam (x) V_omega2
     for lam in ((0, 0), (0, 1), (1, 0), (2, 2)):
-        assert {bethe.summand_weight(lam, i)
+        assert {repn.summand_weight(lam, i)
                 for i in bethe.admissible_ls(lam)} == \
             set(repn.tensor_decompose(lam, rd.OMEGA2))
 
@@ -444,13 +444,13 @@ def test_bae_grid_suite_gates_on_exact_equations(monkeypatch):
 
 def test_closed_form_is_the_one_admissibility_test():
     """closed_form is the data of every closed-form case, (lam, omega2) at
-    z = (0, 1) with l_i; it, appendix_solution and diffop.Case reject an
+    z = (0, 1) with l_i; it, appendix_solution and diffop.case reject an
     inadmissible case with its one message."""
     for lam, i in _grid(2):
         assert bethe.closed_form(lam, i) == \
             BetheData((lam, rd.OMEGA2), Z, L_LIST[i])
     assert bethe.closed_form([1, 0], 2) == bethe.closed_form((1, 0), 2)
-    for build in (bethe.closed_form, bethe.appendix_solution, diffop.Case):
+    for build in (bethe.closed_form, bethe.appendix_solution, diffop.case):
         with pytest.raises(ValueError, match=re.escape(
                 "l_3 is not admissible for (0, 0)")):
             build((0, 0), 3)

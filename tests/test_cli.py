@@ -207,16 +207,19 @@ def test_a_perturbed_kernel_row_fails_every_wronskian_reader(
     on a --space file of it exits 1, and with the case's kernel so planted,
     wronski --lambda exits 1 and the wronskian suite prints a FAIL line
     naming the case.  sgrass.dual_space on it fails in test_sgrass."""
-    real = sgrass.kernel_space
-    rows = [list(r) for r in real((2, 1), 5).basis]
+    good = diffop.case((2, 1), 5)
+    rows = [list(r) for r in good.space.basis]
     rows[3][0] += 1
     bad = sgrass.PolySpace(rows)
+    planted = diffop.Case(good.data, good.y)
+    planted.__dict__["space"] = bad  # what the cached property would hold
+    real = diffop.case
     files = _case_files(tmp_path, (2, 1), 5, space=[
         polycodec.row_json(r, r[-1]) for r in bad.basis])
     failed = (1, ("", "error: inexact polynomial division\n"))
     assert (cli.main(["ssd-check"] + files), capsys.readouterr()) == failed
-    monkeypatch.setattr(sgrass, "kernel_space", lambda lam, i: bad if (
-        tuple(lam), i) == ((2, 1), 5) else real(lam, i))
+    monkeypatch.setattr(diffop, "case", lambda lam, i: planted if (
+        lam, i) == ((2, 1), 5) else real(lam, i))
     assert (cli.main(["wronski", "--lambda", "2,1", "--case", "5"]),
             capsys.readouterr()) == failed
     assert run(["wronski", "--lambda", "2,1", "--case", "6"], capsys)[0] == 0
@@ -476,7 +479,7 @@ def test_polynomials_cross_the_codec_as_integer_rows(tmp_path, monkeypatch,
     count.clear()
     X = cli._load_polys("space", args[args.index("--space") + 1],
                         sgrass.PolySpace)
-    assert count["built"] == 0 and X == sgrass.kernel_space((3, 3), 6)
+    assert count["built"] == 0 and X == diffop.case((3, 3), 6).space
 
 
 def test_valid_files_of_a_space_that_is_not_self_dual_fail(tmp_path, capsys):

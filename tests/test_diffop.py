@@ -40,7 +40,7 @@ def test_trivial_factorization_is_d7():
 
 
 def test_apply_and_kernel_membership():
-    D = diffop.appendix_operator((0, 1), 1)
+    D = diffop.case((0, 1), 1).operator
     for p in diffop.kernel_for_case((0, 1), 1):
         assert oracles.apply(full(D), p).is_zero()
 
@@ -53,7 +53,7 @@ def _conjugate_matches_oracle(D, f):
 
 
 def test_conjugate_group_action():
-    D = diffop.appendix_operator((0, 1), 0)
+    D = diffop.case((0, 1), 0).operator
     x = Poly([0, 1])
     f = RatFunc(x)
     g = RatFunc(x - Poly([1]))
@@ -63,7 +63,7 @@ def test_conjugate_group_action():
 
 
 def test_conjugation_roundtrip():
-    D = diffop.appendix_operator((1, 1), 2)
+    D = diffop.case((1, 1), 2).operator
     f = RatFunc(Poly([0, 1]) ** 2 * Poly([1, 3])) / Poly([Fraction(2, 3), 1])
     E = _conjugate_matches_oracle(D, f)
     assert E != D
@@ -100,7 +100,8 @@ def test_common_denominator_product_matches_reference():
     for lam, i in cases:
         for conjugated in (False, True):
             want = _reference_operator(lam, i, conjugated)
-            got = diffop.appendix_operator(lam, i, conjugated=conjugated)
+            c = diffop.case(lam, i)
+            got = c.conjugated if conjugated else c.operator
             for k, (g, w) in enumerate(zip(got.coeffs, want)):
                 assert (g.num, g.den) == (w.num, w.den), (lam, i, conjugated, k)
 
@@ -232,14 +233,14 @@ def test_exponents_regular_point():
 
 def test_exponents_printed_example():
     # conjugated operator for lambda=(0,1), case 1: resulting weight (1,0)
-    D = diffop.appendix_operator((0, 1), 1, conjugated=True)
+    D = diffop.case((0, 1), 1).conjugated
     assert diffop.exponents_at(D, "inf").exponents == \
         (-8, -6, -5, -3, -1, 0, 2)
 
 
 def test_exponents_finite_formula():
     lam = (1, 1)
-    D = diffop.appendix_operator(lam, 3, conjugated=True)
+    D = diffop.case(lam, 3).conjugated
     a, b = lam
     want = tuple(sorted((-2 * a - b, -a - b + 1, -a + 2, 3,
                          a + 4, a + b + 5, 2 * a + b + 6)))
@@ -287,19 +288,14 @@ def test_case_matches_fresh_build():
         ref = _sequential_conjugated(y, T1, T2)
         assert (c.conjugated.Q, c.conjugated.P) == (ref.Q, ref.P)
         bound = diffop.default_degree_bound(lam, i)
-        assert c.kernel == tuple(diffop.polynomial_kernel(D, bound))
-        assert diffop.appendix_operator(lam, i) is c.operator
-        assert diffop.appendix_operator(lam, i, conjugated=True) is \
-            c.conjugated
-        assert diffop.kernel_for_case(lam, i) is c.kernel
+        assert c.space.flag_basis == tuple(diffop.polynomial_kernel(D, bound))
+        assert diffop.kernel_for_case(lam, i) is c.space.flag_basis
 
 
 def test_case_readers_accept_a_weight_list():
     """The public readers hash lam as a tuple, so a list still works."""
     lam, i = (1, 0), 2
     assert diffop.kernel_for_case([1, 0], i) is diffop.kernel_for_case(lam, i)
-    assert diffop.appendix_operator([1, 0], i) is \
-        diffop.appendix_operator(lam, i)
     assert diffop.h2_casimir_values([1, 0], i) == \
         diffop.h2_casimir_values(lam, i)
 
@@ -380,7 +376,7 @@ def test_laurent_coeff_matches_taylor_shift():
 
 
 def test_exponents_at_rational_points():
-    D = diffop.appendix_operator((1, 2), 5, conjugated=True)
+    D = diffop.case((1, 2), 5).conjugated
     for p in (Fraction(1, 2), Fraction(-7, 3)):
         assert diffop.exponents_at(D, p).exponents == tuple(range(7))
     with pytest.raises(ValueError, match="non-integer root"):
@@ -433,7 +429,8 @@ def test_exponents_parity_on_3_grid():
         for b in range(4):
             for i in bethe.admissible_ls((a, b)):
                 for conj in (False, True):
-                    D = diffop.appendix_operator((a, b), i, conjugated=conj)
+                    c = diffop.case((a, b), i)
+                    D = c.conjugated if conj else c.operator
                     for p in (Fraction(0), Fraction(1), "inf",
                               Fraction(1, 2), Fraction(-3, 2)):
                         h.update(repr(diffop.exponents_at(D, p).exponents)
@@ -511,7 +508,7 @@ def test_conjugated_operands_stay_small(monkeypatch):
                      for v in (a, b))
         return zmul_(a, b)
 
-    c = diffop.Case((3, 3), 6)
+    c = diffop.case.__wrapped__((3, 3), 6)
     monkeypatch.setattr(diffop, "zmul", record)
     D = c.conjugated
     monkeypatch.undo()
@@ -539,10 +536,70 @@ def test_kernel_is_the_nullspace_kernel_on_3_grid():
     the nullspace basis of the expanded D_y below the degree bound."""
     assert len(GRID3) == 84
     for lam, i in GRID3:
-        c = diffop.Case(lam, i)
+        c = diffop.case(lam, i)
         D = diffop.build_Dy(c.y, *_T_polys(c))
-        assert c.kernel == tuple(diffop.polynomial_kernel(
+        assert c.space.flag_basis == tuple(diffop.polynomial_kernel(
             D, diffop.default_degree_bound(lam, i))), (lam, i)
+
+
+def _chains(z):
+    """{(lam, word): (data, y)} for the reproduction chains from the trivial
+    pair at the points z, Lambda = (word . lam, omega2, ...), l = (0, 0),
+    for lam on the 3-grid and the alternating words of length 1-6: those
+    that end at Lambda_1 = lam with a non-constant pair.  A chain stops at
+    a step that is not generic, or where reproduce finds no fertility
+    witness (only at steps j with <Lambda_1 + rho, coroot_j> <= 0)."""
+    one, out = PolyPair(Poly([1]), Poly([1])), {}
+    for lam in ((a, b) for a in range(4) for b in range(4)):
+        for n in range(1, 7):
+            for first in (1, 2):
+                word = tuple((first, 3 - first)[k % 2] for k in range(n))
+                data = bethe.BetheData(
+                    (rd.shifted_action_word(word, lam),)
+                    + (rd.OMEGA2,) * (len(z) - 1), z, (0, 0))
+                y = one
+                for d in word:
+                    try:
+                        step = bethe.reproduce(y, d, data)
+                    except ValueError:
+                        break
+                    if step is None:
+                        break
+                    y, data = step
+                else:
+                    if data.Lambda[0] == lam and y.rows != one.rows:
+                        out[lam, word] = data, y
+    return out
+
+
+@pytest.mark.parametrize("z", [(0, 1, 2), (0, 1, Fraction(1, 3))])
+def test_three_point_cases_from_reproduced_chains(z):
+    """The Case of each reproduced pair at three points has a 7-dimensional
+    self-dual kernel, its flag as ssd witness and the exponents of Lambda
+    and of Case.mu: verify.kernel_failure runs on any Case."""
+    from g2gaudin import verify
+    chains = _chains(tuple(map(Fraction, z)))
+    assert len(chains) == 60
+    for key, (data, y) in chains.items():
+        c = diffop.Case(data, y)
+        assert c.mu == rd.sub(rd.add(data.Lambda[0], (0, 2)),
+                              rd.from_alpha(*data.l)), key
+        assert verify.kernel_failure(c) is None, key
+
+
+@pytest.mark.parametrize("j", [0, 1])
+def test_a_perturbed_three_point_pair_has_no_kernel(j):
+    """+1 on the constant coefficient of y1 or y2 of the deg-(4, 8) pair
+    reproduced at z = (0, 1, 2) along (2, 1, 2, 1, 2) from lam = (0, 2)
+    leaves a residue in the flag's integrals."""
+    from g2gaudin import verify
+    data, y = _chains(tuple(map(Fraction, (0, 1, 2))))[(0, 2),
+                                                       (2, 1, 2, 1, 2)]
+    assert (y.y1.degree, y.y2.degree) == (4, 8)
+    ys = [y.y1, y.y2]
+    ys[j] = ys[j] + Poly([1])
+    with pytest.raises(ValueError, match="the integrand has a residue"):
+        verify.kernel_failure(diffop.Case(data, PolyPair(*ys)))
 
 
 def _population(y, T1, T2):

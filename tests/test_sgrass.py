@@ -253,7 +253,7 @@ def test_the_case_owns_its_flag():
     c = diffop.case((2, 1), 5)
     assert c.flag is gamma
     T1, T2 = _monic(c.ramification.T[:2])
-    assert sg.flag_from_factorization(c.kernel, c.y, T1, T2) == gamma
+    assert sg.flag_from_factorization(c.space.flag_basis, c.y, T1, T2) == gamma
 
 
 def test_dual_involution_on_bethe_instance():
@@ -522,7 +522,7 @@ def test_cached_levels_match_fresh_recursions_on_5_grid():
     rng = random.Random(30)
     for lam, i in GRID5:
         c = diffop.case(lam, i)
-        X, R = sg.kernel_space(lam, i), c.ramification
+        X, R = c.space, c.ramification
         r = X.basis
         assert zwronski_minors(r, sg._levels(X)) == zwronski_minors(r)
         assert sg.wronskian_row(X) == zwronskians(r)[-1]

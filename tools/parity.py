@@ -95,7 +95,7 @@ def file_commands(lmax, tmp):
         c = diffop.case(lam, i)
         flag = [cli._poly_json(p) for p in c.flag]
         contents = {
-            "space": [cli._poly_json(p) for p in c.kernel],
+            "space": [cli._poly_json(p) for p in c.space.flag_basis],
             "ram": {"points": ["0", "1"],
                     "partitions": [rd.partition_from_weight(w, 0)
                                    for w in (lam, rd.OMEGA2)]},
