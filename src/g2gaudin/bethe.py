@@ -4,7 +4,7 @@ criterion, and the reproduction procedure."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
@@ -26,14 +26,40 @@ def l_of_alpha(w):
     return (a, b)
 
 
-@dataclass(frozen=True)
-class PolyPair:
-    y1: Poly
-    y2: Poly
+class _Frozen:
+    """An immutable value: its attributes are set once in __init__, by
+    object.__setattr__, and == and hash compare _key() (the class too).
+    A cached_property writes the instance __dict__ directly."""
 
-    def __post_init__(self):
-        if self.y1.is_zero() or self.y2.is_zero():
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class PolyPair(_Frozen):
+    """Two nonzero Polys (y1, y2)."""
+
+    def __init__(self, y1: Poly, y2: Poly):
+        if y1.is_zero() or y2.is_zero():
             raise ValueError("pair components must be nonzero")
+        object.__setattr__(self, "y1", y1)
+        object.__setattr__(self, "y2", y2)
+
+    def _key(self):
+        return (self.y1, self.y2)
+
+    def __repr__(self):
+        return f"PolyPair(y1={self.y1!r}, y2={self.y2!r})"
 
     def proportional(self, other) -> bool:
         """Projective equality, componentwise."""
@@ -45,18 +71,18 @@ class PolyPair:
         return tuple(zprimitive(zrow(p)) for p in (self.y1, self.y2))
 
 
-@dataclass(frozen=True)
-class BetheData:
-    Lambda: tuple  # sequence of weights
-    z: tuple       # evaluation points (rationals, at most one INF)
-    l: tuple       # (l1, l2)
+class BetheData(namedtuple("BetheData", "Lambda z l")):
+    """Lambda, a sequence of weights; z, the evaluation points (rationals,
+    at most one INF); l, the pair (l1, l2)."""
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, Lambda, z, l):
         # INF is one value, so distinct points hold at most one infinite one
-        if len(set(self.z)) != len(self.z):
+        if len(set(z)) != len(z):
             raise ValueError("evaluation points must be distinct")
-        if len(self.Lambda) != len(self.z):
+        if len(Lambda) != len(z):
             raise ValueError("weights and points must have equal length")
+        return super().__new__(cls, Lambda, z, l)
 
 
 def zlinear_power(pairs):
@@ -72,30 +98,25 @@ def zlinear_power(pairs):
     return out
 
 
-@dataclass(frozen=True)
-class RamificationData:
+class RamificationData(_Frozen):
     """Marked points z_s with partitions p of 7 parts each.  T_i, i = 1..7,
     is prod (s x - r)^(p_i - p_(i+1)) over the finite points z_s = r / s,
     with p_8 = 0, as a primitive integer list: the monic product of the
     (x - z_s)^(p_i - p_(i+1)) times its leading coefficient.  The points
     and partitions determine the T_i, so == compares only those."""
-    z: tuple
-    partitions: tuple
-    T: tuple = field(init=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "z", tuple(self.z))
-        object.__setattr__(self, "partitions",
-                           tuple(tuple(p) for p in self.partitions))
-        if len(set(self.z)) != len(self.z):  # as in BetheData
+    def __init__(self, z, partitions):
+        z = tuple(z)
+        partitions = tuple(tuple(p) for p in partitions)
+        if len(set(z)) != len(z):  # as in BetheData
             raise ValueError("evaluation points must be distinct")
-        if len(self.z) != len(self.partitions):
+        if len(z) != len(partitions):
             raise ValueError("points / partitions length mismatch")
-        for p in self.partitions:
+        for p in partitions:
             if len(p) != 7 or any(p[i] < p[i + 1] for i in range(6)):
                 raise ValueError(f"not a partition with 7 parts: {p}")
         steps = [(zs, [a - b for a, b in zip(p, p[1:] + (0,))])
-                 for zs, p in zip(self.z, self.partitions) if zs != INF]
+                 for zs, p in zip(z, partitions) if zs != INF]
         if any(e[-1] < 0 for _, e in steps):
             raise ValueError("negative power of a polynomial")
         # one product per distinct exponent vector: for G2 weights
@@ -103,7 +124,16 @@ class RamificationData:
         points = [zs for zs, _ in steps]
         exps = [tuple(e[i] for _, e in steps) for i in range(7)]
         powers = {k: zlinear_power(zip(points, k)) for k in set(exps)}
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "partitions", partitions)
         object.__setattr__(self, "T", tuple(powers[k] for k in exps))
+
+    def _key(self):
+        return (self.z, self.partitions)
+
+    def __repr__(self):
+        return (f"RamificationData(z={self.z!r}, "
+                f"partitions={self.partitions!r}, T={self.T!r})")
 
     @cached_property
     def divisors(self):
@@ -252,14 +282,26 @@ def closed_form_pair(lam, i) -> PolyPair:
     raise ValueError(f"case index {i} out of range")
 
 
+def _zhomeval(a, r, s):
+    """s^deg a(r/s) for an integer list a of degree deg: zero exactly when
+    s x - r divides a."""
+    v, sk = 0, 1
+    for c in reversed(a):
+        v, sk = v * r + c * sk, sk * s
+    return v
+
+
 def is_generic(y: PolyPair, Lambda, z) -> bool:
     """Genericity of a pair: squarefree components, roots avoiding the roots
-    and singularities of T_j, and no common roots.  All by primitive gcds
-    on Z[x]; a point p = r/s enters as s x - r."""
+    and singularities of T_j, and no common roots.  On Z[x]: squarefreeness
+    and common roots by primitive gcds, and y_j has no root at a finite
+    point p = r/s where <Lambda_s, coroot_j> != 0 when s^deg y_j(r/s) != 0."""
     for j, a in enumerate(y.rows):
-        sing = zlinear_power((p, 1) for lam, p in zip(Lambda, z)
-                             if p != INF and lam[j] != 0)
-        if len(zgcd(a, zderiv(a))) > 1 or len(zgcd(a, sing)) > 1:
+        if len(zgcd(a, zderiv(a))) > 1:
+            return False
+        if any(p != INF and lam[j] != 0
+               and not _zhomeval(a, p.numerator, p.denominator)
+               for lam, p in zip(Lambda, z)):
             return False
     return len(zgcd(*y.rows)) <= 1
 
@@ -372,7 +414,11 @@ def fertility_solve(Y, R, a):
 def reproduce(y: PolyPair, direction: int, data: BetheData):
     """One reproduction step.  Requires z1 = 0; the first weight may be
     non-dominant (it enters only through x-power bookkeeping).  Returns
-    (new pair, new data) or None if the new pair is not generic."""
+    (new pair, new data) or None if the new pair is not generic.  Where no
+    polynomial witness exists, a ValueError: at a = <Lambda_1 + rho,
+    coroot_j> <= 0 it names the direction and a, since there the step may
+    be undefined on a solution (the trivial pair at Lambda_1 = (1, -2),
+    direction 2); at a >= 1 the input does not represent a solution."""
     if data.z[0] != 0:
         raise ValueError("reproduction requires z1 = 0")
     j = direction
@@ -383,6 +429,10 @@ def reproduce(y: PolyPair, direction: int, data: BetheData):
     F = fertility_rhs(y, *zcalT(data.Lambda[1:], data.z[1:]))[j - 1]
     # Wr(y_j, x^a G) = c x^{lam1_j} F; the x-powers cancel exactly
     G, _ = fertility_solve(y.rows[j - 1], F, a) or ([], 1)
+    if not G and a <= 0:
+        raise ValueError(f"no reproduction step in direction {j}: a = "
+                         f"<Lambda_1 + rho, coroot_{j}> = {a} <= 0 and no "
+                         "fertility witness")
     if not G:
         raise ValueError("no fertility witness; input does not represent "
                          "a solution")

@@ -11,7 +11,6 @@ import functools
 import json
 import sys
 import types
-from fractions import Fraction
 
 
 def _parse_weight(s):
@@ -33,6 +32,7 @@ def _parse_point(s):
     """A rational, or "inf" for the point at infinity."""
     if s == "inf":
         return s
+    from fractions import Fraction
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError):
@@ -60,10 +60,13 @@ def _emit(obj) -> int:
 # load time (Poly appears only in annotations, which are strings here), nor
 # argparse with its gettext and locale: parse_args reads one command table,
 # build_parser(), and a one-shot process compiles only what its command
-# runs.  The commands that build D_y import sgrass (which imports diffop)
-# even where they use only diffop: a many-query process then compiles both
-# up front, not midway through a case sweep, where without a bytecode cache
-# it raised peak RSS by about 1 MB.
+# runs.  Of the standard library it loads json, the codec every command
+# prints with, and not fractions: a rational is built only where a --point
+# or a --ram file is read, so tensor, invdim and strata load none.  The
+# commands that build D_y import sgrass (which imports diffop) even where
+# they use only diffop: a many-query process then compiles both up front,
+# not midway through a case sweep, where without a bytecode cache it
+# raised peak RSS by about 1 MB.
 
 
 def _load(option, path, build):
@@ -96,6 +99,8 @@ def _load_polys(option, path, build=tuple):
 def _load_ram(path):
     """{"points": [...], "partitions": [...]}: sgrass.RamificationData,
     each point "inf" or a rational read by polycodec.rational."""
+    from fractions import Fraction
+
     from . import sgrass
     from .polycodec import rational
 

@@ -11,7 +11,6 @@ and eps_ij = `sqrt2_power(i, j)`.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import prod
 from types import MappingProxyType
@@ -81,6 +80,7 @@ def mat_eq(a, b):
 
 def trace_form(a, b):
     """The invariant form (x, y) = tr(xy)/6 on 7x7 matrices."""
+    from fractions import Fraction
     return Fraction(sum(a[i][j] * b[j][i] for i in range(N) for j in range(N)),
                     6)
 
@@ -172,6 +172,8 @@ def dual_basis_G():
     Cross-check for build_G: `verify.check_chevalley` compares its result
     with `build_G()` entry by entry on all 49 (i, j) and fails at the first
     entry that differs."""
+    from fractions import Fraction
+
     from .linalg import rref
     basis = g2_basis()
     gram = [[trace_form(x, y) for y in basis] for x in basis]
@@ -202,6 +204,7 @@ def casimir_on_pair():
     conjugated by D (x) D: one sixth of the sum of the Kronecker products
     G_ji (x) G_ij = 2^eps_ij Ĝ_ji (x) Ĝ_ij, accumulated over the nonzero
     entries of the two factors only."""
+    from fractions import Fraction
     G = build_G()
     omega = [[0] * 49 for _ in range(49)]
     for (i, j), gij in G.items():
@@ -213,18 +216,22 @@ def casimir_on_pair():
     return tuple(tuple(Fraction(v, 6) for v in row) for row in omega)
 
 
-def casimir_eigenvalue(mu) -> Fraction:
+def casimir_eigenvalue(mu) -> int:
     """c(mu) = (mu, mu + 2 rho) in the paper's normalization."""
     return rd.bilinear(mu, rd.add(mu, (2, 2)))
 
 
 def casimir_blocks():
-    """Mapping eigenvalue -> exact eigenspace dimension of the pair Casimir."""
+    """Mapping eigenvalue -> exact eigenspace dimension of the pair Casimir,
+    the eigenvalues as Fractions."""
+    from fractions import Fraction
+
     from .linalg import nullspace
     omega = [list(row) for row in casimir_on_pair()]
     out = {}
     for mu, mult in tensor_decompose(rd.OMEGA2, rd.OMEGA2).items():
-        ev = (casimir_eigenvalue(mu) - 2 * casimir_eigenvalue(rd.OMEGA2)) / 2
+        ev = Fraction(casimir_eigenvalue(mu)
+                      - 2 * casimir_eigenvalue(rd.OMEGA2), 2)
         shifted = [[omega[i][j] - (ev if i == j else 0) for j in range(49)]
                    for i in range(49)]
         out[ev] = len(nullspace(shifted))
@@ -255,7 +262,8 @@ def weyl_dim(lam) -> int:
 
 @lru_cache(maxsize=None)
 def _dominant_multiplicities(lam):
-    """Freudenthal recursion: multiplicities of the dominant weights of V_lam."""
+    """Freudenthal recursion: multiplicities of the dominant weights of V_lam,
+    in integers: each is an exact quotient of two integers."""
     l1, l2 = lam
     doms = []
     for a in range(2 * l1 + l2 + 1):
@@ -277,7 +285,7 @@ def _dominant_multiplicities(lam):
             mult[mu] = 1
             continue
         denom = clam - rd.bilinear(rd.add(mu, rd.RHO), rd.add(mu, rd.RHO))
-        total = Fraction(0)
+        total = 0
         for c1, c2 in rd.POSITIVE_ROOTS:
             beta = rd.from_alpha(c1, c2)
             j = 1
@@ -290,10 +298,10 @@ def _dominant_multiplicities(lam):
                 if m:
                     total += 2 * m * rd.bilinear(w, beta)
                 j += 1
-        m = total / denom
-        assert m.denominator == 1
+        m, rem = divmod(total, denom)
+        assert rem == 0
         if m:
-            mult[mu] = int(m)
+            mult[mu] = m
     return mult
 
 

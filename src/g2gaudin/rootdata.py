@@ -8,8 +8,6 @@ symmetrizer D = diag(3,1); alpha1 is the long root.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 CARTAN = ((2, -1), (-3, 2))
 
 # simple roots in fundamental-weight coordinates: alpha_j = (a_{1j}, a_{2j})
@@ -36,11 +34,12 @@ def from_alpha(a, b):
     return (2 * a - b, -3 * a + 2 * b)
 
 
-def bilinear(lam, mu) -> Fraction:
-    """The invariant form with (a1,a1)=6, (a1,a2)=-3, (a2,a2)=2."""
+def bilinear(lam, mu) -> int:
+    """The invariant form with (a1,a1)=6, (a1,a2)=-3, (a2,a2)=2: an integer
+    on weights, whose alpha-coordinates are integers."""
     a, b = to_alpha(lam)
     c, d = to_alpha(mu)
-    return Fraction(6 * a * c - 3 * (a * d + b * c) + 2 * b * d)
+    return 6 * a * c - 3 * (a * d + b * c) + 2 * b * d
 
 
 def is_dominant(w) -> bool:

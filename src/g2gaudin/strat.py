@@ -4,7 +4,7 @@ covering degrees, and Hasse diagrams."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import factorial
 
@@ -19,21 +19,20 @@ def _pair_key(pair):
     return (-rd.pair_size((l1, l2), k), l1, l2, k)
 
 
-@dataclass(frozen=True)
-class StratumLabel:
+class StratumLabel(namedtuple("StratumLabel", "pairs")):
     """Unordered multiset of nonzero (dominant weight, k) pairs, held in
     canonical order: size descending, then weight, then k."""
-    pairs: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        pairs = tuple(sorted((((p[0][0], p[0][1]), p[1]) for p in self.pairs),
+    def __new__(cls, pairs):
+        pairs = tuple(sorted((((p[0][0], p[0][1]), p[1]) for p in pairs),
                              key=_pair_key))
         for (lam, k) in pairs:
             if not rd.is_dominant(lam) or k < 0:
                 raise ValueError(f"bad pair ({lam}, {k})")
             if rd.pair_size(lam, k) == 0:
                 raise ValueError("zero pair in a stratum label")
-        object.__setattr__(self, "pairs", pairs)
+        return super().__new__(cls, pairs)
 
     @property
     def weights(self):
@@ -157,10 +156,8 @@ def simple_degenerations(A: StratumLabel):
                                       tuple(_pair_key(p) for p in L.pairs)))
 
 
-@dataclass(frozen=True)
-class HasseDiagram:
-    nodes: tuple
-    edges: tuple  # ordered (upper, lower) pairs
+# the nodes, and the edges as ordered (upper, lower) pairs
+HasseDiagram = namedtuple("HasseDiagram", "nodes edges")
 
 
 def hasse_diagram(d: int) -> HasseDiagram:

@@ -3,12 +3,14 @@ exposed both to the CLI (`g2 verify --suite NAME`) and to the test harness.
 This module loads repn and rootdata only, and each suite imports the
 further layers it uses, so a one-shot `g2 verify --suite NAME` loads only
 those: chevalley and casimir add linalg and exact, strata and covering add
-strat."""
+strat, bae-grid and reproduction add bethe and exact.  Fraction is imported
+where a suite builds one (check_casimir), so strata and covering load no
+fractions, and no suite but kernels, h2 and wronskian (diffop, sgrass)
+loads dataclasses."""
 
 from __future__ import annotations
 
 import os
-from fractions import Fraction
 from functools import wraps
 from itertools import permutations
 
@@ -94,6 +96,7 @@ def check_chevalley():
 
 def check_casimir():
     """49x49 pair Casimir: 4 eigenvalues, multiplicities (27, 14, 7, 1)."""
+    from fractions import Fraction
     blocks = repn.casimir_blocks()
     expected = {}
     for mu, m in repn.tensor_decompose(rd.OMEGA2, rd.OMEGA2).items():
@@ -133,15 +136,13 @@ def _reproduction_failure(lam, i):
     """The chain of case i, if it has one, lands on the closed form and
     data of (lam, i), and each direction is an involution on it; a failure
     message or None."""
-    from dataclasses import replace
-
     from . import bethe
     from .exact import Poly
     target = bethe.closed_form(lam, i)
     y0 = bethe.closed_form_pair(lam, i)
     if i in _CHAINS:
         theta = rd.shifted_action_word(_CHAINS[i], lam)
-        data = replace(target, Lambda=(theta,) + target.Lambda[1:], l=(0, 0))
+        data = bethe.BetheData((theta,) + target.Lambda[1:], target.z, (0, 0))
         y = bethe.PolyPair(Poly([1]), Poly([1]))
         for d in _CHAINS[i]:
             out = bethe.reproduce(y, d, data)

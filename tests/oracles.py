@@ -16,6 +16,11 @@ the one-pass `exact.zwr`.
 The codec's Fraction renderers of a Poly, for the integer-row renderers
 of `polycodec`.
 
+The Freudenthal recursion over Fractions, for the integer one of `repn`.
+
+Genericity of a Bethe pair by gcds over Q[x], for the integer gcds and
+the evaluation at the points of `bethe.is_generic`.
+
 The argparse parser of `g2`, for the table parser of `cli`."""
 
 import argparse
@@ -23,7 +28,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from g2gaudin import cli
-from g2gaudin.exact import Poly, RatFunc, zderiv, zmul, zsub
+from g2gaudin import rootdata as rd
+from g2gaudin.bethe import INF
+from g2gaudin.exact import Poly, RatFunc, poly_gcd, zderiv, zmul, zsub
 from g2gaudin.repn import (bracket, mat_add, mat_scale, mat_sub, mat_unit,
                           mat_zero)
 
@@ -189,6 +196,71 @@ def residue_at(f: RatFunc, z) -> Fraction:
                    -inv0 * sum((d0[j] * inv[k - j] for j in range(1, k + 1)),
                                Fraction(0)))
     return sum((num[j] * inv[m - 1 - j] for j in range(m)), Fraction(0))
+
+
+def freudenthal_multiplicities(lam):
+    """The multiplicities of the dominant weights of V_lam by Freudenthal's
+    recursion, with the invariant form and each quotient in Fractions."""
+    l1, l2 = lam
+    doms = []
+    for a in range(2 * l1 + l2 + 1):
+        for b in range((l2 + 3 * a) // 2 + 1):
+            mu = (l1 - 2 * a + b, l2 + 3 * a - 2 * b)
+            if rd.is_dominant(mu):
+                doms.append(((a + b), mu))
+    doms.sort()
+
+    def form(u, v):
+        return Fraction(rd.bilinear(u, v))
+
+    mult = {}
+    clam = form(rd.add(lam, rd.RHO), rd.add(lam, rd.RHO))
+    for _, mu in doms:
+        if mu == lam:
+            mult[mu] = 1
+            continue
+        denom = clam - form(rd.add(mu, rd.RHO), rd.add(mu, rd.RHO))
+        total = Fraction(0)
+        for c1, c2 in rd.POSITIVE_ROOTS:
+            beta = rd.from_alpha(c1, c2)
+            j = 1
+            while True:
+                w = rd.add(mu, (j * beta[0], j * beta[1]))
+                da, db = rd.to_alpha(rd.sub(lam, w))
+                if da < 0 or db < 0:
+                    break
+                m = mult.get(rd.dominant_chamber(w)[1], 0)
+                if m:
+                    total += 2 * m * form(w, beta)
+                j += 1
+        m = total / denom
+        assert m.denominator == 1
+        if m:
+            mult[mu] = int(m)
+    return mult
+
+
+def weight_multiplicities(lam):
+    """All weights of V_lam with multiplicities, from
+    freudenthal_multiplicities by W-orbits."""
+    return {w: m for mu, m in freudenthal_multiplicities(lam).items()
+            for w in rd.weyl_orbit(mu)}
+
+
+def is_generic_by_gcd(y, Lambda, z):
+    """bethe.is_generic over Q[x], each test a gcd: squarefree components,
+    no common root, and no root at a finite point p where
+    <Lambda_s, coroot_j> != 0, by the gcd with the product of the x - p."""
+    for j, yj in enumerate((y.y1, y.y2)):
+        if poly_gcd(yj, yj.derivative()).degree > 0:
+            return False
+        sing = Poly([Fraction(1)])
+        for lam, p in zip(Lambda, z):
+            if p != INF and lam[j] != 0:
+                sing = sing * Poly([-Fraction(p), Fraction(1)])
+        if poly_gcd(yj, sing).degree > 0:
+            return False
+    return poly_gcd(y.y1, y.y2).degree <= 0
 
 
 class QSqrt2:

@@ -9,9 +9,10 @@ import pytest
 from g2gaudin import bethe, diffop, repn, verify
 from g2gaudin import rootdata as rd
 from g2gaudin.bethe import INF, L_LIST, BetheData, PolyPair
-from g2gaudin.exact import (Poly, poly_gcd, wronskian, zadd, zmul, zpoly,
-                            zrow, zscale, zwr)
+from g2gaudin.exact import (Poly, wronskian, zadd, zmul, zpoly, zrow, zscale,
+                            zwr)
 from g2gaudin.linalg import solve
+from oracles import is_generic_by_gcd
 
 Z = (Fraction(0), Fraction(1))
 X = Poly([0, 1])
@@ -49,19 +50,6 @@ def _solve_cleared_ref(y, r, a):
         if dk >= 0 and g[dk]:
             g = g - ker * (g[dk] / ker.leading())
     return g
-
-
-def _is_generic_ref(y, Lambda, z):
-    for j, yj in enumerate((y.y1, y.y2)):
-        if poly_gcd(yj, yj.derivative()).degree > 0:
-            return False
-        sing = Poly([Fraction(1)])
-        for lam, p in zip(Lambda, z):
-            if p != INF and lam[j] != 0:
-                sing = sing * Poly([-Fraction(p), Fraction(1)])
-        if poly_gcd(yj, sing).degree > 0:
-            return False
-    return poly_gcd(y.y1, y.y2).degree <= 0
 
 
 def _affine_map_poly(p, c, s):
@@ -248,6 +236,73 @@ def test_reproduction_involution():
         assert back[1].l == data.l and back[1].Lambda == data.Lambda
 
 
+def test_reproduce_names_an_undefined_step():
+    """The trivial pair at Lambda_1 = (1, -2): a step in direction 1 (a = 2)
+    exists, and direction 2, at a = <Lambda_1 + rho, coroot_2> = -1, has
+    no witness and raises naming the direction and a.  The step back of a
+    reproduced pair, also at a <= 0, still exists."""
+    one = PolyPair(Poly([1]), Poly([1]))
+    data = BetheData(((1, -2), rd.OMEGA2), Z, (0, 0))
+    assert bethe.reproduce(one, 1, data) is not None
+    with pytest.raises(ValueError) as exc:
+        bethe.reproduce(one, 2, data)
+    assert str(exc.value) == ("no reproduction step in direction 2: a = "
+                              "<Lambda_1 + rho, coroot_2> = -1 <= 0 and no "
+                              "fertility witness")
+    y, out = bethe.reproduce(bethe.appendix_solution((1, 1), 2), 2,
+                             BetheData(((1, 1), rd.OMEGA2), Z, L_LIST[2]))
+    assert out.Lambda[0][1] + 1 == -2
+    assert bethe.reproduce(y, 2, out)[0].proportional(
+        bethe.appendix_solution((1, 1), 2))
+
+
+@pytest.mark.parametrize("j", [1, 2])
+def test_reproduce_rejects_a_pair_that_is_not_a_solution(j):
+    """+1 on y_j of the case (1, 1)/2, a step at a = 2 in direction j: no
+    witness, and the message says the input is not a solution."""
+    y = bethe.appendix_solution((1, 1), 2)
+    ys = [y.y1, y.y2]
+    ys[j - 1] = ys[j - 1] + Poly([1])
+    with pytest.raises(ValueError) as exc:
+        bethe.reproduce(PolyPair(*ys), j, bethe.closed_form((1, 1), 2))
+    assert str(exc.value) == ("no fertility witness; input does not "
+                              "represent a solution")
+
+
+def test_value_classes_are_immutable_and_compare_by_value():
+    """PolyPair, BetheData and RamificationData: fields fixed at
+    construction, == and hash by value and class, and RamificationData
+    compares its points and partitions (which determine its T's)."""
+    y = bethe.appendix_solution((1, 1), 2)
+    data = bethe.closed_form((1, 1), 2)
+    parts = (rd.partition_from_weight((1, 1), 0),
+             rd.partition_from_weight(rd.OMEGA2, 0))
+    R = bethe.RamificationData(list(Z), [list(p) for p in parts])
+    assert (R.z, R.partitions) == (Z, parts)
+    for a, b in ((y, PolyPair(Poly(y.y1.coeffs), Poly(y.y2.coeffs))),
+                 (data, BetheData(((1, 1), rd.OMEGA2), Z, L_LIST[2])),
+                 (R, bethe.RamificationData(Z, parts))):
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert len({a, b}) == 1
+        field = {PolyPair: "y1", BetheData: "z"}.get(type(a), "T")
+        with pytest.raises(AttributeError):
+            setattr(a, field, None)
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+    y.rows  # a cached attribute is still written once
+    assert y == PolyPair(y.y1, y.y2) and "rows" in vars(y)
+    assert y != PolyPair(y.y2, y.y1) and y != PolyPair(y.y1, y.y2 * 2)
+    assert y != (y.y1, y.y2) and R != (R.z, R.partitions)
+    assert data != BetheData(data.Lambda, data.z, (0, 0))
+    assert R != bethe.RamificationData(Z, parts[::-1])
+    with pytest.raises(ValueError, match="must be nonzero"):
+        PolyPair(Poly(), y.y2)
+    with pytest.raises(ValueError, match="must be distinct"):
+        BetheData(data.Lambda, (Z[0], Z[0]), data.l)
+    with pytest.raises(ValueError, match="equal length"):
+        BetheData(data.Lambda[:1], Z, data.l)
+
+
 def test_translate_pair():
     y = bethe.appendix_solution((1, 1), 1)
     moved = translate_pair(y, Fraction(2), Fraction(5))
@@ -363,7 +418,7 @@ NONGENERIC = [
 @pytest.mark.parametrize("y, z, generic", NONGENERIC)
 def test_genericity_and_solve_match_oracles(y, z, generic):
     Lam = [(1, 1), rd.OMEGA2]
-    assert bethe.is_generic(y, Lam, z) is _is_generic_ref(y, Lam, z) is generic
+    assert bethe.is_generic(y, Lam, z) is is_generic_by_gcd(y, Lam, z) is generic
     for Y, R, a in _fertility_inputs(y, Lam, z):
         assert _same(_solve(Y, R, a), _solve_ref(Y, R, a))
 
@@ -374,7 +429,7 @@ def test_translated_pairs_match_oracles():
         Lam = [(2, 1), rd.OMEGA2]
         moved = translate_pair(bethe.appendix_solution((2, 1), i), *z)
         assert bethe.is_generic(moved, Lam, z)
-        assert _is_generic_ref(moved, Lam, z)
+        assert is_generic_by_gcd(moved, Lam, z)
         assert bethe.bae_exact(moved, *bethe.zcalT(Lam, z))
         for Y, R, a in _fertility_inputs(moved, Lam, z):
             got = _solve(Y, R, a)

@@ -876,8 +876,10 @@ def _fresh_python(code, **env):
 
 
 # modules whose load the import tests watch besides g2gaudin's layers;
-# argparse, gettext and locale would be about a third of a cold start
-_WATCHED = ("numpy", "sympy", "dataclasses", "argparse", "gettext", "locale")
+# argparse, gettext and locale would be about a third of a cold start,
+# dataclasses (with inspect) about 10 ms and fractions about 3 ms of one
+_WATCHED = ("numpy", "sympy", "dataclasses", "inspect", "fractions", "json",
+            "argparse", "gettext", "locale")
 
 
 def _run_fresh(*argvs):
@@ -912,25 +914,28 @@ def _loaded_after(argv):
 def test_commands_import_only_their_layers():
     # exact and linalg load only where a command eliminates or builds a
     # Poly, and no command, help or usage error loads argparse, gettext or
-    # locale
-    assert _loaded_after(None) == {"cli"}
-    repn_only = {"cli", "repn", "rootdata"}
+    # locale.  cli loads json (its codec) and nothing else watched
+    assert _loaded_after(None) == {"cli", "json"}
+    # the weight layer is integer: no fractions, and no dataclasses (with
+    # inspect) in any layer a cold combinatorial query loads
+    repn_only = {"cli", "json", "repn", "rootdata"}
     assert _loaded_after(["tensor", "--left", "1,0", "--right", "0,1"]) == \
         repn_only
     assert _loaded_after(["invdim", "--weights", "0,1;0,1"]) == repn_only
-    strata = repn_only | {"strat", "dataclasses"}
+    strata = repn_only | {"strat"}
     assert _loaded_after(["strata", "--d", "12"]) == strata
     # the covering suite reads the admissible cases from repn: no bethe
     for suite in ("strata", "covering"):
         assert _loaded_after(["verify", "--suite", suite]) == \
             strata | {"verify"}
-    # and no dataclasses (with inspect, about 10 ms of import in a cold
-    # process): none of their layers defines a dataclass
+    # exact loads fractions: it builds Polys over Q
     for suite in ("chevalley", "casimir"):
         assert _loaded_after(["verify", "--suite", suite]) == \
-            repn_only | {"linalg", "exact", "verify"}
-    loaded = _loaded_after(["verify", "--suite", "bae-grid"])
-    assert "bethe" in loaded and "numpy" not in loaded
+            repn_only | {"linalg", "exact", "fractions", "verify"}
+    for suite in ("bae-grid", "reproduction"):
+        loaded = _loaded_after(["verify", "--suite", suite])
+        assert "bethe" in loaded, suite
+        assert not loaded & {"numpy", "dataclasses", "inspect"}, suite
     case = ["--lambda", "1,1", "--case", "2"]
     argvs = [["bae"] + case, ["bae-verify"] + case,
              ["reproduce", "--direction", "1"] + case,
@@ -1031,8 +1036,11 @@ def test_a_reproduction_error_is_a_named_fail_line(monkeypatch, capsys):
     monkeypatch.setenv("G2_LMAX", "1")
     monkeypatch.setattr(bethe, "fertility_solve", planted)
     rc, out = run(["verify", "--suite", "reproduction"], capsys)
-    assert (rc, out) == (1, "FAIL reproduction: no fertility witness; input "
-                            "does not represent a solution at (0, 0), "
+    # the planted solve fails on the step back from the trivial pair, in
+    # direction 2 at a = <Lambda_1 + rho, coroot_2> = -1
+    assert (rc, out) == (1, "FAIL reproduction: no reproduction step in "
+                            "direction 2: a = <Lambda_1 + rho, coroot_2> = "
+                            "-1 <= 0 and no fertility witness at (0, 0), "
                             "case 0\n")
     results = verify.run_suite("all")
     assert list(results) == list(verify.SUITES)

@@ -602,6 +602,34 @@ def test_a_perturbed_three_point_pair_has_no_kernel(j):
         verify.kernel_failure(diffop.Case(data, PolyPair(*ys)))
 
 
+def test_genericity_by_evaluation_matches_the_gcd_form():
+    """bethe.is_generic, which evaluates y_j at the points, decides as the
+    gcd form kept in oracles on the 210 closed forms of the 5-grid, on the
+    pairs reproduced at three points, and on those pairs with a root
+    planted at 0, at 1 and at 1/3, where it is a singular point of T_j or
+    not; the planted pairs give both verdicts."""
+    inputs = [(bethe.closed_form_pair(lam, i), bethe.closed_form(lam, i))
+              for lam, i in GRID5]
+    planted = []
+    for z in ((0, 1, 2), (0, 1, Fraction(1, 3))):
+        chains = _chains(tuple(map(Fraction, z)))
+        inputs += [(y, data) for data, y in chains.values()]
+        for data, y in chains.values():
+            for p in (Fraction(0), Fraction(1), Fraction(1, 3)):
+                root = Poly([-p, 1])
+                planted += [(PolyPair(y.y1 * root, y.y2), data),
+                            (PolyPair(y.y1, y.y2 * root), data)]
+    assert (len(inputs), len(planted)) == (210 + 2 * 60, 2 * 60 * 6)
+    for pairs in (inputs, planted):
+        verdicts = set()
+        for y, data in pairs:
+            got = bethe.is_generic(y, data.Lambda, data.z)
+            assert got is oracles.is_generic_by_gcd(y, data.Lambda, data.z), \
+                (y, data)
+            verdicts.add(got)
+        assert verdicts == ({True} if pairs is inputs else {True, False})
+
+
 def _population(y, T1, T2):
     """The integrated flag of (y, T1, T2) as Polys, over the pairwise coprime
     factors of T1, T2, y1 and y2."""

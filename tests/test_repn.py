@@ -9,6 +9,7 @@ from g2gaudin import repn
 from g2gaudin import rootdata as rd
 from g2gaudin import verify
 from g2gaudin.repn import bracket, mat_eq, mat_scale, mat_zero
+import oracles
 from oracles import D, SQRT2, conjugate_by_D, printed_chevalley, printed_G
 
 
@@ -157,7 +158,7 @@ def _weyl_dim_reference(lam):
     num = Fraction(1)
     for c1, c2 in rd.POSITIVE_ROOTS:
         beta = rd.from_alpha(c1, c2)
-        num *= rd.bilinear(lr, beta) / rd.bilinear(rd.RHO, beta)
+        num *= Fraction(rd.bilinear(lr, beta), rd.bilinear(rd.RHO, beta))
     return num
 
 
@@ -189,14 +190,15 @@ def _weyl_group_matrices():
     return sorted(group)
 
 
-def _brauer_klimyk_reference(lam, mu):
+def _brauer_klimyk_reference(lam, mu, mults=None):
     """V_lam (x) V_mu from the weights of V_lam shifted by mu + rho: the
     other factor than repn uses, with the Weyl element found by search over
-    the whole group, built here from the reflection matrices."""
+    the whole group, built here from the reflection matrices.  The weights
+    are mults if given, else repn's."""
     group = [(g, g[0][0] * g[1][1] - g[0][1] * g[1][0])
              for g in _weyl_group_matrices()]
     out = {}
-    for nu, m in repn.weight_multiplicities(lam).items():
+    for nu, m in (mults or repn.weight_multiplicities(lam)).items():
         xi = rd.add(rd.add(mu, nu), rd.RHO)
         for g, det in group:
             dom = (g[0][0] * xi[0] + g[0][1] * xi[1],
@@ -206,6 +208,33 @@ def _brauer_klimyk_reference(lam, mu):
                 out[target] = out.get(target, 0) + det * m
                 break
     return {k: v for k, v in out.items() if v}
+
+
+GRID7 = [(a, b) for a in range(8) for b in range(8)]
+
+
+def test_integer_freudenthal_matches_the_fraction_recursion_on_7_grid():
+    """The integer recursion of repn gives the multiplicities, and hence
+    the decompositions (in either order of the factors), of the Fraction
+    recursion kept in oracles, on the 7-grid; its multiplicities are
+    ints."""
+    oracle_mults = {lam: oracles.weight_multiplicities(lam) for lam in GRID7}
+    for lam in GRID7:
+        got = repn.weight_multiplicities(lam)
+        assert got == oracle_mults[lam], lam
+        assert all(type(m) is int for m in got.values())
+    for lam in GRID7:
+        for mu in GRID7:
+            if lam <= mu:  # the product is symmetric: one reference each
+                want = _brauer_klimyk_reference(lam, mu, oracle_mults[lam])
+                assert repn.tensor_decompose(lam, mu) == want, (lam, mu)
+                assert repn.tensor_decompose(mu, lam) == want, (mu, lam)
+
+
+def test_weight_layer_is_integer():
+    for lam in GRID7:
+        assert type(repn.casimir_eigenvalue(lam)) is int
+        assert type(rd.bilinear(lam, rd.RHO)) is int
 
 
 def test_tensor_decompose_matches_uncached_reference():

@@ -22,6 +22,20 @@ def test_label_rejects_zero_pair():
         S((((0, 0), 0),))
 
 
+def test_label_and_diagram_are_immutable_values():
+    a = S((((0, 1), 0), ((1, 0), 1)))
+    b = S([[[1, 0], 1], [[0, 1], 0]])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != S((((0, 1), 0),))
+    with pytest.raises(AttributeError):
+        a.pairs = ()
+    H = strat.hasse_diagram(9)
+    assert H == strat.hasse_diagram(9) and hash(H) == hash(
+        strat.hasse_diagram(9))
+    with pytest.raises(AttributeError):
+        H.nodes = ()
+
+
 def test_enumerate_counts():
     assert len(strat.enumerate_nontrivial(7)) == 1
     assert strat.enumerate_nontrivial(7)[0].pairs == ()

@@ -50,6 +50,22 @@ z = (0, 1) and with the kernel, the flag and the points moved to z = (3,
 run is a fresh process that builds the inputs untimed, then times them;
 the two sides alternate as in `suites`, PROBE_RUNS runs a side.
 
+    python3 tools/bench_suites.py cold OUT.json --parent DIR
+
+times one-shot `python -m g2gaudin.cli` processes, one per query kind of
+the benchmark's cold-cli workload (the first query of each of its ten
+kinds, from perfbench/workloads.py at seed COLD_SEED), COLD_RUNS runs a
+side.  Each run is timed raw, as the wall time of the child, with no
+process-kernel scaling, and its output is checked against the query's
+expectation.  The two sides alternate on every run of each kind, the
+parent first in even runs, as in `suites`.  One more fresh process per
+kind and side runs the query through cli.main and records the g2gaudin
+layers and the COLD_WATCHED standard-library modules it loaded.  The
+record holds both sides' times, their medians and quartiles, the median
+gap, change minus parent, and the quartiles of the paired gaps, the
+change's run minus the parent's run beside it, which a slow phase of a
+shared machine shifts on both sides.
+
     python3 tools/bench_suites.py parity OUT.json
 
 runs tools/parity.py in a fresh process on the 1-, 3- and 5-grids and
@@ -68,6 +84,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SUITES = ("kernels", "h2", "wronskian", "bae-grid", "reproduction")
@@ -84,6 +101,14 @@ SUITE_RUNS = 4
 PROBE_RUNS = 4
 PROBE_SHIFTS = (0, 3)
 PAIRS = 10
+COLD_RUNS = 30
+COLD_SEED = 7000
+# standard-library modules whose load `cold` records beside the layers:
+# dataclasses pulls in inspect, ast, dis and tokenize; fractions pulls in
+# decimal and numbers
+COLD_WATCHED = ("dataclasses", "inspect", "ast", "dis", "tokenize",
+                "fractions", "decimal", "numbers", "json", "argparse",
+                "gettext", "locale", "numpy", "sympy")
 
 # the suites import their layers when they run; sgrass loads every layer
 # they use (and dataclasses), so the time is the suite call alone
@@ -230,6 +255,76 @@ def probe(sides):
     return out
 
 
+# argv[1] = the query's argv and argv[2] = the watched modules, as JSON;
+# the g2gaudin and watched modules loaded after the query
+LOADED_SNIPPET = """\
+import contextlib, io, json, sys
+import g2gaudin.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    g2gaudin.cli.main(json.loads(sys.argv[1]))
+watched = set(json.loads(sys.argv[2]))
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.startswith("g2gaudin.") or m in watched)))
+"""
+
+
+def cold_env(checkout):
+    """The environment of a benchmark child: the checkout's source, no
+    bytecode written, fixed hashing, the verify grids at their defaults."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"),
+               PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED="0")
+    env.pop("G2_LMAX", None)
+    return env
+
+
+def cold_queries():
+    """perfbench's workloads module and the first cold-cli query of each
+    kind; its import writes no bytecode into perfbench/."""
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import workloads
+    return workloads, workloads.one_of_each(workloads.cold_cli(COLD_SEED))
+
+
+def cold(sides):
+    """The raw wall times and loaded modules of one-shot queries of each
+    side, a dict from "parent" and "change" to a checkout."""
+    workloads, queries = cold_queries()
+    out = []
+    for q in queries:
+        times = {side: [] for side in sides}
+        for k in range(COLD_RUNS):
+            for side in sorted(sides, reverse=k % 2 == 0):
+                t = time.perf_counter()
+                proc = subprocess.run(
+                    [sys.executable, "-m", "g2gaudin.cli"] + q["argv"],
+                    cwd=sides[side], env=cold_env(sides[side]),
+                    capture_output=True, text=True)
+                times[side].append(round(time.perf_counter() - t, 4))
+                problem = workloads.check(q["expect"], proc.returncode,
+                                          proc.stdout)
+                if problem:
+                    raise SystemExit(f"{sides[side]}: {q['cmd']}: {problem}")
+        loaded = {}
+        for side, path in sides.items():
+            proc = subprocess.run(
+                [sys.executable, "-c", LOADED_SNIPPET, json.dumps(q["argv"]),
+                 json.dumps(COLD_WATCHED)], cwd=path, env=cold_env(path),
+                capture_output=True, text=True, check=True)
+            loaded[side] = json.loads(proc.stdout.splitlines()[-1])
+        stats = {side: quartiles(t) for side, t in times.items()}
+        gap = stats["change"]["median"] - stats["parent"]["median"]
+        paired = quartiles([c - p for p, c in zip(times["parent"],
+                                                  times["change"])])
+        out.append({"cmd": q["cmd"], "argv": q["argv"], "seconds": times,
+                    "quartiles": stats, "median_gap_s": gap,
+                    "paired_gap_s": paired, "loaded": loaded})
+        print(f"{q['cmd']}: {stats['parent']['median']:.4f} -> "
+              f"{stats['change']['median']:.4f} s ({gap * 1e3:+.1f} ms; "
+              f"paired {paired['median'] * 1e3:+.1f} ms)", file=sys.stderr)
+    return out
+
+
 def parity():
     out = []
     for grid in PARITY_GRIDS:
@@ -328,6 +423,9 @@ def main(argv=None):
     p = sub.add_parser("probe")
     p.add_argument("out")
     p.add_argument("--parent", required=True)
+    p = sub.add_parser("cold")
+    p.add_argument("out")
+    p.add_argument("--parent", required=True)
     p = sub.add_parser("pairs")
     p.add_argument("out")
     p.add_argument("--parent", required=True)
@@ -353,6 +451,10 @@ def main(argv=None):
             if args.command == "suites":
                 record["suites"] = {"machine": machine(),
                                     "times": suites(sides)}
+            elif args.command == "cold":
+                record["cold"] = {"machine": machine(),
+                                  "runs_per_side": COLD_RUNS,
+                                  "seed": COLD_SEED, "times": cold(sides)}
             elif args.command == "probe":
                 record["probe"] = {"machine": machine(),
                                    "runs_per_side": PROBE_RUNS,
