@@ -9,8 +9,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import rootdata as rd
-from .exact import (Poly, zderiv, zgcd, zmul, zpoly, zprem, zprimitive, zrow,
-                    zscale, zsolve1, zsub, zwr)
+from .exact import (zclear, zderiv, zgcd, zhomeval, zmul, zpoly, zprem,
+                    zprimitive, zrow, zscale, zsolve1, zsub, zwr)
 from .repn import L_LIST, admissible_ls
 
 # the point at infinity, spelled as in the JSON formats
@@ -47,28 +47,23 @@ class _Frozen:
 
 
 class PolyPair(_Frozen):
-    """Two nonzero Polys (y1, y2)."""
+    """A pair (y1, y2) of nonzero polynomials up to a nonzero factor each,
+    held as primitive integer lists with positive leading coefficient: only
+    their lines matter.  Each is given as a Poly or an integer list (zrow),
+    so == and the hash are projective equality, componentwise."""
 
-    def __init__(self, y1: Poly, y2: Poly):
-        if y1.is_zero() or y2.is_zero():
+    def __init__(self, y1, y2):
+        y1, y2 = (zprimitive(zrow(p)) for p in (y1, y2))
+        if not (y1 and y2):
             raise ValueError("pair components must be nonzero")
         object.__setattr__(self, "y1", y1)
         object.__setattr__(self, "y2", y2)
 
     def _key(self):
-        return (self.y1, self.y2)
+        return (tuple(self.y1), tuple(self.y2))
 
     def __repr__(self):
         return f"PolyPair(y1={self.y1!r}, y2={self.y2!r})"
-
-    def proportional(self, other) -> bool:
-        """Projective equality, componentwise."""
-        return self.rows == other.rows
-
-    @cached_property
-    def rows(self):
-        """(y1, y2) as primitive integer lists, cleared once."""
-        return tuple(zprimitive(zrow(p)) for p in (self.y1, self.y2))
 
 
 class BetheData(namedtuple("BetheData", "Lambda z l")):
@@ -170,6 +165,12 @@ def _f(expr_num, expr_den):
     return Fraction(expr_num, expr_den)
 
 
+def _monic(*cs):
+    """The integer row of the monic polynomial with the lower coefficients
+    cs, lowest degree first: one zclear."""
+    return zclear(cs + (1,))[0]
+
+
 def closed_form(lam, i) -> BetheData:
     """The Bethe data of the closed-form case (lam, i): Lambda = (lam, omega2)
     at z = (0, 1) with the l-pair L_LIST[i]; errors unless case i is
@@ -190,26 +191,25 @@ def closed_form_pair(lam, i) -> PolyPair:
     """The closed-form solution pair of the case (lam, i), with no
     admissibility check: for callers that already hold closed_form(lam, i)."""
     a, b = lam  # lambda_1, lambda_2
-    one = Poly([Fraction(1)])
     if i == 0:
-        return PolyPair(one, one)
+        return PolyPair([1], [1])
     if i == 1:
-        return PolyPair(one, Poly([-_f(b, b + 1), 1]))
+        return PolyPair([1], _monic(-_f(b, b + 1)))
     if i == 2:
-        y1 = Poly([-_f(a * (3 * a + b + 3), (a + 1) * (3 * a + b + 4)), 1])
-        y2 = Poly([-_f(3 * a + b + 3, 3 * a + b + 4), 1])
+        y1 = _monic(-_f(a * (3 * a + b + 3), (a + 1) * (3 * a + b + 4)))
+        y2 = _monic(-_f(3 * a + b + 3, 3 * a + b + 4))
         return PolyPair(y1, y2)
     if i == 3:
-        y1 = Poly([-_f((3 * a + b + 3) * (3 * a + 2 * b + 4),
-                       (3 * a + b + 5) * (3 * a + 2 * b + 6)), 1])
+        y1 = _monic(-_f((3 * a + b + 3) * (3 * a + 2 * b + 4),
+                        (3 * a + b + 5) * (3 * a + 2 * b + 6)))
         c1 = -_f(2 * (3 * a + 2 * b + 4) * (3 * a + 5 * b + 3 * a * b + b * b + 6),
                  (b + 2) * (3 * a + b + 5) * (3 * a + 2 * b + 6))
         c0 = _f(b * (3 * a + b + 3) * (3 * a + 2 * b + 4) ** 2,
                 (b + 2) * (3 * a + b + 5) * (3 * a + 2 * b + 6) ** 2)
-        return PolyPair(y1, Poly([c0, c1, 1]))
+        return PolyPair(y1, _monic(c0, c1))
     if i == 4:
-        y1 = Poly([-_f((a + b + 1) * (3 * a + 2 * b + 4),
-                       (a + b + 2) * (3 * a + 2 * b + 5)), 1])
+        y1 = _monic(-_f((a + b + 1) * (3 * a + 2 * b + 4),
+                        (a + b + 2) * (3 * a + 2 * b + 5)))
         c2 = -_f(3 * (a + b + 1) * (3 * a * b + 2 * b * b - 2 * a + 3 * b - 2),
                  b * (a + b + 2) * (3 * a + 2 * b + 5))
         c1 = _f(3 * (b - 1) * (a + b + 1) ** 2 * (3 * a + 2 * b + 4)
@@ -217,7 +217,7 @@ def closed_form_pair(lam, i) -> PolyPair:
                 b * (b + 1) * (a + b + 2) ** 2 * (3 * a + 2 * b + 5) ** 2)
         c0 = -_f((b - 1) * (a + b + 1) ** 3 * (3 * a + 2 * b + 4) ** 2,
                  (b + 1) * (a + b + 2) ** 3 * (3 * a + 2 * b + 5) ** 2)
-        return PolyPair(y1, Poly([c0, c1, c2, 1]))
+        return PolyPair(y1, _monic(c0, c1, c2))
     if i == 5:
         d1 = -_f(2 * (2 * a + b + 2) * (3 * a + b + 2)
                  * (3 * a * a + 2 * a * b + 6 * a + b + 3),
@@ -225,7 +225,7 @@ def closed_form_pair(lam, i) -> PolyPair:
         d0 = _f(a * (2 * a + b + 2) ** 2 * (3 * a + b + 2) * (3 * a + 2 * b + 4),
                 (a + 1) * (2 * a + b + 3) ** 2 * (3 * a + b + 4)
                 * (3 * a + 2 * b + 5))
-        y1 = Poly([d0, d1, 1])
+        y1 = _monic(d0, d1)
         c2 = -_f(3 * (2 * a + b + 2)
                  * (9 * a * a + 9 * a * b + 2 * b * b + 20 * a + 9 * b + 11),
                  (2 * a + b + 3) * (3 * a + b + 3) * (3 * a + 2 * b + 5))
@@ -235,7 +235,7 @@ def closed_form_pair(lam, i) -> PolyPair:
                 * (3 * a + 2 * b + 5) ** 2)
         c0 = -_f((2 * a + b + 2) ** 3 * (3 * a + b + 2) * (3 * a + 2 * b + 4) ** 2,
                  (2 * a + b + 3) ** 3 * (3 * a + b + 4) * (3 * a + 2 * b + 5) ** 2)
-        return PolyPair(y1, Poly([c0, c1, c2, 1]))
+        return PolyPair(y1, _monic(c0, c1, c2))
     if i == 6:
         d1 = -_f(2 * (2 * a + b + 2) * (3 * a + 2 * b + 3)
                  * (3 * a * a + 4 * a * b + b * b + 8 * a + 5 * b + 6),
@@ -245,7 +245,7 @@ def closed_form_pair(lam, i) -> PolyPair:
                 * (3 * a + 2 * b + 3),
                 (a + b + 2) * (2 * a + b + 3) ** 2 * (3 * a + b + 4)
                 * (3 * a + 2 * b + 5))
-        y1 = Poly([d0, d1, 1])
+        y1 = _monic(d0, d1)
         A = (9 * a ** 4 * (4 * b + 3)
              + 3 * a ** 3 * (30 * b * b + 78 * b + 47)
              + a * a * (80 * b ** 3 + 372 * b * b + 562 * b + 270)
@@ -278,17 +278,8 @@ def closed_form_pair(lam, i) -> PolyPair:
                 * (3 * a + 2 * b + 3) ** 2,
                 (b + 1) * (a + b + 2) ** 3 * (2 * a + b + 3) ** 3
                 * (3 * a + b + 4) * (3 * a + 2 * b + 5) ** 2)
-        return PolyPair(y1, Poly([c0, c1, c2, c3, 1]))
+        return PolyPair(y1, _monic(c0, c1, c2, c3))
     raise ValueError(f"case index {i} out of range")
-
-
-def _zhomeval(a, r, s):
-    """s^deg a(r/s) for an integer list a of degree deg: zero exactly when
-    s x - r divides a."""
-    v, sk = 0, 1
-    for c in reversed(a):
-        v, sk = v * r + c * sk, sk * s
-    return v
 
 
 def is_generic(y: PolyPair, Lambda, z) -> bool:
@@ -296,21 +287,21 @@ def is_generic(y: PolyPair, Lambda, z) -> bool:
     and singularities of T_j, and no common roots.  On Z[x]: squarefreeness
     and common roots by primitive gcds, and y_j has no root at a finite
     point p = r/s where <Lambda_s, coroot_j> != 0 when s^deg y_j(r/s) != 0."""
-    for j, a in enumerate(y.rows):
+    for j, a in enumerate((y.y1, y.y2)):
         if len(zgcd(a, zderiv(a))) > 1:
             return False
         if any(p != INF and lam[j] != 0
-               and not _zhomeval(a, p.numerator, p.denominator)
+               and not zhomeval(a, p.numerator, p.denominator)
                for lam, p in zip(Lambda, z)):
             return False
-    return len(zgcd(*y.rows)) <= 1
+    return len(zgcd(y.y1, y.y2)) <= 1
 
 
 def fertility_rhs(y: PolyPair, t1, t2):
     """(F_1, F_2) = (T_1 y_2, T_2 y_1^3), the right-hand sides of the two
     fertility equations Wr(y_j, x^{a_j} g_j) = F_j, on Z[x] for the rows of
     y and T_j from zcalT: multiples, which do not change whether g_j exists."""
-    y1, y2 = y.rows
+    y1, y2 = y.y1, y.y2
     return zmul(t1, y2), zmul(t2, zmul(y1, zmul(y1, y1)))
 
 
@@ -326,7 +317,7 @@ def bae_exact(y: PolyPair, t1, t2) -> bool:
     g_j with Wr(y_j, x^{a_j} g_j) = F_j exists exactly when F_j / y_j^2 has
     no residue at the simple roots of y_j, which is this divisibility.  The
     fertility solve is then a cross-check, and it builds the witness."""
-    for a, F in zip(y.rows, fertility_rhs(y, t1, t2)):
+    for a, F in zip((y.y1, y.y2), fertility_rhs(y, t1, t2)):
         if zprem(zwr(zderiv(a), F), a):
             return False
     return True
@@ -349,7 +340,7 @@ def certify(y: PolyPair, data: BetheData) -> dict:
     return {"generic": is_generic(y, data.Lambda, data.z),
             "exact": bae_exact(y, *T),
             "fertile": all(fertile(Y, F, lam_j + 1) for Y, F, lam_j
-                           in zip(y.rows, fertility_rhs(y, *T),
+                           in zip((y.y1, y.y2), fertility_rhs(y, *T),
                                   data.Lambda[0]))}
 
 
@@ -358,12 +349,8 @@ def bae_residual(y: PolyPair, Lambda, z) -> float:
     numerically extracted roots of y1, y2."""
     import numpy as np  # only this numeric check needs numpy
 
-    roots = []
-    for yj in (y.y1, y.y2):
-        cs = [float(c) for c in yj.monic().coeffs]
-        roots.append(np.roots(list(reversed(cs))) if yj.degree > 0
-                     else np.array([]))
-    t1, t2 = roots
+    t1, t2 = (np.roots([float(c) for c in reversed(yj)])
+              for yj in (y.y1, y.y2))
     allr = list(t1) + list(t2)
     for ii in range(len(allr)):
         for jj in range(ii + 1, len(allr)):
@@ -425,10 +412,11 @@ def reproduce(y: PolyPair, direction: int, data: BetheData):
     lam1 = data.Lambda[0]
     a = lam1[j - 1] + 1  # <lambda^(1) + rho, coroot_j>
     # F_j for the points after z1 (zcalT rejects a negative exponent at
-    # one), a multiple of the right-hand side: g is made monic below
+    # one), a multiple of the right-hand side: it scales G, and the new
+    # pair keeps only G's line
     F = fertility_rhs(y, *zcalT(data.Lambda[1:], data.z[1:]))[j - 1]
     # Wr(y_j, x^a G) = c x^{lam1_j} F; the x-powers cancel exactly
-    G, _ = fertility_solve(y.rows[j - 1], F, a) or ([], 1)
+    G, _ = fertility_solve((y.y1, y.y2)[j - 1], F, a) or ([], 1)
     if not G and a <= 0:
         raise ValueError(f"no reproduction step in direction {j}: a = "
                          f"<Lambda_1 + rho, coroot_{j}> = {a} <= 0 and no "
@@ -436,8 +424,7 @@ def reproduce(y: PolyPair, direction: int, data: BetheData):
     if not G:
         raise ValueError("no fertility witness; input does not represent "
                          "a solution")
-    g = zpoly(G, G[-1])
-    new_pair = PolyPair(g, y.y2) if j == 1 else PolyPair(y.y1, g)
+    new_pair = PolyPair(G, y.y2) if j == 1 else PolyPair(y.y1, G)
     new_lam1 = rd.shifted_action_word((j,), lam1)
     rest = (0, 0)
     for lam in data.Lambda[1:]:

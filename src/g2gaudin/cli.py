@@ -40,32 +40,20 @@ def _parse_point(s):
             f"point must be a rational or 'inf', got {s!r}") from None
 
 
-def _poly_json(p: Poly):
-    from .exact import zclear
-    from .polycodec import row_json
-    return row_json(*zclear(p.coeffs))
-
-
-def _poly_str(p: Poly) -> str:
-    from .polycodec import text
-    return text(_poly_json(p))
-
-
 def _emit(obj) -> int:
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
     return 0
 
 
 # Each command imports the layers it uses, and this module imports none at
-# load time (Poly appears only in annotations, which are strings here), nor
-# argparse with its gettext and locale: parse_args reads one command table,
-# build_parser(), and a one-shot process compiles only what its command
-# runs.  Of the standard library it loads json, the codec every command
-# prints with, and not fractions: a rational is built only where a --point
-# or a --ram file is read, so tensor, invdim and strata load none.  The
-# commands that build D_y import sgrass (which imports diffop) even where
-# they use only diffop: a many-query process then compiles both up front,
-# not midway through a case sweep, where without a bytecode cache it
+# load time, nor argparse with its gettext and locale: parse_args reads one
+# command table, build_parser(), and a one-shot process compiles only what
+# its command runs.  Of the standard library it loads json, the codec every
+# command prints with, and not fractions: a rational is built only where a
+# --point or a --ram file is read, so tensor, invdim and strata load none.
+# The commands that build D_y import sgrass (which imports diffop) even
+# where they use only diffop: a many-query process then compiles both up
+# front, not midway through a case sweep, where without a bytecode cache it
 # raised peak RSS by about 1 MB.
 
 
@@ -143,10 +131,11 @@ def cmd_invdim(args):
 
 def cmd_bae(args):
     from . import bethe
+    from .polycodec import row_json, text
     y = bethe.appendix_solution(args.lam, args.case)
+    y1, y2 = (row_json(r, r[-1]) for r in (y.y1, y.y2))
     return _emit({"lambda": list(args.lam), "case": args.case,
-                  "y1": _poly_json(y.y1), "y2": _poly_json(y.y2),
-                  "y1_str": _poly_str(y.y1), "y2_str": _poly_str(y.y2)})
+                  "y1": y1, "y2": y2, "y1_str": text(y1), "y2_str": text(y2)})
 
 
 def cmd_bae_verify(args):
@@ -161,6 +150,7 @@ def cmd_bae_verify(args):
 
 def cmd_reproduce(args):
     from . import bethe
+    from .polycodec import row_json
     data = bethe.closed_form(args.lam, args.case)
     out = bethe.reproduce(bethe.closed_form_pair(args.lam, args.case),
                           args.direction, data)
@@ -168,7 +158,8 @@ def cmd_reproduce(args):
         _emit({"result": "absent"})
         return 1
     ynew, dnew = out
-    return _emit({"y1": _poly_json(ynew.y1), "y2": _poly_json(ynew.y2),
+    return _emit({"y1": row_json(ynew.y1, ynew.y1[-1]),
+                  "y2": row_json(ynew.y2, ynew.y2[-1]),
                   "lambda_1": list(dnew.Lambda[0]), "l": list(dnew.l)})
 
 

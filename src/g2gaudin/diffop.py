@@ -14,7 +14,7 @@ from math import lcm
 from . import bethe
 from . import repn
 from . import rootdata as rd
-from .exact import (Poly, RatFunc, zadd, zderiv, zechelon, zgcd,
+from .exact import (Poly, RatFunc, zadd, zderiv, zechelon, zgcd, zhomeval,
                     zlcm, zmul, zpoly, zprimitive, zquo, zratfunc, zreduce,
                     zrow, zscale, zsolve1, zsub)
 from .linalg import nullspace
@@ -25,8 +25,8 @@ class DiffOp:
     """The monic operator d^n + sum_(k<n) P[k] / Q^(n-k) d^k over Z[x]: Q
     squarefree and primitive, P[k] integer lists.  The d^k coefficient has
     a pole of order at most n - k at each root of Q and none elsewhere, so
-    the operator is Fuchsian at every finite point.  == compares the
-    operators, not their representations."""
+    the operator is Fuchsian at every finite point.  == compares
+    lowest_terms, which are canonical: the operators, not their (Q, P)."""
     Q: list
     P: tuple
 
@@ -37,8 +37,9 @@ class DiffOp:
     @cached_property
     def lowest_terms(self):
         """The coefficients of d^(n-1) .. d^0 as (num, den) integer lists in
-        lowest terms, den with positive leading coefficient: the one path
-        from (Q, P) to lowest terms, which g2 diffop prints."""
+        lowest terms, den primitive with positive leading coefficient (a
+        product of factors of Q), so equal coefficients give equal pairs:
+        the one path from (Q, P) to lowest terms, which g2 diffop prints."""
         n = self.order
         return tuple(_reduce_over_power(self.P[k], self.Q, n - k)
                      for k in range(n - 1, -1, -1))
@@ -50,7 +51,8 @@ class DiffOp:
         return tuple(zratfunc(*c) for c in self.lowest_terms)
 
     def __eq__(self, other):
-        return isinstance(other, DiffOp) and self.coeffs == other.coeffs
+        return (isinstance(other, DiffOp)
+                and self.lowest_terms == other.lowest_terms)
 
 
 # exponents of the seven factor functions g_k over (T1, T2, y1, y2),
@@ -291,11 +293,11 @@ def from_log_factors(gs) -> DiffOp:
 
 def dy_factor_functions(y: bethe.PolyPair, T1: Poly, T2: Poly):
     """The seven functions g_k whose log-derivatives enter the factorization,
-    as RatFuncs, leftmost first.  build_Dy builds the same product from their
-    exponents (_DY_EXPONENTS) without forming them."""
-    r = lambda p: RatFunc(p)
-    y1, y2 = r(y.y1), r(y.y2)
-    t1, t2 = r(T1), r(T2)
+    as RatFuncs of the pair's rows, leftmost first.  build_Dy builds the
+    same product from their exponents (_DY_EXPONENTS) without forming
+    them."""
+    y1, y2 = RatFunc(zpoly(y.y1)), RatFunc(zpoly(y.y2))
+    t1, t2 = RatFunc(T1), RatFunc(T2)
     return (t1 ** 4 * t2 ** 2 / y1,
             t1 ** 3 * t2 ** 2 * y1 / y2,
             t1 ** 3 * t2 * y2 / (y1 * y1),
@@ -310,7 +312,7 @@ def dy_log_factors(y: bethe.PolyPair, T1: Poly, T2: Poly, shift=(0,) * 4):
     conjugate by T1^2 T2 for shift = _CONJUGATOR: f^-1 (d - ln' g) f is
     d - ln'(g/f).  Y is the y-part of Q: Q / Y divides T1 T2.  T1 and T2
     may be Polys or integer lists: only their lines matter."""
-    fs = [zrow(T1), zrow(T2), *y.rows]
+    fs = [zrow(T1), zrow(T2), y.y1, y.y2]
     Q, Ws, lcms = _log_factors(fs, [[a - b for a, b in zip(e, shift)]
                                     for e in _DY_EXPONENTS])
     return Q, Ws, zquo(Q, lcms[2])
@@ -330,7 +332,7 @@ def build_conjugated(y: bethe.PolyPair, T1: Poly, T2: Poly) -> DiffOp:
     each b_k C one product P_k C_j per numerator.  Then y1's part of Q_B is
     divided out, or, when inexact, y2's multiplied back in."""
     Q, Ws, (_, _, QT, QB) = _log_factors(
-        [zrow(T1), zrow(T2), *y.rows],
+        [zrow(T1), zrow(T2), y.y1, y.y2],
         [[a - b for a, b in zip(e, _CONJUGATOR)] for e in _DY_EXPONENTS[4:]])
     B = _log_factor_product(Q, Ws, zquo(Q, QB))
     Q, lift, dQ = B.Q, zquo(Q, B.Q), zderiv(B.Q)
@@ -404,14 +406,6 @@ def _divide_out(a, b):
             return v, a
 
 
-def _homogeneous(a, r, s):
-    """s^(len(a) - 1) a(r / s), an integer, for an integer list a."""
-    h, sk = 0, 1
-    for c in reversed(a):
-        h, sk = h * r + c * sk, sk * s
-    return h
-
-
 def _deflate(a, r):
     """(q, a(r)) with a = (s - r) q + a(r): one synthetic division."""
     out, v = [], 0
@@ -469,11 +463,11 @@ def _pole_coeffs(D: DiffOp, p):
         Qt = zquo(Q, [-r, s])
     except ValueError:
         return [(0, 1)] * D.order
-    q, dq = _homogeneous(Qt, r, s), len(Qt) - 1
+    q, dq = zhomeval(Qt, r, s), len(Qt) - 1
     for i, P in enumerate(reversed(D.P), 1):
         # P(p) = h(P) / s^deg P and s Q~(p) = h(Q~) / s^(deg Q~ - 1)
         e = i * (dq - 1) - (len(P) - 1)
-        out.append((_homogeneous(P, r, s) * s ** max(e, 0),
+        out.append((zhomeval(P, r, s) * s ** max(e, 0),
                     q ** i * s ** max(-e, 0)))
     return out
 
@@ -544,7 +538,7 @@ class Case:
                 bases.append([-p.numerator, p.denominator])
                 for f, e in zip(factors, (w[0], w[1], 0, 0)):
                     f.append(e)
-        for j, a in enumerate(self.y.rows, 2):
+        for j, a in enumerate((self.y.y1, self.y.y2), 2):
             if len(a) > 1:
                 bases.append(a)
                 for k, f in enumerate(factors):
@@ -630,7 +624,7 @@ def h2_casimir_values(lam, i):
         pass
     else:
         def at(a):
-            return Fraction(_homogeneous(a, r, s), s ** max(len(a) - 1, 0))
+            return Fraction(zhomeval(a, r, s), s ** max(len(a) - 1, 0))
         q = at(Qt)
         res = ((at(zderiv(P)) * q - 2 * at(P) * at(zderiv(Qt)))
                / (s * s * q ** 3))

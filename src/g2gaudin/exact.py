@@ -299,6 +299,15 @@ def zquo(a, b):
     return [0] * (va - vb) + q
 
 
+def zhomeval(a, r, s):
+    """s^deg a(r/s), an integer, for an integer list a of degree deg: zero
+    exactly when s x - r divides a."""
+    v, sk = 0, 1
+    for c in reversed(a):
+        v, sk = v * r + c * sk, sk * s
+    return v
+
+
 def zprimitive(a):
     """a divided by its content, with positive leading coefficient."""
     if not a:

@@ -3,10 +3,11 @@ exposed both to the CLI (`g2 verify --suite NAME`) and to the test harness.
 This module loads repn and rootdata only, and each suite imports the
 further layers it uses, so a one-shot `g2 verify --suite NAME` loads only
 those: chevalley and casimir add linalg and exact, strata and covering add
-strat, bae-grid and reproduction add bethe and exact.  Fraction is imported
-where a suite builds one (check_casimir), so strata and covering load no
-fractions, and no suite but kernels, h2 and wronskian (diffop, sgrass)
-loads dataclasses."""
+strat, bae-grid and reproduction add bethe and exact, and build no Poly:
+a Bethe pair is two integer rows, and every check of it runs on them.
+Fraction is imported where a suite builds one (check_casimir), so strata
+and covering load no fractions, and no suite but kernels, h2 and
+wronskian (diffop, sgrass) loads dataclasses."""
 
 from __future__ import annotations
 
@@ -137,13 +138,12 @@ def _reproduction_failure(lam, i):
     data of (lam, i), and each direction is an involution on it; a failure
     message or None."""
     from . import bethe
-    from .exact import Poly
     target = bethe.closed_form(lam, i)
     y0 = bethe.closed_form_pair(lam, i)
     if i in _CHAINS:
         theta = rd.shifted_action_word(_CHAINS[i], lam)
         data = bethe.BetheData((theta,) + target.Lambda[1:], target.z, (0, 0))
-        y = bethe.PolyPair(Poly([1]), Poly([1]))
+        y = bethe.PolyPair([1], [1])
         for d in _CHAINS[i]:
             out = bethe.reproduce(y, d, data)
             if out is None:
@@ -151,14 +151,14 @@ def _reproduction_failure(lam, i):
             y, data = out
         if data != target:
             return f"chain lands at wrong data for {lam}, {i}"
-        if not y.proportional(y0):
+        if y != y0:
             return f"chain mismatch at {lam}, case {i}"
     for d in (1, 2):
         out = bethe.reproduce(y0, d, target)
         if out is None:
             continue
         back = bethe.reproduce(out[0], d, out[1])
-        if back is None or not back[0].proportional(y0):
+        if back is None or back[0] != y0:
             return f"involution fails at {lam}, {i}, dir {d}"
 
 

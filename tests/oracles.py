@@ -18,8 +18,10 @@ of `polycodec`.
 
 The Freudenthal recursion over Fractions, for the integer one of `repn`.
 
-Genericity of a Bethe pair by gcds over Q[x], for the integer gcds and
-the evaluation at the points of `bethe.is_generic`.
+The monic Poly of an integer row, such as a component of a Bethe pair, for
+the tests that compute with one over Q[x]; genericity of a Bethe pair by
+gcds over Q[x], for the integer gcds and the evaluation at the points of
+`bethe.is_generic`.
 
 The argparse parser of `g2`, for the table parser of `cli`."""
 
@@ -30,7 +32,7 @@ from functools import lru_cache
 from g2gaudin import cli
 from g2gaudin import rootdata as rd
 from g2gaudin.bethe import INF
-from g2gaudin.exact import Poly, RatFunc, poly_gcd, zderiv, zmul, zsub
+from g2gaudin.exact import Poly, RatFunc, poly_gcd, zderiv, zmul, zpoly, zsub
 from g2gaudin.repn import (bracket, mat_add, mat_scale, mat_sub, mat_unit,
                           mat_zero)
 
@@ -247,11 +249,18 @@ def weight_multiplicities(lam):
             for w in rd.weyl_orbit(mu)}
 
 
+def monic(row) -> Poly:
+    """The monic Poly on the line of a nonzero integer row: y.y1 or y.y2 of
+    a bethe.PolyPair as a polynomial over Q."""
+    return zpoly(row, row[-1])
+
+
 def is_generic_by_gcd(y, Lambda, z):
     """bethe.is_generic over Q[x], each test a gcd: squarefree components,
     no common root, and no root at a finite point p where
     <Lambda_s, coroot_j> != 0, by the gcd with the product of the x - p."""
-    for j, yj in enumerate((y.y1, y.y2)):
+    y1, y2 = monic(y.y1), monic(y.y2)
+    for j, yj in enumerate((y1, y2)):
         if poly_gcd(yj, yj.derivative()).degree > 0:
             return False
         sing = Poly([Fraction(1)])
@@ -260,7 +269,7 @@ def is_generic_by_gcd(y, Lambda, z):
                 sing = sing * Poly([-Fraction(p), Fraction(1)])
         if poly_gcd(yj, sing).degree > 0:
             return False
-    return poly_gcd(y.y1, y.y2).degree <= 0
+    return poly_gcd(y1, y2).degree <= 0
 
 
 class QSqrt2:

@@ -12,7 +12,7 @@ from g2gaudin.bethe import INF, L_LIST, BetheData, PolyPair
 from g2gaudin.exact import (Poly, wronskian, zadd, zmul, zpoly, zrow, zscale,
                             zwr)
 from g2gaudin.linalg import solve
-from oracles import is_generic_by_gcd
+from oracles import is_generic_by_gcd, monic
 
 Z = (Fraction(0), Fraction(1))
 X = Poly([0, 1])
@@ -65,8 +65,8 @@ def _affine_map_poly(p, c, s):
 def translate_pair(y, z1, z2):
     """Move a solution normalized at z = (0, 1) to points (z1, z2)."""
     s = Fraction(z2) - Fraction(z1)
-    return PolyPair(_affine_map_poly(y.y1, Fraction(z1), s),
-                    _affine_map_poly(y.y2, Fraction(z1), s))
+    return PolyPair(_affine_map_poly(monic(y.y1), Fraction(z1), s),
+                    _affine_map_poly(monic(y.y2), Fraction(z1), s))
 
 
 def _same(got, want):
@@ -97,8 +97,9 @@ def _fertility_inputs(y, Lambda, z):
     <lambda^(1), coroot_j> + 1, as integer lists: at z_1 = 0, R is F_j
     divided by x^(a - 1); elsewhere a = 0 and R is x F_j."""
     T1, T2 = bethe.build_calT(Lambda, z)
+    y1, y2 = monic(y.y1), monic(y.y2)
     out = []
-    for j, (yj, F) in enumerate(((y.y1, T1 * y.y2), (y.y2, T2 * y.y1 ** 3))):
+    for j, (yj, F) in enumerate(((y1, T1 * y2), (y2, T2 * y1 ** 3))):
         e = Lambda[0][j] if z[0] == 0 else -1
         r = Poly(F.coeffs[e:]) if e >= 0 else F * X
         out.append((zrow(yj), zrow(r), e + 1))
@@ -133,15 +134,15 @@ def test_calT():
 
 def test_appendix_case1_printed_value():
     y = bethe.appendix_solution((1, 1), 1)
-    assert y.y1 == Poly([1])
-    assert y.y2.monic() == Poly([Fraction(-1, 2), 1])
+    assert (y.y1, y.y2) == ([1], [-1, 2])
+    assert monic(y.y2) == Poly([Fraction(-1, 2), 1])
 
 
 def test_appendix_degrees_match_l():
     for lam in ((1, 1), (2, 3)):
         for i in bethe.admissible_ls(lam):
             y = bethe.appendix_solution(lam, i)
-            assert (max(y.y1.degree, 0), max(y.y2.degree, 0)) == L_LIST[i]
+            assert (len(y.y1) - 1, len(y.y2) - 1) == L_LIST[i]
 
 
 def test_inadmissible_raises():
@@ -186,7 +187,7 @@ def test_fertility_identities():
     x = Poly([0, 1])
     for i in bethe.admissible_ls(lam):
         y = bethe.appendix_solution(lam, i)
-        for Y, F, a in zip(y.rows, bethe.fertility_rhs(y, *T),
+        for Y, F, a in zip((y.y1, y.y2), bethe.fertility_rhs(y, *T),
                            (lam[0] + 1, lam[1] + 1)):
             G, c = bethe.fertility_solve(Y, F[a - 1:], a)
             assert c > 0 and zwr(Y, [0] * a + G) == zscale(c, F)
@@ -201,7 +202,7 @@ def test_bae_residual():
     # a wrong pair has a large residual
     wrong = bethe.appendix_solution(lam, 6)
     data_l = L_LIST[5]
-    r = bethe.bae_residual(PolyPair(wrong.y1, wrong.y2 + Poly([1])),
+    r = bethe.bae_residual(PolyPair(wrong.y1, monic(wrong.y2) + 1),
                            [lam, rd.OMEGA2], list(Z))
     assert r > 1e-6
 
@@ -211,14 +212,14 @@ def test_reproduction_chain_case2():
     chain = (2, 1)
     theta = rd.shifted_action_word(chain, lam)
     data = BetheData((theta, rd.OMEGA2), Z, (0, 0))
-    y = PolyPair(Poly([1]), Poly([1]))
+    y = PolyPair([1], [1])
     for d in chain:
         y, data = bethe.reproduce(y, d, data)
     assert data.Lambda[0] == lam and data.l == L_LIST[2]
-    assert y.proportional(bethe.appendix_solution(lam, 2))
-    # proportional compares lines: any nonzero multiples, not a shifted pair
-    assert y.proportional(PolyPair(y.y1 * 3, y.y2 * Fraction(-1, 2)))
-    assert not y.proportional(PolyPair(y.y1, y.y2 + Poly([1])))
+    assert y == bethe.appendix_solution(lam, 2)
+    # == compares lines: any nonzero multiples, not a shifted pair
+    assert y == PolyPair(monic(y.y1) * 3, monic(y.y2) * Fraction(-1, 2))
+    assert y != PolyPair(y.y1, monic(y.y2) + 1)
 
 
 def test_reproduction_involution():
@@ -232,7 +233,7 @@ def test_reproduction_involution():
             continue
         back = bethe.reproduce(out[0], d, out[1])
         assert back is not None
-        assert back[0].proportional(y)
+        assert back[0] == y
         assert back[1].l == data.l and back[1].Lambda == data.Lambda
 
 
@@ -241,7 +242,7 @@ def test_reproduce_names_an_undefined_step():
     exists, and direction 2, at a = <Lambda_1 + rho, coroot_2> = -1, has
     no witness and raises naming the direction and a.  The step back of a
     reproduced pair, also at a <= 0, still exists."""
-    one = PolyPair(Poly([1]), Poly([1]))
+    one = PolyPair([1], [1])
     data = BetheData(((1, -2), rd.OMEGA2), Z, (0, 0))
     assert bethe.reproduce(one, 1, data) is not None
     with pytest.raises(ValueError) as exc:
@@ -252,8 +253,8 @@ def test_reproduce_names_an_undefined_step():
     y, out = bethe.reproduce(bethe.appendix_solution((1, 1), 2), 2,
                              BetheData(((1, 1), rd.OMEGA2), Z, L_LIST[2]))
     assert out.Lambda[0][1] + 1 == -2
-    assert bethe.reproduce(y, 2, out)[0].proportional(
-        bethe.appendix_solution((1, 1), 2))
+    assert bethe.reproduce(y, 2, out)[0] == \
+        bethe.appendix_solution((1, 1), 2)
 
 
 @pytest.mark.parametrize("j", [1, 2])
@@ -261,8 +262,8 @@ def test_reproduce_rejects_a_pair_that_is_not_a_solution(j):
     """+1 on y_j of the case (1, 1)/2, a step at a = 2 in direction j: no
     witness, and the message says the input is not a solution."""
     y = bethe.appendix_solution((1, 1), 2)
-    ys = [y.y1, y.y2]
-    ys[j - 1] = ys[j - 1] + Poly([1])
+    ys = [monic(y.y1), monic(y.y2)]
+    ys[j - 1] = ys[j - 1] + 1
     with pytest.raises(ValueError) as exc:
         bethe.reproduce(PolyPair(*ys), j, bethe.closed_form((1, 1), 2))
     assert str(exc.value) == ("no fertility witness; input does not "
@@ -272,14 +273,20 @@ def test_reproduce_rejects_a_pair_that_is_not_a_solution(j):
 def test_value_classes_are_immutable_and_compare_by_value():
     """PolyPair, BetheData and RamificationData: fields fixed at
     construction, == and hash by value and class, and RamificationData
-    compares its points and partitions (which determine its T's)."""
+    compares its points and partitions (which determine its T's).  A
+    PolyPair holds the lines of y1 and y2, as primitive integer rows with
+    positive leading coefficient: it equals and hashes like any rescaled
+    copy, given as Polys or as integer lists, and differs from a pair with
+    +1 on the constant coefficient of monic y2."""
     y = bethe.appendix_solution((1, 1), 2)
     data = bethe.closed_form((1, 1), 2)
     parts = (rd.partition_from_weight((1, 1), 0),
              rd.partition_from_weight(rd.OMEGA2, 0))
     R = bethe.RamificationData(list(Z), [list(p) for p in parts])
     assert (R.z, R.partitions) == (Z, parts)
-    for a, b in ((y, PolyPair(Poly(y.y1.coeffs), Poly(y.y2.coeffs))),
+    rescaled = PolyPair(monic(y.y1) * 3, monic(y.y2) * Fraction(-2, 5))
+    for a, b in ((y, PolyPair(list(y.y1), list(y.y2))), (y, rescaled),
+                 (y, PolyPair(zscale(-4, y.y1), y.y2)),
                  (data, BetheData(((1, 1), rd.OMEGA2), Z, L_LIST[2])),
                  (R, bethe.RamificationData(Z, parts))):
         assert a == b and hash(a) == hash(b) and a is not b
@@ -289,14 +296,16 @@ def test_value_classes_are_immutable_and_compare_by_value():
             setattr(a, field, None)
         with pytest.raises(AttributeError):
             delattr(a, field)
-    y.rows  # a cached attribute is still written once
-    assert y == PolyPair(y.y1, y.y2) and "rows" in vars(y)
-    assert y != PolyPair(y.y2, y.y1) and y != PolyPair(y.y1, y.y2 * 2)
+    assert (rescaled.y1, rescaled.y2) == (y.y1, y.y2) == ([-7, 16], [-7, 8])
+    R.divisors  # a cached attribute is still written once
+    assert "divisors" in vars(R)
+    assert y != PolyPair(y.y2, y.y1) and y != PolyPair(y.y1, monic(y.y2) + 1)
     assert y != (y.y1, y.y2) and R != (R.z, R.partitions)
     assert data != BetheData(data.Lambda, data.z, (0, 0))
     assert R != bethe.RamificationData(Z, parts[::-1])
-    with pytest.raises(ValueError, match="must be nonzero"):
-        PolyPair(Poly(), y.y2)
+    for zero in (Poly(), []):
+        with pytest.raises(ValueError, match="must be nonzero"):
+            PolyPair(zero, y.y2)
     with pytest.raises(ValueError, match="must be distinct"):
         BetheData(data.Lambda, (Z[0], Z[0]), data.l)
     with pytest.raises(ValueError, match="equal length"):
@@ -440,7 +449,8 @@ def _fertile(y, Lambda):
     """Both fertility witnesses exist, at z = (0, 1)."""
     F = bethe.fertility_rhs(y, *bethe.zcalT(Lambda, Z))
     return all(bethe.fertility_solve(Y, Fj[a - 1:], a) is not None
-               for Y, Fj, a in zip(y.rows, F, (lam + 1 for lam in Lambda[0])))
+               for Y, Fj, a in zip((y.y1, y.y2), F,
+                                   (lam + 1 for lam in Lambda[0])))
 
 
 def test_exact_gate_rejects_every_perturbed_coefficient():
@@ -453,7 +463,7 @@ def test_exact_gate_rejects_every_perturbed_coefficient():
         T = bethe.zcalT(Lam, Z)
         y = bethe.appendix_solution(lam, i)
         assert bethe.bae_exact(y, *T) and _fertile(y, Lam)
-        for j, yj in enumerate((y.y1, y.y2)):
+        for j, yj in enumerate((monic(y.y1), monic(y.y2))):
             for k in range(yj.degree + 1 if yj.degree > 0 else 0):
                 cs = list(yj.coeffs)
                 cs[k] += 1
@@ -478,7 +488,24 @@ def test_exact_gate_follows_the_weights():
         y = bethe.appendix_solution(lam, i)
         for yj, other in ((y.y1, (3, 1)), (y.y2, (2, 2))):
             T = bethe.zcalT([other, rd.OMEGA2], Z)
-            assert bethe.bae_exact(y, *T) is (yj.degree < 1), (i, other)
+            assert bethe.bae_exact(y, *T) is (len(yj) < 2), (i, other)
+
+
+def test_bethe_suites_build_no_poly(monkeypatch):
+    """A Bethe pair is two integer rows, and the closed forms, certify and
+    reproduce work on them: on the 2-grid the bae-grid and reproduction
+    suites pass without constructing one exact.Poly."""
+    built, init = [], Poly.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+    monkeypatch.setenv("G2_LMAX", "2")
+    monkeypatch.setattr(Poly, "__init__", counted)
+    for suite in (verify.check_bae_grid, verify.check_reproduction):
+        assert suite()[0], suite
+    monkeypatch.undo()
+    assert len(built) == 0
 
 
 def test_bae_grid_suite_gates_on_exact_equations(monkeypatch):
@@ -490,7 +517,7 @@ def test_bae_grid_suite_gates_on_exact_equations(monkeypatch):
 
     def planted(lam, i):
         y = real(lam, i)
-        return PolyPair(y.y1, y.y2 + Poly([1])) if (lam, i) == ((1, 1), 1) \
+        return PolyPair(y.y1, monic(y.y2) + 1) if (lam, i) == ((1, 1), 1) \
             else y
     monkeypatch.setattr(bethe, "closed_form_pair", planted)
     assert verify.check_bae_grid() == (
@@ -523,7 +550,7 @@ def test_certify_names_each_failing_stage():
     y = bethe.appendix_solution((2, 1), 5)
     square = (X - Poly([2])) ** 2
     assert not bethe.certify(PolyPair(square, y.y2), data)["generic"]
-    bad = PolyPair(y.y1, y.y2 + Poly([1]))
+    bad = PolyPair(y.y1, monic(y.y2) + 1)
     assert bethe.certify(bad, data) == {"generic": True, "exact": False,
                                         "fertile": False}
     with pytest.raises(ValueError, match="z1 = 0"):

@@ -138,7 +138,7 @@ def test_case_commands_build_each_object_once(tmp_path, monkeypatch,
     for the swapped flag's own leading Wronskians."""
     lam, i = (2, 1), 5
     _, _, gamma = sgrass.bethe_kernel_instance(lam, i)
-    flag = [cli._poly_json(p) for p in gamma]
+    flag = [oracles.poly_json(p) for p in gamma]
     ram = {"points": ["0", "1"],
            "partitions": [rd.partition_from_weight(lam, 0),
                           rd.partition_from_weight(rd.OMEGA2, 0)]}
@@ -296,12 +296,12 @@ def _case_files(tmp_path, lam, i, **replaced):
     (lam, i): its kernel basis, its ramification data and its flag, with
     the roles in replaced written as given instead (a str verbatim)."""
     X, _, gamma = sgrass.bethe_kernel_instance(lam, i)
-    contents = {"space": [cli._poly_json(p) for p in X.flag_basis],
+    contents = {"space": [oracles.poly_json(p) for p in X.flag_basis],
                 "ram": {"points": ["0", "1"],
                         "partitions": [rd.partition_from_weight(lam, 0),
                                        rd.partition_from_weight(rd.OMEGA2,
                                                                 0)]},
-                "witness": [cli._poly_json(p) for p in gamma]}
+                "witness": [oracles.poly_json(p) for p in gamma]}
     contents.update(replaced)
     files = {}
     for role, content in contents.items():
@@ -378,9 +378,8 @@ def test_row_renderer_matches_the_fraction_oracle(row, den, f):
     p = Poly([Fraction(c, den) for c in row])
     assert polycodec.row_json(row, den) == oracles.poly_json(p)
     assert polycodec.text(polycodec.row_json(row, den)) == oracles.poly_str(p)
-    assert cli._poly_json(p) == oracles.poly_json(p)
-    assert cli._poly_str(p) == oracles.poly_str(p)
-    assert polycodec.read_row(cli._poly_json(p)) == zclear(p.coeffs)[0]
+    assert polycodec.read_row(polycodec.row_json(row, den)) == \
+        zclear(p.coeffs)[0]
 
 
 def test_reader_reduces_each_coefficient():
@@ -505,9 +504,9 @@ def test_a_witness_of_another_space_fails(tmp_path, capsys):
     changes no row; a zero row fails the check instead of raising."""
     _, _, other = sgrass.bethe_kernel_instance((1, 1), 0)
     _, _, own = sgrass.bethe_kernel_instance((1, 1), 6)
-    flag = [cli._poly_json(p) for p in own]
+    flag = [oracles.poly_json(p) for p in own]
     for witness, ok in ((None, True),
-                        ([cli._poly_json(p) for p in other], False),
+                        ([oracles.poly_json(p) for p in other], False),
                         (flag[:3] + [flag[3] + ["0", "0"]] + flag[4:], True),
                         (flag[:3] + [["0"]] + flag[4:], False),
                         (flag[:3] + [[]] + flag[4:], False)):
@@ -527,7 +526,7 @@ def test_witness_wronskians_are_computed_once_per_flag(tmp_path,
     witness, takes its own Wronskians, and still fails."""
     lam, i = (2, 1), 5
     _, R, gamma = sgrass.bethe_kernel_instance(lam, i)
-    flag = [cli._poly_json(p) for p in gamma]
+    flag = [oracles.poly_json(p) for p in gamma]
     calls = collections.Counter()
 
     def counted(name):
@@ -959,7 +958,7 @@ def test_every_command_runs_without_numpy_or_sympy(tmp_path):
     X, _, gamma = sgrass.bethe_kernel_instance(lam, i)
     polys = {"space": X.flag_basis, "witness": gamma,
              "swapped": (gamma[1], gamma[0]) + gamma[2:]}
-    contents = {role: [cli._poly_json(p) for p in ps]
+    contents = {role: [oracles.poly_json(p) for p in ps]
                 for role, ps in polys.items()}
     contents["ram"] = {"points": ["0", "1"],
                        "partitions": [rd.partition_from_weight(lam, 0),

@@ -4,14 +4,16 @@ speed claim can be read off two such files.
     python3 tools/bench_suites.py suites OUT.json --parent DIR
 
 times the kernels, h2, wronskian, bae-grid and reproduction suites of
-`g2 verify` four times on the 5- and on the 7-grid (reproduction caps
+`g2 verify` four times on the 3-, the 5- and the 7-grid (reproduction caps
 itself at the 3-grid), each run in a fresh process with G2_LMAX set to the
-grid; the time is the suite call alone, without the import.  One more
-fresh run of each suite and grid under cProfile counts the calls of
-`Fraction.__new__`, of `exact.zpoly`, the Fraction Polys built from
-integer lists, of `exact.zclear`, the rational lists cleared to integer
-ones, and of the integer kernels `exact.zmul`, `exact.zquo` and
-`exact.zwr`, the 2x2 Wronskian of each Jacobi step.  DIR (a
+grid; the time is the suite call alone, without the import, so on the
+3-grid bae-grid times closed_form_pair and certify on the 84 cases.  One
+more fresh run of each suite and grid under cProfile counts the calls of
+`Fraction.__new__`, of `exact.Poly.__init__`, every Poly built, of
+`exact.zpoly`, the Fraction Polys built from integer lists, of
+`exact.zclear`, the rational lists cleared to integer ones, and of the
+integer kernels `exact.zmul`, `exact.zquo` and `exact.zwr`, the 2x2
+Wronskian of each Jacobi step.  DIR (a
 checkout of the parent commit) is the parent side and a copy of this
 checkout the change side, as in `pairs`: the two sides alternate on every
 run of each suite and grid, the parent first in even runs, so drift of a
@@ -95,7 +97,7 @@ METRICS = {"ops_per_s": True, "op_p50_s": False, "op_tail_s": False,
 # raw readings of a run record beside them, all lower-is-better
 RAW = {"raw_setup_s": False, "process_kernel_s": False}
 RUN_SECONDS = 45
-GRIDS = (5, 7)
+GRIDS = (3, 5, 7)
 PARITY_GRIDS = (1, 3, 5)
 SUITE_RUNS = 4
 PROBE_RUNS = 4
@@ -124,19 +126,24 @@ print(json.dumps({"ok": ok, "detail": detail,
 PROFILE_SNIPPET = """\
 import cProfile, json, pstats, sys
 from g2gaudin import sgrass, verify
+from g2gaudin.exact import Poly
 prof = cProfile.Profile()
 ok, detail = prof.runcall(verify.SUITES[sys.argv[1]])
-calls = {"Fraction.__new__": ("fractions.py", "__new__"),
-         "exact.zpoly": ("exact.py", "zpoly"),
-         "exact.zclear": ("exact.py", "zclear"),
-         "exact.zmul": ("exact.py", "zmul"),
-         "exact.zquo": ("exact.py", "zquo"),
-         "exact.zwr": ("exact.py", "zwr")}
+# (file, function, first line or None for any): RatFunc has an __init__
+# in exact.py too
+calls = {"Fraction.__new__": ("fractions.py", "__new__", None),
+         "exact.Poly.__init__": ("exact.py", "__init__",
+                                 Poly.__init__.__code__.co_firstlineno),
+         "exact.zpoly": ("exact.py", "zpoly", None),
+         "exact.zclear": ("exact.py", "zclear", None),
+         "exact.zmul": ("exact.py", "zmul", None),
+         "exact.zquo": ("exact.py", "zquo", None),
+         "exact.zwr": ("exact.py", "zwr", None)}
 stats = pstats.Stats(prof).stats
 print(json.dumps({"ok": ok, "detail": detail, "calls": {
-    name: sum(v[1] for (path, _, fn), v in stats.items()
-              if path.endswith(f) and fn == func)
-    for name, (f, func) in calls.items()}}))
+    name: sum(v[1] for (path, first, fn), v in stats.items()
+              if path.endswith(f) and fn == func and line in (None, first))
+    for name, (f, func, line) in calls.items()}}))
 """
 
 # argv[1] = the shift: every point z and every polynomial p(x) moved to
@@ -214,7 +221,7 @@ def suites(sides):
             for k in range(SUITE_RUNS):
                 for side in sorted(sides, reverse=k % 2 == 0):
                     r = run_suite(SUITE_SNIPPET, name, grid, sides[side])
-                    times[side].append(round(r["seconds"], 3))
+                    times[side].append(round(r["seconds"], 4))
             profiled = {side: run_suite(PROFILE_SNIPPET, name, grid, path)
                         for side, path in sides.items()}
             calls = {side: r["calls"] for side, r in profiled.items()}

@@ -5,12 +5,13 @@ leaves every answer as it was.
 
 runs each command in this process through `g2gaudin.cli.main`, then the
 file-input commands of every admissible case on the grid, then reads the
-flag `diffop.case(lam, i).flag` of every admissible case, which no command
-prints, and prints the number of commands and of flags and one SHA-256 over
-the argv, exit code, stdout and stderr of each command and the
-coefficients of each flag.  g2gaudin is imported from PYTHONPATH, so pointing
-PYTHONPATH at the `src/` of another checkout hashes that checkout with the
-same script; equal digests mean equal output.
+flag `diffop.case(lam, i).flag_rows` of every admissible case, which no
+command prints, and prints the number of commands and of flags and one
+SHA-256 over the argv, exit code, stdout and stderr of each command and
+the monic coefficients of each flag, as the codec prints them.  g2gaudin
+is imported from PYTHONPATH, so pointing PYTHONPATH at the `src/` of
+another checkout hashes that checkout with the same script; equal digests
+mean equal output.
 
 The commands: for every weight lam on the G2_LMAX grid (default 5) and
 every case i in 0..6, admissible or not, bae, bae-verify, reproduce in
@@ -37,6 +38,7 @@ import sys
 import tempfile
 
 from g2gaudin import cli
+from g2gaudin.polycodec import row_json
 
 # the nine suites of `g2 verify`, listed here so that every checkout is
 # hashed on the same commands
@@ -93,9 +95,9 @@ def file_commands(lmax, tmp):
     from g2gaudin import rootdata as rd
     for lam, i in _admissible(lmax):
         c = diffop.case(lam, i)
-        flag = [cli._poly_json(p) for p in c.flag]
+        flag = [row_json(v, v[-1]) for v in c.flag_rows]
         contents = {
-            "space": [cli._poly_json(p) for p in c.space.flag_basis],
+            "space": [row_json(v, v[-1]) for v in c.space.basis],
             "ram": {"points": ["0", "1"],
                     "partitions": [rd.partition_from_weight(w, 0)
                                    for w in (lam, rd.OMEGA2)]},
@@ -114,12 +116,12 @@ def file_commands(lmax, tmp):
 
 
 def flags(lmax):
-    """(lam, i, coefficients of each flag element) for every admissible
-    case on the grid."""
+    """(lam, i, monic coefficients of each flag element) for every
+    admissible case on the grid."""
     from g2gaudin import diffop
     for lam, i in _admissible(lmax):
-        yield lam, i, [[str(c) for c in p.coeffs]
-                       for p in diffop.case(lam, i).flag]
+        yield lam, i, [row_json(v, v[-1])
+                       for v in diffop.case(lam, i).flag_rows]
 
 
 def run(argv):
