@@ -184,9 +184,8 @@ def cmd_exponents(args):
     from . import diffop, sgrass
     c = diffop.case(args.lam, args.case)
     D = c.operator if args.raw else c.conjugated
-    e = diffop.exponents_at(D, args.point)
-    return _emit({"point": str(e.point),
-                  "exponents": list(e.exponents)})
+    return _emit({"point": str(args.point),
+                  "exponents": list(diffop.exponents_at(D, args.point))})
 
 
 def cmd_h2check(args):

@@ -1,7 +1,7 @@
 """Order-7 differential operators attached to Bethe solutions: construction
 from the 7-factor product, conjugation, the polynomial kernel and its flag
-by exact integration (and the kernel by a nullspace, as a reference), and
-Fuchsian exponents."""
+by exact integration (and the kernel by a nullspace below a degree bound
+the caller gives, as a reference), and Fuchsian exponents."""
 
 from __future__ import annotations
 
@@ -436,12 +436,6 @@ def _integer_roots(a):
     return sorted(roots)
 
 
-@dataclass(frozen=True)
-class ExponentList:
-    point: object  # a rational or bethe.INF
-    exponents: tuple
-
-
 def _pole_coeffs(D: DiffOp, p):
     """[(num_i, den_i) for i = 1..n]: b_i = num_i / den_i is the (x - p)^-i
     coefficient of P_(n-i) / Q^i at a finite p, or its x^-i coefficient at
@@ -472,8 +466,8 @@ def _pole_coeffs(D: DiffOp, p):
     return out
 
 
-def exponents_at(D: DiffOp, p) -> ExponentList:
-    """The indicial roots of D at a finite point p or at infinity
+def exponents_at(D: DiffOp, p) -> tuple:
+    """The sorted indicial roots of D at a finite point p or at infinity
     (bethe.INF), where they are the roots s of chi(-s) = 0; ValueError
     unless they are integers.  chi(s) = [s]_n + sum_i b_i [s]_(n-i), with
     [s]_j the falling factorial and b_i from _pole_coeffs, is cleared to
@@ -485,7 +479,7 @@ def exponents_at(D: DiffOp, p) -> ExponentList:
         chi = zadd(chi, zscale(num * (L // den), _FALLING[n - i]))
     if p == bethe.INF:
         chi = [c if k % 2 == 0 else -c for k, c in enumerate(chi)]
-    return ExponentList(p, tuple(_integer_roots(zprimitive(chi))))
+    return tuple(_integer_roots(zprimitive(chi)))
 
 
 # Cases kept by case(): every caller (the case commands, the suites, a
@@ -564,14 +558,6 @@ def case(lam, i) -> Case:
     among the CASE_CACHE_SIZE most recently used; lam a tuple, since it is
     hashed.  bethe.closed_form checks that the case is admissible."""
     return Case(bethe.closed_form(lam, i), bethe.closed_form_pair(lam, i))
-
-
-def default_degree_bound(lam, i) -> int:
-    """1 + the largest exponent of D_y at infinity: the largest exponent of
-    the conjugated operator is 2*mu1 + mu2 with mu the resulting weight, and
-    the twist by T1^2 T2 adds its degree, 2*lam1 + lam2 + 1."""
-    mu = case(tuple(lam), i).mu
-    return 2 * mu[0] + mu[1] + 6 + (2 * lam[0] + lam[1] + 1) + 1
 
 
 def kernel_for_case(lam, i):

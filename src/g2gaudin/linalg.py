@@ -50,13 +50,6 @@ def _zrref(matrix):
     return m, pivots
 
 
-def _reduced(matrix):
-    """(entry, pivots): entry(r, c) is the (r, c) entry of rref(matrix),
-    over Q built only when it is read."""
-    m, pivots = _zrref(matrix)
-    return (lambda r, c: Fraction(m[r][c], m[r][pivots[r]])), pivots
-
-
 def rank(matrix) -> int:
     return len(rref(matrix)[1])
 
@@ -67,26 +60,13 @@ def nullspace(matrix, ncols=None):
         return [] if not ncols else [[Fraction(1) if i == j else Fraction(0)
                                       for i in range(ncols)] for j in range(ncols)]
     ncols = len(matrix[0])
-    entry, pivots = _reduced(matrix)
+    m, pivots = _zrref(matrix)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -entry(r, fc)
+            v[pc] = Fraction(-m[r][fc], m[r][pc])
         basis.append(v)
     return basis
-
-
-def solve(matrix, rhs):
-    """One solution of A x = b, or None if inconsistent."""
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    ncols = len(matrix[0]) if matrix else 0
-    entry, pivots = _reduced(aug)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = entry(r, ncols)
-    return x

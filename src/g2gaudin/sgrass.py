@@ -1,19 +1,18 @@
 """Grassmannian calculus on 7-dimensional spaces of polynomials: space
-Wronskians, divided Wronskians, dual spaces, the bilinear form kappa,
-self-dual and self-self-dual verification, reduced Wronski map."""
+Wronskians, divided Wronskians, dual spaces, self-dual verification,
+self-self-dual verification by the y-pattern of an ordered basis, reduced
+Wronski map."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import diffop
 from .bethe import RamificationData
 from .exact import (Poly, zechelon, zmul, zpoly, zprefix_levels, zprimitive,
-                    zquo, zreduce, zrow, zscale, zwronski_minors,
-                    zwronskian_past, zwronskians)
-from .linalg import rank, solve
+                    zquo, zreduce, zrow, zwronski_minors, zwronskian_past,
+                    zwronskians)
 
 N = 7
 
@@ -44,23 +43,6 @@ class PolySpace:
     @property
     def degrees(self):
         return tuple(len(r) - 1 for r in self.basis)
-
-    def coordinates(self, p: Poly):
-        """Coordinates of p in the flag basis, or None if p is not in the
-        space: the basis is reduced, so they are p's coefficients at its
-        degrees once p reduces to 0 against it."""
-        if zreduce(self.basis, zrow(p)):
-            return None
-        return [p[d] for d in self.degrees]
-
-
-def trivial_ramification() -> RamificationData:
-    return RamificationData((), ())
-
-
-def monomial_space() -> PolySpace:
-    """Ker of the 7th derivative: polynomials of degree < 7."""
-    return PolySpace([[0] * k + [1] for k in range(N)])
 
 
 def _ts(R):
@@ -93,13 +75,6 @@ def wronskian_row(X: PolySpace, R: RamificationData = None):
 def space_wronskian(X: PolySpace) -> Poly:
     w = wronskian_row(X)
     return zpoly(w, w[-1])
-
-
-def divided_wronskian(gs, R: RamificationData):
-    """Wr(g_1..g_i) divided by prod_{j=1}^i T_{8-j}^{i+1-j}, the T_j monic,
-    for integer lists g_j: the divided recursion's Wr / t_i times t_i's
-    leading coefficient; errors if a division is inexact."""
-    return zscale(R.divisors[len(gs)][-1], zwronskians(gs, _ts(R))[-1])
 
 
 # kept for the diffop.CASE_CACHE_SIZE most recently used (X, R): every
@@ -164,40 +139,6 @@ def is_self_dual(X: PolySpace, R: RamificationData) -> bool:
     return self_dual_factor(X, R) is not None
 
 
-def kappa_form(X: PolySpace, R: RamificationData):
-    """Gram matrix of the form kappa on the flag basis u_a = r_a / lead(r_a)
-    of a pure self-dual space, r the basis of X.  kappa(r_a, v) =
-    Wr-dagger(r_a, g_1..g_6) whenever v is the divided Wronskian of
-    g_1..g_6.  The divided recursion gives Wr / t_i, so the constants are
-    rescaled once by the leading coefficients of t_7 and t_6."""
-    r, levels, ts = X.basis, _levels(X, R), _ts(R)
-    w7 = zwronskian_past(levels, ts)
-    if len(w7) != 1:
-        raise ValueError("top divided Wronskian is not constant; "
-                         "space is not pure with the claimed data")
-    w = zwronski_minors(r, levels, ts)
-    d = max(map(len, w + list(r)))
-    pad = lambda p: [p[i] if i < len(p) else 0 for i in range(d)]
-    A = [list(col) for col in zip(*map(pad, w))]
-    C = []
-    for b in range(N):
-        cb = solve(A, pad(r[b]))
-        if cb is None:
-            raise ValueError("space is not self-dual: basis element outside "
-                             "the dual span")
-        C.append(cb)
-    # kappa(r_a, r_b) = sum_j C[b][j] * Wr-dagger(r_a, subset omitting j);
-    # the term survives only for j = a, giving (-1)^a times the full one.
-    top = Fraction(w7[0] * R.divisors[N][-1], R.divisors[N - 1][-1])
-    gram = [[C[b][a] * (-1) ** a * top / (r[a][-1] * r[b][-1])
-             for b in range(N)] for a in range(N)]
-    if any(gram[a][b] != gram[b][a] for a in range(N) for b in range(N)):
-        raise ValueError("kappa form is not symmetric")
-    if rank(gram) != N:
-        raise ValueError("kappa form is degenerate")
-    return gram
-
-
 def _ys(ws):
     """(y_1, ..., y_6), primitive integer lists, with y_{7-i} the divided
     leading Wronskian ws[i] of i elements."""
@@ -212,12 +153,10 @@ def y_from_basis(gamma, R: RamificationData):
     return _ys(zwronskians([zrow(p) for p in gamma[:N - 1]], _ts(R)))
 
 
-# kept per (X, R) as dual_space is: ssd-check on a case and on a witness
-# file of its flag meet the same (X, R)
-@lru_cache(maxsize=diffop.CASE_CACHE_SIZE)
 def _space_ys(X: PolySpace, R: RamificationData):
     """y_from_basis(X.basis, R), read off the cached divided levels: their
-    pivots and the first entry of the last are Wr(b_1..b_i) / t_i, i < 7."""
+    pivots and the first entry of the last are Wr(b_1..b_i) / t_i, i < 7.
+    Not cached itself, as the levels it reads are."""
     levels = _levels(X, R)
     return _ys([prev for prev, _ in levels] + [levels[-1][1][0]])
 
@@ -246,28 +185,6 @@ def ssd_witness_check(X: PolySpace, R: RamificationData, gamma) -> bool:
         return False
     sq1 = zprimitive(zmul(y1, y1))
     return sq1 == zprimitive(zmul(y6, y6)) == y3 == y4 and y2 == y5
-
-
-def isotropic_definition_check(X: PolySpace, R: RamificationData,
-                               f: Poly, U) -> bool:
-    """f perpendicular to U, U kappa-isotropic, and Wr(U) = T1^2 T2 f^2 up
-    to normalization.  For a Bethe space the factorization flag u_1..u_7
-    is such a witness: Wr(u_1, u_2, u_3) is proportional to T1^2 T2 y1^2
-    and u_1 to y1, so f = u_1 and U = <u_1, u_2, u_3>."""
-    gram = kappa_form(X, R)
-    coords = [X.coordinates(p) for p in [f] + list(U)]
-    if any(c is None for c in coords):
-        return False
-    kappa = lambda a, b: sum(a[i] * gram[i][j] * b[j]
-                             for i in range(N) for j in range(N))
-    cf, cu = coords[0], coords[1:]
-    if len(cu) != 3 or any(kappa(cf, a) for a in cu) or \
-            any(kappa(a, b) for a in cu for b in cu):
-        return False
-    wr = zwronskians([zrow(u) for u in U])[-1]
-    (t1, t2), f = R.T[:2], zrow(f)
-    target = zmul(zmul(t1, t1), zmul(t2, zmul(f, f)))
-    return bool(wr) and zprimitive(wr) == zprimitive(target)
 
 
 def bethe_kernel_instance(lam, i):

@@ -23,16 +23,25 @@ the tests that compute with one over Q[x]; genericity of a Bethe pair by
 gcds over Q[x], for the integer gcds and the evaluation at the points of
 `bethe.is_generic`.
 
+The bilinear form kappa on a pure self-dual space and the paper's
+definition of a self-self-dual space by a kappa-isotropic subspace, which
+`sgrass.ssd_witness_check` is checked against, with a rational solve by
+`linalg.rref` and coordinates in a space; the degree bound under which
+the nullspace kernel of `diffop.polynomial_kernel` is taken.
+
 The argparse parser of `g2`, for the table parser of `cli`."""
 
 import argparse
 from fractions import Fraction
 from functools import lru_cache
 
-from g2gaudin import cli
+from g2gaudin import cli, diffop
 from g2gaudin import rootdata as rd
 from g2gaudin.bethe import INF
-from g2gaudin.exact import Poly, RatFunc, poly_gcd, zderiv, zmul, zpoly, zsub
+from g2gaudin.exact import (Poly, RatFunc, poly_gcd, zderiv, zmul, zpoly,
+                            zprefix_levels, zprimitive, zreduce, zrow, zsub,
+                            zwronski_minors, zwronskian_past, zwronskians)
+from g2gaudin.linalg import rref
 from g2gaudin.repn import (bracket, mat_add, mat_scale, mat_sub, mat_unit,
                           mat_zero)
 
@@ -270,6 +279,101 @@ def is_generic_by_gcd(y, Lambda, z):
         if poly_gcd(yj, sing).degree > 0:
             return False
     return poly_gcd(y1, y2).degree <= 0
+
+
+# ------------------------------------------- kappa and the isotropic witness
+#
+# The paper's definition of a self-self-dual space, which sgrass decides
+# by the y-pattern of an ordered basis instead (ssd_witness_check).
+
+
+def solve(matrix, rhs):
+    """One solution of A x = b, or None if inconsistent: the last column of
+    the rref of [A | b] (linalg.rref)."""
+    ncols = len(matrix[0]) if matrix else 0
+    red, pivots = rref([list(row) + [b] for row, b in zip(matrix, rhs)])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][ncols]
+    return x
+
+
+def coordinates(X, p: Poly):
+    """Coordinates of p in the flag basis of the sgrass.PolySpace X, or None
+    if p is not in X: the basis is reduced, so they are p's coefficients at
+    its degrees once p reduces to 0 against it."""
+    if zreduce(X.basis, zrow(p)):
+        return None
+    return [p[d] for d in X.degrees]
+
+
+def kappa_form(X, R):
+    """Gram matrix of the form kappa on the flag basis u_a = r_a / lead(r_a)
+    of a pure self-dual space, r the basis of X and R its
+    bethe.RamificationData.  kappa(r_a, v) = Wr-dagger(r_a, g_1..g_6)
+    whenever v is the divided Wronskian of g_1..g_6.  The divided recursion
+    gives Wr / t_i, so the constants are rescaled once by the leading
+    coefficients of t_7 and t_6."""
+    n, r, ts = len(X.basis), X.basis, R.T[::-1]
+    levels = zprefix_levels(r, ts)
+    w7 = zwronskian_past(levels, ts)
+    if len(w7) != 1:
+        raise ValueError("top divided Wronskian is not constant; "
+                         "space is not pure with the claimed data")
+    w = zwronski_minors(r, levels, ts)
+    d = max(map(len, w + list(r)))
+    pad = lambda p: [p[i] if i < len(p) else 0 for i in range(d)]
+    A = [list(col) for col in zip(*map(pad, w))]
+    C = []
+    for b in range(n):
+        cb = solve(A, pad(r[b]))
+        if cb is None:
+            raise ValueError("space is not self-dual: basis element outside "
+                             "the dual span")
+        C.append(cb)
+    # kappa(r_a, r_b) = sum_j C[b][j] * Wr-dagger(r_a, subset omitting j);
+    # the term survives only for j = a, giving (-1)^a times the full one.
+    top = Fraction(w7[0] * R.divisors[n][-1], R.divisors[n - 1][-1])
+    gram = [[C[b][a] * (-1) ** a * top / (r[a][-1] * r[b][-1])
+             for b in range(n)] for a in range(n)]
+    # the r_b are independent, so once each solves C is invertible, and so
+    # is gram, C transposed with rows and columns rescaled: no rank check
+    if any(gram[a][b] != gram[b][a] for a in range(n) for b in range(n)):
+        raise ValueError("kappa form is not symmetric")
+    return gram
+
+
+def isotropic_definition_check(X, R, f: Poly, U) -> bool:
+    """f perpendicular to U, U kappa-isotropic, and Wr(U) = T1^2 T2 f^2 up
+    to normalization.  For a Bethe space the factorization flag u_1..u_7
+    is such a witness: Wr(u_1, u_2, u_3) is proportional to T1^2 T2 y1^2
+    and u_1 to y1, so f = u_1 and U = <u_1, u_2, u_3>."""
+    gram = kappa_form(X, R)
+    coords = [coordinates(X, p) for p in [f] + list(U)]
+    if any(c is None for c in coords):
+        return False
+    n = len(gram)
+    kappa = lambda a, b: sum(a[i] * gram[i][j] * b[j]
+                             for i in range(n) for j in range(n))
+    cf, cu = coords[0], coords[1:]
+    if len(cu) != 3 or any(kappa(cf, a) for a in cu) or \
+            any(kappa(a, b) for a in cu for b in cu):
+        return False
+    wr = zwronskians([zrow(u) for u in U])[-1]
+    (t1, t2), f = R.T[:2], zrow(f)
+    target = zmul(zmul(t1, t1), zmul(t2, zmul(f, f)))
+    return bool(wr) and zprimitive(wr) == zprimitive(target)
+
+
+def default_degree_bound(lam, i) -> int:
+    """1 + the largest exponent of D_y at infinity, a degree bound for
+    diffop.polynomial_kernel: the largest exponent of the conjugated
+    operator is 2*mu1 + mu2 with mu the resulting weight, and the twist by
+    T1^2 T2 adds its degree, 2*lam1 + lam2 + 1."""
+    mu = diffop.case(tuple(lam), i).mu
+    return 2 * mu[0] + mu[1] + 6 + (2 * lam[0] + lam[1] + 1) + 1
 
 
 class QSqrt2:

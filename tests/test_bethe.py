@@ -11,8 +11,7 @@ from g2gaudin import rootdata as rd
 from g2gaudin.bethe import INF, L_LIST, BetheData, PolyPair
 from g2gaudin.exact import (Poly, wronskian, zadd, zmul, zpoly, zrow, zscale,
                             zwr)
-from g2gaudin.linalg import solve
-from oracles import is_generic_by_gcd, monic
+from oracles import is_generic_by_gcd, monic, solve
 
 Z = (Fraction(0), Fraction(1))
 X = Poly([0, 1])

@@ -164,7 +164,7 @@ def test_case_commands_build_each_object_once(tmp_path, monkeypatch,
                          (bethe, "zwr")):
         monkeypatch.setattr(module, name, counted(module, name))
     diffop.case.cache_clear()
-    for cached in (sgrass.dual_space, sgrass._levels, sgrass._space_ys):
+    for cached in (sgrass.dual_space, sgrass._levels):
         cached.cache_clear()
     case = ["--lambda", "2,1", "--case", "5"]
     files_argv = ["ssd-check", "--space", files["space"], "--ram", files["ram"]]
@@ -540,7 +540,7 @@ def test_witness_wronskians_are_computed_once_per_flag(tmp_path,
 
     counted("zwronskians")
     counted("zprefix_levels")
-    for cached in (sgrass.dual_space, sgrass._levels, sgrass._space_ys):
+    for cached in (sgrass.dual_space, sgrass._levels):
         cached.cache_clear()
     want = {"self_dual": True, "ssd_witness": True}
     rc, out = run(["ssd-check", "--lambda", "2,1", "--case", "5"], capsys)

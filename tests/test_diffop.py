@@ -15,7 +15,7 @@ from g2gaudin.bethe import PolyPair
 from g2gaudin.exact import (Poly, RatFunc, zclear, zmul, zpoly, zprem,
                             zprimitive, zquo)
 import oracles
-from oracles import full, monic
+from oracles import default_degree_bound, full, monic
 
 
 def _T_polys(c):
@@ -230,17 +230,14 @@ def test_non_bethe_input_reduces_over_all_of_q(name, monkeypatch):
 def test_exponents_regular_point():
     y = PolyPair([1], [1])
     D = diffop.build_Dy(y, Poly([1]), Poly([1]))
-    assert diffop.exponents_at(D, Fraction(0)).exponents == \
-        (0, 1, 2, 3, 4, 5, 6)
-    assert diffop.exponents_at(D, "inf").exponents == \
-        (-6, -5, -4, -3, -2, -1, 0)
+    assert diffop.exponents_at(D, Fraction(0)) == (0, 1, 2, 3, 4, 5, 6)
+    assert diffop.exponents_at(D, "inf") == (-6, -5, -4, -3, -2, -1, 0)
 
 
 def test_exponents_printed_example():
     # conjugated operator for lambda=(0,1), case 1: resulting weight (1,0)
     D = diffop.case((0, 1), 1).conjugated
-    assert diffop.exponents_at(D, "inf").exponents == \
-        (-8, -6, -5, -3, -1, 0, 2)
+    assert diffop.exponents_at(D, "inf") == (-8, -6, -5, -3, -1, 0, 2)
 
 
 def test_exponents_finite_formula():
@@ -249,7 +246,7 @@ def test_exponents_finite_formula():
     a, b = lam
     want = tuple(sorted((-2 * a - b, -a - b + 1, -a + 2, 3,
                          a + 4, a + b + 5, 2 * a + b + 6)))
-    assert diffop.exponents_at(D, Fraction(0)).exponents == want
+    assert diffop.exponents_at(D, Fraction(0)) == want
 
 
 def test_kernel_dimension():
@@ -292,7 +289,7 @@ def test_case_matches_fresh_build():
         assert (c.y, _T_polys(c), c.operator) == (y, (T1, T2), D)
         ref = _sequential_conjugated(y, T1, T2)
         assert (c.conjugated.Q, c.conjugated.P) == (ref.Q, ref.P)
-        bound = diffop.default_degree_bound(lam, i)
+        bound = default_degree_bound(lam, i)
         assert c.space.flag_basis == tuple(diffop.polynomial_kernel(D, bound))
         assert diffop.kernel_for_case(lam, i) is c.space.flag_basis
 
@@ -383,7 +380,7 @@ def test_laurent_coeff_matches_taylor_shift():
 def test_exponents_at_rational_points():
     D = diffop.case((1, 2), 5).conjugated
     for p in (Fraction(1, 2), Fraction(-7, 3)):
-        assert diffop.exponents_at(D, p).exponents == tuple(range(7))
+        assert diffop.exponents_at(D, p) == tuple(range(7))
     with pytest.raises(ValueError, match="non-integer root"):
         diffop._integer_roots([-1, 0, 4])
     assert diffop._integer_roots([0, 0, -6, 1, 1]) == [-3, 0, 0, 2]
@@ -411,7 +408,7 @@ def test_exponent_checks_can_fail():
     with pytest.raises(ValueError, match="decay too slow"):
         diffop.exponents_at(diffop._log_factor_product([1], [[0, 1]]), "inf")
     D = diffop._log_factor_product([-1, 0, 1], [[1]])
-    assert diffop.exponents_at(D, "inf").exponents == (0,)
+    assert diffop.exponents_at(D, "inf") == (0,)
     with pytest.raises(ValueError, match="non-integer root"):
         diffop.exponents_at(D, Fraction(1))
 
@@ -438,7 +435,7 @@ def test_exponents_parity_on_3_grid():
                     D = c.conjugated if conj else c.operator
                     for p in (Fraction(0), Fraction(1), "inf",
                               Fraction(1, 2), Fraction(-3, 2)):
-                        h.update(repr(diffop.exponents_at(D, p).exponents)
+                        h.update(repr(diffop.exponents_at(D, p))
                                  .encode())
     assert h.hexdigest() == ("3757f74922c2146722118e41e48eb034"
                              "f159e4ad560794ba8df5890b01339209")
@@ -464,7 +461,7 @@ def test_exponents_and_h2_match_ratfunc_oracles_on_5_grid():
             for p in (Fraction(0), Fraction(1), "inf", Fraction(-1, 2),
                       Fraction(2)):
                 got = Poly([1])
-                for e in diffop.exponents_at(D, p).exponents:
+                for e in diffop.exponents_at(D, p):
                     got = got * (s - e)
                 assert got == oracles.indicial(full(D), p), (lam, i, p)
         want = -oracles.residue_at(c.conjugated.coeffs[1], c.data.z[0])
@@ -544,7 +541,7 @@ def test_kernel_is_the_nullspace_kernel_on_3_grid():
         c = diffop.case(lam, i)
         D = diffop.build_Dy(c.y, *_T_polys(c))
         assert c.space.flag_basis == tuple(diffop.polynomial_kernel(
-            D, diffop.default_degree_bound(lam, i))), (lam, i)
+            D, default_degree_bound(lam, i))), (lam, i)
 
 
 def _chains(z):

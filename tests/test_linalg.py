@@ -1,5 +1,6 @@
 """Exact linear algebra: the fraction-free rational rref against the field
-elimination of the oracles."""
+elimination of the oracles, and the nullspace and the oracles' solve
+against the rref."""
 
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2gaudin import linalg
-from oracles import rref_field
+from oracles import rref_field, solve
 
 fracs = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
 entries = st.one_of(st.just(Fraction(0)), fracs)
@@ -50,18 +51,6 @@ def test_rational_rref_examples():
     assert linalg.rref([[0, 3], [5, 0]]) == ([[1, 0], [0, 1]], [0, 1])
 
 
-def _solve_by_rref(A, b):
-    """Reference solve: the last column of the rref of [A | b]."""
-    ncols = len(A[0]) if A else 0
-    red, pivots = linalg.rref([list(row) + [v] for row, v in zip(A, b)])
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return x
-
-
 def _nullspace_by_rref(A):
     """Reference nullspace: the free columns of the rref of A."""
     ncols = len(A[0])
@@ -96,7 +85,15 @@ def linear_systems(draw):
 @given(linear_systems())
 @settings(max_examples=200, deadline=None)
 def test_solve_and_nullspace_match_rref_reference(system):
+    """The rational solve of the oracles, built on linalg.rref, returns a
+    solution of A x = b, or None exactly when b raises the rank; the
+    nullspace is the free columns of the rref."""
     A, b = system
-    assert repr(linalg.solve(A, b)) == repr(_solve_by_rref(A, b))
+    x = solve(A, b)
+    if x is None:
+        aug = [list(row) + [v] for row, v in zip(A, b)]
+        assert linalg.rank(aug) == linalg.rank(A) + 1
+    else:
+        assert [sum(a * v for a, v in zip(row, x)) for row in A] == b
     if A:
         assert repr(linalg.nullspace(A)) == repr(_nullspace_by_rref(A))

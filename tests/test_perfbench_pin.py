@@ -4,6 +4,7 @@ library functions directly.  A renamed or deleted name crashes a benchmark
 run, so each is resolved here."""
 
 import importlib
+import json
 import os
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -24,10 +25,26 @@ def test_every_profiled_function_resolves(monkeypatch):
 
 
 def test_micro_times_every_name(monkeypatch):
-    """One micro.run gives a timing for each of micro.NAMES.  Its verdicts
-    are not asserted: the poly_mul checker compares against an unnormalised
-    product and fails on some seeds at every commit."""
+    """One micro.run gives a timing for each of micro.NAMES, and every
+    verdict is clean but poly_mul's: its checker compares against an
+    unnormalised product and fails on some seeds at every commit.  The
+    Wronskian, operator, self-duality, flag and h2 verdicts check the
+    library's answers on the (3,3)/case-6 kernel."""
     micro = _perfbench("micro", monkeypatch)
-    metrics, _ = micro.run(0, os.path.join(PERFBENCH, "fixtures"))
+    metrics, errors = micro.run(0, os.path.join(PERFBENCH, "fixtures"))
     assert set(metrics) == set(micro.NAMES)
     assert all(t > 0 for t in metrics.values())
+    assert [e for e in errors if not e.startswith("micro.poly_mul_")] == []
+
+
+def test_fixture_flag_is_the_case_flag(monkeypatch):
+    """sgrass.bethe_kernel_instance's flag, rendered as make_fixtures.py
+    renders it, is the recorded flag of fixtures/flags.json."""
+    from g2gaudin import sgrass
+    oracle = _perfbench("oracle", monkeypatch)
+    with open(os.path.join(PERFBENCH, "fixtures", "flags.json")) as fh:
+        flags = json.load(fh)
+    for lam, i in (((2, 1), 5), ((3, 3), 6)):
+        _, _, gamma = sgrass.bethe_kernel_instance(lam, i)
+        assert [[oracle.render(c) for c in p.coeffs] for p in gamma] == \
+            flags[f"{lam[0]},{lam[1]},{i}"], (lam, i)

@@ -17,11 +17,14 @@ from g2gaudin.exact import (Poly, poly_det, wronskian, zadd, zclear, zderiv,
                             zmul, zpoly, zprefix_levels, zprimitive, zquo,
                             zscale, zwronski_minors, zwronskian_past,
                             zwronskians)
-from g2gaudin.linalg import nullspace, rank, rref, solve
-from oracles import monic
+from g2gaudin.linalg import nullspace, rank, rref
+import oracles
+from oracles import (coordinates, default_degree_bound,
+                     isotropic_definition_check, kappa_form, monic, solve)
 
-X0 = sg.monomial_space()
-R0 = sg.trivial_ramification()
+# the kernel of d^7, the polynomials of degree < 7, and no ramification
+X0 = sg.PolySpace([[0] * k + [1] for k in range(7)])
+R0 = sg.RamificationData((), ())
 
 
 def _mono(k):
@@ -80,10 +83,17 @@ def test_wronskian_basis_independent():
     assert sg.space_wronskian(sg.PolySpace(mixed)) == sg.space_wronskian(X0)
 
 
+def _divided_wronskian(gs, R):
+    """Wr(g_1..g_i) divided by prod_{j=1}^i T_{8-j}^{i+1-j}, the T_j monic,
+    for integer lists g_j: the divided recursion's Wr / t_i times t_i's
+    leading coefficient; errors if a division is inexact."""
+    return zscale(R.divisors[len(gs)][-1], zwronskians(gs, R.T[::-1])[-1])
+
+
 def test_divided_wronskian_trivial():
     gs = [[1], [0, 1], [0, 0, 0, 1]]
-    assert zpoly(sg.divided_wronskian(gs, R0)) == wronskian(map(Poly, gs))
-    assert sg.divided_wronskian([[0, 0, 1]], R0) == [0, 0, 1]
+    assert zpoly(_divided_wronskian(gs, R0)) == wronskian(map(Poly, gs))
+    assert _divided_wronskian([[0, 0, 1]], R0) == [0, 0, 1]
 
 
 def test_divided_wronskian_inexact_raises():
@@ -91,7 +101,7 @@ def test_divided_wronskian_inexact_raises():
                             (rd.partition_from_weight((0, 0), 1),))
     assert R.T[6] == [0, 1]  # T7 = x
     with pytest.raises(ValueError):
-        sg.divided_wronskian([[1]], R)
+        _divided_wronskian([[1]], R)
 
 
 def test_dependent_duals_are_rejected(monkeypatch):
@@ -124,7 +134,8 @@ def test_equal_spaces_hash_alike():
     mixed = sg.PolySpace((u[0] + u[3], u[1] * 2, u[2], u[3], u[4] + u[6],
                           u[5], u[6]))
     assert mixed == X0 and hash(mixed) == hash(X0)
-    assert len({X0: 0, mixed: 1, sg.monomial_space(): 2}) == 1
+    monomials = sg.PolySpace([_mono(k) for k in range(7)])
+    assert len({X0: 0, mixed: 1, monomials: 2}) == 1
     X, R, gamma = sg.bethe_kernel_instance((2, 1), 5)
     again = sg.PolySpace(list(reversed(gamma)))
     assert again == X and hash(again) == hash(X)
@@ -193,7 +204,7 @@ def test_self_dual_t_symmetry_fast_path():
 
 
 def test_kappa_monomials():
-    g = sg.kappa_form(X0, R0)
+    g = kappa_form(X0, R0)
     for a in range(7):
         for b in range(7):
             assert (g[a][b] == 0) == (a + b != 6)
@@ -201,11 +212,11 @@ def test_kappa_monomials():
 
 
 def test_kappa_constants_match_the_monic_divided_wronskians():
-    """kappa_form, whose divided Wronskians are over the primitive t_i and
-    which rescales its constants once by their leading coefficients, gives
-    the Gram matrix built from divided_wronskian's values over the monic T
-    products, on two Bethe kernels moved to the points (1/2, 3), where
-    the T's at 1/2 are powers of 2x - 1."""
+    """The kappa_form oracle, whose divided Wronskians are over the
+    primitive t_i and which rescales its constants once by their leading
+    coefficients, gives the Gram matrix built from the divided Wronskians
+    over the monic T products, on two Bethe kernels moved to the points
+    (1/2, 3), where the T's at 1/2 are powers of 2x - 1."""
     spaces = []
     for lam, i in (((1, 0), 2), ((2, 1), 5)):
         c = diffop.case(lam, i)
@@ -215,13 +226,13 @@ def test_kappa_constants_match_the_monic_divided_wronskians():
                                      for r in c.flag_rows]), R))
     for X, R in spaces:
         r = X.basis
-        w7 = sg.divided_wronskian(r, R)
-        w = [sg.divided_wronskian(r[:j] + r[j + 1:], R) for j in range(7)]
+        w7 = _divided_wronskian(r, R)
+        w = [_divided_wronskian(r[:j] + r[j + 1:], R) for j in range(7)]
         d = max(map(len, w + list(r)))
         pad = lambda p: [p[k] if k < len(p) else 0 for k in range(d)]
         A = [list(col) for col in zip(*map(pad, w))]
         C = [solve(A, pad(v)) for v in r]
-        assert sg.kappa_form(X, R) == [
+        assert kappa_form(X, R) == [
             [C[b][a] * Fraction((-1) ** a * w7[0], r[a][-1] * r[b][-1])
              for b in range(7)] for a in range(7)]
     assert R.divisors[7][-1] != R.divisors[6][-1]
@@ -274,12 +285,12 @@ def test_space_wronskian_formula():
 def test_isotropic_examples():
     f = _mono(3)
     U = [_mono(0), _mono(4), _mono(5)]
-    assert sg.isotropic_definition_check(X0, R0, f, U)
-    assert not sg.isotropic_definition_check(X0, R0, f,
-                                             [_mono(0), _mono(1), _mono(2)])
+    assert isotropic_definition_check(X0, R0, f, U)
+    assert not isotropic_definition_check(X0, R0, f,
+                                          [_mono(0), _mono(1), _mono(2)])
     # right isotropy, wrong Wronskian
-    assert not sg.isotropic_definition_check(X0, R0, f,
-                                             [_mono(0), _mono(4), _mono(6)])
+    assert not isotropic_definition_check(X0, R0, f,
+                                          [_mono(0), _mono(4), _mono(6)])
 
 
 def _root(p):
@@ -366,7 +377,7 @@ def test_flag_matches_nullspace_flag_on_3_grid():
     for k, (lam, i) in enumerate(GRID3):
         _, y, T1, T2 = _factorization_data(lam, i)
         ker = diffop.polynomial_kernel(diffop.build_Dy(y, T1, T2),
-                                       diffop.default_degree_bound(lam, i))
+                                       default_degree_bound(lam, i))
         want = [p.coeffs for p in _flag_by_nullspaces(ker, y, T1, T2)]
         assert [p.coeffs for p in diffop.case(lam, i).flag] == want, (lam, i)
         assert [p.coeffs for p in sg.flag_from_factorization(
@@ -422,31 +433,72 @@ def test_bethe_flag_is_isotropic_witness():
     """The definition of a self-self-dual space holds with the witness the
     factorization flag gives: f = u_1, proportional to y_1, and U = <u_1,
     u_2, u_3>, whose Wronskian is proportional to T1^2 T2 y_1^2.  With u_4
-    in place of u_3 it fails."""
+    in place of u_3 it fails.  ssd_witness_check, which decides by the
+    y-pattern instead, agrees on the flag and on the flag with u_3 and u_4
+    exchanged."""
     for lam, i in GRID3:
         X, R, gamma = sg.bethe_kernel_instance(lam, i)
         y1 = monic(bethe.appendix_solution(lam, i).y1)
-        assert sg.isotropic_definition_check(X, R, y1, gamma[:3]), (lam, i)
-        assert not sg.isotropic_definition_check(
+        assert isotropic_definition_check(X, R, y1, gamma[:3]), (lam, i)
+        assert not isotropic_definition_check(
             X, R, y1, gamma[:2] + gamma[3:4]), (lam, i)
-    assert sg.isotropic_definition_check(X0, R0, _mono(0),
-                                         [_mono(0), _mono(1), _mono(2)])
+        assert sg.ssd_witness_check(X, R, gamma), (lam, i)
+        exchanged = gamma[:2] + (gamma[3], gamma[2]) + gamma[4:]
+        assert not sg.ssd_witness_check(X, R, exchanged), (lam, i)
+    assert isotropic_definition_check(X0, R0, _mono(0),
+                                      [_mono(0), _mono(1), _mono(2)])
+
+
+def _planted_gram(monkeypatch, *entries):
+    """kappa_form replaced by the symmetric form whose only nonzero entries
+    are 1 at the given (a, b) and (b, a)."""
+    gram = [[Fraction(0)] * 7 for _ in range(7)]
+    for a, b in entries:
+        gram[a][b] = gram[b][a] = Fraction(1)
+    monkeypatch.setattr(oracles, "kappa_form", lambda X, R: gram)
 
 
 def test_isotropic_check_rejects_a_non_isotropic_u(monkeypatch):
     """f = 1 and U = <1, x, x^2> on the monomial space: f is orthogonal to U
     and Wr(U) = T1^2 T2 f^2 up to a constant, but under a form with
     kappa(x, x) = 1 U is not isotropic, so only that condition fails."""
-    gram = [[Fraction(0)] * 7 for _ in range(7)]
-    gram[1][1] = Fraction(1)
-    monkeypatch.setattr(sg, "kappa_form", lambda X, R: gram)
-    assert not sg.isotropic_definition_check(X0, R0, _mono(0),
-                                             [_mono(0), _mono(1), _mono(2)])
+    _planted_gram(monkeypatch, (1, 1))
+    assert not isotropic_definition_check(X0, R0, _mono(0),
+                                          [_mono(0), _mono(1), _mono(2)])
+
+
+def test_isotropic_check_rejects_f_not_perpendicular_to_u(monkeypatch):
+    """f = x^3 and U = <1, x^4, x^5> on the monomial space pass under kappa;
+    under a form whose only entry is kappa(x^3, x^4) = 1, U is still
+    isotropic and Wr(U) = T1^2 T2 f^2, but f is not orthogonal to U, so
+    only that condition fails."""
+    U = [_mono(0), _mono(4), _mono(5)]
+    assert isotropic_definition_check(X0, R0, _mono(3), U)
+    _planted_gram(monkeypatch, (3, 4))
+    assert not isotropic_definition_check(X0, R0, _mono(3), U)
+    _planted_gram(monkeypatch, (2, 4))
+    assert isotropic_definition_check(X0, R0, _mono(3), U)
+
+
+def test_kappa_rejects_a_wrong_sign_on_one_dual_minor(monkeypatch):
+    """With the sign of the divided Wronskian omitting u_1 flipped, the
+    coordinates of every basis element in the dual basis change sign at
+    that minor, so kappa(u_1, u_7) changes sign and kappa(u_7, u_1) does
+    not: the form is not symmetric and kappa_form raises."""
+    minors = oracles.zwronski_minors
+
+    def planted(fs, levels, ts):
+        w = minors(fs, levels, ts)
+        return [zscale(-1, w[0])] + w[1:]
+    assert kappa_form(X0, R0)
+    monkeypatch.setattr(oracles, "zwronski_minors", planted)
+    with pytest.raises(ValueError, match="not symmetric"):
+        kappa_form(X0, R0)
 
 
 def test_dual_space_is_the_subset_divided_wronskians():
     """dual_space is the span of the divided Wronskians of the 6-element
-    subsets of a basis; divided_wronskian is each of them exactly, for the
+    subsets of a basis; _divided_wronskian is each of them exactly, for the
     integer rows of X, and its primitive part for the monic flag basis."""
     spaces = [(X0, R0), (X_HALF, R_HALF)]
     for lam, i in GRID3:
@@ -459,7 +511,7 @@ def test_dual_space_is_the_subset_divided_wronskians():
         assert sg.dual_space(X, R) == sg.PolySpace(want)
         for k in range(8):
             ref = _divided_by_division(u[:k], R)
-            got = sg.divided_wronskian(r[:k], R)
+            got = _divided_wronskian(r[:k], R)
             assert zpoly(got) == ref * prod(v[-1] for v in r[:k])
 
 
@@ -639,13 +691,13 @@ def test_membership_matches_rank_oracle_on_3_grid():
         assert g is not None, (lam, i)
         gd = [zpoly(zmul(g, v)) for v in Xd.basis]
         for p in gd + list(X.flag_basis):
-            c = X.coordinates(p)
+            c = coordinates(X, p)
             assert c is not None and c == _solved_coordinates(X, p)
         assert _span_equal(gd, list(X.flag_basis))
         gap = next(d for d in range(X.degrees[-1]) if d not in X.degrees)
         k = (lam[0] + i) % 7
         planted = gd[:k] + [gd[k] + _mono(gap) * Fraction(1, 7)] + gd[k + 1:]
-        assert X.coordinates(planted[k]) is None
+        assert coordinates(X, planted[k]) is None
         assert _solved_coordinates(X, planted[k]) is None
         assert not _span_equal(planted, list(X.flag_basis)), (lam, i)
 
@@ -780,10 +832,10 @@ def test_integer_space_matches_fraction_oracles(basis, combo, extra):
     assert all(r == zprimitive(r) and r[-1] > 0 for r in X.basis)
     member = sum((c * u for c, u in zip(combo, flag)), Poly())
     for p in (member, member + _mono(extra)):
-        got = X.coordinates(p)
+        got = coordinates(X, p)
         assert got == _fraction_coordinates(X.flag_basis, p)
         assert (got is None) == (_fraction_coordinates(flag, p) is None)
-    assert X.coordinates(member) is not None
+    assert coordinates(X, member) is not None
 
 
 def test_ssd_witness_must_span_the_space():

@@ -173,7 +173,7 @@ for lam in [(a, b) for a in range(6) for b in range(6)]:
                        [flag[1], flag[0]] + flag[2:]))
 dual = ys = 0.0
 for X, R, swapped in inputs:
-    for cached in (sgrass._levels, sgrass.dual_space, sgrass._space_ys):
+    for cached in (sgrass._levels, sgrass.dual_space):
         cached.cache_clear()
     t0 = time.perf_counter()
     sgrass.dual_space(X, R)
