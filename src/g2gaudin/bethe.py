@@ -1,16 +1,19 @@
 """Bethe ansatz for the G2 Gaudin model: master polynomials T_j, the
 admissible l-pairs, closed-form 2-point solutions, the Wronskian fertility
-criterion, and the reproduction procedure."""
+criterion, and the reproduction procedure, all on integer rows: each
+appendix coefficient is a pair (num, den), a component is cleared once over
+the lcm of its denominators, the closed-form points are the integers 0 and
+1, and ramification(Lambda, z) is the one constructor of the T_j."""
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from . import rootdata as rd
-from .exact import (zclear, zderiv, zgcd, zhomeval, zmul, zpoly, zprem,
-                    zprimitive, zrow, zscale, zsolve1, zsub, zwr)
+from .exact import (zderiv, zgcd, zhomeval, zmul, zpoly, zprem, zprimitive,
+                    zrow, zscale, zsolve1, zsub, zwr)
 from .repn import L_LIST, admissible_ls
 
 # the point at infinity, spelled as in the JSON formats
@@ -142,33 +145,26 @@ class RamificationData(_Frozen):
         return out
 
 
-def zcalT(Lambda, z):
-    """(T_1, T_2) on Z[x]: the products prod (s x - r)^e, positive multiples
-    of build_calT's."""
-    out = []
-    for j in (0, 1):
-        pairs = [(p, lam[j]) for lam, p in zip(Lambda, z) if p != INF]
-        for p, e in pairs:
-            if e < 0:
-                raise ValueError(f"negative exponent {e} at finite point {p}")
-        out.append(zlinear_power(pairs))
-    return tuple(out)
+def ramification(Lambda, z) -> RamificationData:
+    """The ramification data of the weights Lambda at the points z, each
+    weight's partition with 7th part 0: T_j = prod (s x - r)^<Lambda_s,
+    coroot_j> over the finite points z_s = r / s, for j = 1, 2.  The one
+    constructor of the T's; ValueError unless every weight is dominant."""
+    return RamificationData(z, tuple(rd.partition_from_weight(w, 0)
+                                     for w in Lambda))
 
 
 def build_calT(Lambda, z):
-    """T_j(x) = prod_s (x - z_s)^{<lambda^(s), coroot_j>}; the factor for an
-    infinite point is the constant 1."""
-    return tuple(zpoly(t, t[-1]) for t in zcalT(Lambda, z))
-
-
-def _f(expr_num, expr_den):
-    return Fraction(expr_num, expr_den)
+    """T_1, T_2 of ramification(Lambda, z) as monic Polys."""
+    return tuple(zpoly(t, t[-1]) for t in ramification(Lambda, z).T[:2])
 
 
 def _monic(*cs):
     """The integer row of the monic polynomial with the lower coefficients
-    cs, lowest degree first: one zclear."""
-    return zclear(cs + (1,))[0]
+    cs, lowest degree first, each an integer pair (num, den): all of them
+    over the lcm of the denominators."""
+    den = lcm(*(d for _, d in cs))
+    return [n * (den // d) for n, d in cs] + [den]
 
 
 def closed_form(lam, i) -> BetheData:
@@ -178,7 +174,7 @@ def closed_form(lam, i) -> BetheData:
     lam = tuple(lam)
     if i not in admissible_ls(lam):
         raise ValueError(f"l_{i} is not admissible for {lam}")
-    return BetheData((lam, rd.OMEGA2), (Fraction(0), Fraction(1)), L_LIST[i])
+    return BetheData((lam, rd.OMEGA2), (0, 1), L_LIST[i])
 
 
 def appendix_solution(lam, i) -> PolyPair:
@@ -194,65 +190,65 @@ def closed_form_pair(lam, i) -> PolyPair:
     if i == 0:
         return PolyPair([1], [1])
     if i == 1:
-        return PolyPair([1], _monic(-_f(b, b + 1)))
+        return PolyPair([1], _monic((-b, b + 1)))
     if i == 2:
-        y1 = _monic(-_f(a * (3 * a + b + 3), (a + 1) * (3 * a + b + 4)))
-        y2 = _monic(-_f(3 * a + b + 3, 3 * a + b + 4))
+        y1 = _monic((-a * (3 * a + b + 3), (a + 1) * (3 * a + b + 4)))
+        y2 = _monic((-(3 * a + b + 3), 3 * a + b + 4))
         return PolyPair(y1, y2)
     if i == 3:
-        y1 = _monic(-_f((3 * a + b + 3) * (3 * a + 2 * b + 4),
-                        (3 * a + b + 5) * (3 * a + 2 * b + 6)))
-        c1 = -_f(2 * (3 * a + 2 * b + 4) * (3 * a + 5 * b + 3 * a * b + b * b + 6),
-                 (b + 2) * (3 * a + b + 5) * (3 * a + 2 * b + 6))
-        c0 = _f(b * (3 * a + b + 3) * (3 * a + 2 * b + 4) ** 2,
-                (b + 2) * (3 * a + b + 5) * (3 * a + 2 * b + 6) ** 2)
+        y1 = _monic((-(3 * a + b + 3) * (3 * a + 2 * b + 4),
+                     (3 * a + b + 5) * (3 * a + 2 * b + 6)))
+        c1 = (-2 * (3 * a + 2 * b + 4) * (3 * a + 5 * b + 3 * a * b + b * b + 6),
+              (b + 2) * (3 * a + b + 5) * (3 * a + 2 * b + 6))
+        c0 = (b * (3 * a + b + 3) * (3 * a + 2 * b + 4) ** 2,
+              (b + 2) * (3 * a + b + 5) * (3 * a + 2 * b + 6) ** 2)
         return PolyPair(y1, _monic(c0, c1))
     if i == 4:
-        y1 = _monic(-_f((a + b + 1) * (3 * a + 2 * b + 4),
-                        (a + b + 2) * (3 * a + 2 * b + 5)))
-        c2 = -_f(3 * (a + b + 1) * (3 * a * b + 2 * b * b - 2 * a + 3 * b - 2),
-                 b * (a + b + 2) * (3 * a + 2 * b + 5))
-        c1 = _f(3 * (b - 1) * (a + b + 1) ** 2 * (3 * a + 2 * b + 4)
-                * (3 * a * b + 2 * b * b + 2 * a + 6 * b + 4),
-                b * (b + 1) * (a + b + 2) ** 2 * (3 * a + 2 * b + 5) ** 2)
-        c0 = -_f((b - 1) * (a + b + 1) ** 3 * (3 * a + 2 * b + 4) ** 2,
-                 (b + 1) * (a + b + 2) ** 3 * (3 * a + 2 * b + 5) ** 2)
+        y1 = _monic((-(a + b + 1) * (3 * a + 2 * b + 4),
+                     (a + b + 2) * (3 * a + 2 * b + 5)))
+        c2 = (-3 * (a + b + 1) * (3 * a * b + 2 * b * b - 2 * a + 3 * b - 2),
+              b * (a + b + 2) * (3 * a + 2 * b + 5))
+        c1 = (3 * (b - 1) * (a + b + 1) ** 2 * (3 * a + 2 * b + 4)
+              * (3 * a * b + 2 * b * b + 2 * a + 6 * b + 4),
+              b * (b + 1) * (a + b + 2) ** 2 * (3 * a + 2 * b + 5) ** 2)
+        c0 = (-(b - 1) * (a + b + 1) ** 3 * (3 * a + 2 * b + 4) ** 2,
+              (b + 1) * (a + b + 2) ** 3 * (3 * a + 2 * b + 5) ** 2)
         return PolyPair(y1, _monic(c0, c1, c2))
     if i == 5:
-        d1 = -_f(2 * (2 * a + b + 2) * (3 * a + b + 2)
-                 * (3 * a * a + 2 * a * b + 6 * a + b + 3),
-                 (a + 1) * (2 * a + b + 3) * (3 * a + b + 3) * (3 * a + 2 * b + 5))
-        d0 = _f(a * (2 * a + b + 2) ** 2 * (3 * a + b + 2) * (3 * a + 2 * b + 4),
-                (a + 1) * (2 * a + b + 3) ** 2 * (3 * a + b + 4)
-                * (3 * a + 2 * b + 5))
+        d1 = (-2 * (2 * a + b + 2) * (3 * a + b + 2)
+              * (3 * a * a + 2 * a * b + 6 * a + b + 3),
+              (a + 1) * (2 * a + b + 3) * (3 * a + b + 3) * (3 * a + 2 * b + 5))
+        d0 = (a * (2 * a + b + 2) ** 2 * (3 * a + b + 2) * (3 * a + 2 * b + 4),
+              (a + 1) * (2 * a + b + 3) ** 2 * (3 * a + b + 4)
+              * (3 * a + 2 * b + 5))
         y1 = _monic(d0, d1)
-        c2 = -_f(3 * (2 * a + b + 2)
-                 * (9 * a * a + 9 * a * b + 2 * b * b + 20 * a + 9 * b + 11),
-                 (2 * a + b + 3) * (3 * a + b + 3) * (3 * a + 2 * b + 5))
-        c1 = _f(3 * (3 * a + b + 2) * (2 * a + b + 2) ** 2 * (3 * a + 2 * b + 4)
-                * (9 * a * a + 9 * a * b + 2 * b * b + 25 * a + 12 * b + 18),
-                (2 * a + b + 3) ** 2 * (3 * a + b + 3) * (3 * a + b + 4)
-                * (3 * a + 2 * b + 5) ** 2)
-        c0 = -_f((2 * a + b + 2) ** 3 * (3 * a + b + 2) * (3 * a + 2 * b + 4) ** 2,
-                 (2 * a + b + 3) ** 3 * (3 * a + b + 4) * (3 * a + 2 * b + 5) ** 2)
+        c2 = (-3 * (2 * a + b + 2)
+              * (9 * a * a + 9 * a * b + 2 * b * b + 20 * a + 9 * b + 11),
+              (2 * a + b + 3) * (3 * a + b + 3) * (3 * a + 2 * b + 5))
+        c1 = (3 * (3 * a + b + 2) * (2 * a + b + 2) ** 2 * (3 * a + 2 * b + 4)
+              * (9 * a * a + 9 * a * b + 2 * b * b + 25 * a + 12 * b + 18),
+              (2 * a + b + 3) ** 2 * (3 * a + b + 3) * (3 * a + b + 4)
+              * (3 * a + 2 * b + 5) ** 2)
+        c0 = (-(2 * a + b + 2) ** 3 * (3 * a + b + 2) * (3 * a + 2 * b + 4) ** 2,
+              (2 * a + b + 3) ** 3 * (3 * a + b + 4) * (3 * a + 2 * b + 5) ** 2)
         return PolyPair(y1, _monic(c0, c1, c2))
     if i == 6:
-        d1 = -_f(2 * (2 * a + b + 2) * (3 * a + 2 * b + 3)
-                 * (3 * a * a + 4 * a * b + b * b + 8 * a + 5 * b + 6),
-                 (a + b + 2) * (2 * a + b + 3) * (3 * a + b + 4)
-                 * (3 * a + 2 * b + 4))
-        d0 = _f((a + b + 1) * (2 * a + b + 2) ** 2 * (3 * a + b + 3)
-                * (3 * a + 2 * b + 3),
-                (a + b + 2) * (2 * a + b + 3) ** 2 * (3 * a + b + 4)
-                * (3 * a + 2 * b + 5))
+        d1 = (-2 * (2 * a + b + 2) * (3 * a + 2 * b + 3)
+              * (3 * a * a + 4 * a * b + b * b + 8 * a + 5 * b + 6),
+              (a + b + 2) * (2 * a + b + 3) * (3 * a + b + 4)
+              * (3 * a + 2 * b + 4))
+        d0 = ((a + b + 1) * (2 * a + b + 2) ** 2 * (3 * a + b + 3)
+              * (3 * a + 2 * b + 3),
+              (a + b + 2) * (2 * a + b + 3) ** 2 * (3 * a + b + 4)
+              * (3 * a + 2 * b + 5))
         y1 = _monic(d0, d1)
         A = (9 * a ** 4 * (4 * b + 3)
              + 3 * a ** 3 * (30 * b * b + 78 * b + 47)
              + a * a * (80 * b ** 3 + 372 * b * b + 562 * b + 270)
              + a * (30 * b ** 4 + 208 * b ** 3 + 528 * b * b + 578 * b + 228)
              + 2 * (b + 2) ** 2 * (2 * b ** 3 + 11 * b * b + 18 * b + 9))
-        c3 = -_f(2 * A, (b + 1) * (a + b + 2) * (2 * a + b + 3)
-                 * (3 * a + b + 4) * (3 * a + 2 * b + 4))
+        c3 = (-2 * A, (b + 1) * (a + b + 2) * (2 * a + b + 3)
+              * (3 * a + b + 4) * (3 * a + 2 * b + 4))
         B = (27 * a ** 5 * (1 + 2 * b)
              + 3 * a ** 4 * (70 + 147 * b + 57 * b * b)
              + 3 * a ** 3 * (215 + 493 * b + 333 * b * b + 70 * b ** 3)
@@ -262,22 +258,22 @@ def closed_form_pair(lam, i) -> PolyPair:
                         + 125 * b ** 4)
              + 2 * a * (366 + 1049 * b + 1165 * b * b + 634 * b ** 3
                         + 170 * b ** 4 + 18 * b ** 5))
-        c2 = _f(6 * B * (1 + a + b) * (2 + 2 * a + b) * (3 + 3 * a + 2 * b),
-                (b + 1) * (a + b + 2) ** 2 * (2 * a + b + 3) ** 2
-                * (3 * a + b + 4) * (3 * a + 2 * b + 4) ** 2
-                * (3 * a + 2 * b + 5))
+        c2 = (6 * B * (1 + a + b) * (2 + 2 * a + b) * (3 + 3 * a + 2 * b),
+              (b + 1) * (a + b + 2) ** 2 * (2 * a + b + 3) ** 2
+              * (3 * a + b + 4) * (3 * a + 2 * b + 4) ** 2
+              * (3 * a + 2 * b + 5))
         C = (3 * a ** 3 * (1 + 4 * b)
              + 2 * (2 + b) ** 2 * (3 + 4 * b + b * b)
              + 2 * a * a * (9 + 28 * b + 11 * b * b)
              + 2 * a * (18 + 47 * b + 31 * b * b + 6 * b ** 3))
-        c1 = -_f(2 * C * (1 + a + b) ** 2 * (2 + 2 * a + b) ** 2
-                 * (3 + 3 * a + 2 * b) ** 2,
-                 (1 + b) * (2 + a + b) ** 3 * (3 + 2 * a + b) ** 3
-                 * (4 + 3 * a + b) * (4 + 3 * a + 2 * b) * (5 + 3 * a + 2 * b))
-        c0 = _f(b * (a + b + 1) ** 3 * (2 * a + b + 2) ** 3 * (3 * a + b + 3)
-                * (3 * a + 2 * b + 3) ** 2,
-                (b + 1) * (a + b + 2) ** 3 * (2 * a + b + 3) ** 3
-                * (3 * a + b + 4) * (3 * a + 2 * b + 5) ** 2)
+        c1 = (-2 * C * (1 + a + b) ** 2 * (2 + 2 * a + b) ** 2
+              * (3 + 3 * a + 2 * b) ** 2,
+              (1 + b) * (2 + a + b) ** 3 * (3 + 2 * a + b) ** 3
+              * (4 + 3 * a + b) * (4 + 3 * a + 2 * b) * (5 + 3 * a + 2 * b))
+        c0 = (b * (a + b + 1) ** 3 * (2 * a + b + 2) ** 3 * (3 * a + b + 3)
+              * (3 * a + 2 * b + 3) ** 2,
+              (b + 1) * (a + b + 2) ** 3 * (2 * a + b + 3) ** 3
+              * (3 * a + b + 4) * (3 * a + 2 * b + 5) ** 2)
         return PolyPair(y1, _monic(c0, c1, c2, c3))
     raise ValueError(f"case index {i} out of range")
 
@@ -300,7 +296,7 @@ def is_generic(y: PolyPair, Lambda, z) -> bool:
 def fertility_rhs(y: PolyPair, t1, t2):
     """(F_1, F_2) = (T_1 y_2, T_2 y_1^3), the right-hand sides of the two
     fertility equations Wr(y_j, x^{a_j} g_j) = F_j, on Z[x] for the rows of
-    y and T_j from zcalT: multiples, which do not change whether g_j exists."""
+    y and of T_j: multiples, which do not change whether g_j exists."""
     y1, y2 = y.y1, y.y2
     return zmul(t1, y2), zmul(t2, zmul(y1, zmul(y1, y1)))
 
@@ -308,10 +304,10 @@ def fertility_rhs(y: PolyPair, t1, t2):
 def bae_exact(y: PolyPair, t1, t2) -> bool:
     """The Bethe equations as divisibilities on Z[x]: y_j divides
     Wr(y_j', F_j) = y_j' F_j' - y_j'' F_j, for (F_1, F_2) the fertility_rhs
-    of y and the T_j of zcalT.  At a simple root t of y_j, y_j''/y_j' =
-    sum_{k != i} 2/(t - t_k), so this says F_j'/F_j = y_j''/y_j' at t: the
-    equation of bae_residual divided by its weight (6 for y_1, 2 for y_2).
-    Exact for a generic pair.
+    of y and the T_j of ramification.  At a simple root t of y_j,
+    y_j''/y_j' = sum_{k != i} 2/(t - t_k), so this says F_j'/F_j =
+    y_j''/y_j' at t: the equation of bae_residual divided by its weight (6
+    for y_1, 2 for y_2).  Exact for a generic pair.
 
     On a generic pair this decides the same thing as fertility: a polynomial
     g_j with Wr(y_j, x^{a_j} g_j) = F_j exists exactly when F_j / y_j^2 has
@@ -331,7 +327,7 @@ def certify(y: PolyPair, data: BetheData) -> dict:
     the same thing as bae_exact, so it cross-checks the solve."""
     if data.z[0] != 0:
         raise ValueError("fertility requires z1 = 0")
-    T = zcalT(data.Lambda, data.z)  # rejects a negative Lambda_1, so a >= 1
+    T = ramification(data.Lambda, data.z).T[:2]  # Lambda_1 dominant: a >= 1
 
     def fertile(Y, F, a):
         G, c = fertility_solve(Y, F[a - 1:], a) or (None, 0)
@@ -411,10 +407,10 @@ def reproduce(y: PolyPair, direction: int, data: BetheData):
     j = direction
     lam1 = data.Lambda[0]
     a = lam1[j - 1] + 1  # <lambda^(1) + rho, coroot_j>
-    # F_j for the points after z1 (zcalT rejects a negative exponent at
-    # one), a multiple of the right-hand side: it scales G, and the new
-    # pair keeps only G's line
-    F = fertility_rhs(y, *zcalT(data.Lambda[1:], data.z[1:]))[j - 1]
+    # F_j for the points after z1, whose weights must be dominant: a multiple
+    # of the right-hand side, which scales G, and the pair keeps G's line
+    T = ramification(data.Lambda[1:], data.z[1:]).T[:2]
+    F = fertility_rhs(y, *T)[j - 1]
     # Wr(y_j, x^a G) = c x^{lam1_j} F; the x-powers cancel exactly
     G, _ = fertility_solve((y.y1, y.y2)[j - 1], F, a) or ([], 1)
     if not G and a <= 0:

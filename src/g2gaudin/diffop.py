@@ -307,14 +307,12 @@ def dy_factor_functions(y: bethe.PolyPair, T1: Poly, T2: Poly):
             y1)
 
 
-def dy_log_factors(y: bethe.PolyPair, T1: Poly, T2: Poly, shift=(0,) * 4):
-    """(Q, [W_1..W_7], Y) with D_y = (d - W_1/Q)...(d - W_7/Q), or its
-    conjugate by T1^2 T2 for shift = _CONJUGATOR: f^-1 (d - ln' g) f is
-    d - ln'(g/f).  Y is the y-part of Q: Q / Y divides T1 T2.  T1 and T2
-    may be Polys or integer lists: only their lines matter."""
+def dy_log_factors(y: bethe.PolyPair, T1: Poly, T2: Poly):
+    """(Q, [W_1..W_7], Y) with D_y = (d - W_1/Q)...(d - W_7/Q).  Y is the
+    y-part of Q: Q / Y divides T1 T2.  T1 and T2 may be Polys or integer
+    lists: only their lines matter."""
     fs = [zrow(T1), zrow(T2), y.y1, y.y2]
-    Q, Ws, lcms = _log_factors(fs, [[a - b for a, b in zip(e, shift)]
-                                    for e in _DY_EXPONENTS])
+    Q, Ws, lcms = _log_factors(fs, _DY_EXPONENTS)
     return Q, Ws, zquo(Q, lcms[2])
 
 
@@ -508,8 +506,7 @@ class Case:
     def ramification(self) -> bethe.RamificationData:
         """The ramification data of the points and weights: T_1..T_7 as
         primitive integer lists, of which D_y reads T1 and T2."""
-        return bethe.RamificationData(self.data.z, tuple(
-            rd.partition_from_weight(w, 0) for w in self.data.Lambda))
+        return bethe.ramification(self.data.Lambda, self.data.z)
 
     @cached_property
     def operator(self) -> DiffOp:

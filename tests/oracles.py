@@ -21,7 +21,11 @@ The Freudenthal recursion over Fractions, for the integer one of `repn`.
 The monic Poly of an integer row, such as a component of a Bethe pair, for
 the tests that compute with one over Q[x]; genericity of a Bethe pair by
 gcds over Q[x], for the integer gcds and the evaluation at the points of
-`bethe.is_generic`.
+`bethe.is_generic`.  T_1 and T_2 from the weights (`zcalT`), for the T's
+that `bethe.ramification` reads off the partitions; the conjugated
+operator's seven log-factors, for `diffop.build_conjugated`; and the
+closed forms over Fractions, each component cleared by `zclear`, for the
+integer pairs of `bethe.closed_form_pair`.
 
 The bilinear form kappa on a pure self-dual space and the paper's
 definition of a self-self-dual space by a kappa-isotropic subspace, which
@@ -37,10 +41,11 @@ from functools import lru_cache
 
 from g2gaudin import cli, diffop
 from g2gaudin import rootdata as rd
-from g2gaudin.bethe import INF
-from g2gaudin.exact import (Poly, RatFunc, poly_gcd, zderiv, zmul, zpoly,
-                            zprefix_levels, zprimitive, zreduce, zrow, zsub,
-                            zwronski_minors, zwronskian_past, zwronskians)
+from g2gaudin.bethe import INF, PolyPair, zlinear_power
+from g2gaudin.exact import (Poly, RatFunc, poly_gcd, zclear, zderiv, zmul,
+                            zpoly, zprefix_levels, zprimitive, zquo, zreduce,
+                            zrow, zsub, zwronski_minors, zwronskian_past,
+                            zwronskians)
 from g2gaudin.linalg import rref
 from g2gaudin.repn import (bracket, mat_add, mat_scale, mat_sub, mat_unit,
                           mat_zero)
@@ -279,6 +284,137 @@ def is_generic_by_gcd(y, Lambda, z):
         if poly_gcd(yj, sing).degree > 0:
             return False
     return poly_gcd(y1, y2).degree <= 0
+
+
+def zcalT(Lambda, z):
+    """(T_1, T_2) on Z[x] from the weights: the products prod (s x - r)^e,
+    e = <Lambda_s, coroot_j>, over the finite points, for the T's of
+    bethe.ramification, which reads them off the partitions."""
+    out = []
+    for j in (0, 1):
+        pairs = [(p, lam[j]) for lam, p in zip(Lambda, z) if p != INF]
+        for p, e in pairs:
+            if e < 0:
+                raise ValueError(f"negative exponent {e} at finite point {p}")
+        out.append(zlinear_power(pairs))
+    return tuple(out)
+
+
+def conjugated_log_factors(y, T1, T2):
+    """(Q, [W_1..W_7], Y) with the conjugate of D_y by T1^2 T2 equal to
+    (d - W_1/Q)...(d - W_7/Q): f^-1 (d - ln' g) f is d - ln'(g/f), so each
+    factor's exponents drop by diffop._CONJUGATOR.  Y is the y-part of Q,
+    as in diffop.dy_log_factors."""
+    fs = [zrow(T1), zrow(T2), y.y1, y.y2]
+    Q, Ws, lcms = diffop._log_factors(
+        fs, [[a - b for a, b in zip(e, diffop._CONJUGATOR)]
+             for e in diffop._DY_EXPONENTS])
+    return Q, Ws, zquo(Q, lcms[2])
+
+
+def _f(expr_num, expr_den):
+    return Fraction(expr_num, expr_den)
+
+
+def _monic(*cs):
+    """The integer row of the monic polynomial with the lower coefficients
+    cs, lowest degree first: one zclear."""
+    return zclear(cs + (1,))[0]
+
+
+def fraction_closed_form_pair(lam, i) -> PolyPair:
+    """bethe.closed_form_pair as it was transcribed over Fractions: each
+    appendix coefficient a Fraction, each component cleared by zclear."""
+    a, b = lam  # lambda_1, lambda_2
+    if i == 0:
+        return PolyPair([1], [1])
+    if i == 1:
+        return PolyPair([1], _monic(-_f(b, b + 1)))
+    if i == 2:
+        y1 = _monic(-_f(a * (3 * a + b + 3), (a + 1) * (3 * a + b + 4)))
+        y2 = _monic(-_f(3 * a + b + 3, 3 * a + b + 4))
+        return PolyPair(y1, y2)
+    if i == 3:
+        y1 = _monic(-_f((3 * a + b + 3) * (3 * a + 2 * b + 4),
+                        (3 * a + b + 5) * (3 * a + 2 * b + 6)))
+        c1 = -_f(2 * (3 * a + 2 * b + 4) * (3 * a + 5 * b + 3 * a * b + b * b + 6),
+                 (b + 2) * (3 * a + b + 5) * (3 * a + 2 * b + 6))
+        c0 = _f(b * (3 * a + b + 3) * (3 * a + 2 * b + 4) ** 2,
+                (b + 2) * (3 * a + b + 5) * (3 * a + 2 * b + 6) ** 2)
+        return PolyPair(y1, _monic(c0, c1))
+    if i == 4:
+        y1 = _monic(-_f((a + b + 1) * (3 * a + 2 * b + 4),
+                        (a + b + 2) * (3 * a + 2 * b + 5)))
+        c2 = -_f(3 * (a + b + 1) * (3 * a * b + 2 * b * b - 2 * a + 3 * b - 2),
+                 b * (a + b + 2) * (3 * a + 2 * b + 5))
+        c1 = _f(3 * (b - 1) * (a + b + 1) ** 2 * (3 * a + 2 * b + 4)
+                * (3 * a * b + 2 * b * b + 2 * a + 6 * b + 4),
+                b * (b + 1) * (a + b + 2) ** 2 * (3 * a + 2 * b + 5) ** 2)
+        c0 = -_f((b - 1) * (a + b + 1) ** 3 * (3 * a + 2 * b + 4) ** 2,
+                 (b + 1) * (a + b + 2) ** 3 * (3 * a + 2 * b + 5) ** 2)
+        return PolyPair(y1, _monic(c0, c1, c2))
+    if i == 5:
+        d1 = -_f(2 * (2 * a + b + 2) * (3 * a + b + 2)
+                 * (3 * a * a + 2 * a * b + 6 * a + b + 3),
+                 (a + 1) * (2 * a + b + 3) * (3 * a + b + 3) * (3 * a + 2 * b + 5))
+        d0 = _f(a * (2 * a + b + 2) ** 2 * (3 * a + b + 2) * (3 * a + 2 * b + 4),
+                (a + 1) * (2 * a + b + 3) ** 2 * (3 * a + b + 4)
+                * (3 * a + 2 * b + 5))
+        y1 = _monic(d0, d1)
+        c2 = -_f(3 * (2 * a + b + 2)
+                 * (9 * a * a + 9 * a * b + 2 * b * b + 20 * a + 9 * b + 11),
+                 (2 * a + b + 3) * (3 * a + b + 3) * (3 * a + 2 * b + 5))
+        c1 = _f(3 * (3 * a + b + 2) * (2 * a + b + 2) ** 2 * (3 * a + 2 * b + 4)
+                * (9 * a * a + 9 * a * b + 2 * b * b + 25 * a + 12 * b + 18),
+                (2 * a + b + 3) ** 2 * (3 * a + b + 3) * (3 * a + b + 4)
+                * (3 * a + 2 * b + 5) ** 2)
+        c0 = -_f((2 * a + b + 2) ** 3 * (3 * a + b + 2) * (3 * a + 2 * b + 4) ** 2,
+                 (2 * a + b + 3) ** 3 * (3 * a + b + 4) * (3 * a + 2 * b + 5) ** 2)
+        return PolyPair(y1, _monic(c0, c1, c2))
+    if i == 6:
+        d1 = -_f(2 * (2 * a + b + 2) * (3 * a + 2 * b + 3)
+                 * (3 * a * a + 4 * a * b + b * b + 8 * a + 5 * b + 6),
+                 (a + b + 2) * (2 * a + b + 3) * (3 * a + b + 4)
+                 * (3 * a + 2 * b + 4))
+        d0 = _f((a + b + 1) * (2 * a + b + 2) ** 2 * (3 * a + b + 3)
+                * (3 * a + 2 * b + 3),
+                (a + b + 2) * (2 * a + b + 3) ** 2 * (3 * a + b + 4)
+                * (3 * a + 2 * b + 5))
+        y1 = _monic(d0, d1)
+        A = (9 * a ** 4 * (4 * b + 3)
+             + 3 * a ** 3 * (30 * b * b + 78 * b + 47)
+             + a * a * (80 * b ** 3 + 372 * b * b + 562 * b + 270)
+             + a * (30 * b ** 4 + 208 * b ** 3 + 528 * b * b + 578 * b + 228)
+             + 2 * (b + 2) ** 2 * (2 * b ** 3 + 11 * b * b + 18 * b + 9))
+        c3 = -_f(2 * A, (b + 1) * (a + b + 2) * (2 * a + b + 3)
+                 * (3 * a + b + 4) * (3 * a + 2 * b + 4))
+        B = (27 * a ** 5 * (1 + 2 * b)
+             + 3 * a ** 4 * (70 + 147 * b + 57 * b * b)
+             + 3 * a ** 3 * (215 + 493 * b + 333 * b * b + 70 * b ** 3)
+             + 2 * (2 + b) ** 2 * (27 + 60 * b + 47 * b * b + 16 * b ** 3
+                                   + 2 * b ** 4)
+             + a * a * (978 + 2498 * b + 2263 * b * b + 880 * b ** 3
+                        + 125 * b ** 4)
+             + 2 * a * (366 + 1049 * b + 1165 * b * b + 634 * b ** 3
+                        + 170 * b ** 4 + 18 * b ** 5))
+        c2 = _f(6 * B * (1 + a + b) * (2 + 2 * a + b) * (3 + 3 * a + 2 * b),
+                (b + 1) * (a + b + 2) ** 2 * (2 * a + b + 3) ** 2
+                * (3 * a + b + 4) * (3 * a + 2 * b + 4) ** 2
+                * (3 * a + 2 * b + 5))
+        C = (3 * a ** 3 * (1 + 4 * b)
+             + 2 * (2 + b) ** 2 * (3 + 4 * b + b * b)
+             + 2 * a * a * (9 + 28 * b + 11 * b * b)
+             + 2 * a * (18 + 47 * b + 31 * b * b + 6 * b ** 3))
+        c1 = -_f(2 * C * (1 + a + b) ** 2 * (2 + 2 * a + b) ** 2
+                 * (3 + 3 * a + 2 * b) ** 2,
+                 (1 + b) * (2 + a + b) ** 3 * (3 + 2 * a + b) ** 3
+                 * (4 + 3 * a + b) * (4 + 3 * a + 2 * b) * (5 + 3 * a + 2 * b))
+        c0 = _f(b * (a + b + 1) ** 3 * (2 * a + b + 2) ** 3 * (3 * a + b + 3)
+                * (3 * a + 2 * b + 3) ** 2,
+                (b + 1) * (a + b + 2) ** 3 * (2 * a + b + 3) ** 3
+                * (3 * a + b + 4) * (3 * a + 2 * b + 5) ** 2)
+        return PolyPair(y1, _monic(c0, c1, c2, c3))
+    raise ValueError(f"case index {i} out of range")
 
 
 # ------------------------------------------- kappa and the isotropic witness

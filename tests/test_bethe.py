@@ -11,7 +11,8 @@ from g2gaudin import rootdata as rd
 from g2gaudin.bethe import INF, L_LIST, BetheData, PolyPair
 from g2gaudin.exact import (Poly, wronskian, zadd, zmul, zpoly, zrow, zscale,
                             zwr)
-from oracles import is_generic_by_gcd, monic, solve
+from oracles import (fraction_closed_form_pair, is_generic_by_gcd, monic,
+                     solve, zcalT)
 
 Z = (Fraction(0), Fraction(1))
 X = Poly([0, 1])
@@ -129,6 +130,10 @@ def test_calT():
     # weight at infinity contributes no factor
     T1i, _ = bethe.build_calT([(1, 1), (2, 0)], [Fraction(0), INF])
     assert T1i == Poly([0, 1])
+    # but it must be dominant there too, as at a finite point
+    for z in ([0, INF], [0, 1]):
+        with pytest.raises(ValueError, match="not dominant"):
+            bethe.ramification([(1, 1), (1, -1)], z)
 
 
 def test_appendix_case1_printed_value():
@@ -182,7 +187,7 @@ def test_fertility_identities():
     """The witnesses (G_j, c_j) of (2, 1) satisfy Wr(y_j, x^a G_j) = c_j F_j
     on Z[x], and over Q by the Fraction Wronskian of the Polys."""
     lam = (2, 1)
-    T = bethe.zcalT([lam, rd.OMEGA2], Z)
+    T = zcalT([lam, rd.OMEGA2], Z)
     x = Poly([0, 1])
     for i in bethe.admissible_ls(lam):
         y = bethe.appendix_solution(lam, i)
@@ -438,7 +443,7 @@ def test_translated_pairs_match_oracles():
         moved = translate_pair(bethe.appendix_solution((2, 1), i), *z)
         assert bethe.is_generic(moved, Lam, z)
         assert is_generic_by_gcd(moved, Lam, z)
-        assert bethe.bae_exact(moved, *bethe.zcalT(Lam, z))
+        assert bethe.bae_exact(moved, *zcalT(Lam, z))
         for Y, R, a in _fertility_inputs(moved, Lam, z):
             got = _solve(Y, R, a)
             assert got is not None and _same(got, _solve_ref(Y, R, a))
@@ -446,7 +451,7 @@ def test_translated_pairs_match_oracles():
 
 def _fertile(y, Lambda):
     """Both fertility witnesses exist, at z = (0, 1)."""
-    F = bethe.fertility_rhs(y, *bethe.zcalT(Lambda, Z))
+    F = bethe.fertility_rhs(y, *zcalT(Lambda, Z))
     return all(bethe.fertility_solve(Y, Fj[a - 1:], a) is not None
                for Y, Fj, a in zip((y.y1, y.y2), F,
                                    (lam + 1 for lam in Lambda[0])))
@@ -459,7 +464,7 @@ def test_exact_gate_rejects_every_perturbed_coefficient():
     rejected = {"generic": 0, "exact": 0}
     for lam, i in _grid(3):
         Lam = [lam, rd.OMEGA2]
-        T = bethe.zcalT(Lam, Z)
+        T = zcalT(Lam, Z)
         y = bethe.appendix_solution(lam, i)
         assert bethe.bae_exact(y, *T) and _fertile(y, Lam)
         for j, yj in enumerate((monic(y.y1), monic(y.y2))):
@@ -486,25 +491,47 @@ def test_exact_gate_follows_the_weights():
     for i in bethe.admissible_ls(lam):
         y = bethe.appendix_solution(lam, i)
         for yj, other in ((y.y1, (3, 1)), (y.y2, (2, 2))):
-            T = bethe.zcalT([other, rd.OMEGA2], Z)
+            T = zcalT([other, rd.OMEGA2], Z)
             assert bethe.bae_exact(y, *T) is (len(yj) < 2), (i, other)
 
 
 def test_bethe_suites_build_no_poly(monkeypatch):
     """A Bethe pair is two integer rows, and the closed forms, certify and
     reproduce work on them: on the 2-grid the bae-grid and reproduction
-    suites pass without constructing one exact.Poly."""
+    suites pass without constructing one exact.Poly, and, since the
+    appendix coefficients are integer pairs and the points the integers 0
+    and 1, one Fraction."""
     built, init = [], Poly.__init__
+    fractions, new = [], Fraction.__new__
 
     def counted(self, *args):
         built.append(args)
         init(self, *args)
+
+    def counted_fraction(cls, *args, **kwargs):
+        fractions.append(args)
+        return new(cls, *args, **kwargs)
     monkeypatch.setenv("G2_LMAX", "2")
     monkeypatch.setattr(Poly, "__init__", counted)
+    monkeypatch.setattr(Fraction, "__new__", counted_fraction)
     for suite in (verify.check_bae_grid, verify.check_reproduction):
         assert suite()[0], suite
     monkeypatch.undo()
     assert len(built) == 0
+    assert len(fractions) == 0
+
+
+def test_closed_form_pair_matches_the_fraction_transcription_on_7_grid():
+    """The integer pairs of closed_form_pair, each component cleared over
+    the lcm of its denominators, give the rows of the appendix formulas
+    transcribed over Fractions and cleared by zclear, on all 392 cases of
+    the 7-grid."""
+    cases = _grid(7)
+    assert len(cases) == 392
+    for lam, i in cases:
+        y, want = bethe.closed_form_pair(lam, i), fraction_closed_form_pair(
+            lam, i)
+        assert (y.y1, y.y2) == (want.y1, want.y2), (lam, i)
 
 
 def test_bae_grid_suite_gates_on_exact_equations(monkeypatch):

@@ -936,6 +936,11 @@ def test_commands_import_only_their_layers():
         assert "bethe" in loaded, suite
         assert not loaded & {"numpy", "dataclasses", "inspect"}, suite
     case = ["--lambda", "1,1", "--case", "2"]
+    # each alone: the h2check command builds D_y and loads sgrass with it
+    # by design (the comment above cli._load); the h2 suite reads no space
+    # and does not load it
+    assert "sgrass" in _loaded_after(["h2check"] + case)
+    assert "sgrass" not in _loaded_after(["verify", "--suite", "h2"])
     argvs = [["bae"] + case, ["bae-verify"] + case,
              ["reproduce", "--direction", "1"] + case,
              ["diffop", "--conjugated"] + case, ["kernel"] + case,

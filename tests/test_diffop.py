@@ -140,7 +140,7 @@ def _sequential_conjugated(y, T1, T2):
     """The conjugated operator as the seven conjugated factors multiplied
     out over Q, the reference for diffop.build_conjugated."""
     return diffop._log_factor_product(
-        *diffop.dy_log_factors(y, T1, T2, diffop._CONJUGATOR))
+        *oracles.conjugated_log_factors(y, T1, T2))
 
 
 @pytest.mark.parametrize("name", sorted(NONGENERIC) + sorted(HALF_BETHE))
@@ -196,8 +196,8 @@ def test_bethe_pair_reduces_over_the_marked_points_only(monkeypatch):
     for lam, i in cases:
         y = bethe.appendix_solution(lam, i)
         T1, T2 = bethe.build_calT([lam, rd.OMEGA2], [Fraction(0), Fraction(1)])
-        marked = [diffop.dy_log_factors(y, T1, T2, shift)
-                  for shift in ((0,) * 4, diffop._CONJUGATOR)]
+        marked = [factors(y, T1, T2) for factors in (
+            diffop.dy_log_factors, oracles.conjugated_log_factors)]
         want = [zquo(Q, Y) for Q, _, Y in marked for _ in range(7)]
         assert all(len(m) <= 3 and not zprem(zclear((T1 * T2).coeffs)[0], m)
                    for m in want), (lam, i)
@@ -520,12 +520,14 @@ def test_conjugated_operands_stay_small(monkeypatch):
 
 
 def test_case_ramification_is_the_certified_T_on_5_grid():
-    """On all 210 cases of the 5-grid the case's one RamificationData holds
-    as T1, T2 the integer lists that certify and reproduce read
-    (bethe.zcalT), and it is the data the self-duality checks receive."""
+    """On all 210 cases of the 5-grid the case's one RamificationData, the
+    bethe.ramification that certify and reproduce read, holds as T1, T2 the
+    products the weights give (oracles.zcalT), and it is the data the
+    self-duality checks receive."""
     for lam, i in GRID5:
         c = diffop.case(lam, i)
-        assert c.ramification.T[:2] == bethe.zcalT(c.data.Lambda, c.data.z)
+        assert c.ramification.T[:2] == oracles.zcalT(c.data.Lambda, c.data.z)
+        assert c.ramification == bethe.ramification(c.data.Lambda, c.data.z)
         assert sgrass.bethe_kernel_instance(lam, i)[1] is c.ramification
 
 

@@ -625,7 +625,7 @@ def test_divided_recursion_matches_dividing_the_undivided_one():
         for a, b, den in MOVES:
             flag = [_moved(r, a, b, den) for r in c.flag_rows]
             R = sg.RamificationData(
-                tuple(z if z == bethe.INF else (den * z - b) / a
+                tuple(z if z == bethe.INF else Fraction(den * z - b, a)
                       for z in c.data.z), c.ramification.partitions)
             X, ts = sg.PolySpace(flag), R.T[::-1]
             lead = [t[-1] for t in R.divisors]

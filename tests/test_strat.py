@@ -117,6 +117,22 @@ def test_strata_check_fails_on_an_off_by_one_pair_size(monkeypatch):
     assert verify.check_strata() == (False, "3 nodes at d=11")
 
 
+def test_strata_check_fails_when_dot_drops_an_edge(monkeypatch):
+    # to_dot planted to leave out the first edge line; the arrow set, read
+    # off H itself, still matches the golden list
+    real = strat.to_dot
+
+    def planted(H):
+        lines = real(H).splitlines(keepends=True)
+        first = next(k for k, ln in enumerate(lines) if " -> " in ln)
+        return "".join(lines[:first] + lines[first + 1:])
+
+    assert verify.check_strata()[0]
+    monkeypatch.setattr(strat, "to_dot", planted)
+    assert verify.check_strata() == (
+        False, "DOT edges differ from the Hasse edges")
+
+
 @pytest.mark.parametrize("off", [1, -1])
 def test_covering_check_fails_on_an_off_by_one_invariant_dim(monkeypatch,
                                                              off):

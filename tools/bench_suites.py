@@ -13,7 +13,7 @@ more fresh run of each suite and grid under cProfile counts the calls of
 `exact.zpoly`, the Fraction Polys built from integer lists, of
 `exact.zclear`, the rational lists cleared to integer ones, and of the
 integer kernels `exact.zmul`, `exact.zquo` and `exact.zwr`, the 2x2
-Wronskian of each Jacobi step.  DIR (a
+Wronskian of each Jacobi step.  A copy of DIR (a git
 checkout of the parent commit) is the parent side and a copy of this
 checkout the change side, as in `pairs`: the two sides alternate on every
 run of each suite and grid, the parent first in even runs, so drift of a
@@ -22,16 +22,18 @@ calls and the ratio of the median times, change over parent.
 
     python3 tools/bench_suites.py pairs OUT.json --parent DIR --seed0 N
 
-runs `perfbench/run.py` alternately in DIR (a checkout of the parent
-commit) and in a copy of this checkout on every workload, ten pairs per
-workload, one per seed N, N+1, ..., the parent first in even pairs and
-second in odd ones.  As on the benchmark's host, each run has
+runs `perfbench/run.py` alternately in a copy of DIR (a git checkout of
+the parent commit) and in a copy of this checkout on every workload, ten
+pairs per workload, one per seed N, N+1, ..., the parent first in even
+pairs and second in odd ones.  As on the benchmark's host, each run has
 PYTHONDONTWRITEBYTECODE=1 in a checkout that holds no bytecode, so every
 cold process compiles the program's modules and reads the standard
-library's installed bytecode; a DIR that holds a __pycache__ is refused.
-The copy holds this checkout's tracked and untracked files, not the
-ignored ones (build output, caches), in a temporary directory beside DIR,
-so that the two sides differ only in their files.  For every end-to-end
+library's installed bytecode; a copy that holds a __pycache__ is refused.
+Both copies are made the same way, for every subcommand but `parity`:
+each holds its checkout's tracked and untracked files, not the ignored
+ones (build output, caches), in a temporary directory beside DIR, so
+that the two sides differ only in their files and not in where or how
+they were made.  For every end-to-end
 metric it records each pair, the medians and quartiles of both sides, the
 ratio of the medians and the number of pairs the change wins; the same for
 two raw readings of each run, taken from the run record that the run
@@ -376,26 +378,26 @@ def quartiles(values):
     return {"q1": q1, "median": q2, "q3": q3}
 
 
-def copy_checkout(dest):
-    """Copy this checkout's tracked and untracked files, without the ignored
-    ones, into dest."""
+def copy_checkout(checkout, dest):
+    """Copy the tracked and untracked files of the git checkout, without the
+    ignored ones, into dest."""
     names = subprocess.run(
         ["git", "ls-files", "-z", "-c", "-o", "--exclude-standard"],
-        cwd=ROOT, capture_output=True, text=True, check=True).stdout
+        cwd=checkout, capture_output=True, text=True, check=True).stdout
     for name in filter(None, names.split("\0")):
-        src, dst = os.path.join(ROOT, name), os.path.join(dest, name)
+        src, dst = os.path.join(checkout, name), os.path.join(dest, name)
         if os.path.isfile(src):  # -c still lists a deleted tracked file
             os.makedirs(os.path.dirname(dst), exist_ok=True)
             shutil.copy2(src, dst)
 
 
-def pairs(parent, change, seed0):
+def pairs(sides, seed0):
     out = {}
     for workload in WORKLOADS:
         runs = []
         for k in range(PAIRS):
             seed = seed0 + k
-            order = [("parent", parent), ("change", change)]
+            order = [(side, sides[side]) for side in ("parent", "change")]
             if k % 2:
                 order.reverse()
             pair = {side: bench_run(path, workload, seed)
@@ -446,15 +448,18 @@ def main(argv=None):
         record["parity"] = {"machine": machine(), "digests": parity()}
     else:
         parent = os.path.abspath(args.parent)
-        cached = [d for d, _, _ in os.walk(parent)
-                  if os.path.basename(d) == "__pycache__"]
-        if cached:
-            raise SystemExit(f"{cached[0]}: the parent's bytecode would "
-                             "spare its side the compile; remove it")
         beside = os.path.dirname(parent)
-        with tempfile.TemporaryDirectory(dir=beside) as change:
-            copy_checkout(change)
-            sides = {"parent": parent, "change": change}
+        with tempfile.TemporaryDirectory(dir=beside) as parent_copy, \
+                tempfile.TemporaryDirectory(dir=beside) as change:
+            sides = {"parent": parent_copy, "change": change}
+            for side, checkout in (("parent", parent), ("change", ROOT)):
+                copy_checkout(checkout, sides[side])
+                cached = [d for d, _, _ in os.walk(sides[side])
+                          if os.path.basename(d) == "__pycache__"]
+                if cached:
+                    raise SystemExit(f"{checkout}: its bytecode would spare "
+                                     f"the {side} side the compile; remove "
+                                     "it")
             if args.command == "suites":
                 record["suites"] = {"machine": machine(),
                                     "times": suites(sides)}
@@ -469,7 +474,7 @@ def main(argv=None):
             else:
                 record["benchmark_pairs"] = {
                     "machine": machine(), "run_seconds": RUN_SECONDS,
-                    "workloads": pairs(parent, change, args.seed0)}
+                    "workloads": pairs(sides, args.seed0)}
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
