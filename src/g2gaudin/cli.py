@@ -29,13 +29,16 @@ def _parse_weights(s):
 
 
 def _parse_point(s):
-    """A rational, or "inf" for the point at infinity."""
+    """A rational of the file grammar (polycodec.rational), or "inf" for
+    the point at infinity."""
     if s == "inf":
         return s
     from fractions import Fraction
+
+    from .polycodec import rational
     try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError):
+        return Fraction(*rational(s))
+    except ValueError:
         raise ValueError(
             f"point must be a rational or 'inf', got {s!r}") from None
 

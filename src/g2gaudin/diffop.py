@@ -17,7 +17,6 @@ from . import rootdata as rd
 from .exact import (Poly, RatFunc, zadd, zderiv, zechelon, zgcd, zhomeval,
                     zlcm, zmul, zpoly, zprimitive, zquo, zratfunc, zreduce,
                     zrow, zscale, zsolve1, zsub)
-from .linalg import nullspace
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,6 +370,7 @@ def polynomial_kernel(D: DiffOp, degree_bound: int):
     With the coefficients cleared to C_i = P_i Q^i in Z[x] (Q^n times D),
     column j of the matrix is the image of x^j,
     sum_i j!/(j-i)! x^(j-i) C_i."""
+    from .linalg import nullspace
     cleared, Qi = [], [1]
     for p in D.P + ([1],):
         cleared.append(zmul(p, Qi))

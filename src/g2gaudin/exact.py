@@ -183,11 +183,13 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 
 # Integer polynomial core.  The Q[x] hot paths (every Wronskian, by the
 # Jacobi recursion of zwronskians; the Bethe layer; the rational rref in
-# linalg) clear denominators once on entry, compute on lists of Python ints
-# (lowest degree first, no trailing zeros, [] for zero) and build one
-# Fraction per output coefficient.  An operator in diffop lives on these
-# lists only (numerators over powers of a squarefree Q, with its exponents
-# and residue read off them); zratfunc turns it into RatFuncs for output.
+# linalg, whose matrix rows are these lists reversed, eliminated by
+# zreduce and zechelon) clear denominators once on entry, compute on lists
+# of Python ints (lowest degree first, no trailing zeros, [] for zero) and
+# build one Fraction per output coefficient.  An operator in diffop lives
+# on these lists only (numerators over powers of a squarefree Q, with its
+# exponents and residue read off them); zratfunc turns it into RatFuncs
+# for output.
 
 
 def _denominator(coeffs) -> int:
@@ -467,7 +469,8 @@ def zechelon(vectors, reduced=False):
     reduced, the reduced echelon basis of the span, by the same run over
     the result sorted by length: each vector zero at the last index of
     every other one, canonical (equal spans give equal lists).  ValueError
-    if the vectors are linearly dependent."""
+    if the vectors are linearly dependent.  The one echelon routine: spaces,
+    flags, duals and membership, and linalg's rref of a matrix."""
     out = []
     for v in vectors:
         v = zreduce(out, v)

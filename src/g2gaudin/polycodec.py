@@ -4,7 +4,8 @@ printed as integers.  A rational is the string "p" or "p/q", an optional
 it is printed in lowest terms.  A polynomial is the array of its
 coefficients, lowest degree first, and crosses the codec as an integer
 row over a denominator, so no Fraction is built per coefficient.  Only the
-commands that print a polynomial or read a file import this module."""
+commands that print a polynomial, read a file or read a --point import
+this module."""
 
 import re
 from math import gcd, lcm

@@ -226,7 +226,7 @@ def casimir_blocks():
     the eigenvalues as Fractions."""
     from fractions import Fraction
 
-    from .linalg import nullspace
+    from .linalg import rank
     omega = [list(row) for row in casimir_on_pair()]
     out = {}
     for mu, mult in tensor_decompose(rd.OMEGA2, rd.OMEGA2).items():
@@ -234,7 +234,7 @@ def casimir_blocks():
                       - 2 * casimir_eigenvalue(rd.OMEGA2), 2)
         shifted = [[omega[i][j] - (ev if i == j else 0) for j in range(49)]
                    for i in range(49)]
-        out[ev] = len(nullspace(shifted))
+        out[ev] = 49 - rank(shifted)
     return out
 
 

@@ -277,7 +277,10 @@ def test_input_modes_are_usage_errors(argv, capsys):
     ["tensor", "--left=-1,0", "--right", "0,1"],
     ["tensor", "--left", "0,1", "--right=0,-2"],
     ["strata", "--d", "6"],
-    ["strata", "--d", "15"]])
+    ["strata", "--d", "15"]] + [
+    # a point is read by the file grammar, "p" or "p/q" with q > 0
+    ["exponents", "--lambda", "1,1", "--case", "2", "--point", p]
+    for p in ("0.5", "1e0", " 1", "+1", "1_0", "-1.5")])
 def test_malformed_values_are_usage_errors(argv, capsys):
     """A point, a weight or a weight list that does not parse, a weight
     that is not dominant and a d outside 7..14 are rejected by the parser,
@@ -289,6 +292,8 @@ def test_malformed_values_are_usage_errors(argv, capsys):
     assert exc.value.code == 2 and captured.out == ""
     assert "error: argument --" in captured.err
     assert "Traceback" not in captured.err and "_parse" not in captured.err
+    if "--point" in argv:
+        assert "point must be a rational or 'inf'" in captured.err
 
 
 def _case_files(tmp_path, lam, i, **replaced):
@@ -558,15 +563,17 @@ def test_witness_wronskians_are_computed_once_per_flag(tmp_path,
     assert calls == {"zprefix_levels": 1, "zwronskians": 1}
 
 
-@pytest.mark.parametrize("point", ["-1/2", "-3/2", "-1", "-1.5", "-2/1"])
+@pytest.mark.parametrize("point", ["-1/2", "-3/2", "-1", "-6/4", "-2/1"])
 def test_a_negative_point_takes_either_spelling(point, capsys):
     """--point followed by a negative rational as its own token answers as
-    --point=<rational> does."""
+    --point=<rational> does, and prints the point in lowest terms."""
     case = ["exponents", "--lambda", "1,1", "--case", "2"]
     split = run(case + ["--point", point], capsys)
     joined = run(case + [f"--point={point}"], capsys)
     assert split == joined and split[0] == 0
-    assert json.loads(split[1])["exponents"] == [0, 1, 2, 3, 4, 5, 6]
+    got = json.loads(split[1])
+    assert got["exponents"] == [0, 1, 2, 3, 4, 5, 6]
+    assert got["point"] == str(Fraction(point))
 
 
 def _plant_fertility_solve(plant, monkeypatch, capsys):
@@ -753,8 +760,9 @@ _VALUES = {
     "case": _ints(-1, 7), "direction": _ints(0, 3), "d": _ints(6, 15),
     "format": _mostly(st.sampled_from(["dot", "json"]),
                       st.sampled_from(["svg", "", "-dot", "DOT"])),
-    "point": _mostly(st.sampled_from(["0", "1", "inf", "-1/2", "-1.5", "0.5"]),
-                     st.one_of(st.sampled_from(["1/0", "-x", "", "-inf"]),
+    "point": _mostly(st.sampled_from(["0", "1", "inf", "-1/2", "2/4"]),
+                     st.one_of(st.sampled_from(["1/0", "-x", "", "-inf",
+                                                "-1.5", "0.5"]),
                                st.text("-0123/.inf", max_size=4))),
     "suite": st.sampled_from(["all", "kernels", "nope", "", "-x"]),
     "space": _FILE, "ram": _FILE, "witness": _FILE}
@@ -953,6 +961,15 @@ def test_commands_import_only_their_layers():
     rcs, loaded = _run_fresh(*argvs)
     assert rcs == [0] * (len(argvs) - 2) + [2, 2]
     assert not loaded & {"argparse", "gettext", "locale"}, loaded
+    # only the chevalley and casimir suites eliminate: the case commands
+    # and the grid suites load no linalg (polynomial_kernel, the nullspace
+    # reference, imports it when it runs)
+    argvs = [["kernel"] + case, ["diffop", "--conjugated"] + case,
+             ["ssd-check"] + case, ["wronski", "--reduced"] + case,
+             ["exponents", "--point", "-1/2"] + case,
+             ["verify", "--suite", "h2"], ["verify", "--suite", "kernels"]]
+    rcs, loaded = _run_fresh(*argvs)
+    assert rcs == [0] * len(argvs) and "linalg" not in loaded, loaded
 
 
 def test_every_command_runs_without_numpy_or_sympy(tmp_path):

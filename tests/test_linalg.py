@@ -51,6 +51,37 @@ def test_rational_rref_examples():
     assert linalg.rref([[0, 3], [5, 0]]) == ([[1, 0], [0, 1]], [0, 1])
 
 
+def test_rref_rank_nullspace_read_reversed_rows():
+    """The elimination runs on each row reversed, so its pivot is its last
+    index: a zero leading column, a zero matrix, a single row, a single
+    column, and duplicate rows with the later pivot first, which the
+    first pass reduces and drops."""
+    m = [[0, 2, 4], [0, 1, 3]]
+    assert linalg.rref(m) == ([[0, 1, 0], [0, 0, 1]], [1, 2])
+    assert linalg.rank(m) == 2
+    assert linalg.nullspace(m) == [[1, 0, 0]]
+    zero = [[0, 0], [0, 0], [0, 0]]
+    assert linalg.rref(zero) == ([[0, 0]] * 3, [])
+    assert linalg.rank(zero) == 0
+    assert linalg.nullspace(zero) == [[1, 0], [0, 1]]
+    row = [[0, Fraction(3, 2), -3]]
+    assert linalg.rref(row) == ([[0, 1, -2]], [1])
+    assert linalg.rank(row) == 1
+    assert linalg.nullspace(row) == [[1, 0, 0], [0, 2, 1]]
+    col = [[0], [Fraction(-1, 3)], [2]]
+    assert linalg.rref(col) == ([[1], [0], [0]], [0])
+    assert linalg.rank(col) == 1
+    assert linalg.nullspace(col) == []
+    dup = [[0, 0, 1, 2], [1, 2, 3, 4], [0, 0, 2, 4], [1, 2, 3, 4]]
+    assert linalg.rref(dup) == ([[1, 2, 0, -2], [0, 0, 1, 2], [0] * 4,
+                                 [0] * 4], [0, 2])
+    assert linalg.rank(dup) == 2
+    assert linalg.nullspace(dup) == [[-2, 1, 0, 0], [2, 0, -2, 1]]
+    for a in (m, zero, row, col, dup):
+        assert linalg.rref(a) == rref_field([[Fraction(v) for v in r]
+                                             for r in a])
+
+
 def _nullspace_by_rref(A):
     """Reference nullspace: the free columns of the rref of A."""
     ncols = len(A[0])

@@ -290,6 +290,18 @@ def test_casimir_blocks():
                       Fraction(-6): 7, Fraction(-12): 1}
 
 
+def test_casimir_blocks_match_field_elimination():
+    """Each block's dimension, 49 minus the rank of the shifted pair
+    Casimir, is 49 minus the pivots of its rref by field operations."""
+    omega = repn.casimir_on_pair()
+    want = {}
+    for ev in map(Fraction, (2, 0, -6, -12)):
+        shifted = [[v - ev if r == s else v for s, v in enumerate(row)]
+                   for r, row in enumerate(omega)]
+        want[ev] = 49 - len(oracles.rref_field(shifted)[1])
+    assert repn.casimir_blocks() == want
+
+
 def test_invariant_dims():
     assert repn.invariant_dim([(0, 1), (0, 1)]) == 1
     assert repn.invariant_dim([(0, 1), (1, 0)]) == 0

@@ -356,8 +356,9 @@ def _flag_by_nullspaces(kernel_basis, y, T1, T2):
     images, free, flag = basis, set(), []
     for i, W in enumerate(reversed(Ws), 1):
         images = [diffop.apply_log_factor(Q, dQ, W, p, i - 1) for p in images]
+        # at least one row, zero once every image is: n columns all free
         ns = nullspace([[p[r] if r < len(p) else 0 for p in images]
-                        for r in range(max(map(len, images)))], ncols=n)
+                        for r in range(max(1, *map(len, images)))])
         at = {max(k for k in range(n) if v[k]): v for v in ns}
         new = at.keys() - free
         assert len(ns) == i and len(new) == 1

@@ -6,9 +6,13 @@ speed claim can be read off two such files.
 times the kernels, h2, wronskian, bae-grid and reproduction suites of
 `g2 verify` four times on the 3-, the 5- and the 7-grid (reproduction caps
 itself at the 3-grid), each run in a fresh process with G2_LMAX set to the
-grid; the time is the suite call alone, without the import, so on the
-3-grid bae-grid times closed_form_pair and certify on the 84 cases.  One
-more fresh run of each suite and grid under cProfile counts the calls of
+grid, and the chevalley and casimir suites, the two that reach linalg,
+four times with no G2_LMAX, since they read no grid.  The time is the
+suite call alone, without the import of sgrass and verify, so on the
+3-grid bae-grid times closed_form_pair and certify on the 84 cases; a
+layer those do not load, linalg for chevalley and casimir, is imported
+inside the timed call.  One more fresh run of each
+suite and grid under cProfile counts the calls of
 `Fraction.__new__`, of `exact.Poly.__init__`, every Poly built, of
 `exact.zpoly`, the Fraction Polys built from integer lists, of
 `exact.zclear`, the rational lists cleared to integer ones, and of the
@@ -92,6 +96,8 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SUITES = ("kernels", "h2", "wronskian", "bae-grid", "reproduction")
+# the suites that read no G2_LMAX, run once rather than once per grid
+GRIDLESS_SUITES = ("chevalley", "casimir")
 WORKLOADS = ("case-sweep", "case-explore", "cold-cli")
 # end-to-end metrics of BENCHMARK.json and whether higher is better
 METRICS = {"ops_per_s": True, "op_p50_s": False, "op_tail_s": False,
@@ -202,14 +208,19 @@ def machine():
 
 
 def run_suite(snippet, name, grid, checkout):
-    env = dict(os.environ, G2_LMAX=str(grid), PYTHONDONTWRITEBYTECODE="1",
+    """The record of one suite run in a fresh process, on the grid G2_LMAX
+    = grid, or with G2_LMAX unset for grid None."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.path.join(checkout, "src"))
+    env.pop("G2_LMAX", None)
+    if grid is not None:
+        env["G2_LMAX"] = str(grid)
     proc = subprocess.run([sys.executable, "-c", snippet, name],
                           env=env, capture_output=True, text=True, check=True)
     r = json.loads(proc.stdout.splitlines()[-1])
     if not r["ok"]:
-        raise SystemExit(f"{checkout}: suite {name} failed on the "
-                         f"{grid}-grid: {r['detail']}")
+        raise SystemExit(f"{checkout}: suite {name} failed with G2_LMAX "
+                         f"{grid}: {r['detail']}")
     return r
 
 
@@ -217,23 +228,23 @@ def suites(sides):
     """The suite times and profiled calls of each side, a dict from "parent"
     and "change" to a checkout."""
     out = []
-    for grid in GRIDS:
-        for name in SUITES:
-            times = {side: [] for side in sides}
-            for k in range(SUITE_RUNS):
-                for side in sorted(sides, reverse=k % 2 == 0):
-                    r = run_suite(SUITE_SNIPPET, name, grid, sides[side])
-                    times[side].append(round(r["seconds"], 4))
-            profiled = {side: run_suite(PROFILE_SNIPPET, name, grid, path)
-                        for side, path in sides.items()}
-            calls = {side: r["calls"] for side, r in profiled.items()}
-            out.append({"suite": name, "G2_LMAX": grid, "seconds": times,
-                        "detail": profiled["change"]["detail"],
-                        "profiled_calls": calls,
-                        "median_ratio": (statistics.median(times["change"])
-                                         / statistics.median(times["parent"]))})
-            print(f"{name} on the {grid}-grid: {times}, {calls}",
-                  file=sys.stderr)
+    runs = [(name, grid) for grid in GRIDS for name in SUITES]
+    for name, grid in runs + [(name, None) for name in GRIDLESS_SUITES]:
+        times = {side: [] for side in sides}
+        for k in range(SUITE_RUNS):
+            for side in sorted(sides, reverse=k % 2 == 0):
+                r = run_suite(SUITE_SNIPPET, name, grid, sides[side])
+                times[side].append(round(r["seconds"], 4))
+        profiled = {side: run_suite(PROFILE_SNIPPET, name, grid, path)
+                    for side, path in sides.items()}
+        calls = {side: r["calls"] for side, r in profiled.items()}
+        out.append({"suite": name, "G2_LMAX": grid, "seconds": times,
+                    "detail": profiled["change"]["detail"],
+                    "profiled_calls": calls,
+                    "median_ratio": (statistics.median(times["change"])
+                                     / statistics.median(times["parent"]))})
+        print(f"{name} with G2_LMAX {grid}: {times}, {calls}",
+              file=sys.stderr)
     return out
 
 
