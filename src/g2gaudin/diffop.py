@@ -1,7 +1,10 @@
 """Order-7 differential operators attached to Bethe solutions: construction
 from the 7-factor product, conjugation, the polynomial kernel and its flag
 by exact integration (and the kernel by a nullspace below a degree bound
-the caller gives, as a reference), and Fuchsian exponents."""
+the caller gives, as a reference), and Fuchsian exponents.  D_y, its
+conjugate and the flag read one factored form: coprime squarefree bases and
+their exponents in T1, T2, y1 and y2.  A Case reads it off with no gcd;
+unfactored input is split by _factor_base, the one gcd factorization."""
 
 from __future__ import annotations
 
@@ -62,38 +65,28 @@ _DY_EXPONENTS = ((4, 2, -1, 0), (3, 2, 1, -1), (3, 1, -2, 1), (2, 1, 0, 0),
 _CONJUGATOR = (2, 1, 0, 0)
 
 
-def _log_factors(fs, exps):
-    """(Q, [W_k], lcms) with ln' g_k = W_k / Q for
-    g_k = prod_j fs[j]^exps[k][j], fs integer coefficient lists and Q, W_k
-    in Z[x], and lcms[j] the lcm of the radicals of fs[:j].
+def _exponents(factors, exps):
+    """Over the bases, the exponents of prod_i f_i^e_i for each e in exps."""
+    return [[sum(e * a for e, a in zip(ek, col)) for col in zip(*factors)]
+            for ek in exps]
 
-    For primitive f with g = gcd(f, f'), ln' f = (f'/g) / rad f, where
-    rad f = f/g is squarefree; both quotients lie in Z[x].  Q is the lcm of
-    the radicals and W_k = Q ln' g_k = sum_j e_kj (f_j'/g_j) (Q / rad f_j),
-    for any f_j, coprime and squarefree or not.  Q is squarefree, so
-    Q / lcms[j] is coprime to lcms[j]."""
-    Q, rads, logs, lcms = [1], [], [], []
-    for j, f in enumerate(fs):
-        lcms.append(Q)
-        if len(f) < 2 or not any(e[j] for e in exps):
-            rads.append([1])
-            logs.append([])
-            continue
-        f = zprimitive(f)
-        df = zderiv(f)
-        g = zgcd(f, df)
-        rads.append(zquo(f, g))
-        logs.append(zquo(df, g))
-        Q = zlcm(Q, rads[-1])
-    cofactors = [zquo(Q, r) for r in rads]
-    Ws = []
-    for e in exps:
-        W = []
-        for ej, lg, cof in zip(e, logs, cofactors):
-            if ej and lg:
-                W = zadd(W, zscale(ej, zmul(lg, cof)))
-        Ws.append(W)
-    return Q, Ws, lcms
+
+def _support(bases, *rowsets):
+    """The product of the bases with a nonzero exponent in each set of rows."""
+    return reduce(zmul, (b for j, b in enumerate(bases) if all(
+        any(r[j] for r in rows) for rows in rowsets)), [1])
+
+
+def _log_factors(bases, exps):
+    """(Q, [W_k]) with ln' g_k = W_k / Q for g_k = prod_j B_j^exps[k][j],
+    the B_j = bases[j] pairwise coprime, squarefree and primitive: Q is the
+    product of the B_j that occur in some g_k, so squarefree, and
+    W_k = Q ln' g_k = sum_j e_kj B_j' Q / B_j.  No gcd is taken."""
+    Q = _support(bases, exps)
+    logs = [zmul(zderiv(b), zquo(Q, b)) if any(col) else []
+            for b, *col in zip(bases, *exps)]
+    return Q, [reduce(zadd, (zscale(ej, lg) for ej, lg in zip(e, logs) if ej),
+                      []) for e in exps]
 
 
 def apply_log_factor(Q, dQ, W, P, j):
@@ -174,8 +167,7 @@ def _population_flag(bases, factors):
     division in Z[x]; ValueError if an integrand has a residue or an
     element is not a polynomial, so each element returned is a polynomial
     in ker D_y."""
-    h = [[sum(e * f[j] for e, f in zip(ek, factors))
-          for j in range(len(bases))] for ek in _DY_EXPONENTS]
+    h = _exponents(factors, _DY_EXPONENTS)
     ratios = [[a - b for a, b in zip(h[k], h[k + 1])] for k in range(6)]
     flag = []
     for i in range(7):
@@ -197,7 +189,9 @@ def _population_flag(bases, factors):
 def _factor_base(fs):
     """(bases, factors): pairwise coprime squarefree primitive B_j with
     each fs[i] a constant times prod_j B_j^factors[i][j], by splitting off
-    gcds until none is left (factor refinement)."""
+    gcds until none is left (factor refinement).  ValueError for a zero f."""
+    if not all(fs):
+        raise ValueError("the zero polynomial has no factorization")
     todo, bases = [zprimitive(f) for f in fs if len(f) > 1], []
     while todo:
         f = todo.pop()
@@ -227,8 +221,7 @@ def flag_from_factorization(kernel_basis, y: bethe.PolyPair,
     alone, so it is Case.flag for any basis of the kernel.  T1, T2 and the
     basis may be Polys or integer lists.  ValueError unless kernel_basis is
     7 independent polynomials whose span holds the flag."""
-    bases, factors = _factor_base([zrow(p) for p in (T1, T2, y.y1, y.y2)])
-    ws = _population_flag(bases, factors)
+    ws = _population_flag(*_factor_base([zrow(T1), zrow(T2), y.y1, y.y2]))
     basis = zechelon([zrow(b) for b in kernel_basis])
     if len(basis) != 7 or any(zreduce(basis, w) for w in ws):
         raise ValueError("the flag does not lie in the span of the basis")
@@ -271,23 +264,13 @@ def _reduce_over_power(P, Q, e):
 
 def from_log_factors(gs) -> DiffOp:
     """The product (d - ln' g_1)...(d - ln' g_m), leftmost factor first, for
-    rational functions g_k over Q: each g_k is written as its numerator over
-    its denominator and fed to the integer product."""
-    bases, exps = {}, []
-    for g in gs:
-        g = RatFunc._coerce(g)
-        e = {}
-        for part, sign in ((g.num, 1), (g.den, -1)):
-            a = zprimitive(zrow(part))
-            if len(a) > 1:
-                key = tuple(a)
-                bases.setdefault(key, len(bases))
-                e[bases[key]] = e.get(bases[key], 0) + sign
-        exps.append(e)
-    Q, Ws, _ = _log_factors(
-        [list(b) for b in bases],
-        [[e.get(j, 0) for j in range(len(bases))] for e in exps])
-    return _log_factor_product(Q, Ws)
+    rational functions g_k over Q: the numerators and denominators are
+    split into coprime bases by _factor_base and fed to the integer
+    product."""
+    gs = [RatFunc._coerce(g) for g in gs]
+    bases, fs = _factor_base([zrow(p) for g in gs for p in (g.num, g.den)])
+    return _log_factor_product(*_log_factors(bases, [
+        [a - b for a, b in zip(n, d)] for n, d in zip(fs[::2], fs[1::2])]))
 
 
 def dy_factor_functions(y: bethe.PolyPair, T1: Poly, T2: Poly):
@@ -306,31 +289,37 @@ def dy_factor_functions(y: bethe.PolyPair, T1: Poly, T2: Poly):
             y1)
 
 
+def _dy_log_factors(bases, factors):
+    """(Q, [W_1..W_7], Y) with D_y = (d - W_1/Q)...(d - W_7/Q), from the
+    factored form: Y is the y-part of Q, its bases in neither T1 nor T2."""
+    exps = _exponents(factors, _DY_EXPONENTS)
+    Q, Ws = _log_factors(bases, exps)
+    return Q, Ws, zquo(Q, _support(bases, exps, factors[:2]))
+
+
 def dy_log_factors(y: bethe.PolyPair, T1: Poly, T2: Poly):
-    """(Q, [W_1..W_7], Y) with D_y = (d - W_1/Q)...(d - W_7/Q).  Y is the
-    y-part of Q: Q / Y divides T1 T2.  T1 and T2 may be Polys or integer
-    lists: only their lines matter."""
-    fs = [zrow(T1), zrow(T2), y.y1, y.y2]
-    Q, Ws, lcms = _log_factors(fs, _DY_EXPONENTS)
-    return Q, Ws, zquo(Q, lcms[2])
+    """_dy_log_factors of unfactored input, T1 and T2 Polys or rows."""
+    return _dy_log_factors(*_factor_base([zrow(T1), zrow(T2), y.y1, y.y2]))
 
 
 def build_Dy(y: bethe.PolyPair, T1: Poly, T2: Poly) -> DiffOp:
     return _log_factor_product(*dy_log_factors(y, T1, T2))
 
 
-def build_conjugated(y: bethe.PolyPair, T1: Poly, T2: Poly) -> DiffOp:
-    """D_y conjugated by T1^2 T2, as -B* d B for B = L'_5 L'_6 L'_7: the
-    factors L'_k = d - ln' h_k, h_k = g_k / (T1^2 T2), have h_k h_(8-k) = 1
-    and h_4 = 1, so L'_(8-k) = -L'_k* and L'_4 = d.  ker B has Wronskian
-    h_5 h_6 h_7, free of y2, so on a Bethe pair y2's part of Q leaves B
-    exactly, and the rest runs over the smaller Q_B: with C = d B,
-    -B* d B = d(d(d C - b_2 C) + b_1 C) - b_0 C, each d step a _compose and
-    each b_k C one product P_k C_j per numerator.  Then y1's part of Q_B is
-    divided out, or, when inexact, y2's multiplied back in."""
-    Q, Ws, (_, _, QT, QB) = _log_factors(
-        [zrow(T1), zrow(T2), y.y1, y.y2],
-        [[a - b for a, b in zip(e, _CONJUGATOR)] for e in _DY_EXPONENTS[4:]])
+def _conjugated(bases, factors) -> DiffOp:
+    """D_y conjugated by T1^2 T2, from the factored form, as -B* d B for
+    B = L'_5 L'_6 L'_7: the factors L'_k = d - ln' h_k, h_k = g_k / (T1^2 T2),
+    have h_k h_(8-k) = 1 and h_4 = 1, so L'_(8-k) = -L'_k* and L'_4 = d.
+    ker B has Wronskian h_5 h_6 h_7, free of y2, so on a Bethe pair y2's
+    part of Q leaves B exactly, and the rest runs over the smaller Q_B, the
+    bases in T1, T2 or y1: with C = d B, -B* d B = d(d(d C - b_2 C) + b_1 C)
+    - b_0 C, each d step a _compose and each b_k C one product P_k C_j per
+    numerator.  Then y1's part of Q_B is divided out, or, when inexact,
+    y2's multiplied back in."""
+    exps = _exponents(factors, [[a - b for a, b in zip(e, _CONJUGATOR)]
+                                for e in _DY_EXPONENTS[4:]])
+    Q, Ws = _log_factors(bases, exps)
+    QB = _support(bases, exps, factors[:3])
     B = _log_factor_product(Q, Ws, zquo(Q, QB))
     Q, lift, dQ = B.Q, zquo(Q, B.Q), zderiv(B.Q)
     C = D = _compose(Q, dQ, [], [*B.P, [1]])
@@ -338,7 +327,7 @@ def build_conjugated(y: bethe.PolyPair, T1: Poly, T2: Poly) -> DiffOp:
         D, b = _compose(Q, dQ, [], D), zscale(s, b)
         for k, c in enumerate(C):
             D[k] = zadd(D[k], zmul(b, c))
-    return _divided(Q, D, zquo(Q, QT), lift)
+    return _divided(Q, D, zquo(Q, _support(bases, exps, factors[:2])), lift)
 
 
 def conjugate(D: DiffOp, f) -> DiffOp:
@@ -351,8 +340,8 @@ def conjugate(D: DiffOp, f) -> DiffOp:
     f = RatFunc._coerce(f)
     if f.is_zero():
         raise ZeroDivisionError("conjugation by zero")
-    R, (W,), _ = _log_factors([zrow(g) for g in (f.num, f.den)],
-                              [(1, -1)])
+    bases, (a, b) = _factor_base([zrow(f.num), zrow(f.den)])
+    R, (W,) = _log_factors(bases, [[i - j for i, j in zip(a, b)]])
     n, Q = D.order, zlcm(D.Q, R)
     dQ, W, u = zderiv(Q), zscale(-1, zmul(W, zquo(Q, R))), zquo(Q, D.Q)
     powers, scales = [[[1]]], [[1]]
@@ -492,7 +481,8 @@ class Case:
     """A Bethe pair y with its Bethe data, and the objects built from them,
     each on first use and then kept: the closed-form case (lam, i) is
     case(lam, i), and a pair reached another way, at other points, is
-    Case(data, y)."""
+    Case(data, y).  The pair must be generic: y1 and y2 squarefree, coprime
+    and nonzero at every finite point, or Case.factored raises."""
     data: bethe.BetheData
     y: bethe.PolyPair
 
@@ -504,37 +494,44 @@ class Case:
 
     @cached_property
     def ramification(self) -> bethe.RamificationData:
-        """The ramification data of the points and weights: T_1..T_7 as
-        primitive integer lists, of which D_y reads T1 and T2."""
+        """The bethe.RamificationData of the points and weights."""
         return bethe.ramification(self.data.Lambda, self.data.z)
+
+    @cached_property
+    def factored(self):
+        """(bases, factors), the one input of D_y, its conjugate and the
+        flag: the factors s x - r of the finite points z_s = r / s, then y1
+        and y2 if not constant, with their exponents in T1, T2, y1 and y2.
+        No gcd splits them; one zgcd checks that the pair is generic."""
+        cols = [([-p.numerator, p.denominator], (*w, 0, 0))
+                for p, w in zip(self.data.z, self.data.Lambda)
+                if p != bethe.INF]
+        cols += [(a, e) for a, e in ((self.y.y1, (0, 0, 1, 0)),
+                                     (self.y.y2, (0, 0, 0, 1))) if len(a) > 1]
+        bases = [b for b, _ in cols]
+        factors = [[e[k] for _, e in cols] for k in range(4)]
+        P = reduce(zmul, bases, [1])
+        if len(zgcd(P, zderiv(P))) > 1:
+            raise ValueError("y1 y2 is not squarefree or meets a marked "
+                             "point: not a generic pair")
+        return bases, factors
 
     @cached_property
     def operator(self) -> DiffOp:
         """D_y."""
-        return build_Dy(self.y, *self.ramification.T[:2])
+        return _log_factor_product(*_dy_log_factors(*self.factored))
 
     @cached_property
     def conjugated(self) -> DiffOp:
         """D_y conjugated by T1^2 T2."""
-        return build_conjugated(self.y, *self.ramification.T[:2])
+        return _conjugated(*self.factored)
 
     @cached_property
     def flag_rows(self):
         """The flag as primitive integer lists (zechelon): the population
-        flag over the linear factors s x - r of the finite points z_s = r / s
-        and y1, y2; flag_from_factorization gives it for any kernel basis."""
-        bases, factors = [], ([], [], [], [])
-        for p, w in zip(self.data.z, self.data.Lambda):
-            if p != bethe.INF:
-                bases.append([-p.numerator, p.denominator])
-                for f, e in zip(factors, (w[0], w[1], 0, 0)):
-                    f.append(e)
-        for j, a in enumerate((self.y.y1, self.y.y2), 2):
-            if len(a) > 1:
-                bases.append(a)
-                for k, f in enumerate(factors):
-                    f.append(int(k == j))
-        return zechelon(_population_flag(bases, factors))
+        flag over the factored form; flag_from_factorization gives it for
+        any kernel basis."""
+        return zechelon(_population_flag(*self.factored))
 
     @cached_property
     def flag(self):

@@ -199,12 +199,10 @@ def _nonzero_entries(m):
 
 
 @lru_cache(maxsize=None)
-def casimir_on_pair():
-    """The 49x49 matrix of the Casimir on V_{omega2} (x) V_{omega2},
-    conjugated by D (x) D: one sixth of the sum of the Kronecker products
-    G_ji (x) G_ij = 2^eps_ij Ĝ_ji (x) Ĝ_ij, accumulated over the nonzero
-    entries of the two factors only."""
-    from fractions import Fraction
+def _six_casimir():
+    """6 Omega in integers, Omega the pair Casimir on V_{omega2} (x) V_{omega2}
+    conjugated by D (x) D: the sum of the G_ji (x) G_ij = 2^eps_ij Ĝ_ji (x)
+    Ĝ_ij, accumulated over the nonzero entries of the two factors only."""
     G = build_G()
     omega = [[0] * 49 for _ in range(49)]
     for (i, j), gij in G.items():
@@ -213,7 +211,13 @@ def casimir_on_pair():
         for r1, s1, x in _nonzero_entries(G[(j, i)]):
             for r2, s2, y in b:
                 omega[N * r1 + r2][N * s1 + s2] += w * x * y
-    return tuple(tuple(Fraction(v, 6) for v in row) for row in omega)
+    return tuple(map(tuple, omega))
+
+
+def casimir_on_pair():
+    """The pair Casimir Omega, _six_casimir over 6, as Fractions."""
+    from fractions import Fraction
+    return tuple(tuple(Fraction(v, 6) for v in row) for row in _six_casimir())
 
 
 def casimir_eigenvalue(mu) -> int:
@@ -223,18 +227,17 @@ def casimir_eigenvalue(mu) -> int:
 
 def casimir_blocks():
     """Mapping eigenvalue -> exact eigenspace dimension of the pair Casimir,
-    the eigenvalues as Fractions."""
+    the eigenvalues as Fractions: 49 minus the rank of the integer
+    6 Omega - 6 ev I, 6 ev = 3 (c(mu) - 2 c(omega2))."""
     from fractions import Fraction
 
     from .linalg import rank
-    omega = [list(row) for row in casimir_on_pair()]
     out = {}
-    for mu, mult in tensor_decompose(rd.OMEGA2, rd.OMEGA2).items():
-        ev = Fraction(casimir_eigenvalue(mu)
-                      - 2 * casimir_eigenvalue(rd.OMEGA2), 2)
-        shifted = [[omega[i][j] - (ev if i == j else 0) for j in range(49)]
-                   for i in range(49)]
-        out[ev] = 49 - rank(shifted)
+    for mu in tensor_decompose(rd.OMEGA2, rd.OMEGA2):
+        ev6 = 3 * (casimir_eigenvalue(mu) - 2 * casimir_eigenvalue(rd.OMEGA2))
+        shifted = [[v - ev6 if i == j else v for j, v in enumerate(row)]
+                   for i, row in enumerate(_six_casimir())]
+        out[Fraction(ev6, 6)] = 49 - rank(shifted)
     return out
 
 

@@ -23,7 +23,7 @@ the tests that compute with one over Q[x]; genericity of a Bethe pair by
 gcds over Q[x], for the integer gcds and the evaluation at the points of
 `bethe.is_generic`.  T_1 and T_2 from the weights (`zcalT`), for the T's
 that `bethe.ramification` reads off the partitions; the conjugated
-operator's seven log-factors, for `diffop.build_conjugated`; and the
+operator's seven log-factors, for `diffop._conjugated`; and the
 closed forms over Fractions, each component cleared by `zclear`, for the
 integer pairs of `bethe.closed_form_pair`.
 
@@ -305,11 +305,12 @@ def conjugated_log_factors(y, T1, T2):
     (d - W_1/Q)...(d - W_7/Q): f^-1 (d - ln' g) f is d - ln'(g/f), so each
     factor's exponents drop by diffop._CONJUGATOR.  Y is the y-part of Q,
     as in diffop.dy_log_factors."""
-    fs = [zrow(T1), zrow(T2), y.y1, y.y2]
-    Q, Ws, lcms = diffop._log_factors(
-        fs, [[a - b for a, b in zip(e, diffop._CONJUGATOR)]
-             for e in diffop._DY_EXPONENTS])
-    return Q, Ws, zquo(Q, lcms[2])
+    bases, factors = diffop._factor_base([zrow(T1), zrow(T2), y.y1, y.y2])
+    exps = diffop._exponents(
+        factors, [[a - b for a, b in zip(e, diffop._CONJUGATOR)]
+                  for e in diffop._DY_EXPONENTS])
+    Q, Ws = diffop._log_factors(bases, exps)
+    return Q, Ws, zquo(Q, diffop._support(bases, exps, factors[:2]))
 
 
 def _f(expr_num, expr_den):

@@ -12,8 +12,8 @@ from g2gaudin import diffop
 from g2gaudin import rootdata as rd
 from g2gaudin import sgrass
 from g2gaudin.bethe import PolyPair
-from g2gaudin.exact import (Poly, RatFunc, zclear, zmul, zpoly, zprem,
-                            zprimitive, zquo)
+from g2gaudin.exact import (Poly, RatFunc, zclear, zechelon, zmul, zpoly,
+                            zprem, zprimitive, zquo, zrow)
 import oracles
 from oracles import default_degree_bound, full, monic
 
@@ -134,28 +134,61 @@ NONGENERIC = {
 # conjugated operator is put back over all of Q
 HALF_BETHE = {"y2 Bethe for y1, y1 not": (PolyPair(_x - 4, _x - 2),
                                           _x, _x * (_x - 1))}
+# a marked point of weight 0 at x = 0 and no Bethe pair: the case's base
+# x occurs in no g_k, so in no Q, and the y-part does not divide out
+ZERO_WEIGHT = {"no weight at 0, no Bethe pair": (PolyPair(_x - 2, _x - 3),
+                                                 Poly([1]), _x - 1)}
+# the weights at z = (0, 1) that give each input above its T1 and T2
+LAMBDA = {"T exponents above 1": ((3, 2), (2, 3)),
+          "all at once, rational": ((2, 2), (0, 1)),
+          "no weight at 0, no Bethe pair": ((0, 0), (0, 1))}
 
 
 def _sequential_conjugated(y, T1, T2):
     """The conjugated operator as the seven conjugated factors multiplied
-    out over Q, the reference for diffop.build_conjugated."""
+    out over Q, the reference for diffop._conjugated."""
     return diffop._log_factor_product(
         *oracles.conjugated_log_factors(y, T1, T2))
 
 
-@pytest.mark.parametrize("name", sorted(NONGENERIC) + sorted(HALF_BETHE))
+def _factor_base_path(y, T1, T2):
+    """(D_y, its conjugate, the factored form) from _factor_base of T1,
+    T2, y1 and y2, the path of input given unfactored."""
+    fb = diffop._factor_base([zrow(T1), zrow(T2), y.y1, y.y2])
+    return diffop.build_Dy(y, T1, T2), diffop._conjugated(*fb), fb
+
+
+@pytest.mark.parametrize("name", sorted(NONGENERIC) + sorted(HALF_BETHE)
+                         + sorted(ZERO_WEIGHT))
 def test_direct_factor_product_on_nongeneric_inputs(name):
-    y, T1, T2 = {**NONGENERIC, **HALF_BETHE}[name]
+    """The entry points that take unfactored input give the RatFunc
+    products on inputs that are no generic pair or no Bethe pair.  As a
+    Case at z = (0, 1), with Lambda read off T1 and T2, a pair that is not
+    squarefree, coprime and free of the points raises, and the others give
+    build_Dy and the sequential conjugated product."""
+    y, T1, T2 = {**NONGENERIC, **HALF_BETHE, **ZERO_WEIGHT}[name]
+    Lambda = LAMBDA.get(name, ((1, 1), (0, 1)))
+    assert bethe.ramification(Lambda, (0, 1)).T[:2] == (zrow(T1), zrow(T2))
+    c = diffop.Case(bethe.BetheData(Lambda, (0, 1), (len(y.y1) - 1,
+                                                     len(y.y2) - 1)), y)
     gs = diffop.dy_factor_functions(y, T1, T2)
     f = RatFunc(T1 ** 2 * T2)
     want = oracles.product(gs)
     want_conj = _coeffs(oracles.conjugate(want, f))
     want = _coeffs(want)
-    conj, seq = (diffop.build_conjugated(y, T1, T2),
-                 _sequential_conjugated(y, T1, T2))
+    D, conj, _ = _factor_base_path(y, T1, T2)
+    seq = _sequential_conjugated(y, T1, T2)
     assert (conj.Q, conj.P) == (seq.Q, seq.P)
-    for got, ref in ((diffop.build_Dy(y, T1, T2), want),
-                     (diffop.from_log_factors(gs), want),
+    if name in NONGENERIC and name != "T exponents above 1":
+        for attr in ("factored", "operator", "conjugated", "flag_rows"):
+            with pytest.raises(ValueError, match="not a generic pair"):
+                getattr(c, attr)
+    else:
+        assert (c.operator.Q, c.operator.P) == (D.Q, D.P)
+        assert (c.conjugated.Q, c.conjugated.P) == (seq.Q, seq.P)
+        if name in ZERO_WEIGHT:
+            assert D.Q == seq.Q == zmul([-1, 1], zmul(y.y1, y.y2))
+    for got, ref in ((D, want), (diffop.from_log_factors(gs), want),
                      (conj, want_conj), (seq, want_conj),
                      (diffop.from_log_factors([g / f for g in gs]),
                       want_conj),
@@ -164,6 +197,16 @@ def test_direct_factor_product_on_nongeneric_inputs(name):
         assert got.order == 7
         for k, (g, w) in enumerate(zip(got.coeffs, ref)):
             assert (g.num, g.den) == (w.num, w.den), (name, k)
+
+
+def test_zero_input_has_no_factored_form():
+    """_factor_base rejects the zero polynomial, so an entry point given a
+    zero g or T raises rather than take it for a constant."""
+    y = PolyPair(_x - 2, [1])
+    for build in (lambda: diffop.from_log_factors([_x, Poly([0])]),
+                  lambda: diffop.build_Dy(y, Poly([0]), _x)):
+        with pytest.raises(ValueError, match="the zero polynomial"):
+            build()
 
 
 def _recorded_moduli(monkeypatch, build):
@@ -182,10 +225,6 @@ def _recorded_moduli(monkeypatch, build):
     return seen
 
 
-def _both_operators(y, T1, T2):
-    return diffop.build_Dy(y, T1, T2), diffop.build_conjugated(y, T1, T2)
-
-
 def test_bethe_pair_reduces_over_the_marked_points_only(monkeypatch):
     """On a Bethe pair the y-part Y of Q divides the d^k numerator Y^(7-k)
     times, so D_y and its conjugate are held over Q / Y, whose roots are the
@@ -201,7 +240,7 @@ def test_bethe_pair_reduces_over_the_marked_points_only(monkeypatch):
         want = [zquo(Q, Y) for Q, _, Y in marked for _ in range(7)]
         assert all(len(m) <= 3 and not zprem(zclear((T1 * T2).coeffs)[0], m)
                    for m in want), (lam, i)
-        ops = _both_operators(y, T1, T2)
+        ops = _factor_base_path(y, T1, T2)[:2]
         assert [D.Q for D in ops] == want[::7], (lam, i)
         got = _recorded_moduli(monkeypatch,
                                lambda: [D.coeffs for D in ops])
@@ -470,7 +509,7 @@ def test_exponents_and_h2_match_ratfunc_oracles_on_5_grid():
 
 
 def test_conjugated_is_the_sequential_product():
-    """diffop.build_conjugated, -B* d B over the smaller Q_B, holds each
+    """diffop._conjugated, -B* d B over the smaller Q_B, holds each
     operator as (Q, P) exactly as the seven conjugated factors multiplied
     out over Q do: Case.conjugated on all 210 cases of the 5-grid, and on
     each pair of the 3-grid five inputs that are no Bethe pair or are not
@@ -490,7 +529,7 @@ def test_conjugated_is_the_sequential_product():
         for y in (PolyPair(y1 + Poly([1]), y2), PolyPair(y1, y2 + bump),
                   PolyPair(y1 * (_x + 1), y2), PolyPair(y1 * _x ** 2, y2),
                   PolyPair(y1, y2 * y1)):
-            got, ref = (diffop.build_conjugated(y, T1, T2),
+            got, ref = (_factor_base_path(y, T1, T2)[1],
                         _sequential_conjugated(y, T1, T2))
             assert (got.Q, got.P) == (ref.Q, ref.P), (lam, i, y)
             kept += len(got.Q) > len(c.conjugated.Q)
@@ -529,6 +568,27 @@ def test_case_ramification_is_the_certified_T_on_5_grid():
         assert c.ramification.T[:2] == oracles.zcalT(c.data.Lambda, c.data.z)
         assert c.ramification == bethe.ramification(c.data.Lambda, c.data.z)
         assert sgrass.bethe_kernel_instance(lam, i)[1] is c.ramification
+
+
+def test_operator_queries_build_no_ramification_data(monkeypatch):
+    """D_y, its conjugate, their exponents and the h2 check read
+    Case.factored, so none of them builds a bethe.RamificationData."""
+    built, init = [], bethe.RamificationData.__init__
+
+    def record(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(bethe.RamificationData, "__init__", record)
+    diffop.case.cache_clear()
+    for lam, i in (((0, 1), 1), ((2, 1), 5), ((3, 3), 6)):
+        c = diffop.case(lam, i)
+        for D in (c.operator, c.conjugated):
+            diffop.exponents_at(D, bethe.INF)
+        diffop.h2_casimir_values(lam, i)
+    assert built == []
+    c.ramification
+    assert len(built) == 1
 
 
 GRID3 = [((a, b), i) for a in range(4) for b in range(4)
@@ -574,6 +634,24 @@ def _chains(z):
                     if data.Lambda[0] == lam and y != one:
                         out[lam, word] = data, y
     return out
+
+
+def test_case_path_is_the_factor_base_path():
+    """Case.factored, read off the points and the pair with no gcd, and
+    _factor_base of T1, T2, y1 and y2 give D_y and its conjugate with equal
+    (Q, P) and equal flag rows, on the 210 closed forms of the 5-grid and
+    on the 120 pairs reproduced at three points."""
+    cases = [(bethe.closed_form(lam, i), bethe.closed_form_pair(lam, i))
+             for lam, i in GRID5]
+    for z in ((0, 1, 2), (0, 1, Fraction(1, 3))):
+        cases += _chains(tuple(map(Fraction, z))).values()
+    assert len(cases) == 210 + 2 * 60
+    for data, y in cases:
+        c = diffop.Case(data, y)
+        want = _factor_base_path(y, *c.ramification.T[:2])
+        for got, ref in zip((c.operator, c.conjugated), want):
+            assert (got.Q, got.P) == (ref.Q, ref.P), data
+        assert c.flag_rows == zechelon(diffop._population_flag(*want[2]))
 
 
 @pytest.mark.parametrize("z", [(0, 1, 2), (0, 1, Fraction(1, 3))])

@@ -95,14 +95,14 @@ def test_chevalley_rejects_one_wrong_sqrt2_graded_entry(monkeypatch):
 
 
 def test_wrong_sqrt2_grading_fails_chevalley_and_casimir(monkeypatch):
-    repn.casimir_on_pair.cache_clear()
+    repn._six_casimir.cache_clear()
     try:
         with monkeypatch.context() as mp:
             mp.setattr(repn, "sqrt2_power", lambda i, j: 0)
             assert not verify.check_chevalley()[0]
             assert not verify.check_casimir()[0]
     finally:
-        repn.casimir_on_pair.cache_clear()
+        repn._six_casimir.cache_clear()
     assert verify.check_casimir()[0]
 
 

@@ -15,14 +15,16 @@ inside the timed call.  One more fresh run of each
 suite and grid under cProfile counts the calls of
 `Fraction.__new__`, of `exact.Poly.__init__`, every Poly built, of
 `exact.zpoly`, the Fraction Polys built from integer lists, of
-`exact.zclear`, the rational lists cleared to integer ones, and of the
+`exact.zclear`, the rational lists cleared to integer ones, of the
 integer kernels `exact.zmul`, `exact.zquo` and `exact.zwr`, the 2x2
-Wronskian of each Jacobi step.  A copy of DIR (a git
-checkout of the parent commit) is the parent side and a copy of this
-checkout the change side, as in `pairs`: the two sides alternate on every
-run of each suite and grid, the parent first in even runs, so drift of a
-shared machine falls on both, and the record holds both sides' times and
-calls and the ratio of the median times, change over parent.
+Wronskian of each Jacobi step, of the gcds `exact.zgcd` and `exact.zlcm`,
+and of `bethe.RamificationData.__init__`, the ramification data built.
+A copy of DIR (a git checkout of the parent commit) is the parent side
+and a copy of this checkout the change side, as in `pairs`: the two sides
+alternate on every run of each suite and grid, the parent first in even
+runs, so drift of a shared machine falls on both, and the record holds
+both sides' times and calls and the ratio of the median times, change
+over parent.
 
     python3 tools/bench_suites.py pairs OUT.json --parent DIR --seed0 N
 
@@ -134,11 +136,12 @@ print(json.dumps({"ok": ok, "detail": detail,
 PROFILE_SNIPPET = """\
 import cProfile, json, pstats, sys
 from g2gaudin import sgrass, verify
+from g2gaudin.bethe import RamificationData
 from g2gaudin.exact import Poly
 prof = cProfile.Profile()
 ok, detail = prof.runcall(verify.SUITES[sys.argv[1]])
 # (file, function, first line or None for any): RatFunc has an __init__
-# in exact.py too
+# in exact.py too, and PolyPair one in bethe.py
 calls = {"Fraction.__new__": ("fractions.py", "__new__", None),
          "exact.Poly.__init__": ("exact.py", "__init__",
                                  Poly.__init__.__code__.co_firstlineno),
@@ -146,7 +149,12 @@ calls = {"Fraction.__new__": ("fractions.py", "__new__", None),
          "exact.zclear": ("exact.py", "zclear", None),
          "exact.zmul": ("exact.py", "zmul", None),
          "exact.zquo": ("exact.py", "zquo", None),
-         "exact.zwr": ("exact.py", "zwr", None)}
+         "exact.zwr": ("exact.py", "zwr", None),
+         "exact.zgcd": ("exact.py", "zgcd", None),
+         "exact.zlcm": ("exact.py", "zlcm", None),
+         "RamificationData.__init__": (
+             "bethe.py", "__init__",
+             RamificationData.__init__.__code__.co_firstlineno)}
 stats = pstats.Stats(prof).stats
 print(json.dumps({"ok": ok, "detail": detail, "calls": {
     name: sum(v[1] for (path, first, fn), v in stats.items()
