@@ -279,18 +279,17 @@ def closed_form_pair(lam, i) -> PolyPair:
 
 
 def is_generic(y: PolyPair, Lambda, z) -> bool:
-    """Genericity of a pair: squarefree components, roots avoiding the roots
-    and singularities of T_j, and no common roots.  On Z[x]: squarefreeness
-    and common roots by primitive gcds, and y_j has no root at a finite
-    point p = r/s where <Lambda_s, coroot_j> != 0 when s^deg y_j(r/s) != 0."""
-    for j, a in enumerate((y.y1, y.y2)):
-        if len(zgcd(a, zderiv(a))) > 1:
-            return False
-        if any(p != INF and lam[j] != 0
-               and not zhomeval(a, p.numerator, p.denominator)
-               for lam, p in zip(Lambda, z)):
-            return False
-    return len(zgcd(y.y1, y.y2)) <= 1
+    """Mukhin-Varchenko genericity (arXiv:math/0209017): y1, y2 squarefree
+    and coprime, y_j free of each finite z_s with <Lambda_s, coroot_j> != 0
+    (a root of T_j), and free to vanish where that pairing is 0.  On Z[x]:
+    one gcd of y1 y2 with its derivative, s^deg y_j(r/s) != 0 at p = r/s."""
+    P = zmul(y.y1, y.y2)
+    if len(zgcd(P, zderiv(P))) > 1:
+        return False
+    return all(p == INF or not lam[j]
+               or zhomeval(a, p.numerator, p.denominator)
+               for lam, p in zip(Lambda, z)
+               for j, a in enumerate((y.y1, y.y2)))
 
 
 def fertility_rhs(y: PolyPair, t1, t2):
@@ -324,7 +323,9 @@ def certify(y: PolyPair, data: BetheData) -> dict:
     bae_exact, and fertility, which holds only when each witness (G_j, c_j)
     of Wr(y_j, x^(a_j) G_j) = c_j F_j, a_j = Lambda_1[j] + 1, is solved and
     satisfies that identity on Z[x].  On a generic pair fertility decides
-    the same thing as bae_exact, so it cross-checks the solve."""
+    the same thing as bae_exact, so it cross-checks the solve.  z_1 = 0
+    stays: the witness holds the exponent at z_1 as x^a_j, and every caller
+    puts a point at 0."""
     if data.z[0] != 0:
         raise ValueError("fertility requires z1 = 0")
     T = ramification(data.Lambda, data.z).T[:2]  # Lambda_1 dominant: a >= 1
@@ -395,8 +396,8 @@ def fertility_solve(Y, R, a):
 
 
 def reproduce(y: PolyPair, direction: int, data: BetheData):
-    """One reproduction step.  Requires z1 = 0; the first weight may be
-    non-dominant (it enters only through x-power bookkeeping).  Returns
+    """One reproduction step.  Requires z1 = 0, as certify does; the first
+    weight may be non-dominant (it enters only through x-powers).  Returns
     (new pair, new data) or None if the new pair is not generic.  Where no
     polynomial witness exists, a ValueError: at a = <Lambda_1 + rho,
     coroot_j> <= 0 it names the direction and a, since there the step may

@@ -481,8 +481,8 @@ class Case:
     """A Bethe pair y with its Bethe data, and the objects built from them,
     each on first use and then kept: the closed-form case (lam, i) is
     case(lam, i), and a pair reached another way, at other points, is
-    Case(data, y).  The pair must be generic: y1 and y2 squarefree, coprime
-    and nonzero at every finite point, or Case.factored raises."""
+    Case(data, y).  The pair must be generic in Mukhin-Varchenko's sense
+    (bethe.is_generic), or Case.factored raises."""
     data: bethe.BetheData
     y: bethe.PolyPair
 
@@ -491,6 +491,12 @@ class Case:
         """The weight sum(Lambda) - alpha(l) of the pair."""
         total = reduce(rd.add, self.data.Lambda)
         return rd.sub(total, rd.from_alpha(*self.data.l))
+
+    @property
+    def casimir_value(self):
+        """e = (c(mu) - sum_s c(Lambda_s)) / 2, c the Casimir eigenvalue."""
+        return Fraction(repn.casimir_eigenvalue(self.mu) - sum(
+            map(repn.casimir_eigenvalue, self.data.Lambda)), 2)
 
     @cached_property
     def ramification(self) -> bethe.RamificationData:
@@ -502,18 +508,23 @@ class Case:
         """(bases, factors), the one input of D_y, its conjugate and the
         flag: the factors s x - r of the finite points z_s = r / s, then y1
         and y2 if not constant, with their exponents in T1, T2, y1 and y2.
-        No gcd splits them; one zgcd checks that the pair is generic."""
-        cols = [([-p.numerator, p.denominator], (*w, 0, 0))
-                for p, w in zip(self.data.z, self.data.Lambda)
-                if p != bethe.INF]
-        cols += [(a, e) for a, e in ((self.y.y1, (0, 0, 1, 0)),
-                                     (self.y.y2, (0, 0, 0, 1))) if len(a) > 1]
+        bethe.is_generic decides the pair and no gcd splits it: where y_j
+        vanishes at a point of zero pairing, the point's factor leaves y_j
+        and has exponent 1 in y_j."""
+        if not bethe.is_generic(self.y, self.data.Lambda, self.data.z):
+            raise ValueError("not a generic pair in Mukhin-Varchenko's sense")
+        ys, cols = [self.y.y1, self.y.y2], []
+        for p, w in zip(self.data.z, self.data.Lambda):
+            if p != bethe.INF:
+                r, s, e = p.numerator, p.denominator, [*w, 0, 0]
+                for j in (0, 1):
+                    if not (w[j] or zhomeval(ys[j], r, s)):
+                        ys[j], e[2 + j] = zquo(ys[j], [-r, s]), 1
+                cols.append(([-r, s], e))
+        cols += [(a, e) for a, e in zip(ys, ((0, 0, 1, 0), (0, 0, 0, 1)))
+                 if len(a) > 1]
         bases = [b for b, _ in cols]
         factors = [[e[k] for _, e in cols] for k in range(4)]
-        P = reduce(zmul, bases, [1])
-        if len(zgcd(P, zderiv(P))) > 1:
-            raise ValueError("y1 y2 is not squarefree or meets a marked "
-                             "point: not a generic pair")
         return bases, factors
 
     @cached_property
@@ -561,54 +572,46 @@ def kernel_for_case(lam, i):
 
 
 # Constant relating the d^5 coefficient of the conjugated operator to the
-# pair Casimir eigenvalue; derived in h2_casimir_values.
+# pair Casimir eigenvalues; derived in h2_residue.
 _H2_NORMALIZATION = Fraction(1, 2)
 
 
-def h2_casimir_values(lam, i):
-    """(residue-side value, eigenvalue-side value), both exact.
+def h2_residue(D: DiffOp, p):
+    """r_p = -N res_p h2 at a finite point p, exact, for h2 = P_5 / Q^2 the
+    d^5 coefficient of D, a Case's operator conjugated by T1^2 T2, and
+    N = _H2_NORMALIZATION = 1/2.  At the Case's points z_s they meet
+    sum r_s = 0 and sum z_s r_s = e = Case.casimir_value: the d^6
+    coefficient is 0, so the indicial polynomial at z_s is [s]_7 + A_s [s]_5
+    + ..., A_s the (x - z_s)^-2 coefficient of h2, and the exponents
+    i + delta_i, delta over (-2a-b, -a-b, -a, 0, a, a+b, 2a+b) for
+    Lambda_s = (a, b), give A_s = -sum i delta_i - sum delta_i^2 / 2 =
+    -c(Lambda_s); likewise x^2 h2 -> -c(mu) at infinity.  h2 has no other
+    pole, so h2 = sum_s A_s / (x - z_s)^2 + R_s / (x - z_s) with sum R_s = 0
+    and sum A_s + sum z_s R_s = -c(mu), that is sum z_s R_s = -2e: both
+    rules hold for N = 1/2 in every case at once, and no case calibrates
+    it.  At n = 2 they give r_1 = e / (z1 - z2).
 
-    The residue side is -N res_0 h2, where h2 = P_5 / Q^2 is the d^5
-    coefficient of the operator conjugated by T1^2 T2; the eigenvalue side is
-    e / (z1 - z2) = -e, with e = (c(mu) - c(lam) - c(omega2)) / 2 the
-    eigenvalue of the pair Casimir and c(nu) = (nu, nu + 2 rho), so that
-    c(a, b) = 6a^2 + 6ab + 2b^2 + 18a + 10b.  N = _H2_NORMALIZATION = 1/2:
-
-    The kernel is a space of polynomials with Wronskian supported on {0, 1},
-    so the coefficients are regular off {0, 1, infinity} with at most an
-    (x - p)^-i pole in the d^(7-i) coefficient.  The d^6 coefficient is
-    -ln'(prod g_k / (T1^2 T2)^7) = 0, so the indicial polynomial at p is
-    [s]_7 + A_p [s]_5 + (lower [s]_j), with A_p the (x - p)^-2 coefficient
-    of h2, and the second elementary symmetric function of its roots is
-    175 + A_p.  With exponents i + delta_i at 0, where delta runs over
-    (-2a-b, -a-b, -a, 0, a, a+b, 2a+b) for lam = (a, b), that gives
-    A_0 = -sum i delta_i - sum delta_i^2 / 2 = -c(lam); likewise
-    A_1 = -c(omega2), and at infinity x^2 h2 -> -c(mu).  Partial fractions,
-    h2 = A_0/x^2 + A_1/(x-1)^2 + R (1/(x-1) - 1/x), expand at infinity to
-    (A_0 + A_1 + R)/x^2, so R = -c(mu) + c(lam) + c(omega2) = -2e and
-    res_0 h2 = -R = 2e.  Hence -N res_0 h2 = -2Ne equals -e exactly for
-    N = 1/2, in every case at once: no case calibrates it.
-
-    The residue is read off the integer form at z1 = r / s: Q is squarefree,
-    so h2 has no residue there unless s x - r divides Q; for
-    Q = (s x - r) Q~, h2 = (P_5 / (s Q~)^2) / (x - z1)^2, whose residue is
-    (P_5' Q~ - 2 P_5 Q~') / (s^2 Q~^3) at z1.  Only the operator comes from
-    the cached case; both sides are computed anew on every call."""
-    c = case(tuple(lam), i)
-    (z1, z2), Lambda = c.data.z, c.data.Lambda
-    D, r, s = c.conjugated, z1.numerator, z1.denominator
-    P, res = D.P[D.order - 2], Fraction(0)
+    Q is squarefree, so at p = r / s h2 has no residue unless s x - r
+    divides Q; for Q = (s x - r) Q~, h2 = (P_5 / (s Q~)^2) / (x - p)^2,
+    whose residue is (P_5' Q~ - 2 P_5 Q~') / (s^2 Q~^3) at p."""
+    r, s = p.numerator, p.denominator
+    P = D.P[D.order - 2]
     try:
         Qt = zquo(D.Q, [-r, s])
     except ValueError:
-        pass
-    else:
-        def at(a):
-            return Fraction(zhomeval(a, r, s), s ** max(len(a) - 1, 0))
-        q = at(Qt)
-        res = ((at(zderiv(P)) * q - 2 * at(P) * at(zderiv(Qt)))
-               / (s * s * q ** 3))
-    got = -res * _H2_NORMALIZATION
-    eig = Fraction(repn.casimir_eigenvalue(c.mu)
-                   - sum(map(repn.casimir_eigenvalue, Lambda)), 2)
-    return got, eig / (z1 - z2)
+        return Fraction(0)
+
+    def at(a):
+        return Fraction(zhomeval(a, r, s), s ** max(len(a) - 1, 0))
+    q = at(Qt)
+    res = (at(zderiv(P)) * q - 2 * at(P) * at(zderiv(Qt))) / (s * s * q ** 3)
+    return -res * _H2_NORMALIZATION
+
+
+def h2_casimir_values(lam, i):
+    """(r_1, e / (z1 - z2)), equal by h2_residue's sum rules, for the
+    conjugated operator of the cached closed-form case (lam, i), both
+    computed anew on every call."""
+    c = case(tuple(lam), i)
+    z1, z2 = c.data.z
+    return h2_residue(c.conjugated, z1), c.casimir_value / (z1 - z2)

@@ -1,18 +1,18 @@
 """End-to-end verification suites.  Each suite returns (ok, detail) and is
 exposed both to the CLI (`g2 verify --suite NAME`) and to the test harness.
-This module loads repn and rootdata only, and each suite imports the
-further layers it uses, so a one-shot `g2 verify --suite NAME` loads only
-those: chevalley and casimir add linalg and exact, strata and covering add
-strat, bae-grid and reproduction add bethe and exact, and build no Poly:
-a Bethe pair is two integer rows, and every check of it runs on them.
-Fraction is imported where a suite builds one (check_casimir), so strata
-and covering load no fractions, and no suite but kernels, h2 and
-wronskian (diffop, sgrass) loads dataclasses."""
+This module loads repn and rootdata only; each suite imports what it uses.
+chevalley and casimir (the module, the pair Casimir) add linalg and exact;
+strata and covering add strat; bae-grid (certify on the closed forms) and
+reproduction (chains to them) add bethe and exact and build no Poly.
+kernels runs case_failure, the one per-case check of a Bethe pair at any
+points with z_1 = 0, on the closed forms, and h2 and wronskian its residue
+and Wronskian stages: they add diffop and dataclasses, and kernels and
+wronskian sgrass.  Fraction is imported where a suite builds one
+(check_casimir), so strata and covering load no fractions."""
 
 from __future__ import annotations
 
 import os
-from functools import wraps
 from itertools import permutations
 
 from . import repn
@@ -43,7 +43,6 @@ def _sweep(passed):
     "<message> at <lam>, case <i>"); else (True, passed with its {n} and
     {hi} filled in)."""
     def suite(check):
-        @wraps(check)
         def run():
             hi = lmax()
             cases = _cases(hi)
@@ -111,20 +110,22 @@ def check_casimir():
     return True, f"eigenvalue blocks {dict(sorted(blocks.items()))}"
 
 
-_BAE_STAGES = (("generic", "genericity fails"),
-               ("exact", "Bethe equations fail"),
-               ("fertile", "fertility fails"))
+def _certify_failure(y, data):
+    """The first stage of bethe.certify that fails on y and data, named:
+    genericity, the exact Bethe equations, then fertility; or None."""
+    from . import bethe
+    cert = bethe.certify(y, data)
+    return next((msg for stage, msg in (
+        ("generic", "genericity fails"), ("exact", "Bethe equations fail"),
+        ("fertile", "fertility fails")) if not cert[stage]), None)
 
 
 @_sweep("{n} cases on the {hi}-grid; Bethe equations exact")
 def check_bae_grid(lam, i):
-    """Closed-form grid: bethe.certify, failing at its first stage that
-    fails: genericity, the exact Bethe equations, then fertility, the
-    cross-check with each witness identity checked."""
+    """_certify_failure on the closed-form pair of (lam, i)."""
     from . import bethe
-    data = bethe.closed_form(lam, i)
-    cert = bethe.certify(bethe.closed_form_pair(lam, i), data)
-    return next((msg for stage, msg in _BAE_STAGES if not cert[stage]), None)
+    return _certify_failure(bethe.closed_form_pair(lam, i),
+                            bethe.closed_form(lam, i))
 
 
 # the reproduction directions from the trivial pair to each case that has
@@ -179,13 +180,10 @@ def check_reproduction():
 
 
 def _exp_finite(a, b):
+    """The exponents of the conjugated operator at a point of weight (a, b);
+    at infinity, those of mu less 6."""
     return tuple(sorted((-2 * a - b, -a - b + 1, -a + 2, 3,
                          a + 4, a + b + 5, 2 * a + b + 6)))
-
-
-def _exp_infinity(a, b):
-    return tuple(sorted((-2 * a - b - 6, -a - b - 5, -a - 4, -3,
-                         a - 2, a + b - 1, 2 * a + b)))
 
 
 def kernel_failure(c):
@@ -202,23 +200,54 @@ def kernel_failure(c):
     for w, p in zip(c.data.Lambda, c.data.z):
         if diffop.exponents_at(c.conjugated, p) != _exp_finite(*w):
             return f"exponents at {p} wrong"
-    if diffop.exponents_at(c.conjugated, bethe.INF) != _exp_infinity(*c.mu):
+    if diffop.exponents_at(c.conjugated, bethe.INF) != tuple(
+            e - 6 for e in _exp_finite(*c.mu)):
         return "exponents at inf wrong"
 
 
-@_sweep("{n} kernels: dim 7, self-dual, ssd witness, exponents")
-def check_kernels(lam, i):
-    """kernel_failure on the closed-form case (lam, i)."""
-    from . import diffop
-    return kernel_failure(diffop.case(lam, i))
+def _wronskian_failure(c):
+    """The primitive space Wronskian of the Case c, on Z[x], is the 7th power
+    prod_s (x - z_s)^(7(2 Lambda_s,1 + Lambda_s,2)); a failure or None."""
+    from . import bethe, sgrass
+    from .exact import zprimitive
+    w = zprimitive(sgrass.wronskian_row(c.space, c.ramification))
+    if w != bethe.zlinear_power([(p, 7 * (2 * a + b)) for (a, b), p
+                                 in zip(c.data.Lambda, c.data.z)]):
+        return "space Wronskian wrong"
+    sgrass._seventh_root(w)  # raises unless w is a 7th power
 
 
-@_sweep("{n} residue/Casimir cross-checks exact")
-def check_h2(lam, i):
+def _residue_failure(c):
+    """The residues r_s = diffop.h2_residue(c.conjugated, z_s) of the Case
+    c meet the sum rules sum r_s = 0 and sum z_s r_s = c.casimir_value; a
+    failure message or None."""
     from . import diffop
-    got, expected = diffop.h2_casimir_values(lam, i)
-    if got != expected:
-        return f"h2 mismatch {got} != {expected}"
+    z, e = c.data.z, c.casimir_value
+    r = [diffop.h2_residue(c.conjugated, p) for p in z]
+    if sum(r) or sum(p * rp for p, rp in zip(z, r)) != e:
+        return f"h2 sum rules fail: r = ({', '.join(map(str, r))}), e = {e}"
+
+
+def case_failure(c):
+    """The one per-case check of the diffop.Case c, at finite points with
+    z_1 = 0: the first failure message of its stages, each reading c.data,
+    c.y and what c builds, or None."""
+    return (_certify_failure(c.y, c.data) or kernel_failure(c)
+            or _wronskian_failure(c) or _residue_failure(c))
+
+
+def _case_sweep(passed, stage):
+    """The _sweep suite of stage on each closed-form Case."""
+    def check(lam, i):
+        from . import diffop
+        return stage(diffop.case(lam, i))
+    return _sweep(passed)(check)
+
+
+check_kernels = _case_sweep(
+    "{n} kernels: dim 7, self-dual, ssd witness, exponents", case_failure)
+check_h2 = _case_sweep("{n} residue/Casimir cross-checks exact",
+                       _residue_failure)
 
 
 # frozen golden arrow set for d = 11 (29 simple degenerations)
@@ -344,17 +373,9 @@ def check_covering():
     return True, "covering degrees 1,1,4 match; n=2 anchor has 4 fibers"
 
 
-@_sweep("{n} spaces match the Wronskian formula with exact 7th roots")
-def check_wronskian(lam, i):
-    """The primitive space Wronskian is x^(7(2 l1 + l2)) (x - 1)^7, on Z[x]."""
-    from . import bethe, diffop, sgrass
-    from .exact import zprimitive
-    c = diffop.case(lam, i)
-    w = zprimitive(sgrass.wronskian_row(c.space, c.ramification))
-    l1, l2 = lam
-    if w != bethe.zlinear_power([(0, 7 * (2 * l1 + l2)), (1, 7)]):
-        return "space Wronskian wrong"
-    sgrass._seventh_root(w)  # raises unless w is a 7th power
+check_wronskian = _case_sweep(
+    "{n} spaces match the Wronskian formula with exact 7th roots",
+    _wronskian_failure)
 
 
 SUITES = {

@@ -1048,7 +1048,8 @@ def test_a_reproduction_error_is_a_named_fail_line(monkeypatch, capsys):
     """A ValueError from bethe.reproduce (no fertility witness) is the
     reproduction suite's FAIL line, naming the case, and all nine suites
     still report; bae-grid, whose fertility cross-check uses the same
-    solve, fails too."""
+    solve, fails too, and so does kernels, whose case_failure certifies
+    each case first."""
     solve = bethe.fertility_solve
 
     def planted(Y, R, a):
@@ -1066,4 +1067,4 @@ def test_a_reproduction_error_is_a_named_fail_line(monkeypatch, capsys):
     results = verify.run_suite("all")
     assert list(results) == list(verify.SUITES)
     assert [k for k, (ok, _) in results.items() if not ok] == \
-        ["bae-grid", "reproduction"]
+        ["bae-grid", "reproduction", "kernels"]

@@ -636,29 +636,67 @@ def _chains(z):
     return out
 
 
+# the point sets of the reproduced chains, one of them not integer
+THREE_POINTS = ((0, 1, 2), (0, 1, Fraction(1, 3)))
+# a Bethe pair at three points whose y1 vanishes at z_2 = 1, where
+# <omega2, coroot_1> = 0: generic in Mukhin-Varchenko's sense
+ROOT_AT_A_POINT = (bethe.BetheData(((1, 0), (0, 1), (0, 1)),
+                                   (0, 1, Fraction(9, 4)), (1, 1)),
+                   PolyPair([-1, 1], [-2, 1]))
+
+
+def _planted_pairs():
+    """The reproduced pairs at both point sets with a root planted in y1 or
+    y2 at 0, at 1 and at 1/3, a singular point of T_j or not: 720 pairs,
+    as (data, y)."""
+    planted = []
+    for z in THREE_POINTS:
+        for data, y in _chains(tuple(map(Fraction, z))).values():
+            for p in (Fraction(0), Fraction(1), Fraction(1, 3)):
+                root = Poly([-p, 1])
+                planted += [(data, PolyPair(monic(y.y1) * root, y.y2)),
+                            (data, PolyPair(y.y1, monic(y.y2) * root))]
+    return planted
+
+
+def _flag_or_error(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
 def test_case_path_is_the_factor_base_path():
     """Case.factored, read off the points and the pair with no gcd, and
     _factor_base of T1, T2, y1 and y2 give D_y and its conjugate with equal
-    (Q, P) and equal flag rows, on the 210 closed forms of the 5-grid and
-    on the 120 pairs reproduced at three points."""
+    (Q, P) and equal flag rows, or the same error where the flag has none:
+    on the 210 closed forms of the 5-grid, the 120 pairs reproduced at
+    three points, the 330 of those with a root planted that are generic,
+    some at a point of zero pairing, and ROOT_AT_A_POINT."""
     cases = [(bethe.closed_form(lam, i), bethe.closed_form_pair(lam, i))
              for lam, i in GRID5]
-    for z in ((0, 1, 2), (0, 1, Fraction(1, 3))):
+    for z in THREE_POINTS:
         cases += _chains(tuple(map(Fraction, z))).values()
-    assert len(cases) == 210 + 2 * 60
+    cases += [(data, y) for data, y in _planted_pairs()
+              if bethe.is_generic(y, data.Lambda, data.z)]
+    cases.append(ROOT_AT_A_POINT)
+    assert len(cases) == 210 + 2 * 60 + 330 + 1
     for data, y in cases:
         c = diffop.Case(data, y)
         want = _factor_base_path(y, *c.ramification.T[:2])
         for got, ref in zip((c.operator, c.conjugated), want):
             assert (got.Q, got.P) == (ref.Q, ref.P), data
-        assert c.flag_rows == zechelon(diffop._population_flag(*want[2]))
+        assert _flag_or_error(lambda: c.flag_rows) == _flag_or_error(
+            lambda: zechelon(diffop._population_flag(*want[2]))), (data, y)
 
 
-@pytest.mark.parametrize("z", [(0, 1, 2), (0, 1, Fraction(1, 3))])
+@pytest.mark.parametrize("z", THREE_POINTS)
 def test_three_point_cases_from_reproduced_chains(z):
-    """The Case of each reproduced pair at three points has a 7-dimensional
-    self-dual kernel, its flag as ssd witness and the exponents of Lambda
-    and of Case.mu: verify.kernel_failure runs on any Case."""
+    """The Case of each reproduced pair at three points passes
+    verify.case_failure: it certifies, has a 7-dimensional self-dual kernel
+    with its flag as ssd witness and the exponents of Lambda and of
+    Case.mu, the Wronskian prod_s (x - z_s)^(7(2 Lambda_s,1 + Lambda_s,2))
+    and residues that meet the sum rules."""
     from g2gaudin import verify
     chains = _chains(tuple(map(Fraction, z)))
     assert len(chains) == 60
@@ -666,48 +704,94 @@ def test_three_point_cases_from_reproduced_chains(z):
         c = diffop.Case(data, y)
         assert c.mu == rd.sub(rd.add(data.Lambda[0], (0, 2)),
                               rd.from_alpha(*data.l)), key
-        assert verify.kernel_failure(c) is None, key
+        assert verify.case_failure(c) is None, key
+
+
+def test_a_pair_with_a_root_at_a_point_of_zero_pairing_is_a_case():
+    """ROOT_AT_A_POINT certifies and builds as a Case whose y1 column is
+    the factor x - 1 of z_2; it passes case_failure with residues
+    (-4/3, 12/5, -16/15) and e = 0 at mu = 3 omega2, and its Wronskian is
+    x^14 (x - 1)^7 (4x - 9)^7."""
+    from g2gaudin import verify
+    data, y = ROOT_AT_A_POINT
+    c = diffop.Case(data, y)
+    assert c.factored == ([[0, 1], [-1, 1], [-9, 4], [-2, 1]],
+                          [[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, 0, 0],
+                           [0, 0, 0, 1]])
+    assert verify.case_failure(c) is None
+    assert (c.mu, c.casimir_value) == ((0, 3), 0)
+    assert [diffop.h2_residue(c.conjugated, p) for p in data.z] == [
+        Fraction(-4, 3), Fraction(12, 5), Fraction(-16, 15)]
+    assert zprimitive(sgrass.wronskian_row(c.space, c.ramification)) == \
+        zclear((_x ** 14 * (_x - 1) ** 7 * (_x * 4 - 9) ** 7).coeffs)[0]
+
+
+def _deg_4_8_chain():
+    """The deg-(4, 8) pair reproduced at z = (0, 1, 2) along
+    (2, 1, 2, 1, 2) from lam = (0, 2), as (data, y)."""
+    data, y = _chains(tuple(map(Fraction, (0, 1, 2))))[(0, 2),
+                                                       (2, 1, 2, 1, 2)]
+    assert (len(y.y1) - 1, len(y.y2) - 1) == (4, 8)
+    return data, y
 
 
 @pytest.mark.parametrize("j", [0, 1])
 def test_a_perturbed_three_point_pair_has_no_kernel(j):
-    """+1 on the constant coefficient of y1 or y2 of the deg-(4, 8) pair
-    reproduced at z = (0, 1, 2) along (2, 1, 2, 1, 2) from lam = (0, 2)
-    leaves a residue in the flag's integrals."""
+    """+1 on the constant coefficient of y1 or y2 of _deg_4_8_chain leaves
+    a residue in the flag's integrals."""
     from g2gaudin import verify
-    data, y = _chains(tuple(map(Fraction, (0, 1, 2))))[(0, 2),
-                                                       (2, 1, 2, 1, 2)]
-    assert (len(y.y1) - 1, len(y.y2) - 1) == (4, 8)
+    data, y = _deg_4_8_chain()
     ys = [monic(y.y1), monic(y.y2)]
     ys[j] = ys[j] + 1
     with pytest.raises(ValueError, match="the integrand has a residue"):
         verify.kernel_failure(diffop.Case(data, PolyPair(*ys)))
 
 
+@pytest.mark.parametrize("fault", ["omega1 at z_3", "y2 coefficient + 1"])
+def test_every_stage_of_the_case_check_fails_on_a_planted_fault(fault):
+    """On _deg_4_8_chain with omega1 for omega2 at the third point, or +1 on
+    the constant coefficient of y2's integer row, case_failure names its
+    first stage, the Bethe equations; kernel_failure and the Wronskian
+    stage each meet a residue in the flag's integrals, and the residue
+    stage names the sum rules."""
+    from g2gaudin import verify
+    data, y = _deg_4_8_chain()
+    if fault == "omega1 at z_3":
+        data = data._replace(Lambda=data.Lambda[:2] + (rd.OMEGA1,))
+    else:
+        y = PolyPair(y.y1, [y.y2[0] + 1] + y.y2[1:])
+    c = diffop.Case(data, y)
+    assert verify.case_failure(c) == "Bethe equations fail"
+    for stage in (verify.kernel_failure, verify._wronskian_failure):
+        with pytest.raises(ValueError, match="the integrand has a residue"):
+            stage(c)
+    assert verify._residue_failure(c).startswith("h2 sum rules fail")
+
+
 def test_genericity_by_evaluation_matches_the_gcd_form():
     """bethe.is_generic, which evaluates y_j at the points, decides as the
     gcd form kept in oracles on the 210 closed forms of the 5-grid, on the
-    pairs reproduced at three points, and on those pairs with a root
-    planted at 0, at 1 and at 1/3, where it is a singular point of T_j or
-    not; the planted pairs give both verdicts."""
-    inputs = [(bethe.closed_form_pair(lam, i), bethe.closed_form(lam, i))
+    pairs reproduced at three points, and on _planted_pairs, where it gives
+    both verdicts; Case.factored raises "not a generic pair" exactly where
+    it is False."""
+    inputs = [(bethe.closed_form(lam, i), bethe.closed_form_pair(lam, i))
               for lam, i in GRID5]
-    planted = []
-    for z in ((0, 1, 2), (0, 1, Fraction(1, 3))):
-        chains = _chains(tuple(map(Fraction, z)))
-        inputs += [(y, data) for data, y in chains.values()]
-        for data, y in chains.values():
-            for p in (Fraction(0), Fraction(1), Fraction(1, 3)):
-                root = Poly([-p, 1])
-                planted += [(PolyPair(monic(y.y1) * root, y.y2), data),
-                            (PolyPair(y.y1, monic(y.y2) * root), data)]
+    for z in THREE_POINTS:
+        inputs += _chains(tuple(map(Fraction, z))).values()
+    planted = _planted_pairs()
     assert (len(inputs), len(planted)) == (210 + 2 * 60, 2 * 60 * 6)
     for pairs in (inputs, planted):
         verdicts = set()
-        for y, data in pairs:
+        for data, y in pairs:
             got = bethe.is_generic(y, data.Lambda, data.z)
             assert got is oracles.is_generic_by_gcd(y, data.Lambda, data.z), \
                 (y, data)
+            c = diffop.Case(data, y)
+            if got:
+                c.factored
+            else:
+                with pytest.raises(ValueError, match="not a generic pair"):
+                    c.factored
             verdicts.add(got)
         assert verdicts == ({True} if pairs is inputs else {True, False})
 
