@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property
 from math import lcm
+from operator import sub
 
 from . import rootdata as rd
 from .exact import (zderiv, zgcd, zhomeval, zmul, zpoly, zprem, zprimitive,
@@ -111,16 +112,17 @@ class RamificationData(_Frozen):
         if len(z) != len(partitions):
             raise ValueError("points / partitions length mismatch")
         for p in partitions:
-            if len(p) != 7 or any(p[i] < p[i + 1] for i in range(6)):
+            if len(p) != 7 or list(p) != sorted(p, reverse=True):
                 raise ValueError(f"not a partition with 7 parts: {p}")
-        steps = [(zs, [a - b for a, b in zip(p, p[1:] + (0,))])
-                 for zs, p in zip(z, partitions) if zs != INF]
-        if any(e[-1] < 0 for _, e in steps):
+        finite = [(zs, p) for zs, p in zip(z, partitions) if zs != INF]
+        if any(p[-1] < 0 for _, p in finite):
             raise ValueError("negative power of a polynomial")
-        # one product per distinct exponent vector: for G2 weights
-        # T1 = T3 = T4 = T6 and T2 = T5
-        points = [zs for zs, _ in steps]
-        exps = [tuple(e[i] for _, e in steps) for i in range(7)]
+        # one product per distinct exponent vector over the finite points,
+        # the columns p_i - p_(i+1): for G2 weights T1 = T3 = T4 = T6 and
+        # T2 = T5
+        points = [zs for zs, _ in finite]
+        exps = list(zip(*(map(sub, p, p[1:] + (0,)) for _, p in finite)))
+        exps = exps or [()] * 7
         powers = {k: zlinear_power(zip(points, k)) for k in set(exps)}
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "partitions", partitions)

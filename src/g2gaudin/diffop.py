@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate
 from math import lcm
+from operator import mul
 
 from . import bethe
 from . import repn
@@ -43,7 +44,8 @@ class DiffOp:
         product of factors of Q), so equal coefficients give equal pairs:
         the one path from (Q, P) to lowest terms, which g2 diffop prints."""
         n = self.order
-        return tuple(_reduce_over_power(self.P[k], self.Q, n - k)
+        powers = list(accumulate([self.Q] * n, zmul))
+        return tuple(_reduce_over_power(self.P[k], self.Q, n - k, powers)
                      for k in range(n - 1, -1, -1))
 
     @cached_property
@@ -67,14 +69,14 @@ _CONJUGATOR = (2, 1, 0, 0)
 
 def _exponents(factors, exps):
     """Over the bases, the exponents of prod_i f_i^e_i for each e in exps."""
-    return [[sum(e * a for e, a in zip(ek, col)) for col in zip(*factors)]
-            for ek in exps]
+    cols = list(zip(*factors))
+    return [[sum(map(mul, ek, col)) for col in cols] for ek in exps]
 
 
 def _support(bases, *rowsets):
     """The product of the bases with a nonzero exponent in each set of rows."""
-    return reduce(zmul, (b for j, b in enumerate(bases) if all(
-        any(r[j] for r in rows) for rows in rowsets)), [1])
+    occurs = zip(*([any(col) for col in zip(*rows)] for rows in rowsets))
+    return reduce(zmul, (b for b, o in zip(bases, occurs) if all(o)), [1])
 
 
 def _log_factors(bases, exps):
@@ -91,23 +93,29 @@ def _log_factors(bases, exps):
 
 def apply_log_factor(Q, dQ, W, P, j):
     """Q^(j+1) (d - W/Q)(P / Q^j) = Q P' - j Q' P - W P, for dQ = Q'."""
-    return zsub(zmul(Q, zderiv(P)), zmul(zadd(zscale(j, dQ), W), P))
+    jW = zadd(zscale(j, dQ), W) if W else zscale(j, dQ)
+    return zsub(zmul(Q, zderiv(P)), zmul(jW, P))
 
 
 def _compose(Q, dQ, W, ps):
     """The d^k numerators over Q^(n+1-k) of (d - W/Q) ps, for ps the
     numerators P_k over Q^(n-k) of an operator of order n and dQ = Q': P_k
-    goes to d^(k+1) and apply_log_factor(Q, dQ, W, P_k, n - k) to d^k."""
+    goes to d^(k+1) and apply_log_factor(Q, dQ, W, P_k, n - k) to d^k, so a
+    zero P_k adds nothing."""
     n, out = len(ps) - 1, [[]] + ps
     for k, p in enumerate(ps):
-        out[k] = zadd(out[k], apply_log_factor(Q, dQ, W, p, n - k))
+        if p:
+            out[k] = zadd(out[k], apply_log_factor(Q, dQ, W, p, n - k))
     return out
 
 
 def _divided(Q, ps, Y, lift=(1,)):
     """The operator sum_k ps[k] / Q^(m-k) d^k, ps[m] = [1], over Q / Y, each
-    P_k divided by Y^(m-k); or, when one of these divisions is inexact,
-    over Q lift, each P_k times lift^(m-k)."""
+    P_k divided by Y^(m-k), so over Q as it is for Y = 1; or, when one of
+    these divisions is inexact, over Q lift, each P_k times lift^(m-k)."""
+    if len(Y) == 1:
+        return DiffOp(Q, tuple(ps[:-1]))
+
     def powers(op, F):
         Fs = accumulate([F] * (len(ps) - 1), zmul)
         return tuple(reversed([op(p, Fe) for p, Fe in zip(ps[-2::-1], Fs)]))
@@ -117,7 +125,22 @@ def _divided(Q, ps, Y, lift=(1,)):
         return DiffOp(zmul(Q, lift), powers(zmul, lift))
 
 
-def _integral(N, d, bases):
+def _product(bases, ex, kept):
+    """prod_j B_j^ex_j, B_j = bases[j], for an exponent tuple ex: kept holds
+    the products built before over the same bases (and [1] under ex = 0),
+    so each one is built once, one zmul by a base from one power lower."""
+    lower = []
+    while ex not in kept:
+        j = max(j for j, e in enumerate(ex) if e)
+        lower.append((ex, j))
+        ex = ex[:j] + (ex[j] - 1,) + ex[j + 1:]
+    out = kept[ex]
+    for ex, j in reversed(lower):
+        out = kept[ex] = zmul(out, bases[j])
+    return out
+
+
+def _integral(N, d, bases, kept=None):
     """(A, e) with A / prod B_j^e_j an antiderivative of N / prod B_j^d_j up
     to a nonzero constant factor, B_j = bases[j], d_j >= 0 and
     e_j = max(d_j - 1, 0): Hermite reduction with the denominator known.
@@ -126,29 +149,24 @@ def _integral(N, d, bases):
     S = sum_j e_j B_j' rad / B_j, (A / E)' = (A' rad - A S) / (E rad) for any
     polynomials B_j; exact.zsolve1 solves A' rad - A S = c N, its zero pivot
     deg E the constant of integration.  For pairwise coprime squarefree B_j
-    that fails, with ValueError, exactly when the integrand has a residue."""
-    active = [j for j, dj in enumerate(d) if dj]
-    rad, S = [1], []
-    for j in active:
-        rad = zmul(rad, bases[j])
-        if d[j] > 1:
-            cof = reduce(zmul, (bases[k] for k in active if k != j), [1])
-            S = zadd(S, zscale(d[j] - 1, zmul(zderiv(bases[j]), cof)))
-    sol = zsolve1(rad, zscale(-1, S), zprimitive(N))
+    that fails, with ValueError, exactly when the integrand has a residue.
+    kept, a dict kept over the same bases, holds (rad, -S, e) under d once
+    built."""
+    kept = {} if kept is None else kept
+    if d not in kept:
+        active = [j for j, dj in enumerate(d) if dj]
+        rad, S = [1], []
+        for j in active:
+            rad = zmul(rad, bases[j])
+            if d[j] > 1:
+                cof = reduce(zmul, (bases[k] for k in active if k != j), [1])
+                S = zadd(S, zscale(d[j] - 1, zmul(zderiv(bases[j]), cof)))
+        kept[d] = rad, zscale(-1, S), tuple(max(dj - 1, 0) for dj in d)
+    rad, S, e = kept[d]
+    sol = zsolve1(rad, S, zprimitive(N))
     if sol is None:
         raise ValueError("the integrand has a residue: not a Bethe pair")
-    return zprimitive(sol[0]), tuple(max(dj - 1, 0) for dj in d)
-
-
-def _times(N, d, c, bases):
-    """N / prod B_j^d_j times prod B_j^c_j, as (numerator, d'), d' >= 0."""
-    out = []
-    for j, (dj, cj) in enumerate(zip(d, c)):
-        if dj < cj:
-            for _ in range(cj - dj):
-                N = zmul(N, bases[j])
-        out.append(max(dj - cj, 0))
-    return N, tuple(out)
+    return zprimitive(sol[0]), e
 
 
 def _population_flag(bases, factors):
@@ -163,25 +181,38 @@ def _population_flag(bases, factors):
     element of the flag of (h_1 / h_m, ..., h_(m-1) / h_m).  Unrolled,
     w_i = h_7 int r_6 int r_5 ... int r_(8-i) with r_k = h_k / h_(k+1):
     21 integrals in all, each a _integral over the known bases, so no gcd
-    is taken.  Every step is an identity and the last is an exact
-    division in Z[x]; ValueError if an integrand has a residue or an
-    element is not a polynomial, so each element returned is a polynomial
-    in ker D_y."""
+    is taken.  What the integrals share is built once for the call: each
+    product of base powers (_product), each step from one integrand to the
+    next, and each Hermite denominator.  Every step is an identity and the
+    last is one exact division in Z[x]; ValueError if an integrand has a
+    residue or an element is not a polynomial, so each element returned is
+    a polynomial in ker D_y."""
     h = _exponents(factors, _DY_EXPONENTS)
-    ratios = [[a - b for a, b in zip(h[k], h[k + 1])] for k in range(6)]
-    flag = []
+    ratios = [tuple(a - b for a, b in zip(h[k], h[k + 1])) for k in range(6)]
+    zero, last = (0,) * len(bases), tuple(h[6])
+    products, steps, hermite, flag = {zero: [1]}, {}, {}, []
+
+    def times(N, d, c):
+        """N / prod B_j^d_j times prod B_j^c_j, as (numerator, d'), d' >= 0:
+        one zmul by the powers that d does not cancel, found once."""
+        if (d, c) not in steps:
+            up = tuple(max(cj - dj, 0) for dj, cj in zip(d, c))
+            steps[d, c] = (_product(bases, up, products),
+                           tuple(max(dj - cj, 0) for dj, cj in zip(d, c)))
+        M, d = steps[d, c]
+        return (N if M == [1] else zmul(N, M)), d
+
     for i in range(7):
-        N, d = [1], (0,) * len(bases)
+        N, d = [1], zero
         for r in ratios[6 - i:]:
-            N, d = _integral(*_times(N, d, r, bases), bases)
-        N, d = _times(N, d, h[6], bases)
-        for B, dj in zip(bases, d):
-            for _ in range(dj):
-                try:
-                    N = zquo(N, B)
-                except ValueError:
-                    raise ValueError("a flag element is not a polynomial: "
-                                     "not a Bethe pair") from None
+            N, d = _integral(*times(N, d, r), bases, hermite)
+        N, d = times(N, d, last)
+        if d != zero:
+            try:
+                N = zquo(N, _product(bases, d, products))
+            except ValueError:
+                raise ValueError("a flag element is not a polynomial: "
+                                 "not a Bethe pair") from None
         flag.append(zprimitive(N))
     return flag
 
@@ -245,20 +276,20 @@ def _log_factor_product(Q, Ws, Y=(1,)) -> DiffOp:
     return _divided(Q, ps, Y)
 
 
-def _reduce_over_power(P, Q, e):
-    """(num, den) in lowest terms with num / den = P / Q^e, for squarefree Q.
-    g_1 = gcd(P, Q) is the product of the factors of Q dividing P; after
-    dividing P by it, g_2 = gcd(P, g_1) those dividing P twice, and so on,
-    so the reduced denominator is the product of the Q / g_t."""
+def _reduce_over_power(P, Q, e, powers):
+    """(num, den) in lowest terms with num / den = P / Q^e, for squarefree Q
+    and powers[t - 1] = Q^t, t <= e.  g_1 = gcd(P, Q) is the product of the
+    factors of Q dividing P; after dividing P by it, g_2 = gcd(P, g_1) those
+    dividing P twice, and so on, so the reduced denominator is the product
+    of the Q / g_t, and Q^t once g_(e-t+1) = 1."""
     if not P:
         return P, [1]
     den, g = [1], Q
-    for _ in range(e):
-        if len(g) > 1:
-            g = zgcd(P, g)
-            if len(g) > 1:
-                P = zquo(P, g)
-        den = zmul(den, zquo(Q, g) if len(g) > 1 else Q)
+    for t in range(e, 0, -1):
+        g = zgcd(P, g)
+        if len(g) == 1:
+            return P, zmul(den, powers[t - 1])
+        P, den = zquo(P, g), zmul(den, zquo(Q, g))
     return P, den
 
 
@@ -326,7 +357,8 @@ def _conjugated(bases, factors) -> DiffOp:
     for s, b in zip((-1, 1, -1), reversed(B.P)):
         D, b = _compose(Q, dQ, [], D), zscale(s, b)
         for k, c in enumerate(C):
-            D[k] = zadd(D[k], zmul(b, c))
+            if c:
+                D[k] = zadd(D[k], zmul(b, c))
     return _divided(Q, D, zquo(Q, _support(bases, exps, factors[:2])), lift)
 
 

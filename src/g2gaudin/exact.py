@@ -154,15 +154,6 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def valuation(self) -> int:
-        """Order of vanishing at 0; large for the zero poly."""
-        if self.is_zero():
-            return 1 << 30
-        v = 0
-        while not self.coeffs[v]:
-            v += 1
-        return v
-
     def __repr__(self):
         if self.is_zero():
             return "Poly(0)"
@@ -189,7 +180,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 # build one Fraction per output coefficient.  An operator in diffop lives
 # on these lists only (numerators over powers of a squarefree Q, with its
 # exponents and residue read off them); zratfunc turns it into RatFuncs
-# for output.
+# for output.  A zero divisor raises ZeroDivisionError, as in Poly.divmod.
 
 
 def _denominator(coeffs) -> int:
@@ -229,7 +220,12 @@ def zscale(c, a):
 
 
 def zsub(a, b):
-    return zadd(a, zscale(-1, b))
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] -= c
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def zmul(a, b):
@@ -240,8 +236,8 @@ def zmul(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for j, cb in enumerate(b):
         if cb:
-            for i, ca in enumerate(a):
-                out[i + j] += ca * cb
+            for i, ca in enumerate(a, j):
+                out[i] += ca * cb
     return out
 
 
@@ -278,24 +274,24 @@ def zquo(a, b):
     """a / b, required to lie in Z[x]; ValueError otherwise.  The x-power
     of b is stripped first: a must carry at least as high a one, and the
     quotient of the stripped lists is padded with the difference."""
-    vb = _zval(b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
     if not a:
         return []
-    va = _zval(a)
+    va, vb = _zval(a), _zval(b)
     if va < vb:
         raise ValueError("inexact polynomial division")
-    a, b = a[va:], b[vb:]
+    rem, b = a[va:], b[vb:]
     db, lead = len(b) - 1, b[-1]
-    rem = list(a)
-    q = [0] * max(0, len(a) - db)
+    q = [0] * max(0, len(rem) - db)
     for i in range(len(rem) - 1, db - 1, -1):
         f, r = divmod(rem[i], lead)
         if r:
             raise ValueError("inexact polynomial division")
         if f:
             q[i - db] = f
-            for j, c in enumerate(b):
-                rem[i - db + j] -= f * c
+            for j, c in enumerate(b, i - db):
+                rem[j] -= f * c
     if any(rem[:db]):
         raise ValueError("inexact polynomial division")
     return [0] * (va - vb) + q
@@ -323,14 +319,16 @@ def zprimitive(a):
 def zprem(a, b):
     """A nonzero constant multiple of the remainder of a by b: [] exactly
     when b divides a in Q[x]."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
     rem, db, lead = list(a), len(b) - 1, b[-1]
     while len(rem) > db:
-        c = rem[-1]
-        g = gcd(c, lead)
+        c, g = rem[-1], gcd(rem[-1], lead)
         s, f = lead // g, c // g
-        rem = [s * v for v in rem]
-        for j, v in enumerate(b):
-            rem[len(rem) - 1 - db + j] -= f * v
+        if s != 1:
+            rem = [s * v for v in rem]
+        for j, v in enumerate(b, len(rem) - 1 - db):
+            rem[j] -= f * v
         while rem and not rem[-1]:
             rem.pop()
     return rem
@@ -344,6 +342,8 @@ def zsolve1(p, q, N):
     or p H' + q H = 0 has a polynomial solution H (of that degree k), None
     means no polynomial A solves it at all.  A pivot that does not divide
     scales the residual and c."""
+    if not p:
+        raise ZeroDivisionError("polynomial division by zero")
     r = len(p) - 1
     top = q[r - 1] if 0 < r == len(q) else 0
     R, A, c = list(N), [0] * max(len(N) - r + 1, 0), 1
@@ -356,11 +356,11 @@ def zsolve1(p, q, N):
         m, a = abs(piv // g), R[t] // g * (1 if piv > 0 else -1)
         if m > 1:
             R, A, c = [m * v for v in R], [m * v for v in A], m * c
-        A[k] = a
-        for i, v in enumerate(p):
-            R[k - 1 + i] -= a * k * v
-        for i, v in enumerate(q):
-            R[k + i] -= a * v
+        A[k], ak = a, a * k
+        for i, v in enumerate(p, k - 1):
+            R[i] -= ak * v
+        for i, v in enumerate(q, k):
+            R[i] -= a * v
     return None if any(R) else (zadd(A, []), c)
 
 

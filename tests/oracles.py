@@ -3,8 +3,9 @@
 RatFunc versions of the operator layer, for the integer code of `diffop`:
 the plain RatFunc product of log-factors, conjugation by substitution,
 application to a polynomial, Laurent and infinity coefficients by Taylor
-shifts, the indicial polynomial over Q and residues.  An operator here is
-its full coefficient list, indexed by derivative order 0..n, of RatFuncs.
+shifts and valuations at 0, the indicial polynomial over Q and residues.
+An operator here is its full coefficient list, indexed by derivative
+order 0..n, of RatFuncs.
 
 The 7-dimensional module as the paper prints it, over Q(sqrt 2), for the
 rational module of `repn`, with the field elimination that `linalg`'s
@@ -33,19 +34,28 @@ definition of a self-self-dual space by a kappa-isotropic subspace, which
 `linalg.rref` and coordinates in a space; the degree bound under which
 the nullspace kernel of `diffop.polynomial_kernel` is taken.
 
-The argparse parser of `g2`, for the table parser of `cli`."""
+The argparse parser of `g2`, for the table parser of `cli`.
+
+The population flag, its integrals, the composition of operators and
+their reduction to lowest terms with the integer glue `zsub` and `zsolve1`,
+as they were before `diffop` built each per-case invariant once: the
+differential oracles of `diffop._population_flag`, `diffop._conjugated`
+and `DiffOp.lowest_terms`."""
 
 import argparse
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from math import gcd
+from unittest import mock
 
 from g2gaudin import cli, diffop
 from g2gaudin import rootdata as rd
 from g2gaudin.bethe import INF, PolyPair, zlinear_power
-from g2gaudin.exact import (Poly, RatFunc, poly_gcd, zclear, zderiv, zmul,
-                            zpoly, zprefix_levels, zprimitive, zquo, zreduce,
-                            zrow, zsub, zwronski_minors, zwronskian_past,
-                            zwronskians)
+from g2gaudin.diffop import _DY_EXPONENTS, _exponents
+from g2gaudin.exact import (Poly, RatFunc, poly_gcd, zadd, zclear, zderiv,
+                            zgcd, zmul, zpoly, zprefix_levels, zprimitive,
+                            zquo, zreduce, zrow, zscale, zwronski_minors,
+                            zwronskian_past, zwronskians)
 from g2gaudin.linalg import rref
 from g2gaudin.repn import (bracket, mat_add, mat_scale, mat_sub, mat_unit,
                           mat_zero)
@@ -99,6 +109,13 @@ def shift(p: Poly, a) -> Poly:
         for j in range(len(c) - 2, i - 1, -1):
             c[j] += a * c[j + 1]
     return Poly(c)
+
+
+def valuation(p: Poly) -> int:
+    """The order of vanishing of p at 0; large for the zero poly."""
+    if p.is_zero():
+        return 1 << 30
+    return next(k for k, c in enumerate(p.coeffs) if c)
 
 
 def derivative(f: RatFunc) -> RatFunc:
@@ -160,7 +177,7 @@ def laurent_coeff(f: RatFunc, p, m: int):
     if f.is_zero() or f.den(p):  # regular at p
         return Fraction(0)
     num, den = shift(f.num, p), shift(f.den, p)
-    vn, vd = num.valuation(), den.valuation()
+    vn, vd = valuation(num), valuation(den)
     if vn - vd > -m:
         return Fraction(0)
     if vn - vd < -m:
@@ -203,7 +220,7 @@ def indicial(cs, p) -> Poly:
 def residue_at(f: RatFunc, z) -> Fraction:
     """Coefficient of (x - z)^-1 in the Laurent expansion of f at z."""
     num, den = shift(f.num, z), shift(f.den, z)
-    m = den.valuation()
+    m = valuation(den)
     # den = x^m d0 with d0(0) != 0; the residue is [x^(m-1)] num / d0
     d0 = Poly(den.coeffs[m:])
     inv0, inv = 1 / d0.coeffs[0], []
@@ -311,6 +328,156 @@ def conjugated_log_factors(y, T1, T2):
                   for e in diffop._DY_EXPONENTS])
     Q, Ws = diffop._log_factors(bases, exps)
     return Q, Ws, zquo(Q, diffop._support(bases, exps, factors[:2]))
+
+
+# diffop's and exact's code before each per-case invariant (base powers,
+# Hermite denominators, powers of Q) was built once, copied unchanged
+
+def zsub(a, b):
+    return zadd(a, zscale(-1, b))
+
+
+def zsolve1(p, q, N):
+    """(A, c) with p A' + q A = c N, c > 0 and A 0 at the zero pivot, for
+    integer lists p != 0 and q, deg q < deg p; None if there is none.  The
+    solve is triangular: x^k reaches x^(k - 1 + deg p) with the pivot
+    k lead(p) + q_(deg p - 1), zero for at most one k.  If no pivot is zero,
+    or p H' + q H = 0 has a polynomial solution H (of that degree k), None
+    means no polynomial A solves it at all.  A pivot that does not divide
+    scales the residual and c."""
+    r = len(p) - 1
+    top = q[r - 1] if 0 < r == len(q) else 0
+    R, A, c = list(N), [0] * max(len(N) - r + 1, 0), 1
+    for t in range(len(R) - 1, max(r - 1, 0) - 1, -1):
+        k = t - r + 1
+        piv = k * p[-1] + top
+        if not (R[t] and piv):  # a nonzero R[t] at piv = 0 stays
+            continue
+        g = gcd(R[t], piv)
+        m, a = abs(piv // g), R[t] // g * (1 if piv > 0 else -1)
+        if m > 1:
+            R, A, c = [m * v for v in R], [m * v for v in A], m * c
+        A[k] = a
+        for i, v in enumerate(p):
+            R[k - 1 + i] -= a * k * v
+        for i, v in enumerate(q):
+            R[k + i] -= a * v
+    return None if any(R) else (zadd(A, []), c)
+
+
+def apply_log_factor(Q, dQ, W, P, j):
+    """Q^(j+1) (d - W/Q)(P / Q^j) = Q P' - j Q' P - W P, for dQ = Q'."""
+    return zsub(zmul(Q, zderiv(P)), zmul(zadd(zscale(j, dQ), W), P))
+
+
+def _compose(Q, dQ, W, ps):
+    """The d^k numerators over Q^(n+1-k) of (d - W/Q) ps, for ps the
+    numerators P_k over Q^(n-k) of an operator of order n and dQ = Q': P_k
+    goes to d^(k+1) and apply_log_factor(Q, dQ, W, P_k, n - k) to d^k."""
+    n, out = len(ps) - 1, [[]] + ps
+    for k, p in enumerate(ps):
+        out[k] = zadd(out[k], apply_log_factor(Q, dQ, W, p, n - k))
+    return out
+
+
+def _integral(N, d, bases):
+    """(A, e) with A / prod B_j^e_j an antiderivative of N / prod B_j^d_j up
+    to a nonzero constant factor, B_j = bases[j], d_j >= 0 and
+    e_j = max(d_j - 1, 0): Hermite reduction with the denominator known.
+
+    With E = prod B_j^e_j, rad the product of the B_j with d_j > 0 and
+    S = sum_j e_j B_j' rad / B_j, (A / E)' = (A' rad - A S) / (E rad) for any
+    polynomials B_j; exact.zsolve1 solves A' rad - A S = c N, its zero pivot
+    deg E the constant of integration.  For pairwise coprime squarefree B_j
+    that fails, with ValueError, exactly when the integrand has a residue."""
+    active = [j for j, dj in enumerate(d) if dj]
+    rad, S = [1], []
+    for j in active:
+        rad = zmul(rad, bases[j])
+        if d[j] > 1:
+            cof = reduce(zmul, (bases[k] for k in active if k != j), [1])
+            S = zadd(S, zscale(d[j] - 1, zmul(zderiv(bases[j]), cof)))
+    sol = zsolve1(rad, zscale(-1, S), zprimitive(N))
+    if sol is None:
+        raise ValueError("the integrand has a residue: not a Bethe pair")
+    return zprimitive(sol[0]), tuple(max(dj - 1, 0) for dj in d)
+
+
+def _times(N, d, c, bases):
+    """N / prod B_j^d_j times prod B_j^c_j, as (numerator, d'), d' >= 0."""
+    out = []
+    for j, (dj, cj) in enumerate(zip(d, c)):
+        if dj < cj:
+            for _ in range(cj - dj):
+                N = zmul(N, bases[j])
+        out.append(max(dj - cj, 0))
+    return N, tuple(out)
+
+
+def _population_flag(bases, factors):
+    """Integer lists w_1..w_7 with w_1..w_i in ker(L_m...L_7), m = 8 - i,
+    and a basis of it once independent (zechelon checks that), for
+    D_y = L_1...L_7, L_k = d - ln' h_k; given pairwise coprime squarefree
+    integer lists B_j = bases[j] and the exponents of each B_j in T1, T2,
+    y1 and y2 (factors[0..3]).
+
+    Mukhin-Varchenko's population: h^-1 L_k h = d - ln'(h_k / h), so the flag
+    of (h_1..h_m) is h_m followed by h_m times an antiderivative of each
+    element of the flag of (h_1 / h_m, ..., h_(m-1) / h_m).  Unrolled,
+    w_i = h_7 int r_6 int r_5 ... int r_(8-i) with r_k = h_k / h_(k+1):
+    21 integrals in all, each a _integral over the known bases, so no gcd
+    is taken.  Every step is an identity and the last is an exact
+    division in Z[x]; ValueError if an integrand has a residue or an
+    element is not a polynomial, so each element returned is a polynomial
+    in ker D_y."""
+    h = _exponents(factors, _DY_EXPONENTS)
+    ratios = [[a - b for a, b in zip(h[k], h[k + 1])] for k in range(6)]
+    flag = []
+    for i in range(7):
+        N, d = [1], (0,) * len(bases)
+        for r in ratios[6 - i:]:
+            N, d = _integral(*_times(N, d, r, bases), bases)
+        N, d = _times(N, d, h[6], bases)
+        for B, dj in zip(bases, d):
+            for _ in range(dj):
+                try:
+                    N = zquo(N, B)
+                except ValueError:
+                    raise ValueError("a flag element is not a polynomial: "
+                                     "not a Bethe pair") from None
+        flag.append(zprimitive(N))
+    return flag
+
+
+def _reduce_over_power(P, Q, e):
+    """(num, den) in lowest terms with num / den = P / Q^e, for squarefree Q.
+    g_1 = gcd(P, Q) is the product of the factors of Q dividing P; after
+    dividing P by it, g_2 = gcd(P, g_1) those dividing P twice, and so on,
+    so the reduced denominator is the product of the Q / g_t."""
+    if not P:
+        return P, [1]
+    den, g = [1], Q
+    for _ in range(e):
+        if len(g) > 1:
+            g = zgcd(P, g)
+            if len(g) > 1:
+                P = zquo(P, g)
+        den = zmul(den, zquo(Q, g) if len(g) > 1 else Q)
+    return P, den
+
+
+def conjugated_before(bases, factors):
+    """diffop._conjugated with the _compose above for diffop's, as the
+    conjugated operator was built before."""
+    with mock.patch.object(diffop, "_compose", _compose):
+        return diffop._conjugated(bases, factors)
+
+
+def lowest_terms_before(D):
+    """DiffOp.lowest_terms by the _reduce_over_power above."""
+    n = D.order
+    return tuple(_reduce_over_power(D.P[k], D.Q, n - k)
+                 for k in range(n - 1, -1, -1))
 
 
 def _f(expr_num, expr_den):

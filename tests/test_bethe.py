@@ -12,7 +12,7 @@ from g2gaudin.bethe import INF, L_LIST, BetheData, PolyPair
 from g2gaudin.exact import (Poly, wronskian, zadd, zmul, zpoly, zrow, zscale,
                             zwr)
 from oracles import (fraction_closed_form_pair, is_generic_by_gcd, monic,
-                     solve, zcalT)
+                     solve, valuation, zcalT)
 
 Z = (Fraction(0), Fraction(1))
 X = Poly([0, 1])
@@ -43,7 +43,7 @@ def _solve_cleared_ref(y, r, a):
     if sol is None:
         return None
     g = Poly(sol)
-    if a <= 0 or y.valuation() >= a:
+    if a <= 0 or valuation(y) >= a:
         ker = Poly(([Fraction(0)] * (-a) + list(y.coeffs)) if a <= 0
                    else list(y.coeffs[a:]))
         dk = ker.degree

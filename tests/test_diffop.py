@@ -1,6 +1,7 @@
 """Order-7 operators: factorization, conjugation, kernels, exponents."""
 
 import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -213,9 +214,9 @@ def _recorded_moduli(monkeypatch, build):
     """The moduli _reduce_over_power is called with while build() runs."""
     seen, reduce_over_power = [], diffop._reduce_over_power
 
-    def record(P, Q, e):
+    def record(P, Q, *rest):
         seen.append(Q)
-        return reduce_over_power(P, Q, e)
+        return reduce_over_power(P, Q, *rest)
 
     monkeypatch.setattr(diffop, "_reduce_over_power", record)
     try:
@@ -889,3 +890,75 @@ def _power_product(bases, ex):
     for b, e in zip(bases, ex):
         out = out * Poly(b) ** e
     return out
+
+
+def test_per_case_invariants_built_once_change_no_output():
+    """The population flag and the conjugated operator, with each base
+    power, multiplier, Hermite denominator and power of Q built once per
+    case, equal the paths before (oracles) or raise the same error: flag
+    rows, (Q, P) and lowest terms, on the 392 closed forms of the 7-grid,
+    the 120 pairs reproduced at three points, ROOT_AT_A_POINT, the
+    NONGENERIC inputs split by _factor_base and the 1,296 factored forms
+    over the bases x and x - 1 with exponents 0-1 in T1 and T2 and 0-2 in
+    y1 and y2, where both errors occur; and on the 720 _planted_pairs, the
+    flag split by _factor_base, so that the non-generic ones reach the
+    integrals too, and (Q, P) of the 330 generic ones' Cases."""
+    forms = [diffop.case(lam, i).factored for lam in
+             ((a, b) for a in range(8) for b in range(8))
+             for i in bethe.admissible_ls(lam)]
+    for z in THREE_POINTS:
+        forms += [diffop.Case(data, y).factored
+                  for data, y in _chains(tuple(map(Fraction, z))).values()]
+    forms.append(diffop.Case(*ROOT_AT_A_POINT).factored)
+    forms += [diffop._factor_base([zrow(T1), zrow(T2), y.y1, y.y2])
+              for y, T1, T2 in NONGENERIC.values()]
+    columns = [itertools.product(range(top), repeat=2) for top in (2, 2, 3, 3)]
+    forms += [([[0, 1], [-1, 1]], [list(e) for e in es])
+              for es in itertools.product(*columns)]
+    planted, flags_only = [], []
+    for data, y in _planted_pairs():
+        T1, T2 = bethe.ramification(data.Lambda, data.z).T[:2]
+        flags_only.append(diffop._factor_base([T1, T2, y.y1, y.y2]))
+        if bethe.is_generic(y, data.Lambda, data.z):
+            planted.append(diffop.Case(data, y).factored)
+    assert (len(forms), len(planted), len(flags_only)) == (
+        392 + 120 + 1 + len(NONGENERIC) + 1296, 330, 720)
+    errors = set()
+    for form in forms + planted + flags_only:
+        flag = _flag_or_error(lambda: diffop._population_flag(*form))
+        assert flag == _flag_or_error(
+            lambda: oracles._population_flag(*form)), form
+        if isinstance(flag, str):
+            errors.add(flag)
+    assert errors == {"the integrand has a residue: not a Bethe pair",
+                      "a flag element is not a polynomial: not a Bethe pair"}
+    for k, form in enumerate(forms + planted):
+        D, ref = diffop._conjugated(*form), oracles.conjugated_before(*form)
+        assert (D.Q, D.P) == (ref.Q, ref.P), form
+        if k < len(forms):
+            assert D.lowest_terms == oracles.lowest_terms_before(ref), form
+
+
+def test_population_flag_builds_each_invariant_once(monkeypatch):
+    """On (3,3)/6 the population flag makes its 21 integrals with about 50
+    zmul calls in all: each base power, multiplier and Hermite denominator
+    once (133 when every integral rebuilt its own)."""
+    calls = {"zmul": 0, "zsolve1": 0}
+
+    def counted(name):
+        fn = getattr(diffop, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(diffop, name, wrapper)
+
+    form = diffop.Case(bethe.closed_form((3, 3), 6),
+                       bethe.closed_form_pair((3, 3), 6)).factored
+    counted("zmul")
+    counted("zsolve1")
+    flag = diffop._population_flag(*form)
+    assert calls["zsolve1"] == 21
+    assert calls["zmul"] <= 50, calls
+    monkeypatch.undo()
+    assert flag == oracles._population_flag(*form)

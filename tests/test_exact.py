@@ -16,7 +16,8 @@ from g2gaudin.exact import (Poly, RatFunc, poly_det, poly_gcd,
                             wronskian, zadd, zclear, zderiv, zgcd, zmul,
                             zpoly, zprefix_levels, zquo, zscale, zsub, zwr,
                             zwronski_minors, zwronskian_past, zwronskians)
-from oracles import QSqrt2, log_deriv, residue_at, shift, zwr_by_products
+from oracles import (QSqrt2, log_deriv, residue_at, shift, valuation,
+                     zwr_by_products)
 
 fracs = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 10))
 qs = st.builds(QSqrt2, fracs, fracs)
@@ -93,9 +94,9 @@ def test_shift_and_valuation():
     """The oracles' Taylor shift, and the valuation at 0."""
     p = Poly([0, 0, 1])  # x^2
     assert shift(p, 1) == Poly([1, 2, 1])
-    assert shift(Poly([-1, 1]) ** 3, 1).valuation() == 3
-    assert Poly([0, 0, 5, 1]).valuation() == 2
-    assert Poly().valuation() > 1000
+    assert valuation(shift(Poly([-1, 1]) ** 3, 1)) == 3
+    assert valuation(Poly([0, 0, 5, 1])) == 2
+    assert valuation(Poly()) > 1000
 
 
 def test_wronskian_examples():
@@ -476,3 +477,13 @@ def test_first_order_solve_sets_the_zero_pivot_and_finds_residues():
     assert exact.zsolve1(x, q, [0, 0, 0, 1]) is None
     assert exact.zsolve1([0, -1, 1], [], [1]) is None
     assert exact.zsolve1([0, -1, 1], [], []) == ([], 1)
+
+
+def test_a_zero_divisor_raises_zero_division():
+    """zquo and zprem by the zero list, and zsolve1 with p = 0, raise
+    ZeroDivisionError as Poly.divmod does, not an IndexError."""
+    for divide in (lambda: exact.zquo([1, 2], []), lambda: exact.zquo([], []),
+                   lambda: exact.zprem([1, 2], []),
+                   lambda: exact.zsolve1([], [1], [1])):
+        with pytest.raises(ZeroDivisionError, match="division by zero"):
+            divide()

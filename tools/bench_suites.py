@@ -17,8 +17,10 @@ suite and grid under cProfile counts the calls of
 `exact.zpoly`, the Fraction Polys built from integer lists, of
 `exact.zclear`, the rational lists cleared to integer ones, of the
 integer kernels `exact.zmul`, `exact.zquo` and `exact.zwr`, the 2x2
-Wronskian of each Jacobi step, of the gcds `exact.zgcd` and `exact.zlcm`,
-and of `bethe.RamificationData.__init__`, the ramification data built.
+Wronskian of each Jacobi step, of `exact.zsolve1`, one per integral of a
+flag or fertility witness, and `exact.zsub`, of the gcds `exact.zgcd` and
+`exact.zlcm`, and of `bethe.RamificationData.__init__`, the ramification
+data built.
 A copy of DIR (a git checkout of the parent commit) is the parent side
 and a copy of this checkout the change side, as in `pairs`: the two sides
 alternate on every run of each suite and grid, the parent first in even
@@ -150,6 +152,8 @@ calls = {"Fraction.__new__": ("fractions.py", "__new__", None),
          "exact.zmul": ("exact.py", "zmul", None),
          "exact.zquo": ("exact.py", "zquo", None),
          "exact.zwr": ("exact.py", "zwr", None),
+         "exact.zsolve1": ("exact.py", "zsolve1", None),
+         "exact.zsub": ("exact.py", "zsub", None),
          "exact.zgcd": ("exact.py", "zgcd", None),
          "exact.zlcm": ("exact.py", "zlcm", None),
          "RamificationData.__init__": (
